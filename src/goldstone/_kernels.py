@@ -42,15 +42,24 @@ if HAVE_NUMBA:
 def csr_matvec(indptr, indices, data, x, scipy_csr=None):
     """y = A @ x for a CSR matrix given by (indptr, indices, data).
 
-    `scipy_csr` is an optional prebuilt scipy matrix over the same arrays,
-    used by the fallback lane to avoid re-wrapping on every call.
+    `x` is one vector or a 2-D block of columns; blocks always take the
+    scipy lane, because the numba kernel is 1-D.  `scipy_csr` is an optional
+    prebuilt scipy matrix over the same arrays, used by the scipy lane to
+    avoid re-wrapping on every call.
     """
-    dtype = np.result_type(data, x)
-    if use_numba:
+    if use_numba and x.ndim == 1:
+        dtype = np.result_type(data, x)
         out = np.zeros(len(indptr) - 1, dtype=dtype)
         return _csr_matvec_numba(indptr, indices, data,
                                  x.astype(dtype, copy=False), out)
     if scipy_csr is None:
         n = len(indptr) - 1
         scipy_csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    if np.iscomplexobj(x) and not np.iscomplexobj(data):
+        # scipy would copy the whole real matrix to complex on every call
+        out = np.empty((scipy_csr.shape[0],) + x.shape[1:],
+                       dtype=np.result_type(data, x))
+        out.real = scipy_csr @ x.real
+        out.imag = scipy_csr @ x.imag
+        return out
     return scipy_csr @ x

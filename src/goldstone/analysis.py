@@ -16,8 +16,10 @@ import numpy as np
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverError,
                           SolverOptions, SpectralDecomposition, deflated_solve,
                           dense_spectrum, ground_state, ground_state_from_dense)
-from .filters import (GFilter, WavepacketSpec, WavepacketWeights, build_f,
-                      make_chebyshev_expansion, spectral_interval)
+from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
+                      WavepacketSpec, WavepacketWeights, build_f,
+                      chebyshev_moments, make_chebyshev_expansion,
+                      spectral_interval)
 from .lattice import Lattice
 from .operators import (build_hamiltonian, fourier_spin, staggered_operator)
 
@@ -150,20 +152,22 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
 
 class SystemContext:
     """Shared working set for one (lattice, B): Hamiltonian, ground state,
-    dense oracle when the dimension allows, and cached operator-on-ground
-    vectors."""
+    dense oracle when the dimension allows, cached operator-on-ground
+    vectors, and their Chebyshev moments on the sparse path."""
 
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
                  tolerances: Tolerances = Tolerances(),
                  solver_opts: SolverOptions = SolverOptions(),
                  hamiltonian=None, ground=None,
-                 force_sparse: bool = False):
+                 force_sparse: bool = False,
+                 degree_cap: int = DEGREE_CAP_DEFAULT):
         self.lattice = lattice
         self.B = B
         self.tol = tolerances
         self.solver_opts = solver_opts
         self.dense_cap = dense_cap
+        self.degree_cap = degree_cap
         self.H = hamiltonian if hamiltonian is not None else build_hamiltonian(lattice, B)
         self.dense: SpectralDecomposition | None = None
         if self.H.dim <= dense_cap and not force_sparse:
@@ -176,7 +180,10 @@ class SystemContext:
             self.gs = ground_state(self.H, lattice, B, solver_opts)
         self._sk_cache: OrderedDict = OrderedDict()
         self._interval: tuple[float, float] | None = None
+        self._interval_source = ""
         self._expansions: dict = {}
+        self._moments: dict = {}
+        self._moment_passes: list = []
 
     # -- vectors ---------------------------------------------------------
 
@@ -198,34 +205,102 @@ class SystemContext:
                 hi = float(self.dense.eigenvalues[-1])
                 width = max(hi - lo, 1e-12)
                 self._interval = (lo - 0.01 * width, hi + 0.01 * width)
+                self._interval_source = "dense eigenvalues +-1%"
             else:
                 self._interval = spectral_interval(self.H, self.gs)
+                self._interval_source = "Lanczos extremal estimates +-5%"
         return self._interval
 
-    def filter_expansion(self, g: GFilter):
-        key = (g.spec, self.tol.chebyshev)
-        if key not in self._expansions:
+    def filter_expansions(self, g: GFilter):
+        """(den, num) expansions of g^2(x - E0) and (x - E0) g^2(x - E0) on
+        the spectral interval, with sup errors at most chebyshev_tol and
+        chebyshev_tol * gamma."""
+        if g.spec not in self._expansions:
             lo, hi = self.spectral_bounds()
             e0 = self.gs.energy
-            self._expansions[key] = make_chebyshev_expansion(
-                lambda x: g(np.asarray(x) - e0), lo, hi, self.tol.chebyshev)
-        return self._expansions[key]
+            tol = self.tol.chebyshev
 
-    def filtered_vector(self, g: GFilter, v: np.ndarray,
-                        method: str = "auto") -> np.ndarray:
-        if method == "auto":
-            method = "dense" if self.dense is not None else "chebyshev"
-        if method == "dense":
-            if self.dense is None:
-                raise ValueError("dense oracle unavailable at this dimension")
-            amps = self.dense.eigenvectors.conj().T @ v
-            return self.dense.eigenvectors @ (
-                g(self.dense.eigenvalues - self.gs.energy) * amps)
-        return self.filter_expansion(g).apply(self.H, v)
+            def den_fn(x):
+                return g(np.asarray(x) - e0) ** 2
+
+            def num_fn(x):
+                return (np.asarray(x) - e0) * den_fn(x)
+
+            self._expansions[g.spec] = (
+                make_chebyshev_expansion(den_fn, lo, hi, tol, self.degree_cap),
+                make_chebyshev_expansion(num_fn, lo, hi, tol * g.spec.gamma,
+                                         self.degree_cap))
+        return self._expansions[g.spec]
+
+    def moments(self, keys, n_moments: int) -> list:
+        """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
+        for each (momentum, axis) key, on the spectral interval.
+
+        Every key not yet cached to that order joins one block pass: the real
+        and imaginary parts of its vector become two real columns (H is real,
+        so the moments of v are the sums of those of its parts).
+        """
+        keys = [(tuple(n), axis) for n, axis in keys]
+        todo = [k for k in dict.fromkeys(keys)
+                if len(self._moments.get(k, ())) < n_moments]
+        if todo:
+            vs = [self.sk_phi(*k) for k in todo]
+            split = not np.iscomplexobj(self.H.data)
+            if split:
+                block = np.column_stack(
+                    [part for v in vs for part in (v.real, v.imag)])
+            else:
+                block = np.column_stack(vs)
+            lo, hi = self.spectral_bounds()
+            mu, matvecs = chebyshev_moments(self.H, block, lo, hi, n_moments)
+            if split:
+                mu = mu[:, 0::2] + mu[:, 1::2]
+            ratio = 0.0
+            for j, key in enumerate(todo):
+                col = mu[:, j]
+                worst = float(np.abs(col).max())
+                if not worst <= col[0] * (1.0 + 1e-10):
+                    raise SpectrumEnclosureError(
+                        f"Chebyshev moments of S_k^({key[1]}) phi0 at "
+                        f"momentum {key[0]} reach {worst:.6e} > mu_0 = "
+                        f"{col[0]:.6e}: the interval [{lo:.6g}, {hi:.6g}] "
+                        "does not enclose the spectrum")
+                if col[0] > 0:
+                    ratio = max(ratio, worst / col[0])
+                self._moments[key] = col.copy()
+            self._moment_passes.append({
+                "vectors": len(todo), "block_width": block.shape[1],
+                "moments": n_moments, "block_matvecs": matvecs,
+                "max_moment_ratio": ratio})
+        return [self._moments[k][:n_moments] for k in keys]
+
+    def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:
+        """g(H - E0) v through the dense oracle."""
+        if self.dense is None:
+            raise ValueError("dense oracle unavailable at this dimension")
+        amps = self.dense.eigenvectors.conj().T @ v
+        return self.dense.eigenvectors @ (
+            g(self.dense.eigenvalues - self.gs.energy) * amps)
 
     def h_shifted(self, v: np.ndarray) -> np.ndarray:
         """(H - E0) v."""
         return self.H.matvec(v) - self.gs.energy * v
+
+    def solver_stats(self) -> dict:
+        """Where the sparse-path numbers come from: the spectral interval,
+        the expansion degrees and sup errors, and the moment passes."""
+        return {
+            "path": "dense" if self.dense is not None else "sparse",
+            "interval": list(self._interval) if self._interval else None,
+            "interval_source": self._interval_source or None,
+            "expansions": [
+                {"epsilon": spec.epsilon, "gamma": spec.gamma,
+                 "delta_gamma": spec.delta_gamma,
+                 "den_degree": den.degree, "den_sup_error": den.sup_error,
+                 "num_degree": num.degree, "num_sup_error": num.sup_error}
+                for spec, (den, num) in self._expansions.items()],
+            "moment_passes": list(self._moment_passes),
+        }
 
 
 # -- elementary quantities ---------------------------------------------------
@@ -302,15 +377,45 @@ def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent, note)
 
 
+def _use_dense(ctx: SystemContext, method: str) -> bool:
+    if method == "auto":
+        return ctx.dense is not None
+    if method not in ("dense", "chebyshev"):
+        raise ValueError(f"unknown method {method!r}")
+    return method == "dense"
+
+
+def _dense_filtered(ctx: SystemContext, g: GFilter, keys) -> list:
+    """[(w, num_k, den_k)] with w = g(H - E0) S_k phi0 from the dense oracle."""
+    out = []
+    for n, axis in keys:
+        w = ctx.filtered_vector(g, ctx.sk_phi(n, axis))
+        out.append((w, float(np.vdot(w, ctx.h_shifted(w)).real),
+                    float(np.vdot(w, w).real)))
+    return out
+
+
+def _filtered_forms(ctx: SystemContext, g: GFilter, keys,
+                    method: str = "auto") -> list:
+    """[(num_k, den_k)] for v = S_k phi0 at each (momentum, axis) key:
+    den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>.
+
+    The dense oracle, or one Chebyshev moment pass over every key not yet
+    cached; there each value is within its expansion's sup error times
+    ||v||^2."""
+    if _use_dense(ctx, method):
+        return [(num, den) for _, num, den in _dense_filtered(ctx, g, keys)]
+    den_exp, num_exp = ctx.filter_expansions(g)
+    n_moments = max(den_exp.degree, num_exp.degree) + 1
+    return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu))
+            for mu in ctx.moments(keys, n_moments)]
+
+
 def filtered_moments(ctx: SystemContext, g: GFilter, n, axis: int = 2,
                      method: str = "auto") -> tuple[float, float]:
     """(num_k, den_k) for w = g(H - E0) S_k^(axis) phi0:
     den_k = <w, w>, num_k = <w, (H - E0) w>."""
-    v = ctx.sk_phi(n, axis)
-    w = ctx.filtered_vector(g, v, method)
-    den = float(np.vdot(w, w).real)
-    num_c = np.vdot(w, ctx.h_shifted(w))
-    return float(num_c.real), den
+    return _filtered_forms(ctx, g, [(n, axis)], method)[0]
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
@@ -431,14 +536,18 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
     report = BoundReport(lat.spec.extents, lat.spec.spin, ctx.B)
     q = lat.q_ordering
     zero = tuple(0 for _ in q)
+    window = [n for n in lat.momenta if n not in (zero, q)]
+    dens = {n: den for n, (_, den) in
+            zip(window, _filtered_forms(ctx, g, [(n, 2) for n in window]))}
     for n in lat.momenta:
         report.add(sum_rule_entry(ctx, n))
         for axis in axes:
             report.add(double_commutator_entry(ctx, n, axis))
             if n != q:
                 report.add(irb_entry(ctx, n, axis))
-        if n not in (zero, q):
-            report.entries.extend(window_entries(ctx, g, v_min, r, n))
+        if n in dens:
+            report.entries.extend(window_entries(ctx, g, v_min, r, n,
+                                                 dens[n]))
     return report
 
 
@@ -456,30 +565,29 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
     if mode not in ("zero", "staggered"):
         raise ValueError(f"unknown mode {mode!r}")
     lat = ctx.lattice
+    items = sorted(wp.weights.items())
+    keys = [(lat.shift_q(n) if mode == "staggered" else n, 2) for n, _ in items]
+    if _use_dense(ctx, method):
+        filtered = _dense_filtered(ctx, g, keys)
+        wvecs = [w for w, _, _ in filtered]
+        forms = [(num_k, den_k) for _, num_k, den_k in filtered]
+    else:
+        wvecs = []
+        forms = _filtered_forms(ctx, g, keys, "chebyshev")
     num = 0.0
     den = 0.0
     per_k = []
-    wvecs = {}
-    for n, weight in sorted(wp.weights.items()):
-        q_op = lat.shift_q(n) if mode == "staggered" else n
-        v = ctx.sk_phi(q_op, 2)
-        w = ctx.filtered_vector(g, v, method)
-        den_k = float(np.vdot(w, w).real)
-        num_k = float(np.vdot(w, ctx.h_shifted(w)).real)
+    for (n, weight), (num_k, den_k) in zip(items, forms):
         per_k.append(PerMomentum(n, tuple(lat.kvec(n)), weight, num_k, den_k))
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
-        if ctx.dense is not None:
-            wvecs[n] = w
     cross = None
-    if ctx.dense is not None and len(wvecs) > 1:
+    if len(wvecs) > 1:
         cross = 0.0
-        labels = sorted(wvecs)
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                cross = max(cross,
-                            abs(np.vdot(wvecs[a], ctx.h_shifted(wvecs[b]))),
-                            abs(np.vdot(wvecs[a], wvecs[b])))
+        for i, a in enumerate(wvecs):
+            for b in wvecs[i + 1:]:
+                cross = max(cross, abs(np.vdot(a, ctx.h_shifted(b))),
+                            abs(np.vdot(a, b)))
         cross = float(cross)
     if den <= den_threshold:
         raise VanishingDenominatorError(
@@ -536,11 +644,10 @@ def qmode_trend(ctx: SystemContext, g: GFilter, method: str = "auto") -> list:
         e = round(lat.dispersion(n), 9)
         if e not in reps:
             reps[e] = n
-    out = []
-    for e, n in sorted(reps.items()):
-        _, den_k = filtered_moments(ctx, g, lat.shift_q(n), 2, method)
-        out.append((float(e), n, den_k))
-    return out
+    reps = sorted(reps.items())
+    forms = _filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps],
+                            method)
+    return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]
 
 
 def extrapolate_ms(b_values, m_values) -> dict:

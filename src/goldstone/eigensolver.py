@@ -355,7 +355,9 @@ def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
         return None
     scale = max(1.0, _row_abs_sum_max(H))
     resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
-    if resid > 10 * tol * scale or abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+    # written so that a NaN in e0 or the vector rejects the file
+    if not (resid <= 10 * tol * scale
+            and abs(np.linalg.norm(vec) - 1.0) <= 1e-10):
         return None
     return GroundState(energy=e0, vector=vec, gap_estimate=np.nan,
                        gap_is_estimate=True, B=B, lattice=lattice,

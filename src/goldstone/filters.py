@@ -4,7 +4,8 @@ The energy window g vanishes outside (epsilon, gamma), equals one on
 [2*epsilon, gamma - delta_gamma], and is C-infinity via the standard
 exp(-1/s) mollifier.  The time-domain picture is never materialised: every
 use reduces to g(H - E0) acting on a vector, realised either exactly through
-the dense eigensystem or by a certified Chebyshev expansion.
+the dense eigensystem or by a certified Chebyshev expansion, or to a
+quadratic form <v, p(H) v> read off the Chebyshev moments of v.
 
 The wavepacket parameter `p` is the grid momentum magnitude being excited;
 the smooth profile lives on the annulus [R/2, R] with R = 4p/3, which puts
@@ -34,8 +35,10 @@ __all__ = [
     "build_f",
     "ChebyshevExpansion",
     "make_chebyshev_expansion",
+    "chebyshev_moments",
     "apply_filter",
     "FilterDegreeError",
+    "SpectrumEnclosureError",
     "EmptySupportError",
     "DEGREE_CAP_DEFAULT",
     "INTERVAL_INFLATION",
@@ -47,6 +50,10 @@ INTERVAL_INFLATION = 0.05
 
 class FilterDegreeError(RuntimeError):
     """Requested uniform accuracy unreachable at the degree cap."""
+
+
+class SpectrumEnclosureError(RuntimeError):
+    """Chebyshev moments grew past mu_0: the interval misses the spectrum."""
 
 
 class EmptySupportError(ValueError):
@@ -199,6 +206,10 @@ class ChebyshevExpansion:
             b1, b2 = 2.0 * t * b1 - b2 + cj, b1
         return t * b1 - b2 + self.coeffs[0]
 
+    def quadratic_form(self, moments: np.ndarray) -> float:
+        """<v, p(H) v> from the moments <v, T_n(H~) v> of `chebyshev_moments`."""
+        return float(self.coeffs @ moments[:len(self.coeffs)])
+
     def apply(self, H: SparseHermitianOperator, v: np.ndarray) -> np.ndarray:
         """p(H) v by the Clenshaw-style three-term recurrence."""
         al = 2.0 / (self.hi - self.lo)
@@ -215,6 +226,47 @@ class ChebyshevExpansion:
             w += c[j] * t2
             t0, t1 = t1, t2
         return w
+
+
+def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
+                      lo: float, hi: float, n_moments: int):
+    """(mu, matvecs): mu[n, j] = <b_j, T_n(H~) b_j> for n < n_moments, with
+    H~ = (2H - (hi + lo)) / (hi - lo), for every column b_j of `block`.
+
+    Kernel polynomial method (Weisse, Wellein, Alvermann and Fehske, Rev.
+    Mod. Phys. 78, 275 (2006), Sec. II): the recurrence t_{n+1} =
+    2 H~ t_n - t_{n-1} runs on the whole block, and the doubling identities
+    mu_2n = 2<t_n, t_n> - mu_0 and mu_2n+1 = 2<t_n+1, t_n> - mu_1 give two
+    moments per block matvec.
+    """
+    al = 2.0 / (hi - lo)
+    be = -(hi + lo) / (hi - lo)
+
+    def dot(a, b):
+        return np.einsum("ij,ij->j", a.conj(), b).real
+
+    mu = np.empty((n_moments, block.shape[1]))
+    prev = block
+    mu[0] = dot(prev, prev)
+    if n_moments == 1:
+        return mu, 0
+    cur = al * H.matvec(prev) + be * prev
+    mu[1] = dot(prev, cur)
+    matvecs = 1
+    n = 1
+    while 2 * n < n_moments:
+        mu[2 * n] = 2.0 * dot(cur, cur) - mu[0]
+        if 2 * n + 1 == n_moments:
+            break
+        nxt = H.matvec(cur)
+        nxt *= 2.0 * al
+        nxt += (2.0 * be) * cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        matvecs += 1
+        mu[2 * n + 1] = 2.0 * dot(cur, prev) - mu[1]
+        n += 1
+    return mu, matvecs
 
 
 def _cheb_coeffs(fn, lo: float, hi: float, degree: int) -> np.ndarray:
@@ -239,7 +291,7 @@ def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
     """
     xs = np.linspace(lo, hi, check_points)
     target = np.asarray(fn(xs), dtype=float)
-    degree = start_degree
+    degree = min(start_degree, max_degree)
     while True:
         c = _cheb_coeffs(fn, lo, hi, degree)
         tail = np.cumsum(np.abs(c[::-1]))[::-1]

@@ -101,7 +101,8 @@ def _context(lattice: Lattice, B: float, config: ScanConfig,
         gs = ground_state(H, lattice, B, solver_opts)
     ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
                         tolerances=config.tolerances, solver_opts=solver_opts,
-                        hamiltonian=H, ground=gs)
+                        hamiltonian=H, ground=gs,
+                        degree_cap=config.degree_cap)
     if cache_path is not None and not cache_path.exists():
         save_ground_state(cache_path, ctx.gs, config.tolerances.solver)
     return ctx
@@ -136,6 +137,7 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
     sample_rows: list[dict] = []
     checks: list[dict] = []
     skipped: list[dict] = []
+    solver_stats: list[dict] = []
 
     def check(group, name, lattice, B, value, threshold, passed, note=""):
         checks.append({
@@ -268,7 +270,7 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
                             "config": cfg_hash, "lattice": lat_tag, "B": B,
                             "mode": rec.mode, "p_target": rec.p_target,
                             "n": _label(pk.momentum),
-                            "k": ";".join(repr(x) for x in pk.kvec),
+                            "k": _kcols(lattice, pk.momentum),
                             "weight": pk.weight, "num_k": pk.num_k,
                             "den_k": pk.den_k,
                         })
@@ -307,6 +309,9 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
                     worst = max(worst, second)
                 check("bounds", "e0_concave_in_B", extents, None, worst,
                       1e-10, worst <= 1e-10)
+
+        solver_stats.extend({"lattice": lat_tag, "B": ctx.B,
+                             **ctx.solver_stats()} for ctx in contexts)
 
         if ({"dispersion", "qmode"} & set(config.checks)) and len(m_b_ladder) >= 3:
             ms = extrapolate_ms([c.B for c in contexts], m_b_ladder)
@@ -365,6 +370,7 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
             "all_passed": exit_code == 0,
         },
         "corruption_hook": corrupt,
+        "solver_stats": solver_stats,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -500,7 +506,8 @@ def verify_cache(cache_dir) -> list:
             resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
             norm_defect = abs(float(np.linalg.norm(vec)) - 1.0)
             scale = max(1.0, float(np.abs(H.data).sum() / H.dim))
-            if resid > 10 * tol * scale or norm_defect > 1e-10:
+            # written so that a NaN anywhere fails the check
+            if not (resid <= 10 * tol * scale and norm_defect <= 1e-10):
                 raise ValueError(
                     f"residual {resid:.3e} / norm defect {norm_defect:.3e} "
                     f"exceed tolerance {tol:.1e}")

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goldstone.analysis import (EpsilonChoiceError, SystemContext,
+from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
                                 choose_epsilon, ctx_m_b,
                                 double_commutator_entry, excitation_energy,
                                 extrapolate_ms, filtered_moments, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
-from goldstone.filters import FilterSpec, GFilter, WavepacketSpec, build_f
+from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
+                               WavepacketSpec, build_f)
 from goldstone.lattice import Lattice
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
@@ -88,6 +91,36 @@ def test_filtered_moments_match_spectral_sums(ctx22):
     assert num >= GF.spec.epsilon * den
     assert num <= GF.spec.gamma * den
     assert den <= float(np.sum(amps[de > 0])) + 1e-12
+
+
+LATTICES = {"ring4": ((4,), 0.5), "ring6": ((6,), 0.5), "2x2": ((2, 2), 0.5),
+            "2x4": ((2, 4), 0.5), "spin1-ring4": ((4,), 1.0)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(LATTICES)),
+       B=st.floats(0.02, 1.0),
+       eps=st.floats(0.1, 1.2),
+       pick=st.integers(0, 10 ** 6),
+       axis=st.sampled_from([2, 3]))
+def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
+    extents, spin = LATTICES[name]
+    lat = Lattice.build(extents, spin)
+    ctx = SystemContext(lat, B, tolerances=Tolerances(chebyshev=1e-6))
+    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    momenta = sorted(lat.momenta)
+    n = momenta[pick % len(momenta)]
+    num, den = filtered_moments(ctx, g, n, axis, "chebyshev")
+    v = ctx.sk_phi(n, axis)
+    norm2 = float(np.vdot(v, v).real)
+    de = ctx.dense.eigenvalues - ctx.gs.energy
+    amps = np.abs(ctx.dense.eigenvectors.conj().T @ v) ** 2
+    g2 = g(de) ** 2
+    den_exp, num_exp = ctx.filter_expansions(g)
+    assert abs(den - float(np.sum(g2 * amps))) <= \
+        den_exp.sup_error * norm2 + 1e-12
+    assert abs(num - float(np.sum(g2 * de * amps))) <= \
+        num_exp.sup_error * norm2 + 1e-12
 
 
 def test_choose_epsilon_errors_without_order():
@@ -227,3 +260,13 @@ def test_sparse_context_skips_window_pieces(lat22):
     entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0))
     assert [e.name for e in entries] == ["denominator_lower_bound"]
     assert "window pieces skipped" in entries[0].note
+
+
+def test_moment_guard_rejects_short_interval(lat22):
+    ctx = SystemContext(lat22, 0.1, force_sparse=True)
+    lo, hi = ctx.spectral_bounds()
+    ctx._interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
+    with pytest.raises(SpectrumEnclosureError,
+                       match=r"\(1, 0\).*does not enclose") as info:
+        filtered_moments(ctx, GF, (1, 0), 2)
+    assert f"{lo:.6g}" in str(info.value)

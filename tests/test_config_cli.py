@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from goldstone.cli import main
 from goldstone.config import (ConfigError, ScanConfig, auto_p_target,
                               parse_config_text)
 from goldstone.eigensolver import (dense_spectrum, ground_state_cache_name,
-                                   ground_state_from_dense, save_ground_state)
+                                   ground_state_from_dense, load_ground_state,
+                                   save_ground_state)
+from goldstone.filters import FilterDegreeError
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian
 from goldstone.runner import run_scan, verify_cache
@@ -138,6 +141,67 @@ def test_scan_determinism(tmp_path):
         assert body == (tmp_path / "c" / name).read_bytes(), (name, "jobs")
 
 
+def test_k_columns_are_numbers(tmp_path):
+    run_scan(parse_config_text(FULL), out_dir=tmp_path)
+    seen = 0
+    for path in sorted(tmp_path.glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if "k" in row:
+                    assert len([float(x) for x in row["k"].split(";")]) == 2, \
+                        (path.name, row["k"])
+                    seen += 1
+    assert seen > 0
+
+
+# 2x2 forced onto the Lanczos + Chebyshev path by a dense cap below its
+# dimension (16)
+SPARSE_22 = """
+[scan]
+checks = bounds dispersion
+lattices = 2x2
+b_ladder = 0.2
+dense_cap = 8
+
+[wavepacket]
+p = auto
+kappa = auto
+"""
+
+
+def test_sparse_scan_reports_solver_stats(tmp_path):
+    result = run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path)
+    assert result.exit_code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (stats,) = manifest["solver_stats"]
+    assert (stats["lattice"], stats["B"], stats["path"]) == ("2x2", 0.2, "sparse")
+    assert stats["interval_source"].startswith("Lanczos")
+    lo, hi = stats["interval"]
+    assert lo < hi
+    (expansion,) = stats["expansions"]
+    assert expansion["den_sup_error"] <= 1e-8
+    assert expansion["num_sup_error"] <= 1e-8 * expansion["gamma"]
+    # the dispersion records reuse the moments of the bounds pass: the two
+    # window momenta of the 2x2 grid, real and imaginary parts
+    (moment_pass,) = stats["moment_passes"]
+    assert moment_pass["vectors"] == 2
+    assert moment_pass["block_width"] == 4
+    assert moment_pass["moments"] == 1 + max(expansion["den_degree"],
+                                             expansion["num_degree"])
+    assert moment_pass["block_matvecs"] == moment_pass["moments"] // 2
+    assert moment_pass["max_moment_ratio"] <= 1.0 + 1e-10
+    for name in ("bounds.csv", "dispersion.csv", "dispersion_per_k.csv"):
+        assert "solver" not in (tmp_path / name).read_text()
+
+
+def test_degree_cap_is_enforced(tmp_path):
+    text = SPARSE_22 + "\n[filter]\ndegree_cap = 64\n"
+    cfg = parse_config_text(text)
+    assert cfg.degree_cap == 64
+    with pytest.raises(FilterDegreeError):
+        run_scan(cfg, out_dir=tmp_path)
+
+
 def test_cli_scan_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SMOKE)
@@ -186,6 +250,24 @@ def test_verify_cache_evicts_tampered(tmp_path):
     status = {r["file"]: r["status"] for r in reports}
     assert status[path.name] == "evicted"
     assert status["gs_junk.bin"] == "unreadable"
+    assert not path.exists()
+
+
+def test_cache_with_nan_is_rejected(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    lat = Lattice.build((2, 2))
+    B, tol = 0.1, 1e-10
+    H = build_hamiltonian(lat, B)
+    gs = ground_state_from_dense(dense_spectrum(H), lat, B)
+    path = cache / ground_state_cache_name(lat.spec, B, tol)
+    save_ground_state(path, gs, tol)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array([np.nan]).tobytes()
+    path.write_bytes(bytes(blob))
+    assert load_ground_state(path, lat, H, B, tol) is None
+    (report,) = verify_cache(cache)
+    assert report["status"] == "evicted"
     assert not path.exists()
 
 

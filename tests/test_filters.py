@@ -4,7 +4,8 @@ import pytest
 from goldstone.filters import (EmptySupportError, FilterDegreeError,
                                FilterSpec, WavepacketSpec,
                                apply_filter, build_f, build_g,
-                               make_chebyshev_expansion, smoothstep)
+                               chebyshev_moments, make_chebyshev_expansion,
+                               smoothstep)
 from goldstone.lattice import Lattice
 
 
@@ -116,7 +117,7 @@ def test_filter_annihilates_ground_state(ctx22):
 def test_chebyshev_matches_dense(ctx22):
     g = build_g(FilterSpec(0.2, 3.0, 0.5))
     v = ctx22.sk_phi((1, 0), 2)
-    dense = ctx22.filtered_vector(g, v, "dense")
+    dense = ctx22.filtered_vector(g, v)
     cheb = apply_filter(ctx22.H, ctx22.gs, g, v, tol=1e-10, method="chebyshev")
     assert np.linalg.norm(cheb - dense) <= 1e-8
 
@@ -124,7 +125,7 @@ def test_chebyshev_matches_dense(ctx22):
 def test_chebyshev_error_decreases_with_tolerance(ctx22):
     g = build_g(FilterSpec(0.2, 3.0, 0.5))
     v = ctx22.sk_phi((1, 0), 2)
-    dense = ctx22.filtered_vector(g, v, "dense")
+    dense = ctx22.filtered_vector(g, v)
     errors = []
     for tol in (1e-4, 5e-5, 2.5e-5, 1e-6, 1e-8):
         w = apply_filter(ctx22.H, ctx22.gs, g, v, tol=tol, method="chebyshev")
@@ -136,6 +137,23 @@ def test_degree_cap_error():
     g = build_g(FilterSpec(0.01, 3.0, 0.5))
     with pytest.raises(FilterDegreeError):
         make_chebyshev_expansion(g, -1.0, 40.0, 1e-12, max_degree=64)
+    # reachable below the start degree (512) but not below the cap
+    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    with pytest.raises(FilterDegreeError):
+        make_chebyshev_expansion(g, -1.0, 10.0, 1e-2, max_degree=64)
+
+
+@pytest.mark.parametrize("n_moments", [1, 2, 7, 40])
+def test_chebyshev_moments_match_dense(ctx22, rng, n_moments):
+    evals = ctx22.dense.eigenvalues
+    lo, hi = evals[0] - 0.5, evals[-1] + 0.5
+    block = rng.standard_normal((ctx22.H.dim, 3))
+    mu, matvecs = chebyshev_moments(ctx22.H, block, lo, hi, n_moments)
+    assert matvecs == n_moments // 2
+    amps2 = np.abs(ctx22.dense.eigenvectors.T @ block) ** 2
+    theta = np.arccos((2 * evals - (hi + lo)) / (hi - lo))
+    ref = np.cos(np.outer(np.arange(n_moments), theta)) @ amps2
+    assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref[0]).max()
 
 
 def test_expansion_is_certified():
@@ -153,8 +171,8 @@ def test_idempotence_bracketing(fixture, rng, request):
     dim = ctx.H.dim
     for _ in range(5):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        w1 = ctx.filtered_vector(g, v, "dense")
-        w2 = ctx.filtered_vector(g, w1, "dense")
+        w1 = ctx.filtered_vector(g, v)
+        w2 = ctx.filtered_vector(g, w1)
         assert np.linalg.norm(w2) <= np.linalg.norm(w1) + 1e-12
         assert np.linalg.norm(w1) <= np.linalg.norm(v) + 1e-12
 

@@ -63,6 +63,23 @@ def test_lanes_agree_on_hamiltonian(rng, monkeypatch):
         assert np.abs(sk.matvec(x) - ref_s).max() <= 1e-12
 
 
+def test_real_matrix_complex_vectors_and_blocks(rng, monkeypatch):
+    lat = Lattice.build((2, 4))
+    H = build_hamiltonian(lat, 0.3)
+    assert not np.iscomplexobj(H.data)
+    dense = H.to_dense()
+    x = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    block = rng.standard_normal((H.dim, 6))
+    cblock = block + 1j * rng.standard_normal((H.dim, 6))
+    for lane in LANES:
+        monkeypatch.setattr(_kernels, "use_numba", lane)
+        for v in (x, block, cblock):
+            got = H.matvec(v)
+            assert got.shape == v.shape
+            assert got.dtype == np.result_type(H.data, v)
+            assert np.abs(got - dense @ v).max() <= 1e-12
+
+
 def test_real_matrix_real_vector_stays_real(rng):
     lat = Lattice.build((2, 2))
     H = build_hamiltonian(lat, 0.2)
