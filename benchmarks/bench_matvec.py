@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the CSR matvec lanes (numba kernel vs scipy fallback).
 
-The matvec dominates everything at scale: Lanczos sweeps, Chebyshev filter
-applies, and deflated CG are all matvec loops.  Run as
+The matvec dominates everything at scale: Lanczos sweeps, Chebyshev moment
+passes, and deflated CG are all matvec loops.  Run as
 
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
+
+It also times an 8-column real block (the moment-pass shape) on the full H,
+on the M = 0 sector that holds the ground state, and on the M = +1, -1
+sectors where the sparse path runs its moment passes.
 
 Set GOLDSTONE_NO_NUMBA=1 to check what the fallback lane alone would do.
 """
@@ -72,6 +76,15 @@ def main():
         print(f"  lane agreement: max |diff| = {err:.3e}")
         print(f"  speedup: real x{ref[0] / got[0]:.2f}, "
               f"complex x{ref[1] / got[1]:.2f}")
+
+    for name, sectors in (("full", None), ("M=0", (0,)), ("M=+-1", (1, -1))):
+        op = H if sectors is None else build_hamiltonian(lat, args.field,
+                                                         sectors)
+        block = rng.standard_normal((op.dim, 8))
+        dt, _ = time_matvec(op, block, args.reps)
+        print(f"  8-column real block on {name:6s}: dim {op.dim:8d}, nnz "
+              f"{op.nnz:9d}, {dt * 1e3:8.3f} ms ({dt * 1e3 / 8:.3f} ms "
+              "per column)")
 
     if args.lanczos:
         for name, flag in lanes:

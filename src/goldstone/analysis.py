@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverError,
-                          SolverOptions, SpectralDecomposition, deflated_solve,
-                          dense_spectrum, ground_state, ground_state_from_dense)
+                          SolverOptions, SpectralDecomposition,
+                          check_ground_sector, deflated_solve, dense_spectrum,
+                          ground_state, ground_state_from_dense, lowest_ritz)
 from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       WavepacketSpec, WavepacketWeights, build_f,
                       chebyshev_moments, make_chebyshev_expansion,
@@ -29,6 +31,8 @@ __all__ = [
     "BoundReport",
     "DispersionRecord",
     "SystemContext",
+    "ground_sectors",
+    "filter_keys",
     "EpsilonChoiceError",
     "VanishingDenominatorError",
     "staggered_magnetization",
@@ -150,10 +154,27 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
                       float(margin), tol, bool(margin >= -tol), "equality", note)
 
 
+def ground_sectors(lattice: Lattice, dense_cap: int = DENSE_CAP_DEFAULT,
+                   force_sparse: bool = False) -> tuple | None:
+    """Basis of the ground state: None (the full basis, with the dense
+    oracle) at or below the dense cap, else the magnetization sector (0,)."""
+    if lattice.spec.hilbert_dim <= dense_cap and not force_sparse:
+        return None
+    return (0,)
+
+
 class SystemContext:
     """Shared working set for one (lattice, B): Hamiltonian, ground state,
     dense oracle when the dimension allows, cached operator-on-ground
-    vectors, and their Chebyshev moments on the sparse path."""
+    vectors, and their Chebyshev moments on the sparse path.
+
+    The dense path works on the full basis: `H` and `H_exc` are the same
+    operator.  The sparse path works on magnetization sectors of the
+    relabelled axes (`operators.SECTOR_AXES`): `H` is the M = 0 block that
+    holds the ground state, and `H_exc` the block-diagonal H on M = +1 and
+    M = -1, where S_k^(2) phi0 and S_k^(3) phi0 live.  Construction checks
+    that M = 0 holds the ground state (SolverError otherwise).
+    """
 
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
@@ -168,16 +189,28 @@ class SystemContext:
         self.solver_opts = solver_opts
         self.dense_cap = dense_cap
         self.degree_cap = degree_cap
-        self.H = hamiltonian if hamiltonian is not None else build_hamiltonian(lattice, B)
+        sectors = ground_sectors(lattice, dense_cap, force_sparse)
+        self.H = hamiltonian if hamiltonian is not None else \
+            build_hamiltonian(lattice, B, sectors)
         self.dense: SpectralDecomposition | None = None
-        if self.H.dim <= dense_cap and not force_sparse:
+        self.sector_lowest: list | None = None
+        self.ground_gap: float | None = None
+        if sectors is None:
+            self.H_exc = self.H
             self.dense = dense_spectrum(self.H, dense_cap)
+        else:
+            self.H_exc = build_hamiltonian(lattice, B, (1, -1))
         if ground is not None:
+            if ground.sector != (None if sectors is None else sectors[0]):
+                raise ValueError(f"ground state on sector {ground.sector}, "
+                                 f"context basis {sectors}")
             self.gs = ground
         elif self.dense is not None:
             self.gs = ground_state_from_dense(self.dense, lattice, B)
         else:
-            self.gs = ground_state(self.H, lattice, B, solver_opts)
+            self.gs = ground_state(self.H, lattice, B, solver_opts, sector=0)
+        if sectors is not None:
+            self._check_ground_sector()
         self._sk_cache: OrderedDict = OrderedDict()
         self._interval: tuple[float, float] | None = None
         self._interval_source = ""
@@ -185,13 +218,34 @@ class SystemContext:
         self._moments: dict = {}
         self._moment_passes: list = []
 
+    def _check_ground_sector(self) -> None:
+        """Lowest Ritz value of every sector M >= 1 against E0 (M = 0).
+
+        Sectors M and -M need no separate check: the global spin flip
+        composed with a one-site translation maps H to itself and M to -M.
+        """
+        lat = self.lattice
+        self.sector_lowest = []
+        for M in range(1, lat.n_sites * lat.spec.two_s // 2 + 1):
+            H_m = build_hamiltonian(lat, self.B, (M,))
+            theta, resid = lowest_ritz(H_m, self.solver_opts)
+            self.sector_lowest.append(
+                {"M": M, "dim": H_m.dim, "ritz": theta, "residual": resid})
+        self.ground_gap = check_ground_sector(
+            self.gs.energy,
+            [(s["M"], s["ritz"], s["residual"]) for s in self.sector_lowest])
+
     # -- vectors ---------------------------------------------------------
 
     def sk_phi(self, n, axis: int) -> np.ndarray:
-        """hat S_n^(axis) |phi0>, cached."""
+        """hat S_n^(axis) |phi0>, cached; a vector of H_exc's basis."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
-            op = fourier_spin(self.lattice, n, axis)
+            if self.gs.sector is not None and axis not in (2, 3):
+                raise ValueError(
+                    f"axis {axis}: the sparse path holds S_k^(2) phi0 and "
+                    "S_k^(3) phi0 only (sectors M = +1 and -1)")
+            op = fourier_spin(self.lattice, n, axis, self.gs.sector)
             self._sk_cache[key] = op.matvec(
                 self.gs.vector.astype(complex, copy=False))
             while len(self._sk_cache) > 96:
@@ -207,8 +261,13 @@ class SystemContext:
                 self._interval = (lo - 0.01 * width, hi + 0.01 * width)
                 self._interval_source = "dense eigenvalues +-1%"
             else:
-                self._interval = spectral_interval(self.H, self.gs)
-                self._interval_source = "Lanczos extremal estimates +-5%"
+                # M = +1 and -1 have one spectrum, so H_exc's lowest
+                # eigenvalue is the M = 1 Ritz value of the sector check
+                self._interval = spectral_interval(
+                    self.H_exc, self.sector_lowest[0]["ritz"])
+                self._interval_source = (
+                    "M=1 lowest Ritz value -5% of the width; Gershgorin "
+                    "row bound")
         return self._interval
 
     def filter_expansions(self, g: GFilter):
@@ -245,14 +304,15 @@ class SystemContext:
                 if len(self._moments.get(k, ())) < n_moments]
         if todo:
             vs = [self.sk_phi(*k) for k in todo]
-            split = not np.iscomplexobj(self.H.data)
+            split = not np.iscomplexobj(self.H_exc.data)
             if split:
                 block = np.column_stack(
                     [part for v in vs for part in (v.real, v.imag)])
             else:
                 block = np.column_stack(vs)
             lo, hi = self.spectral_bounds()
-            mu, matvecs = chebyshev_moments(self.H, block, lo, hi, n_moments)
+            mu, matvecs = chebyshev_moments(self.H_exc, block, lo, hi,
+                                            n_moments)
             if split:
                 mu = mu[:, 0::2] + mu[:, 1::2]
             ratio = 0.0
@@ -283,14 +343,30 @@ class SystemContext:
             g(self.dense.eigenvalues - self.gs.energy) * amps)
 
     def h_shifted(self, v: np.ndarray) -> np.ndarray:
-        """(H - E0) v."""
-        return self.H.matvec(v) - self.gs.energy * v
+        """(H - E0) v for a vector of H_exc's basis."""
+        return self.H_exc.matvec(v) - self.gs.energy * v
+
+    @cached_property
+    def m_B(self) -> float:
+        return staggered_magnetization(self.gs)
 
     def solver_stats(self) -> dict:
-        """Where the sparse-path numbers come from: the spectral interval,
-        the expansion degrees and sup errors, and the moment passes."""
+        """Where the sparse-path numbers come from: the sectors and the
+        ground-sector check, the spectral interval, the expansion degrees and
+        sup errors, and the moment passes."""
+        sectors = None
+        if self.sector_lowest is not None:
+            sectors = {
+                "ground": {"M": 0, "dim": self.H.dim, "nnz": self.H.nnz,
+                           "energy": self.gs.energy},
+                "excitation": {"M": [1, -1], "dim": self.H_exc.dim,
+                               "nnz": self.H_exc.nnz},
+                "lowest": list(self.sector_lowest),
+                "ground_gap": self.ground_gap,
+            }
         return {
             "path": "dense" if self.dense is not None else "sparse",
+            "sectors": sectors,
             "interval": list(self._interval) if self._interval else None,
             "interval_source": self._interval_source or None,
             "expansions": [
@@ -306,8 +382,10 @@ class SystemContext:
 # -- elementary quantities ---------------------------------------------------
 
 def staggered_magnetization(gs: GroundState) -> float:
-    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0>."""
-    op = staggered_operator(gs.lattice)
+    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0> (a diagonal on a
+    sector basis)."""
+    op = staggered_operator(gs.lattice,
+                            None if gs.sector is None else (gs.sector,))
     val = np.vdot(gs.vector, op.matvec(gs.vector))
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"staggered magnetization not real: {val}")
@@ -372,7 +450,9 @@ def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
         except SolverError as exc:
             note = f"solver inconclusive: {exc}"
     else:
-        x = deflated_solve(ctx.H, ctx.gs, v, tol=ctx.tol.solver)
+        # phi0 lies in M = 0, v in M = +-1: H_exc - E0 needs no deflation
+        x = deflated_solve(ctx.H_exc, ctx.gs, v, tol=ctx.tol.solver,
+                           deflate=False)
         lhs = float(np.vdot(v, x).real)
     return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent, note)
 
@@ -519,9 +599,42 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
 
 
 def ctx_m_b(ctx: SystemContext) -> float:
-    if not hasattr(ctx, "_m_b"):
-        ctx._m_b = staggered_magnetization(ctx.gs)
-    return ctx._m_b
+    return ctx.m_B
+
+
+def _window_momenta(lat: Lattice) -> list:
+    q = lat.q_ordering
+    return [n for n in lat.momenta if n not in (tuple(0 for _ in q), q)]
+
+
+def _mode_keys(lat: Lattice, wp: WavepacketWeights, mode: str) -> list:
+    return [(lat.shift_q(n) if mode == "staggered" else n, 2)
+            for n in sorted(wp.weights)]
+
+
+def _trend_representatives(lat: Lattice) -> list:
+    """[(dispersion value, momentum)]: the first momentum of each distinct
+    dispersion value, by increasing value."""
+    reps = {}
+    for n in sorted(lat.momenta):
+        reps.setdefault(round(lat.dispersion(n), 9), n)
+    return sorted(reps.items())
+
+
+def filter_keys(lat: Lattice, wp: WavepacketWeights, groups) -> list:
+    """(momentum, axis) keys of the filtered quantities that the check
+    groups ask for at one wavepacket: the window momenta ("bounds"), the
+    support ("dispersion"), its Q-shift and the trend representatives
+    ("qmode")."""
+    keys = []
+    if "bounds" in groups:
+        keys += [(n, 2) for n in _window_momenta(lat)]
+    if "dispersion" in groups:
+        keys += _mode_keys(lat, wp, "zero")
+    if "qmode" in groups:
+        keys += _mode_keys(lat, wp, "staggered")
+        keys += [(lat.shift_q(n), 2) for _, n in _trend_representatives(lat)]
+    return keys
 
 
 def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
@@ -535,8 +648,7 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
     lat = ctx.lattice
     report = BoundReport(lat.spec.extents, lat.spec.spin, ctx.B)
     q = lat.q_ordering
-    zero = tuple(0 for _ in q)
-    window = [n for n in lat.momenta if n not in (zero, q)]
+    window = _window_momenta(lat)
     dens = {n: den for n, (_, den) in
             zip(window, _filtered_forms(ctx, g, [(n, 2) for n in window]))}
     for n in lat.momenta:
@@ -566,7 +678,7 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         raise ValueError(f"unknown mode {mode!r}")
     lat = ctx.lattice
     items = sorted(wp.weights.items())
-    keys = [(lat.shift_q(n) if mode == "staggered" else n, 2) for n, _ in items]
+    keys = _mode_keys(lat, wp, mode)
     if _use_dense(ctx, method):
         filtered = _dense_filtered(ctx, g, keys)
         wvecs = [w for w, _, _ in filtered]
@@ -639,12 +751,7 @@ def qmode_trend(ctx: SystemContext, g: GFilter, method: str = "auto") -> list:
     E_k shrinks (the ~ 1/|k| behaviour at small momenta).
     """
     lat = ctx.lattice
-    reps = {}
-    for n in sorted(lat.momenta):
-        e = round(lat.dispersion(n), 9)
-        if e not in reps:
-            reps[e] = n
-    reps = sorted(reps.items())
+    reps = _trend_representatives(lat)
     forms = _filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps],
                             method)
     return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]

@@ -3,11 +3,14 @@
 The Lanczos driver keeps a fully reorthogonalised basis and restarts from the
 best Ritz vector when the basis fills, trading memory for correctness at desk
 scale.  The dense oracle backs every spectral-window quantity on small
-systems; Ritz gap estimates are advisory only.
+systems; Ritz gap estimates are advisory only.  On magnetization sectors the
+ground state is solved in M = 0, and `check_ground_sector` verifies against
+the lowest Ritz values of the other sectors that it is the global one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -26,7 +29,9 @@ __all__ = [
     "dense_spectrum",
     "ground_state_from_dense",
     "deflated_solve",
-    "extremal_estimates",
+    "lowest_ritz",
+    "check_ground_sector",
+    "gershgorin_upper",
     "save_ground_state",
     "load_ground_state",
     "ground_state_cache_name",
@@ -35,7 +40,7 @@ __all__ = [
 DENSE_CAP_DEFAULT = 4096
 DEGENERACY_GAP_THRESHOLD = 1e-8
 GS_CACHE_MAGIC = b"GSGS"
-GS_CACHE_VERSION = 1
+GS_CACHE_VERSION = 2
 
 
 class SolverError(RuntimeError):
@@ -59,13 +64,7 @@ class GroundState:
     B: float
     lattice: Lattice
     residual: float
-
-    def projector_coefficient(self, v: np.ndarray) -> complex:
-        return np.vdot(self.vector, v)
-
-    def deflate(self, v: np.ndarray) -> np.ndarray:
-        """(1 - P0) v."""
-        return v - self.vector * np.vdot(self.vector, v)
+    sector: int | None = None     # magnetization of the basis; None: full
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +145,11 @@ def _restarted_lowest(matvec, dim: int, v0: np.ndarray, target: float,
 
 
 def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
-                 opts: SolverOptions = SolverOptions()) -> GroundState:
+                 opts: SolverOptions = SolverOptions(),
+                 sector: int | None = None) -> GroundState:
     """Lowest eigenpair by restarted Lanczos with full reorthogonalisation.
 
+    `sector` names the magnetization sector H acts on (None: full basis).
     At B = 0 the gap is re-estimated against the deflated operator (a plain
     Krylov space cannot see eigenvalue multiplicity), and a warning is issued
     when the ground state is numerically degenerate.
@@ -158,7 +159,7 @@ def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
     v = rng.standard_normal(H.dim)
     if not real:
         v = v + 1j * rng.standard_normal(H.dim)
-    scale = max(1.0, _norm_estimate(H))
+    scale = max(1.0, row_sum_bound(H))
     target = opts.tol * scale
     theta, v, gap = _restarted_lowest(H.matvec, H.dim, v, target, opts)
     resid = float(np.linalg.norm(H.matvec(v) - theta * v))
@@ -171,7 +172,35 @@ def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
                 "positivity checks are disabled for this state", stacklevel=2)
     return GroundState(energy=energy, vector=v, gap_estimate=float(gap),
                        gap_is_estimate=True, B=B, lattice=lattice,
-                       residual=resid)
+                       residual=resid, sector=sector)
+
+
+def lowest_ritz(H: SparseHermitianOperator,
+                opts: SolverOptions = SolverOptions()) -> tuple[float, float]:
+    """(theta, residual): the converged lowest Ritz value of H by restarted
+    Lanczos, and ||H v - theta v|| of its unit Ritz vector."""
+    v = np.random.default_rng(opts.seed).standard_normal(H.dim)
+    target = opts.tol * max(1.0, row_sum_bound(H))
+    theta, v, _ = _restarted_lowest(H.matvec, H.dim, v, target, opts)
+    return float(theta), float(np.linalg.norm(H.matvec(v) - theta * v))
+
+
+def check_ground_sector(e0: float, lowest) -> float:
+    """Gap from E0 to the other sectors, given (M, theta, residual) for
+    each of them: the smallest theta - E0.
+
+    A converged Ritz value has an eigenvalue within its residual, so each
+    theta - residual must lie above E0; otherwise the ground state is not in
+    the solved sector, and SolverError is raised.
+    """
+    for M, theta, resid in lowest:
+        # written so that a NaN fails the check
+        if not theta - resid > e0:
+            raise SolverError(
+                f"sector M = {M} has a Ritz value {theta:.12g} (residual "
+                f"{resid:.1e}) at or below E0 = {e0:.12g}: the ground state "
+                "is not in the solved sector")
+    return float(min(theta - e0 for _, theta, _ in lowest))
 
 
 def _deflated_gap(H: SparseHermitianOperator, phi: np.ndarray, e0: float,
@@ -193,15 +222,22 @@ def _deflated_gap(H: SparseHermitianOperator, phi: np.ndarray, e0: float,
     return float(e1 - e0)
 
 
-def _norm_estimate(H: SparseHermitianOperator) -> float:
-    """Cheap upper bound on ||H||: the maximal absolute row sum."""
-    return _row_abs_sum_max(H)
-
-
-def _row_abs_sum_max(H: SparseHermitianOperator) -> float:
+def _abs_row_sums(H: SparseHermitianOperator) -> np.ndarray:
     sums = np.add.reduceat(np.abs(H.data), H.indptr[:-1])
     sums[np.diff(H.indptr) == 0] = 0.0
-    return float(sums.max())
+    return sums
+
+
+def row_sum_bound(H: SparseHermitianOperator) -> float:
+    """max_i sum_j |H_ij| >= ||H||, without matvecs."""
+    return float(_abs_row_sums(H).max())
+
+
+def gershgorin_upper(H: SparseHermitianOperator) -> float:
+    """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
+    eigenvalue of Hermitian H, without matvecs."""
+    diag = H._scipy().diagonal().real
+    return float(np.max(_abs_row_sums(H) - np.abs(diag) + diag))
 
 
 def dense_spectrum(H: SparseHermitianOperator,
@@ -224,17 +260,28 @@ def ground_state_from_dense(dec: SpectralDecomposition, lattice: Lattice,
 
 def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
                    rhs: np.ndarray, tol: float = 1e-10,
-                   max_iter: int | None = None) -> np.ndarray:
+                   max_iter: int | None = None, *,
+                   deflate: bool = True) -> np.ndarray:
     """Solve (H - E0) x = (1 - P0) rhs with x orthogonal to the ground state.
 
     Conjugate gradients on the deflated operator; the ground-state component
     is projected out of every iterate, so the solve lives entirely on the
-    positive part of H - E0.  Breakdown (vanishing gap relative to `tol`)
-    raises SolverError rather than returning a silent wrong answer.
+    positive part of H - E0.  With `deflate` False, H is a symmetry sector
+    that does not hold phi0 (H - E0 is positive definite there) and this is
+    plain CG.  Breakdown (vanishing gap relative to `tol`) raises SolverError
+    rather than returning a silent wrong answer.
     """
-    phi = gs.vector
     e0 = gs.energy
-    b = rhs - phi * np.vdot(phi, rhs)
+    if deflate:
+        phi = gs.vector
+
+        def project(v):
+            return v - phi * np.vdot(phi, v)
+    else:
+        def project(v):
+            return v
+
+    b = project(rhs)
     bnorm = np.linalg.norm(b)
     if bnorm <= 1e-14 * max(1.0, float(np.linalg.norm(rhs))):
         return np.zeros_like(b)
@@ -242,8 +289,7 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
         max_iter = max(2000, 60 * int(np.sqrt(H.dim)))
 
     def apply(v):
-        w = H.matvec(v) - e0 * v
-        return w - phi * np.vdot(phi, w)
+        return project(H.matvec(v) - e0 * v)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -259,106 +305,101 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        r -= phi * np.vdot(phi, r)
+        r = project(r)
         rs_new = np.real(np.vdot(r, r))
         if np.sqrt(rs_new) <= tol * bnorm:
-            x -= phi * np.vdot(phi, x)
-            return x
+            return project(x)
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise SolverError(f"deflated CG: no convergence in {max_iter} iterations")
 
 
-def extremal_estimates(H: SparseHermitianOperator, iters: int = 80,
-                       seed: int = 11) -> tuple[float, float]:
-    """Lanczos Ritz estimates of the extreme eigenvalues (not certified)."""
-    rng = np.random.default_rng(seed)
-    real = not np.iscomplexobj(H.data)
-    v = rng.standard_normal(H.dim)
-    if not real:
-        v = v + 1j * rng.standard_normal(H.dim)
-    iters = max(2, min(iters, H.dim))
-    dim = H.dim
-    basis = np.empty((iters, dim), dtype=v.dtype)
-    alphas = np.empty(iters)
-    betas = np.empty(iters)
-    basis[0] = v / np.linalg.norm(v)
-    m_eff = iters
-    for m in range(iters):
-        w = H.matvec(basis[m])
-        alphas[m] = np.real(np.vdot(basis[m], w))
-        w -= basis[: m + 1].T @ (basis[: m + 1].conj() @ w)
-        w -= basis[: m + 1].T @ (basis[: m + 1].conj() @ w)
-        beta = np.linalg.norm(w)
-        if beta <= 1e-14 or m + 1 == iters:
-            m_eff = m + 1
-            break
-        betas[m] = beta
-        basis[m + 1] = w / beta
-    T = np.diag(alphas[:m_eff])
-    if m_eff > 1:
-        T += np.diag(betas[: m_eff - 1], 1) + np.diag(betas[: m_eff - 1], -1)
-    evals = np.linalg.eigvalsh(T)
-    return float(evals[0]), float(evals[-1])
-
-
 # -- ground-state cache -----------------------------------------------------
 # Layout (little endian): magic, u32 version, u32 d, d*u32 extents, u32 two_s,
-# f8 B, f8 tol, u64 dim, f8 E0, then dim (re, im) f8 pairs.
+# u8 has_sector, i32 sector M, f8 B, f8 tol, u64 dim, f8 E0, then dim (re, im)
+# f8 pairs.  The vector is in the full basis, or in sector M.
 
-def ground_state_cache_name(spec: LatticeSpec, B: float, tol: float) -> str:
-    return f"gs_{spec.content_hash()}_B{B:.12g}_tol{tol:.3g}.bin"
+def ground_state_cache_name(spec: LatticeSpec, B: float, tol: float,
+                            sector: int | None = None) -> str:
+    basis = "" if sector is None else f"_M{sector}"
+    return f"gs_{spec.content_hash()}{basis}_B{B:.12g}_tol{tol:.3g}.bin"
 
 
 def save_ground_state(path, gs: GroundState, tol: float) -> None:
+    """Write to a temporary file beside `path`, then move it into place."""
     spec = gs.lattice.spec
     vec = np.asarray(gs.vector, dtype=np.complex128)
-    with open(path, "wb") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(GS_CACHE_MAGIC)
         fh.write(struct.pack("<II", GS_CACHE_VERSION, spec.dimension))
         fh.write(struct.pack(f"<{spec.dimension}I", *spec.extents))
-        fh.write(struct.pack("<I", spec.two_s))
+        fh.write(struct.pack("<IBi", spec.two_s, gs.sector is not None,
+                             gs.sector or 0))
         fh.write(struct.pack("<ddQd", gs.B, tol, len(vec), gs.energy))
         pairs = np.empty((len(vec), 2))
         pairs[:, 0] = vec.real
         pairs[:, 1] = vec.imag
         fh.write(pairs.tobytes())
+    os.replace(tmp, path)
 
 
 def read_ground_state_header(path):
+    """(extents, two_s, sector, B, tol, E0, vector) of a cache file;
+    ValueError for a file that is not one, or is truncated."""
     with open(path, "rb") as fh:
         if fh.read(4) != GS_CACHE_MAGIC:
             raise ValueError(f"{path}: not a ground-state cache file")
-        version, d = struct.unpack("<II", fh.read(8))
-        if version != GS_CACHE_VERSION:
-            raise ValueError(f"{path}: cache version {version} unsupported")
-        extents = struct.unpack(f"<{d}I", fh.read(4 * d))
-        (two_s,) = struct.unpack("<I", fh.read(4))
-        B, tol, dim, e0 = struct.unpack("<ddQd", fh.read(32))
+        try:
+            version, d = struct.unpack("<II", fh.read(8))
+            if version != GS_CACHE_VERSION:
+                raise ValueError(
+                    f"{path}: cache version {version} unsupported")
+            extents = struct.unpack(f"<{d}I", fh.read(4 * d))
+            two_s, has_sector, sector = struct.unpack("<IBi", fh.read(9))
+            B, tol, dim, e0 = struct.unpack("<ddQd", fh.read(32))
+        except struct.error as exc:
+            raise ValueError(f"{path}: truncated header") from exc
         pairs = np.frombuffer(fh.read(16 * dim), dtype=np.float64)
+    if len(pairs) != 2 * dim:
+        raise ValueError(f"{path}: truncated vector")
     vec = pairs[0::2] + 1j * pairs[1::2]
     if np.abs(vec.imag).max(initial=0.0) == 0.0:
         vec = vec.real.copy()
-    return extents, two_s, B, tol, e0, vec
+    return extents, two_s, sector if has_sector else None, B, tol, e0, vec
+
+
+def cached_residual(H: SparseHermitianOperator, e0: float, vec: np.ndarray,
+                    tol: float) -> float:
+    """||H v - E0 v|| of a cached pair; ValueError unless v is a unit vector
+    of H's dimension with residual at most 10 tol max(1, row_sum_bound(H))."""
+    if len(vec) != H.dim:
+        raise ValueError(f"vector length {len(vec)} != dimension {H.dim}")
+    resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
+    norm_defect = abs(float(np.linalg.norm(vec)) - 1.0)
+    # written so that a NaN in e0 or the vector fails the check
+    if not (resid <= 10 * tol * max(1.0, row_sum_bound(H))
+            and norm_defect <= 1e-10):
+        raise ValueError(f"residual {resid:.3e} / norm defect "
+                         f"{norm_defect:.3e} exceed tolerance {tol:.1e}")
+    return resid
 
 
 def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
-                      B: float, tol: float) -> GroundState | None:
-    """Load a cached ground state, verifying the residual; None if stale."""
+                      B: float, tol: float,
+                      sector: int | None = None) -> GroundState | None:
+    """Load a cached ground state of H (on `sector`), verifying the
+    residual; None if missing or stale."""
     try:
-        extents, two_s, b_file, tol_file, e0, vec = read_ground_state_header(path)
+        extents, two_s, s_file, b_file, tol_file, e0, vec = \
+            read_ground_state_header(path)
+        spec = lattice.spec
+        if (tuple(extents) != spec.extents or two_s != spec.two_s
+                or s_file != sector or b_file != B or tol_file != tol):
+            return None
+        resid = cached_residual(H, e0, vec, tol)
     except (OSError, ValueError):
-        return None
-    spec = lattice.spec
-    if (tuple(extents) != spec.extents or two_s != spec.two_s
-            or b_file != B or tol_file != tol or len(vec) != H.dim):
-        return None
-    scale = max(1.0, _row_abs_sum_max(H))
-    resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
-    # written so that a NaN in e0 or the vector rejects the file
-    if not (resid <= 10 * tol * scale
-            and abs(np.linalg.norm(vec) - 1.0) <= 1e-10):
         return None
     return GroundState(energy=e0, vector=vec, gap_estimate=np.nan,
                        gap_is_estimate=True, B=B, lattice=lattice,
-                       residual=resid)
+                       residual=resid, sector=sector)

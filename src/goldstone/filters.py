@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SpectralDecomposition,
-                          dense_spectrum, extremal_estimates)
+                          dense_spectrum, gershgorin_upper)
 from .lattice import Lattice
 from .operators import SparseHermitianOperator
 
@@ -308,14 +308,16 @@ def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
         degree = min(2 * degree, max_degree)
 
 
-def spectral_interval(H: SparseHermitianOperator, gs: GroundState | None = None,
+def spectral_interval(H: SparseHermitianOperator, lowest: float,
                       inflation: float = INTERVAL_INFLATION) -> tuple[float, float]:
-    """Enclosing interval from Lanczos extremal estimates, inflated."""
-    lo_est, hi_est = extremal_estimates(H)
-    if gs is not None:
-        lo_est = min(lo_est, gs.energy)
-    width = max(hi_est - lo_est, 1e-12)
-    return lo_est - inflation * width, hi_est + inflation * width
+    """(lo, hi) enclosing the spectrum of Hermitian H, without matvecs.
+
+    hi is the Gershgorin bound `gershgorin_upper`; lo is
+    `lowest` (the converged lowest Ritz value of H) lowered by `inflation`
+    times the width.
+    """
+    hi = gershgorin_upper(H)
+    return lowest - inflation * max(hi - lowest, 1e-12), hi
 
 
 def apply_filter(H: SparseHermitianOperator, gs: GroundState, fn, v: np.ndarray,
@@ -339,7 +341,7 @@ def apply_filter(H: SparseHermitianOperator, gs: GroundState, fn, v: np.ndarray,
         return dec.eigenvectors @ (fn(dec.eigenvalues - gs.energy) * amps)
     if method != "chebyshev":
         raise ValueError(f"unknown method {method!r}")
-    lo, hi = bounds if bounds is not None else spectral_interval(H, gs)
+    lo, hi = bounds if bounds is not None else spectral_interval(H, gs.energy)
     expansion = make_chebyshev_expansion(
         lambda x: fn(np.asarray(x) - gs.energy), lo, hi, tol, degree_cap)
     return expansion.apply(H, v)

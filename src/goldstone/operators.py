@@ -1,9 +1,13 @@
-"""Sparse spin operators on the full product basis.
+"""Sparse spin operators on the full product basis or on magnetization sectors.
 
 Basis encoding: each site's S_z level is one base-(2S+1) digit of the state
 index, site 0 most significant (row-major over the coordinate list), digit 0
-meaning m = +S.  All builders are vectorised over the basis; the resulting
-CSR arrays feed the matvec kernels in `_kernels`.
+meaning m = +S.  The full basis (`basis_tables`) backs the dense oracle.  A
+sector basis (`sector_basis`) holds only the states of given total
+magnetizations, ranked by `searchsorted` over their sorted full-basis
+indices; there the spin axes are relabelled so that the field axis is the
+quantization axis (see `SECTOR_AXES`).  All builders are vectorised over the
+basis; the resulting CSR arrays feed the matvec kernels in `_kernels`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .lattice import Lattice, LatticeSpec
 __all__ = [
     "SparseHermitianOperator",
     "spin_matrices",
+    "basis_tables",
+    "sector_basis",
     "build_hamiltonian",
     "transformed_hamiltonian",
     "marshall_transform",
@@ -33,33 +39,47 @@ __all__ = [
     "load_operator",
 ]
 
+# The single-site matrix (1, 2, 3: S_x, S_y, S_z of `spin_matrices`) that
+# represents S^(1), S^(2), S^(3) on a sector basis.  The full basis uses
+# (1, 2, 3).  Sector bases relabel the axes by the cyclic, hence proper,
+# rotation (1, 2, 3) -> (z, x, y): the field axis 1 becomes the quantization
+# axis, total S^(1) labels the sectors, and every result is unchanged up to
+# rounding.
+SECTOR_AXES = (3, 1, 2)
+
 OPERATOR_CACHE_MAGIC = b"GSOP"
 OPERATOR_CACHE_VERSION = 1
 
 
 @dataclass(eq=False)
 class SparseHermitianOperator:
-    """Complex (or real) sparse matrix in CSR form on the spin Hilbert space."""
+    """Complex (or real) sparse matrix in CSR form on the spin Hilbert space.
+
+    `dim` rows; `n_cols` columns when the operator maps between two bases
+    (None: square)."""
 
     dim: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     hermitian: bool = True
+    n_cols: int | None = None
     _scipy_cache: scipy.sparse.csr_matrix | None = field(
         default=None, repr=False, compare=False)
 
     @classmethod
-    def from_coo(cls, dim, rows, cols, vals, hermitian=True):
+    def from_coo(cls, dim, rows, cols, vals, hermitian=True, n_cols=None):
         mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                      shape=(dim, dim)).tocsr()
+                                      shape=(dim, n_cols or dim)).tocsr()
         mat.sum_duplicates()
         return cls.from_scipy(mat, hermitian)
 
     @classmethod
     def from_scipy(cls, mat, hermitian=True):
         mat = mat.tocsr()
-        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data, hermitian)
+        rows, cols = mat.shape
+        return cls(rows, mat.indptr, mat.indices, mat.data, hermitian,
+                   None if cols == rows else cols)
 
     @property
     def nnz(self) -> int:
@@ -69,7 +89,7 @@ class SparseHermitianOperator:
         if self._scipy_cache is None:
             self._scipy_cache = scipy.sparse.csr_matrix(
                 (self.data, self.indices, self.indptr),
-                shape=(self.dim, self.dim))
+                shape=(self.dim, self.n_cols or self.dim))
         return self._scipy_cache
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -118,53 +138,119 @@ def spin_matrices(two_s: int):
     return (sp + sm) / 2, (sp - sm) / 2j, sz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisTables:
-    """Per-state digit and m-value tables for one lattice spec."""
+    """Product states of one lattice spec with their per-site digit tables.
 
-    dim: int
+    `codes` are the states' indices in the full product basis, ascending.
+    `sectors` is None for the full basis (codes 0 .. dim-1), or the total
+    magnetizations M = sum of m over sites that the basis spans.
+    """
+
     dloc: int
     spin: float
+    sectors: tuple | None
+    codes: np.ndarray       # (dim,) int64, ascending
     digits: np.ndarray      # (n_sites, dim) int8
-    mval: np.ndarray        # (n_sites, dim) float64
     strides: np.ndarray     # (n_sites,) int64
+
+    @property
+    def dim(self) -> int:
+        return len(self.codes)
+
+    def m(self, j: int) -> np.ndarray:
+        """m value of site j in every basis state."""
+        return self.spin - self.digits[j].astype(np.float64)
+
+    def rank(self, codes: np.ndarray) -> np.ndarray:
+        """Basis positions of full-basis codes, which must lie in the basis."""
+        if self.sectors is None:
+            return codes
+        idx = np.searchsorted(self.codes, codes)
+        found = self.codes[np.minimum(idx, self.dim - 1)]
+        if not np.array_equal(found, codes):
+            raise ValueError(f"states outside the sectors {self.sectors}")
+        return idx
+
+
+def _tables(spec: LatticeSpec, codes: np.ndarray, sectors) -> BasisTables:
+    n = spec.n_sites
+    dloc = spec.two_s + 1
+    digits = np.empty((n, len(codes)), dtype=np.int8)
+    r = codes.copy()
+    for j in range(n - 1, -1, -1):
+        digits[j] = r % dloc
+        r //= dloc
+    strides = np.array([dloc ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    return BasisTables(dloc, spec.spin, sectors, codes, digits, strides)
 
 
 @lru_cache(maxsize=16)
 def basis_tables(spec: LatticeSpec) -> BasisTables:
-    n = spec.n_sites
-    dloc = spec.two_s + 1
-    dim = spec.hilbert_dim
-    idx = np.arange(dim, dtype=np.int64)
-    digits = np.empty((n, dim), dtype=np.int8)
-    r = idx.copy()
-    for j in range(n - 1, -1, -1):
-        digits[j] = r % dloc
-        r //= dloc
-    mval = spec.spin - digits.astype(np.float64)
-    strides = np.array([dloc ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    return BasisTables(dim, dloc, spec.spin, digits, mval, strides)
+    """The full product basis (the dense oracle's basis)."""
+    return _tables(spec, np.arange(spec.hilbert_dim, dtype=np.int64), None)
 
 
-def _raising_terms(tab: BasisTables, j: int):
-    """(src, dst, amp) for S^+_j: dst = src - stride_j, amp = sqrt coupling."""
+@lru_cache(maxsize=16)
+def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
+    """States of total magnetization M in `sectors`, without the full basis.
+
+    A state's digit sum is n_sites * S - M.  Codes are built site by site,
+    most significant digit first, keeping only prefixes that can still reach
+    a wanted digit sum; appending digits in order keeps them ascending.
+    """
+    n, two_s = spec.n_sites, spec.two_s
+    top = n * two_s // 2
+    if not sectors or any(abs(M) > top for M in sectors):
+        raise ValueError(f"sectors {sectors} outside |M| <= {top}")
+    sums_wanted = sorted({top - M for M in sectors})
+    lo, hi = sums_wanted[0], sums_wanted[-1]
+    step = np.arange(two_s + 1, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        codes = (codes[:, None] * (two_s + 1) + step).ravel()
+        sums = (sums[:, None] + step).ravel()
+        keep = (sums <= hi) & (sums + two_s * (n - 1 - j) >= lo)
+        codes, sums = codes[keep], sums[keep]
+    return _tables(spec, codes[np.isin(sums, sums_wanted)], tuple(sectors))
+
+
+def _basis(spec: LatticeSpec, sectors) -> BasisTables:
+    return basis_tables(spec) if sectors is None else \
+        sector_basis(spec, tuple(sectors))
+
+
+def _ladder_terms(tab: BasisTables, j: int, raising: bool = True,
+                  target: BasisTables | None = None):
+    """(src, dst, amp) for S^+_j (or S^-_j) from the states of `tab` into
+    `target` (default `tab`): <dst| S^+-_j |src> = amp."""
     s = tab.spin
-    mask = tab.digits[j] > 0
+    if raising:
+        mask = tab.digits[j] > 0
+        m = tab.m(j)[mask]
+        amp = np.sqrt(s * (s + 1) - m * (m + 1))
+    else:
+        mask = tab.digits[j] < tab.dloc - 1
+        m = tab.m(j)[mask]
+        amp = np.sqrt(s * (s + 1) - m * (m - 1))
     src = np.nonzero(mask)[0].astype(np.int64)
-    m = tab.mval[j][mask]
-    amp = np.sqrt(s * (s + 1) - m * (m + 1))
-    return src, src - tab.strides[j], amp
+    shift = -tab.strides[j] if raising else tab.strides[j]
+    return src, (target or tab).rank(tab.codes[src] + shift), amp
 
 
-def build_hamiltonian(lattice: Lattice, B: float) -> SparseHermitianOperator:
+def build_hamiltonian(lattice: Lattice, B: float,
+                      sectors: tuple | None = None) -> SparseHermitianOperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
     Real symmetric in the product basis (the S^(2)S^(2) bond piece combines
-    with S^(1)S^(1) into real hopping).
+    with S^(1)S^(1) into real hopping).  With `sectors`, H on the
+    magnetization sectors M in `sectors` (block diagonal in M) with the axes
+    relabelled, so the field term is diagonal.
     """
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
-    tab = basis_tables(lattice.spec)
+    tab = _basis(lattice.spec, sectors)
     dim = tab.dim
     s = tab.spin
     idx = np.arange(dim, dtype=np.int64)
@@ -174,21 +260,25 @@ def build_hamiltonian(lattice: Lattice, B: float) -> SparseHermitianOperator:
     cols = [idx]
     vals = []
     for (i, j) in lattice.bonds:
-        diag += tab.mval[i] * tab.mval[j]
+        m_i, m_j = tab.m(i), tab.m(j)
+        diag += m_i * m_j
         # transverse part: (S+_i S-_j + S-_i S+_j)/2
         mask = (tab.digits[i] > 0) & (tab.digits[j] < tab.dloc - 1)
         src = np.nonzero(mask)[0].astype(np.int64)
-        mi = tab.mval[i][mask]
-        mj = tab.mval[j][mask]
+        mi = m_i[mask]
+        mj = m_j[mask]
         amp = 0.5 * np.sqrt((s * (s + 1) - mi * (mi + 1)) *
                             (s * (s + 1) - mj * (mj - 1)))
-        dst = src - tab.strides[i] + tab.strides[j]
+        dst = tab.rank(tab.codes[src] - tab.strides[i] + tab.strides[j])
         rows.extend((dst, src))
         cols.extend((src, dst))
         vals.extend((amp, amp))
-    if B != 0:
+    if B != 0 and sectors is not None:
         for j in range(lattice.n_sites):
-            src, dst, amp = _raising_terms(tab, j)
+            diag -= B * lattice.staggered_signs[j] * tab.m(j)
+    elif B != 0:
+        for j in range(lattice.n_sites):
+            src, dst, amp = _ladder_terms(tab, j)
             hop = -0.5 * B * lattice.staggered_signs[j] * amp
             rows.extend((dst, src))
             cols.extend((src, dst))
@@ -221,45 +311,18 @@ def marshall_transform(lattice: Lattice) -> SparseHermitianOperator:
 
 
 def transformed_hamiltonian(lattice: Lattice, B: float) -> SparseHermitianOperator:
-    """U* H U built directly from the rotated couplings.
+    """U* H U = signs (x) H (x) signs, entry by entry.
 
     Bond terms become -(S+_x S-_y + S-_x S+_y)/2 + S3_x S3_y and the field
     -B/2 sum_x (S+_x + S-_x); all off-diagonal entries of the result are
     nonpositive, which is what makes the B > 0 ground state Perron-Frobenius
     positive and translation covariant with period one.
     """
-    if B < 0:
-        raise ValueError("staggered field must be nonnegative")
-    tab = basis_tables(lattice.spec)
-    dim = tab.dim
-    s = tab.spin
-    idx = np.arange(dim, dtype=np.int64)
-    diag = np.zeros(dim)
-    rows = [idx]
-    cols = [idx]
-    vals = []
-    for (i, j) in lattice.bonds:
-        diag += tab.mval[i] * tab.mval[j]
-        mask = (tab.digits[i] > 0) & (tab.digits[j] < tab.dloc - 1)
-        src = np.nonzero(mask)[0].astype(np.int64)
-        mi = tab.mval[i][mask]
-        mj = tab.mval[j][mask]
-        amp = -0.5 * np.sqrt((s * (s + 1) - mi * (mi + 1)) *
-                             (s * (s + 1) - mj * (mj - 1)))
-        dst = src - tab.strides[i] + tab.strides[j]
-        rows.extend((dst, src))
-        cols.extend((src, dst))
-        vals.extend((amp, amp))
-    if B != 0:
-        for j in range(lattice.n_sites):
-            src, dst, amp = _raising_terms(tab, j)
-            hop = -0.5 * B * amp
-            rows.extend((dst, src))
-            cols.extend((src, dst))
-            vals.extend((hop, hop))
-    data = np.concatenate([diag] + vals)
-    return SparseHermitianOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), data, hermitian=True)
+    H = build_hamiltonian(lattice, B)
+    signs = marshall_signs(lattice)
+    row_signs = np.repeat(signs, np.diff(H.indptr))
+    return SparseHermitianOperator(H.dim, H.indptr, H.indices,
+                                   H.data * row_signs * signs[H.indices])
 
 
 def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitianOperator:
@@ -270,8 +333,8 @@ def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitia
     idx = np.arange(tab.dim, dtype=np.int64)
     if axis == 3:
         return SparseHermitianOperator.from_coo(
-            tab.dim, idx, idx, tab.mval[site].copy(), hermitian=True)
-    src, dst, amp = _raising_terms(tab, site)
+            tab.dim, idx, idx, tab.m(site), hermitian=True)
+    src, dst, amp = _ladder_terms(tab, site)
     if axis == 1:
         rows = np.concatenate((dst, src))
         cols = np.concatenate((src, dst))
@@ -284,52 +347,71 @@ def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitia
                                             hermitian=True)
 
 
-def fourier_spin(lattice: Lattice, n_momentum, axis: int) -> SparseHermitianOperator:
+def fourier_spin(lattice: Lattice, n_momentum, axis: int,
+                 sector: int | None = None) -> SparseHermitianOperator:
     """hat S_k^(axis) = N^{-1/2} sum_x e^{i k x} S_x^(axis).
 
     Hermitian exactly when -k folds back onto k on the grid; in general the
-    adjoint is the operator at -k.
+    adjoint is the operator at -k.  With `sector` = M, the relabelled
+    operator restricted to the states of magnetization M: for axes 2 and 3
+    a rectangular map into the sectors M + 1 and M - 1 (that basis, in that
+    order of `sector_basis`), for axis 1 a diagonal on M.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    mat_axis = axis if sector is None else SECTOR_AXES[axis - 1]
     n_momentum = tuple(n_momentum)
     if not lattice.momentum_on_grid(n_momentum):
         raise ValueError(f"momentum label {n_momentum} is off the grid")
-    tab = basis_tables(lattice.spec)
+    if sector is None:
+        tab = target = basis_tables(lattice.spec)
+    else:
+        tab = sector_basis(lattice.spec, (sector,))
+        target = tab if mat_axis == 3 else \
+            sector_basis(lattice.spec, (sector + 1, sector - 1))
     k = lattice.kvec(n_momentum)
     phases = np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
     norm = 1.0 / np.sqrt(lattice.n_sites)
     idx = np.arange(tab.dim, dtype=np.int64)
 
     rows, cols, vals = [], [], []
-    if axis == 3:
+    if mat_axis == 3:
         diag = np.zeros(tab.dim, dtype=complex)
         for j in range(lattice.n_sites):
-            diag += phases[j] * tab.mval[j]
+            diag += phases[j] * tab.m(j)
         rows.append(idx)
         cols.append(idx)
         vals.append(norm * diag)
     else:
-        coef_up = 0.5 if axis == 1 else -0.5j
-        coef_dn = 0.5 if axis == 1 else 0.5j
+        coef_up = 0.5 if mat_axis == 1 else -0.5j
+        coef_dn = 0.5 if mat_axis == 1 else 0.5j
         for j in range(lattice.n_sites):
-            src, dst, amp = _raising_terms(tab, j)
-            rows.extend((dst, src))
-            cols.extend((src, dst))
-            vals.extend((norm * phases[j] * coef_up * amp,
-                         norm * phases[j] * coef_dn * amp))
-    hermitian = lattice.negate(n_momentum) == n_momentum
+            for raising, coef in ((True, coef_up), (False, coef_dn)):
+                src, dst, amp = _ladder_terms(tab, j, raising, target)
+                rows.append(dst)
+                cols.append(src)
+                vals.append(norm * phases[j] * coef * amp)
+    hermitian = lattice.negate(n_momentum) == n_momentum and target is tab
     return SparseHermitianOperator.from_coo(
-        tab.dim, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals), hermitian=hermitian)
+        target.dim, np.concatenate(rows), np.concatenate(cols),
+        np.concatenate(vals), hermitian=hermitian,
+        n_cols=None if target is tab else tab.dim)
 
 
-def staggered_operator(lattice: Lattice) -> SparseHermitianOperator:
-    """sum_x sigma(x) S_x^(1): the order parameter N m_B is its expectation."""
-    tab = basis_tables(lattice.spec)
+def staggered_operator(lattice: Lattice, sectors: tuple | None = None
+                       ) -> SparseHermitianOperator:
+    """sum_x sigma(x) S_x^(1): the order parameter N m_B is its expectation.
+
+    With `sectors` (relabelled axes) it is diagonal."""
+    tab = _basis(lattice.spec, sectors)
+    if sectors is not None:
+        idx = np.arange(tab.dim, dtype=np.int64)
+        diag = sum(lattice.staggered_signs[j] * tab.m(j)
+                   for j in range(lattice.n_sites))
+        return SparseHermitianOperator.from_coo(tab.dim, idx, idx, diag)
     rows, cols, vals = [], [], []
     for j in range(lattice.n_sites):
-        src, dst, amp = _raising_terms(tab, j)
+        src, dst, amp = _ladder_terms(tab, j)
         half = 0.5 * lattice.staggered_signs[j] * amp
         rows.extend((dst, src))
         cols.extend((src, dst))
@@ -356,10 +438,6 @@ def translation_permutation(lattice: Lattice, axis: int = 0) -> np.ndarray:
     for j in range(lattice.n_sites):
         perm += tab.digits[site_map[j]].astype(np.int64) * tab.strides[j]
     return perm
-
-
-def apply_permutation(perm: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v[perm]
 
 
 # -- operator cache file ---------------------------------------------------

@@ -32,11 +32,12 @@ from . import __version__
 from ._kernels import HAVE_NUMBA, use_numba
 from .analysis import (EpsilonChoiceError, SystemContext,
                        VanishingDenominatorError, bound_report, choose_epsilon,
-                       ctx_m_b, excitation_energy, extrapolate_ms, qmode_trend)
+                       ctx_m_b, excitation_energy, extrapolate_ms, filter_keys,
+                       ground_sectors, qmode_trend)
 from .config import ScanConfig, auto_p_target
-from .eigensolver import (SolverOptions, ground_state, ground_state_cache_name,
-                          load_ground_state, read_ground_state_header,
-                          save_ground_state)
+from .eigensolver import (SolverOptions, cached_residual,
+                          ground_state_cache_name, load_ground_state,
+                          read_ground_state_header, save_ground_state)
 from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
 from .lattice import Lattice
@@ -87,25 +88,48 @@ def _resolve_cache_dir(config: ScanConfig) -> Path | None:
 
 def _context(lattice: Lattice, B: float, config: ScanConfig,
              cache_dir: Path | None) -> SystemContext:
-    H = build_hamiltonian(lattice, B)
-    solver_opts = SolverOptions(tol=config.tolerances.solver, seed=config.seed)
+    """The context of one (lattice, B), its ground state read from the cache
+    when a valid file is there; a missing or rejected file is (re)written."""
+    sectors = ground_sectors(lattice, config.dense_cap)
+    sector = None if sectors is None else sectors[0]
+    H = build_hamiltonian(lattice, B, sectors)
+    tol = config.tolerances.solver
     gs = None
     cache_path = None
     if cache_dir is not None:
         cache_path = cache_dir / ground_state_cache_name(
-            lattice.spec, B, config.tolerances.solver)
-        if cache_path.exists():
-            gs = load_ground_state(cache_path, lattice, H, B,
-                                   config.tolerances.solver)
-    if gs is None and H.dim > config.dense_cap:
-        gs = ground_state(H, lattice, B, solver_opts)
+            lattice.spec, B, tol, sector)
+        gs = load_ground_state(cache_path, lattice, H, B, tol, sector)
     ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
-                        tolerances=config.tolerances, solver_opts=solver_opts,
+                        tolerances=config.tolerances,
+                        solver_opts=SolverOptions(tol=tol, seed=config.seed),
                         hamiltonian=H, ground=gs,
                         degree_cap=config.degree_cap)
-    if cache_path is not None and not cache_path.exists():
-        save_ground_state(cache_path, ctx.gs, config.tolerances.solver)
+    if cache_path is not None and gs is None:
+        save_ground_state(cache_path, ctx.gs, tol)
     return ctx
+
+
+def _prefetch_moments(ctx: SystemContext, config: ScanConfig,
+                      wavepackets) -> None:
+    """One Chebyshev moment pass per (lattice, B) on the sparse path: every
+    key that the enabled groups ask for, at every wavepacket, to the largest
+    order that any of their filters needs."""
+    keys, orders = [], []
+    groups = set(config.checks)
+    for _, wp, weights in wavepackets:
+        new = filter_keys(ctx.lattice, weights, groups)
+        groups.discard("bounds")    # the suite runs at the first wavepacket
+        try:
+            g, _ = _auto_filter(ctx, wp, config)
+        except EpsilonChoiceError:
+            continue
+        if new:
+            den, num = ctx.filter_expansions(g)
+            keys += new
+            orders.append(max(den.degree, num.degree) + 1)
+    if keys:
+        ctx.moments(keys, max(orders))
 
 
 def _auto_filter(ctx: SystemContext, wp: WavepacketSpec, config: ScanConfig):
@@ -195,6 +219,8 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
             m_b_ladder.append(ctx_m_b(ctx))
             e0_ladder.append(ctx.gs.energy)
             p0, wp0, weights0 = wavepackets[0]
+            if ctx.dense is None:
+                _prefetch_moments(ctx, config, wavepackets)
 
             if "bounds" in config.checks:
                 try:
@@ -287,10 +313,23 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
                             "dispersion": e_val, "n": _label(n),
                             "k": _kcols(lattice, n), "den_k": den_k,
                         })
-                    for (e1, n1, d1), (e2, n2, d2) in zip(trend, trend[1:]):
-                        check("qmode", "trend_den_decreasing", extents, B,
-                              d1 - d2, -ORDERING_SLACK, d1 - d2 > -ORDERING_SLACK,
-                              f"E={e1:.3g} vs E={e2:.3g}")
+                    # a finite-size trend, recorded with its value; it is
+                    # not a finite-volume inequality and sets no exit code
+                    steps = [d1 - d2 for (_, _, d1), (_, _, d2)
+                             in zip(trend, trend[1:])]
+                    if steps:
+                        trend_is = ("decreases"
+                                    if min(steps) > -ORDERING_SLACK
+                                    else "does not decrease")
+                        checks.append({
+                            "group": "qmode", "name": "trend_den_decreasing",
+                            "lattice": lat_tag, "B": B,
+                            "value": float(min(steps)), "threshold": None,
+                            "passed": True,
+                            "note": f"trend - den_k {trend_is} as the "
+                                    "dispersion grows (value: smallest step); "
+                                    "a finite-size trend, not a finite-volume "
+                                    "inequality"})
 
         # ladder-level physics checks (the ladder descends in B, so m_B must
         # be nonincreasing along it)
@@ -491,7 +530,8 @@ def verify_cache(cache_dir) -> list:
     for path in sorted(cache.glob("gs_*.bin")):
         entry = {"file": path.name, "status": "valid", "detail": ""}
         try:
-            extents, two_s, B, tol, e0, vec = read_ground_state_header(path)
+            extents, two_s, sector, B, tol, e0, vec = \
+                read_ground_state_header(path)
         except (OSError, ValueError) as exc:
             entry["status"] = "unreadable"
             entry["detail"] = str(exc)
@@ -499,18 +539,12 @@ def verify_cache(cache_dir) -> list:
             continue
         try:
             lattice = Lattice.build(extents, two_s / 2.0)
-            expected = ground_state_cache_name(lattice.spec, B, tol)
+            expected = ground_state_cache_name(lattice.spec, B, tol, sector)
             if expected != path.name:
                 raise ValueError(f"name/spec hash mismatch (expected {expected})")
-            H = build_hamiltonian(lattice, B)
-            resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
-            norm_defect = abs(float(np.linalg.norm(vec)) - 1.0)
-            scale = max(1.0, float(np.abs(H.data).sum() / H.dim))
-            # written so that a NaN anywhere fails the check
-            if not (resid <= 10 * tol * scale and norm_defect <= 1e-10):
-                raise ValueError(
-                    f"residual {resid:.3e} / norm defect {norm_defect:.3e} "
-                    f"exceed tolerance {tol:.1e}")
+            H = build_hamiltonian(lattice, B,
+                                  None if sector is None else (sector,))
+            resid = cached_residual(H, e0, vec, tol)
             entry["detail"] = f"residual={resid:.3e}"
         except (ValueError, MemoryError) as exc:
             entry["status"] = "evicted"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldstone.analysis
+import goldstone.operators
 from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
                                 choose_epsilon, ctx_m_b,
@@ -10,6 +12,7 @@ from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 extrapolate_ms, filtered_moments, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
+from goldstone.eigensolver import SolverError
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f)
 from goldstone.lattice import Lattice
@@ -266,7 +269,72 @@ def test_moment_guard_rejects_short_interval(lat22):
     ctx = SystemContext(lat22, 0.1, force_sparse=True)
     lo, hi = ctx.spectral_bounds()
     ctx._interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
+    # a window whose upper edge falls inside the cut interval, so that the
+    # expansions are not constant there
+    g = GFilter(FilterSpec(0.5, 2.0, 0.5))
     with pytest.raises(SpectrumEnclosureError,
                        match=r"\(1, 0\).*does not enclose") as info:
-        filtered_moments(ctx, GF, (1, 0), 2)
+        filtered_moments(ctx, g, (1, 0), 2)
     assert f"{lo:.6g}" in str(info.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(LATTICES)),
+       B=st.floats(0.0, 0.5, exclude_min=True),
+       eps=st.floats(0.1, 1.2),
+       pick=st.integers(0, 10 ** 6),
+       axis=st.sampled_from([2, 3]))
+def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
+    """The sparse path (magnetization sectors, relabelled axes) against the
+    full-basis dense oracle."""
+    extents, spin = LATTICES[name]
+    lat = Lattice.build(extents, spin)
+    tol = Tolerances(chebyshev=1e-6)
+    dense = SystemContext(lat, B, tolerances=tol)
+    ctx = SystemContext(lat, B, tolerances=tol, force_sparse=True)
+    assert ctx.dense is None and ctx.gs.sector == 0
+    assert abs(ctx.gs.energy - dense.gs.energy) <= 1e-10
+    assert abs(ctx_m_b(ctx) - ctx_m_b(dense)) <= 1e-9
+    momenta = sorted(lat.momenta)
+    n = momenta[pick % len(momenta)]
+    v, w = ctx.sk_phi(n, axis), dense.sk_phi(n, axis)
+    norm2 = float(np.vdot(v, v).real)
+    assert abs(norm2 - float(np.vdot(w, w).real)) <= 1e-10
+    assert abs(double_commutator_entry(ctx, n, axis).lhs
+               - double_commutator_entry(dense, n, axis).lhs) <= 1e-9
+    assert abs(sum_rule_entry(ctx, n).lhs - sum_rule_entry(dense, n).lhs) \
+        <= 1e-10
+    if n != lat.q_ordering:
+        assert abs(irb_entry(ctx, n, axis).lhs
+                   - irb_entry(dense, n, axis).lhs) <= 1e-8
+    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    num, den = filtered_moments(ctx, g, n, axis)
+    num_d, den_d = filtered_moments(dense, g, n, axis, "dense")
+    den_exp, num_exp = ctx.filter_expansions(g)
+    assert abs(den - den_d) <= den_exp.sup_error * norm2 + 1e-10
+    assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10
+
+
+def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
+    """A sector M >= 1 reaching below E0 is an error, never a pass."""
+    monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
+                        lambda H, opts: (-100.0, 0.0))
+    with pytest.raises(SolverError, match="M = 1"):
+        SystemContext(lat22, 0.1, force_sparse=True)
+
+
+def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("full basis tables on the sparse path")
+
+    monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
+    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    wp = WavepacketSpec(np.pi / 2, 2.2)
+    v_min, eps = choose_epsilon(ctx_m_b(ctx), wp, lat24, gamma=3.0,
+                                delta_gamma=0.5)
+    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    report = bound_report(ctx, g, v_min, wp.annulus_radius)
+    assert report.all_passed
+    excitation_energy(ctx, build_f(wp, lat24), g, v_min, "staggered")
+    qmode_trend(ctx, g)
+    assert ctx.solver_stats()["sectors"]["excitation"]["dim"] == 2 * 56

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+import goldstone.analysis
+import goldstone.runner
 from goldstone.cli import main
 from goldstone.config import (ConfigError, ScanConfig, auto_p_target,
                               parse_config_text)
 from goldstone.eigensolver import (dense_spectrum, ground_state_cache_name,
                                    ground_state_from_dense, load_ground_state,
-                                   save_ground_state)
+                                   read_ground_state_header, save_ground_state)
 from goldstone.filters import FilterDegreeError
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian
@@ -175,9 +177,14 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     (stats,) = manifest["solver_stats"]
     assert (stats["lattice"], stats["B"], stats["path"]) == ("2x2", 0.2, "sparse")
-    assert stats["interval_source"].startswith("Lanczos")
+    assert "Gershgorin" in stats["interval_source"]
     lo, hi = stats["interval"]
     assert lo < hi
+    sectors = stats["sectors"]
+    assert (sectors["ground"]["dim"], sectors["excitation"]["dim"]) == (6, 8)
+    assert [s["M"] for s in sectors["lowest"]] == [1, 2]
+    assert sectors["ground_gap"] > 0.5
+    assert lo < sectors["lowest"][0]["ritz"]
     (expansion,) = stats["expansions"]
     assert expansion["den_sup_error"] <= 1e-8
     assert expansion["num_sup_error"] <= 1e-8 * expansion["gamma"]
@@ -192,6 +199,36 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     assert moment_pass["max_moment_ratio"] <= 1.0 + 1e-10
     for name in ("bounds.csv", "dispersion.csv", "dispersion_per_k.csv"):
         assert "solver" not in (tmp_path / name).read_text()
+
+
+def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
+    text = SPARSE_22.replace("checks = bounds dispersion",
+                             "checks = dispersion qmode")
+    result = run_scan(parse_config_text(text), out_dir=tmp_path)
+    assert result.exit_code == 0
+    (stats,) = result.manifest["solver_stats"]
+    # zero-mode, staggered-mode and trend vectors of the 2x2 grid: all four
+    # momenta, real and imaginary parts
+    (moment_pass,) = stats["moment_passes"]
+    assert (moment_pass["vectors"], moment_pass["block_width"]) == (4, 8)
+
+
+def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):
+    """A den_k trend that grows with the dispersion is a finite-size fact,
+    recorded with its value; it does not fail the scan."""
+    def rising(ctx, g):
+        return [(1.0, (1, 0), 0.1), (2.0, (1, 1), 0.3)]
+
+    monkeypatch.setattr(goldstone.runner, "qmode_trend", rising)
+    result = run_scan(parse_config_text(FULL.replace(
+        "bounds dispersion qmode locality", "qmode")), out_dir=tmp_path)
+    assert result.exit_code == 0
+    trends = [c for c in result.manifest["checks"]
+              if c["name"] == "trend_den_decreasing"]
+    assert len(trends) == 3          # one per field of the ladder
+    for c in trends:
+        assert c["value"] == pytest.approx(-0.2)
+        assert c["passed"] and "not a finite-volume inequality" in c["note"]
 
 
 def test_degree_cap_is_enforced(tmp_path):
@@ -290,3 +327,47 @@ def test_verify_cache_rejects_version_mismatch(tmp_path):
 
 def test_scan_config_defaults_are_valid():
     ScanConfig()
+
+
+def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
+    lat = Lattice.build((2, 2))
+    B, tol = 0.2, 1e-10
+    gs = ground_state_from_dense(dense_spectrum(build_hamiltonian(lat, B)),
+                                 lat, B)
+    path = cache / ground_state_cache_name(lat.spec, B, tol)
+    save_ground_state(path, gs, tol)
+    blob = bytearray(path.read_bytes())
+    blob[-17] ^= 0x7F
+    path.write_bytes(bytes(blob))
+    run_scan(parse_config_text(SMOKE.replace("0.2 0.1", "0.2")),
+             out_dir=tmp_path / "out")
+    (report,) = verify_cache(cache)
+    assert report["status"] == "valid"
+    assert sorted(p.name for p in cache.iterdir()) == [path.name]
+
+
+def test_sector_ground_state_cache(tmp_path, monkeypatch):
+    """The sparse path caches its M = 0 vector under its own name, reads it
+    back instead of solving again, and verify_cache checks it on M = 0."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
+    cfg = parse_config_text(SPARSE_22)
+    run_scan(cfg, out_dir=tmp_path / "a")
+    lat = Lattice.build((2, 2))
+    (path,) = cache.glob("gs_*.bin")
+    assert path.name == ground_state_cache_name(lat.spec, 0.2, 1e-10, 0)
+    _, _, sector, _, _, _, vec = read_ground_state_header(path)
+    assert (sector, len(vec)) == (0, 6)
+    (report,) = verify_cache(cache)
+    assert report["status"] == "valid"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("cached ground state not used")
+
+    monkeypatch.setattr(goldstone.analysis, "ground_state", no_solve)
+    run_scan(cfg, out_dir=tmp_path / "b")
+    assert (tmp_path / "a" / "bounds.csv").read_bytes() == \
+        (tmp_path / "b" / "bounds.csv").read_bytes()

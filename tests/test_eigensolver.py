@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from goldstone.eigensolver import (SolverError, SolverOptions, deflated_solve,
-                                   dense_spectrum, extremal_estimates,
-                                   ground_state, ground_state_cache_name,
+from goldstone.eigensolver import (SolverError, SolverOptions,
+                                   check_ground_sector, deflated_solve,
+                                   dense_spectrum, ground_state,
+                                   ground_state_cache_name,
                                    ground_state_from_dense, load_ground_state,
-                                   save_ground_state)
+                                   lowest_ritz, save_ground_state)
 from goldstone.lattice import Lattice
 from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
                                  marshall_signs, spin_matrices)
@@ -135,12 +136,32 @@ def test_ground_energy_concave_in_field(lat22):
     assert slope_high - slope_low <= 1e-10
 
 
-def test_extremal_estimates_bracket_spectrum(lat24):
-    H = build_hamiltonian(lat24, 0.1)
-    dec = dense_spectrum(H)
-    lo, hi = extremal_estimates(H)
-    assert lo <= dec.eigenvalues[0] + 1e-8
-    assert hi >= dec.eigenvalues[-1] - 1e-8
+def test_lowest_ritz_and_ground_sector_check(lat24):
+    B = 0.2
+    e0 = dense_spectrum(build_hamiltonian(lat24, B)).eigenvalues[0]
+    lowest = []
+    for M in (1, 2, 3, 4):
+        H = build_hamiltonian(lat24, B, (M,))
+        theta, resid = lowest_ritz(H)
+        assert abs(theta - np.linalg.eigvalsh(H.to_dense())[0]) <= 1e-10
+        assert resid <= 1e-9
+        lowest.append((M, theta, resid))
+    gap = check_ground_sector(e0, lowest)
+    assert gap == pytest.approx(lowest[0][1] - e0)
+    with pytest.raises(SolverError, match="M = 2"):
+        check_ground_sector(e0, [(1, e0 + 0.5, 0.0), (2, e0 + 1e-12, 1e-9)])
+    with pytest.raises(SolverError):
+        check_ground_sector(e0, [(1, np.nan, 0.0)])
+
+
+def test_plain_cg_on_a_sector_without_the_ground_state(lat24):
+    B = 0.2
+    gs = ground_state(build_hamiltonian(lat24, B, (0,)), lat24, B, sector=0)
+    H_pm = build_hamiltonian(lat24, B, (1, -1))
+    rhs = np.random.default_rng(3).standard_normal(H_pm.dim) + 0j
+    x = deflated_solve(H_pm, gs, rhs, tol=1e-12, deflate=False)
+    dense = H_pm.to_dense() - gs.energy * np.eye(H_pm.dim)
+    assert np.linalg.norm(x - np.linalg.solve(dense, rhs)) <= 1e-9
 
 
 def test_ground_state_cache_roundtrip(tmp_path, lat22):
@@ -167,3 +188,24 @@ def test_ground_state_cache_detects_tampering(tmp_path, lat22):
     blob[-9] ^= 0xFF  # flip bits inside the vector payload
     path.write_bytes(bytes(blob))
     assert load_ground_state(path, lat22, H, B, tol) is None
+
+
+def test_ground_state_cache_write_is_atomic_and_keeps_sector(tmp_path, lat24):
+    B, tol = 0.2, 1e-10
+    H = build_hamiltonian(lat24, B, (0,))
+    gs = ground_state(H, lat24, B, sector=0)
+    path = tmp_path / ground_state_cache_name(lat24.spec, B, tol, 0)
+    path.write_bytes(b"stale")
+    save_ground_state(path, gs, tol)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    back = load_ground_state(path, lat24, H, B, tol, sector=0)
+    assert back is not None and back.sector == 0
+    assert np.array_equal(back.vector, gs.vector)
+    # a full-basis request does not take the sector file
+    full = build_hamiltonian(lat24, B)
+    assert load_ground_state(path, lat24, full, B, tol) is None
+    # nor does a truncated file, in its vector or in its header
+    blob = path.read_bytes()
+    for cut in (len(blob) - 8, 30):
+        path.write_bytes(blob[:cut])
+        assert load_ground_state(path, lat24, H, B, tol, sector=0) is None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
 from goldstone.operators import (build_hamiltonian, fourier_spin, load_operator,
                                  marshall_signs, marshall_transform,
-                                 save_operator, site_spin_operator,
+                                 save_operator, sector_basis,
+                                 site_spin_operator,
                                  spin_matrices, staggered_operator,
                                  transformed_hamiltonian,
                                  translation_permutation)
@@ -160,3 +163,57 @@ def test_operator_cache_rejects_bad_magic(tmp_path, lat22):
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ValueError):
         load_operator(path, lat22.spec)
+
+
+@pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
+                                          ((4,), 1.0)])
+def test_sector_basis_enumerates_fixed_magnetization(extents, spin):
+    spec = Lattice.build(extents, spin).spec
+    n, dloc = spec.n_sites, spec.two_s + 1
+    every = np.arange(spec.hilbert_dim)
+    digit_sums = sum((every // dloc ** j) % dloc for j in range(n))
+    top = n * spec.two_s // 2
+    for M in range(-top, top + 1):
+        basis = sector_basis(spec, (M,))
+        assert np.array_equal(basis.codes, every[digit_sums == top - M])
+        assert np.array_equal(basis.rank(basis.codes), np.arange(basis.dim))
+    pair = sector_basis(spec, (1, -1))
+    assert np.all(np.diff(pair.codes) > 0)
+    if spin == 0.5:
+        assert sector_basis(spec, (0,)).dim == math.comb(n, n // 2)
+    with pytest.raises(ValueError):
+        pair.rank(sector_basis(spec, (0,)).codes)
+
+
+@pytest.mark.parametrize("extents,spin,B", [((4,), 0.5, 0.3),
+                                            ((2, 4), 0.5, 0.2),
+                                            ((4,), 1.0, 0.45)])
+def test_sector_spectra(extents, spin, B):
+    """Sectors M and -M share one spectrum (spin flip times a one-site
+    translation), and the sectors together give the full spectrum."""
+    lat = Lattice.build(extents, spin)
+    top = lat.n_sites * lat.spec.two_s // 2
+    spectra = {
+        M: np.linalg.eigvalsh(build_hamiltonian(lat, B, (M,)).to_dense())
+        for M in range(-top, top + 1)}
+    for M in range(1, top + 1):
+        assert np.abs(spectra[M] - spectra[-M]).max() <= 1e-12
+    full = np.linalg.eigvalsh(build_hamiltonian(lat, B).to_dense())
+    assert np.abs(np.sort(np.concatenate(list(spectra.values())))
+                  - full).max() <= 1e-12
+    both = build_hamiltonian(lat, B, (1, -1))
+    assert both.hermiticity_defect() == 0.0
+    assert np.abs(np.linalg.eigvalsh(both.to_dense())
+                  - np.sort(np.concatenate([spectra[1], spectra[-1]]))).max() \
+        <= 1e-12
+
+
+def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
+    zero = sector_basis(lat24.spec, (0,))
+    pair = sector_basis(lat24.spec, (1, -1))
+    op = fourier_spin(lat24, (0, 1), 2, sector=0)
+    assert (op.dim, op.n_cols) == (pair.dim, zero.dim)
+    assert not op.hermitian
+    assert fourier_spin(lat24, (0, 1), 1, sector=0).dim == zero.dim
+    diag = staggered_operator(lat24, (0,)).to_dense()
+    assert np.count_nonzero(diag - np.diag(np.diag(diag))) == 0
