@@ -16,8 +16,8 @@ from .operators import (SparseHermitianOperator, build_hamiltonian,  # noqa: F40
                         transformed_hamiltonian)
 from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401
                           deflated_solve, dense_spectrum, ground_state)
-from .filters import (FilterSpec, GFilter, WavepacketSpec, apply_filter,  # noqa: F401
-                      build_f, build_g, smoothstep)
+from .filters import (FilterSpec, GFilter, WavepacketSpec,  # noqa: F401
+                      build_f, smoothstep)
 from .analysis import (BoundEntry, BoundReport, DispersionRecord,  # noqa: F401
                        SystemContext, choose_epsilon, excitation_energy,
                        extrapolate_ms, staggered_magnetization)

@@ -103,10 +103,6 @@ class BoundReport:
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    @property
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.passed]
-
 
 @dataclass
 class PerMomentum:
@@ -135,11 +131,9 @@ class DispersionRecord:
     denominator: float
     delta_e: float
     per_k: list
-    trend: list | None = None            # [(dispersion value, momentum, den)]
     cross_momentum_max: float | None = None
     c0_estimate: float | None = None
     v_max_estimate: float | None = None
-    ms_estimate: dict | None = None
 
 
 def _upper(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
@@ -402,9 +396,8 @@ def sum_rule_entry(ctx: SystemContext, n) -> BoundEntry:
     # <phi| S3_{Q+k} S2_{-k} |phi> = <S3_{-(Q+k)} phi, S2_{-k} phi>
     t2 = np.vdot(ctx.sk_phi(lat.negate(nQ), 3), ctx.sk_phi(lat.negate(n), 2))
     value = -1j * (t1 - t2)
-    m_b = ctx_m_b(ctx)
     note = f"imag={value.imag:.3e}"
-    return _equality("sum_rule", n, None, value.real, m_b,
+    return _equality("sum_rule", n, None, value.real, ctx.m_B,
                      ctx.tol.algebraic, note)
 
 
@@ -457,14 +450,6 @@ def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent, note)
 
 
-def _use_dense(ctx: SystemContext, method: str) -> bool:
-    if method == "auto":
-        return ctx.dense is not None
-    if method not in ("dense", "chebyshev"):
-        raise ValueError(f"unknown method {method!r}")
-    return method == "dense"
-
-
 def _dense_filtered(ctx: SystemContext, g: GFilter, keys) -> list:
     """[(w, num_k, den_k)] with w = g(H - E0) S_k phi0 from the dense oracle."""
     out = []
@@ -475,15 +460,14 @@ def _dense_filtered(ctx: SystemContext, g: GFilter, keys) -> list:
     return out
 
 
-def _filtered_forms(ctx: SystemContext, g: GFilter, keys,
-                    method: str = "auto") -> list:
+def _filtered_forms(ctx: SystemContext, g: GFilter, keys) -> list:
     """[(num_k, den_k)] for v = S_k phi0 at each (momentum, axis) key:
     den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>.
 
     The dense oracle, or one Chebyshev moment pass over every key not yet
     cached; there each value is within its expansion's sup error times
     ||v||^2."""
-    if _use_dense(ctx, method):
+    if ctx.dense is not None:
         return [(num, den) for _, num, den in _dense_filtered(ctx, g, keys)]
     den_exp, num_exp = ctx.filter_expansions(g)
     n_moments = max(den_exp.degree, num_exp.degree) + 1
@@ -491,11 +475,11 @@ def _filtered_forms(ctx: SystemContext, g: GFilter, keys,
             for mu in ctx.moments(keys, n_moments)]
 
 
-def filtered_moments(ctx: SystemContext, g: GFilter, n, axis: int = 2,
-                     method: str = "auto") -> tuple[float, float]:
+def filtered_moments(ctx: SystemContext, g: GFilter, n,
+                     axis: int = 2) -> tuple[float, float]:
     """(num_k, den_k) for w = g(H - E0) S_k^(axis) phi0:
     den_k = <w, w>, num_k = <w, (H - E0) w>."""
-    return _filtered_forms(ctx, g, [(n, axis)], method)[0]
+    return _filtered_forms(ctx, g, [(n, axis)])[0]
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
@@ -582,7 +566,7 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
             * np.sqrt(den_k + (4 * s * s * ek + ctx.B * s) / (gamma - dgamma))
         entries.append(_upper("window_large", n, None, lhs_large, rhs_large, tol))
 
-    bracket = ctx_m_b(ctx) / 2.0 - v_min * r / np.sqrt(ekq * ek)
+    bracket = ctx.m_B / 2.0 - v_min * r / np.sqrt(ekq * ek)
     d_val = _denominator_formula(s, ctx.B, ek, ekq, bracket, gamma, dgamma)
     note = "" if ctx.dense is not None else "window pieces skipped (no dense oracle)"
     if bracket < 0:
@@ -596,10 +580,6 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
         entries.append(_upper("denominator_lower_bound", n, None, d_val,
                               den_k, tol, note))
     return entries
-
-
-def ctx_m_b(ctx: SystemContext) -> float:
-    return ctx.m_B
 
 
 def _window_momenta(lat: Lattice) -> list:
@@ -665,7 +645,6 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
 
 def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
                       v_min: float, mode: str = "zero",
-                      method: str = "auto",
                       den_threshold: float = 1e-12) -> DispersionRecord:
     """Wavepacket excitation energy Delta E = num / den.
 
@@ -679,13 +658,13 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
     lat = ctx.lattice
     items = sorted(wp.weights.items())
     keys = _mode_keys(lat, wp, mode)
-    if _use_dense(ctx, method):
+    if ctx.dense is not None:
         filtered = _dense_filtered(ctx, g, keys)
         wvecs = [w for w, _, _ in filtered]
         forms = [(num_k, den_k) for _, num_k, den_k in filtered]
     else:
         wvecs = []
-        forms = _filtered_forms(ctx, g, keys, "chebyshev")
+        forms = _filtered_forms(ctx, g, keys)
     num = 0.0
     den = 0.0
     per_k = []
@@ -711,23 +690,21 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         lattice_extents=lat.spec.extents, spin=lat.spec.spin, B=ctx.B,
         mode=mode, p_target=spec.p, annulus_radius=spec.annulus_radius,
         kappa=spec.kappa, epsilon=g.spec.epsilon, gamma=g.spec.gamma,
-        delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx_m_b(ctx),
+        delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx.m_B,
         numerator=num, denominator=den, delta_e=delta_e, per_k=per_k,
         cross_momentum_max=cross)
     if mode == "zero":
-        _attach_c0(ctx, record, wp, g, v_min,
-                   {p.momentum: p.den_k for p in per_k}, method)
+        _attach_c0(ctx, record, wp, g, v_min)
     return record
 
 
 def _attach_c0(ctx: SystemContext, record: DispersionRecord,
-               wp: WavepacketWeights, g: GFilter, v_min: float,
-               known_dens: dict, method: str) -> None:
+               wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
     """c0 = min over annulus momenta of D(k, B)/R, and v_max = 2 S^2/c0."""
     lat = ctx.lattice
     s = lat.spec.spin
     r = wp.spec.annulus_radius
-    m_b = ctx_m_b(ctx)
+    m_b = ctx.m_B
     d_over = []
     for n in wp.annulus:
         ek = lat.dispersion(n)
@@ -743,7 +720,7 @@ def _attach_c0(ctx: SystemContext, record: DispersionRecord,
         record.v_max_estimate = float(2 * s * s / c0) if c0 > 0 else None
 
 
-def qmode_trend(ctx: SystemContext, g: GFilter, method: str = "auto") -> list:
+def qmode_trend(ctx: SystemContext, g: GFilter) -> list:
     """den_k of the staggered-mode operator at one representative momentum
     per distinct dispersion value, sorted by increasing dispersion.
 
@@ -752,8 +729,7 @@ def qmode_trend(ctx: SystemContext, g: GFilter, method: str = "auto") -> list:
     """
     lat = ctx.lattice
     reps = _trend_representatives(lat)
-    forms = _filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps],
-                            method)
+    forms = _filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps])
     return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]
 
 

@@ -25,9 +25,8 @@ def _add_run_flags(sub):
     sub.add_argument("--jobs", type=int, default=None,
                      help="worker threads for independent scan points")
     sub.add_argument("--fail-fast", action="store_true",
-                     help="stop at the first failing check")
-    sub.add_argument("--corrupt-check", default=None, metavar="NAME",
-                     help=argparse.SUPPRESS)  # test hook: inflate one lhs
+                     help="after a failing bound entry, finish the "
+                          "current (lattice, B) and skip the rest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +70,7 @@ def _run_group(args, group: str | None) -> int:
     if args.dense_cap is not None:
         config = replace(config, dense_cap=args.dense_cap)
     result = run_scan(config, out_dir=args.out, jobs=args.jobs,
-                      fail_fast=args.fail_fast, corrupt=args.corrupt_check)
+                      fail_fast=args.fail_fast)
     summary = result.manifest["summary"]
     print(f"bound entries: {summary['bound_entries']} "
           f"(failures: {summary['bound_failures']})")

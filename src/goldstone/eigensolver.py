@@ -60,7 +60,6 @@ class GroundState:
     energy: float
     vector: np.ndarray
     gap_estimate: float
-    gap_is_estimate: bool
     B: float
     lattice: Lattice
     residual: float
@@ -171,7 +170,7 @@ def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
                 "ground state numerically degenerate at B = 0; "
                 "positivity checks are disabled for this state", stacklevel=2)
     return GroundState(energy=energy, vector=v, gap_estimate=float(gap),
-                       gap_is_estimate=True, B=B, lattice=lattice,
+                       B=B, lattice=lattice,
                        residual=resid, sector=sector)
 
 
@@ -254,7 +253,7 @@ def ground_state_from_dense(dec: SpectralDecomposition, lattice: Lattice,
     gap = float(dec.eigenvalues[1] - dec.eigenvalues[0]) if dec.dim > 1 else np.inf
     return GroundState(energy=float(dec.eigenvalues[0]),
                        vector=dec.eigenvectors[:, 0].copy(),
-                       gap_estimate=gap, gap_is_estimate=False, B=B,
+                       gap_estimate=gap, B=B,
                        lattice=lattice, residual=0.0)
 
 
@@ -401,5 +400,5 @@ def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
     except (OSError, ValueError):
         return None
     return GroundState(energy=e0, vector=vec, gap_estimate=np.nan,
-                       gap_is_estimate=True, B=B, lattice=lattice,
+                       B=B, lattice=lattice,
                        residual=resid, sector=sector)

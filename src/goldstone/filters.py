@@ -1,4 +1,4 @@
-"""Smooth spectral window g, annular wavepacket profile f, and filter applies.
+"""Smooth energy window g, annular wavepacket profile f, Chebyshev expansions.
 
 The energy window g vanishes outside (epsilon, gamma), equals one on
 [2*epsilon, gamma - delta_gamma], and is C-infinity via the standard
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SpectralDecomposition,
-                          dense_spectrum, gershgorin_upper)
+from .eigensolver import gershgorin_upper
 from .lattice import Lattice
 from .operators import SparseHermitianOperator
 
@@ -31,12 +30,10 @@ __all__ = [
     "WavepacketWeights",
     "GFilter",
     "smoothstep",
-    "build_g",
     "build_f",
     "ChebyshevExpansion",
     "make_chebyshev_expansion",
     "chebyshev_moments",
-    "apply_filter",
     "FilterDegreeError",
     "SpectrumEnclosureError",
     "EmptySupportError",
@@ -110,10 +107,6 @@ class GFilter:
     def sample_table(self, lo: float, hi: float, n: int) -> np.ndarray:
         xs = np.linspace(lo, hi, n)
         return np.column_stack([xs, self(xs)])
-
-
-def build_g(spec: FilterSpec) -> GFilter:
-    return GFilter(spec)
 
 
 @dataclass(frozen=True)
@@ -318,30 +311,3 @@ def spectral_interval(H: SparseHermitianOperator, lowest: float,
     """
     hi = gershgorin_upper(H)
     return lowest - inflation * max(hi - lowest, 1e-12), hi
-
-
-def apply_filter(H: SparseHermitianOperator, gs: GroundState, fn, v: np.ndarray,
-                 tol: float = 1e-8, *, method: str = "auto",
-                 dense_cap: int = DENSE_CAP_DEFAULT,
-                 degree_cap: int = DEGREE_CAP_DEFAULT,
-                 bounds: tuple[float, float] | None = None,
-                 dec: SpectralDecomposition | None = None) -> np.ndarray:
-    """w = fn(H - E0) v.
-
-    method "dense" uses the eigensystem oracle (dims up to `dense_cap`);
-    "chebyshev" uses a certified expansion over the (inflated) spectral
-    interval; "auto" picks dense whenever it is allowed.
-    """
-    if method == "auto":
-        method = "dense" if H.dim <= dense_cap else "chebyshev"
-    if method == "dense":
-        if dec is None:
-            dec = dense_spectrum(H, dense_cap)
-        amps = dec.eigenvectors.conj().T @ v
-        return dec.eigenvectors @ (fn(dec.eigenvalues - gs.energy) * amps)
-    if method != "chebyshev":
-        raise ValueError(f"unknown method {method!r}")
-    lo, hi = bounds if bounds is not None else spectral_interval(H, gs.energy)
-    expansion = make_chebyshev_expansion(
-        lambda x: fn(np.asarray(x) - gs.energy), lo, hi, tol, degree_cap)
-    return expansion.apply(H, v)

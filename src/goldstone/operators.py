@@ -12,7 +12,6 @@ basis; the resulting CSR arrays feed the matvec kernels in `_kernels`.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,8 +34,6 @@ __all__ = [
     "site_spin_operator",
     "staggered_operator",
     "translation_permutation",
-    "save_operator",
-    "load_operator",
 ]
 
 # The single-site matrix (1, 2, 3: S_x, S_y, S_z of `spin_matrices`) that
@@ -46,9 +43,6 @@ __all__ = [
 # axis, total S^(1) labels the sectors, and every result is unchanged up to
 # rounding.
 SECTOR_AXES = (3, 1, 2)
-
-OPERATOR_CACHE_MAGIC = b"GSOP"
-OPERATOR_CACHE_VERSION = 1
 
 
 @dataclass(eq=False)
@@ -117,10 +111,6 @@ class SparseHermitianOperator:
         return SparseHermitianOperator.from_scipy(
             self._scipy() + c * scipy.sparse.identity(self.dim, format="csr"),
             self.hermitian)
-
-    def coo_triplets(self):
-        mat = self._scipy().tocoo()
-        return mat.row.astype(np.int64), mat.col.astype(np.int64), mat.data
 
 
 def spin_matrices(two_s: int):
@@ -438,46 +428,3 @@ def translation_permutation(lattice: Lattice, axis: int = 0) -> np.ndarray:
     for j in range(lattice.n_sites):
         perm += tab.digits[site_map[j]].astype(np.int64) * tab.strides[j]
     return perm
-
-
-# -- operator cache file ---------------------------------------------------
-# Layout (little endian): magic, u32 version, 8-byte lattice hash prefix,
-# u64 dimension, u64 nnz, u8 hermitian flag, then nnz records of
-# (u64 row, u64 col, f64 re, f64 im).
-
-def save_operator(path, op: SparseHermitianOperator, spec: LatticeSpec) -> None:
-    rows, cols, data = op.coo_triplets()
-    data = data.astype(np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(OPERATOR_CACHE_MAGIC)
-        fh.write(struct.pack("<I", OPERATOR_CACHE_VERSION))
-        fh.write(bytes.fromhex(spec.content_hash()))
-        fh.write(struct.pack("<QQB", op.dim, len(rows), int(op.hermitian)))
-        rec = np.empty(len(rows), dtype=[("r", "<u8"), ("c", "<u8"),
-                                         ("re", "<f8"), ("im", "<f8")])
-        rec["r"] = rows
-        rec["c"] = cols
-        rec["re"] = data.real
-        rec["im"] = data.imag
-        fh.write(rec.tobytes())
-
-
-def load_operator(path, spec: LatticeSpec) -> SparseHermitianOperator:
-    with open(path, "rb") as fh:
-        if fh.read(4) != OPERATOR_CACHE_MAGIC:
-            raise ValueError(f"{path}: not an operator cache file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != OPERATOR_CACHE_VERSION:
-            raise ValueError(f"{path}: cache version {version} unsupported")
-        if fh.read(8).hex() != spec.content_hash():
-            raise ValueError(f"{path}: lattice spec hash mismatch")
-        dim, nnz, herm = struct.unpack("<QQB", fh.read(17))
-        rec = np.frombuffer(fh.read(nnz * 32),
-                            dtype=[("r", "<u8"), ("c", "<u8"),
-                                   ("re", "<f8"), ("im", "<f8")])
-    vals = rec["re"] + 1j * rec["im"]
-    if np.abs(vals.imag).max(initial=0.0) == 0.0:
-        vals = vals.real.copy()
-    return SparseHermitianOperator.from_coo(
-        dim, rec["r"].astype(np.int64), rec["c"].astype(np.int64), vals,
-        hermitian=bool(herm))

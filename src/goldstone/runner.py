@@ -32,7 +32,7 @@ from . import __version__
 from ._kernels import HAVE_NUMBA, use_numba
 from .analysis import (EpsilonChoiceError, SystemContext,
                        VanishingDenominatorError, bound_report, choose_epsilon,
-                       ctx_m_b, excitation_energy, extrapolate_ms, filter_keys,
+                       excitation_energy, extrapolate_ms, filter_keys,
                        ground_sectors, qmode_trend)
 from .config import ScanConfig, auto_p_target
 from .eigensolver import (SolverOptions, cached_residual,
@@ -110,285 +110,349 @@ def _context(lattice: Lattice, B: float, config: ScanConfig,
     return ctx
 
 
-def _prefetch_moments(ctx: SystemContext, config: ScanConfig,
-                      wavepackets) -> None:
-    """One Chebyshev moment pass per (lattice, B) on the sparse path: every
-    key that the enabled groups ask for, at every wavepacket, to the largest
-    order that any of their filters needs."""
-    keys, orders = [], []
+_COLUMNS = {
+    "bounds": ["config", "lattice", "spin", "B", "name", "axis", "n", "k",
+               "lhs", "rhs", "margin", "tolerance", "kind", "passed", "note"],
+    "dispersion": ["config", "lattice", "spin", "B", "mode", "p_target",
+                   "annulus_radius", "kappa", "epsilon", "gamma",
+                   "delta_gamma", "v_min", "m_B", "numerator", "denominator",
+                   "delta_e", "cross_momentum_max", "c0_estimate",
+                   "v_max_estimate", "ms_intercept"],
+    "dispersion_per_k": ["config", "lattice", "B", "mode", "p_target", "n",
+                         "k", "weight", "num_k", "den_k"],
+    "qmode_trend": ["config", "lattice", "B", "dispersion", "n", "k",
+                    "den_k"],
+    "locality_profiles": ["config", "lattice", "kind", "x", "y", "norm",
+                          "envelope"],
+    "filter_samples": ["config", "lattice", "B", "p_target", "kind",
+                       "argument", "value"],
+}
+
+
+class _Outputs:
+    """What one scan records: CSV rows by file stem, manifest checks,
+    skipped points and per-(lattice, B) solver statistics."""
+
+    def __init__(self, cfg_hash: str):
+        self.cfg_hash = cfg_hash
+        self.rows: dict[str, list] = {stem: [] for stem in _COLUMNS}
+        self.checks: list[dict] = []
+        self.skipped: list[dict] = []
+        self.solver_stats: list[dict] = []
+
+    def row(self, stem: str, **fields) -> None:
+        self.rows[stem].append({"config": self.cfg_hash, **fields})
+
+    def check(self, group, name, lattice, B, value, threshold, passed,
+              note="") -> None:
+        self.checks.append({
+            "group": group, "name": name, "lattice": lattice, "B": B,
+            "value": None if value is None else float(value),
+            "threshold": None if threshold is None else float(threshold),
+            "passed": bool(passed), "note": note,
+        })
+
+    def skip(self, lattice, p, reason, **where) -> None:
+        self.skipped.append({"lattice": lattice, "p": p, **where,
+                             "reason": reason})
+
+    def bound_failures(self) -> list:
+        return [r for r in self.rows["bounds"] if not r["passed"]]
+
+
+def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
+             fail_fast: bool = False) -> ScanResult:
+    """Every enabled check group over the config's (lattice, B) grid.
+
+    With `fail_fast`, a failing bound entry ends the scan once its
+    (lattice, B) is done: later fields, the ladder checks, locality and
+    later lattices are skipped."""
+    out = Path(out_dir or config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cache_dir = _resolve_cache_dir(config)
+    jobs = jobs or config.jobs
     groups = set(config.checks)
-    for _, wp, weights in wavepackets:
-        new = filter_keys(ctx.lattice, weights, groups)
-        groups.discard("bounds")    # the suite runs at the first wavepacket
-        try:
-            g, _ = _auto_filter(ctx, wp, config)
-        except EpsilonChoiceError:
+    res = _Outputs(config.config_hash())
+    aborted = False
+    for extents in config.lattices:
+        lattice = Lattice.build(extents, config.spin)
+        tag = "x".join(str(e) for e in extents)
+        wavepackets = _wavepackets(res, config, lattice, tag)
+        if not wavepackets and groups & {"bounds", "dispersion", "qmode"}:
+            res.skip(tag, None, "no usable wavepacket on this grid")
             continue
-        if new:
-            den, num = ctx.filter_expansions(g)
-            keys += new
-            orders.append(max(den.degree, num.degree) + 1)
-    if keys:
-        ctx.moments(keys, max(orders))
+
+        def context(B, lattice=lattice):
+            return _context(lattice, B, config, cache_dir)
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                contexts = list(pool.map(context, config.b_ladder))
+        else:
+            contexts = [context(B) for B in config.b_ladder]
+        for ctx in contexts:
+            _point(res, config, ctx, tag, wavepackets)
+            res.solver_stats.append({"lattice": tag, "B": ctx.B,
+                                     **ctx.solver_stats()})
+            aborted = fail_fast and bool(res.bound_failures())
+            if aborted:
+                break
+        if aborted:
+            break
+        if "bounds" in groups and len(contexts) >= 2:
+            _ladder_checks(res, tag, contexts)
+        if groups & {"dispersion", "qmode"} and len(contexts) >= 3:
+            ms = extrapolate_ms([c.B for c in contexts],
+                                [c.m_B for c in contexts])
+            if res.rows["dispersion"]:
+                res.rows["dispersion"][-1]["ms_intercept"] = ms["intercept"]
+            res.check("dispersion", "ms_extrapolation", tag, None,
+                      ms["intercept"], None, True, ms["label"])
+        if "locality" in groups:
+            if lattice.spec.hilbert_dim <= config.dense_cap:
+                _locality(res, config, lattice, tag, contexts)
+            else:
+                res.skip(tag, None, "locality needs the dense oracle")
+    return _write_outputs(res, config, out)
+
+
+def _wavepackets(res: _Outputs, config: ScanConfig, lattice: Lattice,
+                 tag: str) -> list:
+    """[(p, WavepacketSpec, WavepacketWeights)] of the usable targets."""
+    if config.p_values == "auto":
+        p_targets = [auto_p_target(lattice)]
+    else:
+        p_targets = list(config.p_values)
+    kappa = config.resolve_kappa([4 * p / 3 for p in p_targets])
+    wavepackets = []
+    for p in p_targets:
+        try:
+            wp = WavepacketSpec(p, kappa)
+            wavepackets.append((p, wp, build_f(wp, lattice)))
+        except (EmptySupportError, ValueError) as exc:
+            res.skip(tag, p, str(exc))
+    return wavepackets
 
 
 def _auto_filter(ctx: SystemContext, wp: WavepacketSpec, config: ScanConfig):
-    """(GFilter, v_min) for one (lattice, B): epsilon from the sum-rule
-    bracket unless pinned in the config."""
+    """(GFilter, v_min) for one (lattice, B), or the EpsilonChoiceError that
+    says why there is none: epsilon from the sum-rule bracket unless pinned
+    in the config."""
     if config.filter_epsilon == "auto":
-        v_min, eps = choose_epsilon(ctx_m_b(ctx), wp, ctx.lattice,
-                                    config.v_min_ladder, gamma=config.gamma,
-                                    delta_gamma=config.delta_gamma)
+        try:
+            v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
+                                        config.v_min_ladder,
+                                        gamma=config.gamma,
+                                        delta_gamma=config.delta_gamma)
+        except EpsilonChoiceError as exc:
+            return exc
     else:
         eps = float(config.filter_epsilon)
         v_min = eps / wp.annulus_radius
     return GFilter(FilterSpec(eps, config.gamma, config.delta_gamma)), v_min
 
 
-def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
-             fail_fast: bool = False, corrupt: str | None = None) -> ScanResult:
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cache_dir = _resolve_cache_dir(config)
-    jobs = jobs or config.jobs
-    cfg_hash = config.config_hash()
+def _prefetch_moments(ctx: SystemContext, groups, wavepackets,
+                      filters) -> None:
+    """One Chebyshev moment pass per (lattice, B) on the sparse path: every
+    key that the enabled groups ask for, at every wavepacket, to the largest
+    order that any of their filters needs."""
+    keys, orders = [], []
+    groups = set(groups)
+    for (_, _, weights), chosen in zip(wavepackets, filters):
+        new = filter_keys(ctx.lattice, weights, groups)
+        groups.discard("bounds")    # the suite runs at the first wavepacket
+        if new and not isinstance(chosen, EpsilonChoiceError):
+            den, num = ctx.filter_expansions(chosen[0])
+            keys += new
+            orders.append(max(den.degree, num.degree) + 1)
+    if keys:
+        ctx.moments(keys, max(orders))
 
-    bounds_rows: list[dict] = []
-    disp_rows: list[dict] = []
-    per_k_rows: list[dict] = []
-    trend_rows: list[dict] = []
-    loc_rows: list[dict] = []
-    sample_rows: list[dict] = []
-    checks: list[dict] = []
-    skipped: list[dict] = []
-    solver_stats: list[dict] = []
 
-    def check(group, name, lattice, B, value, threshold, passed, note=""):
-        checks.append({
-            "group": group, "name": name,
-            "lattice": "x".join(str(e) for e in lattice) if lattice else "",
-            "B": B, "value": None if value is None else float(value),
-            "threshold": None if threshold is None else float(threshold),
-            "passed": bool(passed), "note": note,
-        })
-        return passed
-
-    aborted = False
-    for extents in config.lattices:
-        if aborted:
-            break
-        lattice = Lattice.build(extents, config.spin)
-        lat_tag = "x".join(str(e) for e in extents)
-        if config.p_values == "auto":
-            p_targets = [auto_p_target(lattice)]
-        else:
-            p_targets = list(config.p_values)
-        kappa = config.resolve_kappa([4 * p / 3 for p in p_targets])
-
-        wavepackets = []
-        for p in p_targets:
-            try:
-                wp = WavepacketSpec(p, kappa)
-                wavepackets.append((p, wp, build_f(wp, lattice)))
-            except (EmptySupportError, ValueError) as exc:
-                skipped.append({"lattice": lat_tag, "p": p, "reason": str(exc)})
-
-        if not wavepackets and ("dispersion" in config.checks
-                                or "qmode" in config.checks
-                                or "bounds" in config.checks):
-            skipped.append({"lattice": lat_tag, "p": None,
-                            "reason": "no usable wavepacket on this grid"})
-            continue
-
-        def process_b(B, lattice=lattice, wavepackets=wavepackets):
-            ctx = _context(lattice, B, config, cache_dir)
-            return ctx
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                contexts = list(pool.map(process_b, config.b_ladder))
-        else:
-            contexts = [process_b(B) for B in config.b_ladder]
-
-        m_b_ladder = []
-        e0_ladder = []
-        for ctx in contexts:
-            if aborted:
-                break
-            B = ctx.B
-            m_b_ladder.append(ctx_m_b(ctx))
-            e0_ladder.append(ctx.gs.energy)
-            p0, wp0, weights0 = wavepackets[0]
-            if ctx.dense is None:
-                _prefetch_moments(ctx, config, wavepackets)
-
-            if "bounds" in config.checks:
-                try:
-                    g, v_min = _auto_filter(ctx, wp0, config)
-                except EpsilonChoiceError as exc:
-                    skipped.append({"lattice": lat_tag, "p": p0, "B": B,
-                                    "reason": f"bounds: {exc}"})
-                    continue
-                report = bound_report(ctx, g, v_min, wp0.annulus_radius)
-                for e in report.entries:
-                    lhs = e.lhs + 1.0 if corrupt and e.name == corrupt else e.lhs
-                    margin = e.rhs - lhs if e.kind == "upper" else -abs(lhs - e.rhs)
-                    passed = e.passed if not (corrupt and e.name == corrupt) \
-                        else margin >= -e.tolerance
-                    bounds_rows.append({
-                        "config": cfg_hash, "lattice": lat_tag,
-                        "spin": lattice.spec.spin, "B": B, "name": e.name,
-                        "axis": e.axis, "n": _label(e.momentum),
-                        "k": _kcols(lattice, e.momentum), "lhs": lhs,
-                        "rhs": e.rhs, "margin": margin,
-                        "tolerance": e.tolerance, "kind": e.kind,
-                        "passed": passed, "note": e.note,
-                    })
-                    if not passed and fail_fast:
-                        aborted = True
-
-            for p, wp, weights in wavepackets:
-                if not ({"dispersion", "qmode"} & set(config.checks)):
-                    break
-                try:
-                    g, v_min = _auto_filter(ctx, wp, config)
-                except EpsilonChoiceError as exc:
-                    skipped.append({"lattice": lat_tag, "p": p, "B": B,
-                                    "reason": str(exc)})
-                    continue
-                for arg, val in g.sample_table(0.0, 1.2 * g.spec.gamma, 241):
-                    sample_rows.append({
-                        "config": cfg_hash, "lattice": lat_tag, "B": B,
-                        "p_target": p, "kind": "window", "argument": arg,
-                        "value": val})
-                for arg, val in weights.sample_table(241):
-                    sample_rows.append({
-                        "config": cfg_hash, "lattice": lat_tag, "B": B,
-                        "p_target": p, "kind": "annulus", "argument": arg,
-                        "value": val})
-                records = []
-                try:
-                    if "dispersion" in config.checks:
-                        records.append(excitation_energy(ctx, weights, g,
-                                                         v_min, "zero"))
-                    if "qmode" in config.checks:
-                        records.append(excitation_energy(ctx, weights, g,
-                                                         v_min, "staggered"))
-                except VanishingDenominatorError as exc:
-                    skipped.append({"lattice": lat_tag, "p": p, "B": B,
-                                    "reason": str(exc)})
-                    continue
-                for rec in records:
-                    group = "dispersion" if rec.mode == "zero" else "qmode"
-                    eps = rec.epsilon
-                    ok_window = (eps - ORDERING_SLACK <= rec.delta_e
-                                 <= rec.gamma + ORDERING_SLACK)
-                    check(group, "delta_e_window", extents, B, rec.delta_e,
-                          eps, ok_window,
-                          f"window [{eps:.6g}, {rec.gamma:.6g}]")
-                    if rec.cross_momentum_max is not None:
-                        check(group, "cross_momentum", extents, B,
-                              rec.cross_momentum_max, 1e-10,
-                              rec.cross_momentum_max <= 1e-10)
-                    disp_rows.append(_disp_row(cfg_hash, lat_tag, rec))
-                    for pk in rec.per_k:
-                        per_k_rows.append({
-                            "config": cfg_hash, "lattice": lat_tag, "B": B,
-                            "mode": rec.mode, "p_target": rec.p_target,
-                            "n": _label(pk.momentum),
-                            "k": _kcols(lattice, pk.momentum),
-                            "weight": pk.weight, "num_k": pk.num_k,
-                            "den_k": pk.den_k,
-                        })
-                if len(records) == 2:
-                    diff = records[0].delta_e - records[1].delta_e
-                    check("qmode", "delta_e_ordering", extents, B, diff,
-                          -ORDERING_SLACK, diff > -ORDERING_SLACK,
-                          "zero-mode above staggered-mode (slack 1e-6)")
-                if "qmode" in config.checks:
-                    trend = qmode_trend(ctx, g)
-                    for (e_val, n, den_k) in trend:
-                        trend_rows.append({
-                            "config": cfg_hash, "lattice": lat_tag, "B": B,
-                            "dispersion": e_val, "n": _label(n),
-                            "k": _kcols(lattice, n), "den_k": den_k,
-                        })
-                    # a finite-size trend, recorded with its value; it is
-                    # not a finite-volume inequality and sets no exit code
-                    steps = [d1 - d2 for (_, _, d1), (_, _, d2)
-                             in zip(trend, trend[1:])]
-                    if steps:
-                        trend_is = ("decreases"
-                                    if min(steps) > -ORDERING_SLACK
-                                    else "does not decrease")
-                        checks.append({
-                            "group": "qmode", "name": "trend_den_decreasing",
-                            "lattice": lat_tag, "B": B,
-                            "value": float(min(steps)), "threshold": None,
-                            "passed": True,
-                            "note": f"trend - den_k {trend_is} as the "
-                                    "dispersion grows (value: smallest step); "
-                                    "a finite-size trend, not a finite-volume "
-                                    "inequality"})
-
-        # ladder-level physics checks (the ladder descends in B, so m_B must
-        # be nonincreasing along it)
-        if "bounds" in config.checks and len(contexts) >= 2 and not aborted:
-            bs = [c.B for c in contexts]
-            mono = all(m_hi >= m_lo - 1e-10
-                       for m_hi, m_lo in zip(m_b_ladder, m_b_ladder[1:]))
-            check("bounds", "m_B_nondecreasing_in_B", extents, None,
-                  None, None, mono)
-            if len(contexts) >= 3:
-                worst = -np.inf
-                for i in range(len(bs) - 2):
-                    b1, b2, b3 = bs[i], bs[i + 1], bs[i + 2]
-                    e1, e2, e3 = e0_ladder[i], e0_ladder[i + 1], e0_ladder[i + 2]
-                    second = ((e1 - e2) / (b1 - b2) - (e2 - e3) / (b2 - b3))
-                    worst = max(worst, second)
-                check("bounds", "e0_concave_in_B", extents, None, worst,
-                      1e-10, worst <= 1e-10)
-
-        solver_stats.extend({"lattice": lat_tag, "B": ctx.B,
-                             **ctx.solver_stats()} for ctx in contexts)
-
-        if ({"dispersion", "qmode"} & set(config.checks)) and len(m_b_ladder) >= 3:
-            ms = extrapolate_ms([c.B for c in contexts], m_b_ladder)
-            if disp_rows:
-                disp_rows[-1]["ms_intercept"] = ms["intercept"]
-            checks.append({"group": "dispersion", "name": "ms_extrapolation",
-                           "lattice": lat_tag, "B": None,
-                           "value": ms["intercept"], "threshold": None,
-                           "passed": True, "note": ms["label"]})
-
-        if "locality" in config.checks and not aborted:
-            if lattice.spec.hilbert_dim <= config.dense_cap:
-                _run_locality(lattice, config, contexts, cfg_hash, lat_tag,
-                              loc_rows, check, extents)
+def _point(res: _Outputs, config: ScanConfig, ctx: SystemContext, tag: str,
+           wavepackets) -> None:
+    """The bounds and dispersion/qmode stages of one (lattice, B), sharing
+    one filter choice per wavepacket."""
+    filters = [_auto_filter(ctx, wp, config) for _, wp, _ in wavepackets]
+    if ctx.dense is None:
+        _prefetch_moments(ctx, config.checks, wavepackets, filters)
+    if "bounds" in config.checks:
+        (p0, wp0, _), chosen = wavepackets[0], filters[0]
+        if isinstance(chosen, EpsilonChoiceError):
+            res.skip(tag, p0, f"bounds: {chosen}", B=ctx.B)
+            return
+        _bounds(res, ctx, tag, *chosen, wp0.annulus_radius)
+    if {"dispersion", "qmode"} & set(config.checks):
+        for (p, _, weights), chosen in zip(wavepackets, filters):
+            if isinstance(chosen, EpsilonChoiceError):
+                res.skip(tag, p, str(chosen), B=ctx.B)
             else:
-                skipped.append({"lattice": lat_tag, "p": None,
-                                "reason": "locality needs the dense oracle"})
+                _dispersion(res, config, ctx, tag, p, weights, *chosen)
 
-    _write_csv(out / "bounds.csv", bounds_rows,
-               ["config", "lattice", "spin", "B", "name", "axis", "n", "k",
-                "lhs", "rhs", "margin", "tolerance", "kind", "passed", "note"])
-    _write_csv(out / "dispersion.csv", disp_rows, _DISP_COLS)
-    _write_csv(out / "dispersion_per_k.csv", per_k_rows,
-               ["config", "lattice", "B", "mode", "p_target", "n", "k",
-                "weight", "num_k", "den_k"])
-    _write_csv(out / "qmode_trend.csv", trend_rows,
-               ["config", "lattice", "B", "dispersion", "n", "k", "den_k"])
-    _write_csv(out / "locality_profiles.csv", loc_rows,
-               ["config", "lattice", "kind", "x", "y", "norm", "envelope"])
-    _write_csv(out / "filter_samples.csv", sample_rows,
-               ["config", "lattice", "B", "p_target", "kind", "argument",
-                "value"])
 
-    bound_failures = [r for r in bounds_rows if not r["passed"]]
-    check_failures = [c for c in checks if not c["passed"]]
+def _bounds(res: _Outputs, ctx: SystemContext, tag: str, g: GFilter,
+            v_min: float, r: float) -> None:
+    lattice = ctx.lattice
+    for e in bound_report(ctx, g, v_min, r).entries:
+        res.row("bounds", lattice=tag, spin=lattice.spec.spin, B=ctx.B,
+                name=e.name, axis=e.axis, n=_label(e.momentum),
+                k=_kcols(lattice, e.momentum), lhs=e.lhs, rhs=e.rhs,
+                margin=e.margin, tolerance=e.tolerance, kind=e.kind,
+                passed=e.passed, note=e.note)
+
+
+def _dispersion(res: _Outputs, config: ScanConfig, ctx: SystemContext,
+                tag: str, p: float, weights, g: GFilter,
+                v_min: float) -> None:
+    """Filter samples, wavepacket records and the qmode trend at one
+    wavepacket."""
+    lattice, B = ctx.lattice, ctx.B
+    for kind, table in (
+            ("window", g.sample_table(0.0, 1.2 * g.spec.gamma, 241)),
+            ("annulus", weights.sample_table(241))):
+        for arg, val in table:
+            res.row("filter_samples", lattice=tag, B=B, p_target=p,
+                    kind=kind, argument=arg, value=val)
+    modes = [mode for group, mode in (("dispersion", "zero"),
+                                      ("qmode", "staggered"))
+             if group in config.checks]
+    try:
+        records = [excitation_energy(ctx, weights, g, v_min, mode)
+                   for mode in modes]
+    except VanishingDenominatorError as exc:
+        res.skip(tag, p, str(exc), B=B)
+        return
+    for rec in records:
+        group = "dispersion" if rec.mode == "zero" else "qmode"
+        eps = rec.epsilon
+        res.check(group, "delta_e_window", tag, B, rec.delta_e, eps,
+                  eps - ORDERING_SLACK <= rec.delta_e
+                  <= rec.gamma + ORDERING_SLACK,
+                  f"window [{eps:.6g}, {rec.gamma:.6g}]")
+        if rec.cross_momentum_max is not None:
+            res.check(group, "cross_momentum", tag, B,
+                      rec.cross_momentum_max, 1e-10,
+                      rec.cross_momentum_max <= 1e-10)
+        # every dispersion column between the lattice and ms_intercept is
+        # a record field of the same name
+        res.row("dispersion", lattice=tag, **{
+            c: getattr(rec, c) for c in _COLUMNS["dispersion"][2:-1]})
+        for pk in rec.per_k:
+            res.row("dispersion_per_k", lattice=tag, B=B, mode=rec.mode,
+                    p_target=rec.p_target, n=_label(pk.momentum),
+                    k=_kcols(lattice, pk.momentum), weight=pk.weight,
+                    num_k=pk.num_k, den_k=pk.den_k)
+    if len(records) == 2:
+        diff = records[0].delta_e - records[1].delta_e
+        res.check("qmode", "delta_e_ordering", tag, B, diff, -ORDERING_SLACK,
+                  diff > -ORDERING_SLACK,
+                  "zero-mode above staggered-mode (slack 1e-6)")
+    if "qmode" in config.checks:
+        trend = qmode_trend(ctx, g)
+        for (e_val, n, den_k) in trend:
+            res.row("qmode_trend", lattice=tag, B=B, dispersion=e_val,
+                    n=_label(n), k=_kcols(lattice, n), den_k=den_k)
+        # a finite-size trend, recorded with its value; it is not a
+        # finite-volume inequality and sets no exit code
+        steps = [d1 - d2 for (_, _, d1), (_, _, d2) in zip(trend, trend[1:])]
+        if steps:
+            trend_is = ("decreases" if min(steps) > -ORDERING_SLACK
+                        else "does not decrease")
+            res.check("qmode", "trend_den_decreasing", tag, B, min(steps),
+                      None, True,
+                      f"trend - den_k {trend_is} as the dispersion grows "
+                      "(value: smallest step); a finite-size trend, not a "
+                      "finite-volume inequality")
+
+
+def _ladder_checks(res: _Outputs, tag: str, contexts) -> None:
+    """The ladder descends in B, so m_B must not increase along it; E0 must
+    be concave in B."""
+    ms = [c.m_B for c in contexts]
+    res.check("bounds", "m_B_nondecreasing_in_B", tag, None, None, None,
+              all(hi >= lo - 1e-10 for hi, lo in zip(ms, ms[1:])))
+    if len(contexts) >= 3:
+        bs = [c.B for c in contexts]
+        es = [c.gs.energy for c in contexts]
+        worst = max((es[i] - es[i + 1]) / (bs[i] - bs[i + 1])
+                    - (es[i + 1] - es[i + 2]) / (bs[i + 1] - bs[i + 2])
+                    for i in range(len(bs) - 2))
+        res.check("bounds", "e0_concave_in_B", tag, None, worst, 1e-10,
+                  worst <= 1e-10)
+
+
+def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
+              contexts) -> None:
+    g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
+                           config.locality_delta_gamma))
+    center = config.locality_center
+    axis = config.locality_axis
+    ctx = contexts[min(len(contexts) - 1, len(contexts) // 2)]
+    dec = ctx.dense
+    a = site_spin_operator(lattice, center, axis).to_dense()
+
+    smeared = tau_g_star(dec, g, a)
+    lhs = smeared @ ctx.gs.vector
+    amps = dec.eigenvectors.conj().T @ (a @ ctx.gs.vector)
+    rhs = dec.eigenvectors @ (g(dec.eigenvalues - ctx.gs.energy) * amps)
+    defect = float(np.linalg.norm(lhs - rhs))
+    res.check("locality", "smeared_action_identity", tag, ctx.B, defect,
+              1e-10, defect <= 1e-10)
+
+    ball = lattice.ball(center, 1)
+    once = local_approximation(smeared, ball, lattice)
+    twice = local_approximation(once, ball, lattice)
+    idem = operator_norm(once - twice)
+    res.check("locality", "partial_trace_idempotent", tag, ctx.B, idem,
+              1e-12, idem <= 1e-12)
+    contraction = operator_norm(once) - operator_norm(smeared)
+    res.check("locality", "partial_trace_contractive", tag, ctx.B,
+              contraction, 1e-12, contraction <= 1e-12)
+
+    deltas, norms, fit = delta_decomposition(dec, lattice, g, a, center)
+    recon = operator_norm(sum(deltas) - smeared)
+    res.check("locality", "telescoping_reconstruction", tag, ctx.B, recon,
+              1e-10, recon <= 1e-10)
+    for m, v in enumerate(norms):
+        res.row("locality_profiles", lattice=tag, kind="delta_shell",
+                x=float(m), y=None, norm=v, envelope=fit.envelope(m))
+
+    lr = lr_commutator_profile(dec, lattice, center, config.locality_times,
+                               axis)
+    by_time: dict[float, list] = {}
+    for (t, d, v) in lr.samples:
+        res.row("locality_profiles", lattice=tag, kind="lr_commutator", x=t,
+                y=d, norm=v,
+                envelope=lr.envelope(t, d) if lr.velocity is not None
+                else None)
+        by_time.setdefault(t, []).append((d, v))
+    for t, pairs in sorted(by_time.items()):
+        pairs.sort()
+        vals = [v for _, v in pairs]
+        decreasing = all(a > b for a, b in zip(vals, vals[1:]))
+        res.check("locality", "lr_distance_decreasing", tag, None, t, None,
+                  decreasing, f"t={t}")
+
+    cont = b_continuity(lattice, g, config.b_ladder, center, axis,
+                        config.dense_cap)
+    for (b, r) in cont.samples:
+        res.row("locality_profiles", lattice=tag, kind="b_continuity", x=b,
+                y=None, norm=r, envelope=cont.amplitude)
+    ratio = cont.extras["ratio_max_min"]
+    res.check("locality", "b_continuity_ratio", tag, None, ratio, 4.0,
+              ratio <= 4.0)
+
+
+def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
+    """The CSVs, manifest.json, and failures.json when a check failed."""
+    for stem, columns in _COLUMNS.items():
+        _write_csv(out / f"{stem}.csv", res.rows[stem], columns)
+    bound_failures = res.bound_failures()
+    check_failures = [c for c in res.checks if not c["passed"]]
     exit_code = 0 if not bound_failures and not check_failures else 1
     manifest = {
-        "config_hash": cfg_hash,
+        "config_hash": res.cfg_hash,
         "config_text": config.raw_text,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
@@ -398,18 +462,17 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
             "numba_kernels": bool(use_numba),
             "numba_available": bool(HAVE_NUMBA),
         },
-        "checks": checks,
+        "checks": res.checks,
         "summary": {
-            "bound_entries": len(bounds_rows),
+            "bound_entries": len(res.rows["bounds"]),
             "bound_failures": len(bound_failures),
-            "check_entries": len(checks),
+            "check_entries": len(res.checks),
             "check_failures": len(check_failures),
-            "dispersion_records": len(disp_rows),
-            "skipped": skipped,
+            "dispersion_records": len(res.rows["dispersion"]),
+            "skipped": res.skipped,
             "all_passed": exit_code == 0,
         },
-        "corruption_hook": corrupt,
-        "solver_stats": solver_stats,
+        "solver_stats": res.solver_stats,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -429,90 +492,6 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
         except FileNotFoundError:
             pass
     return ScanResult(exit_code, manifest, out)
-
-
-_DISP_COLS = ["config", "lattice", "spin", "B", "mode", "p_target",
-              "annulus_radius", "kappa", "epsilon", "gamma", "delta_gamma",
-              "v_min", "m_B", "numerator", "denominator", "delta_e",
-              "cross_momentum_max", "c0_estimate", "v_max_estimate",
-              "ms_intercept"]
-
-
-def _disp_row(cfg_hash, lat_tag, rec) -> dict:
-    return {
-        "config": cfg_hash, "lattice": lat_tag, "spin": rec.spin, "B": rec.B,
-        "mode": rec.mode, "p_target": rec.p_target,
-        "annulus_radius": rec.annulus_radius, "kappa": rec.kappa,
-        "epsilon": rec.epsilon, "gamma": rec.gamma,
-        "delta_gamma": rec.delta_gamma, "v_min": rec.v_min, "m_B": rec.m_B,
-        "numerator": rec.numerator, "denominator": rec.denominator,
-        "delta_e": rec.delta_e, "cross_momentum_max": rec.cross_momentum_max,
-        "c0_estimate": rec.c0_estimate, "v_max_estimate": rec.v_max_estimate,
-        "ms_intercept": rec.ms_estimate,
-    }
-
-
-def _run_locality(lattice, config, contexts, cfg_hash, lat_tag, loc_rows,
-                  check, extents) -> None:
-    g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
-                           config.locality_delta_gamma))
-    center = config.locality_center
-    axis = config.locality_axis
-    ctx = contexts[min(len(contexts) - 1, len(contexts) // 2)]
-    dec = ctx.dense
-    a = site_spin_operator(lattice, center, axis).to_dense()
-
-    smeared = tau_g_star(dec, g, a)
-    lhs = smeared @ ctx.gs.vector
-    amps = dec.eigenvectors.conj().T @ (a @ ctx.gs.vector)
-    rhs = dec.eigenvectors @ (g(dec.eigenvalues - ctx.gs.energy) * amps)
-    defect = float(np.linalg.norm(lhs - rhs))
-    check("locality", "smeared_action_identity", extents, ctx.B, defect,
-          1e-10, defect <= 1e-10)
-
-    ball = lattice.ball(center, 1)
-    once = local_approximation(smeared, ball, lattice)
-    twice = local_approximation(once, ball, lattice)
-    idem = operator_norm(once - twice)
-    check("locality", "partial_trace_idempotent", extents, ctx.B, idem,
-          1e-12, idem <= 1e-12)
-    contraction = operator_norm(once) - operator_norm(smeared)
-    check("locality", "partial_trace_contractive", extents, ctx.B,
-          contraction, 1e-12, contraction <= 1e-12)
-
-    deltas, norms, fit = delta_decomposition(dec, lattice, g, a, center)
-    recon = operator_norm(sum(deltas) - smeared)
-    check("locality", "telescoping_reconstruction", extents, ctx.B, recon,
-          1e-10, recon <= 1e-10)
-    for m, v in enumerate(norms):
-        loc_rows.append({"config": cfg_hash, "lattice": lat_tag,
-                         "kind": "delta_shell", "x": float(m), "y": None,
-                         "norm": v, "envelope": fit.envelope(m)})
-
-    lr = lr_commutator_profile(dec, lattice, center, config.locality_times,
-                               axis)
-    by_time: dict[float, list] = {}
-    for (t, d, v) in lr.samples:
-        loc_rows.append({"config": cfg_hash, "lattice": lat_tag,
-                         "kind": "lr_commutator", "x": t, "y": d, "norm": v,
-                         "envelope": lr.envelope(t, d) if lr.velocity is not None else None})
-        by_time.setdefault(t, []).append((d, v))
-    for t, pairs in sorted(by_time.items()):
-        pairs.sort()
-        vals = [v for _, v in pairs]
-        decreasing = all(a > b for a, b in zip(vals, vals[1:]))
-        check("locality", "lr_distance_decreasing", extents, None, t, None,
-              decreasing, f"t={t}")
-
-    cont = b_continuity(lattice, g, config.b_ladder, center, axis,
-                        config.dense_cap)
-    for (b, r) in cont.samples:
-        loc_rows.append({"config": cfg_hash, "lattice": lat_tag,
-                         "kind": "b_continuity", "x": b, "y": None,
-                         "norm": r, "envelope": cont.amplitude})
-    ratio = cont.extras["ratio_max_min"]
-    check("locality", "b_continuity_ratio", extents, None, ratio, 4.0,
-          ratio <= 4.0)
 
 
 def _write_csv(path: Path, rows: list, columns: list) -> None:

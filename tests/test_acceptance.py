@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from goldstone.analysis import (SystemContext, Tolerances, bound_report,
-                                choose_epsilon, ctx_m_b, excitation_energy,
-                                filtered_moments, qmode_trend,
+                                choose_epsilon, excitation_energy,
+                                filter_keys, filtered_moments, qmode_trend,
                                 staggered_magnetization)
 from goldstone.config import parse_config_text
 from goldstone.eigensolver import (deflated_solve, dense_spectrum,
@@ -40,7 +40,7 @@ def _announce(num, description, failures, elapsed=None, detail=""):
 def _setup(ctx, p):
     wp = WavepacketSpec(p, 2.2 if p < 1.6 else 4.5)
     weights = build_f(wp, ctx.lattice)
-    v_min, eps = choose_epsilon(ctx_m_b(ctx), wp, ctx.lattice,
+    v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     return wp, weights, GFilter(FilterSpec(eps, 3.0, 0.5)), v_min
 
@@ -57,15 +57,20 @@ def ladders():
 
 @pytest.fixture(scope="session")
 def big():
-    """4x4 torus at B = 0.1: Lanczos ground state plus Chebyshev records."""
+    """4x4 torus at B = 0.1: Lanczos ground state plus Chebyshev records,
+    all from one moment pass."""
     t0 = time.time()
     lat = Lattice.build((4, 4))
     ctx = SystemContext(lat, 0.1, tolerances=Tolerances(chebyshev=1e-6))
+    assert ctx.dense is None
     wp, weights, g, v_min = _setup(ctx, np.pi / 2)
-    rec = excitation_energy(ctx, weights, g, v_min, "zero", method="chebyshev")
-    rec_q = excitation_energy(ctx, weights, g, v_min, "staggered",
-                              method="chebyshev")
-    trend = qmode_trend(ctx, g, method="chebyshev")
+    den, num = ctx.filter_expansions(g)
+    ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}),
+                max(den.degree, num.degree) + 1)
+    rec = excitation_energy(ctx, weights, g, v_min, "zero")
+    rec_q = excitation_energy(ctx, weights, g, v_min, "staggered")
+    trend = qmode_trend(ctx, g)
+    assert len(ctx.solver_stats()["moment_passes"]) == 1
     return {"ctx": ctx, "wp": wp, "g": g, "v_min": v_min, "rec": rec,
             "rec_q": rec_q, "trend": trend, "elapsed": time.time() - t0}
 
@@ -126,16 +131,16 @@ def test_criterion_2_oracle_equivalence(ladders):
                     if abs(lhs - ref) > 1e-8:
                         failures.append(("resolvent", extents, b, n, axis,
                                          abs(lhs - ref)))
-    # Chebyshev-filtered moments vs spectral sums
-    for extents in ((2, 2), (2, 4)):
-        lat = Lattice.build(extents)
+    # Chebyshev-filtered moments on the sparse path vs spectral sums
+    for extents, by_b in ladders.items():
         p = np.pi if extents == (2, 2) else np.pi / 2
-        for b in B_LADDER:
-            ctx = SystemContext(lat, b, tolerances=Tolerances(chebyshev=1e-10))
-            wp, weights, g, v_min = _setup(ctx, p)
+        for b, dense in by_b.items():
+            ctx = SystemContext(dense.lattice, b, force_sparse=True,
+                                tolerances=Tolerances(chebyshev=1e-10))
+            wp, weights, g, v_min = _setup(dense, p)
             for n in weights.support:
-                num_c, den_c = filtered_moments(ctx, g, n, 2, "chebyshev")
-                num_d, den_d = filtered_moments(ctx, g, n, 2, "dense")
+                num_c, den_c = filtered_moments(ctx, g, n, 2)
+                num_d, den_d = filtered_moments(dense, g, n, 2)
                 if abs(num_c - num_d) > 1e-8 or abs(den_c - den_d) > 1e-8:
                     failures.append(("chebyshev", extents, b, n,
                                      abs(num_c - num_d), abs(den_c - den_d)))
@@ -280,7 +285,7 @@ def test_criterion_7_physics_sanity(ladders):
     if abs(m0) > 1e-10:
         failures.append(("m_B_at_zero_field", m0))
     for extents, by_b in ladders.items():
-        ms = [ctx_m_b(by_b[b]) for b in B_LADDER]      # descending B
+        ms = [by_b[b].m_B for b in B_LADDER]      # descending B
         if not all(hi >= lo - 1e-10 for hi, lo in zip(ms, ms[1:])):
             failures.append(("m_B_monotone", extents, ms))
         es = [by_b[b].gs.energy for b in B_LADDER]

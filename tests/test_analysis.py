@@ -7,7 +7,7 @@ import goldstone.analysis
 import goldstone.operators
 from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
-                                choose_epsilon, ctx_m_b,
+                                choose_epsilon,
                                 double_commutator_entry, excitation_energy,
                                 extrapolate_ms, filtered_moments, irb_entry,
                                 qmode_trend, staggered_magnetization,
@@ -113,13 +113,17 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     momenta = sorted(lat.momenta)
     n = momenta[pick % len(momenta)]
-    num, den = filtered_moments(ctx, g, n, axis, "chebyshev")
+    # the moment path on the full basis, against the dense context's own
+    # spectral sums
+    den_exp, num_exp = ctx.filter_expansions(g)
+    (mu,) = ctx.moments([(n, axis)],
+                        max(den_exp.degree, num_exp.degree) + 1)
+    num, den = num_exp.quadratic_form(mu), den_exp.quadratic_form(mu)
     v = ctx.sk_phi(n, axis)
     norm2 = float(np.vdot(v, v).real)
     de = ctx.dense.eigenvalues - ctx.gs.energy
     amps = np.abs(ctx.dense.eigenvectors.conj().T @ v) ** 2
     g2 = g(de) ** 2
-    den_exp, num_exp = ctx.filter_expansions(g)
     assert abs(den - float(np.sum(g2 * amps))) <= \
         den_exp.sup_error * norm2 + 1e-12
     assert abs(num - float(np.sum(g2 * de * amps))) <= \
@@ -136,7 +140,7 @@ def test_choose_epsilon_errors_without_order():
 def test_choose_epsilon_arithmetic(ctx22):
     # on the 2x2 grid both annulus momenta have E_k = E_{k+Q} = 2, so the
     # bracket threshold is m_B/R and the top-of-ladder epsilon is m_B/2
-    m_b = ctx_m_b(ctx22)
+    m_b = ctx22.m_B
     wp = WavepacketSpec(np.pi, 4.5)
     v_min, eps = choose_epsilon(m_b, wp, ctx22.lattice)
     assert v_min == pytest.approx(0.5 * m_b / wp.annulus_radius, rel=1e-12)
@@ -152,7 +156,7 @@ def test_choose_epsilon_respects_window():
 
 def test_window_entries_pass(ctx22):
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(ctx_m_b(ctx22), wp, ctx22.lattice,
+    v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0))
@@ -172,7 +176,7 @@ def test_window_entries_reject_zero_momentum(ctx22):
 
 def test_bound_report_composition(ctx22):
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(ctx_m_b(ctx22), wp, ctx22.lattice,
+    v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     report = bound_report(ctx22, g, v_min, wp.annulus_radius)
@@ -188,7 +192,7 @@ def test_bound_report_composition(ctx22):
 def _dispersion_setup(ctx, p):
     wp = WavepacketSpec(p, 2.2)
     weights = build_f(wp, ctx.lattice)
-    v_min, eps = choose_epsilon(ctx_m_b(ctx), wp, ctx.lattice,
+    v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     return weights, GFilter(FilterSpec(eps, 3.0, 0.5)), v_min
 
@@ -223,7 +227,7 @@ def test_qmode_sum_rule_reduces_at_zero(ctx24):
     t1 = np.vdot(ctx24.sk_phi(lat.negate(q), 2), ctx24.sk_phi(zero, 3))
     t2 = np.vdot(ctx24.sk_phi(zero, 3), ctx24.sk_phi(q, 2))
     value = (-1j * (t1 - t2)).real
-    assert value == pytest.approx(ctx_m_b(ctx24), abs=1e-10)
+    assert value == pytest.approx(ctx24.m_B, abs=1e-10)
 
 
 def test_qmode_trend_grows_at_small_dispersion(ctx24):
@@ -294,7 +298,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     ctx = SystemContext(lat, B, tolerances=tol, force_sparse=True)
     assert ctx.dense is None and ctx.gs.sector == 0
     assert abs(ctx.gs.energy - dense.gs.energy) <= 1e-10
-    assert abs(ctx_m_b(ctx) - ctx_m_b(dense)) <= 1e-9
+    assert abs(ctx.m_B - dense.m_B) <= 1e-9
     momenta = sorted(lat.momenta)
     n = momenta[pick % len(momenta)]
     v, w = ctx.sk_phi(n, axis), dense.sk_phi(n, axis)
@@ -309,7 +313,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
                    - irb_entry(dense, n, axis).lhs) <= 1e-8
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     num, den = filtered_moments(ctx, g, n, axis)
-    num_d, den_d = filtered_moments(dense, g, n, axis, "dense")
+    num_d, den_d = filtered_moments(dense, g, n, axis)
     den_exp, num_exp = ctx.filter_expansions(g)
     assert abs(den - den_d) <= den_exp.sup_error * norm2 + 1e-10
     assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10
@@ -330,7 +334,7 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
     monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
     ctx = SystemContext(lat24, 0.2, force_sparse=True)
     wp = WavepacketSpec(np.pi / 2, 2.2)
-    v_min, eps = choose_epsilon(ctx_m_b(ctx), wp, lat24, gamma=3.0,
+    v_min, eps = choose_epsilon(ctx.m_B, wp, lat24, gamma=3.0,
                                 delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     report = bound_report(ctx, g, v_min, wp.annulus_radius)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,14 +121,65 @@ def test_bounds_only_scan_passes(tmp_path):
     assert not (tmp_path / "out" / "failures.json").exists()
 
 
-def test_corruption_hook_fails_and_names_entry(tmp_path):
-    cfg = parse_config_text(SMOKE)
-    result = run_scan(cfg, out_dir=tmp_path / "out", corrupt="irb")
+def _plant_irb_failure(monkeypatch, field=None):
+    """Make the first irb entry of every bound report (or only of the one at
+    B = field) fail, its left side raised by one."""
+    original = goldstone.runner.bound_report
+
+    def planted(ctx, *args, **kwargs):
+        report = original(ctx, *args, **kwargs)
+        if field is not None and ctx.B != field:
+            return report
+        i = next(i for i, e in enumerate(report.entries) if e.name == "irb")
+        e = report.entries[i]
+        report.entries[i] = replace(e, lhs=e.lhs + 1.0,
+                                    margin=e.margin - 1.0, passed=False)
+        return report
+
+    monkeypatch.setattr(goldstone.runner, "bound_report", planted)
+
+
+def test_failing_entry_fails_and_is_named(tmp_path, monkeypatch):
+    _plant_irb_failure(monkeypatch)
+    result = run_scan(parse_config_text(SMOKE), out_dir=tmp_path / "out")
     assert result.exit_code == 1
     index = json.loads((tmp_path / "out" / "failures.json").read_text())
     names = {row["name"] for row in index["bound_failures"]}
     assert names == {"irb"}
-    assert result.manifest["corruption_hook"] == "irb"
+
+
+TWO_LATTICES = SMOKE.replace("lattices = 2x2", "lattices = 2x2 2x4")
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_fail_fast_stops_after_the_failing_point(tmp_path, monkeypatch,
+                                                 fail_fast):
+    _plant_irb_failure(monkeypatch)
+    result = run_scan(parse_config_text(TWO_LATTICES), out_dir=tmp_path,
+                      fail_fast=fail_fast)
+    assert result.exit_code == 1
+    with open(tmp_path / "bounds.csv", encoding="utf-8", newline="") as fh:
+        points = {(r["lattice"], r["B"]) for r in csv.DictReader(fh)}
+    if fail_fast:
+        assert points == {("2x2", "0.2")}
+        assert result.manifest["checks"] == []
+    else:
+        assert points == {(lat, b) for lat in ("2x2", "2x4")
+                          for b in ("0.2", "0.1")}
+
+
+def test_fail_fast_at_a_later_field_skips_the_ladder(tmp_path, monkeypatch):
+    """A failure at the third of four fields ends the scan there, without
+    the m_B extrapolation over the fields that never ran."""
+    _plant_irb_failure(monkeypatch, field=0.1)
+    text = SMOKE.replace("bounds", "bounds dispersion").replace(
+        "b_ladder = 0.2 0.1", "b_ladder = 0.4 0.2 0.1 0.05")
+    result = run_scan(parse_config_text(text), out_dir=tmp_path,
+                      fail_fast=True)
+    assert result.exit_code == 1
+    assert [s["B"] for s in result.manifest["solver_stats"]] == [0.4, 0.2, 0.1]
+    names = {c["name"] for c in result.manifest["checks"]}
+    assert names == {"delta_e_window", "cross_momentum"}
 
 
 def test_scan_determinism(tmp_path):

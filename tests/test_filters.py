@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from goldstone.filters import (EmptySupportError, FilterDegreeError,
-                               FilterSpec, WavepacketSpec,
-                               apply_filter, build_f, build_g,
+                               FilterSpec, GFilter, WavepacketSpec, build_f,
                                chebyshev_moments, make_chebyshev_expansion,
                                smoothstep)
 from goldstone.lattice import Lattice
@@ -36,7 +35,7 @@ def test_filter_spec_validation():
 
 
 def test_window_endpoint_values():
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     assert g(0.2) == 0.0
     assert g(0.4) == 1.0
     assert g(3.0) == 0.0
@@ -47,7 +46,7 @@ def test_window_endpoint_values():
 
 def test_window_conformance_dense_sample():
     spec = FilterSpec(0.2, 3.0, 0.5)
-    g = build_g(spec)
+    g = GFilter(spec)
     xs = np.linspace(0.0, 2 * spec.gamma, 10_000)
     vals = g(xs)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -98,47 +97,56 @@ def test_empty_support_rejected(lat22):
         build_f(WavepacketSpec(0.3, 2.0), lat22)
 
 
+def _chebyshev_filtered(ctx, fn, v, tol):
+    """fn(H - E0) v by a certified expansion on the context's interval."""
+    lo, hi = ctx.spectral_bounds()
+    e0 = ctx.gs.energy
+    expansion = make_chebyshev_expansion(lambda x: fn(np.asarray(x) - e0),
+                                         lo, hi, tol)
+    return expansion.apply(ctx.H, v)
+
+
 def test_apply_identity_function(ctx22, rng):
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    for method in ("dense", "chebyshev"):
-        w = apply_filter(ctx22.H, ctx22.gs, lambda e: np.ones_like(e), v,
-                         tol=1e-12, method=method)
+    one = np.ones_like
+    for w in (ctx22.filtered_vector(one, v),
+              _chebyshev_filtered(ctx22, one, v, 1e-12)):
         assert np.linalg.norm(w - v) <= 1e-10
 
 
 def test_filter_annihilates_ground_state(ctx22):
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     v = ctx22.gs.vector.astype(complex)
-    for method in ("dense", "chebyshev"):
-        w = apply_filter(ctx22.H, ctx22.gs, g, v, tol=1e-10, method=method)
+    for w in (ctx22.filtered_vector(g, v),
+              _chebyshev_filtered(ctx22, g, v, 1e-10)):
         assert np.linalg.norm(w) <= 1e-9
 
 
 def test_chebyshev_matches_dense(ctx22):
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     v = ctx22.sk_phi((1, 0), 2)
     dense = ctx22.filtered_vector(g, v)
-    cheb = apply_filter(ctx22.H, ctx22.gs, g, v, tol=1e-10, method="chebyshev")
+    cheb = _chebyshev_filtered(ctx22, g, v, 1e-10)
     assert np.linalg.norm(cheb - dense) <= 1e-8
 
 
 def test_chebyshev_error_decreases_with_tolerance(ctx22):
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     v = ctx22.sk_phi((1, 0), 2)
     dense = ctx22.filtered_vector(g, v)
     errors = []
     for tol in (1e-4, 5e-5, 2.5e-5, 1e-6, 1e-8):
-        w = apply_filter(ctx22.H, ctx22.gs, g, v, tol=tol, method="chebyshev")
+        w = _chebyshev_filtered(ctx22, g, v, tol)
         errors.append(np.linalg.norm(w - dense))
     assert all(a >= b - 1e-13 for a, b in zip(errors, errors[1:]))
 
 
 def test_degree_cap_error():
-    g = build_g(FilterSpec(0.01, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.01, 3.0, 0.5))
     with pytest.raises(FilterDegreeError):
         make_chebyshev_expansion(g, -1.0, 40.0, 1e-12, max_degree=64)
     # reachable below the start degree (512) but not below the cap
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     with pytest.raises(FilterDegreeError):
         make_chebyshev_expansion(g, -1.0, 10.0, 1e-2, max_degree=64)
 
@@ -157,7 +165,7 @@ def test_chebyshev_moments_match_dense(ctx22, rng, n_moments):
 
 
 def test_expansion_is_certified():
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     exp = make_chebyshev_expansion(g, -0.5, 6.0, 1e-8)
     xs = np.linspace(-0.5, 6.0, 20001)
     assert np.max(np.abs(exp.evaluate(xs) - g(xs))) <= 2e-8
@@ -167,7 +175,7 @@ def test_expansion_is_certified():
 @pytest.mark.parametrize("fixture", ["ctx22", "ctx24"])
 def test_idempotence_bracketing(fixture, rng, request):
     ctx = request.getfixturevalue(fixture)
-    g = build_g(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
     dim = ctx.H.dim
     for _ in range(5):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -183,7 +191,7 @@ def test_window_and_plateau_projections(fixture, rng, request):
     projector."""
     ctx = request.getfixturevalue(fixture)
     spec = FilterSpec(0.2, 3.0, 0.5)
-    g = build_g(spec)
+    g = GFilter(spec)
     dec = ctx.dense
     de = dec.eigenvalues - dec.eigenvalues[0]
     support_mask = (de > spec.epsilon) & (de < spec.gamma)

@@ -5,9 +5,9 @@ import pytest
 
 from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
-from goldstone.operators import (build_hamiltonian, fourier_spin, load_operator,
+from goldstone.operators import (build_hamiltonian, fourier_spin,
                                  marshall_signs, marshall_transform,
-                                 save_operator, sector_basis,
+                                 sector_basis,
                                  site_spin_operator,
                                  spin_matrices, staggered_operator,
                                  transformed_hamiltonian,
@@ -144,25 +144,6 @@ def test_staggered_operator_matches_site_sum(lat22):
                  * site_spin_operator(lat22, j, 1).to_dense()
                  for j in range(lat22.n_sites))
     assert np.abs(staggered_operator(lat22).to_dense() - direct).max() <= 1e-14
-
-
-def test_operator_cache_roundtrip(tmp_path, lat22):
-    op = fourier_spin(lat22, (1, 0), 2)
-    path = tmp_path / "op.bin"
-    save_operator(path, op, lat22.spec)
-    back = load_operator(path, lat22.spec)
-    assert np.abs(back.to_dense() - op.to_dense()).max() == 0.0
-    assert back.hermitian == op.hermitian
-    other = Lattice.build((2, 4)).spec
-    with pytest.raises(ValueError):
-        load_operator(path, other)
-
-
-def test_operator_cache_rejects_bad_magic(tmp_path, lat22):
-    path = tmp_path / "op.bin"
-    path.write_bytes(b"JUNKJUNKJUNK")
-    with pytest.raises(ValueError):
-        load_operator(path, lat22.spec)
 
 
 @pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
