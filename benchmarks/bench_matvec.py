@@ -6,9 +6,11 @@ passes, and deflated CG are all matvec loops.  Run as
 
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
 
-It also times an 8-column real block (the moment-pass shape) on the full H,
-on the M = 0 sector that holds the ground state, and on the M = +1, -1
-sectors where the sparse path runs its moment passes.
+It also times an 8-column real block on the full H, on the M = 0 sector
+that holds the ground state, and on the M = +1, -1 sectors (`H_exc`), and
+one complex column on the direct sum of the twisted-momentum blocks of
+`H_exc`, the shape of the sparse path's moment pass: a column carries one
+vector per block, so that row is the cost of one matvec on N vectors.
 
 Set GOLDSTONE_NO_NUMBA=1 to check what the fallback lane alone would do.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from goldstone import _kernels
 from goldstone.eigensolver import SolverOptions, ground_state
 from goldstone.lattice import Lattice
-from goldstone.operators import build_hamiltonian
+from goldstone.operators import build_hamiltonian, direct_sum, twisted_orbits
 
 
 def time_matvec(H, x, reps):
@@ -85,6 +87,18 @@ def main():
         print(f"  8-column real block on {name:6s}: dim {op.dim:8d}, nnz "
               f"{op.nnz:9d}, {dt * 1e3:8.3f} ms ({dt * 1e3 / 8:.3f} ms "
               "per column)")
+
+    orbits = twisted_orbits(lat, (1, -1))
+    op = direct_sum([orbits.block(build_hamiltonian(lat, args.field, (1, -1)),
+                                  orbits.character(lat, q))
+                     for q in lat.momenta])
+    column = rng.standard_normal((op.dim, 1)) \
+        + 1j * rng.standard_normal((op.dim, 1))
+    dt, _ = time_matvec(op, column, args.reps)
+    n = len(lat.momenta)
+    print(f"  1 complex column on the {n} momentum blocks of M=+-1: dim "
+          f"{op.dim:8d}, nnz {op.nnz:9d}, {dt * 1e3:8.3f} ms "
+          f"({dt * 1e3 / n:.3f} ms per vector)")
 
     if args.lanczos:
         for name, flag in lanes:

@@ -23,7 +23,9 @@ from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
 from .lattice import Lattice
-from .operators import (build_hamiltonian, fourier_spin, staggered_operator)
+from .operators import (build_hamiltonian, direct_sum, fourier_spin,
+                        sector_basis, site_ladders, site_phases,
+                        staggered_operator, twisted_orbits)
 
 __all__ = [
     "Tolerances",
@@ -167,7 +169,8 @@ class SystemContext:
     relabelled axes (`operators.SECTOR_AXES`): `H` is the M = 0 block that
     holds the ground state, and `H_exc` the block-diagonal H on M = +1 and
     M = -1, where S_k^(2) phi0 and S_k^(3) phi0 live.  Construction checks
-    that M = 0 holds the ground state (SolverError otherwise).
+    that M = 0 holds the ground state (SolverError otherwise).  Moments run
+    on the twisted-momentum blocks of `H_exc` (`operators.twisted_orbits`).
     """
 
     def __init__(self, lattice: Lattice, B: float, *,
@@ -219,9 +222,14 @@ class SystemContext:
         composed with a one-site translation maps H to itself and M to -M.
         """
         lat = self.lattice
+        top = lat.n_sites * lat.spec.two_s // 2
+        # M = 1 is a principal submatrix of H_exc: H does not couple M = +-1
+        exc = sector_basis(lat.spec, (1, -1))
+        plus = np.nonzero(exc.digits.sum(axis=0) == top - 1)[0]
         self.sector_lowest = []
-        for M in range(1, lat.n_sites * lat.spec.two_s // 2 + 1):
-            H_m = build_hamiltonian(lat, self.B, (M,))
+        for M in range(1, top + 1):
+            H_m = self.H_exc.principal(plus) if M == 1 else \
+                build_hamiltonian(lat, self.B, (M,))
             theta, resid = lowest_ritz(H_m, self.solver_opts)
             self.sector_lowest.append(
                 {"M": M, "dim": H_m.dim, "ritz": theta, "residual": resid})
@@ -231,17 +239,40 @@ class SystemContext:
 
     # -- vectors ---------------------------------------------------------
 
+    @cached_property
+    def _ladders(self):
+        """(counts, dst, amp * phi0[src] / sqrt(N)) of the S^+-_j terms from
+        M = 0 into H_exc's basis (`operators.site_ladders`)."""
+        spec = self.lattice.spec
+        counts, src, dst, amp = site_ladders(sector_basis(spec, (0,)),
+                                             sector_basis(spec, (1, -1)))
+        return counts, dst, amp * self.gs.vector[src] / np.sqrt(spec.n_sites)
+
+    @cached_property
+    def _orbits(self):
+        return twisted_orbits(self.lattice, (1, -1))
+
     def sk_phi(self, n, axis: int) -> np.ndarray:
         """hat S_n^(axis) |phi0>, cached; a vector of H_exc's basis."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
-            if self.gs.sector is not None and axis not in (2, 3):
+            if self.gs.sector is None:
+                self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
+                    self.gs.vector.astype(complex, copy=False))
+            elif axis not in (2, 3):
                 raise ValueError(
                     f"axis {axis}: the sparse path holds S_k^(2) phi0 and "
                     "S_k^(3) phi0 only (sectors M = +1 and -1)")
-            op = fourier_spin(self.lattice, n, axis, self.gs.sector)
-            self._sk_cache[key] = op.matvec(
-                self.gs.vector.astype(complex, copy=False))
+            else:
+                # S^(2) is the S_x matrix, (S^+ + S^-)/2; S^(3) the S_y
+                # matrix, (S^+ - S^-)/2i
+                counts, dst, w = self._ladders
+                coef = (0.5, 0.5) if axis == 2 else (-0.5j, 0.5j)
+                x = np.repeat(np.outer(site_phases(self.lattice, n), coef),
+                              counts) * w
+                dim = self.H_exc.dim
+                self._sk_cache[key] = (np.bincount(dst, x.real, dim)
+                                       + 1j * np.bincount(dst, x.imag, dim))
             while len(self._sk_cache) > 96:
                 self._sk_cache.popitem(last=False)
         return self._sk_cache[key]
@@ -287,31 +318,52 @@ class SystemContext:
 
     def moments(self, keys, n_moments: int) -> list:
         """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
-        for each (momentum, axis) key, on the spectral interval.
+        for each (momentum, axis) key, on the spectral interval (sparse path).
 
-        Every key not yet cached to that order joins one block pass: the real
-        and imaginary parts of its vector become two real columns (H is real,
-        so the moments of v are the sums of those of its parts).
+        Every key not yet cached to that order joins one pass.  With phi0 at
+        twisted momentum 0, S_k^(2) phi0 lies in block q = k and S_k^(3) phi0
+        in q = k + Q; each vector is projected there, and SolverError is
+        raised unless the projection keeps ||v||^2 to 1e-12 relative (to
+        1e-24 absolute below ||v||^2 = 1e-12, where v is rounding noise); the
+        defect bounds the error of every moment.  The recurrence runs once
+        on the direct sum of the blocks, one vector per block in a column,
+        and reads the moments from per-block segment dots.
         """
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
                 if len(self._moments.get(k, ())) < n_moments]
         if todo:
-            vs = [self.sk_phi(*k) for k in todo]
-            split = not np.iscomplexobj(self.H_exc.data)
-            if split:
-                block = np.column_stack(
-                    [part for v in vs for part in (v.real, v.imag)])
-            else:
-                block = np.column_stack(vs)
+            if self.dense is not None:
+                raise ValueError("moments run on the sparse path; the dense "
+                                 "oracle has the eigensystem")
+            lat, orbits = self.lattice, self._orbits
+            by_block: dict = {}
+            for n, axis in todo:
+                by_block.setdefault(n if axis == 2 else lat.shift_q(n),
+                                    []).append((n, axis))
+            chis = [orbits.character(lat, q) for q in by_block]
+            blocks = [orbits.block(self.H_exc, chi) for chi in chis]
+            starts = np.cumsum([0] + [b.dim for b in blocks])
+            block = np.zeros((starts[-1], max(map(len, by_block.values()))),
+                             dtype=complex)
+            slots, defect = {}, 0.0
+            for i, (q, chi) in enumerate(zip(by_block, chis)):
+                for j, key in enumerate(by_block[q]):
+                    vq, miss = orbits.project(self.sk_phi(*key), chi)
+                    if not miss <= 1e-12:
+                        raise SolverError(
+                            f"S_k^({key[1]}) phi0 at momentum {key[0]} is not "
+                            f"in twisted-momentum block {q}: the projection "
+                            f"loses {miss:.3e} of ||v||^2")
+                    defect = max(defect, miss)
+                    block[starts[i]:starts[i + 1], j] = vq
+                    slots[key] = (i, j)
             lo, hi = self.spectral_bounds()
-            mu, matvecs = chebyshev_moments(self.H_exc, block, lo, hi,
-                                            n_moments)
-            if split:
-                mu = mu[:, 0::2] + mu[:, 1::2]
+            mu, matvecs = chebyshev_moments(direct_sum(blocks), block, lo, hi,
+                                            n_moments, starts[:-1])
             ratio = 0.0
-            for j, key in enumerate(todo):
-                col = mu[:, j]
+            for key, (i, j) in slots.items():
+                col = mu[:, i, j]
                 worst = float(np.abs(col).max())
                 if not worst <= col[0] * (1.0 + 1e-10):
                     raise SpectrumEnclosureError(
@@ -323,9 +375,13 @@ class SystemContext:
                     ratio = max(ratio, worst / col[0])
                 self._moments[key] = col.copy()
             self._moment_passes.append({
-                "vectors": len(todo), "block_width": block.shape[1],
+                "vectors": len(todo),
+                "blocks": [{"q": list(q), "dim": b.dim, "nnz": b.nnz}
+                           for q, b in zip(by_block, blocks)],
+                "dim": int(starts[-1]), "columns": block.shape[1],
                 "moments": n_moments, "block_matvecs": matvecs,
-                "max_moment_ratio": ratio})
+                "max_moment_ratio": ratio,
+                "max_projection_defect": defect})
         return [self._moments[k][:n_moments] for k in keys]
 
     def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:

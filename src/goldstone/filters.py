@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .eigensolver import gershgorin_upper
 from .lattice import Lattice
@@ -222,7 +221,7 @@ class ChebyshevExpansion:
 
 
 def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
-                      lo: float, hi: float, n_moments: int):
+                      lo: float, hi: float, n_moments: int, offsets=None):
     """(mu, matvecs): mu[n, j] = <b_j, T_n(H~) b_j> for n < n_moments, with
     H~ = (2H - (hi + lo)) / (hi - lo), for every column b_j of `block`.
 
@@ -231,18 +230,23 @@ def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
     2 H~ t_n - t_{n-1} runs on the whole block, and the doubling identities
     mu_2n = 2<t_n, t_n> - mu_0 and mu_2n+1 = 2<t_n+1, t_n> - mu_1 give two
     moments per block matvec.
+
+    With `offsets`, the start rows of the invariant subspaces of a direct
+    sum H, mu[n, i, j] is the moment of the segment of b_j in subspace i.
     """
     al = 2.0 / (hi - lo)
     be = -(hi + lo) / (hi - lo)
+    starts = [0] if offsets is None else offsets
 
     def dot(a, b):
-        return np.einsum("ij,ij->j", a.conj(), b).real
+        return np.add.reduceat((a.conj() * b).real, starts, axis=0)
 
-    mu = np.empty((n_moments, block.shape[1]))
+    mu = np.empty((n_moments, len(starts), block.shape[1]))
+    out = mu[:, 0] if offsets is None else mu
     prev = block
     mu[0] = dot(prev, prev)
     if n_moments == 1:
-        return mu, 0
+        return out, 0
     cur = al * H.matvec(prev) + be * prev
     mu[1] = dot(prev, cur)
     matvecs = 1
@@ -259,7 +263,16 @@ def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
         matvecs += 1
         mu[2 * n + 1] = 2.0 * dot(cur, prev) - mu[1]
         n += 1
-    return mu, matvecs
+    return out, matvecs
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalised type-II DCT, y_k = 2 sum_n x_n cos(pi k (2n + 1) / 2N),
+    through one complex FFT of the even-odd reordered input (Makhoul, IEEE
+    Trans. ASSP 28, 27 (1980))."""
+    n = len(x)
+    v = np.fft.fft(np.concatenate((x[::2], x[1::2][::-1])))
+    return 2.0 * (np.exp(-0.5j * np.pi * np.arange(n) / n) * v).real
 
 
 def _cheb_coeffs(fn, lo: float, hi: float, degree: int) -> np.ndarray:
@@ -267,7 +280,7 @@ def _cheb_coeffs(fn, lo: float, hi: float, degree: int) -> np.ndarray:
     nodes = np.cos(np.pi * (j + 0.5) / (degree + 1))
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     vals = np.asarray(fn(xs), dtype=float)
-    c = dct(vals, type=2) / (degree + 1)
+    c = _dct2(vals) / (degree + 1)
     c[0] *= 0.5
     return c
 

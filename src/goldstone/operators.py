@@ -12,6 +12,7 @@ basis; the resulting CSR arrays feed the matvec kernels in `_kernels`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,6 +35,11 @@ __all__ = [
     "site_spin_operator",
     "staggered_operator",
     "translation_permutation",
+    "site_phases",
+    "site_ladders",
+    "TwistedOrbits",
+    "twisted_orbits",
+    "direct_sum",
 ]
 
 # The single-site matrix (1, 2, 3: S_x, S_y, S_z of `spin_matrices`) that
@@ -106,6 +112,11 @@ class SparseHermitianOperator:
         """Largest entry of |A - A^dagger|; zero for honest Hermitian builds."""
         diff = self._scipy() - self._scipy().conjugate().transpose()
         return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
+
+    def principal(self, idx: np.ndarray) -> "SparseHermitianOperator":
+        """The principal submatrix on the ascending basis positions `idx`."""
+        return SparseHermitianOperator.from_scipy(
+            self._scipy()[idx][:, idx].sorted_indices(), self.hermitian)
 
     def shifted(self, c: float) -> "SparseHermitianOperator":
         return SparseHermitianOperator.from_scipy(
@@ -359,33 +370,38 @@ def fourier_spin(lattice: Lattice, n_momentum, axis: int,
         tab = sector_basis(lattice.spec, (sector,))
         target = tab if mat_axis == 3 else \
             sector_basis(lattice.spec, (sector + 1, sector - 1))
-    k = lattice.kvec(n_momentum)
-    phases = np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
+    phases = site_phases(lattice, n_momentum)
     norm = 1.0 / np.sqrt(lattice.n_sites)
-    idx = np.arange(tab.dim, dtype=np.int64)
-
-    rows, cols, vals = [], [], []
     if mat_axis == 3:
         diag = np.zeros(tab.dim, dtype=complex)
         for j in range(lattice.n_sites):
             diag += phases[j] * tab.m(j)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(norm * diag)
+        rows = cols = np.arange(tab.dim, dtype=np.int64)
+        vals = norm * diag
     else:
-        coef_up = 0.5 if mat_axis == 1 else -0.5j
-        coef_dn = 0.5 if mat_axis == 1 else 0.5j
-        for j in range(lattice.n_sites):
-            for raising, coef in ((True, coef_up), (False, coef_dn)):
-                src, dst, amp = _ladder_terms(tab, j, raising, target)
-                rows.append(dst)
-                cols.append(src)
-                vals.append(norm * phases[j] * coef * amp)
+        counts, cols, rows, amp = site_ladders(tab, target)
+        coef = (0.5, 0.5) if mat_axis == 1 else (-0.5j, 0.5j)
+        vals = np.repeat(np.outer(norm * phases, coef), counts) * amp
     hermitian = lattice.negate(n_momentum) == n_momentum and target is tab
     return SparseHermitianOperator.from_coo(
-        target.dim, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals), hermitian=hermitian,
+        target.dim, rows, cols, vals, hermitian=hermitian,
         n_cols=None if target is tab else tab.dim)
+
+
+def site_phases(lattice: Lattice, n_momentum) -> np.ndarray:
+    """e^{i k x} at every site x, for the grid momentum k of `n_momentum`."""
+    k = lattice.kvec(n_momentum)
+    return np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
+
+
+def site_ladders(tab: BasisTables, target: BasisTables):
+    """(counts, src, dst, amp): the terms of S^+_0, S^-_0, S^+_1, ... in that
+    order, from the states of `tab` into `target`; counts[2j] and
+    counts[2j + 1] are the numbers of terms of S^+_j and S^-_j."""
+    terms = [_ladder_terms(tab, j, raising, target)
+             for j in range(len(tab.strides)) for raising in (True, False)]
+    src, dst, amp = (np.concatenate(column) for column in zip(*terms))
+    return np.array([len(t[0]) for t in terms]), src, dst, amp
 
 
 def staggered_operator(lattice: Lattice, sectors: tuple | None = None
@@ -428,3 +444,90 @@ def translation_permutation(lattice: Lattice, axis: int = 0) -> np.ndarray:
     for j in range(lattice.n_sites):
         perm += tab.digits[site_map[j]].astype(np.int64) * tab.strides[j]
     return perm
+
+
+@dataclass(frozen=True, eq=False)
+class TwistedOrbits:
+    """Orbits of a sector basis under the twisted translations
+    g_a = T^a F^(a_1 + ... + a_d), one per site shift a (T^a moves the spin
+    at x to x + a, F maps every digit d to 2S - d).
+
+    Each orbit is represented by its smallest code; `elem[s]` is a group
+    element g with g s = rep.  Block q is the span of the vectors on which
+    g_a acts as chi_q(g_a) = e^{-i q.a}; its basis vectors are
+    |r_q>[s] = chi_q(g_s) / sqrt(|orbit|) over the orbits whose stabiliser
+    chi_q is trivial on.
+    """
+
+    shifts: np.ndarray      # (|G|, d) site shift a of each group element
+    orbit: np.ndarray       # (dim,) orbit of each state
+    elem: np.ndarray        # (dim,) index of a g with g s = rep
+    reps: np.ndarray        # (n_orbits,) basis positions of representatives
+    size: np.ndarray        # (n_orbits,) orbit sizes
+    fixes: np.ndarray       # (|G|, n_orbits) g fixes the representative
+
+    def character(self, lattice: Lattice, q) -> np.ndarray:
+        return np.exp(-1j * (self.shifts @ lattice.kvec(q)))
+
+    def allowed(self, chi: np.ndarray) -> np.ndarray:
+        """Orbits that carry a basis vector of the block with character chi."""
+        return ~np.any(self.fixes & (np.abs(chi - 1.0) > 1e-9)[:, None],
+                       axis=0)
+
+    def project(self, v: np.ndarray, chi: np.ndarray):
+        """(coordinates <r_q|v> of v on the basis of the block, defect
+        (||v||^2 - ||P_q v||^2) / max(||v||^2, 1e-12))."""
+        w = chi[self.elem].conj() * v
+        c = (np.bincount(self.orbit, w.real, len(self.reps))
+             + 1j * np.bincount(self.orbit, w.imag, len(self.reps)))
+        c = (c / np.sqrt(self.size))[self.allowed(chi)]
+        norm2 = np.vdot(v, v).real
+        return c, float(norm2 - np.vdot(c, c).real) / max(norm2, 1e-12)
+
+    def block(self, H: SparseHermitianOperator,
+              chi: np.ndarray) -> SparseHermitianOperator:
+        """<r'_q|H|r_q> = sqrt(|O_r'| / |O_r|) sum_{s in O_r} H[r', s]
+        chi_q(g_s), from the rows of H (which commutes with G) at the
+        representatives."""
+        ok = self.allowed(chi)
+        col = np.full(len(self.reps), -1)
+        col[ok] = np.arange(np.count_nonzero(ok))
+        rows = H._scipy()[self.reps[ok]].tocoo()
+        keep = col[self.orbit[rows.col]] >= 0
+        r, s = rows.row[keep], rows.col[keep]
+        o = self.orbit[s]
+        vals = (rows.data[keep] * chi[self.elem[s]]
+                * np.sqrt(self.size[ok][r] / self.size[o]))
+        return SparseHermitianOperator.from_coo(rows.shape[0], r, col[o], vals)
+
+
+def direct_sum(ops) -> SparseHermitianOperator:
+    """The block-diagonal operator with the blocks `ops`, in order."""
+    return SparseHermitianOperator.from_scipy(
+        scipy.sparse.block_diag([op._scipy() for op in ops], format="csr"))
+
+
+def twisted_orbits(lattice: Lattice, sectors: tuple) -> TwistedOrbits:
+    """Orbit tables of the twisted translations on the sector basis of
+    `sectors`, which must be closed under M -> -M.
+
+    H commutes with every g_a: a shift by one site flips the staggered sign
+    of the field, F flips S^(1) back and leaves the bond terms as they are
+    (F S^+ F = S^- with equal amplitudes, so F is a plain permutation).
+    The |G| x dim table of images lives only while the tables are built.
+    """
+    tab = sector_basis(lattice.spec, tuple(sectors))
+    ext = lattice.spec.extents
+    top = lattice.spec.hilbert_dim - 1
+    shifts = np.array(list(itertools.product(*map(range, ext))))
+    images = np.empty((len(shifts), tab.dim), dtype=np.int64)
+    for g, a in enumerate(shifts):
+        codes = np.zeros(tab.dim, dtype=np.int64)
+        for y, x in enumerate(lattice.sites):
+            codes += tab.digits[lattice.site_index(np.subtract(x, a))] \
+                * tab.strides[y]
+        images[g] = tab.rank(top - codes if a.sum() % 2 else codes)
+    rep = images.min(axis=0)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    return TwistedOrbits(shifts, orbit, images.argmin(axis=0), reps,
+                         np.bincount(orbit), images[:, reps] == reps)

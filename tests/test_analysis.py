@@ -12,9 +12,10 @@ from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 extrapolate_ms, filtered_moments, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
-from goldstone.eigensolver import SolverError
+from goldstone.eigensolver import SolverError, lowest_ritz
+from goldstone.operators import build_hamiltonian, fourier_spin
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
-                               WavepacketSpec, build_f)
+                               WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
@@ -113,13 +114,13 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     momenta = sorted(lat.momenta)
     n = momenta[pick % len(momenta)]
-    # the moment path on the full basis, against the dense context's own
+    # Chebyshev moments on the full basis, against the dense context's own
     # spectral sums
     den_exp, num_exp = ctx.filter_expansions(g)
-    (mu,) = ctx.moments([(n, axis)],
-                        max(den_exp.degree, num_exp.degree) + 1)
-    num, den = num_exp.quadratic_form(mu), den_exp.quadratic_form(mu)
     v = ctx.sk_phi(n, axis)
+    mu, _ = chebyshev_moments(ctx.H_exc, v[:, None], *ctx.spectral_bounds(),
+                              max(den_exp.degree, num_exp.degree) + 1)
+    num, den = num_exp.quadratic_form(mu[:, 0]), den_exp.quadratic_form(mu[:, 0])
     norm2 = float(np.vdot(v, v).real)
     de = ctx.dense.eigenvalues - ctx.gs.energy
     amps = np.abs(ctx.dense.eigenvectors.conj().T @ v) ** 2
@@ -342,3 +343,71 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
     excitation_energy(ctx, build_f(wp, lat24), g, v_min, "staggered")
     qmode_trend(ctx, g)
     assert ctx.solver_stats()["sectors"]["excitation"]["dim"] == 2 * 56
+
+
+BLOCK_LATTICES = {**LATTICES, "2x6": ((2, 6), 0.5)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["ring4", "ring6", "2x4", "2x6", "spin1-ring4"]),
+       B=st.floats(0.05, 0.5),
+       picks=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.sampled_from([2, 3])),
+                      min_size=1, max_size=5),
+       n_moments=st.integers(1, 90))
+def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
+    """Moments from the twisted-momentum blocks equal the moments of the
+    same vectors on the whole M = +-1 operator H_exc."""
+    extents, spin = BLOCK_LATTICES[name]
+    lat = Lattice.build(extents, spin)
+    ctx = SystemContext(lat, B, force_sparse=True)
+    momenta = sorted(lat.momenta)
+    keys = [(momenta[p % len(momenta)], axis) for p, axis in picks]
+    got = ctx.moments(keys, n_moments)
+    lo, hi = ctx.spectral_bounds()
+    for key, mu in zip(keys, got):
+        ref, _ = chebyshev_moments(ctx.H_exc, ctx.sk_phi(*key)[:, None],
+                                   lo, hi, n_moments)
+        assert np.abs(mu - ref[:, 0]).max() <= 1e-12 * ref[0, 0]
+    (moment_pass,) = ctx.solver_stats()["moment_passes"]
+    assert moment_pass["vectors"] == len(set(keys))
+    assert moment_pass["max_projection_defect"] <= 1e-12
+    # one column per vector of the fullest block
+    blocks = {(n if axis == 2 else lat.shift_q(n)) for n, axis in set(keys)}
+    assert len(moment_pass["blocks"]) == len(blocks)
+    assert moment_pass["dim"] == sum(b["dim"] for b in moment_pass["blocks"])
+
+
+def test_off_block_vector_raises(lat24, monkeypatch):
+    """A vector that is not a twisted-momentum eigenvector is refused,
+    naming its key and block."""
+    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    mixed = ctx.sk_phi((0, 1), 2) + 1e-3 * ctx.sk_phi((1, 1), 2)
+    monkeypatch.setattr(ctx, "sk_phi", lambda n, axis: mixed)
+    with pytest.raises(SolverError, match=r"S_k\^\(2\) phi0 at momentum "
+                       r"\(0, 1\) is not in twisted-momentum block \(0, 1\)"):
+        ctx.moments([((0, 1), 2)], 8)
+
+
+def test_sparse_sk_phi_matches_fourier_spin(lat24):
+    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    phi = ctx.gs.vector.astype(complex)
+    for n in lat24.momenta:
+        for axis in (2, 3):
+            ref = fourier_spin(lat24, n, axis, sector=0).matvec(phi)
+            assert np.abs(ctx.sk_phi(n, axis) - ref).max() <= 1e-14
+
+
+def test_ground_sector_check_takes_m1_from_h_exc(lat24, monkeypatch):
+    built = []
+
+    def record(lattice, B, sectors=None):
+        built.append(sectors)
+        return build_hamiltonian(lattice, B, sectors)
+
+    monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
+    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    assert (1,) not in built and (1, -1) in built
+    M1 = build_hamiltonian(lat24, 0.2, (1,))
+    assert ctx.sector_lowest[0]["dim"] == M1.dim
+    assert ctx.sector_lowest[0]["ritz"] == lowest_ritz(M1, ctx.solver_opts)[0]

@@ -241,10 +241,15 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     assert expansion["den_sup_error"] <= 1e-8
     assert expansion["num_sup_error"] <= 1e-8 * expansion["gamma"]
     # the dispersion records reuse the moments of the bounds pass: the two
-    # window momenta of the 2x2 grid, real and imaginary parts
+    # window momenta of the 2x2 grid, each in its own twisted-momentum block
     (moment_pass,) = stats["moment_passes"]
     assert moment_pass["vectors"] == 2
-    assert moment_pass["block_width"] == 4
+    blocks = moment_pass["blocks"]
+    assert sorted(b["q"] for b in blocks) == [[0, 1], [1, 0]]
+    assert moment_pass["dim"] == sum(b["dim"] for b in blocks)
+    assert all(0 < b["dim"] and 0 < b["nnz"] for b in blocks)
+    assert moment_pass["columns"] == 1
+    assert moment_pass["max_projection_defect"] <= 1e-12
     assert moment_pass["moments"] == 1 + max(expansion["den_degree"],
                                              expansion["num_degree"])
     assert moment_pass["block_matvecs"] == moment_pass["moments"] // 2
@@ -260,9 +265,11 @@ def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
     assert result.exit_code == 0
     (stats,) = result.manifest["solver_stats"]
     # zero-mode, staggered-mode and trend vectors of the 2x2 grid: all four
-    # momenta, real and imaginary parts
+    # momenta, whose blocks together span H_exc
     (moment_pass,) = stats["moment_passes"]
-    assert (moment_pass["vectors"], moment_pass["block_width"]) == (4, 8)
+    assert moment_pass["vectors"] == 4
+    assert len(moment_pass["blocks"]) == 4
+    assert moment_pass["dim"] == stats["sectors"]["excitation"]["dim"] == 8
 
 
 def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):

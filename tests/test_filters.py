@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import goldstone
 from goldstone.filters import (EmptySupportError, FilterDegreeError,
-                               FilterSpec, GFilter, WavepacketSpec, build_f,
-                               chebyshev_moments, make_chebyshev_expansion,
-                               smoothstep)
+                               FilterSpec, GFilter, WavepacketSpec,
+                               _cheb_coeffs, build_f, chebyshev_moments,
+                               make_chebyshev_expansion, smoothstep)
 from goldstone.lattice import Lattice
+from goldstone.operators import build_hamiltonian, direct_sum
 
 
 def test_smoothstep_boundaries():
@@ -162,6 +169,50 @@ def test_chebyshev_moments_match_dense(ctx22, rng, n_moments):
     theta = np.arccos((2 * evals - (hi + lo)) / (hi - lo))
     ref = np.cos(np.outer(np.arange(n_moments), theta)) @ amps2
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref[0]).max()
+
+
+def test_chebyshev_moments_per_segment(rng):
+    """On a direct sum, `offsets` gives each segment of a column the moments
+    it has on its own block."""
+    parts = [build_hamiltonian(Lattice.build(ext), 0.3) for ext in
+             ((4,), (2, 2), (2,))]
+    starts = np.cumsum([0] + [h.dim for h in parts])
+    block = rng.standard_normal((starts[-1], 2)) \
+        + 1j * rng.standard_normal((starts[-1], 2))
+    mu, matvecs = chebyshev_moments(direct_sum(parts), block, -4.0, 4.0, 11,
+                                    starts[:-1])
+    assert mu.shape == (11, 3, 2) and matvecs == 5
+    for i, h in enumerate(parts):
+        ref, _ = chebyshev_moments(h, block[starts[i]:starts[i + 1]],
+                                   -4.0, 4.0, 11)
+        assert np.abs(mu[:, i] - ref).max() <= 1e-13 * ref[0].max()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 512, 3743])
+def test_cheb_coeffs_match_scipy_dct(degree):
+    from scipy.fft import dct
+
+    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    lo, hi = -1.5, 9.0
+    nodes = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+    ref = dct(g(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)), type=2) \
+        / (degree + 1)
+    ref[0] *= 0.5
+    got = _cheb_coeffs(g, lo, hi, degree)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_cli_import_loads_no_scipy_fft_or_special():
+    package_root = str(Path(goldstone.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = ("import sys, goldstone.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.fft', 'scipy.special'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_expansion_is_certified():

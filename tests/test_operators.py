@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from goldstone.operators import (build_hamiltonian, fourier_spin,
                                  site_spin_operator,
                                  spin_matrices, staggered_operator,
                                  transformed_hamiltonian,
-                                 translation_permutation)
+                                 translation_permutation, twisted_orbits)
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
@@ -198,3 +199,60 @@ def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
     assert fourier_spin(lat24, (0, 1), 1, sector=0).dim == zero.dim
     diag = staggered_operator(lat24, (0,)).to_dense()
     assert np.count_nonzero(diag - np.diag(np.diag(diag))) == 0
+
+
+def _twisted_action(lat, tab, a):
+    """Basis positions of g_a s for every state s of `tab`, from digit lists:
+    the spin at x moves to x + a, flipped (d -> 2S - d) when sum(a) is odd."""
+    n, dloc = lat.n_sites, lat.spec.two_s + 1
+    images = []
+    for code in tab.codes:
+        digits = [(int(code) // dloc ** (n - 1 - j)) % dloc for j in range(n)]
+        moved = [0] * n
+        for j, x in enumerate(lat.sites):
+            y = lat.site_index(tuple(c + s for c, s in zip(x, a)))
+            moved[y] = lat.spec.two_s - digits[j] if sum(a) % 2 else digits[j]
+        images.append(sum(d * dloc ** (n - 1 - j) for j, d in enumerate(moved)))
+    return tab.rank(np.array(images, dtype=np.int64))
+
+
+@pytest.mark.parametrize("sectors", [(0,), (1, -1)])
+@pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
+                                          ((4,), 1.0)])
+def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
+    """H_q = P_q^dagger H P_q on the basis P_q |r> / ||P_q |r>|| of an
+    explicit projector, and the block spectra together are the spectrum of
+    H.  M = 0 has states with nontrivial stabilisers, M = +-1 has none."""
+    lat = Lattice.build(extents, spin)
+    tab = sector_basis(lat.spec, sectors)
+    H = build_hamiltonian(lat, 0.3, sectors)
+    dense = H.to_dense()
+    orbits = twisted_orbits(lat, sectors)
+    shifts = list(itertools.product(*map(range, extents)))
+    perms = []
+    for a in shifts:
+        u = np.zeros((tab.dim, tab.dim))
+        u[_twisted_action(lat, tab, a), np.arange(tab.dim)] = 1.0
+        assert np.abs(u @ dense - dense @ u).max() <= 1e-14
+        perms.append(u)
+    images = np.array([u.argmax(axis=0) for u in perms])
+    reps = np.unique(images.min(axis=0))
+    assert np.array_equal(reps, orbits.reps)
+    assert (orbits.size.min() < len(shifts)) == (sectors == (0,))
+    spectra = []
+    for q in lat.momenta:
+        chi = np.exp(-1j * (np.array(shifts) @ lat.kvec(q)))
+        proj = sum(c.conj() * u for c, u in zip(chi, perms)) / len(perms)
+        cols = [proj[:, r] / np.linalg.norm(proj[:, r]) for r in reps
+                if np.linalg.norm(proj[:, r]) > 1e-12]
+        basis = np.column_stack(cols) if cols else np.zeros((tab.dim, 0))
+        block = orbits.block(H, orbits.character(lat, q))
+        assert block.dim == basis.shape[1]
+        assert block.hermiticity_defect() <= 1e-15
+        assert np.abs(basis.conj().T @ basis - np.eye(block.dim)).max() \
+            <= 1e-12
+        assert np.abs(basis.conj().T @ dense @ basis
+                      - block.to_dense()).max() <= 1e-12
+        spectra.append(np.linalg.eigvalsh(block.to_dense()))
+    assert np.abs(np.sort(np.concatenate(spectra))
+                  - np.linalg.eigvalsh(dense)).max() <= 1e-12
