@@ -24,8 +24,9 @@ from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       spectral_interval)
 from .lattice import Lattice
 from .operators import (build_hamiltonian, direct_sum, fourier_spin,
-                        sector_basis, site_ladders, site_phases,
-                        staggered_operator, twisted_orbits)
+                        ladder_weights, sector_basis, site_ladders,
+                        site_phases, staggered_operator, twisted_orbits,
+                        twisted_zero_leak)
 
 __all__ = [
     "Tolerances",
@@ -150,13 +151,11 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
                       float(margin), tol, bool(margin >= -tol), "equality", note)
 
 
-def ground_sectors(lattice: Lattice, dense_cap: int = DENSE_CAP_DEFAULT,
-                   force_sparse: bool = False) -> tuple | None:
+def ground_sectors(lattice: Lattice,
+                   dense_cap: int = DENSE_CAP_DEFAULT) -> tuple | None:
     """Basis of the ground state: None (the full basis, with the dense
     oracle) at or below the dense cap, else the magnetization sector (0,)."""
-    if lattice.spec.hilbert_dim <= dense_cap and not force_sparse:
-        return None
-    return (0,)
+    return None if lattice.spec.hilbert_dim <= dense_cap else (0,)
 
 
 class SystemContext:
@@ -166,7 +165,7 @@ class SystemContext:
 
     The dense path works on the full basis: `H` and `H_exc` are the same
     operator.  The sparse path works on magnetization sectors of the
-    relabelled axes (`operators.SECTOR_AXES`): `H` is the M = 0 block that
+    relabelled axes (`operators.site_sum`): `H` is the M = 0 block that
     holds the ground state, and `H_exc` the block-diagonal H on M = +1 and
     M = -1, where S_k^(2) phi0 and S_k^(3) phi0 live.  Construction checks
     that M = 0 holds the ground state (SolverError otherwise).  Moments run
@@ -178,7 +177,6 @@ class SystemContext:
                  tolerances: Tolerances = Tolerances(),
                  solver_opts: SolverOptions = SolverOptions(),
                  hamiltonian=None, ground=None,
-                 force_sparse: bool = False,
                  degree_cap: int = DEGREE_CAP_DEFAULT):
         self.lattice = lattice
         self.B = B
@@ -186,7 +184,7 @@ class SystemContext:
         self.solver_opts = solver_opts
         self.dense_cap = dense_cap
         self.degree_cap = degree_cap
-        sectors = ground_sectors(lattice, dense_cap, force_sparse)
+        sectors = ground_sectors(lattice, dense_cap)
         self.H = hamiltonian if hamiltonian is not None else \
             build_hamiltonian(lattice, B, sectors)
         self.dense: SpectralDecomposition | None = None
@@ -264,12 +262,9 @@ class SystemContext:
                     f"axis {axis}: the sparse path holds S_k^(2) phi0 and "
                     "S_k^(3) phi0 only (sectors M = +1 and -1)")
             else:
-                # S^(2) is the S_x matrix, (S^+ + S^-)/2; S^(3) the S_y
-                # matrix, (S^+ - S^-)/2i
                 counts, dst, w = self._ladders
-                coef = (0.5, 0.5) if axis == 2 else (-0.5j, 0.5j)
-                x = np.repeat(np.outer(site_phases(self.lattice, n), coef),
-                              counts) * w
+                x = ladder_weights(site_phases(self.lattice, n), axis, counts,
+                                   sector=0) * w
                 dim = self.H_exc.dim
                 self._sk_cache[key] = (np.bincount(dst, x.real, dim)
                                        + 1j * np.bincount(dst, x.imag, dim))
@@ -322,12 +317,14 @@ class SystemContext:
 
         Every key not yet cached to that order joins one pass.  With phi0 at
         twisted momentum 0, S_k^(2) phi0 lies in block q = k and S_k^(3) phi0
-        in q = k + Q; each vector is projected there, and SolverError is
-        raised unless the projection keeps ||v||^2 to 1e-12 relative (to
-        1e-24 absolute below ||v||^2 = 1e-12, where v is rounding noise); the
-        defect bounds the error of every moment.  The recurrence runs once
-        on the direct sum of the blocks, one vector per block in a column,
-        and reads the moments from per-block segment dots.
+        in q = k + Q; each vector is projected there.  Only the part of phi0
+        off momentum 0 can leave the block, and ||S_k||^2 <= N S^2, so
+        SolverError is raised unless the projection loses at most
+        1e-12 ||v||^2 (rounding) + N S^2 ||(1 - P_0) phi0||^2, the last
+        factor bounded by `operators.twisted_zero_leak` (SolverError above
+        1e-12); the loss bounds the error of every moment.  The recurrence
+        runs once on the direct sum of the blocks, one vector per block in a
+        column, and reads the moments from per-block segment dots.
         """
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
@@ -346,16 +343,23 @@ class SystemContext:
             starts = np.cumsum([0] + [b.dim for b in blocks])
             block = np.zeros((starts[-1], max(map(len, by_block.values()))),
                              dtype=complex)
+            phi0_leak = twisted_zero_leak(lat, (0,), self.gs.vector)
+            if not phi0_leak <= 1e-12:
+                raise SolverError("phi0 is not at twisted momentum 0: "
+                                  f"||(1 - P_0) phi0||^2 <= {phi0_leak:.3e}")
+            leak = lat.n_sites * lat.spec.spin ** 2 * phi0_leak
             slots, defect = {}, 0.0
             for i, (q, chi) in enumerate(zip(by_block, chis)):
                 for j, key in enumerate(by_block[q]):
-                    vq, miss = orbits.project(self.sk_phi(*key), chi)
-                    if not miss <= 1e-12:
+                    v = self.sk_phi(*key)
+                    vq, loss = orbits.project(v, chi)
+                    norm2 = float(np.vdot(v, v).real)
+                    if not loss <= 1e-12 * norm2 + leak:
                         raise SolverError(
                             f"S_k^({key[1]}) phi0 at momentum {key[0]} is not "
                             f"in twisted-momentum block {q}: the projection "
-                            f"loses {miss:.3e} of ||v||^2")
-                    defect = max(defect, miss)
+                            f"loses {loss:.3e} of ||v||^2 = {norm2:.3e}")
+                    defect = max(defect, loss / max(norm2, 1e-12))
                     block[starts[i]:starts[i + 1], j] = vq
                     slots[key] = (i, j)
             lo, hi = self.spectral_bounds()
@@ -381,7 +385,8 @@ class SystemContext:
                 "dim": int(starts[-1]), "columns": block.shape[1],
                 "moments": n_moments, "block_matvecs": matvecs,
                 "max_moment_ratio": ratio,
-                "max_projection_defect": defect})
+                "max_projection_defect": defect,
+                "phi0_leak": phi0_leak})
         return [self._moments[k][:n_moments] for k in keys]
 
     def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:
@@ -434,8 +439,7 @@ class SystemContext:
 def staggered_magnetization(gs: GroundState) -> float:
     """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0> (a diagonal on a
     sector basis)."""
-    op = staggered_operator(gs.lattice,
-                            None if gs.sector is None else (gs.sector,))
+    op = staggered_operator(gs.lattice, gs.sector)
     val = np.vdot(gs.vector, op.matvec(gs.vector))
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"staggered magnetization not real: {val}")
@@ -611,7 +615,7 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
         e0 = ctx.gs.energy
         amps2 = dec.eigenvectors.conj().T @ ctx.sk_phi(n, 2)
         amps3 = dec.eigenvectors.conj().T @ ctx.sk_phi(lat.shift_q(n), 3)
-        small = dec.window_mask(0.0, 2 * eps, lo_open=True, hi_open=False)
+        small = dec.window_mask(0.0, 2 * eps)
         lhs_small = abs(np.sum(np.conj(amps2[small]) * amps3[small]))
         rhs_small = eps / np.sqrt(ekq * ek)
         entries.append(_upper("window_small", n, None, lhs_small, rhs_small, tol))
@@ -673,8 +677,8 @@ def filter_keys(lat: Lattice, wp: WavepacketWeights, groups) -> list:
     return keys
 
 
-def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
-                 axes=(2, 3)) -> BoundReport:
+def bound_report(ctx: SystemContext, g: GFilter, v_min: float,
+                 r: float) -> BoundReport:
     """Full inequality suite over every grid momentum at one (lattice, B).
 
     Because the grid is closed under the Q-shift, this also certifies the
@@ -689,7 +693,7 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
             zip(window, _filtered_forms(ctx, g, [(n, 2) for n in window]))}
     for n in lat.momenta:
         report.add(sum_rule_entry(ctx, n))
-        for axis in axes:
+        for axis in (2, 3):
             report.add(double_commutator_entry(ctx, n, axis))
             if n != q:
                 report.add(irb_entry(ctx, n, axis))
@@ -700,8 +704,7 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float, r: float,
 
 
 def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
-                      v_min: float, mode: str = "zero",
-                      den_threshold: float = 1e-12) -> DispersionRecord:
+                      v_min: float, mode: str = "zero") -> DispersionRecord:
     """Wavepacket excitation energy Delta E = num / den.
 
     mode "zero" uses hat S_k^(2) at the wavepacket momenta (excitation near
@@ -736,7 +739,7 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
                 cross = max(cross, abs(np.vdot(a, ctx.h_shifted(b))),
                             abs(np.vdot(a, b)))
         cross = float(cross)
-    if den <= den_threshold:
+    if den <= 1e-12:
         raise VanishingDenominatorError(
             f"filter window empty for this wavepacket (den = {den:.3e})",
             per_k)

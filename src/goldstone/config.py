@@ -48,7 +48,6 @@ class ScanConfig:
     gamma: float = 3.0
     delta_gamma: float = 0.5
     v_min_ladder: tuple = V_MIN_LADDER_DEFAULT
-    chebyshev_tol: float = 1e-8
     degree_cap: int = 32768
     locality_epsilon: float = 0.2
     locality_gamma: float = 3.0
@@ -125,6 +124,7 @@ def parse_config_text(text: str) -> ScanConfig:
                     f"unknown key {key!r} in section [{section}]")
 
     kwargs: dict = {"raw_text": text}
+    tolerances: dict = {}
     if parser.has_section("scan"):
         sec = parser["scan"]
         if "checks" in sec:
@@ -166,7 +166,7 @@ def parse_config_text(text: str) -> ScanConfig:
         if "v_min_ladder" in sec:
             kwargs["v_min_ladder"] = tuple(_floats(sec["v_min_ladder"]))
         if "chebyshev_tol" in sec:
-            kwargs["chebyshev_tol"] = float(sec["chebyshev_tol"])
+            tolerances["chebyshev"] = float(sec["chebyshev_tol"])
         if "degree_cap" in sec:
             kwargs["degree_cap"] = int(sec["degree_cap"])
     if parser.has_section("locality"):
@@ -184,19 +184,9 @@ def parse_config_text(text: str) -> ScanConfig:
         if "axis" in sec:
             kwargs["locality_axis"] = int(sec["axis"])
     if parser.has_section("tolerances"):
-        sec = parser["tolerances"]
-        kwargs["tolerances"] = Tolerances(
-            algebraic=float(sec.get("algebraic", Tolerances.algebraic)),
-            resolvent=float(sec.get("resolvent", Tolerances.resolvent)),
-            solver=float(sec.get("solver", Tolerances.solver)),
-        )
-    if "tolerances" in kwargs and "chebyshev_tol" in kwargs:
-        tol = kwargs["tolerances"]
-        kwargs["tolerances"] = Tolerances(tol.algebraic, tol.resolvent,
-                                          tol.solver, kwargs["chebyshev_tol"])
-    elif "chebyshev_tol" in kwargs:
-        kwargs["tolerances"] = Tolerances(chebyshev=kwargs["chebyshev_tol"])
-    return ScanConfig(**kwargs)
+        for key, value in parser["tolerances"].items():
+            tolerances[key] = float(value)
+    return ScanConfig(**kwargs, tolerances=Tolerances(**tolerances))
 
 
 def parse_config(path) -> ScanConfig:

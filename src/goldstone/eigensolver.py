@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 4096
+MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
+MAX_RESTARTS = 60
 DEGENERACY_GAP_THRESHOLD = 1e-8
 GS_CACHE_MAGIC = b"GSGS"
 GS_CACHE_VERSION = 2
@@ -50,8 +52,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10              # Ritz residual target, relative to ||H||
-    max_basis: int = 220
-    max_restarts: int = 60
     seed: int = 7
 
 
@@ -80,12 +80,10 @@ class SpectralDecomposition:
         rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
         return float(np.linalg.norm(rebuilt - dense) / max(np.linalg.norm(dense), 1e-300))
 
-    def window_mask(self, lo: float, hi: float, lo_open=True, hi_open=True) -> np.ndarray:
-        """Mask of eigenstates with excitation energy in the given interval."""
+    def window_mask(self, lo: float, hi: float) -> np.ndarray:
+        """Mask of eigenstates with excitation energy in (lo, hi]."""
         e = self.eigenvalues - self.eigenvalues[0]
-        lo_ok = e > lo if lo_open else e >= lo
-        hi_ok = e < hi if hi_open else e <= hi
-        return lo_ok & hi_ok
+        return (e > lo) & (e <= hi)
 
 
 def _lanczos_sweep(matvec, dim: int, v0: np.ndarray, tol: float,
@@ -132,15 +130,15 @@ def _lanczos_sweep(matvec, dim: int, v0: np.ndarray, tol: float,
 def _restarted_lowest(matvec, dim: int, v0: np.ndarray, target: float,
                       opts: SolverOptions):
     v = v0
-    for _ in range(opts.max_restarts):
+    for _ in range(MAX_RESTARTS):
         converged, theta, ritz, gap, _ = _lanczos_sweep(
-            matvec, dim, v, target, min(opts.max_basis, dim))
+            matvec, dim, v, target, min(MAX_BASIS, dim))
         v = ritz
         if converged:
             return theta, v / np.linalg.norm(v), gap
     raise SolverError(
         f"Lanczos did not reach residual {target:.2e} in "
-        f"{opts.max_restarts} restarts of basis {opts.max_basis}")
+        f"{MAX_RESTARTS} restarts of basis {MAX_BASIS}")
 
 
 def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
@@ -258,8 +256,7 @@ def ground_state_from_dense(dec: SpectralDecomposition, lattice: Lattice,
 
 
 def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
-                   rhs: np.ndarray, tol: float = 1e-10,
-                   max_iter: int | None = None, *,
+                   rhs: np.ndarray, tol: float = 1e-10, *,
                    deflate: bool = True) -> np.ndarray:
     """Solve (H - E0) x = (1 - P0) rhs with x orthogonal to the ground state.
 
@@ -284,8 +281,7 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
     bnorm = np.linalg.norm(b)
     if bnorm <= 1e-14 * max(1.0, float(np.linalg.norm(rhs))):
         return np.zeros_like(b)
-    if max_iter is None:
-        max_iter = max(2000, 60 * int(np.sqrt(H.dim)))
+    max_iter = max(2000, 60 * int(np.sqrt(H.dim)))
 
     def apply(v):
         return project(H.matvec(v) - e0 * v)

@@ -286,18 +286,18 @@ def _cheb_coeffs(fn, lo: float, hi: float, degree: int) -> np.ndarray:
 
 
 def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
-                             max_degree: int = DEGREE_CAP_DEFAULT,
-                             start_degree: int = 512,
-                             check_points: int = 4001) -> ChebyshevExpansion:
+                             max_degree: int = DEGREE_CAP_DEFAULT
+                             ) -> ChebyshevExpansion:
     """Smallest-degree Chebyshev interpolant with verified sup error <= tol.
 
-    Degrees double until the measured error on a dense sample grid passes;
+    Degrees double from 512 until the measured error on 4001 equispaced
+    points passes;
     the accepted expansion is then truncated wherever the coefficient tail
     stays below tol/2.
     """
-    xs = np.linspace(lo, hi, check_points)
+    xs = np.linspace(lo, hi, 4001)
     target = np.asarray(fn(xs), dtype=float)
-    degree = min(start_degree, max_degree)
+    degree = min(512, max_degree)
     while True:
         c = _cheb_coeffs(fn, lo, hi, degree)
         tail = np.cumsum(np.abs(c[::-1]))[::-1]
@@ -314,13 +314,13 @@ def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
         degree = min(2 * degree, max_degree)
 
 
-def spectral_interval(H: SparseHermitianOperator, lowest: float,
-                      inflation: float = INTERVAL_INFLATION) -> tuple[float, float]:
+def spectral_interval(H: SparseHermitianOperator,
+                      lowest: float) -> tuple[float, float]:
     """(lo, hi) enclosing the spectrum of Hermitian H, without matvecs.
 
     hi is the Gershgorin bound `gershgorin_upper`; lo is
-    `lowest` (the converged lowest Ritz value of H) lowered by `inflation`
-    times the width.
+    `lowest` (the converged lowest Ritz value of H) lowered by
+    `INTERVAL_INFLATION` times the width.
     """
     hi = gershgorin_upper(H)
-    return lowest - inflation * max(hi - lowest, 1e-12), hi
+    return lowest - INTERVAL_INFLATION * max(hi - lowest, 1e-12), hi

@@ -107,21 +107,19 @@ def local_approximation(b: np.ndarray, keep_sites, lattice: Lattice) -> np.ndarr
 
 
 def delta_decomposition(dec: SpectralDecomposition, lattice: Lattice,
-                        g: GFilter, a: np.ndarray, center: int,
-                        m_max: int | None = None):
+                        g: GFilter, a: np.ndarray, center: int):
     """Telescoping ball decomposition of the smeared evolution of `a`.
 
     Delta_0 is the ball-0 local approximation of tau*g(a); Delta_m peels the
-    shell between balls m-1 and m.  The partial sums reconstruct tau*g(a)
-    exactly once the ball covers the lattice.  Returns (deltas, norms, fit).
+    shell between balls m-1 and m, up to the lattice diameter.  The partial
+    sums reconstruct tau*g(a) exactly once the ball covers the lattice.
+    Returns (deltas, norms, fit).
     """
-    if m_max is None:
-        m_max = lattice.diameter
     smeared = tau_g_star(dec, g, a)
     deltas = []
     norms = []
     prev = None
-    for m in range(m_max + 1):
+    for m in range(lattice.diameter + 1):
         ball = lattice.ball(center, m)
         approx = local_approximation(smeared, ball, lattice)
         delta = approx.copy() if prev is None else approx - prev
@@ -193,28 +191,23 @@ def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
     return fit
 
 
-def b_continuity(lattice: Lattice, g: GFilter, b_ladder, center: int = 0,
-                 axis: int = 2, dense_cap: int = 4096,
-                 a: np.ndarray | None = None) -> DecayFit:
-    """r(B) = ||tau*g,B(a) - tau*g,0(a)|| / B over a descending B ladder.
+def b_continuity(lattice: Lattice, g: GFilter, spectra,
+                 a: np.ndarray) -> DecayFit:
+    """r(B) = ||tau*g,B(a) - tau*g,0(a)|| / B over a descending B ladder,
+    given as (B, dense spectrum of H at B) pairs; only the B = 0 spectrum is
+    computed here.
 
     Boundedness of r across the ladder is the finite-size face of the
     linear-in-B continuity of the smeared evolution; the max/min ratio is
     reported for the acceptance check.
     """
-    if a is None:
-        a = site_spin_operator(lattice, center, axis).to_dense()
-    ladder = [float(b) for b in b_ladder]
-    if any(b <= 0 for b in ladder):
+    if any(b <= 0 for b, _ in spectra):
         raise ValueError("B ladder must be strictly positive (B = 0 is the "
                          "reference point, not a ladder entry)")
-    dec0 = dense_spectrum(build_hamiltonian(lattice, 0.0), dense_cap)
-    ref = tau_g_star(dec0, g, a)
-    samples = []
-    for b in ladder:
-        dec = dense_spectrum(build_hamiltonian(lattice, b), dense_cap)
-        diff = operator_norm(tau_g_star(dec, g, a) - ref)
-        samples.append((b, diff / b))
+    H0 = build_hamiltonian(lattice, 0.0)
+    ref = tau_g_star(dense_spectrum(H0, H0.dim), g, a)
+    samples = [(float(b), operator_norm(tau_g_star(dec, g, a) - ref) / b)
+               for b, dec in spectra]
     rates = [r for _, r in samples]
     ratio = max(rates) / min(rates) if min(rates) > 0 else np.inf
     return DecayFit("linear_in_B", samples, amplitude=float(max(rates)),

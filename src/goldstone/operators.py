@@ -6,7 +6,8 @@ meaning m = +S.  The full basis (`basis_tables`) backs the dense oracle.  A
 sector basis (`sector_basis`) holds only the states of given total
 magnetizations, ranked by `searchsorted` over their sorted full-basis
 indices; there the spin axes are relabelled so that the field axis is the
-quantization axis (see `SECTOR_AXES`).  All builders are vectorised over the
+quantization axis (see `SECTOR_AXES`).  Every single-site spin sum, on
+either basis, comes from `site_sum`.  All builders are vectorised over the
 basis; the resulting CSR arrays feed the matvec kernels in `_kernels`.
 """
 
@@ -29,16 +30,17 @@ __all__ = [
     "sector_basis",
     "build_hamiltonian",
     "transformed_hamiltonian",
-    "marshall_transform",
     "marshall_signs",
     "fourier_spin",
     "site_spin_operator",
+    "site_sum",
+    "ladder_weights",
     "staggered_operator",
-    "translation_permutation",
     "site_phases",
     "site_ladders",
     "TwistedOrbits",
     "twisted_orbits",
+    "twisted_zero_leak",
     "direct_sum",
 ]
 
@@ -62,23 +64,22 @@ class SparseHermitianOperator:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    hermitian: bool = True
     n_cols: int | None = None
     _scipy_cache: scipy.sparse.csr_matrix | None = field(
         default=None, repr=False, compare=False)
 
     @classmethod
-    def from_coo(cls, dim, rows, cols, vals, hermitian=True, n_cols=None):
+    def from_coo(cls, dim, rows, cols, vals, n_cols=None):
         mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
                                       shape=(dim, n_cols or dim)).tocsr()
         mat.sum_duplicates()
-        return cls.from_scipy(mat, hermitian)
+        return cls.from_scipy(mat)
 
     @classmethod
-    def from_scipy(cls, mat, hermitian=True):
+    def from_scipy(cls, mat):
         mat = mat.tocsr()
         rows, cols = mat.shape
-        return cls(rows, mat.indptr, mat.indices, mat.data, hermitian,
+        return cls(rows, mat.indptr, mat.indices, mat.data,
                    None if cols == rows else cols)
 
     @property
@@ -96,32 +97,13 @@ class SparseHermitianOperator:
         return _kernels.csr_matvec(self.indptr, self.indices, self.data, x,
                                    scipy_csr=self._scipy())
 
-    def __matmul__(self, x):
-        if isinstance(x, np.ndarray) and x.ndim == 1:
-            return self.matvec(x)
-        return NotImplemented
-
-    def adjoint(self) -> "SparseHermitianOperator":
-        return SparseHermitianOperator.from_scipy(
-            self._scipy().conjugate().transpose().tocsr(), self.hermitian)
-
     def to_dense(self) -> np.ndarray:
         return np.asarray(self._scipy().todense())
-
-    def hermiticity_defect(self) -> float:
-        """Largest entry of |A - A^dagger|; zero for honest Hermitian builds."""
-        diff = self._scipy() - self._scipy().conjugate().transpose()
-        return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
     def principal(self, idx: np.ndarray) -> "SparseHermitianOperator":
         """The principal submatrix on the ascending basis positions `idx`."""
         return SparseHermitianOperator.from_scipy(
-            self._scipy()[idx][:, idx].sorted_indices(), self.hermitian)
-
-    def shifted(self, c: float) -> "SparseHermitianOperator":
-        return SparseHermitianOperator.from_scipy(
-            self._scipy() + c * scipy.sparse.identity(self.dim, format="csr"),
-            self.hermitian)
+            self._scipy()[idx][:, idx].sorted_indices())
 
 
 def spin_matrices(two_s: int):
@@ -217,15 +199,10 @@ def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
     return _tables(spec, codes[np.isin(sums, sums_wanted)], tuple(sectors))
 
 
-def _basis(spec: LatticeSpec, sectors) -> BasisTables:
-    return basis_tables(spec) if sectors is None else \
-        sector_basis(spec, tuple(sectors))
-
-
-def _ladder_terms(tab: BasisTables, j: int, raising: bool = True,
-                  target: BasisTables | None = None):
+def _ladder_terms(tab: BasisTables, j: int, raising: bool,
+                  target: BasisTables):
     """(src, dst, amp) for S^+_j (or S^-_j) from the states of `tab` into
-    `target` (default `tab`): <dst| S^+-_j |src> = amp."""
+    `target`: <dst| S^+-_j |src> = amp."""
     s = tab.spin
     if raising:
         mask = tab.digits[j] > 0
@@ -237,7 +214,69 @@ def _ladder_terms(tab: BasisTables, j: int, raising: bool = True,
         amp = np.sqrt(s * (s + 1) - m * (m - 1))
     src = np.nonzero(mask)[0].astype(np.int64)
     shift = -tab.strides[j] if raising else tab.strides[j]
-    return src, (target or tab).rank(tab.codes[src] + shift), amp
+    return src, target.rank(tab.codes[src] + shift), amp
+
+
+def site_ladders(tab: BasisTables, target: BasisTables, sites=None):
+    """(counts, src, dst, amp): the terms of S^+_j and S^-_j, in that order,
+    for each j of `sites` (default: every site) in turn, from the states of
+    `tab` into `target`; counts holds the number of terms of each."""
+    if sites is None:
+        sites = range(len(tab.strides))
+    terms = [_ladder_terms(tab, j, raising, target)
+             for j in sites for raising in (True, False)]
+    src, dst, amp = (np.concatenate(column) for column in zip(*terms))
+    return np.array([len(t[0]) for t in terms]), src, dst, amp
+
+
+# The factors of the S^+ and S^- terms in S_x = (S^+ + S^-)/2 and
+# S_y = (S^+ - S^-)/2i, the matrices of axes 1 and 2 of `spin_matrices`.
+_LADDER_COEF = {1: (0.5, 0.5), 2: (-0.5j, 0.5j)}
+
+
+def _matrix_axis(axis: int, sector) -> int:
+    """The `spin_matrices` axis of S^(axis) on the full basis (sector None)
+    or on a sector basis."""
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    return axis if sector is None else SECTOR_AXES[axis - 1]
+
+
+def ladder_weights(weights, axis: int, counts, sector=None) -> np.ndarray:
+    """w_j c for each S^+-_j term of `site_ladders` (term counts `counts`),
+    c its factor in S^(axis) on the basis of `site_sum` with `sector`."""
+    coef = _LADDER_COEF[_matrix_axis(axis, sector)]
+    return np.repeat(np.outer(weights, coef), counts)
+
+
+def site_sum(lattice: Lattice, weights, axis: int, sector: int | None = None,
+             scale: float = 1.0) -> SparseHermitianOperator:
+    """scale * sum_j w_j S_j^(axis), one weight per site; sites of weight
+    zero add no entries.
+
+    On the full basis, or with `sector` = M the relabelled operator
+    (`SECTOR_AXES`) on the states of magnetization M: a diagonal on M for
+    axis 1, else a rectangular map into the sectors M + 1 and M - 1 (that
+    basis, in that order of `sector_basis`).
+    """
+    mat_axis = _matrix_axis(axis, sector)
+    tab = target = basis_tables(lattice.spec) if sector is None else \
+        sector_basis(lattice.spec, (sector,))
+    if sector is not None and mat_axis != 3:
+        target = sector_basis(lattice.spec, (sector + 1, sector - 1))
+    w = np.asarray(weights)
+    sites = np.flatnonzero(w)
+    if mat_axis == 3:
+        diag = np.zeros(tab.dim, dtype=np.result_type(w, float))
+        for j in sites:
+            diag += w[j] * tab.m(j)
+        rows = cols = np.arange(tab.dim, dtype=np.int64)
+        vals = scale * diag
+    else:
+        counts, cols, rows, amp = site_ladders(tab, target, sites)
+        vals = ladder_weights(scale * w[sites], axis, counts, sector) * amp
+    return SparseHermitianOperator.from_coo(target.dim, rows, cols, vals,
+                                            n_cols=tab.dim)
 
 
 def build_hamiltonian(lattice: Lattice, B: float,
@@ -251,7 +290,8 @@ def build_hamiltonian(lattice: Lattice, B: float,
     """
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
-    tab = _basis(lattice.spec, sectors)
+    tab = basis_tables(lattice.spec) if sectors is None else \
+        sector_basis(lattice.spec, tuple(sectors))
     dim = tab.dim
     s = tab.spin
     idx = np.arange(dim, dtype=np.int64)
@@ -278,15 +318,14 @@ def build_hamiltonian(lattice: Lattice, B: float,
         for j in range(lattice.n_sites):
             diag -= B * lattice.staggered_signs[j] * tab.m(j)
     elif B != 0:
-        for j in range(lattice.n_sites):
-            src, dst, amp = _ladder_terms(tab, j)
-            hop = -0.5 * B * lattice.staggered_signs[j] * amp
-            rows.extend((dst, src))
-            cols.extend((src, dst))
-            vals.extend((hop, hop))
+        field = site_sum(lattice, lattice.staggered_signs, 1,
+                         scale=-B)._scipy().tocoo()
+        rows.append(field.row)
+        cols.append(field.col)
+        vals.append(field.data)
     data = np.concatenate([diag] + vals)
     return SparseHermitianOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), data, hermitian=True)
+        dim, np.concatenate(rows), np.concatenate(cols), data)
 
 
 def marshall_signs(lattice: Lattice) -> np.ndarray:
@@ -303,16 +342,9 @@ def marshall_signs(lattice: Lattice) -> np.ndarray:
     return np.where(par % 2 == 0, 1.0, -1.0)
 
 
-def marshall_transform(lattice: Lattice) -> SparseHermitianOperator:
-    """The sublattice rotation U as a diagonal +-1 operator (U = U* = U^-1)."""
-    signs = marshall_signs(lattice)
-    dim = len(signs)
-    idx = np.arange(dim, dtype=np.int64)
-    return SparseHermitianOperator.from_coo(dim, idx, idx, signs, hermitian=True)
-
-
 def transformed_hamiltonian(lattice: Lattice, B: float) -> SparseHermitianOperator:
-    """U* H U = signs (x) H (x) signs, entry by entry.
+    """U* H U = signs (x) H (x) signs, entry by entry, for the sublattice
+    rotation U = diag(`marshall_signs`) (U = U* = U^-1).
 
     Bond terms become -(S+_x S-_y + S-_x S+_y)/2 + S3_x S3_y and the field
     -B/2 sum_x (S+_x + S-_x); all off-diagonal entries of the result are
@@ -328,64 +360,18 @@ def transformed_hamiltonian(lattice: Lattice, B: float) -> SparseHermitianOperat
 
 def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitianOperator:
     """S_x^(axis) at one site, axis in {1, 2, 3}."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    tab = basis_tables(lattice.spec)
-    idx = np.arange(tab.dim, dtype=np.int64)
-    if axis == 3:
-        return SparseHermitianOperator.from_coo(
-            tab.dim, idx, idx, tab.m(site), hermitian=True)
-    src, dst, amp = _ladder_terms(tab, site)
-    if axis == 1:
-        rows = np.concatenate((dst, src))
-        cols = np.concatenate((src, dst))
-        vals = np.concatenate((0.5 * amp, 0.5 * amp))
-    else:
-        rows = np.concatenate((dst, src))
-        cols = np.concatenate((src, dst))
-        vals = np.concatenate((-0.5j * amp, 0.5j * amp))
-    return SparseHermitianOperator.from_coo(tab.dim, rows, cols, vals,
-                                            hermitian=True)
+    return site_sum(lattice, np.eye(lattice.n_sites)[site], axis)
 
 
 def fourier_spin(lattice: Lattice, n_momentum, axis: int,
                  sector: int | None = None) -> SparseHermitianOperator:
-    """hat S_k^(axis) = N^{-1/2} sum_x e^{i k x} S_x^(axis).
-
-    Hermitian exactly when -k folds back onto k on the grid; in general the
-    adjoint is the operator at -k.  With `sector` = M, the relabelled
-    operator restricted to the states of magnetization M: for axes 2 and 3
-    a rectangular map into the sectors M + 1 and M - 1 (that basis, in that
-    order of `sector_basis`), for axis 1 a diagonal on M.
-    """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    mat_axis = axis if sector is None else SECTOR_AXES[axis - 1]
+    """hat S_k^(axis) = N^{-1/2} sum_x e^{i k x} S_x^(axis), on the basis of
+    `site_sum` with `sector`.  Its adjoint is the operator at -k."""
     n_momentum = tuple(n_momentum)
     if not lattice.momentum_on_grid(n_momentum):
         raise ValueError(f"momentum label {n_momentum} is off the grid")
-    if sector is None:
-        tab = target = basis_tables(lattice.spec)
-    else:
-        tab = sector_basis(lattice.spec, (sector,))
-        target = tab if mat_axis == 3 else \
-            sector_basis(lattice.spec, (sector + 1, sector - 1))
-    phases = site_phases(lattice, n_momentum)
-    norm = 1.0 / np.sqrt(lattice.n_sites)
-    if mat_axis == 3:
-        diag = np.zeros(tab.dim, dtype=complex)
-        for j in range(lattice.n_sites):
-            diag += phases[j] * tab.m(j)
-        rows = cols = np.arange(tab.dim, dtype=np.int64)
-        vals = norm * diag
-    else:
-        counts, cols, rows, amp = site_ladders(tab, target)
-        coef = (0.5, 0.5) if mat_axis == 1 else (-0.5j, 0.5j)
-        vals = np.repeat(np.outer(norm * phases, coef), counts) * amp
-    hermitian = lattice.negate(n_momentum) == n_momentum and target is tab
-    return SparseHermitianOperator.from_coo(
-        target.dim, rows, cols, vals, hermitian=hermitian,
-        n_cols=None if target is tab else tab.dim)
+    return site_sum(lattice, site_phases(lattice, n_momentum), axis, sector,
+                    1.0 / np.sqrt(lattice.n_sites))
 
 
 def site_phases(lattice: Lattice, n_momentum) -> np.ndarray:
@@ -394,56 +380,12 @@ def site_phases(lattice: Lattice, n_momentum) -> np.ndarray:
     return np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
 
 
-def site_ladders(tab: BasisTables, target: BasisTables):
-    """(counts, src, dst, amp): the terms of S^+_0, S^-_0, S^+_1, ... in that
-    order, from the states of `tab` into `target`; counts[2j] and
-    counts[2j + 1] are the numbers of terms of S^+_j and S^-_j."""
-    terms = [_ladder_terms(tab, j, raising, target)
-             for j in range(len(tab.strides)) for raising in (True, False)]
-    src, dst, amp = (np.concatenate(column) for column in zip(*terms))
-    return np.array([len(t[0]) for t in terms]), src, dst, amp
-
-
-def staggered_operator(lattice: Lattice, sectors: tuple | None = None
+def staggered_operator(lattice: Lattice, sector: int | None = None
                        ) -> SparseHermitianOperator:
     """sum_x sigma(x) S_x^(1): the order parameter N m_B is its expectation.
 
-    With `sectors` (relabelled axes) it is diagonal."""
-    tab = _basis(lattice.spec, sectors)
-    if sectors is not None:
-        idx = np.arange(tab.dim, dtype=np.int64)
-        diag = sum(lattice.staggered_signs[j] * tab.m(j)
-                   for j in range(lattice.n_sites))
-        return SparseHermitianOperator.from_coo(tab.dim, idx, idx, diag)
-    rows, cols, vals = [], [], []
-    for j in range(lattice.n_sites):
-        src, dst, amp = _ladder_terms(tab, j)
-        half = 0.5 * lattice.staggered_signs[j] * amp
-        rows.extend((dst, src))
-        cols.extend((src, dst))
-        vals.extend((half, half))
-    return SparseHermitianOperator.from_coo(
-        tab.dim, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals), hermitian=True)
-
-
-def translation_permutation(lattice: Lattice, axis: int = 0) -> np.ndarray:
-    """perm with (P v)[i] = v[perm[i]] for the one-site shift along `axis`.
-
-    P maps the state with digits g(x) to the one with digits g(x - e_axis),
-    so U* H U built with period-one couplings commutes with P.
-    """
-    tab = basis_tables(lattice.spec)
-    ext = lattice.spec.extents
-    site_map = np.empty(lattice.n_sites, dtype=np.int64)
-    for j, x in enumerate(lattice.sites):
-        y = list(x)
-        y[axis] = (y[axis] + 1) % ext[axis]
-        site_map[j] = lattice.site_index(tuple(y))
-    perm = np.zeros(tab.dim, dtype=np.int64)
-    for j in range(lattice.n_sites):
-        perm += tab.digits[site_map[j]].astype(np.int64) * tab.strides[j]
-    return perm
+    On a sector (relabelled axes) it is diagonal."""
+    return site_sum(lattice, lattice.staggered_signs, 1, sector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,14 +417,13 @@ class TwistedOrbits:
                        axis=0)
 
     def project(self, v: np.ndarray, chi: np.ndarray):
-        """(coordinates <r_q|v> of v on the basis of the block, defect
-        (||v||^2 - ||P_q v||^2) / max(||v||^2, 1e-12))."""
+        """(coordinates <r_q|v> of v on the basis of the block, the loss
+        ||v||^2 - ||P_q v||^2)."""
         w = chi[self.elem].conj() * v
         c = (np.bincount(self.orbit, w.real, len(self.reps))
              + 1j * np.bincount(self.orbit, w.imag, len(self.reps)))
         c = (c / np.sqrt(self.size))[self.allowed(chi)]
-        norm2 = np.vdot(v, v).real
-        return c, float(norm2 - np.vdot(c, c).real) / max(norm2, 1e-12)
+        return c, float(np.vdot(v, v).real - np.vdot(c, c).real)
 
     def block(self, H: SparseHermitianOperator,
               chi: np.ndarray) -> SparseHermitianOperator:
@@ -507,6 +448,17 @@ def direct_sum(ops) -> SparseHermitianOperator:
         scipy.sparse.block_diag([op._scipy() for op in ops], format="csr"))
 
 
+def _twisted_images(lattice: Lattice, tab: BasisTables, a) -> np.ndarray:
+    """Basis positions of g_a s for every state s of `tab`, which must be
+    closed under g_a."""
+    codes = np.zeros(tab.dim, dtype=np.int64)
+    for y, x in enumerate(lattice.sites):
+        codes += tab.digits[lattice.site_index(np.subtract(x, a))] \
+            * tab.strides[y]
+    top = lattice.spec.hilbert_dim - 1
+    return tab.rank(top - codes if np.sum(a) % 2 else codes)
+
+
 def twisted_orbits(lattice: Lattice, sectors: tuple) -> TwistedOrbits:
     """Orbit tables of the twisted translations on the sector basis of
     `sectors`, which must be closed under M -> -M.
@@ -518,16 +470,25 @@ def twisted_orbits(lattice: Lattice, sectors: tuple) -> TwistedOrbits:
     """
     tab = sector_basis(lattice.spec, tuple(sectors))
     ext = lattice.spec.extents
-    top = lattice.spec.hilbert_dim - 1
     shifts = np.array(list(itertools.product(*map(range, ext))))
     images = np.empty((len(shifts), tab.dim), dtype=np.int64)
     for g, a in enumerate(shifts):
-        codes = np.zeros(tab.dim, dtype=np.int64)
-        for y, x in enumerate(lattice.sites):
-            codes += tab.digits[lattice.site_index(np.subtract(x, a))] \
-                * tab.strides[y]
-        images[g] = tab.rank(top - codes if a.sum() % 2 else codes)
+        images[g] = _twisted_images(lattice, tab, a)
     rep = images.min(axis=0)
     reps, orbit = np.unique(rep, return_inverse=True)
     return TwistedOrbits(shifts, orbit, images.argmin(axis=0), reps,
                          np.bincount(orbit), images[:, reps] == reps)
+
+
+def twisted_zero_leak(lattice: Lattice, sectors: tuple,
+                      v: np.ndarray) -> float:
+    """Upper bound on ||(1 - P_0) v||^2, P_0 the projector on twisted
+    momentum 0, for v on the sector basis of `sectors` (closed under
+    M -> -M), from the d one-site generators g_i alone: g_i is e^(-i q_i) on
+    block q, so sum_i ||(g_i - 1) v||^2 >= 4 sin^2(pi / L_max) ||(1 - P_0)
+    v||^2.  Each norm is summed from entry differences."""
+    tab = sector_basis(lattice.spec, tuple(sectors))
+    ext = lattice.spec.extents
+    total = sum(float(np.sum(np.abs(v[_twisted_images(lattice, tab, e)] - v)
+                             ** 2)) for e in np.eye(len(ext), dtype=np.int64))
+    return total / (4.0 * np.sin(np.pi / max(ext)) ** 2)

@@ -434,8 +434,7 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
         res.check("locality", "lr_distance_decreasing", tag, None, t, None,
                   decreasing, f"t={t}")
 
-    cont = b_continuity(lattice, g, config.b_ladder, center, axis,
-                        config.dense_cap)
+    cont = b_continuity(lattice, g, [(c.B, c.dense) for c in contexts], a)
     for (b, r) in cont.samples:
         res.row("locality_profiles", lattice=tag, kind="b_continuity", x=b,
                 y=None, norm=r, envelope=cont.amplitude)

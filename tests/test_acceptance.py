@@ -136,7 +136,7 @@ def test_criterion_2_oracle_equivalence(ladders):
     for extents, by_b in ladders.items():
         p = np.pi if extents == (2, 2) else np.pi / 2
         for b, dense in by_b.items():
-            ctx = SystemContext(dense.lattice, b, force_sparse=True,
+            ctx = SystemContext(dense.lattice, b, dense_cap=0,
                                 tolerances=Tolerances(chebyshev=1e-10))
             wp, weights, g, v_min = _setup(dense, p)
             for n in weights.support:
@@ -282,7 +282,10 @@ def test_criterion_6_appendix_suite(ladders):
         if not all(hi > lo for hi, lo in zip(norms, norms[1:])):
             failures.append(("lr_monotone", t, norms))
 
-    cont = b_continuity(ladders[(2, 2)][0.1].lattice, g, (0.2, 0.1, 0.05))
+    lat22 = ladders[(2, 2)][0.1].lattice
+    cont = b_continuity(lat22, g, [(b, ladders[(2, 2)][b].dense)
+                                   for b in (0.2, 0.1, 0.05)],
+                        site_spin_operator(lat22, 0, 2).to_dense())
     ratio = cont.extras["ratio_max_min"]
     if ratio > 4.0:
         failures.append(("b_continuity_ratio", ratio))

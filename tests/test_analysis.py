@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,7 +265,7 @@ def test_extrapolate_ms_constant_and_linear():
 
 
 def test_sparse_context_skips_window_pieces(lat22):
-    ctx = SystemContext(lat22, 0.1, force_sparse=True)
+    ctx = SystemContext(lat22, 0.1, dense_cap=0)
     assert ctx.dense is None
     entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0))
     assert [e.name for e in entries] == ["denominator_lower_bound"]
@@ -271,7 +273,7 @@ def test_sparse_context_skips_window_pieces(lat22):
 
 
 def test_moment_guard_rejects_short_interval(lat22):
-    ctx = SystemContext(lat22, 0.1, force_sparse=True)
+    ctx = SystemContext(lat22, 0.1, dense_cap=0)
     lo, hi = ctx.spectral_bounds()
     ctx._interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
     # a window whose upper edge falls inside the cut interval, so that the
@@ -296,7 +298,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     lat = Lattice.build(extents, spin)
     tol = Tolerances(chebyshev=1e-6)
     dense = SystemContext(lat, B, tolerances=tol)
-    ctx = SystemContext(lat, B, tolerances=tol, force_sparse=True)
+    ctx = SystemContext(lat, B, tolerances=tol, dense_cap=0)
     assert ctx.dense is None and ctx.gs.sector == 0
     assert abs(ctx.gs.energy - dense.gs.energy) <= 1e-10
     assert abs(ctx.m_B - dense.m_B) <= 1e-9
@@ -325,7 +327,7 @@ def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
     monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
                         lambda H, opts: (-100.0, 0.0))
     with pytest.raises(SolverError, match="M = 1"):
-        SystemContext(lat22, 0.1, force_sparse=True)
+        SystemContext(lat22, 0.1, dense_cap=0)
 
 
 def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
@@ -333,7 +335,7 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
         raise AssertionError("full basis tables on the sparse path")
 
     monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
-    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
     wp = WavepacketSpec(np.pi / 2, 2.2)
     v_min, eps = choose_epsilon(ctx.m_B, wp, lat24, gamma=3.0,
                                 delta_gamma=0.5)
@@ -360,7 +362,7 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     same vectors on the whole M = +-1 operator H_exc."""
     extents, spin = BLOCK_LATTICES[name]
     lat = Lattice.build(extents, spin)
-    ctx = SystemContext(lat, B, force_sparse=True)
+    ctx = SystemContext(lat, B, dense_cap=0)
     momenta = sorted(lat.momenta)
     keys = [(momenta[p % len(momenta)], axis) for p, axis in picks]
     got = ctx.moments(keys, n_moments)
@@ -381,7 +383,7 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
 def test_off_block_vector_raises(lat24, monkeypatch):
     """A vector that is not a twisted-momentum eigenvector is refused,
     naming its key and block."""
-    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
     mixed = ctx.sk_phi((0, 1), 2) + 1e-3 * ctx.sk_phi((1, 1), 2)
     monkeypatch.setattr(ctx, "sk_phi", lambda n, axis: mixed)
     with pytest.raises(SolverError, match=r"S_k\^\(2\) phi0 at momentum "
@@ -389,8 +391,37 @@ def test_off_block_vector_raises(lat24, monkeypatch):
         ctx.moments([((0, 1), 2)], 8)
 
 
+@pytest.mark.parametrize("extents,B", [((2, 4), 1e-6), ((2, 6), 1e-5)])
+def test_small_field_vectors_pass_the_projection_guard(extents, B):
+    """At small B, ||S_0^(2) phi0||^2 ~ B^2 and its projection loss is the
+    Lanczos error of phi0 off twisted momentum 0, not rounding: every key
+    passes, and the moments stay within that loss of the H_exc moments."""
+    lat = Lattice.build(extents)
+    ctx = SystemContext(lat, B, dense_cap=0)
+    keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
+    got = ctx.moments(keys, 16)
+    (moment_pass,) = ctx.solver_stats()["moment_passes"]
+    leak = lat.n_sites * lat.spec.spin ** 2 * moment_pass["phi0_leak"]
+    lo, hi = ctx.spectral_bounds()
+    for key, mu in zip(keys, got):
+        ref, _ = chebyshev_moments(ctx.H_exc, ctx.sk_phi(*key)[:, None],
+                                   lo, hi, 16)
+        assert np.abs(mu - ref[:, 0]).max() <= 1e-12 * ref[0, 0] + leak
+
+
+def test_phi0_off_twisted_momentum_zero_raises(lat24):
+    """The projection guard trusts phi0 at twisted momentum 0 only after
+    measuring it: a ground vector with a part elsewhere is refused."""
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
+    noise = np.random.default_rng(3).standard_normal(ctx.H.dim)
+    vector = ctx.gs.vector + 1e-4 * noise
+    ctx.gs = replace(ctx.gs, vector=vector / np.linalg.norm(vector))
+    with pytest.raises(SolverError, match="not at twisted momentum 0"):
+        ctx.moments([((0, 1), 2)], 8)
+
+
 def test_sparse_sk_phi_matches_fourier_spin(lat24):
-    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
     phi = ctx.gs.vector.astype(complex)
     for n in lat24.momenta:
         for axis in (2, 3):
@@ -406,7 +437,7 @@ def test_ground_sector_check_takes_m1_from_h_exc(lat24, monkeypatch):
         return build_hamiltonian(lattice, B, sectors)
 
     monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
-    ctx = SystemContext(lat24, 0.2, force_sparse=True)
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
     assert (1,) not in built and (1, -1) in built
     M1 = build_hamiltonian(lat24, 0.2, (1,))
     assert ctx.sector_lowest[0]["dim"] == M1.dim

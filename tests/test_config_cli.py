@@ -8,8 +8,8 @@ import pytest
 import goldstone.analysis
 import goldstone.runner
 from goldstone.cli import main
-from goldstone.config import (ConfigError, ScanConfig, auto_p_target,
-                              parse_config_text)
+from goldstone.config import (_SCHEMA, ConfigError, ScanConfig,
+                              auto_p_target, parse_config_text)
 from goldstone.eigensolver import (dense_spectrum, ground_state_cache_name,
                                    ground_state_from_dense, load_ground_state,
                                    read_ground_state_header, save_ground_state)
@@ -386,6 +386,40 @@ def test_verify_cache_rejects_version_mismatch(tmp_path):
 
 def test_scan_config_defaults_are_valid():
     ScanConfig()
+
+
+NON_DEFAULT = {
+    "scan": {"checks": "bounds", "lattices": "2x4", "spin": "1.0",
+             "b_ladder": "0.3 0.1", "dense_cap": "100", "jobs": "2",
+             "seed": "8", "cache_dir": "cache", "out_dir": "elsewhere"},
+    "wavepacket": {"p": "0.5", "kappa": "2.0"},
+    "filter": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
+               "v_min_ladder": "0.5 0.1", "chebyshev_tol": "1e-6",
+               "degree_cap": "1000"},
+    "locality": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
+                 "times": "0.5 2.0", "center": "1", "axis": "3"},
+    "tolerances": {"algebraic": "1e-9", "resolvent": "1e-7",
+                   "solver": "1e-9"},
+}
+
+
+def test_every_schema_key_changes_the_config():
+    """Each key is used or rejected: every key the schema accepts changes
+    the parsed ScanConfig, and every field is reached by some key."""
+    assert {s: set(keys) for s, keys in NON_DEFAULT.items()} == _SCHEMA
+    default = ScanConfig()
+    assert parse_config_text("") == default
+    reached = set()
+    for section, keys in NON_DEFAULT.items():
+        for key, value in keys.items():
+            cfg = parse_config_text(f"[{section}]\n{key} = {value}\n")
+            changed = {name for name in vars(default) if name != "raw_text"
+                       and getattr(cfg, name) != getattr(default, name)}
+            assert changed, (section, key)
+            reached |= changed
+    assert reached == set(vars(default)) - {"raw_text"}
+    cfg = parse_config_text("[filter]\nchebyshev_tol = 1e-6\n")
+    assert cfg.tolerances.chebyshev == 1e-6
 
 
 def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):

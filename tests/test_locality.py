@@ -104,10 +104,10 @@ def test_delta_decomposition_telescopes(dec22, lat22):
     smeared = tau_g_star(dec22, GF, a)
     assert operator_norm(sum(deltas) - smeared) <= 1e-10
     # shells beyond the diameter vanish
-    deltas2, norms2, _ = delta_decomposition(dec22, lat22, g=GF, a=a,
-                                             center=0, m_max=lat22.diameter + 2)
-    assert norms2[-1] <= 1e-12
-    assert norms2[-2] <= 1e-12
+    balls = [local_approximation(smeared, lat22.ball(0, m), lat22)
+             for m in range(lat22.diameter, lat22.diameter + 3)]
+    assert operator_norm(balls[1] - balls[0]) <= 1e-12
+    assert operator_norm(balls[2] - balls[1]) <= 1e-12
 
 
 def test_delta_decomposition_envelope(dec24, lat24):
@@ -146,15 +146,21 @@ def test_lr_profile_decreases_with_distance(dec24, lat24):
     assert fit.rate_positive
 
 
+def _spectra(lattice, ladder):
+    return [(b, dense_spectrum(build_hamiltonian(lattice, b)))
+            for b in ladder]
+
+
 def test_b_continuity_commuting_observable(lat22):
     ident = np.eye(16, dtype=complex)
-    fit = b_continuity(lat22, GF, (0.2, 0.1), a=ident)
+    fit = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1)), ident)
     assert all(r <= 1e-12 for _, r in fit.samples)
 
 
 def test_b_continuity_ratio(lat22):
-    fit = b_continuity(lat22, GF, (0.2, 0.1, 0.05))
+    a = site_spin_operator(lat22, 0, 2).to_dense()
+    fit = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1, 0.05)), a)
     assert fit.extras["ratio_max_min"] <= 4.0
     assert len(fit.samples) == 3
     with pytest.raises(ValueError):
-        b_continuity(lat22, GF, (0.2, 0.0))
+        b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.0)), a)

@@ -6,13 +6,12 @@ import pytest
 
 from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
-from goldstone.operators import (build_hamiltonian, fourier_spin,
-                                 marshall_signs, marshall_transform,
-                                 sector_basis,
-                                 site_spin_operator,
+from goldstone.operators import (basis_tables, build_hamiltonian,
+                                 fourier_spin, marshall_signs, sector_basis,
+                                 site_phases, site_spin_operator,
                                  spin_matrices, staggered_operator,
-                                 transformed_hamiltonian,
-                                 translation_permutation, twisted_orbits)
+                                 transformed_hamiltonian, twisted_orbits,
+                                 twisted_zero_leak)
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
@@ -58,7 +57,8 @@ def test_2x2_equals_ring4_with_deduplication(lat22, ring4, golden):
 
 def test_hamiltonian_real_and_hermitian(lat24):
     H = build_hamiltonian(lat24, 0.3)
-    assert H.hermiticity_defect() == 0.0
+    dense = H.to_dense()
+    assert np.abs(dense - dense.conj().T).max() == 0.0
     assert not np.iscomplexobj(H.data)
 
 
@@ -72,7 +72,7 @@ def test_fourier_adjoint_is_negated_momentum(lat22):
         for axis in (1, 2, 3):
             a = fourier_spin(lat22, n, axis)
             b = fourier_spin(lat22, lat22.negate(n), axis)
-            assert np.abs(a.adjoint().to_dense() - b.to_dense()).max() <= 1e-14
+            assert np.abs(a.to_dense().conj().T - b.to_dense()).max() <= 1e-14
 
 
 def test_fourier_zero_mode_commutes_at_zero_field(lat22):
@@ -99,10 +99,9 @@ def test_fourier_rejects_off_grid(lat22):
 
 def test_marshall_transform_properties(lat22):
     B = 0.1
-    U = marshall_transform(lat22)
     signs = marshall_signs(lat22)
     assert set(np.unique(signs)) <= {-1.0, 1.0}
-    Ud = U.to_dense()
+    Ud = np.diag(signs)
     H = build_hamiltonian(lat22, B).to_dense()
     tH = transformed_hamiltonian(lat22, B).to_dense()
     assert np.abs(Ud @ H @ Ud - tH).max() == 0.0
@@ -124,10 +123,23 @@ def test_transformed_ground_vector_positive(lat22):
     assert vec.min() > 0.0
 
 
+def _translation_permutation(lattice, axis):
+    """perm with (P v)[i] = v[perm[i]] for the one-site shift along `axis`:
+    P maps the state with digits g(x) to the one with digits g(x - e_axis)."""
+    tab = basis_tables(lattice.spec)
+    perm = np.zeros(tab.dim, dtype=np.int64)
+    for j, x in enumerate(lattice.sites):
+        y = list(x)
+        y[axis] = (y[axis] + 1) % lattice.spec.extents[axis]
+        perm += tab.digits[lattice.site_index(tuple(y))].astype(np.int64) \
+            * tab.strides[j]
+    return perm
+
+
 def test_translation_covariance_of_rotated_frame(lat24):
     tH = transformed_hamiltonian(lat24, 0.1).to_dense()
     for axis in (0, 1):
-        perm = translation_permutation(lat24, axis)
+        perm = _translation_permutation(lat24, axis)
         moved = tH[np.ix_(perm, perm)]
         assert np.abs(moved - tH).max() <= 1e-12
 
@@ -136,7 +148,7 @@ def test_translation_breaks_original_frame(lat24):
     # the staggered field flips under a one-site shift, so H itself is only
     # two-site periodic
     H = build_hamiltonian(lat24, 0.4).to_dense()
-    perm = translation_permutation(lat24, 1)
+    perm = _translation_permutation(lat24, 1)
     assert np.abs(H[np.ix_(perm, perm)] - H).max() > 0.1
 
 
@@ -145,6 +157,46 @@ def test_staggered_operator_matches_site_sum(lat22):
                  * site_spin_operator(lat22, j, 1).to_dense()
                  for j in range(lat22.n_sites))
     assert np.abs(staggered_operator(lat22).to_dense() - direct).max() <= 1e-14
+
+
+def _kron_site(lat, j, mat):
+    """mat at site j and identities elsewhere, site 0 most significant."""
+    out = np.ones((1, 1))
+    for i in range(lat.n_sites):
+        out = np.kron(out, mat if i == j else np.eye(lat.spec.two_s + 1))
+    return out
+
+
+@pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 2), 0.5),
+                                          ((4,), 1.0)])
+def test_site_sums_match_kronecker_products(extents, spin):
+    """`site_sum` against dense Kronecker products of `spin_matrices`:
+    single sites on the full basis, and the sector form of the Fourier
+    modes (relabelled matrices, restricted to the sectors)."""
+    lat = Lattice.build(extents, spin)
+    mats = spin_matrices(lat.spec.two_s)
+    for j in range(lat.n_sites):
+        for axis in (1, 2, 3):
+            ref = _kron_site(lat, j, mats[axis - 1])
+            got = site_spin_operator(lat, j, axis).to_dense()
+            assert np.abs(got - ref).max() <= 1e-15
+    top = lat.n_sites * lat.spec.two_s // 2
+    # sector bases represent S^(1), S^(2), S^(3) by the S_z, S_x, S_y
+    # matrices
+    relabelled = {1: mats[2], 2: mats[0], 3: mats[1]}
+    for n in lat.momenta:
+        phases = site_phases(lat, n) / np.sqrt(lat.n_sites)
+        for axis in (1, 2, 3):
+            full = sum(p * _kron_site(lat, j, relabelled[axis])
+                       for j, p in enumerate(phases))
+            for M in range(-top, top + 1):
+                if axis != 1 and abs(M) == top:
+                    continue
+                cols = sector_basis(lat.spec, (M,)).codes
+                rows = cols if axis == 1 else \
+                    sector_basis(lat.spec, (M + 1, M - 1)).codes
+                got = fourier_spin(lat, n, axis, sector=M).to_dense()
+                assert np.abs(got - full[np.ix_(rows, cols)]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
@@ -183,9 +235,9 @@ def test_sector_spectra(extents, spin, B):
     full = np.linalg.eigvalsh(build_hamiltonian(lat, B).to_dense())
     assert np.abs(np.sort(np.concatenate(list(spectra.values())))
                   - full).max() <= 1e-12
-    both = build_hamiltonian(lat, B, (1, -1))
-    assert both.hermiticity_defect() == 0.0
-    assert np.abs(np.linalg.eigvalsh(both.to_dense())
+    both = build_hamiltonian(lat, B, (1, -1)).to_dense()
+    assert np.abs(both - both.conj().T).max() == 0.0
+    assert np.abs(np.linalg.eigvalsh(both)
                   - np.sort(np.concatenate([spectra[1], spectra[-1]]))).max() \
         <= 1e-12
 
@@ -195,9 +247,8 @@ def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
     pair = sector_basis(lat24.spec, (1, -1))
     op = fourier_spin(lat24, (0, 1), 2, sector=0)
     assert (op.dim, op.n_cols) == (pair.dim, zero.dim)
-    assert not op.hermitian
     assert fourier_spin(lat24, (0, 1), 1, sector=0).dim == zero.dim
-    diag = staggered_operator(lat24, (0,)).to_dense()
+    diag = staggered_operator(lat24, 0).to_dense()
     assert np.count_nonzero(diag - np.diag(np.diag(diag))) == 0
 
 
@@ -248,11 +299,20 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
         basis = np.column_stack(cols) if cols else np.zeros((tab.dim, 0))
         block = orbits.block(H, orbits.character(lat, q))
         assert block.dim == basis.shape[1]
-        assert block.hermiticity_defect() <= 1e-15
+        assert np.abs(block.to_dense() - block.to_dense().conj().T).max() \
+            <= 1e-15
         assert np.abs(basis.conj().T @ basis - np.eye(block.dim)).max() \
             <= 1e-12
         assert np.abs(basis.conj().T @ dense @ basis
                       - block.to_dense()).max() <= 1e-12
         spectra.append(np.linalg.eigvalsh(block.to_dense()))
+        if not any(q):
+            # the generator bound on the part of a vector off momentum 0
+            v = np.random.default_rng(1).standard_normal(tab.dim)
+            off = np.linalg.norm(v - proj @ v) ** 2
+            leak = twisted_zero_leak(lat, sectors, v)
+            assert off <= leak * (1 + 1e-12)
+            assert leak <= off * len(extents) \
+                / np.sin(np.pi / max(extents)) ** 2
     assert np.abs(np.sort(np.concatenate(spectra))
                   - np.linalg.eigvalsh(dense)).max() <= 1e-12
