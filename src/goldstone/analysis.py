@@ -9,7 +9,7 @@ reported with both sides and the signed margin, never as a bare boolean.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -175,13 +175,13 @@ class SystemContext:
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
                  tolerances: Tolerances = Tolerances(),
-                 solver_opts: SolverOptions = SolverOptions(),
+                 seed: int = SolverOptions.seed,
                  hamiltonian=None, ground=None,
                  degree_cap: int = DEGREE_CAP_DEFAULT):
         self.lattice = lattice
         self.B = B
         self.tol = tolerances
-        self.solver_opts = solver_opts
+        self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
         self.dense_cap = dense_cap
         self.degree_cap = degree_cap
         sectors = ground_sectors(lattice, dense_cap)
@@ -203,7 +203,8 @@ class SystemContext:
         elif self.dense is not None:
             self.gs = ground_state_from_dense(self.dense, lattice, B)
         else:
-            self.gs = ground_state(self.H, lattice, B, solver_opts, sector=0)
+            self.gs = ground_state(self.H, lattice, B, self.solver_opts,
+                                   sector=0)
         if sectors is not None:
             self._check_ground_sector()
         self._sk_cache: OrderedDict = OrderedDict()
@@ -631,14 +632,8 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
     note = "" if ctx.dense is not None else "window pieces skipped (no dense oracle)"
     if bracket < 0:
         note = (note + "; " if note else "") + "bound not binding (bracket < 0)"
-        entry = _upper("denominator_lower_bound", n, None, d_val, den_k, tol, note)
-        entry = BoundEntry(entry.name, entry.momentum, entry.axis, entry.lhs,
-                           entry.rhs, entry.margin, entry.tolerance, True,
-                           entry.kind, entry.note)
-        entries.append(entry)
-    else:
-        entries.append(_upper("denominator_lower_bound", n, None, d_val,
-                              den_k, tol, note))
+    entry = _upper("denominator_lower_bound", n, None, d_val, den_k, tol, note)
+    entries.append(replace(entry, passed=True) if bracket < 0 else entry)
     return entries
 
 

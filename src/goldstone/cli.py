@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import CHECK_GROUPS, ConfigError, parse_config
+from .config import ConfigError, parse_config
 from .runner import CACHE_ENV_VAR, run_scan, verify_cache
 
 
@@ -59,16 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_group(args, group: str | None) -> int:
     try:
         config = parse_config(args.config)
+        if group is not None:
+            config = replace(config, checks=(group,))
+        if args.dense_cap is not None:
+            config = replace(config, dense_cap=args.dense_cap)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if group is not None:
-        if group not in CHECK_GROUPS:
-            print(f"error: unknown group {group}", file=sys.stderr)
-            return 2
-        config = replace(config, checks=(group,))
-    if args.dense_cap is not None:
-        config = replace(config, dense_cap=args.dense_cap)
     result = run_scan(config, out_dir=args.out, jobs=args.jobs,
                       fail_fast=args.fail_fast)
     summary = result.manifest["summary"]

@@ -1,7 +1,9 @@
 """Scan configuration: flat INI (key = value under section headers).
 
 Unknown sections or keys are hard errors so that a typo in a tolerance name
-cannot silently run with defaults.  The schema is documented in the README.
+cannot silently run with defaults; so is a value that does not parse or that
+no scan can use, raised as ConfigError before any scan work.  The schema is
+documented in the README.
 """
 
 from __future__ import annotations
@@ -11,21 +13,13 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .analysis import Tolerances, V_MIN_LADDER_DEFAULT
+from .eigensolver import DENSE_CAP_DEFAULT
+from .filters import DEGREE_CAP_DEFAULT
+from .lattice import LatticeSpec
 
 __all__ = ["ScanConfig", "ConfigError", "parse_config", "parse_config_text"]
 
 CHECK_GROUPS = ("bounds", "dispersion", "qmode", "locality")
-
-_SCHEMA = {
-    "scan": {"checks", "lattices", "spin", "b_ladder", "dense_cap", "jobs",
-             "seed", "cache_dir", "out_dir"},
-    "wavepacket": {"p", "kappa"},
-    "filter": {"epsilon", "gamma", "delta_gamma", "v_min_ladder",
-               "chebyshev_tol", "degree_cap"},
-    "locality": {"epsilon", "gamma", "delta_gamma", "times", "center", "axis"},
-    "tolerances": {"algebraic", "resolvent", "solver"},
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -37,7 +31,7 @@ class ScanConfig:
     spin: float = 0.5
     b_ladder: list = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
     checks: tuple = CHECK_GROUPS
-    dense_cap: int = 4096
+    dense_cap: int = DENSE_CAP_DEFAULT
     jobs: int = 1
     seed: int = 7
     cache_dir: str | None = None
@@ -48,7 +42,7 @@ class ScanConfig:
     gamma: float = 3.0
     delta_gamma: float = 0.5
     v_min_ladder: tuple = V_MIN_LADDER_DEFAULT
-    degree_cap: int = 32768
+    degree_cap: int = DEGREE_CAP_DEFAULT
     locality_epsilon: float = 0.2
     locality_gamma: float = 3.0
     locality_delta_gamma: float = 0.5
@@ -77,15 +71,26 @@ class ScanConfig:
                 raise ConfigError(
                     f"filter: 2*epsilon = {2 * eps} must stay below "
                     f"gamma - delta_gamma = {self.gamma - self.delta_gamma}")
-        if self.p_values != "auto":
-            if self.kappa != "auto":
-                for p in self.p_values:
-                    if not p < self.kappa:
-                        raise ConfigError(
-                            f"wavepacket: p = {p} must stay below "
-                            f"kappa = {self.kappa}")
+        if self.p_values != "auto" and self.kappa != "auto":
+            for p in self.p_values:
+                if not p < self.kappa:
+                    raise ConfigError(f"wavepacket: p = {p} must stay below "
+                                      f"kappa = {self.kappa}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        for extents in self.lattices:
+            name = "x".join(map(str, extents))
+            try:
+                n_sites = LatticeSpec(extents, self.spin).n_sites
+            except ValueError as exc:
+                raise ConfigError(f"lattice {name}: {exc}") from exc
+            if not 0 <= self.locality_center < n_sites:
+                raise ConfigError(
+                    f"locality: center {self.locality_center} is not a site "
+                    f"of lattice {name} ({n_sites} sites)")
+        if self.locality_axis not in (1, 2, 3):
+            raise ConfigError(f"locality: axis {self.locality_axis} "
+                              "must be 1, 2 or 3")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
@@ -96,16 +101,55 @@ class ScanConfig:
         return 1.01 * max(annulus_radii)
 
 
-def _parse_lattice_token(token: str) -> tuple:
+def _lattices(text: str) -> list:
     try:
-        extents = tuple(int(part) for part in token.lower().split("x"))
+        return [tuple(int(e) for e in token.lower().split("x"))
+                for token in text.split()]
     except ValueError as exc:
-        raise ConfigError(f"bad lattice token {token!r}") from exc
-    return extents
+        raise ValueError(f"bad lattice token in {text!r}") from exc
 
 
 def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _auto(parse):
+    return lambda text: "auto" if text.strip() == "auto" else parse(text)
+
+
+# (section, key) -> (ScanConfig field or "tolerances.<name>", parser)
+_KEYS = {
+    ("scan", "checks"): ("checks", lambda text: tuple(text.split())),
+    ("scan", "lattices"): ("lattices", _lattices),
+    ("scan", "spin"): ("spin", float),
+    ("scan", "b_ladder"): ("b_ladder", _floats),
+    ("scan", "dense_cap"): ("dense_cap", int),
+    ("scan", "jobs"): ("jobs", int),
+    ("scan", "seed"): ("seed", int),
+    ("scan", "cache_dir"): ("cache_dir", str),
+    ("scan", "out_dir"): ("out_dir", str),
+    ("wavepacket", "p"): ("p_values", _auto(_floats)),
+    ("wavepacket", "kappa"): ("kappa", _auto(float)),
+    ("filter", "epsilon"): ("filter_epsilon", _auto(float)),
+    ("filter", "gamma"): ("gamma", float),
+    ("filter", "delta_gamma"): ("delta_gamma", float),
+    ("filter", "v_min_ladder"): ("v_min_ladder",
+                                  lambda text: tuple(_floats(text))),
+    ("filter", "chebyshev_tol"): ("tolerances.chebyshev", float),
+    ("filter", "degree_cap"): ("degree_cap", int),
+    ("locality", "epsilon"): ("locality_epsilon", float),
+    ("locality", "gamma"): ("locality_gamma", float),
+    ("locality", "delta_gamma"): ("locality_delta_gamma", float),
+    ("locality", "times"): ("locality_times",
+                            lambda text: tuple(_floats(text))),
+    ("locality", "center"): ("locality_center", int),
+    ("locality", "axis"): ("locality_axis", int),
+    ("tolerances", "algebraic"): ("tolerances.algebraic", float),
+    ("tolerances", "resolvent"): ("tolerances.resolvent", float),
+    ("tolerances", "solver"): ("tolerances.solver", float),
+}
+
+_SCHEMA = {s: {key for t, key in _KEYS if t == s} for s, _ in _KEYS}
 
 
 def parse_config_text(text: str) -> ScanConfig:
@@ -115,77 +159,24 @@ def parse_config_text(text: str) -> ScanConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    kwargs: dict = {"raw_text": text}
+    tolerances: dict = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, value in parser[section].items():
+            if (section, key) not in _KEYS:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]")
-
-    kwargs: dict = {"raw_text": text}
-    tolerances: dict = {}
-    if parser.has_section("scan"):
-        sec = parser["scan"]
-        if "checks" in sec:
-            kwargs["checks"] = tuple(sec["checks"].split())
-        if "lattices" in sec:
-            kwargs["lattices"] = [_parse_lattice_token(t)
-                                  for t in sec["lattices"].split()]
-        if "spin" in sec:
-            kwargs["spin"] = float(sec["spin"])
-        if "b_ladder" in sec:
-            kwargs["b_ladder"] = _floats(sec["b_ladder"])
-        if "dense_cap" in sec:
-            kwargs["dense_cap"] = int(sec["dense_cap"])
-        if "jobs" in sec:
-            kwargs["jobs"] = int(sec["jobs"])
-        if "seed" in sec:
-            kwargs["seed"] = int(sec["seed"])
-        if "cache_dir" in sec:
-            kwargs["cache_dir"] = sec["cache_dir"]
-        if "out_dir" in sec:
-            kwargs["out_dir"] = sec["out_dir"]
-    if parser.has_section("wavepacket"):
-        sec = parser["wavepacket"]
-        if "p" in sec:
-            kwargs["p_values"] = ("auto" if sec["p"].strip() == "auto"
-                                  else _floats(sec["p"]))
-        if "kappa" in sec:
-            kwargs["kappa"] = ("auto" if sec["kappa"].strip() == "auto"
-                               else float(sec["kappa"]))
-    if parser.has_section("filter"):
-        sec = parser["filter"]
-        if "epsilon" in sec:
-            kwargs["filter_epsilon"] = ("auto" if sec["epsilon"].strip() == "auto"
-                                        else float(sec["epsilon"]))
-        if "gamma" in sec:
-            kwargs["gamma"] = float(sec["gamma"])
-        if "delta_gamma" in sec:
-            kwargs["delta_gamma"] = float(sec["delta_gamma"])
-        if "v_min_ladder" in sec:
-            kwargs["v_min_ladder"] = tuple(_floats(sec["v_min_ladder"]))
-        if "chebyshev_tol" in sec:
-            tolerances["chebyshev"] = float(sec["chebyshev_tol"])
-        if "degree_cap" in sec:
-            kwargs["degree_cap"] = int(sec["degree_cap"])
-    if parser.has_section("locality"):
-        sec = parser["locality"]
-        if "epsilon" in sec:
-            kwargs["locality_epsilon"] = float(sec["epsilon"])
-        if "gamma" in sec:
-            kwargs["locality_gamma"] = float(sec["gamma"])
-        if "delta_gamma" in sec:
-            kwargs["locality_delta_gamma"] = float(sec["delta_gamma"])
-        if "times" in sec:
-            kwargs["locality_times"] = tuple(_floats(sec["times"]))
-        if "center" in sec:
-            kwargs["locality_center"] = int(sec["center"])
-        if "axis" in sec:
-            kwargs["locality_axis"] = int(sec["axis"])
-    if parser.has_section("tolerances"):
-        for key, value in parser["tolerances"].items():
-            tolerances[key] = float(value)
+            name, parse = _KEYS[section, key]
+            try:
+                parsed = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if name.startswith("tolerances."):
+                tolerances[name.removeprefix("tolerances.")] = parsed
+            else:
+                kwargs[name] = parsed
     return ScanConfig(**kwargs, tolerances=Tolerances(**tolerances))
 
 

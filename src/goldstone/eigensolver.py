@@ -1,18 +1,19 @@
 """Ground states (restarted Lanczos), dense spectral oracle, deflated solves.
 
-The Lanczos driver keeps a fully reorthogonalised basis and restarts from the
-best Ritz vector when the basis fills, trading memory for correctness at desk
-scale.  The dense oracle backs every spectral-window quantity on small
-systems; Ritz gap estimates are advisory only.  On magnetization sectors the
-ground state is solved in M = 0, and `check_ground_sector` verifies against
-the lowest Ritz values of the other sectors that it is the global one.
+One Lanczos routine, `_lowest`, finds the lowest eigenpair of a sparse H:
+it keeps a fully reorthogonalised basis and restarts from the best Ritz
+vector when the basis fills, trading memory for correctness at desk scale.
+`ground_state` and `lowest_ritz` are its two callers.  The dense oracle backs
+every spectral-window quantity on small systems.  On magnetization sectors
+the ground state is solved in M = 0, and `check_ground_sector` verifies
+against the lowest Ritz values of the other sectors that it is the global
+one.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
 DENSE_CAP_DEFAULT = 4096
 MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
 MAX_RESTARTS = 60
-DEGENERACY_GAP_THRESHOLD = 1e-8
 GS_CACHE_MAGIC = b"GSGS"
 GS_CACHE_VERSION = 2
 
@@ -59,7 +59,6 @@ class SolverOptions:
 class GroundState:
     energy: float
     vector: np.ndarray
-    gap_estimate: float
     B: float
     lattice: Lattice
     residual: float
@@ -75,67 +74,53 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruction_defect(self, H: SparseHermitianOperator) -> float:
-        dense = H.to_dense()
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.linalg.norm(rebuilt - dense) / max(np.linalg.norm(dense), 1e-300))
-
     def window_mask(self, lo: float, hi: float) -> np.ndarray:
         """Mask of eigenstates with excitation energy in (lo, hi]."""
         e = self.eigenvalues - self.eigenvalues[0]
         return (e > lo) & (e <= hi)
 
 
-def _lanczos_sweep(matvec, dim: int, v0: np.ndarray, tol: float,
-                   max_basis: int):
-    """One fully reorthogonalised Lanczos sweep from v0.
-
-    Returns (converged, theta0, ritz_vector, gap_estimate, residual_estimate).
-    """
-    basis = np.empty((max_basis, dim), dtype=v0.dtype)
+def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
+    """(converged, theta0, ritz_vector) of one fully reorthogonalised
+    Lanczos sweep from v0, of at most MAX_BASIS vectors."""
+    max_basis = min(MAX_BASIS, H.dim)
+    basis = np.empty((max_basis, H.dim), dtype=v0.dtype)
     alphas = np.empty(max_basis)
     betas = np.empty(max_basis)
-    v = v0 / np.linalg.norm(v0)
-    basis[0] = v
-    m = 0
-    theta = ritz = None
-    gap = np.inf
-    res_est = np.inf
+    basis[0] = v0 / np.linalg.norm(v0)
     for m in range(max_basis):
-        w = matvec(basis[m])
+        w = H.matvec(basis[m])
         alphas[m] = np.real(np.vdot(basis[m], w))
         # full reorthogonalisation, twice for safety
         for _ in range(2):
             w -= basis[: m + 1].T @ (basis[: m + 1].conj() @ w)
         beta = np.linalg.norm(w)
-        T = np.diag(alphas[: m + 1])
-        if m > 0:
-            off = betas[:m]
-            T += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(T)
-        theta = evals[0]
-        gap = evals[1] - evals[0] if len(evals) > 1 else np.inf
-        res_est = abs(beta * evecs[-1, 0])
-        if res_est <= tol or beta <= 1e-14:
-            ritz = basis[: m + 1].T @ evecs[:, 0]
-            return True, theta, ritz, gap, res_est
-        if m + 1 == max_basis:
-            break
+        off = betas[:m]
+        evals, evecs = np.linalg.eigh(
+            np.diag(alphas[: m + 1]) + np.diag(off, 1) + np.diag(off, -1))
+        converged = abs(beta * evecs[-1, 0]) <= tol or beta <= 1e-14
+        if converged or m + 1 == max_basis:
+            return converged, evals[0], basis[: m + 1].T @ evecs[:, 0]
         betas[m] = beta
         basis[m + 1] = w / beta
-    ritz = basis[: m + 1].T @ evecs[:, 0]
-    return False, theta, ritz, gap, res_est
 
 
-def _restarted_lowest(matvec, dim: int, v0: np.ndarray, target: float,
-                      opts: SolverOptions):
-    v = v0
+def _lowest(H: SparseHermitianOperator, opts: SolverOptions):
+    """(theta, v, residual): H's lowest Ritz value by Lanczos, restarted
+    from each sweep's best Ritz vector until the residual estimate reaches
+    opts.tol * max(1, row_sum_bound(H)); its unit Ritz vector; and
+    ||H v - theta v||.  The seeded start is complex only for a complex H."""
+    rng = np.random.default_rng(opts.seed)
+    v = rng.standard_normal(H.dim)
+    if np.iscomplexobj(H.data):
+        v = v + 1j * rng.standard_normal(H.dim)
+    target = opts.tol * max(1.0, row_sum_bound(H))
     for _ in range(MAX_RESTARTS):
-        converged, theta, ritz, gap, _ = _lanczos_sweep(
-            matvec, dim, v, target, min(MAX_BASIS, dim))
-        v = ritz
+        converged, theta, v = _lanczos_sweep(H, v, target)
         if converged:
-            return theta, v / np.linalg.norm(v), gap
+            v = v / np.linalg.norm(v)
+            resid = np.linalg.norm(H.matvec(v) - theta * v)
+            return float(theta), v, float(resid)
     raise SolverError(
         f"Lanczos did not reach residual {target:.2e} in "
         f"{MAX_RESTARTS} restarts of basis {MAX_BASIS}")
@@ -144,42 +129,20 @@ def _restarted_lowest(matvec, dim: int, v0: np.ndarray, target: float,
 def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
                  opts: SolverOptions = SolverOptions(),
                  sector: int | None = None) -> GroundState:
-    """Lowest eigenpair by restarted Lanczos with full reorthogonalisation.
-
-    `sector` names the magnetization sector H acts on (None: full basis).
-    At B = 0 the gap is re-estimated against the deflated operator (a plain
-    Krylov space cannot see eigenvalue multiplicity), and a warning is issued
-    when the ground state is numerically degenerate.
-    """
-    rng = np.random.default_rng(opts.seed)
-    real = not np.iscomplexobj(H.data)
-    v = rng.standard_normal(H.dim)
-    if not real:
-        v = v + 1j * rng.standard_normal(H.dim)
-    scale = max(1.0, row_sum_bound(H))
-    target = opts.tol * scale
-    theta, v, gap = _restarted_lowest(H.matvec, H.dim, v, target, opts)
-    resid = float(np.linalg.norm(H.matvec(v) - theta * v))
+    """Lowest eigenpair of H (`_lowest`), with the Rayleigh quotient of the
+    Ritz vector as the energy; `sector` names the magnetization sector H
+    acts on (None: full basis)."""
+    _, v, resid = _lowest(H, opts)
     energy = float(np.real(np.vdot(v, H.matvec(v))))
-    if B == 0:
-        gap = _deflated_gap(H, v, energy, scale, opts)
-        if gap < DEGENERACY_GAP_THRESHOLD:
-            warnings.warn(
-                "ground state numerically degenerate at B = 0; "
-                "positivity checks are disabled for this state", stacklevel=2)
-    return GroundState(energy=energy, vector=v, gap_estimate=float(gap),
-                       B=B, lattice=lattice,
+    return GroundState(energy=energy, vector=v, B=B, lattice=lattice,
                        residual=resid, sector=sector)
 
 
 def lowest_ritz(H: SparseHermitianOperator,
                 opts: SolverOptions = SolverOptions()) -> tuple[float, float]:
-    """(theta, residual): the converged lowest Ritz value of H by restarted
-    Lanczos, and ||H v - theta v|| of its unit Ritz vector."""
-    v = np.random.default_rng(opts.seed).standard_normal(H.dim)
-    target = opts.tol * max(1.0, row_sum_bound(H))
-    theta, v, _ = _restarted_lowest(H.matvec, H.dim, v, target, opts)
-    return float(theta), float(np.linalg.norm(H.matvec(v) - theta * v))
+    """(theta, residual) of H's lowest Ritz vector (`_lowest`)."""
+    theta, _, resid = _lowest(H, opts)
+    return theta, resid
 
 
 def check_ground_sector(e0: float, lowest) -> float:
@@ -198,25 +161,6 @@ def check_ground_sector(e0: float, lowest) -> float:
                 f"{resid:.1e}) at or below E0 = {e0:.12g}: the ground state "
                 "is not in the solved sector")
     return float(min(theta - e0 for _, theta, _ in lowest))
-
-
-def _deflated_gap(H: SparseHermitianOperator, phi: np.ndarray, e0: float,
-                  scale: float, opts: SolverOptions) -> float:
-    """E1 - E0 with E1 from Lanczos on H + shift * |phi><phi|."""
-    shift = 10.0 * scale
-
-    def matvec(x):
-        return H.matvec(x) + shift * phi * np.vdot(phi, x)
-
-    rng = np.random.default_rng(opts.seed + 1)
-    v = rng.standard_normal(H.dim)
-    if np.iscomplexobj(phi):
-        v = v + 1j * rng.standard_normal(H.dim)
-    try:
-        e1, _, _ = _restarted_lowest(matvec, H.dim, v, opts.tol * scale, opts)
-    except SolverError:
-        return np.nan
-    return float(e1 - e0)
 
 
 def _abs_row_sums(H: SparseHermitianOperator) -> np.ndarray:
@@ -248,10 +192,8 @@ def dense_spectrum(H: SparseHermitianOperator,
 
 def ground_state_from_dense(dec: SpectralDecomposition, lattice: Lattice,
                             B: float) -> GroundState:
-    gap = float(dec.eigenvalues[1] - dec.eigenvalues[0]) if dec.dim > 1 else np.inf
     return GroundState(energy=float(dec.eigenvalues[0]),
-                       vector=dec.eigenvectors[:, 0].copy(),
-                       gap_estimate=gap, B=B,
+                       vector=dec.eigenvectors[:, 0].copy(), B=B,
                        lattice=lattice, residual=0.0)
 
 
@@ -395,6 +337,5 @@ def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
         resid = cached_residual(H, e0, vec, tol)
     except (OSError, ValueError):
         return None
-    return GroundState(energy=e0, vector=vec, gap_estimate=np.nan,
-                       B=B, lattice=lattice,
+    return GroundState(energy=e0, vector=vec, B=B, lattice=lattice,
                        residual=resid, sector=sector)

@@ -192,7 +192,3 @@ class Lattice:
 
     def momentum_on_grid(self, n) -> bool:
         return tuple(n) in set(self.momenta)
-
-    def momentum_label(self, n) -> str:
-        return "(" + ",".join(f"{math.pi * ni / L:.6f}"
-                              for ni, L in zip(n, self.halves)) + ")"

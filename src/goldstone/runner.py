@@ -35,9 +35,9 @@ from .analysis import (EpsilonChoiceError, SystemContext,
                        excitation_energy, extrapolate_ms, filter_keys,
                        ground_sectors, qmode_trend)
 from .config import ScanConfig, auto_p_target
-from .eigensolver import (SolverOptions, cached_residual,
-                          ground_state_cache_name, load_ground_state,
-                          read_ground_state_header, save_ground_state)
+from .eigensolver import (cached_residual, ground_state_cache_name,
+                          load_ground_state, read_ground_state_header,
+                          save_ground_state)
 from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
 from .lattice import Lattice
@@ -102,8 +102,7 @@ def _context(lattice: Lattice, B: float, config: ScanConfig,
         gs = load_ground_state(cache_path, lattice, H, B, tol, sector)
     ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
                         tolerances=config.tolerances,
-                        solver_opts=SolverOptions(tol=tol, seed=config.seed),
-                        hamiltonian=H, ground=gs,
+                        seed=config.seed, hamiltonian=H, ground=gs,
                         degree_cap=config.degree_cap)
     if cache_path is not None and gs is None:
         save_ground_state(cache_path, ctx.gs, tol)

@@ -317,6 +317,29 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("scan", "spin", "abc"),
+    ("scan", "lattices", "3x4"),
+    ("locality", "axis", "5"),
+    ("locality", "center", "99"),
+])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
+                                           value):
+    sections = {"scan": {"checks": "bounds locality", "lattices": "2x2",
+                         "b_ladder": "0.2"}, "locality": {}}
+    sections[section][key] = value
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    code = main(["scan", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_cache_roundtrip_and_env_override(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
