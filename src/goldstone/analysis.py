@@ -11,13 +11,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverError,
                           SolverOptions, SpectralDecomposition,
                           check_ground_sector, deflated_solve, dense_spectrum,
-                          ground_state, ground_state_from_dense, lowest_ritz)
+                          ground_state, ground_state_cache_name,
+                          ground_state_from_dense, load_ground_state,
+                          lowest_ritz, save_ground_state)
 from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       WavepacketSpec, WavepacketWeights, build_f,
                       chebyshev_moments, make_chebyshev_expansion,
@@ -34,7 +37,6 @@ __all__ = [
     "BoundReport",
     "DispersionRecord",
     "SystemContext",
-    "ground_sectors",
     "filter_keys",
     "EpsilonChoiceError",
     "VanishingDenominatorError",
@@ -110,7 +112,6 @@ class BoundReport:
 @dataclass
 class PerMomentum:
     momentum: tuple
-    kvec: tuple
     weight: float
     num_k: float
     den_k: float
@@ -151,13 +152,6 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
                       float(margin), tol, bool(margin >= -tol), "equality", note)
 
 
-def ground_sectors(lattice: Lattice,
-                   dense_cap: int = DENSE_CAP_DEFAULT) -> tuple | None:
-    """Basis of the ground state: None (the full basis, with the dense
-    oracle) at or below the dense cap, else the magnetization sector (0,)."""
-    return None if lattice.spec.hilbert_dim <= dense_cap else (0,)
-
-
 class SystemContext:
     """Shared working set for one (lattice, B): Hamiltonian, ground state,
     dense oracle when the dimension allows, cached operator-on-ground
@@ -168,15 +162,16 @@ class SystemContext:
     relabelled axes (`operators.site_sum`): `H` is the M = 0 block that
     holds the ground state, and `H_exc` the block-diagonal H on M = +1 and
     M = -1, where S_k^(2) phi0 and S_k^(3) phi0 live.  Construction checks
-    that M = 0 holds the ground state (SolverError otherwise).  Moments run
-    on the twisted-momentum blocks of `H_exc` (`operators.twisted_orbits`).
+    that M = 0 holds the ground state (SolverError otherwise), whose vector
+    is cached in `cache_dir` when one is given.  Moments run on the
+    twisted-momentum blocks of `H_exc` (`operators.twisted_orbits`).
     """
 
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
                  tolerances: Tolerances = Tolerances(),
                  seed: int = SolverOptions.seed,
-                 hamiltonian=None, ground=None,
+                 cache_dir=None,
                  degree_cap: int = DEGREE_CAP_DEFAULT):
         self.lattice = lattice
         self.B = B
@@ -184,28 +179,20 @@ class SystemContext:
         self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
         self.dense_cap = dense_cap
         self.degree_cap = degree_cap
-        sectors = ground_sectors(lattice, dense_cap)
-        self.H = hamiltonian if hamiltonian is not None else \
-            build_hamiltonian(lattice, B, sectors)
+        # the full basis (with the dense oracle) at or below the dense cap,
+        # else the magnetization sector M = 0
+        sectors = None if lattice.spec.hilbert_dim <= dense_cap else (0,)
+        self.H = build_hamiltonian(lattice, B, sectors)
         self.dense: SpectralDecomposition | None = None
         self.sector_lowest: list | None = None
         self.ground_gap: float | None = None
         if sectors is None:
             self.H_exc = self.H
             self.dense = dense_spectrum(self.H, dense_cap)
-        else:
-            self.H_exc = build_hamiltonian(lattice, B, (1, -1))
-        if ground is not None:
-            if ground.sector != (None if sectors is None else sectors[0]):
-                raise ValueError(f"ground state on sector {ground.sector}, "
-                                 f"context basis {sectors}")
-            self.gs = ground
-        elif self.dense is not None:
             self.gs = ground_state_from_dense(self.dense, lattice, B)
         else:
-            self.gs = ground_state(self.H, lattice, B, self.solver_opts,
-                                   sector=0)
-        if sectors is not None:
+            self.H_exc = build_hamiltonian(lattice, B, (1, -1))
+            self.gs = self._sector_ground_state(cache_dir)
             self._check_ground_sector()
         self._sk_cache: OrderedDict = OrderedDict()
         self._interval: tuple[float, float] | None = None
@@ -213,6 +200,24 @@ class SystemContext:
         self._expansions: dict = {}
         self._moments: dict = {}
         self._moment_passes: list = []
+
+    def _sector_ground_state(self, cache_dir) -> GroundState:
+        """The M = 0 ground state: read from `cache_dir` when a valid file
+        is there, else solved, and then written there when a directory is
+        given (a missing or rejected file is replaced)."""
+        tol = self.tol.solver
+        path = None
+        if cache_dir is not None:
+            path = Path(cache_dir) / ground_state_cache_name(
+                self.lattice.spec, self.B, tol, 0)
+            gs = load_ground_state(path, self.lattice, self.H, self.B, tol, 0)
+            if gs is not None:
+                return gs
+        gs = ground_state(self.H, self.lattice, self.B, self.solver_opts,
+                          sector=0)
+        if path is not None:
+            save_ground_state(path, gs, tol)
+        return gs
 
     def _check_ground_sector(self) -> None:
         """Lowest Ritz value of every sector M >= 1 against E0 (M = 0).
@@ -723,7 +728,7 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
     den = 0.0
     per_k = []
     for (n, weight), (num_k, den_k) in zip(items, forms):
-        per_k.append(PerMomentum(n, tuple(lat.kvec(n)), weight, num_k, den_k))
+        per_k.append(PerMomentum(n, weight, num_k, den_k))
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
     cross = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .analysis import Tolerances, V_MIN_LADDER_DEFAULT
 from .eigensolver import DENSE_CAP_DEFAULT
-from .filters import DEGREE_CAP_DEFAULT
+from .filters import DEGREE_CAP_DEFAULT, FilterSpec
 from .lattice import LatticeSpec
 
 __all__ = ["ScanConfig", "ConfigError", "parse_config", "parse_config_text"]
@@ -65,12 +65,28 @@ class ScanConfig:
             raise ConfigError("b_ladder entries must be strictly positive")
         if any(a <= b for a, b in zip(self.b_ladder, self.b_ladder[1:])):
             raise ConfigError("b_ladder must be strictly descending")
+        windows = [("locality", self.locality_epsilon, self.locality_gamma,
+                    self.locality_delta_gamma)]
         if self.filter_epsilon != "auto":
-            eps = float(self.filter_epsilon)
-            if not 2 * eps < self.gamma - self.delta_gamma:
-                raise ConfigError(
-                    f"filter: 2*epsilon = {2 * eps} must stay below "
-                    f"gamma - delta_gamma = {self.gamma - self.delta_gamma}")
+            windows.append(("filter", float(self.filter_epsilon), self.gamma,
+                            self.delta_gamma))
+        for section, *window in windows:
+            try:
+                FilterSpec(*window)
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+        # with gamma <= delta_gamma no epsilon gives a window
+        if not self.gamma > self.delta_gamma > 0:
+            raise ConfigError("filter: need gamma > delta_gamma > 0")
+        if not (self.v_min_ladder and min(self.v_min_ladder) > 0):
+            raise ConfigError("filter: v_min_ladder must be a nonempty list "
+                              "of positive fractions")
+        if not self.tolerances.chebyshev > 0:
+            raise ConfigError("filter: chebyshev_tol must be positive")
+        if self.degree_cap < 1:
+            raise ConfigError("filter: degree_cap must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("scan: seed must be >= 0")
         if self.p_values != "auto" and self.kappa != "auto":
             for p in self.p_values:
                 if not p < self.kappa:
@@ -187,9 +203,7 @@ def parse_config(path) -> ScanConfig:
 
 def auto_p_target(lattice) -> float:
     """Smallest nonzero grid momentum magnitude: the closest desk-scale
-    stand-in for the small-|p| regime."""
-    mags = sorted(m for m in (lattice.kmag(n) for n in lattice.momenta)
-                  if m > 1e-12)
-    if not mags:
-        raise ConfigError(f"lattice {lattice.spec.extents} has no nonzero momenta")
-    return mags[0]
+    stand-in for the small-|p| regime.  Every torus with even extents of at
+    least 2 has one."""
+    return min(m for m in (lattice.kmag(n) for n in lattice.momenta)
+               if m > 1e-12)

@@ -10,7 +10,7 @@ sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +39,23 @@ def operator_norm(a: np.ndarray) -> float:
 
 @dataclass
 class DecayFit:
-    """Fitted envelope over norm samples; the envelope dominates every
-    sample by construction, and the constants are measured artifacts (the
+    """Fitted envelope over norm samples: amplitude exp(velocity t - rate d)
+    for a Lieb-Robinson profile, amplitude / (m + 1)^rate (a power law in the
+    shell index) when velocity is None.  The envelope dominates every sample
+    by construction, and the constants are measured artifacts (the
     underlying bounds only assert their existence)."""
 
-    model: str                      # "lr", "power_law" or "linear_in_B"
     samples: list                   # (coordinates..., norm)
     amplitude: float
-    rate: float | None = None
+    rate: float
     velocity: float | None = None
-    residual: float = np.nan
-    rate_positive: bool = False
-    extras: dict = field(default_factory=dict)
 
     def envelope(self, *coords) -> float:
-        if self.model == "lr":
-            t, dist = coords
-            return self.amplitude * np.exp(self.velocity * t - self.rate * dist)
-        if self.model == "power_law":
+        if self.velocity is None:
             (m,) = coords
             return self.amplitude / (m + 1.0) ** self.rate
-        raise ValueError(f"no envelope for model {self.model!r}")
+        t, dist = coords
+        return self.amplitude * np.exp(self.velocity * t - self.rate * dist)
 
 
 def heisenberg_evolve(dec: SpectralDecomposition, a: np.ndarray,
@@ -106,46 +102,37 @@ def local_approximation(b: np.ndarray, keep_sites, lattice: Lattice) -> np.ndarr
     return np.transpose(embedded, inverse).reshape(b.shape)
 
 
-def delta_decomposition(dec: SpectralDecomposition, lattice: Lattice,
-                        g: GFilter, a: np.ndarray, center: int):
-    """Telescoping ball decomposition of the smeared evolution of `a`.
+def delta_decomposition(smeared: np.ndarray, lattice: Lattice, center: int):
+    """Telescoping ball decomposition of a smeared evolution tau*g(a).
 
-    Delta_0 is the ball-0 local approximation of tau*g(a); Delta_m peels the
-    shell between balls m-1 and m, up to the lattice diameter.  The partial
-    sums reconstruct tau*g(a) exactly once the ball covers the lattice.
-    Returns (deltas, norms, fit).
+    Delta_0 is the ball-0 local approximation of `smeared`; Delta_m peels
+    the shell between balls m-1 and m, up to the lattice diameter.  The
+    partial sums reconstruct `smeared` exactly once the ball covers the
+    lattice.  Returns (deltas, norms, power-law fit of the norms).
     """
-    smeared = tau_g_star(dec, g, a)
     deltas = []
     norms = []
     prev = None
     for m in range(lattice.diameter + 1):
-        ball = lattice.ball(center, m)
-        approx = local_approximation(smeared, ball, lattice)
+        approx = local_approximation(smeared, lattice.ball(center, m), lattice)
         delta = approx.copy() if prev is None else approx - prev
         prev = approx
         deltas.append(delta)
         norms.append(operator_norm(delta))
-    fit = _fit_power_law(norms)
-    return deltas, norms, fit
+    return deltas, norms, _fit_power_law(norms)
 
 
 def _fit_power_law(norms) -> DecayFit:
-    samples = [(m, v) for m, v in enumerate(norms)]
+    samples = list(enumerate(norms))
     usable = [(m, v) for m, v in samples if v > NORM_FLOOR]
     if len(usable) < 2:
-        return DecayFit("power_law", samples, amplitude=max(norms, default=0.0),
-                        rate=0.0, residual=0.0, rate_positive=False)
-    ms = np.array([m for m, _ in usable], dtype=float)
+        return DecayFit(samples, amplitude=max(norms, default=0.0), rate=0.0)
+    xs = np.log(np.array([m for m, _ in usable], dtype=float) + 1.0)
     ys = np.log([v for _, v in usable])
-    slope, intercept = np.polyfit(np.log(ms + 1.0), ys, 1)
-    rate = -slope
-    pred = intercept + slope * np.log(ms + 1.0)
-    lift = float(np.max(ys - pred))
-    amplitude = float(np.exp(intercept + lift))
-    residual = float(np.sqrt(np.mean((ys - pred) ** 2)))
-    return DecayFit("power_law", samples, amplitude=amplitude, rate=float(rate),
-                    residual=residual, rate_positive=bool(rate > 0))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    lift = float(np.max(ys - (intercept + slope * xs)))
+    return DecayFit(samples, amplitude=float(np.exp(intercept + lift)),
+                    rate=float(-slope))
 
 
 def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
@@ -170,36 +157,27 @@ def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
             samples.append((float(t), float(d), v))
     usable = [s for s in samples if s[2] > NORM_FLOOR]
     if len(usable) < 3:
-        return DecayFit("lr", samples, amplitude=0.0, rate=0.0, velocity=0.0,
-                        residual=0.0, rate_positive=False,
-                        extras={"degenerate": True})
+        return DecayFit(samples, amplitude=0.0, rate=0.0, velocity=0.0)
     ts = np.array([s[0] for s in usable])
     ds = np.array([s[1] for s in usable])
     ys = np.log([s[2] for s in usable])
     design = np.column_stack([np.ones_like(ts), ts, -ds])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     logk, vel, alpha = coef
-    pred = design @ coef
-    lift = float(np.max(ys - pred))
-    fit = DecayFit("lr", samples, amplitude=float(np.exp(logk + lift)),
-                   rate=float(alpha), velocity=float(vel),
-                   residual=float(np.sqrt(np.mean((ys - pred) ** 2))),
-                   rate_positive=bool(alpha > 0))
-    defect = max((s[2] - fit.envelope(s[0], s[1]) for s in samples),
-                 default=0.0)
-    fit.extras["envelope_defect"] = float(max(defect, 0.0))
-    return fit
+    lift = float(np.max(ys - design @ coef))
+    return DecayFit(samples, amplitude=float(np.exp(logk + lift)),
+                    rate=float(alpha), velocity=float(vel))
 
 
 def b_continuity(lattice: Lattice, g: GFilter, spectra,
-                 a: np.ndarray) -> DecayFit:
+                 a: np.ndarray) -> tuple[list, float]:
     """r(B) = ||tau*g,B(a) - tau*g,0(a)|| / B over a descending B ladder,
     given as (B, dense spectrum of H at B) pairs; only the B = 0 spectrum is
     computed here.
 
     Boundedness of r across the ladder is the finite-size face of the
-    linear-in-B continuity of the smeared evolution; the max/min ratio is
-    reported for the acceptance check.
+    linear-in-B continuity of the smeared evolution.  Returns the (B, r(B))
+    samples and the max/min ratio of r, which the acceptance check bounds.
     """
     if any(b <= 0 for b, _ in spectra):
         raise ValueError("B ladder must be strictly positive (B = 0 is the "
@@ -210,7 +188,4 @@ def b_continuity(lattice: Lattice, g: GFilter, spectra,
                for b, dec in spectra]
     rates = [r for _, r in samples]
     ratio = max(rates) / min(rates) if min(rates) > 0 else np.inf
-    return DecayFit("linear_in_B", samples, amplitude=float(max(rates)),
-                    rate=None, residual=float(np.std(rates)),
-                    rate_positive=True,
-                    extras={"ratio_max_min": float(ratio)})
+    return samples, float(ratio)

@@ -33,11 +33,10 @@ from ._kernels import HAVE_NUMBA, use_numba
 from .analysis import (EpsilonChoiceError, SystemContext,
                        VanishingDenominatorError, bound_report, choose_epsilon,
                        excitation_energy, extrapolate_ms, filter_keys,
-                       ground_sectors, qmode_trend)
+                       qmode_trend)
 from .config import ScanConfig, auto_p_target
 from .eigensolver import (cached_residual, ground_state_cache_name,
-                          load_ground_state, read_ground_state_header,
-                          save_ground_state)
+                          read_ground_state_header)
 from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
 from .lattice import Lattice
@@ -84,29 +83,6 @@ def _resolve_cache_dir(config: ScanConfig) -> Path | None:
     path = Path(raw)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _context(lattice: Lattice, B: float, config: ScanConfig,
-             cache_dir: Path | None) -> SystemContext:
-    """The context of one (lattice, B), its ground state read from the cache
-    when a valid file is there; a missing or rejected file is (re)written."""
-    sectors = ground_sectors(lattice, config.dense_cap)
-    sector = None if sectors is None else sectors[0]
-    H = build_hamiltonian(lattice, B, sectors)
-    tol = config.tolerances.solver
-    gs = None
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = cache_dir / ground_state_cache_name(
-            lattice.spec, B, tol, sector)
-        gs = load_ground_state(cache_path, lattice, H, B, tol, sector)
-    ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
-                        tolerances=config.tolerances,
-                        seed=config.seed, hamiltonian=H, ground=gs,
-                        degree_cap=config.degree_cap)
-    if cache_path is not None and gs is None:
-        save_ground_state(cache_path, ctx.gs, tol)
-    return ctx
 
 
 _COLUMNS = {
@@ -182,7 +158,10 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
             continue
 
         def context(B, lattice=lattice):
-            return _context(lattice, B, config, cache_dir)
+            return SystemContext(lattice, B, dense_cap=config.dense_cap,
+                                 tolerances=config.tolerances,
+                                 seed=config.seed, cache_dir=cache_dir,
+                                 degree_cap=config.degree_cap)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -387,15 +366,13 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
                            config.locality_delta_gamma))
     center = config.locality_center
     axis = config.locality_axis
-    ctx = contexts[min(len(contexts) - 1, len(contexts) // 2)]
-    dec = ctx.dense
+    ctx = contexts[len(contexts) // 2]
     a = site_spin_operator(lattice, center, axis).to_dense()
 
-    smeared = tau_g_star(dec, g, a)
-    lhs = smeared @ ctx.gs.vector
-    amps = dec.eigenvectors.conj().T @ (a @ ctx.gs.vector)
-    rhs = dec.eigenvectors @ (g(dec.eigenvalues - ctx.gs.energy) * amps)
-    defect = float(np.linalg.norm(lhs - rhs))
+    smeared = tau_g_star(ctx.dense, g, a)
+    phi0 = ctx.gs.vector
+    defect = float(np.linalg.norm(smeared @ phi0
+                                  - ctx.filtered_vector(g, a @ phi0)))
     res.check("locality", "smeared_action_identity", tag, ctx.B, defect,
               1e-10, defect <= 1e-10)
 
@@ -409,7 +386,7 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
     res.check("locality", "partial_trace_contractive", tag, ctx.B,
               contraction, 1e-12, contraction <= 1e-12)
 
-    deltas, norms, fit = delta_decomposition(dec, lattice, g, a, center)
+    deltas, norms, fit = delta_decomposition(smeared, lattice, center)
     recon = operator_norm(sum(deltas) - smeared)
     res.check("locality", "telescoping_reconstruction", tag, ctx.B, recon,
               1e-10, recon <= 1e-10)
@@ -417,14 +394,12 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
         res.row("locality_profiles", lattice=tag, kind="delta_shell",
                 x=float(m), y=None, norm=v, envelope=fit.envelope(m))
 
-    lr = lr_commutator_profile(dec, lattice, center, config.locality_times,
-                               axis)
+    lr = lr_commutator_profile(ctx.dense, lattice, center,
+                               config.locality_times, axis)
     by_time: dict[float, list] = {}
     for (t, d, v) in lr.samples:
         res.row("locality_profiles", lattice=tag, kind="lr_commutator", x=t,
-                y=d, norm=v,
-                envelope=lr.envelope(t, d) if lr.velocity is not None
-                else None)
+                y=d, norm=v, envelope=lr.envelope(t, d))
         by_time.setdefault(t, []).append((d, v))
     for t, pairs in sorted(by_time.items()):
         pairs.sort()
@@ -433,11 +408,12 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
         res.check("locality", "lr_distance_decreasing", tag, None, t, None,
                   decreasing, f"t={t}")
 
-    cont = b_continuity(lattice, g, [(c.B, c.dense) for c in contexts], a)
-    for (b, r) in cont.samples:
+    samples, ratio = b_continuity(lattice, g,
+                                  [(c.B, c.dense) for c in contexts], a)
+    top = max(r for _, r in samples)
+    for (b, r) in samples:
         res.row("locality_profiles", lattice=tag, kind="b_continuity", x=b,
-                y=None, norm=r, envelope=cont.amplitude)
-    ratio = cont.extras["ratio_max_min"]
+                y=None, norm=r, envelope=top)
     res.check("locality", "b_continuity_ratio", tag, None, ratio, 4.0,
               ratio <= 4.0)
 

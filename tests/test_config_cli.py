@@ -322,11 +322,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("scan", "lattices", "3x4"),
     ("locality", "axis", "5"),
     ("locality", "center", "99"),
+    ("locality", "delta_gamma", "0"),
+    ("locality", "epsilon", "2.0"),
+    ("filter", "epsilon", "-0.1"),
+    ("filter", "delta_gamma", "-1"),
+    ("filter", "v_min_ladder", "-0.5"),
+    ("filter", "v_min_ladder", ""),
+    ("filter", "gamma", "-1"),
+    ("filter", "chebyshev_tol", "0"),
+    ("filter", "chebyshev_tol", "-1"),
+    ("filter", "degree_cap", "0"),
+    ("scan", "seed", "-1"),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
                                            value):
     sections = {"scan": {"checks": "bounds locality", "lattices": "2x2",
-                         "b_ladder": "0.2"}, "locality": {}}
+                         "b_ladder": "0.2"}, "filter": {}, "locality": {}}
     sections[section][key] = value
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text("".join(
@@ -343,7 +354,11 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
 def test_cache_roundtrip_and_env_override(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
-    cfg = parse_config_text(SMOKE)
+    # the dense path solves through its eigensystem and caches nothing
+    run_scan(parse_config_text(SMOKE), out_dir=tmp_path / "dense")
+    assert not list(cache.iterdir())
+    cfg = parse_config_text(SPARSE_22.replace("b_ladder = 0.2",
+                                              "b_ladder = 0.2 0.1"))
     run_scan(cfg, out_dir=tmp_path / "out")
     files = list(cache.glob("gs_*.bin"))
     assert len(files) == 2
@@ -451,15 +466,13 @@ def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):
     monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
     lat = Lattice.build((2, 2))
     B, tol = 0.2, 1e-10
-    gs = ground_state_from_dense(dense_spectrum(build_hamiltonian(lat, B)),
-                                 lat, B)
-    path = cache / ground_state_cache_name(lat.spec, B, tol)
+    gs = goldstone.analysis.SystemContext(lat, B, dense_cap=8).gs
+    path = cache / ground_state_cache_name(lat.spec, B, tol, 0)
     save_ground_state(path, gs, tol)
     blob = bytearray(path.read_bytes())
     blob[-17] ^= 0x7F
     path.write_bytes(bytes(blob))
-    run_scan(parse_config_text(SMOKE.replace("0.2 0.1", "0.2")),
-             out_dir=tmp_path / "out")
+    run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path / "out")
     (report,) = verify_cache(cache)
     assert report["status"] == "valid"
     assert sorted(p.name for p in cache.iterdir()) == [path.name]

@@ -100,8 +100,8 @@ def test_local_approximation_improves_with_radius(dec24, lat24):
 
 def test_delta_decomposition_telescopes(dec22, lat22):
     a = site_spin_operator(lat22, 0, 2).to_dense()
-    deltas, norms, fit = delta_decomposition(dec22, lat22, g=GF, a=a, center=0)
     smeared = tau_g_star(dec22, GF, a)
+    deltas, norms, fit = delta_decomposition(smeared, lat22, center=0)
     assert operator_norm(sum(deltas) - smeared) <= 1e-10
     # shells beyond the diameter vanish
     balls = [local_approximation(smeared, lat22.ball(0, m), lat22)
@@ -112,8 +112,9 @@ def test_delta_decomposition_telescopes(dec22, lat22):
 
 def test_delta_decomposition_envelope(dec24, lat24):
     a = site_spin_operator(lat24, 0, 2).to_dense()
-    _, norms, fit = delta_decomposition(dec24, lat24, g=GF, a=a, center=0)
-    assert fit.model == "power_law"
+    _, norms, fit = delta_decomposition(tau_g_star(dec24, GF, a), lat24,
+                                        center=0)
+    assert fit.velocity is None
     for m, v in enumerate(norms):
         assert v <= fit.envelope(m) + 1e-12
 
@@ -143,7 +144,7 @@ def test_lr_profile_decreases_with_distance(dec24, lat24):
     # fitted envelope dominates every sample
     for (t, d, v) in fit.samples:
         assert v <= fit.envelope(t, d) * (1 + 1e-12) + 1e-12
-    assert fit.rate_positive
+    assert fit.rate > 0
 
 
 def _spectra(lattice, ladder):
@@ -153,14 +154,15 @@ def _spectra(lattice, ladder):
 
 def test_b_continuity_commuting_observable(lat22):
     ident = np.eye(16, dtype=complex)
-    fit = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1)), ident)
-    assert all(r <= 1e-12 for _, r in fit.samples)
+    samples, _ = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1)), ident)
+    assert all(r <= 1e-12 for _, r in samples)
 
 
 def test_b_continuity_ratio(lat22):
     a = site_spin_operator(lat22, 0, 2).to_dense()
-    fit = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1, 0.05)), a)
-    assert fit.extras["ratio_max_min"] <= 4.0
-    assert len(fit.samples) == 3
+    samples, ratio = b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.1, 0.05)),
+                                  a)
+    assert ratio <= 4.0
+    assert len(samples) == 3
     with pytest.raises(ValueError):
         b_continuity(lat22, GF, _spectra(lat22, (0.2, 0.0)), a)
