@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .lattice import Lattice, LatticeSpec, dispersion_symbol  # noqa: F401
 from .operators import (SparseHermitianOperator, build_hamiltonian,  # noqa: F401
-                        fourier_spin, transformed_hamiltonian)
+                        fourier_spin)
 from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401
                           deflated_solve, dense_spectrum, ground_state)
 from .filters import (FilterSpec, GFilter, WavepacketSpec,  # noqa: F401

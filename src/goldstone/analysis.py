@@ -26,10 +26,10 @@ from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
 from .lattice import Lattice
-from .operators import (build_hamiltonian, direct_sum, fourier_spin,
-                        ladder_weights, sector_basis, site_ladders,
-                        site_phases, staggered_operator, twisted_orbits,
-                        twisted_zero_leak)
+from .operators import (SparseHermitianOperator, build_hamiltonian,
+                        direct_sum, excitation_ladders, fourier_ladder,
+                        fourier_spin, gershgorin_upper, staggered_operator,
+                        twisted_orbits)
 
 __all__ = [
     "Tolerances",
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 V_MIN_LADDER_DEFAULT = (0.5, 0.25, 0.1, 0.05, 0.025)
+# states in the direct sum of one moment pass
+PASS_STATES = 1 << 17
 
 
 class EpsilonChoiceError(RuntimeError):
@@ -157,14 +159,14 @@ class SystemContext:
     dense oracle when the dimension allows, cached operator-on-ground
     vectors, and their Chebyshev moments on the sparse path.
 
-    The dense path works on the full basis: `H` and `H_exc` are the same
-    operator.  The sparse path works on magnetization sectors of the
-    relabelled axes (`operators.site_sum`): `H` is the M = 0 block that
-    holds the ground state, and `H_exc` the block-diagonal H on M = +1 and
-    M = -1, where S_k^(2) phi0 and S_k^(3) phi0 live.  Construction checks
-    that M = 0 holds the ground state (SolverError otherwise), whose vector
-    is cached in `cache_dir` when one is given.  Moments run on the
-    twisted-momentum blocks of `H_exc` (`operators.twisted_orbits`).
+    The dense path works on the full basis.  The sparse path works on the
+    twisted-momentum blocks (M, q) of the relabelled axes
+    (`operators.build_hamiltonian`): `H` is block (0, 0), which holds the
+    ground state, and S_k^(2) phi0 and S_k^(3) phi0 are vectors of the
+    blocks (1, k) and (1, k + Q) of the pair M = +-1 (`block`).
+    Construction checks that block (0, 0) holds the ground state
+    (SolverError otherwise), whose vector is cached in `cache_dir` when one
+    is given.
     """
 
     def __init__(self, lattice: Lattice, B: float, *,
@@ -179,20 +181,18 @@ class SystemContext:
         self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
         self.dense_cap = dense_cap
         self.degree_cap = degree_cap
-        # the full basis (with the dense oracle) at or below the dense cap,
-        # else the magnetization sector M = 0
-        sectors = None if lattice.spec.hilbert_dim <= dense_cap else (0,)
-        self.H = build_hamiltonian(lattice, B, sectors)
         self.dense: SpectralDecomposition | None = None
         self.sector_lowest: list | None = None
         self.ground_gap: float | None = None
-        if sectors is None:
-            self.H_exc = self.H
+        self._blocks: dict = {}
+        self._zero = (0,) * lattice.dimension
+        if lattice.spec.hilbert_dim <= dense_cap:
+            self.H = build_hamiltonian(lattice, B)
             self.dense = dense_spectrum(self.H, dense_cap)
             self.gs = ground_state_from_dense(self.dense, lattice, B)
         else:
-            self.H_exc = build_hamiltonian(lattice, B, (1, -1))
-            self.gs = self._sector_ground_state(cache_dir)
+            self.H = build_hamiltonian(lattice, B, (0, self._zero))
+            self.gs = self._block_ground_state(cache_dir)
             self._check_ground_sector()
         self._sk_cache: OrderedDict = OrderedDict()
         self._interval: tuple[float, float] | None = None
@@ -201,79 +201,88 @@ class SystemContext:
         self._moments: dict = {}
         self._moment_passes: list = []
 
-    def _sector_ground_state(self, cache_dir) -> GroundState:
-        """The M = 0 ground state: read from `cache_dir` when a valid file
-        is there, else solved, and then written there when a directory is
-        given (a missing or rejected file is replaced)."""
+    def _block_ground_state(self, cache_dir) -> GroundState:
+        """The block (0, 0) ground state: read from `cache_dir` when a valid
+        file is there, else solved, and then written there when a directory
+        is given (a missing or rejected file is replaced)."""
         tol = self.tol.solver
+        block = (0, self._zero)
         path = None
         if cache_dir is not None:
             path = Path(cache_dir) / ground_state_cache_name(
-                self.lattice.spec, self.B, tol, 0)
-            gs = load_ground_state(path, self.lattice, self.H, self.B, tol, 0)
+                self.lattice.spec, self.B, tol, block)
+            gs = load_ground_state(path, self.lattice, self.H, self.B, tol,
+                                   block)
             if gs is not None:
                 return gs
         gs = ground_state(self.H, self.lattice, self.B, self.solver_opts,
-                          sector=0)
+                          block=block)
         if path is not None:
             save_ground_state(path, gs, tol)
         return gs
 
     def _check_ground_sector(self) -> None:
-        """Lowest Ritz value of every sector M >= 1 against E0 (M = 0).
+        """Lowest Ritz value of block (M, 0) for every M = 1 .. N S against
+        E0, the lowest eigenvalue of block (0, 0).
 
-        Sectors M and -M need no separate check: the global spin flip
-        composed with a one-site translation maps H to itself and M to -M.
+        Block (M, 0) holds the lowest state of the pair (M, -M), so no other
+        q needs a run.  In the Marshall basis (-1)^(sum_odd x d_x) every hop
+        of H is negative and the field is diagonal, so by Perron-Frobenius
+        the lowest state of each sector M is unique and positive (Marshall,
+        Proc. R. Soc. A 232, 48 (1955); Lieb and Mattis, J. Math. Phys. 3,
+        749 (1962)).  Even shifts preserve that sign, and an odd generator
+        multiplies it by (-1)^M; so the minimum of the pair lies in q = 0
+        (and also in q = Q when M != 0), and the ground state of M = 0 in
+        block (0, 0).
         """
         lat = self.lattice
         top = lat.n_sites * lat.spec.two_s // 2
-        # M = 1 is a principal submatrix of H_exc: H does not couple M = +-1
-        exc = sector_basis(lat.spec, (1, -1))
-        plus = np.nonzero(exc.digits.sum(axis=0) == top - 1)[0]
         self.sector_lowest = []
         for M in range(1, top + 1):
-            H_m = self.H_exc.principal(plus) if M == 1 else \
-                build_hamiltonian(lat, self.B, (M,))
+            H_m = self.block(self._zero) if M == 1 else \
+                build_hamiltonian(lat, self.B, (M, self._zero))
             theta, resid = lowest_ritz(H_m, self.solver_opts)
             self.sector_lowest.append(
-                {"M": M, "dim": H_m.dim, "ritz": theta, "residual": resid})
+                {"M": M, "q": list(self._zero), "dim": H_m.dim,
+                 "nnz": H_m.nnz, "ritz": theta, "residual": resid})
         self.ground_gap = check_ground_sector(
             self.gs.energy,
             [(s["M"], s["ritz"], s["residual"]) for s in self.sector_lowest])
 
     # -- vectors ---------------------------------------------------------
 
-    @cached_property
-    def _ladders(self):
-        """(counts, dst, amp * phi0[src] / sqrt(N)) of the S^+-_j terms from
-        M = 0 into H_exc's basis (`operators.site_ladders`)."""
-        spec = self.lattice.spec
-        counts, src, dst, amp = site_ladders(sector_basis(spec, (0,)),
-                                             sector_basis(spec, (1, -1)))
-        return counts, dst, amp * self.gs.vector[src] / np.sqrt(spec.n_sites)
+    def block(self, q) -> SparseHermitianOperator:
+        """H on block (1, q) of the pair M = +-1 (sparse path), cached."""
+        q = tuple(q)
+        if q not in self._blocks:
+            self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q))
+        return self._blocks[q]
 
-    @cached_property
-    def _orbits(self):
-        return twisted_orbits(self.lattice, (1, -1))
+    def _block_q(self, n, axis: int) -> tuple:
+        """q of the block (1, q) that holds S_n^(axis) phi0: phi0 is at
+        twisted momentum 0, g_a S_k^(2) g_a^-1 = e^{-i k.a} S_k^(2), and
+        S^(3) also changes sign under F."""
+        return tuple(n) if axis == 2 else self.lattice.shift_q(n)
 
     def sk_phi(self, n, axis: int) -> np.ndarray:
-        """hat S_n^(axis) |phi0>, cached; a vector of H_exc's basis."""
+        """hat S_n^(axis) |phi0>, cached: a vector of the full basis, or on
+        the sparse path of block (1, q) of `_block_q` (axes 2 and 3 only),
+        built there from the ladder terms into block (0, 0)
+        (`operators.excitation_ladders`)."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
-            if self.gs.sector is None:
+            if self.dense is not None:
                 self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
                     self.gs.vector.astype(complex, copy=False))
-            elif axis not in (2, 3):
-                raise ValueError(
-                    f"axis {axis}: the sparse path holds S_k^(2) phi0 and "
-                    "S_k^(3) phi0 only (sectors M = +1 and -1)")
             else:
-                counts, dst, w = self._ladders
-                x = ladder_weights(site_phases(self.lattice, n), axis, counts,
-                                   sector=0) * w
-                dim = self.H_exc.dim
-                self._sk_cache[key] = (np.bincount(dst, x.real, dim)
-                                       + 1j * np.bincount(dst, x.imag, dim))
+                t, c, r, w = excitation_ladders(self.lattice.spec)
+                x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
+                    * self.gs.vector[r]
+                orbits = twisted_orbits(self.lattice.spec, 1)
+                dim = orbits.reps.dim
+                v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
+                _, ok = orbits.block_basis(self.lattice, self._block_q(n, axis))
+                self._sk_cache[key] = v[ok]
             while len(self._sk_cache) > 96:
                 self._sk_cache.popitem(last=False)
         return self._sk_cache[key]
@@ -287,13 +296,14 @@ class SystemContext:
                 self._interval = (lo - 0.01 * width, hi + 0.01 * width)
                 self._interval_source = "dense eigenvalues +-1%"
             else:
-                # M = +1 and -1 have one spectrum, so H_exc's lowest
-                # eigenvalue is the M = 1 Ritz value of the sector check
+                # block (1, 0) holds the lowest state of M = +-1, and every
+                # block (1, q) is an invariant subspace of H there
                 self._interval = spectral_interval(
-                    self.H_exc, self.sector_lowest[0]["ritz"])
+                    self.sector_lowest[0]["ritz"],
+                    gershgorin_upper(self.lattice, self.B, 1))
                 self._interval_source = (
-                    "M=1 lowest Ritz value -5% of the width; Gershgorin "
-                    "row bound")
+                    "block (1, 0) lowest Ritz value -5% of the width; "
+                    "Gershgorin row bound of M = +-1")
         return self._interval
 
     def filter_expansions(self, g: GFilter):
@@ -321,79 +331,65 @@ class SystemContext:
         """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
         for each (momentum, axis) key, on the spectral interval (sparse path).
 
-        Every key not yet cached to that order joins one pass.  With phi0 at
-        twisted momentum 0, S_k^(2) phi0 lies in block q = k and S_k^(3) phi0
-        in q = k + Q; each vector is projected there.  Only the part of phi0
-        off momentum 0 can leave the block, and ||S_k||^2 <= N S^2, so
-        SolverError is raised unless the projection loses at most
-        1e-12 ||v||^2 (rounding) + N S^2 ||(1 - P_0) phi0||^2, the last
-        factor bounded by `operators.twisted_zero_leak` (SolverError above
-        1e-12); the loss bounds the error of every moment.  The recurrence
-        runs once on the direct sum of the blocks, one vector per block in a
-        column, and reads the moments from per-block segment dots.
+        Every key not yet cached to that order joins one pass per group of
+        blocks of at most PASS_STATES states (one group up to the 4x4
+        torus): the recurrence runs on the direct sum of the group's blocks,
+        one vector per block in a column, and reads the moments from
+        per-block segment dots.  A pass keeps only the blocks of its group,
+        which it builds anew.
         """
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
                 if len(self._moments.get(k, ())) < n_moments]
-        if todo:
-            if self.dense is not None:
-                raise ValueError("moments run on the sparse path; the dense "
-                                 "oracle has the eigensystem")
-            lat, orbits = self.lattice, self._orbits
-            by_block: dict = {}
-            for n, axis in todo:
-                by_block.setdefault(n if axis == 2 else lat.shift_q(n),
-                                    []).append((n, axis))
-            chis = [orbits.character(lat, q) for q in by_block]
-            blocks = [orbits.block(self.H_exc, chi) for chi in chis]
-            starts = np.cumsum([0] + [b.dim for b in blocks])
-            block = np.zeros((starts[-1], max(map(len, by_block.values()))),
-                             dtype=complex)
-            phi0_leak = twisted_zero_leak(lat, (0,), self.gs.vector)
-            if not phi0_leak <= 1e-12:
-                raise SolverError("phi0 is not at twisted momentum 0: "
-                                  f"||(1 - P_0) phi0||^2 <= {phi0_leak:.3e}")
-            leak = lat.n_sites * lat.spec.spin ** 2 * phi0_leak
-            slots, defect = {}, 0.0
-            for i, (q, chi) in enumerate(zip(by_block, chis)):
-                for j, key in enumerate(by_block[q]):
-                    v = self.sk_phi(*key)
-                    vq, loss = orbits.project(v, chi)
-                    norm2 = float(np.vdot(v, v).real)
-                    if not loss <= 1e-12 * norm2 + leak:
-                        raise SolverError(
-                            f"S_k^({key[1]}) phi0 at momentum {key[0]} is not "
-                            f"in twisted-momentum block {q}: the projection "
-                            f"loses {loss:.3e} of ||v||^2 = {norm2:.3e}")
-                    defect = max(defect, loss / max(norm2, 1e-12))
-                    block[starts[i]:starts[i + 1], j] = vq
-                    slots[key] = (i, j)
-            lo, hi = self.spectral_bounds()
-            mu, matvecs = chebyshev_moments(direct_sum(blocks), block, lo, hi,
-                                            n_moments, starts[:-1])
-            ratio = 0.0
-            for key, (i, j) in slots.items():
-                col = mu[:, i, j]
-                worst = float(np.abs(col).max())
-                if not worst <= col[0] * (1.0 + 1e-10):
-                    raise SpectrumEnclosureError(
-                        f"Chebyshev moments of S_k^({key[1]}) phi0 at "
-                        f"momentum {key[0]} reach {worst:.6e} > mu_0 = "
-                        f"{col[0]:.6e}: the interval [{lo:.6g}, {hi:.6g}] "
-                        "does not enclose the spectrum")
-                if col[0] > 0:
-                    ratio = max(ratio, worst / col[0])
-                self._moments[key] = col.copy()
-            self._moment_passes.append({
-                "vectors": len(todo),
-                "blocks": [{"q": list(q), "dim": b.dim, "nnz": b.nnz}
-                           for q, b in zip(by_block, blocks)],
-                "dim": int(starts[-1]), "columns": block.shape[1],
-                "moments": n_moments, "block_matvecs": matvecs,
-                "max_moment_ratio": ratio,
-                "max_projection_defect": defect,
-                "phi0_leak": phi0_leak})
+        if todo and self.dense is not None:
+            raise ValueError("moments run on the sparse path; the dense "
+                             "oracle has the eigensystem")
+        by_block: dict = {}
+        for key in todo:
+            by_block.setdefault(self._block_q(*key), []).append(key)
+        qs = list(by_block)
+        # every block of M = +-1 has at most one state per representative
+        step = max(1, PASS_STATES
+                   // twisted_orbits(self.lattice.spec, 1).reps.dim)
+        for i in range(0, len(qs), step):
+            self._moment_pass({q: by_block[q] for q in qs[i:i + step]},
+                              n_moments)
         return [self._moments[k][:n_moments] for k in keys]
+
+    def _moment_pass(self, by_block: dict, n_moments: int) -> None:
+        blocks = [build_hamiltonian(self.lattice, self.B, (1, q))
+                  for q in by_block]
+        starts = np.cumsum([0] + [b.dim for b in blocks])
+        block = np.zeros((starts[-1], max(map(len, by_block.values()))),
+                         dtype=complex)
+        slots = {}
+        for i, q in enumerate(by_block):
+            for j, key in enumerate(by_block[q]):
+                block[starts[i]:starts[i + 1], j] = self.sk_phi(*key)
+                slots[key] = (i, j)
+        lo, hi = self.spectral_bounds()
+        mu, matvecs = chebyshev_moments(direct_sum(blocks), block, lo, hi,
+                                        n_moments, starts[:-1])
+        ratio = 0.0
+        for key, (i, j) in slots.items():
+            col = mu[:, i, j]
+            worst = float(np.abs(col).max())
+            if not worst <= col[0] * (1.0 + 1e-10):
+                raise SpectrumEnclosureError(
+                    f"Chebyshev moments of S_k^({key[1]}) phi0 at "
+                    f"momentum {key[0]} reach {worst:.6e} > mu_0 = "
+                    f"{col[0]:.6e}: the interval [{lo:.6g}, {hi:.6g}] "
+                    "does not enclose the spectrum")
+            if col[0] > 0:
+                ratio = max(ratio, worst / col[0])
+            self._moments[key] = col.copy()
+        self._moment_passes.append({
+            "vectors": len(slots),
+            "blocks": [{"M": 1, "q": list(q), "dim": b.dim, "nnz": b.nnz}
+                       for q, b in zip(by_block, blocks)],
+            "dim": int(starts[-1]), "columns": block.shape[1],
+            "moments": n_moments, "block_matvecs": matvecs,
+            "max_moment_ratio": ratio})
 
     def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:
         """g(H - E0) v through the dense oracle."""
@@ -403,31 +399,36 @@ class SystemContext:
         return self.dense.eigenvectors @ (
             g(self.dense.eigenvalues - self.gs.energy) * amps)
 
-    def h_shifted(self, v: np.ndarray) -> np.ndarray:
-        """(H - E0) v for a vector of H_exc's basis."""
-        return self.H_exc.matvec(v) - self.gs.energy * v
+    def hamiltonian(self, n=None, axis: int = 2) -> SparseHermitianOperator:
+        """The H that sk_phi(n, axis) is a vector of: the full H on the
+        dense path, block (1, q) of `_block_q` on the sparse path."""
+        return self.H if self.dense is not None else \
+            self.block(self._block_q(n, axis))
+
+    def h_shifted(self, v: np.ndarray, n=None, axis: int = 2) -> np.ndarray:
+        """(H - E0) v for v = sk_phi(n, axis), or any vector of the full
+        basis on the dense path."""
+        return self.hamiltonian(n, axis).matvec(v) - self.gs.energy * v
 
     @cached_property
     def m_B(self) -> float:
         return staggered_magnetization(self.gs)
 
     def solver_stats(self) -> dict:
-        """Where the sparse-path numbers come from: the sectors and the
-        ground-sector check, the spectral interval, the expansion degrees and
-        sup errors, and the moment passes."""
-        sectors = None
+        """Where the sparse-path numbers come from: the ground-state block
+        and the ground-sector check, the spectral interval, the expansion
+        degrees and sup errors, and the moment passes."""
+        blocks = None
         if self.sector_lowest is not None:
-            sectors = {
-                "ground": {"M": 0, "dim": self.H.dim, "nnz": self.H.nnz,
-                           "energy": self.gs.energy},
-                "excitation": {"M": [1, -1], "dim": self.H_exc.dim,
-                               "nnz": self.H_exc.nnz},
+            blocks = {
+                "ground": {"M": 0, "q": list(self._zero), "dim": self.H.dim,
+                           "nnz": self.H.nnz, "energy": self.gs.energy},
                 "lowest": list(self.sector_lowest),
                 "ground_gap": self.ground_gap,
             }
         return {
             "path": "dense" if self.dense is not None else "sparse",
-            "sectors": sectors,
+            "blocks": blocks,
             "interval": list(self._interval) if self._interval else None,
             "interval_source": self._interval_source or None,
             "expansions": [
@@ -443,13 +444,21 @@ class SystemContext:
 # -- elementary quantities ---------------------------------------------------
 
 def staggered_magnetization(gs: GroundState) -> float:
-    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0> (a diagonal on a
-    sector basis)."""
-    op = staggered_operator(gs.lattice, gs.sector)
-    val = np.vdot(gs.vector, op.matvec(gs.vector))
+    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0>.  On a block the
+    operator is a diagonal, constant on orbits (a one-site shift flips both
+    sigma and, through F, S^(1)), so m_B = N^-1 sum_r |c_r|^2 m(r)."""
+    lat = gs.lattice
+    if gs.block is not None:
+        M, q = gs.block
+        orbits = twisted_orbits(lat.spec, M)
+        m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
+                for j in range(lat.n_sites))
+        m = m[orbits.block_basis(lat, q)[1]]
+        return float(np.sum(np.abs(gs.vector) ** 2 * m)) / lat.n_sites
+    val = np.vdot(gs.vector, staggered_operator(lat).matvec(gs.vector))
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"staggered magnetization not real: {val}")
-    return float(val.real) / gs.lattice.n_sites
+    return float(val.real) / lat.n_sites
 
 
 def sum_rule_entry(ctx: SystemContext, n) -> BoundEntry:
@@ -475,9 +484,11 @@ def double_commutator_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     """
     lat = ctx.lattice
     n = tuple(n)
+    m = lat.negate(n)
     u = ctx.sk_phi(n, axis)
-    w = ctx.sk_phi(lat.negate(n), axis)
-    lhs = np.vdot(u, ctx.h_shifted(u)).real + np.vdot(w, ctx.h_shifted(w)).real
+    w = ctx.sk_phi(m, axis)
+    lhs = (np.vdot(u, ctx.h_shifted(u, n, axis)).real
+           + np.vdot(w, ctx.h_shifted(w, m, axis)).real)
     s = ctx.lattice.spec.spin
     rhs = 4 * s * s * lat.dispersion(n) + ctx.B * s
     return _upper("double_commutator", n, axis, lhs, rhs, ctx.tol.algebraic)
@@ -509,9 +520,9 @@ def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
         except SolverError as exc:
             note = f"solver inconclusive: {exc}"
     else:
-        # phi0 lies in M = 0, v in M = +-1: H_exc - E0 needs no deflation
-        x = deflated_solve(ctx.H_exc, ctx.gs, v, tol=ctx.tol.solver,
-                           deflate=False)
+        # phi0 lies in M = 0, v in a block of M = +-1: no deflation needed
+        x = deflated_solve(ctx.hamiltonian(n, axis), ctx.gs, v,
+                           tol=ctx.tol.solver, deflate=False)
         lhs = float(np.vdot(v, x).real)
     return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent, note)
 

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: scan (all enabled groups), bounds / dispersion / qmode /
-locality (single group), verify-cache, report.  Exit status 0 means every
-enabled inequality check passed.
+locality (single group), verify-cache, report.  Exit status: 0 every
+enabled check passed, 1 a check failed, 2 a config error, 3 inconclusive (no
+check failed, but an enabled group checked nothing).
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .runner import CACHE_ENV_VAR, run_scan, verify_cache
+
+
+_VERDICT = {0: "PASS", 1: "FAIL", 3: "INCONCLUSIVE"}
 
 
 def _add_run_flags(sub):
@@ -73,8 +77,10 @@ def _run_group(args, group: str | None) -> int:
           f"(failures: {summary['bound_failures']})")
     print(f"checks: {summary['check_entries']} "
           f"(failures: {summary['check_failures']})")
+    for item in summary["inconclusive"]:
+        print(f"inconclusive: {item['group']}: {item['reason']}")
     print(f"artifacts: {result.out_dir}")
-    print("PASS" if result.exit_code == 0 else "FAIL")
+    print(_VERDICT[result.exit_code])
     return result.exit_code
 
 
@@ -96,8 +102,11 @@ def _report(args) -> int:
         if not c["passed"]:
             print(f"  FAILED {c['group']}/{c['name']} lattice={c['lattice']} "
                   f"B={c['B']} value={c['value']}")
-    print("PASS" if summary["all_passed"] else "FAIL")
-    return 0 if summary["all_passed"] else 1
+    for item in summary.get("inconclusive", []):
+        print(f"  inconclusive: {item['group']}: {item['reason']}")
+    code = summary.get("exit_code", 0 if summary["all_passed"] else 1)
+    print(_VERDICT[code])
+    return code
 
 
 def main(argv=None) -> int:

@@ -4,10 +4,10 @@ One Lanczos routine, `_lowest`, finds the lowest eigenpair of a sparse H:
 it keeps a fully reorthogonalised basis and restarts from the best Ritz
 vector when the basis fills, trading memory for correctness at desk scale.
 `ground_state` and `lowest_ritz` are its two callers.  The dense oracle backs
-every spectral-window quantity on small systems.  On magnetization sectors
-the ground state is solved in M = 0, and `check_ground_sector` verifies
-against the lowest Ritz values of the other sectors that it is the global
-one.
+every spectral-window quantity on small systems.  On twisted-momentum
+blocks the ground state is solved in block (0, 0), and `check_ground_sector`
+verifies against the lowest Ritz values of the other sectors that it is the
+global one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "deflated_solve",
     "lowest_ritz",
     "check_ground_sector",
-    "gershgorin_upper",
     "save_ground_state",
     "load_ground_state",
     "ground_state_cache_name",
@@ -42,7 +41,7 @@ DENSE_CAP_DEFAULT = 4096
 MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
 MAX_RESTARTS = 60
 GS_CACHE_MAGIC = b"GSGS"
-GS_CACHE_VERSION = 2
+GS_CACHE_VERSION = 3
 
 
 class SolverError(RuntimeError):
@@ -62,7 +61,7 @@ class GroundState:
     B: float
     lattice: Lattice
     residual: float
-    sector: int | None = None     # magnetization of the basis; None: full
+    block: tuple | None = None    # the block (M, q) of the basis; None: full
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +127,14 @@ def _lowest(H: SparseHermitianOperator, opts: SolverOptions):
 
 def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
                  opts: SolverOptions = SolverOptions(),
-                 sector: int | None = None) -> GroundState:
+                 block: tuple | None = None) -> GroundState:
     """Lowest eigenpair of H (`_lowest`), with the Rayleigh quotient of the
-    Ritz vector as the energy; `sector` names the magnetization sector H
-    acts on (None: full basis)."""
+    Ritz vector as the energy; `block` names the block (M, q) H acts on
+    (None: full basis)."""
     _, v, resid = _lowest(H, opts)
     energy = float(np.real(np.vdot(v, H.matvec(v))))
     return GroundState(energy=energy, vector=v, B=B, lattice=lattice,
-                       residual=resid, sector=sector)
+                       residual=resid, block=block)
 
 
 def lowest_ritz(H: SparseHermitianOperator,
@@ -163,22 +162,11 @@ def check_ground_sector(e0: float, lowest) -> float:
     return float(min(theta - e0 for _, theta, _ in lowest))
 
 
-def _abs_row_sums(H: SparseHermitianOperator) -> np.ndarray:
-    sums = np.add.reduceat(np.abs(H.data), H.indptr[:-1])
-    sums[np.diff(H.indptr) == 0] = 0.0
-    return sums
-
-
 def row_sum_bound(H: SparseHermitianOperator) -> float:
     """max_i sum_j |H_ij| >= ||H||, without matvecs."""
-    return float(_abs_row_sums(H).max())
-
-
-def gershgorin_upper(H: SparseHermitianOperator) -> float:
-    """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
-    eigenvalue of Hermitian H, without matvecs."""
-    diag = H._scipy().diagonal().real
-    return float(np.max(_abs_row_sums(H) - np.abs(diag) + diag))
+    sums = np.add.reduceat(np.abs(H.data), H.indptr[:-1])
+    sums[np.diff(H.indptr) == 0] = 0.0
+    return float(sums.max())
 
 
 def dense_spectrum(H: SparseHermitianOperator,
@@ -204,7 +192,7 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
 
     Conjugate gradients on the deflated operator; the ground-state component
     is projected out of every iterate, so the solve lives entirely on the
-    positive part of H - E0.  With `deflate` False, H is a symmetry sector
+    positive part of H - E0.  With `deflate` False, H is a symmetry block
     that does not hold phi0 (H - E0 is positive definite there) and this is
     plain CG.  Breakdown (vanishing gap relative to `tol`) raises SolverError
     rather than returning a silent wrong answer.
@@ -253,12 +241,17 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
 
 # -- ground-state cache -----------------------------------------------------
 # Layout (little endian): magic, u32 version, u32 d, d*u32 extents, u32 two_s,
-# u8 has_sector, i32 sector M, f8 B, f8 tol, u64 dim, f8 E0, then dim (re, im)
-# f8 pairs.  The vector is in the full basis, or in sector M.
+# u8 has_block, i32 M, d*i32 q, f8 B, f8 tol, u64 dim, f8 E0, then dim
+# (re, im) f8 pairs.  The vector is in the full basis, or in block (M, q).
 
 def ground_state_cache_name(spec: LatticeSpec, B: float, tol: float,
-                            sector: int | None = None) -> str:
-    basis = "" if sector is None else f"_M{sector}"
+                            block: tuple | None = None) -> str:
+    """The file name of a cached ground state; q is left out of the name
+    of a block at q = 0."""
+    basis = ""
+    if block is not None:
+        M, q = block
+        basis = f"_M{M}" + (f"_q{'.'.join(map(str, q))}" if any(q) else "")
     return f"gs_{spec.content_hash()}{basis}_B{B:.12g}_tol{tol:.3g}.bin"
 
 
@@ -271,8 +264,9 @@ def save_ground_state(path, gs: GroundState, tol: float) -> None:
         fh.write(GS_CACHE_MAGIC)
         fh.write(struct.pack("<II", GS_CACHE_VERSION, spec.dimension))
         fh.write(struct.pack(f"<{spec.dimension}I", *spec.extents))
-        fh.write(struct.pack("<IBi", spec.two_s, gs.sector is not None,
-                             gs.sector or 0))
+        M, q = gs.block or (0, (0,) * spec.dimension)
+        fh.write(struct.pack(f"<IBi{spec.dimension}i", spec.two_s,
+                             gs.block is not None, M, *q))
         fh.write(struct.pack("<ddQd", gs.B, tol, len(vec), gs.energy))
         pairs = np.empty((len(vec), 2))
         pairs[:, 0] = vec.real
@@ -282,7 +276,7 @@ def save_ground_state(path, gs: GroundState, tol: float) -> None:
 
 
 def read_ground_state_header(path):
-    """(extents, two_s, sector, B, tol, E0, vector) of a cache file;
+    """(extents, two_s, block, B, tol, E0, vector) of a cache file;
     ValueError for a file that is not one, or is truncated."""
     with open(path, "rb") as fh:
         if fh.read(4) != GS_CACHE_MAGIC:
@@ -293,7 +287,8 @@ def read_ground_state_header(path):
                 raise ValueError(
                     f"{path}: cache version {version} unsupported")
             extents = struct.unpack(f"<{d}I", fh.read(4 * d))
-            two_s, has_sector, sector = struct.unpack("<IBi", fh.read(9))
+            two_s, has_block, M, *q = struct.unpack(f"<IBi{d}i",
+                                                    fh.read(9 + 4 * d))
             B, tol, dim, e0 = struct.unpack("<ddQd", fh.read(32))
         except struct.error as exc:
             raise ValueError(f"{path}: truncated header") from exc
@@ -303,7 +298,8 @@ def read_ground_state_header(path):
     vec = pairs[0::2] + 1j * pairs[1::2]
     if np.abs(vec.imag).max(initial=0.0) == 0.0:
         vec = vec.real.copy()
-    return extents, two_s, sector if has_sector else None, B, tol, e0, vec
+    block = (M, tuple(q)) if has_block else None
+    return extents, two_s, block, B, tol, e0, vec
 
 
 def cached_residual(H: SparseHermitianOperator, e0: float, vec: np.ndarray,
@@ -324,18 +320,18 @@ def cached_residual(H: SparseHermitianOperator, e0: float, vec: np.ndarray,
 
 def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
                       B: float, tol: float,
-                      sector: int | None = None) -> GroundState | None:
-    """Load a cached ground state of H (on `sector`), verifying the
+                      block: tuple | None = None) -> GroundState | None:
+    """Load a cached ground state of H (on `block`), verifying the
     residual; None if missing or stale."""
     try:
-        extents, two_s, s_file, b_file, tol_file, e0, vec = \
+        extents, two_s, file_block, b_file, tol_file, e0, vec = \
             read_ground_state_header(path)
         spec = lattice.spec
         if (tuple(extents) != spec.extents or two_s != spec.two_s
-                or s_file != sector or b_file != B or tol_file != tol):
+                or file_block != block or b_file != B or tol_file != tol):
             return None
         resid = cached_residual(H, e0, vec, tol)
     except (OSError, ValueError):
         return None
     return GroundState(energy=e0, vector=vec, B=B, lattice=lattice,
-                       residual=resid, sector=sector)
+                       residual=resid, block=block)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import gershgorin_upper
 from .lattice import Lattice
 from .operators import SparseHermitianOperator
 
@@ -314,13 +313,11 @@ def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
         degree = min(2 * degree, max_degree)
 
 
-def spectral_interval(H: SparseHermitianOperator,
-                      lowest: float) -> tuple[float, float]:
-    """(lo, hi) enclosing the spectrum of Hermitian H, without matvecs.
-
-    hi is the Gershgorin bound `gershgorin_upper`; lo is
-    `lowest` (the converged lowest Ritz value of H) lowered by
-    `INTERVAL_INFLATION` times the width.
+def spectral_interval(lowest: float, upper: float) -> tuple[float, float]:
+    """(lo, hi) enclosing the spectrum of a Hermitian H, without matvecs:
+    hi is `upper`, a proved bound on its largest eigenvalue
+    (`operators.gershgorin_upper`), and lo is `lowest`, the converged
+    lowest Ritz value of H, lowered by `INTERVAL_INFLATION` times the
+    width.
     """
-    hi = gershgorin_upper(H)
-    return lowest - INTERVAL_INFLATION * max(hi - lowest, 1e-12), hi
+    return lowest - INTERVAL_INFLATION * max(upper - lowest, 1e-12), upper

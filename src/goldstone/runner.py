@@ -11,6 +11,9 @@ Output layout under the chosen directory:
     manifest.json           config echo, versions, summary, pass/fail
     failures.json           present only when checks failed
 
+Exit status: 0 when every check passed, 1 when one failed, 3 (inconclusive)
+when none failed but an enabled group produced no entry at all.
+
 CSV bodies are byte-deterministic for a fixed config; the manifest carries
 the only timestamp.
 """
@@ -418,13 +421,29 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
               ratio <= 4.0)
 
 
+def _inconclusive(res: _Outputs, groups) -> list:
+    """The enabled groups that produced no entry: no bound row for
+    "bounds", no dispersion record of its mode for "dispersion" and
+    "qmode", no check for "locality"; each with the reason."""
+    modes = [r["mode"] for r in res.rows["dispersion"]]
+    produced = {"bounds": bool(res.rows["bounds"]),
+                "dispersion": "zero" in modes, "qmode": "staggered" in modes,
+                "locality": any(c["group"] == "locality" for c in res.checks)}
+    reasons = sorted({s["reason"] for s in res.skipped})
+    why = "; ".join(reasons) if reasons else "no point reached it"
+    return [{"group": g, "reason": f"no entry checked: {why}"}
+            for g in sorted(groups) if not produced[g]]
+
+
 def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
     """The CSVs, manifest.json, and failures.json when a check failed."""
     for stem, columns in _COLUMNS.items():
         _write_csv(out / f"{stem}.csv", res.rows[stem], columns)
     bound_failures = res.bound_failures()
     check_failures = [c for c in res.checks if not c["passed"]]
-    exit_code = 0 if not bound_failures and not check_failures else 1
+    inconclusive = _inconclusive(res, config.checks)
+    exit_code = 1 if bound_failures or check_failures else \
+        3 if inconclusive else 0
     manifest = {
         "config_hash": res.cfg_hash,
         "config_text": config.raw_text,
@@ -444,6 +463,8 @@ def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
             "check_failures": len(check_failures),
             "dispersion_records": len(res.rows["dispersion"]),
             "skipped": res.skipped,
+            "inconclusive": inconclusive,
+            "exit_code": exit_code,
             "all_passed": exit_code == 0,
         },
         "solver_stats": res.solver_stats,
@@ -451,7 +472,7 @@ def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if exit_code != 0:
+    if exit_code == 1:
         index = {
             "bound_failures": [
                 {k: _fmt(v) for k, v in row.items()} for row in bound_failures],
@@ -483,7 +504,7 @@ def verify_cache(cache_dir) -> list:
     for path in sorted(cache.glob("gs_*.bin")):
         entry = {"file": path.name, "status": "valid", "detail": ""}
         try:
-            extents, two_s, sector, B, tol, e0, vec = \
+            extents, two_s, block, B, tol, e0, vec = \
                 read_ground_state_header(path)
         except (OSError, ValueError) as exc:
             entry["status"] = "unreadable"
@@ -492,11 +513,10 @@ def verify_cache(cache_dir) -> list:
             continue
         try:
             lattice = Lattice.build(extents, two_s / 2.0)
-            expected = ground_state_cache_name(lattice.spec, B, tol, sector)
+            expected = ground_state_cache_name(lattice.spec, B, tol, block)
             if expected != path.name:
                 raise ValueError(f"name/spec hash mismatch (expected {expected})")
-            H = build_hamiltonian(lattice, B,
-                                  None if sector is None else (sector,))
+            H = build_hamiltonian(lattice, B, block)
             resid = cached_residual(H, e0, vec, tol)
             entry["detail"] = f"residual={resid:.3e}"
         except (ValueError, MemoryError) as exc:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +7,18 @@ import goldstone.analysis
 import goldstone.operators
 from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
-                                choose_epsilon,
+                                choose_epsilon, filter_keys,
                                 double_commutator_entry, excitation_energy,
                                 extrapolate_ms, filtered_moments, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
 from goldstone.eigensolver import SolverError, lowest_ritz
-from goldstone.operators import build_hamiltonian, fourier_spin
+from goldstone.operators import build_hamiltonian
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
+from test_operators import (expand_block, relabelled_fourier,
+                            relabelled_hamiltonian)
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
 
@@ -120,7 +120,7 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     # spectral sums
     den_exp, num_exp = ctx.filter_expansions(g)
     v = ctx.sk_phi(n, axis)
-    mu, _ = chebyshev_moments(ctx.H_exc, v[:, None], *ctx.spectral_bounds(),
+    mu, _ = chebyshev_moments(ctx.H, v[:, None], *ctx.spectral_bounds(),
                               max(den_exp.degree, num_exp.degree) + 1)
     num, den = num_exp.quadratic_form(mu[:, 0]), den_exp.quadratic_form(mu[:, 0])
     norm2 = float(np.vdot(v, v).real)
@@ -292,14 +292,14 @@ def test_moment_guard_rejects_short_interval(lat22):
        pick=st.integers(0, 10 ** 6),
        axis=st.sampled_from([2, 3]))
 def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
-    """The sparse path (magnetization sectors, relabelled axes) against the
-    full-basis dense oracle."""
+    """The sparse path (twisted-momentum blocks, relabelled axes) against
+    the full-basis dense oracle."""
     extents, spin = LATTICES[name]
     lat = Lattice.build(extents, spin)
     tol = Tolerances(chebyshev=1e-6)
     dense = SystemContext(lat, B, tolerances=tol)
     ctx = SystemContext(lat, B, tolerances=tol, dense_cap=0)
-    assert ctx.dense is None and ctx.gs.sector == 0
+    assert ctx.dense is None and ctx.gs.block == (0, (0,) * len(extents))
     assert abs(ctx.gs.energy - dense.gs.energy) <= 1e-10
     assert abs(ctx.m_B - dense.m_B) <= 1e-9
     momenta = sorted(lat.momenta)
@@ -344,10 +344,67 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
     assert report.all_passed
     excitation_energy(ctx, build_f(wp, lat24), g, v_min, "staggered")
     qmode_trend(ctx, g)
-    assert ctx.solver_stats()["sectors"]["excitation"]["dim"] == 2 * 56
+    # the 2 * 56 states of M = +-1 fall into orbits of 8
+    assert {b.dim for b in ctx._blocks.values()} == {14}
+
+
+def test_sparse_4x4_context_builds_only_blocks(monkeypatch):
+    """A 4x4 context and a moment pass over the keys of a dispersion and
+    qmode scan build no Hamiltonian larger than one block of M = +-1 and
+    never the full basis tables."""
+    def refuse(spec):
+        raise AssertionError("full basis tables on the sparse path")
+
+    built = []
+
+    def record(lattice, B, block=None):
+        H = build_hamiltonian(lattice, B, block)
+        built.append((block, H.dim))
+        return H
+
+    monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
+    monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
+    lat = Lattice.build((4, 4))
+    ctx = SystemContext(lat, 0.1)
+    weights = build_f(WavepacketSpec(np.pi / 2, 2.2), lat)
+    ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}), 16)
+    assert max(dim for _, dim in built) == 1430
+    assert all(block is not None for block, _ in built)
+    assert ctx.H.dim == 827
+    stats = ctx.solver_stats()
+    assert [s["dim"] for s in stats["blocks"]["lowest"]] == \
+        [1430, 1022, 546, 240, 70, 18, 2, 1]
+    (moment_pass,) = stats["moment_passes"]
+    assert all(b["dim"] == 1430 for b in moment_pass["blocks"])
 
 
 BLOCK_LATTICES = {**LATTICES, "2x6": ((2, 6), 0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_LATTICES))
+def test_block_minimum_lies_at_zero_twist(name):
+    """Perron-Frobenius in the Marshall basis puts the lowest state of each
+    pair (M, -M) in q = 0: the minimum over q of the lowest eigenvalue of
+    block (M, q) is that of block (M, 0), for every M."""
+    extents, spin = BLOCK_LATTICES[name]
+    lat = Lattice.build(extents, spin)
+    zero = (0,) * len(extents)
+    for M in range(lat.n_sites * lat.spec.two_s // 2 + 1):
+        lowest = {q: np.linalg.eigvalsh(
+            build_hamiltonian(lat, 0.1, (M, q)).to_dense())[:1]
+            for q in lat.momenta}
+        best = min(float(v[0]) for v in lowest.values() if len(v))
+        assert abs(best - float(lowest[zero][0])) <= 1e-10
+
+
+def test_block_minimum_lies_at_zero_twist_4x4():
+    """The same on the 4x4 torus at B = 0.1, for M = 0 and 1, through
+    lowest_ritz on every block."""
+    lat = Lattice.build((4, 4))
+    for M in (0, 1):
+        lowest = {q: lowest_ritz(build_hamiltonian(lat, 0.1, (M, q)))[0]
+                  for q in lat.momenta}
+        assert min(lowest.values()) >= lowest[(0, 0)] - 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -358,8 +415,9 @@ BLOCK_LATTICES = {**LATTICES, "2x6": ((2, 6), 0.5)}
                       min_size=1, max_size=5),
        n_moments=st.integers(1, 90))
 def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
-    """Moments from the twisted-momentum blocks equal the moments of the
-    same vectors on the whole M = +-1 operator H_exc."""
+    """Moments from one pass on the direct sum of the blocks of M = +-1
+    equal the moments of each vector on its own block, and the blocks'
+    dense eigensystems."""
     extents, spin = BLOCK_LATTICES[name]
     lat = Lattice.build(extents, spin)
     ctx = SystemContext(lat, B, dense_cap=0)
@@ -368,77 +426,60 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     got = ctx.moments(keys, n_moments)
     lo, hi = ctx.spectral_bounds()
     for key, mu in zip(keys, got):
-        ref, _ = chebyshev_moments(ctx.H_exc, ctx.sk_phi(*key)[:, None],
-                                   lo, hi, n_moments)
+        H = ctx.hamiltonian(*key)
+        v = ctx.sk_phi(*key)
+        ref, _ = chebyshev_moments(H, v[:, None], lo, hi, n_moments)
         assert np.abs(mu - ref[:, 0]).max() <= 1e-12 * ref[0, 0]
+        evals, evecs = np.linalg.eigh(H.to_dense())
+        weights = np.abs(evecs.conj().T @ v) ** 2
+        x = (2 * evals - (hi + lo)) / (hi - lo)
+        spectral = np.cos(np.outer(np.arange(n_moments), np.arccos(x))) \
+            @ weights
+        assert np.abs(mu - spectral).max() <= 1e-11 * ref[0, 0]
     (moment_pass,) = ctx.solver_stats()["moment_passes"]
     assert moment_pass["vectors"] == len(set(keys))
-    assert moment_pass["max_projection_defect"] <= 1e-12
     # one column per vector of the fullest block
     blocks = {(n if axis == 2 else lat.shift_q(n)) for n, axis in set(keys)}
     assert len(moment_pass["blocks"]) == len(blocks)
     assert moment_pass["dim"] == sum(b["dim"] for b in moment_pass["blocks"])
 
 
-def test_off_block_vector_raises(lat24, monkeypatch):
-    """A vector that is not a twisted-momentum eigenvector is refused,
-    naming its key and block."""
-    ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    mixed = ctx.sk_phi((0, 1), 2) + 1e-3 * ctx.sk_phi((1, 1), 2)
-    monkeypatch.setattr(ctx, "sk_phi", lambda n, axis: mixed)
-    with pytest.raises(SolverError, match=r"S_k\^\(2\) phi0 at momentum "
-                       r"\(0, 1\) is not in twisted-momentum block \(0, 1\)"):
-        ctx.moments([((0, 1), 2)], 8)
-
-
 @pytest.mark.parametrize("extents,B", [((2, 4), 1e-6), ((2, 6), 1e-5)])
-def test_small_field_vectors_pass_the_projection_guard(extents, B):
-    """At small B, ||S_0^(2) phi0||^2 ~ B^2 and its projection loss is the
-    Lanczos error of phi0 off twisted momentum 0, not rounding: every key
-    passes, and the moments stay within that loss of the H_exc moments."""
+def test_small_field_moment_pass_matches_dense_oracle(extents, B):
+    """At small B, where ||S_0^(2) phi0||^2 ~ B^2, a full moment pass over
+    every key matches the dense oracle of the sectors M = 0 and M = +-1,
+    built in the relabelled axes from the full basis."""
     lat = Lattice.build(extents)
     ctx = SystemContext(lat, B, dense_cap=0)
     keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
     got = ctx.moments(keys, 16)
-    (moment_pass,) = ctx.solver_stats()["moment_passes"]
-    leak = lat.n_sites * lat.spec.spin ** 2 * moment_pass["phi0_leak"]
+    H = relabelled_hamiltonian(lat, B)
+    zero = goldstone.operators.sector_basis(lat.spec, (0,)).codes
+    pair = goldstone.operators.sector_basis(lat.spec, (1, -1)).codes
+    e0, phi = np.linalg.eigh(H[zero][:, zero].toarray())
+    assert abs(e0[0] - ctx.gs.energy) <= 1e-10
+    full = np.zeros(lat.spec.hilbert_dim)
+    full[zero] = phi[:, 0]
+    evals, evecs = np.linalg.eigh(H[pair][:, pair].toarray())
     lo, hi = ctx.spectral_bounds()
-    for key, mu in zip(keys, got):
-        ref, _ = chebyshev_moments(ctx.H_exc, ctx.sk_phi(*key)[:, None],
-                                   lo, hi, 16)
-        assert np.abs(mu - ref[:, 0]).max() <= 1e-12 * ref[0, 0] + leak
-
-
-def test_phi0_off_twisted_momentum_zero_raises(lat24):
-    """The projection guard trusts phi0 at twisted momentum 0 only after
-    measuring it: a ground vector with a part elsewhere is refused."""
-    ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    noise = np.random.default_rng(3).standard_normal(ctx.H.dim)
-    vector = ctx.gs.vector + 1e-4 * noise
-    ctx.gs = replace(ctx.gs, vector=vector / np.linalg.norm(vector))
-    with pytest.raises(SolverError, match="not at twisted momentum 0"):
-        ctx.moments([((0, 1), 2)], 8)
+    x = (2 * evals - (hi + lo)) / (hi - lo)
+    cheb = np.cos(np.outer(np.arange(16), np.arccos(x)))
+    for (n, axis), mu in zip(keys, got):
+        v = relabelled_fourier(lat, n, axis).matvec(full + 0j)[pair]
+        ref = cheb @ np.abs(evecs.T @ v) ** 2
+        assert np.abs(mu - ref).max() <= 1e-10 * max(ref[0], 1e-6)
 
 
 def test_sparse_sk_phi_matches_fourier_spin(lat24):
+    """The block coordinates of S_k phi0, expanded to the full basis, are
+    the relabelled Fourier mode applied to the expanded phi0."""
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    phi = ctx.gs.vector.astype(complex)
+    phi = expand_block(lat24, ctx.gs.block, ctx.gs.vector)
     for n in lat24.momenta:
         for axis in (2, 3):
-            ref = fourier_spin(lat24, n, axis, sector=0).matvec(phi)
-            assert np.abs(ctx.sk_phi(n, axis) - ref).max() <= 1e-14
-
-
-def test_ground_sector_check_takes_m1_from_h_exc(lat24, monkeypatch):
-    built = []
-
-    def record(lattice, B, sectors=None):
-        built.append(sectors)
-        return build_hamiltonian(lattice, B, sectors)
-
-    monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
-    ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    assert (1,) not in built and (1, -1) in built
-    M1 = build_hamiltonian(lat24, 0.2, (1,))
-    assert ctx.sector_lowest[0]["dim"] == M1.dim
-    assert ctx.sector_lowest[0]["ritz"] == lowest_ritz(M1, ctx.solver_opts)[0]
+            ref = relabelled_fourier(lat24, n, axis).matvec(phi)
+            got = expand_block(lat24, (1, ctx._block_q(n, axis)),
+                               ctx.sk_phi(n, axis))
+            assert np.abs(got - ref).max() <= 1e-14
+    with pytest.raises(ValueError):
+        ctx.sk_phi((0, 1), 1)

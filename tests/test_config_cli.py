@@ -7,6 +7,7 @@ import pytest
 
 import goldstone.analysis
 import goldstone.runner
+from goldstone.analysis import EpsilonChoiceError
 from goldstone.cli import main
 from goldstone.config import (_SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
@@ -232,11 +233,14 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     assert "Gershgorin" in stats["interval_source"]
     lo, hi = stats["interval"]
     assert lo < hi
-    sectors = stats["sectors"]
-    assert (sectors["ground"]["dim"], sectors["excitation"]["dim"]) == (6, 8)
-    assert [s["M"] for s in sectors["lowest"]] == [1, 2]
-    assert sectors["ground_gap"] > 0.5
-    assert lo < sectors["lowest"][0]["ritz"]
+    blocks = stats["blocks"]
+    # M = 0 holds 6 states in 4 orbits, M = +-1 8 states in 2 orbits
+    assert (blocks["ground"]["M"], blocks["ground"]["q"]) == (0, [0, 0])
+    assert blocks["ground"]["dim"] == 4
+    assert [(s["M"], s["q"], s["dim"]) for s in blocks["lowest"]] == \
+        [(1, [0, 0], 2), (2, [0, 0], 1)]
+    assert blocks["ground_gap"] > 0.5
+    assert lo < blocks["lowest"][0]["ritz"]
     (expansion,) = stats["expansions"]
     assert expansion["den_sup_error"] <= 1e-8
     assert expansion["num_sup_error"] <= 1e-8 * expansion["gamma"]
@@ -249,7 +253,6 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     assert moment_pass["dim"] == sum(b["dim"] for b in blocks)
     assert all(0 < b["dim"] and 0 < b["nnz"] for b in blocks)
     assert moment_pass["columns"] == 1
-    assert moment_pass["max_projection_defect"] <= 1e-12
     assert moment_pass["moments"] == 1 + max(expansion["den_degree"],
                                              expansion["num_degree"])
     assert moment_pass["block_matvecs"] == moment_pass["moments"] // 2
@@ -265,11 +268,11 @@ def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
     assert result.exit_code == 0
     (stats,) = result.manifest["solver_stats"]
     # zero-mode, staggered-mode and trend vectors of the 2x2 grid: all four
-    # momenta, whose blocks together span H_exc
+    # momenta, whose blocks together span the 8 states of M = +-1
     (moment_pass,) = stats["moment_passes"]
     assert moment_pass["vectors"] == 4
     assert len(moment_pass["blocks"]) == 4
-    assert moment_pass["dim"] == stats["sectors"]["excitation"]["dim"] == 8
+    assert moment_pass["dim"] == 8
 
 
 def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):
@@ -467,7 +470,7 @@ def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):
     lat = Lattice.build((2, 2))
     B, tol = 0.2, 1e-10
     gs = goldstone.analysis.SystemContext(lat, B, dense_cap=8).gs
-    path = cache / ground_state_cache_name(lat.spec, B, tol, 0)
+    path = cache / ground_state_cache_name(lat.spec, B, tol, (0, (0, 0)))
     save_ground_state(path, gs, tol)
     blob = bytearray(path.read_bytes())
     blob[-17] ^= 0x7F
@@ -479,17 +482,19 @@ def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):
 
 
 def test_sector_ground_state_cache(tmp_path, monkeypatch):
-    """The sparse path caches its M = 0 vector under its own name, reads it
-    back instead of solving again, and verify_cache checks it on M = 0."""
+    """The sparse path caches its block (0, 0) vector under its own name,
+    reads it back instead of solving again, and verify_cache checks it on
+    that block."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
     cfg = parse_config_text(SPARSE_22)
     run_scan(cfg, out_dir=tmp_path / "a")
     lat = Lattice.build((2, 2))
     (path,) = cache.glob("gs_*.bin")
-    assert path.name == ground_state_cache_name(lat.spec, 0.2, 1e-10, 0)
-    _, _, sector, _, _, _, vec = read_ground_state_header(path)
-    assert (sector, len(vec)) == (0, 6)
+    assert path.name == ground_state_cache_name(lat.spec, 0.2, 1e-10,
+                                                (0, (0, 0)))
+    _, _, block, _, _, _, vec = read_ground_state_header(path)
+    assert (block, len(vec)) == ((0, (0, 0)), 4)
     (report,) = verify_cache(cache)
     assert report["status"] == "valid"
 
@@ -500,3 +505,55 @@ def test_sector_ground_state_cache(tmp_path, monkeypatch):
     run_scan(cfg, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "bounds.csv").read_bytes() == \
         (tmp_path / "b" / "bounds.csv").read_bytes()
+
+
+def test_version_2_cache_file_is_not_served_and_is_rewritten(tmp_path,
+                                                            monkeypatch):
+    """A file of the version-2 layout (an M = 0 sector vector) at the name
+    of block (0, 0) is refused, then replaced by a version-3 file."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
+    lat = Lattice.build((2, 2))
+    B, tol = 0.2, 1e-10
+    gs = goldstone.analysis.SystemContext(lat, B, dense_cap=8).gs
+    path = cache / ground_state_cache_name(lat.spec, B, tol, (0, (0, 0)))
+    save_ground_state(path, gs, tol)
+    blob = bytearray(path.read_bytes())
+    blob[4] = 2   # version field
+    path.write_bytes(bytes(blob))
+    H = build_hamiltonian(lat, B, (0, (0, 0)))
+    assert load_ground_state(path, lat, H, B, tol, (0, (0, 0))) is None
+    run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path / "out")
+    assert path.read_bytes()[4] == 3
+    (report,) = verify_cache(cache)
+    assert report["status"] == "valid"
+
+
+def test_scan_that_checked_nothing_is_inconclusive(tmp_path, monkeypatch,
+                                                   capsys):
+    """Every point skipped for a data-dependent EpsilonChoiceError: nothing
+    failed, and nothing was checked, so the scan exits 3, names the groups
+    and the reason, and prints INCONCLUSIVE."""
+    def no_epsilon(*args, **kwargs):
+        raise EpsilonChoiceError("planted: no ladder value")
+
+    monkeypatch.setattr(goldstone.runner, "choose_epsilon", no_epsilon)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMOKE.replace("checks = bounds",
+                                      "checks = bounds dispersion"))
+    result = run_scan(parse_config_text(cfg_path.read_text()),
+                      out_dir=tmp_path / "out")
+    assert result.exit_code == 3
+    summary = result.manifest["summary"]
+    assert not summary["all_passed"]
+    assert [i["group"] for i in summary["inconclusive"]] == \
+        ["bounds", "dispersion"]
+    assert all("planted" in i["reason"] for i in summary["inconclusive"])
+    assert not (tmp_path / "out" / "failures.json").exists()
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "cli")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "INCONCLUSIVE"
+    assert main(["report", "--out", str(tmp_path / "cli")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "INCONCLUSIVE"

@@ -9,8 +9,10 @@ from goldstone.eigensolver import (SolverError, SolverOptions,
                                    ground_state_from_dense, load_ground_state,
                                    lowest_ritz, save_ground_state)
 from goldstone.lattice import Lattice
-from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
-                                 marshall_signs, spin_matrices)
+from goldstone.operators import SparseHermitianOperator, build_hamiltonian
+from test_operators import marshall_signs, spin_matrices
+
+ZERO = (0, (0, 0))
 
 
 def _sho_from_dense(mat):
@@ -153,7 +155,7 @@ def test_lowest_ritz_and_ground_sector_check(lat24):
     e0 = dense_spectrum(build_hamiltonian(lat24, B)).eigenvalues[0]
     lowest = []
     for M in (1, 2, 3, 4):
-        H = build_hamiltonian(lat24, B, (M,))
+        H = build_hamiltonian(lat24, B, (M, (0, 0)))
         theta, resid = lowest_ritz(H)
         assert abs(theta - np.linalg.eigvalsh(H.to_dense())[0]) <= 1e-10
         assert resid <= 1e-9
@@ -168,8 +170,9 @@ def test_lowest_ritz_and_ground_sector_check(lat24):
 
 def test_plain_cg_on_a_sector_without_the_ground_state(lat24):
     B = 0.2
-    gs = ground_state(build_hamiltonian(lat24, B, (0,)), lat24, B, sector=0)
-    H_pm = build_hamiltonian(lat24, B, (1, -1))
+    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B,
+                      block=ZERO)
+    H_pm = build_hamiltonian(lat24, B, (1, (0, 1)))
     rhs = np.random.default_rng(3).standard_normal(H_pm.dim) + 0j
     x = deflated_solve(H_pm, gs, rhs, tol=1e-12, deflate=False)
     dense = H_pm.to_dense() - gs.energy * np.eye(H_pm.dim)
@@ -204,20 +207,20 @@ def test_ground_state_cache_detects_tampering(tmp_path, lat22):
 
 def test_ground_state_cache_write_is_atomic_and_keeps_sector(tmp_path, lat24):
     B, tol = 0.2, 1e-10
-    H = build_hamiltonian(lat24, B, (0,))
-    gs = ground_state(H, lat24, B, sector=0)
-    path = tmp_path / ground_state_cache_name(lat24.spec, B, tol, 0)
+    H = build_hamiltonian(lat24, B, ZERO)
+    gs = ground_state(H, lat24, B, block=ZERO)
+    path = tmp_path / ground_state_cache_name(lat24.spec, B, tol, ZERO)
     path.write_bytes(b"stale")
     save_ground_state(path, gs, tol)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    back = load_ground_state(path, lat24, H, B, tol, sector=0)
-    assert back is not None and back.sector == 0
+    back = load_ground_state(path, lat24, H, B, tol, block=ZERO)
+    assert back is not None and back.block == ZERO
     assert np.array_equal(back.vector, gs.vector)
-    # a full-basis request does not take the sector file
+    # a full-basis request does not take the block file
     full = build_hamiltonian(lat24, B)
     assert load_ground_state(path, lat24, full, B, tol) is None
     # nor does a truncated file, in its vector or in its header
     blob = path.read_bytes()
     for cut in (len(blob) - 8, 30):
         path.write_bytes(blob[:cut])
-        assert load_ground_state(path, lat24, H, B, tol, sector=0) is None
+        assert load_ground_state(path, lat24, H, B, tol, block=ZERO) is None
