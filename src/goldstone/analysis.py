@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 V_MIN_LADDER_DEFAULT = (0.5, 0.25, 0.1, 0.05, 0.025)
-# states in the direct sum of one moment pass
-PASS_STATES = 1 << 17
 
 
 class EpsilonChoiceError(RuntimeError):
@@ -331,12 +329,10 @@ class SystemContext:
         """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
         for each (momentum, axis) key, on the spectral interval (sparse path).
 
-        Every key not yet cached to that order joins one pass per group of
-        blocks of at most PASS_STATES states (one group up to the 4x4
-        torus): the recurrence runs on the direct sum of the group's blocks,
-        one vector per block in a column, and reads the moments from
-        per-block segment dots.  A pass keeps only the blocks of its group,
-        which it builds anew.
+        Every key not yet cached to that order joins one pass: the
+        recurrence runs on the direct sum of the blocks (1, q) the keys need
+        (`block`), one vector per block in a column, and reads the moments
+        from per-block segment dots.
         """
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
@@ -344,21 +340,15 @@ class SystemContext:
         if todo and self.dense is not None:
             raise ValueError("moments run on the sparse path; the dense "
                              "oracle has the eigensystem")
+        if todo:
+            self._moment_pass(todo, n_moments)
+        return [self._moments[k][:n_moments] for k in keys]
+
+    def _moment_pass(self, todo: list, n_moments: int) -> None:
         by_block: dict = {}
         for key in todo:
             by_block.setdefault(self._block_q(*key), []).append(key)
-        qs = list(by_block)
-        # every block of M = +-1 has at most one state per representative
-        step = max(1, PASS_STATES
-                   // twisted_orbits(self.lattice.spec, 1).reps.dim)
-        for i in range(0, len(qs), step):
-            self._moment_pass({q: by_block[q] for q in qs[i:i + step]},
-                              n_moments)
-        return [self._moments[k][:n_moments] for k in keys]
-
-    def _moment_pass(self, by_block: dict, n_moments: int) -> None:
-        blocks = [build_hamiltonian(self.lattice, self.B, (1, q))
-                  for q in by_block]
+        blocks = [self.block(q) for q in by_block]
         starts = np.cumsum([0] + [b.dim for b in blocks])
         block = np.zeros((starts[-1], max(map(len, by_block.values()))),
                          dtype=complex)
@@ -399,14 +389,14 @@ class SystemContext:
         return self.dense.eigenvectors @ (
             g(self.dense.eigenvalues - self.gs.energy) * amps)
 
-    def hamiltonian(self, n=None, axis: int = 2) -> SparseHermitianOperator:
+    def hamiltonian(self, n, axis: int) -> SparseHermitianOperator:
         """The H that sk_phi(n, axis) is a vector of: the full H on the
         dense path, block (1, q) of `_block_q` on the sparse path."""
         return self.H if self.dense is not None else \
             self.block(self._block_q(n, axis))
 
-    def h_shifted(self, v: np.ndarray, n=None, axis: int = 2) -> np.ndarray:
-        """(H - E0) v for v = sk_phi(n, axis), or any vector of the full
+    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
+        """(H - E0) v for v = sk_phi(n, axis), or for any vector of the full
         basis on the dense path."""
         return self.hamiltonian(n, axis).matvec(v) - self.gs.energy * v
 
@@ -532,7 +522,8 @@ def _dense_filtered(ctx: SystemContext, g: GFilter, keys) -> list:
     out = []
     for n, axis in keys:
         w = ctx.filtered_vector(g, ctx.sk_phi(n, axis))
-        out.append((w, float(np.vdot(w, ctx.h_shifted(w)).real),
+        hw = ctx.H.matvec(w) - ctx.gs.energy * w
+        out.append((w, float(np.vdot(w, hw).real),
                     float(np.vdot(w, w).real)))
     return out
 
@@ -747,7 +738,8 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         cross = 0.0
         for i, a in enumerate(wvecs):
             for b in wvecs[i + 1:]:
-                cross = max(cross, abs(np.vdot(a, ctx.h_shifted(b))),
+                hb = ctx.H.matvec(b) - ctx.gs.energy * b
+                cross = max(cross, abs(np.vdot(a, hb)),
                             abs(np.vdot(a, b)))
         cross = float(cross)
     if den <= 1e-12:

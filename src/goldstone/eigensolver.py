@@ -246,12 +246,9 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
 
 def ground_state_cache_name(spec: LatticeSpec, B: float, tol: float,
                             block: tuple | None = None) -> str:
-    """The file name of a cached ground state; q is left out of the name
-    of a block at q = 0."""
-    basis = ""
-    if block is not None:
-        M, q = block
-        basis = f"_M{M}" + (f"_q{'.'.join(map(str, q))}" if any(q) else "")
+    """The file name of a cached ground state: the block's M is in the name,
+    its q (always 0) only in the header."""
+    basis = "" if block is None else f"_M{block[0]}"
     return f"gs_{spec.content_hash()}{basis}_B{B:.12g}_tol{tol:.3g}.bin"
 
 

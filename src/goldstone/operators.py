@@ -16,7 +16,7 @@ the matvec kernels in `_kernels`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -356,18 +356,9 @@ class TwistedOrbits:
     spec: LatticeSpec
     shifts: np.ndarray      # (|G|, d) site shift a of each group element
     moves: np.ndarray       # (|G|, n_sites) stride of the site g moves j to
-    reps: BasisTables | None = None   # the representatives, ascending
-    size: np.ndarray | None = None    # (n_reps,) orbit sizes
-    fixes: np.ndarray | None = None   # (|G|, n_reps) g fixes the rep
-
-    def images(self, digits: np.ndarray) -> np.ndarray:
-        """(|G|, n) codes of g s for every group element g and the n states
-        s with `digits`.  The sums are of integers below 2^53, so the float
-        product is exact."""
-        img = (self.moves @ digits.astype(np.float64)).astype(np.int64)
-        odd = self.shifts.sum(axis=1) % 2 == 1
-        img[odd] = self.spec.hilbert_dim - 1 - img[odd]
-        return img
+    reps: BasisTables       # the representatives, ascending
+    size: np.ndarray        # (n_reps,) orbit sizes
+    fixes: np.ndarray       # (|G|, n_reps) g fixes the rep
 
     def block_basis(self, lattice: Lattice, q):
         """(chi, ok): chi_q(g) for every group element (all ones, real, at
@@ -385,11 +376,23 @@ class TwistedOrbits:
         rep = np.empty(len(codes), dtype=np.int64)
         elem = np.empty(len(codes), dtype=np.int64)
         for lo in range(0, len(codes), _BATCH):
-            img = self.images(_digits(self.spec, codes[lo:lo + _BATCH]))
+            img = _images(self.spec, self.shifts, self.moves,
+                          _digits(self.spec, codes[lo:lo + _BATCH]))
             elem[lo:lo + _BATCH] = g = img.argmin(axis=0)
             rep[lo:lo + _BATCH] = self.reps.rank(
                 np.take_along_axis(img, g[None], axis=0)[0])
         return rep, elem
+
+
+def _images(spec: LatticeSpec, shifts: np.ndarray, moves: np.ndarray,
+            digits: np.ndarray) -> np.ndarray:
+    """(|G|, n) codes of g s for every group element g (site shift and
+    stride table as in `TwistedOrbits`) and the n states s with `digits`.
+    The sums are of integers below 2^53, so the float product is exact."""
+    img = (moves @ digits.astype(np.float64)).astype(np.int64)
+    odd = shifts.sum(axis=1) % 2 == 1
+    img[odd] = spec.hilbert_dim - 1 - img[odd]
+    return img
 
 
 @lru_cache(maxsize=16)
@@ -405,19 +408,20 @@ def twisted_orbits(spec: LatticeSpec, M: int) -> TwistedOrbits:
     lattice = Lattice(spec)
     shifts = np.array(list(itertools.product(*map(range, spec.extents))))
     states = sector_basis(spec, (M, -M) if M else (0,))
-    group = TwistedOrbits(spec, shifts, np.array(
-        [[states.strides[lattice.site_index(np.add(x, a))]
-          for x in lattice.sites] for a in shifts], dtype=np.float64))
+    moves = np.array([[states.strides[lattice.site_index(np.add(x, a))]
+                       for x in lattice.sites] for a in shifts],
+                     dtype=np.float64)
     reps, fixes = [], []
     for lo in range(0, states.dim, _BATCH):
         codes = states.codes[lo:lo + _BATCH]
-        img = group.images(states.digits[:, lo:lo + _BATCH])
+        img = _images(spec, shifts, moves, states.digits[:, lo:lo + _BATCH])
         mine = img.min(axis=0) == codes
         reps.append(codes[mine])
         fixes.append(img[:, mine] == codes[mine])
     fixes = np.concatenate(fixes, axis=1)
-    return replace(group, reps=_tables(spec, np.concatenate(reps)),
-                   size=len(shifts) // fixes.sum(axis=0), fixes=fixes)
+    return TwistedOrbits(spec, shifts, moves,
+                         _tables(spec, np.concatenate(reps)),
+                         len(shifts) // fixes.sum(axis=0), fixes)
 
 
 @lru_cache(maxsize=4)
