@@ -8,19 +8,15 @@ reported with both sides and the signed margin, never as a bare boolean.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverError,
                           SolverOptions, SpectralDecomposition,
                           check_ground_sector, deflated_solve, dense_spectrum,
-                          ground_state, ground_state_cache_name,
-                          ground_state_from_dense, load_ground_state,
-                          lowest_ritz, save_ground_state)
+                          ground_state, ground_state_from_dense, lowest_ritz)
 from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       WavepacketSpec, WavepacketWeights, build_f,
                       chebyshev_moments, make_chebyshev_expansion,
@@ -163,15 +159,13 @@ class SystemContext:
     ground state, and S_k^(2) phi0 and S_k^(3) phi0 are vectors of the
     blocks (1, k) and (1, k + Q) of the pair M = +-1 (`block`).
     Construction checks that block (0, 0) holds the ground state
-    (SolverError otherwise), whose vector is cached in `cache_dir` when one
-    is given.
+    (SolverError otherwise).
     """
 
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
                  tolerances: Tolerances = Tolerances(),
                  seed: int = SolverOptions.seed,
-                 cache_dir=None,
                  degree_cap: int = DEGREE_CAP_DEFAULT):
         self.lattice = lattice
         self.B = B
@@ -190,34 +184,15 @@ class SystemContext:
             self.gs = ground_state_from_dense(self.dense, lattice, B)
         else:
             self.H = build_hamiltonian(lattice, B, (0, self._zero))
-            self.gs = self._block_ground_state(cache_dir)
+            self.gs = ground_state(self.H, lattice, B, self.solver_opts,
+                                   block=(0, self._zero))
             self._check_ground_sector()
-        self._sk_cache: OrderedDict = OrderedDict()
+        self._sk_cache: dict = {}
         self._interval: tuple[float, float] | None = None
         self._interval_source = ""
         self._expansions: dict = {}
         self._moments: dict = {}
         self._moment_passes: list = []
-
-    def _block_ground_state(self, cache_dir) -> GroundState:
-        """The block (0, 0) ground state: read from `cache_dir` when a valid
-        file is there, else solved, and then written there when a directory
-        is given (a missing or rejected file is replaced)."""
-        tol = self.tol.solver
-        block = (0, self._zero)
-        path = None
-        if cache_dir is not None:
-            path = Path(cache_dir) / ground_state_cache_name(
-                self.lattice.spec, self.B, tol, block)
-            gs = load_ground_state(path, self.lattice, self.H, self.B, tol,
-                                   block)
-            if gs is not None:
-                return gs
-        gs = ground_state(self.H, self.lattice, self.B, self.solver_opts,
-                          block=block)
-        if path is not None:
-            save_ground_state(path, gs, tol)
-        return gs
 
     def _check_ground_sector(self) -> None:
         """Lowest Ritz value of block (M, 0) for every M = 1 .. N S against
@@ -281,8 +256,6 @@ class SystemContext:
                 v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
                 _, ok = orbits.block_basis(self.lattice, self._block_q(n, axis))
                 self._sk_cache[key] = v[ok]
-            while len(self._sk_cache) > 96:
-                self._sk_cache.popitem(last=False)
         return self._sk_cache[key]
 
     def spectral_bounds(self) -> tuple[float, float]:
@@ -412,7 +385,8 @@ class SystemContext:
         if self.sector_lowest is not None:
             blocks = {
                 "ground": {"M": 0, "q": list(self._zero), "dim": self.H.dim,
-                           "nnz": self.H.nnz, "energy": self.gs.energy},
+                           "nnz": self.H.nnz, "energy": self.gs.energy,
+                           "residual": self.gs.residual},
                 "lowest": list(self.sector_lowest),
                 "ground_gap": self.ground_gap,
             }

@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Subcommands: scan (all enabled groups), bounds / dispersion / qmode /
-locality (single group), verify-cache, report.  Exit status: 0 every
-enabled check passed, 1 a check failed, 2 a config error, 3 inconclusive (no
-check failed, but an enabled group checked nothing).
+locality (single group), report.  Exit status: 0 every enabled check
+passed, 1 a check failed, 2 a config error, 3 inconclusive (no check failed,
+but an enabled group checked nothing).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .runner import CACHE_ENV_VAR, run_scan, verify_cache
+from .runner import run_scan
 
 
 _VERDICT = {0: "PASS", 1: "FAIL", 3: "INCONCLUSIVE"}
@@ -48,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("locality", "quasi-locality suite only")):
         sub = subs.add_parser(name, help=help_text)
         _add_run_flags(sub)
-
-    sub = subs.add_parser("verify-cache",
-                          help="recompute residuals for cached ground states")
-    sub.add_argument("--cache", required=True, help="cache directory "
-                     f"(the {CACHE_ENV_VAR} variable overrides configs, "
-                     "not this flag)")
 
     sub = subs.add_parser("report", help="re-render a manifest summary")
     sub.add_argument("--out", required=True, help="scan output directory")
@@ -111,13 +105,6 @@ def _report(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify-cache":
-        reports = verify_cache(args.cache)
-        for entry in reports:
-            print(f"{entry['status']:10s} {entry['file']} {entry['detail']}")
-        bad = [e for e in reports if e["status"] != "valid"]
-        print(f"{len(reports) - len(bad)} valid, {len(bad)} evicted/unreadable")
-        return 0
     if args.command == "report":
         return _report(args)
     group = None if args.command == "scan" else args.command

@@ -34,7 +34,6 @@ class ScanConfig:
     dense_cap: int = DENSE_CAP_DEFAULT
     jobs: int = 1
     seed: int = 7
-    cache_dir: str | None = None
     out_dir: str = "out"
     p_values: list | str = "auto"
     kappa: float | str = "auto"
@@ -142,7 +141,6 @@ _KEYS = {
     ("scan", "dense_cap"): ("dense_cap", int),
     ("scan", "jobs"): ("jobs", int),
     ("scan", "seed"): ("seed", int),
-    ("scan", "cache_dir"): ("cache_dir", str),
     ("scan", "out_dir"): ("out_dir", str),
     ("wavepacket", "p"): ("p_values", _auto(_floats)),
     ("wavepacket", "kappa"): ("kappa", _auto(float)),

@@ -12,13 +12,11 @@ global one.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, LatticeSpec
+from .lattice import Lattice
 from .operators import SparseHermitianOperator
 
 __all__ = [
@@ -32,16 +30,11 @@ __all__ = [
     "deflated_solve",
     "lowest_ritz",
     "check_ground_sector",
-    "save_ground_state",
-    "load_ground_state",
-    "ground_state_cache_name",
 ]
 
 DENSE_CAP_DEFAULT = 4096
 MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
 MAX_RESTARTS = 60
-GS_CACHE_MAGIC = b"GSGS"
-GS_CACHE_VERSION = 3
 
 
 class SolverError(RuntimeError):
@@ -237,98 +230,3 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise SolverError(f"deflated CG: no convergence in {max_iter} iterations")
-
-
-# -- ground-state cache -----------------------------------------------------
-# Layout (little endian): magic, u32 version, u32 d, d*u32 extents, u32 two_s,
-# u8 has_block, i32 M, d*i32 q, f8 B, f8 tol, u64 dim, f8 E0, then dim
-# (re, im) f8 pairs.  The vector is in the full basis, or in block (M, q).
-
-def ground_state_cache_name(spec: LatticeSpec, B: float, tol: float,
-                            block: tuple | None = None) -> str:
-    """The file name of a cached ground state: the block's M is in the name,
-    its q (always 0) only in the header."""
-    basis = "" if block is None else f"_M{block[0]}"
-    return f"gs_{spec.content_hash()}{basis}_B{B:.12g}_tol{tol:.3g}.bin"
-
-
-def save_ground_state(path, gs: GroundState, tol: float) -> None:
-    """Write to a temporary file beside `path`, then move it into place."""
-    spec = gs.lattice.spec
-    vec = np.asarray(gs.vector, dtype=np.complex128)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(GS_CACHE_MAGIC)
-        fh.write(struct.pack("<II", GS_CACHE_VERSION, spec.dimension))
-        fh.write(struct.pack(f"<{spec.dimension}I", *spec.extents))
-        M, q = gs.block or (0, (0,) * spec.dimension)
-        fh.write(struct.pack(f"<IBi{spec.dimension}i", spec.two_s,
-                             gs.block is not None, M, *q))
-        fh.write(struct.pack("<ddQd", gs.B, tol, len(vec), gs.energy))
-        pairs = np.empty((len(vec), 2))
-        pairs[:, 0] = vec.real
-        pairs[:, 1] = vec.imag
-        fh.write(pairs.tobytes())
-    os.replace(tmp, path)
-
-
-def read_ground_state_header(path):
-    """(extents, two_s, block, B, tol, E0, vector) of a cache file;
-    ValueError for a file that is not one, or is truncated."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != GS_CACHE_MAGIC:
-            raise ValueError(f"{path}: not a ground-state cache file")
-        try:
-            version, d = struct.unpack("<II", fh.read(8))
-            if version != GS_CACHE_VERSION:
-                raise ValueError(
-                    f"{path}: cache version {version} unsupported")
-            extents = struct.unpack(f"<{d}I", fh.read(4 * d))
-            two_s, has_block, M, *q = struct.unpack(f"<IBi{d}i",
-                                                    fh.read(9 + 4 * d))
-            B, tol, dim, e0 = struct.unpack("<ddQd", fh.read(32))
-        except struct.error as exc:
-            raise ValueError(f"{path}: truncated header") from exc
-        pairs = np.frombuffer(fh.read(16 * dim), dtype=np.float64)
-    if len(pairs) != 2 * dim:
-        raise ValueError(f"{path}: truncated vector")
-    vec = pairs[0::2] + 1j * pairs[1::2]
-    if np.abs(vec.imag).max(initial=0.0) == 0.0:
-        vec = vec.real.copy()
-    block = (M, tuple(q)) if has_block else None
-    return extents, two_s, block, B, tol, e0, vec
-
-
-def cached_residual(H: SparseHermitianOperator, e0: float, vec: np.ndarray,
-                    tol: float) -> float:
-    """||H v - E0 v|| of a cached pair; ValueError unless v is a unit vector
-    of H's dimension with residual at most 10 tol max(1, row_sum_bound(H))."""
-    if len(vec) != H.dim:
-        raise ValueError(f"vector length {len(vec)} != dimension {H.dim}")
-    resid = float(np.linalg.norm(H.matvec(vec) - e0 * vec))
-    norm_defect = abs(float(np.linalg.norm(vec)) - 1.0)
-    # written so that a NaN in e0 or the vector fails the check
-    if not (resid <= 10 * tol * max(1.0, row_sum_bound(H))
-            and norm_defect <= 1e-10):
-        raise ValueError(f"residual {resid:.3e} / norm defect "
-                         f"{norm_defect:.3e} exceed tolerance {tol:.1e}")
-    return resid
-
-
-def load_ground_state(path, lattice: Lattice, H: SparseHermitianOperator,
-                      B: float, tol: float,
-                      block: tuple | None = None) -> GroundState | None:
-    """Load a cached ground state of H (on `block`), verifying the
-    residual; None if missing or stale."""
-    try:
-        extents, two_s, file_block, b_file, tol_file, e0, vec = \
-            read_ground_state_header(path)
-        spec = lattice.spec
-        if (tuple(extents) != spec.extents or two_s != spec.two_s
-                or file_block != block or b_file != B or tol_file != tol):
-            return None
-        resid = cached_residual(H, e0, vec, tol)
-    except (OSError, ValueError):
-        return None
-    return GroundState(energy=e0, vector=vec, B=B, lattice=lattice,
-                       residual=resid, block=block)

@@ -14,7 +14,6 @@ Conventions adopted here and relied on throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,10 +76,6 @@ class LatticeSpec:
     @property
     def hilbert_dim(self) -> int:
         return (self.two_s + 1) ** self.n_sites
-
-    def content_hash(self) -> str:
-        text = f"extents={self.extents};two_s={self.two_s}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)

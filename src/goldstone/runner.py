@@ -38,16 +38,13 @@ from .analysis import (EpsilonChoiceError, SystemContext,
                        excitation_energy, extrapolate_ms, filter_keys,
                        qmode_trend)
 from .config import ScanConfig, auto_p_target
-from .eigensolver import (cached_residual, ground_state_cache_name,
-                          read_ground_state_header)
 from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
 from .lattice import Lattice
 from .locality import (b_continuity, delta_decomposition, local_approximation,
                        lr_commutator_profile, operator_norm, tau_g_star)
-from .operators import build_hamiltonian, site_spin_operator
+from .operators import site_spin_operator
 
-CACHE_ENV_VAR = "GOLDSTONE_CACHE_DIR"
 ORDERING_SLACK = 1e-6
 
 
@@ -76,16 +73,6 @@ def _label(n) -> str:
 
 def _kcols(lattice, n) -> str:
     return ";".join(repr(float(x)) for x in lattice.kvec(n))
-
-
-def _resolve_cache_dir(config: ScanConfig) -> Path | None:
-    env = os.environ.get(CACHE_ENV_VAR)
-    raw = env or config.cache_dir
-    if not raw:
-        return None
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 _COLUMNS = {
@@ -147,7 +134,6 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
     later lattices are skipped."""
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cache_dir = _resolve_cache_dir(config)
     jobs = jobs or config.jobs
     groups = set(config.checks)
     res = _Outputs(config.config_hash())
@@ -163,7 +149,7 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
         def context(B, lattice=lattice):
             return SystemContext(lattice, B, dense_cap=config.dense_cap,
                                  tolerances=config.tolerances,
-                                 seed=config.seed, cache_dir=cache_dir,
+                                 seed=config.seed,
                                  degree_cap=config.degree_cap)
 
         if jobs > 1:
@@ -496,32 +482,3 @@ def _write_csv(path: Path, rows: list, columns: list) -> None:
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
 
-
-def verify_cache(cache_dir) -> list:
-    """Recompute residuals for every cached ground state; evict stale files."""
-    cache = Path(cache_dir)
-    reports = []
-    for path in sorted(cache.glob("gs_*.bin")):
-        entry = {"file": path.name, "status": "valid", "detail": ""}
-        try:
-            extents, two_s, block, B, tol, e0, vec = \
-                read_ground_state_header(path)
-        except (OSError, ValueError) as exc:
-            entry["status"] = "unreadable"
-            entry["detail"] = str(exc)
-            reports.append(entry)
-            continue
-        try:
-            lattice = Lattice.build(extents, two_s / 2.0)
-            expected = ground_state_cache_name(lattice.spec, B, tol, block)
-            if expected != path.name:
-                raise ValueError(f"name/spec hash mismatch (expected {expected})")
-            H = build_hamiltonian(lattice, B, block)
-            resid = cached_residual(H, e0, vec, tol)
-            entry["detail"] = f"residual={resid:.3e}"
-        except (ValueError, MemoryError) as exc:
-            entry["status"] = "evicted"
-            entry["detail"] = str(exc)
-            path.unlink(missing_ok=True)
-        reports.append(entry)
-    return reports

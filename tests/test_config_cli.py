@@ -5,19 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import goldstone.analysis
 import goldstone.runner
 from goldstone.analysis import EpsilonChoiceError
 from goldstone.cli import main
 from goldstone.config import (_SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
-from goldstone.eigensolver import (dense_spectrum, ground_state_cache_name,
-                                   ground_state_from_dense, load_ground_state,
-                                   read_ground_state_header, save_ground_state)
+from goldstone.eigensolver import row_sum_bound
 from goldstone.filters import FilterDegreeError
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian
-from goldstone.runner import run_scan, verify_cache
+from goldstone.runner import run_scan
 
 SMOKE = """
 [scan]
@@ -76,6 +73,9 @@ def test_unknown_key_is_error():
         parse_config_text("[tolerances]\ntolerence = 1e-8\n")
     with pytest.raises(ConfigError, match=r"unknown config section"):
         parse_config_text("[misc]\nx = 1\n")
+    with pytest.raises(ConfigError,
+                       match=r"unknown key 'cache_dir' in section \[scan\]"):
+        parse_config_text("[scan]\ncache_dir = x\n")
 
 
 def test_empty_checks_rejected():
@@ -224,10 +224,22 @@ kappa = auto
 """
 
 
-def test_sparse_scan_reports_solver_stats(tmp_path):
-    result = run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path)
+def test_sparse_scan_reports_solver_stats(tmp_path, monkeypatch):
+    # a scan reads no GOLDSTONE_CACHE_DIR: it leaves that directory empty
+    # and writes only its own artifacts
+    unused = tmp_path / "unused"
+    unused.mkdir()
+    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(unused))
+    cfg = parse_config_text(SPARSE_22)
+    out = tmp_path / "out"
+    result = run_scan(cfg, out_dir=out)
     assert result.exit_code == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not list(unused.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bounds.csv", "dispersion.csv", "dispersion_per_k.csv",
+        "filter_samples.csv", "locality_profiles.csv", "manifest.json",
+        "qmode_trend.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
     (stats,) = manifest["solver_stats"]
     assert (stats["lattice"], stats["B"], stats["path"]) == ("2x2", 0.2, "sparse")
     assert "Gershgorin" in stats["interval_source"]
@@ -237,6 +249,11 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     # M = 0 holds 6 states in 4 orbits, M = +-1 8 states in 2 orbits
     assert (blocks["ground"]["M"], blocks["ground"]["q"]) == (0, [0, 0])
     assert blocks["ground"]["dim"] == 4
+    # the Lanczos residual, within ten times its target
+    H = build_hamiltonian(Lattice.build((2, 2)), 0.2, (0, (0, 0)))
+    residual = blocks["ground"]["residual"]
+    assert np.isfinite(residual)
+    assert residual <= 10 * cfg.tolerances.solver * max(1.0, row_sum_bound(H))
     assert [(s["M"], s["q"], s["dim"]) for s in blocks["lowest"]] == \
         [(1, [0, 0], 2), (2, [0, 0], 1)]
     assert blocks["ground_gap"] > 0.5
@@ -258,7 +275,7 @@ def test_sparse_scan_reports_solver_stats(tmp_path):
     assert moment_pass["block_matvecs"] == moment_pass["moments"] // 2
     assert moment_pass["max_moment_ratio"] <= 1.0 + 1e-10
     for name in ("bounds.csv", "dispersion.csv", "dispersion_per_k.csv"):
-        assert "solver" not in (tmp_path / name).read_text()
+        assert "solver" not in (out / name).read_text()
 
 
 def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
@@ -318,6 +335,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text("[scan]\nchecks = nonsense\n")
     code = main(["scan", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cache", "--cache", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -336,6 +356,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "chebyshev_tol", "-1"),
     ("filter", "degree_cap", "0"),
     ("scan", "seed", "-1"),
+    ("scan", "cache_dir", "x"),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
                                            value):
@@ -354,75 +375,8 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_cache_roundtrip_and_env_override(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
-    # the dense path solves through its eigensystem and caches nothing
-    run_scan(parse_config_text(SMOKE), out_dir=tmp_path / "dense")
-    assert not list(cache.iterdir())
-    cfg = parse_config_text(SPARSE_22.replace("b_ladder = 0.2",
-                                              "b_ladder = 0.2 0.1"))
-    run_scan(cfg, out_dir=tmp_path / "out")
-    files = list(cache.glob("gs_*.bin"))
-    assert len(files) == 2
-    reports = verify_cache(cache)
-    assert all(r["status"] == "valid" for r in reports)
 
 
-def test_verify_cache_evicts_tampered(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    lat = Lattice.build((2, 2))
-    B, tol = 0.1, 1e-10
-    gs = ground_state_from_dense(dense_spectrum(build_hamiltonian(lat, B)),
-                                 lat, B)
-    path = cache / ground_state_cache_name(lat.spec, B, tol)
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[-17] ^= 0x7F
-    path.write_bytes(bytes(blob))
-    # an unreadable junk file is reported but not fatal
-    (cache / "gs_junk.bin").write_bytes(b"NOPE")
-    reports = verify_cache(cache)
-    status = {r["file"]: r["status"] for r in reports}
-    assert status[path.name] == "evicted"
-    assert status["gs_junk.bin"] == "unreadable"
-    assert not path.exists()
-
-
-def test_cache_with_nan_is_rejected(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    lat = Lattice.build((2, 2))
-    B, tol = 0.1, 1e-10
-    H = build_hamiltonian(lat, B)
-    gs = ground_state_from_dense(dense_spectrum(H), lat, B)
-    path = cache / ground_state_cache_name(lat.spec, B, tol)
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[-8:] = np.array([np.nan]).tobytes()
-    path.write_bytes(bytes(blob))
-    assert load_ground_state(path, lat, H, B, tol) is None
-    (report,) = verify_cache(cache)
-    assert report["status"] == "evicted"
-    assert not path.exists()
-
-
-def test_verify_cache_rejects_version_mismatch(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    lat = Lattice.build((2, 2))
-    B, tol = 0.1, 1e-10
-    gs = ground_state_from_dense(dense_spectrum(build_hamiltonian(lat, B)),
-                                 lat, B)
-    path = cache / ground_state_cache_name(lat.spec, B, tol)
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[4] = 99   # version field
-    path.write_bytes(bytes(blob))
-    reports = verify_cache(cache)
-    assert reports[0]["status"] == "unreadable"
-    assert "version" in reports[0]["detail"]
 
 
 def test_scan_config_defaults_are_valid():
@@ -432,7 +386,7 @@ def test_scan_config_defaults_are_valid():
 NON_DEFAULT = {
     "scan": {"checks": "bounds", "lattices": "2x4", "spin": "1.0",
              "b_ladder": "0.3 0.1", "dense_cap": "100", "jobs": "2",
-             "seed": "8", "cache_dir": "cache", "out_dir": "elsewhere"},
+             "seed": "8", "out_dir": "elsewhere"},
     "wavepacket": {"p": "0.5", "kappa": "2.0"},
     "filter": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
                "v_min_ladder": "0.5 0.1", "chebyshev_tol": "1e-6",
@@ -463,71 +417,7 @@ def test_every_schema_key_changes_the_config():
     assert cfg.tolerances.chebyshev == 1e-6
 
 
-def test_rejected_cache_file_is_rewritten(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
-    lat = Lattice.build((2, 2))
-    B, tol = 0.2, 1e-10
-    gs = goldstone.analysis.SystemContext(lat, B, dense_cap=8).gs
-    path = cache / ground_state_cache_name(lat.spec, B, tol, (0, (0, 0)))
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[-17] ^= 0x7F
-    path.write_bytes(bytes(blob))
-    run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path / "out")
-    (report,) = verify_cache(cache)
-    assert report["status"] == "valid"
-    assert sorted(p.name for p in cache.iterdir()) == [path.name]
 
-
-def test_sector_ground_state_cache(tmp_path, monkeypatch):
-    """The sparse path caches its block (0, 0) vector under its own name,
-    reads it back instead of solving again, and verify_cache checks it on
-    that block."""
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
-    cfg = parse_config_text(SPARSE_22)
-    run_scan(cfg, out_dir=tmp_path / "a")
-    lat = Lattice.build((2, 2))
-    (path,) = cache.glob("gs_*.bin")
-    assert path.name == ground_state_cache_name(lat.spec, 0.2, 1e-10,
-                                                (0, (0, 0)))
-    _, _, block, _, _, _, vec = read_ground_state_header(path)
-    assert (block, len(vec)) == ((0, (0, 0)), 4)
-    (report,) = verify_cache(cache)
-    assert report["status"] == "valid"
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("cached ground state not used")
-
-    monkeypatch.setattr(goldstone.analysis, "ground_state", no_solve)
-    run_scan(cfg, out_dir=tmp_path / "b")
-    assert (tmp_path / "a" / "bounds.csv").read_bytes() == \
-        (tmp_path / "b" / "bounds.csv").read_bytes()
-
-
-def test_version_2_cache_file_is_not_served_and_is_rewritten(tmp_path,
-                                                            monkeypatch):
-    """A file of the version-2 layout (an M = 0 sector vector) at the name
-    of block (0, 0) is refused, then replaced by a version-3 file."""
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("GOLDSTONE_CACHE_DIR", str(cache))
-    lat = Lattice.build((2, 2))
-    B, tol = 0.2, 1e-10
-    gs = goldstone.analysis.SystemContext(lat, B, dense_cap=8).gs
-    path = cache / ground_state_cache_name(lat.spec, B, tol, (0, (0, 0)))
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[4] = 2   # version field
-    path.write_bytes(bytes(blob))
-    H = build_hamiltonian(lat, B, (0, (0, 0)))
-    assert load_ground_state(path, lat, H, B, tol, (0, (0, 0))) is None
-    run_scan(parse_config_text(SPARSE_22), out_dir=tmp_path / "out")
-    assert path.read_bytes()[4] == 3
-    (report,) = verify_cache(cache)
-    assert report["status"] == "valid"
 
 
 def test_scan_that_checked_nothing_is_inconclusive(tmp_path, monkeypatch,

@@ -4,10 +4,7 @@ import pytest
 import goldstone.eigensolver
 from goldstone.eigensolver import (SolverError, SolverOptions,
                                    check_ground_sector, deflated_solve,
-                                   dense_spectrum, ground_state,
-                                   ground_state_cache_name,
-                                   ground_state_from_dense, load_ground_state,
-                                   lowest_ritz, save_ground_state)
+                                   dense_spectrum, ground_state, lowest_ritz)
 from goldstone.lattice import Lattice
 from goldstone.operators import SparseHermitianOperator, build_hamiltonian
 from test_operators import marshall_signs, spin_matrices
@@ -178,49 +175,3 @@ def test_plain_cg_on_a_sector_without_the_ground_state(lat24):
     dense = H_pm.to_dense() - gs.energy * np.eye(H_pm.dim)
     assert np.linalg.norm(x - np.linalg.solve(dense, rhs)) <= 1e-9
 
-
-def test_ground_state_cache_roundtrip(tmp_path, lat22):
-    B, tol = 0.1, 1e-10
-    H = build_hamiltonian(lat22, B)
-    gs = ground_state_from_dense(dense_spectrum(H), lat22, B)
-    path = tmp_path / ground_state_cache_name(lat22.spec, B, tol)
-    save_ground_state(path, gs, tol)
-    back = load_ground_state(path, lat22, H, B, tol)
-    assert back is not None
-    assert back.energy == gs.energy
-    assert np.linalg.norm(back.vector - gs.vector) <= 1e-14
-    # wrong field value is a miss, not an error
-    assert load_ground_state(path, lat22, H, 0.2, tol) is None
-
-
-def test_ground_state_cache_detects_tampering(tmp_path, lat22):
-    B, tol = 0.1, 1e-10
-    H = build_hamiltonian(lat22, B)
-    gs = ground_state_from_dense(dense_spectrum(H), lat22, B)
-    path = tmp_path / "gs.bin"
-    save_ground_state(path, gs, tol)
-    blob = bytearray(path.read_bytes())
-    blob[-9] ^= 0xFF  # flip bits inside the vector payload
-    path.write_bytes(bytes(blob))
-    assert load_ground_state(path, lat22, H, B, tol) is None
-
-
-def test_ground_state_cache_write_is_atomic_and_keeps_sector(tmp_path, lat24):
-    B, tol = 0.2, 1e-10
-    H = build_hamiltonian(lat24, B, ZERO)
-    gs = ground_state(H, lat24, B, block=ZERO)
-    path = tmp_path / ground_state_cache_name(lat24.spec, B, tol, ZERO)
-    path.write_bytes(b"stale")
-    save_ground_state(path, gs, tol)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    back = load_ground_state(path, lat24, H, B, tol, block=ZERO)
-    assert back is not None and back.block == ZERO
-    assert np.array_equal(back.vector, gs.vector)
-    # a full-basis request does not take the block file
-    full = build_hamiltonian(lat24, B)
-    assert load_ground_state(path, lat24, full, B, tol) is None
-    # nor does a truncated file, in its vector or in its header
-    blob = path.read_bytes()
-    for cut in (len(blob) - 8, 30):
-        path.write_bytes(blob[:cut])
-        assert load_ground_state(path, lat24, H, B, tol, block=ZERO) is None
