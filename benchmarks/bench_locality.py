@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Benchmark the locality suite on the dense oracle.
+
+Times the three profiles of the scan's locality group, at the locality
+settings of `configs/desk.ini` (window, times, centre, axis, spin and field
+ladder), on each lattice of `--extents`:
+
+    python benchmarks/bench_locality.py [--extents 2x2,2x4] [--reps 5]
+
+- `lr_commutator_profile`: Lieb-Robinson commutator norms at the ladder's
+  middle field, as the scan takes them;
+- `delta_decomposition`: the telescoping ball decomposition of the smeared
+  evolution tau*g(a) at that field;
+- `b_continuity`: r(B) over the whole ladder, including the B = 0 solve.
+
+The dense spectra are set up once per lattice and are not timed.  Each row
+gives the median and the spread (min-max) of the per-call wall times.
+"""
+
+import argparse
+import time
+from pathlib import Path
+
+import numpy as np
+
+from goldstone.config import parse_config
+from goldstone.eigensolver import dense_spectrum
+from goldstone.filters import FilterSpec, GFilter
+from goldstone.lattice import Lattice
+from goldstone.locality import (b_continuity, delta_decomposition,
+                                lr_commutator_profile, tau_g_star)
+from goldstone.operators import build_hamiltonian, site_spin_operator
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
+
+
+def timed(fn, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--extents", default="2x2,2x4",
+                        help="comma-separated lattices, e.g. 2x4 or 2x2,2x4")
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args()
+
+    cfg = parse_config(DESK)
+    g = GFilter(FilterSpec(cfg.locality_epsilon, cfg.locality_gamma,
+                           cfg.locality_delta_gamma))
+    ladder = cfg.b_ladder
+    print(f"{DESK.name}: times {list(cfg.locality_times)}, "
+          f"centre {cfg.locality_center}, axis {cfg.locality_axis}, "
+          f"ladder {list(ladder)}, {args.reps} reps")
+    for token in args.extents.split(","):
+        extents = tuple(int(t) for t in token.split("x"))
+        lat = Lattice.build(extents, spin=cfg.spin)
+        spectra = [(b, dense_spectrum(build_hamiltonian(lat, b)))
+                   for b in ladder]
+        dec = spectra[len(spectra) // 2][1]
+        a = site_spin_operator(lat, cfg.locality_center,
+                               cfg.locality_axis).to_dense()
+        smeared = tau_g_star(dec, g, a)
+        print(f"lattice {token}: dim {dec.dim}")
+        calls = {
+            "lr_commutator_profile": lambda: lr_commutator_profile(
+                dec, lat, cfg.locality_center, cfg.locality_times,
+                cfg.locality_axis),
+            "delta_decomposition": lambda: delta_decomposition(
+                smeared, lat, cfg.locality_center),
+            "b_continuity": lambda: b_continuity(lat, g, spectra, a),
+        }
+        for name, fn in calls.items():
+            times = timed(fn, args.reps)
+            print(f"  {name:22s}: median {np.median(times) * 1e3:9.2f} ms "
+                  f"(min {min(times) * 1e3:.2f}, max "
+                  f"{max(times) * 1e3:.2f})")
+
+
+if __name__ == "__main__":
+    main()

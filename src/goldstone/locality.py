@@ -61,8 +61,13 @@ class DecayFit:
 def heisenberg_evolve(dec: SpectralDecomposition, a: np.ndarray,
                       t: float) -> np.ndarray:
     """exp(iHt) a exp(-iHt) through the eigensystem."""
+    return _evolve(dec, dec.eigenvectors.conj().T @ a @ dec.eigenvectors, t)
+
+
+def _evolve(dec: SpectralDecomposition, at: np.ndarray,
+            t: float) -> np.ndarray:
+    """heisenberg_evolve of the operator whose eigenbasis matrix is `at`."""
     phases = np.exp(1j * dec.eigenvalues * t)
-    at = dec.eigenvectors.conj().T @ a @ dec.eigenvectors
     return dec.eigenvectors @ (np.outer(phases, phases.conj()) * at) \
         @ dec.eigenvectors.conj().T
 
@@ -135,29 +140,54 @@ def _fit_power_law(norms) -> DecayFit:
                     rate=float(-slope))
 
 
+def _commutator_norm(at: np.ndarray, local: np.ndarray, site: int) -> float:
+    """||[at, b]|| for Hermitian `at` and b = `local` at `site`.  In the
+    eigenbasis w of `local` (eigenvalues e), [at, b] has the blocks
+    (e_b - e_a) sum_pq conj(w[p, a]) w[q, b] at_pq, at_pq joining the states
+    of site digit p to those of digit q.  For spin 1/2 the norm is exactly
+    that of the half-size block (0, 1); larger spins assemble every block."""
+    e, w = np.linalg.eigh(local)
+    dloc, m = len(e), len(at) // len(e)
+    tiles = at.reshape((dloc ** site, dloc, m // dloc ** site) * 2)
+
+    def rotated(a: int, b: int) -> np.ndarray:
+        return (e[b] - e[a]) * sum(
+            w[p, a].conj() * w[q, b] * tiles[:, p, :, :, q, :]
+            for p in range(dloc) for q in range(dloc)).reshape(m, m)
+    if dloc == 2:
+        return operator_norm(rotated(0, 1))
+    return operator_norm(np.block([[rotated(a, b) for b in range(dloc)]
+                                   for a in range(dloc)]))
+
+
 def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
                           center: int, t_grid, axis: int = 2) -> DecayFit:
-    """Norm samples ||[tau_t(a_center), b_y]|| by distance class and time,
-    with a dominating K exp(v t) exp(-alpha d) envelope fit.
-
-    Per (t, distance) the worst norm over sites at that distance is kept.
+    """Norm samples ||[tau_t(a_center), b_y]|| of a, b = S^(axis), each on
+    a half-size block for spin 1/2 (`_commutator_norm`), by distance class
+    and time, with a dominating K exp(v t) exp(-alpha d) envelope fit.  Per
+    (t, distance) the worst norm over sites at that distance is kept; with
+    fewer than three samples above NORM_FLOOR the envelope is constant.
     """
     a = site_spin_operator(lattice, center, axis).to_dense()
-    site_ops = [site_spin_operator(lattice, y, axis).to_dense()
-                for y in range(lattice.n_sites)]
+    dloc = lattice.spec.two_s + 1
+    # the single-site matrix: a between states whose other digits are 0
+    shape = (dloc ** center, dloc, len(a) // dloc ** (center + 1))
+    local = a.reshape(shape * 2)[0, :, 0, 0, :, 0]
+    a_eig = dec.eigenvectors.conj().T @ a @ dec.eigenvectors
     samples = []
     for t in t_grid:
-        at = heisenberg_evolve(dec, a, t)
+        at = _evolve(dec, a_eig, t)
         by_dist: dict[int, float] = {}
         for y in range(lattice.n_sites):
             d = lattice.graph_distance(center, y)
-            norm = operator_norm(at @ site_ops[y] - site_ops[y] @ at)
+            norm = _commutator_norm(at, local, y)
             by_dist[d] = max(by_dist.get(d, 0.0), norm)
         for d, v in sorted(by_dist.items()):
             samples.append((float(t), float(d), v))
     usable = [s for s in samples if s[2] > NORM_FLOOR]
     if len(usable) < 3:
-        return DecayFit(samples, amplitude=0.0, rate=0.0, velocity=0.0)
+        top = max((s[2] for s in samples), default=0.0)
+        return DecayFit(samples, amplitude=top, rate=0.0, velocity=0.0)
     ts = np.array([s[0] for s in usable])
     ds = np.array([s[1] for s in usable])
     ys = np.log([s[2] for s in usable])

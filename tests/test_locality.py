@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from goldstone.config import parse_config_text
 from goldstone.eigensolver import dense_spectrum
 from goldstone.filters import FilterSpec, GFilter
-from goldstone.locality import (b_continuity, delta_decomposition,
-                                heisenberg_evolve, local_approximation,
-                                lr_commutator_profile, operator_norm,
-                                tau_g_star)
+from goldstone.lattice import Lattice
+from goldstone.locality import (_commutator_norm, b_continuity,
+                                delta_decomposition, heisenberg_evolve,
+                                local_approximation, lr_commutator_profile,
+                                operator_norm, tau_g_star)
 from goldstone.operators import build_hamiltonian, site_spin_operator
+from goldstone.runner import run_scan
+from test_operators import spin_matrices
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
 
@@ -145,6 +149,61 @@ def test_lr_profile_decreases_with_distance(dec24, lat24):
     for (t, d, v) in fit.samples:
         assert v <= fit.envelope(t, d) * (1 + 1e-12) + 1e-12
     assert fit.rate > 0
+
+
+@pytest.mark.parametrize("extents,spin", [((2, 4), 0.5), ((4,), 1.0)])
+@pytest.mark.parametrize("axis", [1, 2, 3])
+def test_lr_norms_match_the_dense_commutator(extents, spin, axis):
+    # the block norm against ||tau_t(a) b - b tau_t(a)|| on the full space,
+    # site by site and as the profile's worst norm per distance class
+    lat = Lattice.build(extents, spin=spin)
+    dec = dense_spectrum(build_hamiltonian(lat, 0.1))
+    a = site_spin_operator(lat, 0, axis).to_dense()
+    local = spin_matrices(lat.spec.two_s)[axis - 1]
+    times = (0.25, 0.5, 1.0)
+    expected = []
+    for t in times:
+        at = heisenberg_evolve(dec, a, t)
+        by_dist = {}
+        for y in range(lat.n_sites):
+            b = site_spin_operator(lat, y, axis).to_dense()
+            ref = operator_norm(at @ b - b @ at)
+            assert _commutator_norm(at, local, y) == pytest.approx(
+                ref, abs=1e-12), (t, y)
+            d = lat.graph_distance(0, y)
+            by_dist[d] = max(by_dist.get(d, 0.0), ref)
+        expected += [(t, float(d), v) for d, v in sorted(by_dist.items())]
+    fit = lr_commutator_profile(dec, lat, 0, times, axis)
+    assert [s[:2] for s in fit.samples] == [s[:2] for s in expected]
+    assert np.allclose([s[2] for s in fit.samples],
+                       [s[2] for s in expected], rtol=0, atol=1e-12)
+
+
+def test_lr_envelope_with_too_few_samples_is_constant(pair):
+    # one time on two sites gives two samples, too few for the fit: the
+    # envelope must still dominate them
+    fit = lr_commutator_profile(dense_spectrum(build_hamiltonian(pair, 0.1)),
+                                pair, 0, (0.5,))
+    assert len(fit.samples) == 2
+    assert min(v for _, _, v in fit.samples) > 0.1
+    assert (fit.rate, fit.velocity) == (0.0, 0.0)
+    for (t, d, v) in fit.samples:
+        assert v <= fit.envelope(t, d)
+
+
+def test_spin_one_locality_scan_passes(tmp_path):
+    config = parse_config_text("""
+[scan]
+checks = locality
+lattices = 4
+spin = 1
+b_ladder = 0.2 0.1 0.05
+""")
+    result = run_scan(config, out_dir=tmp_path)
+    assert result.exit_code == 0
+    checks = result.manifest["checks"]
+    assert len(checks) == 8
+    assert all(c["group"] == "locality" and c["passed"] for c in checks)
 
 
 def _spectra(lattice, ladder):
