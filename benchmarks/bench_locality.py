@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the locality suite on the dense oracle.
 
-Times the three profiles of the scan's locality group, at the locality
-settings of `configs/desk.ini` (window, times, centre, axis, spin and field
-ladder), on each lattice of `--extents`:
+Times the three profiles and the partial-trace checks of the scan's
+locality group, at the locality settings of `configs/desk.ini` (window,
+times, centre, axis, spin and field ladder), on each lattice of
+`--extents`:
 
     python benchmarks/bench_locality.py [--extents 2x2,2x4] [--reps 5]
 
@@ -11,7 +12,11 @@ ladder), on each lattice of `--extents`:
   middle field, as the scan takes them;
 - `delta_decomposition`: the telescoping ball decomposition of the smeared
   evolution tau*g(a) at that field;
-- `b_continuity`: r(B) over the whole ladder, including the B = 0 solve.
+- `b_continuity`: r(B) over the whole ladder, including the B = 0 solve;
+- `partial_trace_checks`: the norms of the scan's idempotence, contraction
+  and reconstruction checks, on operators formed beforehand (the ball-1
+  local approximation of tau*g(a), applied once and twice, and the
+  telescoping shells).
 
 The dense spectra are set up once per lattice and are not timed.  Each row
 gives the median and the spread (min-max) of the per-call wall times.
@@ -28,7 +33,8 @@ from goldstone.eigensolver import dense_spectrum
 from goldstone.filters import FilterSpec, GFilter
 from goldstone.lattice import Lattice
 from goldstone.locality import (b_continuity, delta_decomposition,
-                                lr_commutator_profile, tau_g_star)
+                                local_approximation, lr_commutator_profile,
+                                operator_norm, support_norm, tau_g_star)
 from goldstone.operators import build_hamiltonian, site_spin_operator
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
@@ -66,6 +72,10 @@ def main():
         a = site_spin_operator(lat, cfg.locality_center,
                                cfg.locality_axis).to_dense()
         smeared = tau_g_star(dec, g, a)
+        ball = lat.ball(cfg.locality_center, 1)
+        once = local_approximation(smeared, ball, lat)
+        twice = local_approximation(once, ball, lat)
+        deltas, _, _ = delta_decomposition(smeared, lat, cfg.locality_center)
         print(f"lattice {token}: dim {dec.dim}")
         calls = {
             "lr_commutator_profile": lambda: lr_commutator_profile(
@@ -74,6 +84,10 @@ def main():
             "delta_decomposition": lambda: delta_decomposition(
                 smeared, lat, cfg.locality_center),
             "b_continuity": lambda: b_continuity(lat, g, spectra, a),
+            "partial_trace_checks": lambda: (
+                support_norm(once - twice, ball, lat),
+                support_norm(once, ball, lat) - operator_norm(smeared),
+                operator_norm(sum(deltas) - smeared)),
         }
         for name, fn in calls.items():
             times = timed(fn, args.reps)

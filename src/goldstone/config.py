@@ -106,6 +106,9 @@ class ScanConfig:
         if self.locality_axis not in (1, 2, 3):
             raise ConfigError(f"locality: axis {self.locality_axis} "
                               "must be 1, 2 or 3")
+        t = self.locality_times  # t = 0: only rounding; repeats merge samples
+        if not all(0 < x < float("inf") for x in t) or len(set(t)) < len(t):
+            raise ConfigError("locality: times must be finite, distinct, > 0")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]

@@ -5,7 +5,10 @@ partial-trace local approximation, the telescoping ball decomposition, and
 Lieb-Robinson/field-continuity profiles.  Everything is realised spectrally
 on dense matrices: these are operator-norm statements, and only dense
 algebra gives certified norms.  Practical sizes stop near twelve spin-1/2
-sites.
+sites.  Norms are sqrt(max eig(b^dagger b)) of an exactly rescaled b, and
+non-finite input raises (`operator_norm`); delta shells and partial-trace
+checks take theirs on the block R of R (x) 1 (`support_norm`).  On desk.ini
+both agree with a full-size SVD to 3e-15 relative (locality_profiles.csv).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .operators import build_hamiltonian, site_spin_operator
 __all__ = [
     "DecayFit",
     "operator_norm",
+    "support_norm",
     "heisenberg_evolve",
     "tau_g_star",
     "local_approximation",
@@ -34,7 +38,28 @@ NORM_FLOOR = 1e-12
 
 
 def operator_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
+    """s sqrt(lambda_max(b^dagger b)) for a = s b, s the largest normal power
+    of two at or below max|a| (exact; the Gram matrix can neither overflow
+    nor underflow).  A purely imaginary a is normed as real; NaN/inf raise."""
+    if np.iscomplexobj(a) and not (a.real.any() and a.imag.any()):
+        a = a.imag if a.imag.any() else a.real  # ||i c|| = ||c||, exactly
+    top = float(np.max(np.abs(a)))
+    if not np.isfinite(top):
+        raise ValueError("operator_norm: matrix has a non-finite entry")
+    scale = np.ldexp(1.0, max(np.frexp(top)[1] - 1, -1022))
+    b = a / scale
+    return float(scale * np.sqrt(abs(np.linalg.eigvalsh(b.conj().T @ b)[-1])))
+
+
+def support_norm(b: np.ndarray, keep_sites, lattice: Lattice) -> float:
+    """||b|| for b = R (x) 1 on `keep_sites`, as `local_approximation` makes
+    it (by exact copies): the norm of R, the block of b between the states
+    whose digits off the support are all 0 (site 0 most significant)."""
+    dloc, codes = lattice.spec.two_s + 1, np.zeros(1, dtype=np.int64)
+    for j in range(lattice.n_sites):
+        step = np.arange(dloc if j in keep_sites else 1)
+        codes = (codes[:, None] * dloc + step).ravel()
+    return operator_norm(b[np.ix_(codes, codes)])
 
 
 @dataclass
@@ -119,11 +144,12 @@ def delta_decomposition(smeared: np.ndarray, lattice: Lattice, center: int):
     norms = []
     prev = None
     for m in range(lattice.diameter + 1):
-        approx = local_approximation(smeared, lattice.ball(center, m), lattice)
+        ball = lattice.ball(center, m)
+        approx = local_approximation(smeared, ball, lattice)
         delta = approx.copy() if prev is None else approx - prev
         prev = approx
         deltas.append(delta)
-        norms.append(operator_norm(delta))
+        norms.append(support_norm(delta, ball, lattice))
     return deltas, norms, _fit_power_law(norms)
 
 

@@ -42,7 +42,8 @@ from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
 from .lattice import Lattice
 from .locality import (b_continuity, delta_decomposition, local_approximation,
-                       lr_commutator_profile, operator_norm, tau_g_star)
+                       lr_commutator_profile, operator_norm, support_norm,
+                       tau_g_star)
 from .operators import site_spin_operator
 
 ORDERING_SLACK = 1e-6
@@ -368,10 +369,10 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
     ball = lattice.ball(center, 1)
     once = local_approximation(smeared, ball, lattice)
     twice = local_approximation(once, ball, lattice)
-    idem = operator_norm(once - twice)
+    idem = support_norm(once - twice, ball, lattice)
     res.check("locality", "partial_trace_idempotent", tag, ctx.B, idem,
               1e-12, idem <= 1e-12)
-    contraction = operator_norm(once) - operator_norm(smeared)
+    contraction = support_norm(once, ball, lattice) - operator_norm(smeared)
     res.check("locality", "partial_trace_contractive", tag, ctx.B,
               contraction, 1e-12, contraction <= 1e-12)
 

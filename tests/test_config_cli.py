@@ -347,6 +347,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("locality", "center", "99"),
     ("locality", "delta_gamma", "0"),
     ("locality", "epsilon", "2.0"),
+    ("locality", "times", "0.5 0.5"),
+    ("locality", "times", "0.0"),
+    ("locality", "times", "-0.5 1.0"),
     ("filter", "epsilon", "-0.1"),
     ("filter", "delta_gamma", "-1"),
     ("filter", "v_min_ladder", "-0.5"),

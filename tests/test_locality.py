@@ -8,7 +8,7 @@ from goldstone.lattice import Lattice
 from goldstone.locality import (_commutator_norm, b_continuity,
                                 delta_decomposition, heisenberg_evolve,
                                 local_approximation, lr_commutator_profile,
-                                operator_norm, tau_g_star)
+                                operator_norm, support_norm, tau_g_star)
 from goldstone.operators import build_hamiltonian, site_spin_operator
 from goldstone.runner import run_scan
 from test_operators import spin_matrices
@@ -100,6 +100,45 @@ def test_local_approximation_improves_with_radius(dec24, lat24):
         errors.append(operator_norm(approx - at))
     assert all(hi >= lo - 1e-12 for hi, lo in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "imaginary", "complex", "rank1",
+                                  "zero"])
+@pytest.mark.parametrize("exponent", [0, 600, -600])
+def test_operator_norm_matches_the_svd(rng, kind, exponent):
+    # the Gram route against LAPACK's SVD, also where b^dagger b of the
+    # unscaled matrix would overflow (2^600) or underflow (2^-600)
+    u, v = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+    a = {"real": rng.standard_normal((24, 24)),
+         "imaginary": 1j * rng.standard_normal((24, 24)),
+         "complex": rng.standard_normal((24, 24))
+         + 1j * rng.standard_normal((24, 24)),
+         "rank1": np.outer(u, v.conj()),
+         "zero": np.zeros((24, 24))}[kind] * 2.0 ** exponent
+    assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13,
+                                             abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_norm_rejects_non_finite_entries(bad):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError):
+        operator_norm(a)
+
+
+@pytest.mark.parametrize("extents,spin", [((2, 4), 0.5), ((4,), 1.0)])
+def test_support_norm_is_the_full_norm_of_a_local_approximation(rng, extents,
+                                                                spin):
+    # every ball around site 0, and a support that is not contiguous
+    lat = Lattice.build(extents, spin=spin)
+    dim = lat.spec.hilbert_dim
+    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    supports = [lat.ball(0, m) for m in range(lat.diameter + 1)] + [(1, 3)]
+    for keep in supports:
+        local = local_approximation(b, keep, lat)
+        assert support_norm(local, keep, lat) == pytest.approx(
+            np.linalg.norm(local, 2), rel=1e-13, abs=0), keep
 
 
 def test_delta_decomposition_telescopes(dec22, lat22):
