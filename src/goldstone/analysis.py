@@ -4,6 +4,10 @@ Everything here evaluates expectation values in the original (untransformed)
 basis; translation-invariance statements are consequences of the rotated
 frame and show up as exact cross-momentum cancellations.  Each inequality is
 reported with both sides and the signed margin, never as a bare boolean.
+
+On the dense path every spectral quantity is a sum over the eigensystem of
+the cached eigen-amplitudes of S_k phi0; on the sparse path it comes from
+Chebyshev moments, or from CG on the momentum block of S_k phi0.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverError,
-                          SolverOptions, SpectralDecomposition,
-                          check_ground_sector, deflated_solve, dense_spectrum,
-                          ground_state, ground_state_from_dense, lowest_ritz)
+from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverOptions,
+                          SpectralDecomposition, check_ground_sector,
+                          deflated_solve, dense_spectrum, ground_state,
+                          lowest_ritz)
 from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       WavepacketSpec, WavepacketWeights, build_f,
                       chebyshev_moments, make_chebyshev_expansion,
@@ -42,7 +46,7 @@ __all__ = [
     "irb_entry",
     "window_entries",
     "bound_report",
-    "filtered_moments",
+    "filtered_forms",
     "choose_epsilon",
     "excitation_energy",
     "qmode_trend",
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 V_MIN_LADDER_DEFAULT = (0.5, 0.25, 0.1, 0.05, 0.025)
+INTERVAL_SOURCE = ("block (1, 0) lowest Ritz value -5% of the width; "
+                   "Gershgorin row bound of M = +-1")
 
 
 class EpsilonChoiceError(RuntimeError):
@@ -151,9 +157,11 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
 class SystemContext:
     """Shared working set for one (lattice, B): Hamiltonian, ground state,
     dense oracle when the dimension allows, cached operator-on-ground
-    vectors, and their Chebyshev moments on the sparse path.
+    vectors, and either their eigen-amplitudes (dense path) or their
+    Chebyshev moments (sparse path).
 
-    The dense path works on the full basis.  The sparse path works on the
+    The dense path works on the full basis, and every spectral quantity is
+    a sum over the eigensystem of `amplitudes`.  The sparse path works on the
     twisted-momentum blocks (M, q) of the relabelled axes
     (`operators.build_hamiltonian`): `H` is block (0, 0), which holds the
     ground state, and S_k^(2) phi0 and S_k^(3) phi0 are vectors of the
@@ -171,9 +179,9 @@ class SystemContext:
         self.B = B
         self.tol = tolerances
         self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
-        self.dense_cap = dense_cap
         self.degree_cap = degree_cap
         self.dense: SpectralDecomposition | None = None
+        self.excitation: np.ndarray | None = None     # E - E0, dense path
         self.sector_lowest: list | None = None
         self.ground_gap: float | None = None
         self._blocks: dict = {}
@@ -181,15 +189,18 @@ class SystemContext:
         if lattice.spec.hilbert_dim <= dense_cap:
             self.H = build_hamiltonian(lattice, B)
             self.dense = dense_spectrum(self.H, dense_cap)
-            self.gs = ground_state_from_dense(self.dense, lattice, B)
+            self.gs = GroundState(float(self.dense.eigenvalues[0]),
+                                  self.dense.eigenvectors[:, 0].copy(), B,
+                                  lattice, residual=0.0)
+            self.excitation = self.dense.eigenvalues - self.gs.energy
         else:
             self.H = build_hamiltonian(lattice, B, (0, self._zero))
             self.gs = ground_state(self.H, lattice, B, self.solver_opts,
                                    block=(0, self._zero))
             self._check_ground_sector()
         self._sk_cache: dict = {}
+        self._amplitudes: dict = {}
         self._interval: tuple[float, float] | None = None
-        self._interval_source = ""
         self._expansions: dict = {}
         self._moments: dict = {}
         self._moment_passes: list = []
@@ -258,29 +269,36 @@ class SystemContext:
                 self._sk_cache[key] = v[ok]
         return self._sk_cache[key]
 
+    def amplitudes(self, n, axis: int) -> np.ndarray:
+        """V^dagger sk_phi(n, axis), the eigen-amplitudes of S_n phi0 on the
+        dense path, cached."""
+        key = (tuple(n), axis)
+        if key not in self._amplitudes:
+            self._amplitudes[key] = \
+                self.dense.eigenvectors.conj().T @ self.sk_phi(*key)
+        return self._amplitudes[key]
+
+    def _sparse_only(self, what: str) -> None:
+        if self.dense is not None:
+            raise ValueError(f"{what} run on the sparse path; the dense "
+                             "oracle has the eigensystem")
+
     def spectral_bounds(self) -> tuple[float, float]:
+        """The Chebyshev interval of the blocks of M = +-1 (sparse path):
+        block (1, 0) holds their lowest state, and every block (1, q) is an
+        invariant subspace of H there."""
+        self._sparse_only("spectral bounds")
         if self._interval is None:
-            if self.dense is not None:
-                lo = float(self.dense.eigenvalues[0])
-                hi = float(self.dense.eigenvalues[-1])
-                width = max(hi - lo, 1e-12)
-                self._interval = (lo - 0.01 * width, hi + 0.01 * width)
-                self._interval_source = "dense eigenvalues +-1%"
-            else:
-                # block (1, 0) holds the lowest state of M = +-1, and every
-                # block (1, q) is an invariant subspace of H there
-                self._interval = spectral_interval(
-                    self.sector_lowest[0]["ritz"],
-                    gershgorin_upper(self.lattice, self.B, 1))
-                self._interval_source = (
-                    "block (1, 0) lowest Ritz value -5% of the width; "
-                    "Gershgorin row bound of M = +-1")
+            self._interval = spectral_interval(
+                self.sector_lowest[0]["ritz"],
+                gershgorin_upper(self.lattice, self.B, 1))
         return self._interval
 
     def filter_expansions(self, g: GFilter):
         """(den, num) expansions of g^2(x - E0) and (x - E0) g^2(x - E0) on
         the spectral interval, with sup errors at most chebyshev_tol and
-        chebyshev_tol * gamma."""
+        chebyshev_tol * gamma (sparse path)."""
+        self._sparse_only("filter expansions")
         if g.spec not in self._expansions:
             lo, hi = self.spectral_bounds()
             e0 = self.gs.energy
@@ -310,10 +328,8 @@ class SystemContext:
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
                 if len(self._moments.get(k, ())) < n_moments]
-        if todo and self.dense is not None:
-            raise ValueError("moments run on the sparse path; the dense "
-                             "oracle has the eigensystem")
         if todo:
+            self._sparse_only("moments")
             self._moment_pass(todo, n_moments)
         return [self._moments[k][:n_moments] for k in keys]
 
@@ -359,8 +375,7 @@ class SystemContext:
         if self.dense is None:
             raise ValueError("dense oracle unavailable at this dimension")
         amps = self.dense.eigenvectors.conj().T @ v
-        return self.dense.eigenvectors @ (
-            g(self.dense.eigenvalues - self.gs.energy) * amps)
+        return self.dense.eigenvectors @ (g(self.excitation) * amps)
 
     def hamiltonian(self, n, axis: int) -> SparseHermitianOperator:
         """The H that sk_phi(n, axis) is a vector of: the full H on the
@@ -394,7 +409,7 @@ class SystemContext:
             "path": "dense" if self.dense is not None else "sparse",
             "blocks": blocks,
             "interval": list(self._interval) if self._interval else None,
-            "interval_source": self._interval_source or None,
+            "interval_source": INTERVAL_SOURCE if self._interval else None,
             "expansions": [
                 {"epsilon": spec.epsilon, "gamma": spec.gamma,
                  "delta_gamma": spec.delta_gamma,
@@ -458,70 +473,47 @@ def double_commutator_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     return _upper("double_commutator", n, axis, lhs, rhs, ctx.tol.algebraic)
 
 
-def _susceptibility_dense(ctx: SystemContext, v: np.ndarray) -> float:
-    dec = ctx.dense
-    amps = dec.eigenvectors.conj().T @ v
-    de = dec.eigenvalues - dec.eigenvalues[0]
-    mask = de > 0
-    return float(np.sum(np.abs(amps[mask]) ** 2 / de[mask]))
-
-
 def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
-    """Infrared bound: <S_{-k} (1-P0)(H-E0)^-1 S_k> <= 1/(2 E_{k+Q})."""
+    """Infrared bound: <S_{-k} (1-P0)(H-E0)^-1 S_k> <= 1/(2 E_{k+Q}).
+
+    The dense path sums |a|^2 / (E - E0) over the excited eigenstates.  On
+    the sparse path S_k phi0 lies in a block of M = +-1 and phi0 in M = 0,
+    so (1 - P0) is the identity there and CG on H - E0 solves the block."""
     lat = ctx.lattice
     n = tuple(n)
     if n == lat.q_ordering:
         raise ValueError("infrared bound has no finite right side at k = Q")
     rhs = 1.0 / (2.0 * lat.dispersion(lat.shift_q(n)))
-    v = ctx.sk_phi(n, axis)
-    note = ""
     if ctx.dense is not None:
-        lhs = _susceptibility_dense(ctx, v)
-        try:
-            x = deflated_solve(ctx.H, ctx.gs, v, tol=ctx.tol.solver)
-            lhs_iter = float(np.vdot(v, x).real)
-            note = f"dense_vs_solver={abs(lhs - lhs_iter):.3e}"
-        except SolverError as exc:
-            note = f"solver inconclusive: {exc}"
+        de = ctx.excitation
+        mask = de > 0
+        lhs = float(np.sum(np.abs(ctx.amplitudes(n, axis)[mask]) ** 2
+                           / de[mask]))
     else:
-        # phi0 lies in M = 0, v in a block of M = +-1: no deflation needed
+        v = ctx.sk_phi(n, axis)
         x = deflated_solve(ctx.hamiltonian(n, axis), ctx.gs, v,
-                           tol=ctx.tol.solver, deflate=False)
+                           tol=ctx.tol.solver)
         lhs = float(np.vdot(v, x).real)
-    return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent, note)
+    return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent)
 
 
-def _dense_filtered(ctx: SystemContext, g: GFilter, keys) -> list:
-    """[(w, num_k, den_k)] with w = g(H - E0) S_k phi0 from the dense oracle."""
-    out = []
-    for n, axis in keys:
-        w = ctx.filtered_vector(g, ctx.sk_phi(n, axis))
-        hw = ctx.H.matvec(w) - ctx.gs.energy * w
-        out.append((w, float(np.vdot(w, hw).real),
-                    float(np.vdot(w, w).real)))
-    return out
-
-
-def _filtered_forms(ctx: SystemContext, g: GFilter, keys) -> list:
+def filtered_forms(ctx: SystemContext, g: GFilter, keys) -> list:
     """[(num_k, den_k)] for v = S_k phi0 at each (momentum, axis) key:
     den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>.
 
-    The dense oracle, or one Chebyshev moment pass over every key not yet
-    cached; there each value is within its expansion's sup error times
-    ||v||^2."""
+    The dense path sums g^2 |a|^2 and (E - E0) g^2 |a|^2 over the
+    eigensystem.  The sparse path makes one Chebyshev moment pass over
+    every key not yet cached; there each value is within its expansion's
+    sup error times ||v||^2."""
     if ctx.dense is not None:
-        return [(num, den) for _, num, den in _dense_filtered(ctx, g, keys)]
+        de = ctx.excitation
+        g2 = g(de) ** 2
+        weights = [g2 * np.abs(ctx.amplitudes(*key)) ** 2 for key in keys]
+        return [(float(np.sum(de * w)), float(np.sum(w))) for w in weights]
     den_exp, num_exp = ctx.filter_expansions(g)
     n_moments = max(den_exp.degree, num_exp.degree) + 1
     return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu))
             for mu in ctx.moments(keys, n_moments)]
-
-
-def filtered_moments(ctx: SystemContext, g: GFilter, n,
-                     axis: int = 2) -> tuple[float, float]:
-    """(num_k, den_k) for w = g(H - E0) S_k^(axis) phi0:
-    den_k = <w, w>, num_k = <w, (H - E0) w>."""
-    return _filtered_forms(ctx, g, [(n, axis)])[0]
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
@@ -570,8 +562,9 @@ def _denominator_formula(s: float, B: float, ek: float, ekq: float,
 
 
 def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
-                   n, den_k: float | None = None) -> list[BoundEntry]:
-    """Window-decomposition inequalities at momentum n (not 0 or Q).
+                   n, den_k: float) -> list[BoundEntry]:
+    """Window-decomposition inequalities at momentum n (not 0 or Q), with
+    den_k of S_n^(2) phi0 from `filtered_forms`.
 
     Emits window_small, window_large (dense oracle only) and the final
     denominator lower bound D(k, B) <= den_k.  With no dense oracle only the
@@ -589,20 +582,15 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
     entries: list[BoundEntry] = []
     tol = ctx.tol.resolvent
 
-    if den_k is None:
-        _, den_k = filtered_moments(ctx, g, n, 2)
-
     if ctx.dense is not None:
-        dec = ctx.dense
-        e0 = ctx.gs.energy
-        amps2 = dec.eigenvectors.conj().T @ ctx.sk_phi(n, 2)
-        amps3 = dec.eigenvectors.conj().T @ ctx.sk_phi(lat.shift_q(n), 3)
-        small = dec.window_mask(0.0, 2 * eps)
+        amps2 = ctx.amplitudes(n, 2)
+        amps3 = ctx.amplitudes(lat.shift_q(n), 3)
+        small = (ctx.excitation > 0.0) & (ctx.excitation <= 2 * eps)
         lhs_small = abs(np.sum(np.conj(amps2[small]) * amps3[small]))
         rhs_small = eps / np.sqrt(ekq * ek)
         entries.append(_upper("window_small", n, None, lhs_small, rhs_small, tol))
 
-        excited = (dec.eigenvalues - e0) > 1e-12
+        excited = ctx.excitation > 1e-12
         lhs_large = abs(np.sum(np.conj(amps2[excited]) * amps3[excited]))
         rhs_large = rhs_small + ((4 * s * s * ekq + ctx.B * s) / (2 * ek)) ** 0.25 \
             * np.sqrt(den_k + (4 * s * s * ek + ctx.B * s) / (gamma - dgamma))
@@ -666,7 +654,7 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float,
     q = lat.q_ordering
     window = _window_momenta(lat)
     dens = {n: den for n, (_, den) in
-            zip(window, _filtered_forms(ctx, g, [(n, 2) for n in window]))}
+            zip(window, filtered_forms(ctx, g, [(n, 2) for n in window]))}
     for n in lat.momenta:
         report.add(sum_rule_entry(ctx, n))
         for axis in (2, 3):
@@ -685,21 +673,17 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
 
     mode "zero" uses hat S_k^(2) at the wavepacket momenta (excitation near
     momentum zero); mode "staggered" shifts every operator momentum by Q.
-    Cross-momentum matrix elements are measured on the dense path and carried
-    in the record; they vanish by translation covariance of the rotated frame.
+    Cross-momentum matrix elements <S_i phi0, f(H - E0) S_j phi0> with
+    f = g^2 and (x - E0) g^2 are measured on the dense path and their largest
+    modulus is carried in the record; they vanish by translation covariance
+    of the rotated frame.
     """
     if mode not in ("zero", "staggered"):
         raise ValueError(f"unknown mode {mode!r}")
     lat = ctx.lattice
     items = sorted(wp.weights.items())
     keys = _mode_keys(lat, wp, mode)
-    if ctx.dense is not None:
-        filtered = _dense_filtered(ctx, g, keys)
-        wvecs = [w for w, _, _ in filtered]
-        forms = [(num_k, den_k) for _, num_k, den_k in filtered]
-    else:
-        wvecs = []
-        forms = _filtered_forms(ctx, g, keys)
+    forms = filtered_forms(ctx, g, keys)
     num = 0.0
     den = 0.0
     per_k = []
@@ -708,13 +692,15 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
     cross = None
-    if len(wvecs) > 1:
+    if ctx.dense is not None and len(keys) > 1:
+        g2 = g(ctx.excitation) ** 2
+        amps = [ctx.amplitudes(*key) for key in keys]
         cross = 0.0
-        for i, a in enumerate(wvecs):
-            for b in wvecs[i + 1:]:
-                hb = ctx.H.matvec(b) - ctx.gs.energy * b
-                cross = max(cross, abs(np.vdot(a, hb)),
-                            abs(np.vdot(a, b)))
+        for i, a in enumerate(amps):
+            for b in amps[i + 1:]:
+                w = g2 * np.conj(a) * b
+                cross = max(cross, abs(np.sum(ctx.excitation * w)),
+                            abs(np.sum(w)))
         cross = float(cross)
     if den <= 1e-12:
         raise VanishingDenominatorError(
@@ -765,7 +751,7 @@ def qmode_trend(ctx: SystemContext, g: GFilter) -> list:
     """
     lat = ctx.lattice
     reps = _trend_representatives(lat)
-    forms = _filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps])
+    forms = filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps])
     return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]
 
 

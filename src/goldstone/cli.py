@@ -24,10 +24,6 @@ _VERDICT = {0: "PASS", 1: "FAIL", 3: "INCONCLUSIVE"}
 def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="scan config (INI)")
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--dense-cap", type=int, default=None,
-                     help="override the dense-oracle dimension cap")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for independent scan points")
     sub.add_argument("--fail-fast", action="store_true",
                      help="after a failing bound entry, finish the "
                           "current (lattice, B) and skip the rest")
@@ -59,13 +55,10 @@ def _run_group(args, group: str | None) -> int:
         config = parse_config(args.config)
         if group is not None:
             config = replace(config, checks=(group,))
-        if args.dense_cap is not None:
-            config = replace(config, dense_cap=args.dense_cap)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_scan(config, out_dir=args.out, jobs=args.jobs,
-                      fail_fast=args.fail_fast)
+    result = run_scan(config, out_dir=args.out, fail_fast=args.fail_fast)
     summary = result.manifest["summary"]
     print(f"bound entries: {summary['bound_entries']} "
           f"(failures: {summary['bound_failures']})")

@@ -86,6 +86,13 @@ class ScanConfig:
             raise ConfigError("filter: degree_cap must be >= 1")
         if self.seed < 0:
             raise ConfigError("scan: seed must be >= 0")
+        if not self.lattices:
+            raise ConfigError("scan: lattices must not be empty")
+        if self.p_values != "auto" and not (
+                self.p_values
+                and all(0 < p < float("inf") for p in self.p_values)):
+            raise ConfigError("wavepacket: p must be auto or a nonempty "
+                              "list of finite momenta > 0")
         if self.p_values != "auto" and self.kappa != "auto":
             for p in self.p_values:
                 if not p < self.kappa:
@@ -107,8 +114,10 @@ class ScanConfig:
             raise ConfigError(f"locality: axis {self.locality_axis} "
                               "must be 1, 2 or 3")
         t = self.locality_times  # t = 0: only rounding; repeats merge samples
-        if not all(0 < x < float("inf") for x in t) or len(set(t)) < len(t):
-            raise ConfigError("locality: times must be finite, distinct, > 0")
+        if not (t and all(0 < x < float("inf") for x in t)
+                and len(set(t)) == len(t)):
+            raise ConfigError("locality: times must be a nonempty list of "
+                              "finite, distinct times > 0")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]

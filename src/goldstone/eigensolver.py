@@ -1,13 +1,14 @@
-"""Ground states (restarted Lanczos), dense spectral oracle, deflated solves.
+"""Ground states (restarted Lanczos), dense spectral oracle, block resolvent.
 
 One Lanczos routine, `_lowest`, finds the lowest eigenpair of a sparse H:
 it keeps a fully reorthogonalised basis and restarts from the best Ritz
 vector when the basis fills, trading memory for correctness at desk scale.
 `ground_state` and `lowest_ritz` are its two callers.  The dense oracle backs
-every spectral-window quantity on small systems.  On twisted-momentum
-blocks the ground state is solved in block (0, 0), and `check_ground_sector`
-verifies against the lowest Ritz values of the other sectors that it is the
-global one.
+every spectral quantity on small systems.  On twisted-momentum blocks the
+ground state is solved in block (0, 0), and `check_ground_sector` verifies
+against the lowest Ritz values of the other sectors that it is the global
+one; `deflated_solve` is conjugate gradients on H - E0 in a block that does
+not hold it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "SolverError",
     "ground_state",
     "dense_spectrum",
-    "ground_state_from_dense",
     "deflated_solve",
     "lowest_ritz",
     "check_ground_sector",
@@ -65,11 +65,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def window_mask(self, lo: float, hi: float) -> np.ndarray:
-        """Mask of eigenstates with excitation energy in (lo, hi]."""
-        e = self.eigenvalues - self.eigenvalues[0]
-        return (e > lo) & (e <= hi)
 
 
 def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
@@ -171,62 +166,38 @@ def dense_spectrum(H: SparseHermitianOperator,
     return SpectralDecomposition(evals, evecs)
 
 
-def ground_state_from_dense(dec: SpectralDecomposition, lattice: Lattice,
-                            B: float) -> GroundState:
-    return GroundState(energy=float(dec.eigenvalues[0]),
-                       vector=dec.eigenvectors[:, 0].copy(), B=B,
-                       lattice=lattice, residual=0.0)
-
-
 def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
-                   rhs: np.ndarray, tol: float = 1e-10, *,
-                   deflate: bool = True) -> np.ndarray:
-    """Solve (H - E0) x = (1 - P0) rhs with x orthogonal to the ground state.
+                   rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Solve (H - E0) x = rhs by conjugate gradients on a symmetry block H
+    that does not hold the ground state.
 
-    Conjugate gradients on the deflated operator; the ground-state component
-    is projected out of every iterate, so the solve lives entirely on the
-    positive part of H - E0.  With `deflate` False, H is a symmetry block
-    that does not hold phi0 (H - E0 is positive definite there) and this is
-    plain CG.  Breakdown (vanishing gap relative to `tol`) raises SolverError
-    rather than returning a silent wrong answer.
+    The ground state is deflated by symmetry: it lies in another block, so
+    H - E0 is positive definite on this one and no projector is needed.
+    Breakdown (vanishing gap relative to `tol`) raises SolverError rather
+    than returning a silent wrong answer.
     """
     e0 = gs.energy
-    if deflate:
-        phi = gs.vector
-
-        def project(v):
-            return v - phi * np.vdot(phi, v)
-    else:
-        def project(v):
-            return v
-
-    b = project(rhs)
-    bnorm = np.linalg.norm(b)
-    if bnorm <= 1e-14 * max(1.0, float(np.linalg.norm(rhs))):
-        return np.zeros_like(b)
+    bnorm = np.linalg.norm(rhs)
+    if bnorm <= 1e-14:
+        return np.zeros_like(rhs)
     max_iter = max(2000, 60 * int(np.sqrt(H.dim)))
-
-    def apply(v):
-        return project(H.matvec(v) - e0 * v)
-
-    x = np.zeros_like(b)
-    r = b.copy()
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     p = r.copy()
     rs = np.real(np.vdot(r, r))
     for _ in range(max_iter):
-        Ap = apply(p)
+        Ap = H.matvec(p) - e0 * p
         pAp = np.real(np.vdot(p, Ap))
         if pAp <= 0.0:
             raise SolverError(
-                "deflated CG breakdown: operator not positive on the "
-                "deflated subspace (gap too small relative to tolerance)")
+                "CG breakdown: H - E0 not positive on the block (gap too "
+                "small relative to tolerance)")
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        r = project(r)
         rs_new = np.real(np.vdot(r, r))
         if np.sqrt(rs_new) <= tol * bnorm:
-            return project(x)
+            return x
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise SolverError(f"deflated CG: no convergence in {max_iter} iterations")
+    raise SolverError(f"CG: no convergence in {max_iter} iterations")

@@ -126,7 +126,7 @@ class _Outputs:
         return [r for r in self.rows["bounds"] if not r["passed"]]
 
 
-def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
+def run_scan(config: ScanConfig, out_dir=None,
              fail_fast: bool = False) -> ScanResult:
     """Every enabled check group over the config's (lattice, B) grid.
 
@@ -135,7 +135,6 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
     later lattices are skipped."""
     out = Path(out_dir or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = jobs or config.jobs
     groups = set(config.checks)
     res = _Outputs(config.config_hash())
     aborted = False
@@ -153,8 +152,8 @@ def run_scan(config: ScanConfig, out_dir=None, jobs: int | None = None,
                                  seed=config.seed,
                                  degree_cap=config.degree_cap)
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+        if config.jobs > 1:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
                 contexts = list(pool.map(context, config.b_ladder))
         else:
             contexts = [context(B) for B in config.b_ladder]

@@ -12,11 +12,10 @@ import pytest
 
 from goldstone.analysis import (SystemContext, Tolerances, bound_report,
                                 choose_epsilon, excitation_energy,
-                                filter_keys, filtered_moments, qmode_trend,
-                                staggered_magnetization)
+                                filter_keys, filtered_forms, irb_entry,
+                                qmode_trend, staggered_magnetization)
 from goldstone.config import parse_config_text
-from goldstone.eigensolver import (deflated_solve, dense_spectrum,
-                                   ground_state, SolverOptions)
+from goldstone.eigensolver import dense_spectrum, ground_state, SolverOptions
 from goldstone.filters import FilterSpec, GFilter, WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.locality import (b_continuity, delta_decomposition,
@@ -115,32 +114,31 @@ def test_criterion_2_oracle_equivalence(ladders):
             if abs(gs.energy - ctx.gs.energy) > 1e-10:
                 failures.append(("lanczos", extents, b,
                                  abs(gs.energy - ctx.gs.energy)))
-            # deflated-resolvent susceptibilities vs spectral sums
-            dec = ctx.dense
-            de = dec.eigenvalues - dec.eigenvalues[0]
-            q = ctx.lattice.q_ordering
-            for n in ctx.lattice.momenta:
-                if n == q:
-                    continue
-                for axis in (2, 3):
-                    v = ctx.sk_phi(n, axis)
-                    x = deflated_solve(ctx.H, ctx.gs, v, tol=1e-12)
-                    lhs = np.vdot(v, x).real
-                    amps = np.abs(dec.eigenvectors.conj().T @ v) ** 2
-                    ref = float(np.sum(amps[de > 0] / de[de > 0]))
-                    if abs(lhs - ref) > 1e-8:
-                        failures.append(("resolvent", extents, b, n, axis,
-                                         abs(lhs - ref)))
-    # Chebyshev-filtered moments on the sparse path vs spectral sums
+    # the sparse path (block CG resolvent, Chebyshev-filtered moments) vs
+    # spectral sums of the dense oracle
     for extents, by_b in ladders.items():
         p = np.pi if extents == (2, 2) else np.pi / 2
         for b, dense in by_b.items():
             ctx = SystemContext(dense.lattice, b, dense_cap=0,
                                 tolerances=Tolerances(chebyshev=1e-10))
+            dec = dense.dense
+            de = dec.eigenvalues - dec.eigenvalues[0]
+            for n in sorted(ctx.lattice.momenta):
+                if n == ctx.lattice.q_ordering:
+                    continue
+                for axis in (2, 3):
+                    lhs = irb_entry(ctx, n, axis).lhs
+                    v = dense.sk_phi(n, axis)
+                    amps = np.abs(dec.eigenvectors.conj().T @ v) ** 2
+                    ref = float(np.sum(amps[de > 0] / de[de > 0]))
+                    if abs(lhs - ref) > 1e-8:
+                        failures.append(("resolvent", extents, b, n, axis,
+                                         abs(lhs - ref)))
             wp, weights, g, v_min = _setup(dense, p)
-            for n in weights.support:
-                num_c, den_c = filtered_moments(ctx, g, n, 2)
-                num_d, den_d = filtered_moments(dense, g, n, 2)
+            keys = [(n, 2) for n in weights.support]
+            for n, (num_c, den_c), (num_d, den_d) in zip(
+                    weights.support, filtered_forms(ctx, g, keys),
+                    filtered_forms(dense, g, keys)):
                 if abs(num_c - num_d) > 1e-8 or abs(den_c - den_d) > 1e-8:
                     failures.append(("chebyshev", extents, b, n,
                                      abs(num_c - num_d), abs(den_c - den_d)))

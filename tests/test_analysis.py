@@ -9,7 +9,7 @@ from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
                                 choose_epsilon, filter_keys,
                                 double_commutator_entry, excitation_energy,
-                                extrapolate_ms, filtered_moments, irb_entry,
+                                extrapolate_ms, filtered_forms, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
 from goldstone.eigensolver import SolverError, lowest_ritz
@@ -17,6 +17,7 @@ from goldstone.operators import build_hamiltonian
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
+from test_filters import dense_expansion, dense_interval
 from test_operators import (expand_block, relabelled_fourier,
                             relabelled_hamiltonian)
 
@@ -74,9 +75,10 @@ def test_irb_bound_and_cross_validation(ctx22):
     entry = irb_entry(ctx22, (0, 0), 2)
     assert entry.rhs == pytest.approx(1.0 / (4 * 2))   # 1/(2 E_Q) = 1/(4d)
     assert entry.lhs >= 0.0
-    assert entry.passed
-    assert "dense_vs_solver" in entry.note
-    assert float(entry.note.split("=")[1]) <= 1e-8
+    assert entry.passed and entry.note == ""
+    # the block CG of the sparse path gives the same left side
+    blocks = SystemContext(ctx22.lattice, ctx22.B, dense_cap=0)
+    assert abs(irb_entry(blocks, (0, 0), 2).lhs - entry.lhs) <= 1e-8
 
 
 def test_irb_rejects_ordering_momentum(ctx22):
@@ -86,7 +88,12 @@ def test_irb_rejects_ordering_momentum(ctx22):
 
 def test_filtered_moments_match_spectral_sums(ctx22):
     n = (1, 0)
-    num, den = filtered_moments(ctx22, GF, n, 2)
+    ((num, den),) = filtered_forms(ctx22, GF, [(n, 2)])
+    # the quadratic forms of the filtered vector w = g(H - E0) S_k phi0
+    w = ctx22.filtered_vector(GF, ctx22.sk_phi(n, 2))
+    assert den == pytest.approx(float(np.vdot(w, w).real), abs=1e-12)
+    assert num == pytest.approx(
+        float(np.vdot(w, ctx22.h_shifted(w, n, 2)).real), abs=1e-12)
     dec = ctx22.dense
     de = dec.eigenvalues - dec.eigenvalues[0]
     amps = np.abs(dec.eigenvectors.conj().T @ ctx22.sk_phi(n, 2)) ** 2
@@ -118,9 +125,10 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     n = momenta[pick % len(momenta)]
     # Chebyshev moments on the full basis, against the dense context's own
     # spectral sums
-    den_exp, num_exp = ctx.filter_expansions(g)
+    den_exp = dense_expansion(ctx, lambda x: g(x) ** 2, 1e-6)
+    num_exp = dense_expansion(ctx, lambda x: x * g(x) ** 2, 3e-6)
     v = ctx.sk_phi(n, axis)
-    mu, _ = chebyshev_moments(ctx.H, v[:, None], *ctx.spectral_bounds(),
+    mu, _ = chebyshev_moments(ctx.H, v[:, None], *dense_interval(ctx),
                               max(den_exp.degree, num_exp.degree) + 1)
     num, den = num_exp.quadratic_form(mu[:, 0]), den_exp.quadratic_form(mu[:, 0])
     norm2 = float(np.vdot(v, v).real)
@@ -162,7 +170,8 @@ def test_window_entries_pass(ctx22):
     v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
-    entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0))
+    ((_, den),) = filtered_forms(ctx22, g, [((1, 0), 2)])
+    entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0), den)
     names = [e.name for e in entries]
     assert names == ["window_small", "window_large", "denominator_lower_bound"]
     for e in entries:
@@ -174,7 +183,7 @@ def test_window_entries_pass(ctx22):
 
 def test_window_entries_reject_zero_momentum(ctx22):
     with pytest.raises(ValueError):
-        window_entries(ctx22, GF, 0.1, np.pi, (0, 0))
+        window_entries(ctx22, GF, 0.1, np.pi, (0, 0), 1.0)
 
 
 def test_bound_report_composition(ctx22):
@@ -264,10 +273,20 @@ def test_extrapolate_ms_constant_and_linear():
         extrapolate_ms([0.1, 0.2], [0.1, 0.2])
 
 
+def test_dense_path_has_no_chebyshev_interval(ctx22):
+    """The dense path reads every spectral sum from the eigensystem: it has
+    no interval, expansions or moments."""
+    for call in (ctx22.spectral_bounds, lambda: ctx22.filter_expansions(GF),
+                 lambda: ctx22.moments([((1, 0), 2)], 4)):
+        with pytest.raises(ValueError, match="sparse path"):
+            call()
+
+
 def test_sparse_context_skips_window_pieces(lat22):
     ctx = SystemContext(lat22, 0.1, dense_cap=0)
     assert ctx.dense is None
-    entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0))
+    ((_, den),) = filtered_forms(ctx, GF, [((1, 0), 2)])
+    entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0), den)
     assert [e.name for e in entries] == ["denominator_lower_bound"]
     assert "window pieces skipped" in entries[0].note
 
@@ -281,7 +300,7 @@ def test_moment_guard_rejects_short_interval(lat22):
     g = GFilter(FilterSpec(0.5, 2.0, 0.5))
     with pytest.raises(SpectrumEnclosureError,
                        match=r"\(1, 0\).*does not enclose") as info:
-        filtered_moments(ctx, g, (1, 0), 2)
+        filtered_forms(ctx, g, [((1, 0), 2)])
     assert f"{lo:.6g}" in str(info.value)
 
 
@@ -315,8 +334,8 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
         assert abs(irb_entry(ctx, n, axis).lhs
                    - irb_entry(dense, n, axis).lhs) <= 1e-8
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
-    num, den = filtered_moments(ctx, g, n, axis)
-    num_d, den_d = filtered_moments(dense, g, n, axis)
+    ((num, den),) = filtered_forms(ctx, g, [(n, axis)])
+    ((num_d, den_d),) = filtered_forms(dense, g, [(n, axis)])
     den_exp, num_exp = ctx.filter_expansions(g)
     assert abs(den - den_d) <= den_exp.sup_error * norm2 + 1e-10
     assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10

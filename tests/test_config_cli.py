@@ -187,7 +187,7 @@ def test_scan_determinism(tmp_path):
     cfg = parse_config_text(FULL)
     run_scan(cfg, out_dir=tmp_path / "a")
     run_scan(cfg, out_dir=tmp_path / "b")
-    run_scan(cfg, out_dir=tmp_path / "c", jobs=3)
+    run_scan(replace(cfg, jobs=3), out_dir=tmp_path / "c")
     for name in ("bounds.csv", "dispersion.csv", "dispersion_per_k.csv",
                  "qmode_trend.csv", "locality_profiles.csv",
                  "filter_samples.csv"):
@@ -360,11 +360,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "degree_cap", "0"),
     ("scan", "seed", "-1"),
     ("scan", "cache_dir", "x"),
+    ("scan", "lattices", ""),
+    ("wavepacket", "p", ""),
+    ("wavepacket", "p", "-1"),
+    ("locality", "times", ""),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
                                            value):
     sections = {"scan": {"checks": "bounds locality", "lattices": "2x2",
-                         "b_ladder": "0.2"}, "filter": {}, "locality": {}}
+                         "b_ladder": "0.2"}, "wavepacket": {}, "filter": {},
+                "locality": {}}
     sections[section][key] = value
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text("".join(

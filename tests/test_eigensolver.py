@@ -105,36 +105,41 @@ def test_perron_positive_transformed_vector(lat24):
     assert rotated.min() > 0.0
 
 
-def test_deflated_solve_annihilates_ground_vector(ctx22):
-    x = deflated_solve(ctx22.H, ctx22.gs, ctx22.gs.vector.astype(complex))
-    assert np.linalg.norm(x) == 0.0
+@pytest.fixture(scope="module")
+def block24(lat24):
+    """The 2x4 ground state at B = 0.2, solved in block (0, 0), and H on
+    block (1, (0, 1)) of M = +-1, which does not hold it."""
+    B = 0.2
+    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B,
+                      block=ZERO)
+    return gs, build_hamiltonian(lat24, B, (1, (0, 1)))
 
 
-def test_deflated_solve_on_excited_eigenvector(ctx22):
-    dec = ctx22.dense
-    v1 = dec.eigenvectors[:, 1].astype(complex)
-    gap = dec.eigenvalues[1] - dec.eigenvalues[0]
-    x = deflated_solve(ctx22.H, ctx22.gs, v1)
-    assert np.linalg.norm(x - v1 / gap) <= 1e-8
+def test_deflated_solve_on_excited_eigenvector(block24):
+    gs, H = block24
+    evals, evecs = np.linalg.eigh(H.to_dense())
+    v1 = evecs[:, 1].astype(complex)
+    x = deflated_solve(H, gs, v1)
+    assert np.linalg.norm(x - v1 / (evals[1] - gs.energy)) <= 1e-8
 
 
-def test_deflated_solve_matches_spectral_sum(ctx22):
-    dec = ctx22.dense
-    rhs = ctx22.sk_phi((1, 0), 2)
-    x = deflated_solve(ctx22.H, ctx22.gs, rhs)
-    lhs = np.vdot(rhs, x).real
-    amps = dec.eigenvectors.conj().T @ rhs
-    de = dec.eigenvalues - dec.eigenvalues[0]
-    expected = np.sum(np.abs(amps[de > 0]) ** 2 / de[de > 0])
-    assert abs(lhs - expected) <= 1e-8
+def test_deflated_solve_matches_spectral_sum(block24, rng):
+    gs, H = block24
+    evals, evecs = np.linalg.eigh(H.to_dense())
+    rhs = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    lhs = np.vdot(rhs, deflated_solve(H, gs, rhs)).real
+    expected = np.sum(np.abs(evecs.conj().T @ rhs) ** 2
+                      / (evals - gs.energy))
+    assert abs(lhs - expected) <= 1e-8 * expected
     assert lhs >= 0.0
 
 
-def test_deflated_resolvent_self_adjoint(ctx22, rng):
-    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    ra = deflated_solve(ctx22.H, ctx22.gs, a)
-    rb = deflated_solve(ctx22.H, ctx22.gs, b)
+def test_deflated_resolvent_self_adjoint(block24, rng):
+    gs, H = block24
+    a = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    b = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+    ra = deflated_solve(H, gs, a)
+    rb = deflated_solve(H, gs, b)
     assert abs(np.vdot(a, rb) - np.conj(np.vdot(b, ra))) <= 1e-8
 
 
@@ -165,13 +170,10 @@ def test_lowest_ritz_and_ground_sector_check(lat24):
         check_ground_sector(e0, [(1, np.nan, 0.0)])
 
 
-def test_plain_cg_on_a_sector_without_the_ground_state(lat24):
-    B = 0.2
-    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B,
-                      block=ZERO)
-    H_pm = build_hamiltonian(lat24, B, (1, (0, 1)))
+def test_plain_cg_on_a_sector_without_the_ground_state(block24):
+    gs, H_pm = block24
     rhs = np.random.default_rng(3).standard_normal(H_pm.dim) + 0j
-    x = deflated_solve(H_pm, gs, rhs, tol=1e-12, deflate=False)
+    x = deflated_solve(H_pm, gs, rhs, tol=1e-12)
     dense = H_pm.to_dense() - gs.energy * np.eye(H_pm.dim)
     assert np.linalg.norm(x - np.linalg.solve(dense, rhs)) <= 1e-9
 

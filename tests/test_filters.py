@@ -104,13 +104,24 @@ def test_empty_support_rejected(lat22):
         build_f(WavepacketSpec(0.3, 2.0), lat22)
 
 
-def _chebyshev_filtered(ctx, fn, v, tol):
-    """fn(H - E0) v by a certified expansion on the context's interval."""
-    lo, hi = ctx.spectral_bounds()
+def dense_interval(ctx):
+    """The dense spectrum of a full-basis context, widened by 1% of its
+    width at each end: an interval that encloses it."""
+    lo, hi = ctx.dense.eigenvalues[[0, -1]]
+    width = max(hi - lo, 1e-12)
+    return lo - 0.01 * width, hi + 0.01 * width
+
+
+def dense_expansion(ctx, fn, tol):
+    """Certified expansion of fn(x - E0) on `dense_interval`."""
     e0 = ctx.gs.energy
-    expansion = make_chebyshev_expansion(lambda x: fn(np.asarray(x) - e0),
-                                         lo, hi, tol)
-    return expansion.apply(ctx.H, v)
+    return make_chebyshev_expansion(lambda x: fn(np.asarray(x) - e0),
+                                    *dense_interval(ctx), tol)
+
+
+def _chebyshev_filtered(ctx, fn, v, tol):
+    """fn(H - E0) v by a certified expansion on `dense_interval`."""
+    return dense_expansion(ctx, fn, tol).apply(ctx.H, v)
 
 
 def test_apply_identity_function(ctx22, rng):
