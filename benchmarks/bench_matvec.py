@@ -2,7 +2,7 @@
 """Benchmark the CSR matvec lanes (numba kernel vs scipy fallback).
 
 The matvec dominates everything at scale: Lanczos sweeps, Chebyshev moment
-passes, and the block CG are all matvec loops.  Run as
+passes and the infrared-bound CG are all matvec loops.  Run as
 
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
 

@@ -162,8 +162,8 @@ class SystemContext:
 
     The dense path works on the full basis, and every spectral quantity is
     a sum over the eigensystem of `amplitudes`.  The sparse path works on the
-    twisted-momentum blocks (M, q) of the relabelled axes
-    (`operators.build_hamiltonian`): `H` is block (0, 0), which holds the
+    twisted-momentum blocks (M, q) (`operators.build_hamiltonian`), with the
+    same spin axes as the full basis: `H` is block (0, 0), which holds the
     ground state, and S_k^(2) phi0 and S_k^(3) phi0 are vectors of the
     blocks (1, k) and (1, k + Q) of the pair M = +-1 (`block`).
     Construction checks that block (0, 0) holds the ground state

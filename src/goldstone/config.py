@@ -46,7 +46,6 @@ class ScanConfig:
     locality_gamma: float = 3.0
     locality_delta_gamma: float = 0.5
     locality_times: tuple = (0.25, 0.5, 1.0)
-    locality_center: int = 0
     locality_axis: int = 2
     tolerances: Tolerances = field(default_factory=Tolerances)
     raw_text: str = ""
@@ -60,8 +59,8 @@ class ScanConfig:
                                   f"choose from {CHECK_GROUPS}")
         if not self.b_ladder:
             raise ConfigError("b_ladder must not be empty")
-        if any(b <= 0 for b in self.b_ladder):
-            raise ConfigError("b_ladder entries must be strictly positive")
+        if not all(0 < b < float("inf") for b in self.b_ladder):
+            raise ConfigError("b_ladder entries must be positive and finite")
         if any(a <= b for a, b in zip(self.b_ladder, self.b_ladder[1:])):
             raise ConfigError("b_ladder must be strictly descending")
         windows = [("locality", self.locality_epsilon, self.locality_gamma,
@@ -82,6 +81,10 @@ class ScanConfig:
                               "of positive fractions")
         if not self.tolerances.chebyshev > 0:
             raise ConfigError("filter: chebyshev_tol must be positive")
+        for name in ("algebraic", "resolvent", "solver"):
+            if not 0 < getattr(self.tolerances, name) < float("inf"):
+                raise ConfigError(f"tolerances: {name} must be positive "
+                                  "and finite")
         if self.degree_cap < 1:
             raise ConfigError("filter: degree_cap must be >= 1")
         if self.seed < 0:
@@ -93,6 +96,9 @@ class ScanConfig:
                 and all(0 < p < float("inf") for p in self.p_values)):
             raise ConfigError("wavepacket: p must be auto or a nonempty "
                               "list of finite momenta > 0")
+        if self.kappa != "auto" and not 0 < self.kappa < float("inf"):
+            raise ConfigError("wavepacket: kappa must be auto or a finite "
+                              "value > 0")
         if self.p_values != "auto" and self.kappa != "auto":
             for p in self.p_values:
                 if not p < self.kappa:
@@ -101,15 +107,11 @@ class ScanConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         for extents in self.lattices:
-            name = "x".join(map(str, extents))
             try:
-                n_sites = LatticeSpec(extents, self.spin).n_sites
+                LatticeSpec(extents, self.spin)
             except ValueError as exc:
+                name = "x".join(map(str, extents))
                 raise ConfigError(f"lattice {name}: {exc}") from exc
-            if not 0 <= self.locality_center < n_sites:
-                raise ConfigError(
-                    f"locality: center {self.locality_center} is not a site "
-                    f"of lattice {name} ({n_sites} sites)")
         if self.locality_axis not in (1, 2, 3):
             raise ConfigError(f"locality: axis {self.locality_axis} "
                               "must be 1, 2 or 3")
@@ -168,7 +170,6 @@ _KEYS = {
     ("locality", "delta_gamma"): ("locality_delta_gamma", float),
     ("locality", "times"): ("locality_times",
                             lambda text: tuple(_floats(text))),
-    ("locality", "center"): ("locality_center", int),
     ("locality", "axis"): ("locality_axis", int),
     ("tolerances", "algebraic"): ("tolerances.algebraic", float),
     ("tolerances", "resolvent"): ("tolerances.resolvent", float),

@@ -51,7 +51,7 @@ class LatticeSpec:
         for e in extents:
             if e < 2 or e % 2 != 0:
                 raise ValueError(f"extent {e} must be an even integer >= 2")
-        two_s = round(2 * self.spin)
+        two_s = round(2 * self.spin) if math.isfinite(self.spin) else 0
         if two_s < 1 or abs(2 * self.spin - two_s) > 1e-12:
             raise ValueError(f"spin {self.spin} must be a positive half-integer")
         object.__setattr__(self, "spin", two_s / 2.0)

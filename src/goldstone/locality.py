@@ -9,6 +9,12 @@ sites.  Norms are sqrt(max eig(b^dagger b)) of an exactly rescaled b, and
 non-finite input raises (`operator_norm`); delta shells and partial-trace
 checks take theirs on the block R of R (x) 1 (`support_norm`).  On desk.ini
 both agree with a full-size SVD to 3e-15 relative (locality_profiles.csv).
+H is real, and so are S^(1) and S^(2) (the S_z and S_x matrices,
+`operators.SECTOR_AXES`): with the default axis 2 the smeared evolution, its
+shells and its field-continuity differences are real.  Balls and distances
+are taken from site 0: twisted translations commute with H and carry
+S^(axis) at site 0 to +-S^(axis) at every other site, so site 0 stands for
+all of them.
 """
 
 from __future__ import annotations
@@ -40,9 +46,7 @@ NORM_FLOOR = 1e-12
 def operator_norm(a: np.ndarray) -> float:
     """s sqrt(lambda_max(b^dagger b)) for a = s b, s the largest normal power
     of two at or below max|a| (exact; the Gram matrix can neither overflow
-    nor underflow).  A purely imaginary a is normed as real; NaN/inf raise."""
-    if np.iscomplexobj(a) and not (a.real.any() and a.imag.any()):
-        a = a.imag if a.imag.any() else a.real  # ||i c|| = ||c||, exactly
+    nor underflow).  NaN/inf raise."""
     top = float(np.max(np.abs(a)))
     if not np.isfinite(top):
         raise ValueError("operator_norm: matrix has a non-finite entry")
@@ -132,19 +136,21 @@ def local_approximation(b: np.ndarray, keep_sites, lattice: Lattice) -> np.ndarr
     return np.transpose(embedded, inverse).reshape(b.shape)
 
 
-def delta_decomposition(smeared: np.ndarray, lattice: Lattice, center: int):
-    """Telescoping ball decomposition of a smeared evolution tau*g(a).
+def delta_decomposition(smeared: np.ndarray, lattice: Lattice):
+    """Telescoping ball decomposition of a smeared evolution tau*g(a) of an
+    operator a at site 0.
 
     Delta_0 is the ball-0 local approximation of `smeared`; Delta_m peels
-    the shell between balls m-1 and m, up to the lattice diameter.  The
-    partial sums reconstruct `smeared` exactly once the ball covers the
-    lattice.  Returns (deltas, norms, power-law fit of the norms).
+    the shell between balls m-1 and m around site 0, up to the lattice
+    diameter.  The partial sums reconstruct `smeared` exactly once the ball
+    covers the lattice.  Returns (deltas, norms, power-law fit of the
+    norms).
     """
     deltas = []
     norms = []
     prev = None
     for m in range(lattice.diameter + 1):
-        ball = lattice.ball(center, m)
+        ball = lattice.ball(0, m)
         approx = local_approximation(smeared, ball, lattice)
         delta = approx.copy() if prev is None else approx - prev
         prev = approx
@@ -187,25 +193,25 @@ def _commutator_norm(at: np.ndarray, local: np.ndarray, site: int) -> float:
 
 
 def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
-                          center: int, t_grid, axis: int = 2) -> DecayFit:
-    """Norm samples ||[tau_t(a_center), b_y]|| of a, b = S^(axis), each on
+                          t_grid, axis: int = 2) -> DecayFit:
+    """Norm samples ||[tau_t(a_0), b_y]|| of a, b = S^(axis), each on
     a half-size block for spin 1/2 (`_commutator_norm`), by distance class
     and time, with a dominating K exp(v t) exp(-alpha d) envelope fit.  Per
     (t, distance) the worst norm over sites at that distance is kept; with
     fewer than three samples above NORM_FLOOR the envelope is constant.
     """
-    a = site_spin_operator(lattice, center, axis).to_dense()
-    dloc = lattice.spec.two_s + 1
-    # the single-site matrix: a between states whose other digits are 0
-    shape = (dloc ** center, dloc, len(a) // dloc ** (center + 1))
-    local = a.reshape(shape * 2)[0, :, 0, 0, :, 0]
+    a = site_spin_operator(lattice, 0, axis).to_dense()
+    # the single-site matrix: a between the states whose digits off site 0
+    # (the most significant) are all 0
+    step = len(a) // (lattice.spec.two_s + 1)
+    local = a[::step, ::step]
     a_eig = dec.eigenvectors.conj().T @ a @ dec.eigenvectors
     samples = []
     for t in t_grid:
         at = _evolve(dec, a_eig, t)
         by_dist: dict[int, float] = {}
         for y in range(lattice.n_sites):
-            d = lattice.graph_distance(center, y)
+            d = lattice.graph_distance(0, y)
             norm = _commutator_norm(at, local, y)
             by_dist[d] = max(by_dist.get(d, 0.0), norm)
         for d, v in sorted(by_dist.items()):

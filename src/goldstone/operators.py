@@ -3,14 +3,15 @@ blocks.
 
 Basis encoding: each site's S_z level is one base-(2S+1) digit of the state
 index, site 0 most significant (row-major over the coordinate list), digit 0
-meaning m = +S.  The full basis (`basis_tables`) backs the dense oracle, and
-every single-site spin sum on it comes from `site_sum`.  The sparse path
-works on blocks (M, q): the states of total magnetization M and -M at
-twisted momentum q (`TwistedOrbits`), built from orbit representatives
-without the sector's states or operators.  There the spin axes are
-relabelled so that the field axis is the quantization axis (see
-`SECTOR_AXES`).  All builders are vectorised; the resulting CSR arrays feed
-the matvec kernels in `_kernels`.
+meaning m = +S.  Every basis represents the spin axes alike (see
+`SECTOR_AXES`): the field axis 1 is the quantization axis, so H conserves
+total S^(1) and its field term is diagonal.  The full basis (`basis_tables`)
+backs the dense oracle, and every single-site spin sum on it comes from
+`site_sum`.  The sparse path works on blocks (M, q): the states of total
+magnetization M and -M at twisted momentum q (`TwistedOrbits`), built from
+orbit representatives without the sector's states or operators.  All
+builders are vectorised; the resulting CSR arrays feed the matvec kernels in
+`_kernels`.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ __all__ = [
 ]
 
 # The single-site matrix (1, 2, 3: S_x, S_y, S_z) that represents S^(1),
-# S^(2), S^(3) on a block.  The full basis uses (1, 2, 3).
-# Blocks relabel the axes by the cyclic, hence proper, rotation
-# (1, 2, 3) -> (z, x, y): the field axis 1 becomes the quantization axis,
-# total S^(1) labels the sectors, and every result is unchanged up to
-# rounding.
+# S^(2), S^(3) on every basis: the cyclic, hence proper, rotation
+# (1, 2, 3) -> (z, x, y) makes the field axis 1 the quantization axis, so
+# total S^(1) labels the sectors.
 SECTOR_AXES = (3, 1, 2)
 
 # states per batch when images under the twisted group are computed
@@ -192,7 +191,7 @@ def _ladder_terms(tab: BasisTables, j: int, raising: bool):
 
 
 # The factors of the S^+ and S^- terms in S_x = (S^+ + S^-)/2 and
-# S_y = (S^+ - S^-)/2i, the matrices of axes 1 and 2.
+# S_y = (S^+ - S^-)/2i, by matrix (1: S_x, 2: S_y).
 _LADDER_COEF = {1: (0.5, 0.5), 2: (-0.5j, 0.5j)}
 
 
@@ -205,7 +204,8 @@ def site_sum(lattice: Lattice, weights, axis: int,
     tab = basis_tables(lattice.spec)
     w = np.asarray(weights)
     sites = np.flatnonzero(w)
-    if axis == 3:
+    matrix = SECTOR_AXES[axis - 1]
+    if matrix == 3:
         diag = np.zeros(tab.dim, dtype=np.result_type(w, float))
         for j in sites:
             diag += w[j] * tab.m(j)
@@ -216,18 +216,17 @@ def site_sum(lattice: Lattice, weights, axis: int,
                  for j in sites for raising in (True, False)]
         cols, rows, amp = (np.concatenate(column) for column in zip(*terms))
         counts = [len(t[0]) for t in terms]
-        vals = np.repeat(np.outer(scale * w[sites], _LADDER_COEF[axis]),
+        vals = np.repeat(np.outer(scale * w[sites], _LADDER_COEF[matrix]),
                          counts) * amp
     return SparseHermitianOperator.from_coo(tab.dim, rows, cols, vals)
 
 
-def _rows(lattice: Lattice, B: float, tab: BasisTables, field_diagonal: bool):
+def _rows(lattice: Lattice, B: float, tab: BasisTables):
     """(src, code, amp, diag): the rows of H at the states of `tab`.
 
     The transverse bond terms (S+_i S-_j + S-_i S+_j)/2 map state src to the
     full-basis state `code` with amplitude amp > 0; diag holds
-    sum_bonds m_i m_j, and with `field_diagonal` (relabelled axes) also the
-    field term."""
+    sum_bonds m_i m_j and the field term."""
     s = tab.spin
     diag = np.zeros(tab.dim)
     terms = []
@@ -243,7 +242,7 @@ def _rows(lattice: Lattice, B: float, tab: BasisTables, field_diagonal: bool):
                                 (s * (s + 1) - mb * (mb - 1)))
             terms.append((src, tab.codes[src] - tab.strides[a]
                           + tab.strides[b], amp))
-    if B != 0 and field_diagonal:
+    if B != 0:
         for j in range(lattice.n_sites):
             diag -= B * lattice.staggered_signs[j] * tab.m(j)
     src, codes, amp = (np.concatenate(column) for column in zip(*terms))
@@ -254,34 +253,26 @@ def build_hamiltonian(lattice: Lattice, B: float,
                       block: tuple | None = None) -> SparseHermitianOperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
-    Real symmetric in the product basis (the S^(2)S^(2) bond piece combines
-    with S^(1)S^(1) into real hopping).  With `block` = (M, q), M >= 0, the
-    block of the pair (M, -M) at twisted momentum q (`TwistedOrbits`), with
-    the axes relabelled so that the field term is diagonal, assembled from
-    the rows of H at the representatives (Sandvik, arXiv:1101.3281, Sec.
-    4.2): <r'_q|H|r_q> = sqrt(|O_r'| / |O_r|) sum_{s in O_r} H[r', s]
-    chi_q(g_s).  H commutes with G, so this is Hermitian; it is real for
-    q = 0.
+    Real symmetric in the product basis, with the field term on the
+    diagonal (the S^(2)S^(2) and S^(3)S^(3) bond pieces combine into real
+    hopping).  With `block` = (M, q), M >= 0, the block of the pair (M, -M)
+    at twisted momentum q (`TwistedOrbits`), assembled from the rows of H
+    at the representatives (Sandvik, arXiv:1101.3281, Sec. 4.2):
+    <r'_q|H|r_q> = sqrt(|O_r'| / |O_r|) sum_{s in O_r} H[r', s] chi_q(g_s).
+    H commutes with G, so this is Hermitian; it is real for q = 0.
     """
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
     if block is None:
         tab = basis_tables(lattice.spec)
-        src, dst, amp, diag = _rows(lattice, B, tab, False)
+        src, dst, amp, diag = _rows(lattice, B, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
-        rows, cols, vals = [idx, src], [idx, dst], [diag, amp]
-        if B != 0:
-            field_term = site_sum(lattice, lattice.staggered_signs, 1,
-                                  scale=-B)._scipy().tocoo()
-            rows.append(field_term.row)
-            cols.append(field_term.col)
-            vals.append(field_term.data)
         return SparseHermitianOperator.from_coo(
-            tab.dim, np.concatenate(rows), np.concatenate(cols),
-            np.concatenate(vals))
+            tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
+            np.concatenate([diag, amp]))
     M, q = block
     orbits = twisted_orbits(lattice.spec, M)
-    src, codes, amp, diag = _rows(lattice, B, orbits.reps, True)
+    src, codes, amp, diag = _rows(lattice, B, orbits.reps)
     rep, elem = orbits.locate(codes)
     chi, ok = orbits.block_basis(lattice, q)
     own = np.arange(len(diag))
@@ -300,7 +291,7 @@ def gershgorin_upper(lattice: Lattice, B: float, M: int) -> float:
     the rows at the representatives: G permutes the states and commutes
     with H, so row sums are constant on orbits."""
     orbits = twisted_orbits(lattice.spec, M)
-    src, _, amp, diag = _rows(lattice, B, orbits.reps, True)
+    src, _, amp, diag = _rows(lattice, B, orbits.reps)
     return float(np.max(diag + np.bincount(src, amp, len(diag))))
 
 
@@ -321,10 +312,10 @@ def fourier_spin(lattice: Lattice, n_momentum,
 
 
 def fourier_ladder(lattice: Lattice, n_momentum, axis: int) -> np.ndarray:
-    """c with hat S_k^(axis) = sum_j c[j, 0] S^+_j + c[j, 1] S^-_j in the
-    relabelled axes of the blocks, axis 2 or 3 (axis 1 is diagonal there)."""
+    """c with hat S_k^(axis) = sum_j c[j, 0] S^+_j + c[j, 1] S^-_j, axis 2
+    or 3 (axis 1 is diagonal)."""
     if axis not in (2, 3):
-        raise ValueError(f"axis {axis} is not a ladder axis of the blocks")
+        raise ValueError(f"axis {axis} is not a ladder axis")
     return np.outer(site_phases(lattice, n_momentum),
                     _LADDER_COEF[SECTOR_AXES[axis - 1]]) / np.sqrt(lattice.n_sites)
 

@@ -144,7 +144,6 @@ def run_scan(config: ScanConfig, out_dir=None,
         wavepackets = _wavepackets(res, config, lattice, tag)
         if not wavepackets and groups & {"bounds", "dispersion", "qmode"}:
             res.skip(tag, None, "no usable wavepacket on this grid")
-            continue
 
         def context(B, lattice=lattice):
             return SystemContext(lattice, B, dense_cap=config.dense_cap,
@@ -158,7 +157,8 @@ def run_scan(config: ScanConfig, out_dir=None,
         else:
             contexts = [context(B) for B in config.b_ladder]
         for ctx in contexts:
-            _point(res, config, ctx, tag, wavepackets)
+            if wavepackets:
+                _point(res, config, ctx, tag, wavepackets)
             res.solver_stats.append({"lattice": tag, "B": ctx.B,
                                      **ctx.solver_stats()})
             aborted = fail_fast and bool(res.bound_failures())
@@ -171,8 +171,9 @@ def run_scan(config: ScanConfig, out_dir=None,
         if groups & {"dispersion", "qmode"} and len(contexts) >= 3:
             ms = extrapolate_ms([c.B for c in contexts],
                                 [c.m_B for c in contexts])
-            if res.rows["dispersion"]:
-                res.rows["dispersion"][-1]["ms_intercept"] = ms["intercept"]
+            rows = res.rows["dispersion"]
+            if rows and rows[-1]["lattice"] == tag:
+                rows[-1]["ms_intercept"] = ms["intercept"]
             res.check("dispersion", "ms_extrapolation", tag, None,
                       ms["intercept"], None, True, ms["label"])
         if "locality" in groups:
@@ -353,10 +354,9 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
               contexts) -> None:
     g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
                            config.locality_delta_gamma))
-    center = config.locality_center
     axis = config.locality_axis
     ctx = contexts[len(contexts) // 2]
-    a = site_spin_operator(lattice, center, axis).to_dense()
+    a = site_spin_operator(lattice, 0, axis).to_dense()
 
     smeared = tau_g_star(ctx.dense, g, a)
     phi0 = ctx.gs.vector
@@ -365,7 +365,7 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
     res.check("locality", "smeared_action_identity", tag, ctx.B, defect,
               1e-10, defect <= 1e-10)
 
-    ball = lattice.ball(center, 1)
+    ball = lattice.ball(0, 1)
     once = local_approximation(smeared, ball, lattice)
     twice = local_approximation(once, ball, lattice)
     idem = support_norm(once - twice, ball, lattice)
@@ -375,7 +375,7 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
     res.check("locality", "partial_trace_contractive", tag, ctx.B,
               contraction, 1e-12, contraction <= 1e-12)
 
-    deltas, norms, fit = delta_decomposition(smeared, lattice, center)
+    deltas, norms, fit = delta_decomposition(smeared, lattice)
     recon = operator_norm(sum(deltas) - smeared)
     res.check("locality", "telescoping_reconstruction", tag, ctx.B, recon,
               1e-10, recon <= 1e-10)
@@ -383,8 +383,8 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
         res.row("locality_profiles", lattice=tag, kind="delta_shell",
                 x=float(m), y=None, norm=v, envelope=fit.envelope(m))
 
-    lr = lr_commutator_profile(ctx.dense, lattice, center,
-                               config.locality_times, axis)
+    lr = lr_commutator_profile(ctx.dense, lattice, config.locality_times,
+                               axis)
     by_time: dict[float, list] = {}
     for (t, d, v) in lr.samples:
         res.row("locality_profiles", lattice=tag, kind="lr_commutator", x=t,

@@ -266,12 +266,12 @@ def test_criterion_6_appendix_suite(ladders):
     if operator_norm(once) > operator_norm(smeared) + 1e-12:
         failures.append(("contraction",))
 
-    deltas, _, _ = delta_decomposition(smeared, lat24, 0)
+    deltas, _, _ = delta_decomposition(smeared, lat24)
     recon = operator_norm(sum(deltas) - smeared)
     if recon > 1e-10:
         failures.append(("telescoping", recon))
 
-    lr = lr_commutator_profile(dec, lat24, 0, (0.25, 0.5, 1.0), axis=2)
+    lr = lr_commutator_profile(dec, lat24, (0.25, 0.5, 1.0), axis=2)
     by_time = {}
     for (t, d, v) in lr.samples:
         by_time.setdefault(t, []).append((d, v))

@@ -13,13 +13,12 @@ from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
 from goldstone.eigensolver import SolverError, lowest_ritz
-from goldstone.operators import build_hamiltonian
+from goldstone.operators import build_hamiltonian, fourier_spin
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
 from test_filters import dense_expansion, dense_interval
-from test_operators import (expand_block, relabelled_fourier,
-                            relabelled_hamiltonian)
+from test_operators import expand_block
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
 
@@ -311,8 +310,8 @@ def test_moment_guard_rejects_short_interval(lat22):
        pick=st.integers(0, 10 ** 6),
        axis=st.sampled_from([2, 3]))
 def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
-    """The sparse path (twisted-momentum blocks, relabelled axes) against
-    the full-basis dense oracle."""
+    """The sparse path (twisted-momentum blocks) against the full-basis
+    dense oracle."""
     extents, spin = LATTICES[name]
     lat = Lattice.build(extents, spin)
     tol = Tolerances(chebyshev=1e-6)
@@ -467,12 +466,12 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
 def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     """At small B, where ||S_0^(2) phi0||^2 ~ B^2, a full moment pass over
     every key matches the dense oracle of the sectors M = 0 and M = +-1,
-    built in the relabelled axes from the full basis."""
+    cut from the full-basis H."""
     lat = Lattice.build(extents)
     ctx = SystemContext(lat, B, dense_cap=0)
     keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
     got = ctx.moments(keys, 16)
-    H = relabelled_hamiltonian(lat, B)
+    H = build_hamiltonian(lat, B)._scipy()
     zero = goldstone.operators.sector_basis(lat.spec, (0,)).codes
     pair = goldstone.operators.sector_basis(lat.spec, (1, -1)).codes
     e0, phi = np.linalg.eigh(H[zero][:, zero].toarray())
@@ -484,19 +483,19 @@ def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     x = (2 * evals - (hi + lo)) / (hi - lo)
     cheb = np.cos(np.outer(np.arange(16), np.arccos(x)))
     for (n, axis), mu in zip(keys, got):
-        v = relabelled_fourier(lat, n, axis).matvec(full + 0j)[pair]
+        v = fourier_spin(lat, n, axis).matvec(full + 0j)[pair]
         ref = cheb @ np.abs(evecs.T @ v) ** 2
         assert np.abs(mu - ref).max() <= 1e-10 * max(ref[0], 1e-6)
 
 
 def test_sparse_sk_phi_matches_fourier_spin(lat24):
     """The block coordinates of S_k phi0, expanded to the full basis, are
-    the relabelled Fourier mode applied to the expanded phi0."""
+    the full-basis Fourier mode applied to the expanded phi0."""
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
     phi = expand_block(lat24, ctx.gs.block, ctx.gs.vector)
     for n in lat24.momenta:
         for axis in (2, 3):
-            ref = relabelled_fourier(lat24, n, axis).matvec(phi)
+            ref = fourier_spin(lat24, n, axis).matvec(phi)
             got = expand_block(lat24, (1, ctx._block_q(n, axis)),
                                ctx.sk_phi(n, axis))
             assert np.abs(got - ref).max() <= 1e-14

@@ -1,6 +1,8 @@
+import configparser
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from goldstone.filters import FilterDegreeError
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian
 from goldstone.runner import run_scan
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SMOKE = """
 [scan]
@@ -344,7 +348,6 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("scan", "spin", "abc"),
     ("scan", "lattices", "3x4"),
     ("locality", "axis", "5"),
-    ("locality", "center", "99"),
     ("locality", "delta_gamma", "0"),
     ("locality", "epsilon", "2.0"),
     ("locality", "times", "0.5 0.5"),
@@ -364,12 +367,23 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("wavepacket", "p", ""),
     ("wavepacket", "p", "-1"),
     ("locality", "times", ""),
+    ("wavepacket", "kappa", "0"),
+    ("wavepacket", "kappa", "-1"),
+    ("wavepacket", "kappa", "nan"),
+    ("scan", "b_ladder", "nan"),
+    ("scan", "b_ladder", "0.2 nan"),
+    ("scan", "b_ladder", "inf"),
+    ("scan", "spin", "inf"),
+    ("tolerances", "algebraic", "-1"),
+    ("tolerances", "algebraic", "nan"),
+    ("tolerances", "resolvent", "-1"),
+    ("tolerances", "solver", "-1"),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
                                            value):
     sections = {"scan": {"checks": "bounds locality", "lattices": "2x2",
                          "b_ladder": "0.2"}, "wavepacket": {}, "filter": {},
-                "locality": {}}
+                "locality": {}, "tolerances": {}}
     sections[section][key] = value
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text("".join(
@@ -400,7 +414,7 @@ NON_DEFAULT = {
                "v_min_ladder": "0.5 0.1", "chebyshev_tol": "1e-6",
                "degree_cap": "1000"},
     "locality": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
-                 "times": "0.5 2.0", "center": "1", "axis": "3"},
+                 "times": "0.5 2.0", "axis": "3"},
     "tolerances": {"algebraic": "1e-9", "resolvent": "1e-7",
                    "solver": "1e-9"},
 }
@@ -423,6 +437,43 @@ def test_every_schema_key_changes_the_config():
     assert reached == set(vars(default)) - {"raw_text"}
     cfg = parse_config_text("[filter]\nchebyshev_tol = 1e-6\n")
     assert cfg.tolerances.chebyshev == 1e-6
+
+
+def test_readme_config_block_is_the_schema_with_its_defaults():
+    """The README's `ini` block parses to the default ScanConfig and names
+    every key of the schema, and only those."""
+    block = README.read_text(encoding="utf-8").split("```ini\n")[1] \
+        .split("```")[0]
+    assert replace(parse_config_text(block), raw_text="") == ScanConfig()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    assert {s: set(parser[s]) for s in parser.sections()} == _SCHEMA
+
+
+def test_lattice_without_wavepacket_keeps_locality(tmp_path):
+    """p = 1.4 has no annulus momentum on 2x2 but has on 2x4.  The 2x2
+    lattice skips only its wavepacket stages: its locality suite and m_B
+    extrapolation still run, and the 2x4 dispersion row keeps the
+    intercept of 2x4."""
+    text = ("[scan]\nchecks = dispersion locality\nlattices = 2x4 2x2\n"
+            "b_ladder = 0.4 0.2 0.1\n[wavepacket]\np = 1.4\n")
+    result = run_scan(parse_config_text(text), out_dir=tmp_path / "both")
+    assert result.exit_code == 0
+    checks = result.manifest["checks"]
+    assert {c["lattice"] for c in checks if c["group"] == "locality"} == \
+        {"2x4", "2x2"}
+    ms = {c["lattice"]: c["value"] for c in checks
+          if c["name"] == "ms_extrapolation"}
+    assert set(ms) == {"2x4", "2x2"} and ms["2x4"] != ms["2x2"]
+    with open(tmp_path / "both" / "dispersion.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["lattice"] for r in rows} == {"2x4"}
+    assert float(rows[-1]["ms_intercept"]) == ms["2x4"]
+    alone = run_scan(parse_config_text(text.replace("2x4 2x2", "2x2")),
+                     out_dir=tmp_path / "alone")
+    assert alone.exit_code == 3
+    assert [i["group"] for i in alone.manifest["summary"]["inconclusive"]] \
+        == ["dispersion"]
 
 
 

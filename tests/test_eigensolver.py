@@ -6,7 +6,8 @@ from goldstone.eigensolver import (SolverError, SolverOptions,
                                    check_ground_sector, deflated_solve,
                                    dense_spectrum, ground_state, lowest_ritz)
 from goldstone.lattice import Lattice
-from goldstone.operators import SparseHermitianOperator, build_hamiltonian
+from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
+                                 sector_basis)
 from test_operators import marshall_signs, spin_matrices
 
 ZERO = (0, (0, 0))
@@ -96,11 +97,12 @@ def test_lanczos_nonconvergence_error(ring4, monkeypatch):
 
 
 def test_perron_positive_transformed_vector(lat24):
-    # sign structure of the original ground state is exactly the sublattice
-    # rotation's diagonal for B > 0
+    # H conserves M; on the M = 0 states, where the ground state lies, its
+    # sign structure is exactly the sublattice rotation's diagonal for B > 0
     H = build_hamiltonian(lat24, 0.2)
     gs = ground_state(H, lat24, 0.2)
-    rotated = marshall_signs(lat24) * gs.vector.real
+    zero = sector_basis(lat24.spec, (0,)).codes
+    rotated = (marshall_signs(lat24) * gs.vector.real)[zero]
     rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
     assert rotated.min() > 0.0
 

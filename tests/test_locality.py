@@ -9,7 +9,8 @@ from goldstone.locality import (_commutator_norm, b_continuity,
                                 delta_decomposition, heisenberg_evolve,
                                 local_approximation, lr_commutator_profile,
                                 operator_norm, support_norm, tau_g_star)
-from goldstone.operators import build_hamiltonian, site_spin_operator
+from goldstone.operators import (SECTOR_AXES, build_hamiltonian,
+                                 site_spin_operator)
 from goldstone.runner import run_scan
 from test_operators import spin_matrices
 
@@ -29,6 +30,14 @@ def dec24(lat24):
 def test_evolution_at_zero_time(dec22, lat22):
     a = site_spin_operator(lat22, 0, 2).to_dense()
     assert np.abs(heisenberg_evolve(dec22, a, 0.0) - a).max() <= 1e-12
+
+
+def test_default_locality_operator_is_real(dec22, lat22):
+    # S^(2) is the real S_x matrix, so the smeared evolution of the desk
+    # locality suite is real
+    a = site_spin_operator(lat22, 0, 2).to_dense()
+    assert not np.iscomplexobj(a)
+    assert not np.iscomplexobj(tau_g_star(dec22, GF, a))
 
 
 def test_evolution_fixes_hamiltonian(dec22, lat22):
@@ -144,7 +153,7 @@ def test_support_norm_is_the_full_norm_of_a_local_approximation(rng, extents,
 def test_delta_decomposition_telescopes(dec22, lat22):
     a = site_spin_operator(lat22, 0, 2).to_dense()
     smeared = tau_g_star(dec22, GF, a)
-    deltas, norms, fit = delta_decomposition(smeared, lat22, center=0)
+    deltas, norms, fit = delta_decomposition(smeared, lat22)
     assert operator_norm(sum(deltas) - smeared) <= 1e-10
     # shells beyond the diameter vanish
     balls = [local_approximation(smeared, lat22.ball(0, m), lat22)
@@ -155,8 +164,7 @@ def test_delta_decomposition_telescopes(dec22, lat22):
 
 def test_delta_decomposition_envelope(dec24, lat24):
     a = site_spin_operator(lat24, 0, 2).to_dense()
-    _, norms, fit = delta_decomposition(tau_g_star(dec24, GF, a), lat24,
-                                        center=0)
+    _, norms, fit = delta_decomposition(tau_g_star(dec24, GF, a), lat24)
     assert fit.velocity is None
     for m, v in enumerate(norms):
         assert v <= fit.envelope(m) + 1e-12
@@ -176,7 +184,7 @@ def test_lr_zero_time_disjoint_supports(dec24, lat24):
 
 
 def test_lr_profile_decreases_with_distance(dec24, lat24):
-    fit = lr_commutator_profile(dec24, lat24, 0, (0.25, 0.5, 1.0), axis=2)
+    fit = lr_commutator_profile(dec24, lat24, (0.25, 0.5, 1.0), axis=2)
     by_time = {}
     for (t, d, v) in fit.samples:
         by_time.setdefault(t, []).append((d, v))
@@ -198,7 +206,7 @@ def test_lr_norms_match_the_dense_commutator(extents, spin, axis):
     lat = Lattice.build(extents, spin=spin)
     dec = dense_spectrum(build_hamiltonian(lat, 0.1))
     a = site_spin_operator(lat, 0, axis).to_dense()
-    local = spin_matrices(lat.spec.two_s)[axis - 1]
+    local = spin_matrices(lat.spec.two_s)[SECTOR_AXES[axis - 1] - 1]
     times = (0.25, 0.5, 1.0)
     expected = []
     for t in times:
@@ -212,7 +220,7 @@ def test_lr_norms_match_the_dense_commutator(extents, spin, axis):
             d = lat.graph_distance(0, y)
             by_dist[d] = max(by_dist.get(d, 0.0), ref)
         expected += [(t, float(d), v) for d, v in sorted(by_dist.items())]
-    fit = lr_commutator_profile(dec, lat, 0, times, axis)
+    fit = lr_commutator_profile(dec, lat, times, axis)
     assert [s[:2] for s in fit.samples] == [s[:2] for s in expected]
     assert np.allclose([s[2] for s in fit.samples],
                        [s[2] for s in expected], rtol=0, atol=1e-12)
@@ -222,7 +230,7 @@ def test_lr_envelope_with_too_few_samples_is_constant(pair):
     # one time on two sites gives two samples, too few for the fit: the
     # envelope must still dominate them
     fit = lr_commutator_profile(dense_spectrum(build_hamiltonian(pair, 0.1)),
-                                pair, 0, (0.5,))
+                                pair, (0.5,))
     assert len(fit.samples) == 2
     assert min(v for _, _, v in fit.samples) > 0.1
     assert (fit.rate, fit.velocity) == (0.0, 0.0)

@@ -10,12 +10,13 @@ from goldstone.lattice import Lattice
 from goldstone.operators import (SECTOR_AXES, SparseHermitianOperator,
                                  basis_tables, build_hamiltonian,
                                  fourier_ladder, fourier_spin, sector_basis,
-                                 site_phases, site_spin_operator, site_sum,
+                                 site_phases, site_spin_operator,
                                  staggered_operator, twisted_orbits)
 
 
 def spin_matrices(two_s: int):
-    """Dense single-site (S^(1), S^(2), S^(3)) for spin S = two_s/2.
+    """Dense single-site (S_x, S_y, S_z) for spin S = two_s/2; S^(axis) is
+    the matrix `SECTOR_AXES[axis - 1]` of these.
 
     Rows/columns are ordered m = S, S-1, ..., -S to match the basis digits.
     """
@@ -30,10 +31,11 @@ def spin_matrices(two_s: int):
 
 
 def marshall_signs(lattice):
-    """Diagonal of the sublattice pi-rotation about axis 3, as +-1 per state.
+    """Diagonal of the sublattice pi-rotation about the field axis S^(1)
+    (the S_z matrix), as +-1 per state.
 
     Fixed to a real gauge: entry (-1)^(sum over odd-sublattice sites of S - m).
-    This differs from exp(i pi sum S^(3)) by a global phase only.
+    This differs from exp(i pi sum S^(1)) by a global phase only.
     """
     tab = basis_tables(lattice.spec)
     odd = [j for j in range(lattice.n_sites) if lattice.staggered_signs[j] < 0]
@@ -47,10 +49,9 @@ def transformed_hamiltonian(lattice, B):
     """U* H U = signs (x) H (x) signs, entry by entry, for the sublattice
     rotation U = diag(`marshall_signs`) (U = U* = U^-1).
 
-    Bond terms become -(S+_x S-_y + S-_x S+_y)/2 + S3_x S3_y and the field
-    -B/2 sum_x (S+_x + S-_x); all off-diagonal entries of the result are
-    nonpositive, which is what makes the B > 0 ground state Perron-Frobenius
-    positive and translation covariant with period one.
+    The hops (S+_x S-_y + S-_x S+_y)/2 change sign and the field stays on
+    the diagonal, so every off-diagonal entry of the result is nonpositive,
+    which makes the lowest state of each sector M Perron-Frobenius positive.
     """
     H = build_hamiltonian(lattice, B)
     signs = marshall_signs(lattice)
@@ -59,16 +60,24 @@ def transformed_hamiltonian(lattice, B):
                                    H.data * row_signs * signs[H.indices])
 
 
-def relabelled_hamiltonian(lattice, B):
-    """H on the full basis in the relabelled axes of the blocks (the field
-    on the quantization axis), as a scipy matrix."""
-    return (build_hamiltonian(lattice, 0.0)._scipy()
-            + site_sum(lattice, lattice.staggered_signs, 3, scale=-B)._scipy())
+def rotated_hamiltonian(lattice, B):
+    """U* H U, dense, for U the pi-rotation about S^(3) (the S_y matrix) on
+    the odd sublattice: exp(-i pi S_y) maps digit d to 2S - d with the sign
+    (-1)^d, so U[flip(s), s] = marshall_signs[s].
 
-
-def relabelled_fourier(lattice, n, axis):
-    """hat S_n^(axis) on the full basis in the relabelled axes."""
-    return fourier_spin(lattice, n, SECTOR_AXES[axis - 1])
+    It flips S^(1) and S^(2) on the odd sites, so the field becomes
+    -B sum_x S_x^(1) and the bonds -S^(1)S^(1) - S^(2)S^(2) + S^(3)S^(3):
+    the result is translation covariant with period one.
+    """
+    tab = basis_tables(lattice.spec)
+    flip = tab.codes.copy()
+    for j in range(lattice.n_sites):
+        if lattice.staggered_signs[j] < 0:
+            flip += (lattice.spec.two_s - 2 * tab.digits[j].astype(np.int64)) \
+                * tab.strides[j]
+    signs = marshall_signs(lattice)
+    H = build_hamiltonian(lattice, B).to_dense()
+    return signs[:, None] * H[np.ix_(flip, flip)] * signs[None, :]
 
 
 def expand_block(lattice, block, coords):
@@ -188,12 +197,15 @@ def test_marshall_transform_properties(lat22):
 
 
 def test_transformed_ground_vector_positive(lat22):
-    # Perron-Frobenius: strictly one sign for B > 0 after a global flip
+    # Perron-Frobenius: H conserves M, and the ground state lies in M = 0,
+    # where it has strictly one sign for B > 0 after a global flip
     tH = transformed_hamiltonian(lat22, 0.1)
     dec = dense_spectrum(tH)
     vec = dec.eigenvectors[:, 0]
     vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
-    assert vec.min() > 0.0
+    zero = sector_basis(lat22.spec, (0,)).codes
+    assert vec[zero].min() > 0.0
+    assert np.abs(np.delete(vec, zero)).max() <= 1e-12
 
 
 def _translation_permutation(lattice, axis):
@@ -210,7 +222,7 @@ def _translation_permutation(lattice, axis):
 
 
 def test_translation_covariance_of_rotated_frame(lat24):
-    tH = transformed_hamiltonian(lat24, 0.1).to_dense()
+    tH = rotated_hamiltonian(lat24, 0.1)
     for axis in (0, 1):
         perm = _translation_permutation(lat24, axis)
         moved = tH[np.ix_(perm, perm)]
@@ -243,31 +255,48 @@ def _kron_site(lat, j, mat):
 @pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 2), 0.5),
                                           ((4,), 1.0)])
 def test_site_sums_match_kronecker_products(extents, spin):
-    """`site_sum` against dense Kronecker products of `spin_matrices`:
-    single sites on the full basis, and the ladder coefficients of the
-    Fourier modes in the relabelled axes of the blocks."""
+    """`site_sum` against dense Kronecker products of `spin_matrices`, with
+    S^(axis) the matrix `SECTOR_AXES[axis - 1]`: single sites, and the
+    ladder coefficients of the Fourier modes."""
     lat = Lattice.build(extents, spin)
     mats = spin_matrices(lat.spec.two_s)
     for j in range(lat.n_sites):
         for axis in (1, 2, 3):
-            ref = _kron_site(lat, j, mats[axis - 1])
+            ref = _kron_site(lat, j, mats[SECTOR_AXES[axis - 1] - 1])
             got = site_spin_operator(lat, j, axis).to_dense()
             assert np.abs(got - ref).max() <= 1e-15
-    # blocks represent S^(2) and S^(3) by the S_x and S_y matrices
-    relabelled = {2: mats[0], 3: mats[1]}
     raising = mats[0] + 1j * mats[1]
     for n in lat.momenta:
         phases = site_phases(lat, n) / np.sqrt(lat.n_sites)
         for axis in (2, 3):
-            full = sum(p * _kron_site(lat, j, relabelled[axis])
+            full = sum(p * _kron_site(lat, j, mats[SECTOR_AXES[axis - 1] - 1])
                        for j, p in enumerate(phases))
             c = fourier_ladder(lat, n, axis)
             got = sum(c[j, 0] * _kron_site(lat, j, raising)
                       + c[j, 1] * _kron_site(lat, j, raising.conj().T)
                       for j in range(lat.n_sites))
             assert np.abs(got - full).max() <= 1e-14
+            assert np.abs(fourier_spin(lat, n, axis).to_dense()
+                          - full).max() <= 1e-14
     with pytest.raises(ValueError):
         fourier_ladder(lat, (0,) * lat.dimension, 1)
+
+
+@pytest.mark.parametrize("extents,spin", [((2, 2), 0.5), ((4,), 1.0)])
+def test_hamiltonian_matches_kronecker_products(extents, spin):
+    """H = sum_bonds S_x . S_y - B sum_x sigma(x) S_x^(1) from dense
+    Kronecker products, with the field on the S_z matrix: the full basis
+    uses the spin axes of the blocks."""
+    lat = Lattice.build(extents, spin)
+    mats = spin_matrices(lat.spec.two_s)
+    B = 0.3
+    ref = sum(_kron_site(lat, i, m) @ _kron_site(lat, j, m)
+              for (i, j) in lat.bonds for m in mats)
+    ref = ref - B * sum(lat.staggered_signs[j] * _kron_site(lat, j, mats[2])
+                        for j in range(lat.n_sites))
+    H = build_hamiltonian(lat, B)
+    assert not np.iscomplexobj(H.data)
+    assert np.abs(H.to_dense() - ref).max() <= 1e-14
 
 
 @pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
@@ -347,7 +376,7 @@ def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
     outside = np.setdiff1d(np.arange(spec.hilbert_dim), pair.codes)
     for n in lat24.momenta:
         for axis, q in ((2, n), (3, lat24.shift_q(n))):
-            v = relabelled_fourier(lat24, n, axis).matvec(phi)
+            v = fourier_spin(lat24, n, axis).matvec(phi)
             assert np.abs(v[outside]).max() <= 1e-15
             for a in shifts:
                 moved = np.zeros_like(v)
@@ -367,8 +396,8 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
     has none."""
     lat = Lattice.build(extents, spin)
     tab = sector_basis(lat.spec, sectors)
-    dense = relabelled_hamiltonian(lat, 0.3)[tab.codes][:, tab.codes] \
-        .toarray()
+    dense = build_hamiltonian(lat, 0.3).to_dense()[np.ix_(tab.codes,
+                                                          tab.codes)]
     orbits = twisted_orbits(lat.spec, sectors[0])
     shifts = list(itertools.product(*map(range, extents)))
     perms = []
