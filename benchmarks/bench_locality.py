@@ -26,8 +26,7 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
+# goldstone before numpy, so the timings run on the scan's one BLAS thread
 from goldstone.config import parse_config
 from goldstone.eigensolver import dense_spectrum
 from goldstone.filters import FilterSpec, GFilter
@@ -36,6 +35,8 @@ from goldstone.locality import (b_continuity, delta_decomposition,
                                 local_approximation, lr_commutator_profile,
                                 operator_norm, support_norm, tau_g_star)
 from goldstone.operators import build_hamiltonian, site_spin_operator
+
+import numpy as np
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
 

@@ -18,12 +18,13 @@ Set GOLDSTONE_NO_NUMBA=1 to check what the fallback lane alone would do.
 import argparse
 import time
 
-import numpy as np
-
+# goldstone before numpy, so the timings run on the scan's one BLAS thread
 from goldstone import _kernels
 from goldstone.eigensolver import SolverOptions, ground_state
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian, direct_sum
+
+import numpy as np
 
 
 def time_matvec(H, x, reps):

@@ -8,6 +8,14 @@ susceptibility bounds, double-commutator sum rules, smooth spectral filters,
 wavepacket excitation energies, and quasi-locality estimates.
 """
 
+import os
+
+# One BLAS thread unless the caller set one, before numpy loads OpenBLAS: the
+# dense calls here are small, so a second thread only spins between calls
+# (a third of a scan's CPU) and its reductions make CSV bytes depend on the
+# core count.  `[scan] jobs` is the parallel control.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .lattice import Lattice, LatticeSpec, dispersion_symbol  # noqa: F401

@@ -79,8 +79,9 @@ class ScanConfig:
         if not (self.v_min_ladder and min(self.v_min_ladder) > 0):
             raise ConfigError("filter: v_min_ladder must be a nonempty list "
                               "of positive fractions")
-        if not self.tolerances.chebyshev > 0:
-            raise ConfigError("filter: chebyshev_tol must be positive")
+        # the den filter g^2 lies in [0, 1]: a sup error of 1 bounds nothing
+        if not 0 < self.tolerances.chebyshev < 1:
+            raise ConfigError("filter: chebyshev_tol must lie in (0, 1)")
         for name in ("algebraic", "resolvent", "solver"):
             if not 0 < getattr(self.tolerances, name) < float("inf"):
                 raise ConfigError(f"tolerances: {name} must be positive "

@@ -440,6 +440,7 @@ def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
             "scipy": scipy.__version__,
             "numba_kernels": bool(use_numba),
             "numba_available": bool(HAVE_NUMBA),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "checks": res.checks,
         "summary": {

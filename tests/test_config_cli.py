@@ -1,6 +1,9 @@
 import configparser
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,6 +337,27 @@ def test_cli_scan_and_report(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("threads,recorded", [(None, "1"), ("2", "2")])
+def test_scan_defaults_to_one_blas_thread(tmp_path, threads, recorded):
+    """A fresh scan process runs on one OpenBLAS thread unless the caller set
+    OPENBLAS_NUM_THREADS, and the manifest records the value it ran with."""
+    cfg_path = tmp_path / "smoke.ini"
+    cfg_path.write_text(SMOKE)
+    # this session imported goldstone, which set the variable here too
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    package_root = str(Path(goldstone.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "goldstone.cli", "scan",
+                    "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                   env=env, check=True, capture_output=True, timeout=300)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["openblas_num_threads"] == recorded
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text("[scan]\nchecks = nonsense\n")
@@ -360,6 +384,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "gamma", "-1"),
     ("filter", "chebyshev_tol", "0"),
     ("filter", "chebyshev_tol", "-1"),
+    ("filter", "chebyshev_tol", "inf"),
+    ("filter", "chebyshev_tol", "1"),
+    ("filter", "chebyshev_tol", "5"),
     ("filter", "degree_cap", "0"),
     ("scan", "seed", "-1"),
     ("scan", "cache_dir", "x"),
