@@ -9,12 +9,18 @@ wavepacket excitation energies, and quasi-locality estimates.
 """
 
 import os
+import sys
 
-# One BLAS thread unless the caller set one, before numpy loads OpenBLAS: the
-# dense calls here are small, so a second thread only spins between calls
-# (a third of a scan's CPU) and its reductions make CSV bytes depend on the
-# core count.  `[scan] jobs` is the parallel control.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS thread unless the caller set one: the dense calls here are small,
+# so a second thread only spins between calls (a third of a scan's CPU) and
+# its reductions make CSV bytes depend on the core count.  `[scan] jobs` is
+# the parallel control.  OpenBLAS reads the variable when numpy loads it, so
+# if numpy came first, its running OpenBLAS is set to one thread instead.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if "numpy" in sys.modules:
+        from ._blas import set_one_blas_thread
+        set_one_blas_thread()
 
 __version__ = "0.1.0"
 

@@ -32,6 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._blas import blas_threads
 from ._kernels import HAVE_NUMBA, use_numba
 from .analysis import (EpsilonChoiceError, SystemContext,
                        VanishingDenominatorError, bound_report, choose_epsilon,
@@ -440,7 +441,7 @@ def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
             "scipy": scipy.__version__,
             "numba_kernels": bool(use_numba),
             "numba_available": bool(HAVE_NUMBA),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "openblas_num_threads": blas_threads(),
         },
         "checks": res.checks,
         "summary": {

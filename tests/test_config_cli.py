@@ -337,10 +337,12 @@ def test_cli_scan_and_report(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("threads,recorded", [(None, "1"), ("2", "2")])
-def test_scan_defaults_to_one_blas_thread(tmp_path, threads, recorded):
-    """A fresh scan process runs on one OpenBLAS thread unless the caller set
-    OPENBLAS_NUM_THREADS, and the manifest records the value it ran with."""
+@pytest.mark.parametrize("numpy_first", [False, True])
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_scan_defaults_to_one_blas_thread(tmp_path, threads, numpy_first):
+    """A scan process runs on one OpenBLAS thread unless the caller set
+    OPENBLAS_NUM_THREADS, whether or not numpy was imported before goldstone,
+    and the manifest records the count OpenBLAS reports."""
     cfg_path = tmp_path / "smoke.ini"
     cfg_path.write_text(SMOKE)
     # this session imported goldstone, which set the variable here too
@@ -351,11 +353,17 @@ def test_scan_defaults_to_one_blas_thread(tmp_path, threads, recorded):
     package_root = str(Path(goldstone.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-m", "goldstone.cli", "scan",
-                    "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+    entry = (["-c", "import sys, numpy, goldstone.cli; "
+              "sys.exit(goldstone.cli.main(sys.argv[1:]))"]
+             if numpy_first else ["-m", "goldstone.cli"])
+    subprocess.run([sys.executable, *entry, "scan", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out")],
                    env=env, check=True, capture_output=True, timeout=300)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["versions"]["openblas_num_threads"] == recorded
+    # OpenBLAS runs on no more threads than the process has CPUs
+    cpus = len(os.sched_getaffinity(0))
+    expected = 1 if threads is None else min(int(threads), cpus)
+    assert manifest["versions"]["openblas_num_threads"] == expected
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
