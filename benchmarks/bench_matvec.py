@@ -1,25 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark the CSR matvec lanes (numba kernel vs scipy fallback).
+"""Benchmark the CSR matvec, `SparseHermitianOperator.matvec`.
 
 The matvec dominates everything at scale: Lanczos sweeps, Chebyshev moment
 passes and the infrared-bound CG are all matvec loops.  Run as
 
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
+                                      [--lanczos]
 
-It also times an 8-column real block on the full H, on block (0, 0) that
-holds the ground state and on block (1, 0) of M = +1, -1, and one complex
-column on the direct sum of every twisted-momentum block (1, q), the shape
-of the sparse path's moment pass: a column carries one vector per block, so
-that row is the cost of one matvec on N vectors.
-
-Set GOLDSTONE_NO_NUMBA=1 to check what the fallback lane alone would do.
+It times one real and one complex vector on the full H, then an 8-column
+real block on the full H, on block (0, 0) that holds the ground state and
+on block (1, 0) of M = +1, -1, and one complex column on the direct sum of
+every twisted-momentum block (1, q), the shape of the sparse path's moment
+pass: a column carries one vector per block, so that row is the cost of one
+matvec on N vectors.  `--lanczos` also times a ground-state solve on the
+full H.
 """
 
 import argparse
 import time
 
 # goldstone before numpy, so the timings run on the scan's one BLAS thread
-from goldstone import _kernels
 from goldstone.eigensolver import SolverOptions, ground_state
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian, direct_sum
@@ -28,12 +28,11 @@ import numpy as np
 
 
 def time_matvec(H, x, reps):
-    H.matvec(x)  # warm up (JIT compile on the numba lane)
+    H.matvec(x)  # warm up
     t0 = time.perf_counter()
     for _ in range(reps):
-        y = H.matvec(x)
-    dt = (time.perf_counter() - t0) / reps
-    return dt, y
+        H.matvec(x)
+    return (time.perf_counter() - t0) / reps
 
 
 def main():
@@ -56,36 +55,17 @@ def main():
     x_real = rng.standard_normal(H.dim)
     x_cplx = x_real + 1j * rng.standard_normal(H.dim)
 
-    lanes = [("scipy", False)]
-    if _kernels.HAVE_NUMBA:
-        lanes.insert(0, ("numba", True))
-    else:
-        print("numba unavailable (or disabled by GOLDSTONE_NO_NUMBA)")
-
-    results = {}
-    for name, flag in lanes:
-        _kernels.use_numba = flag
-        dt_r, y_r = time_matvec(H, x_real, args.reps)
-        dt_c, y_c = time_matvec(H, x_cplx, args.reps)
-        results[name] = (dt_r, dt_c, y_r, y_c)
-        gflops = 2 * H.nnz / dt_r / 1e9
-        print(f"  {name:6s}: real {dt_r * 1e3:8.3f} ms  "
-              f"complex {dt_c * 1e3:8.3f} ms  ({gflops:.2f} Gflop/s real)")
-
-    if len(results) == 2:
-        ref = results["scipy"]
-        got = results["numba"]
-        err = max(np.abs(got[2] - ref[2]).max(), np.abs(got[3] - ref[3]).max())
-        print(f"  lane agreement: max |diff| = {err:.3e}")
-        print(f"  speedup: real x{ref[0] / got[0]:.2f}, "
-              f"complex x{ref[1] / got[1]:.2f}")
+    dt_r = time_matvec(H, x_real, args.reps)
+    dt_c = time_matvec(H, x_cplx, args.reps)
+    print(f"  1 vector: real {dt_r * 1e3:8.3f} ms  complex {dt_c * 1e3:8.3f} "
+          f"ms  ({2 * H.nnz / dt_r / 1e9:.2f} Gflop/s real)")
 
     zero = (0,) * len(extents)
     for name, block in (("full", None), ("(0, 0)", (0, zero)),
                         ("(1, 0)", (1, zero))):
         op = H if block is None else build_hamiltonian(lat, args.field, block)
         columns = rng.standard_normal((op.dim, 8))
-        dt, _ = time_matvec(op, columns, args.reps)
+        dt = time_matvec(op, columns, args.reps)
         print(f"  8-column real block on {name:6s}: dim {op.dim:8d}, nnz "
               f"{op.nnz:9d}, {dt * 1e3:8.3f} ms ({dt * 1e3 / 8:.3f} ms "
               "per column)")
@@ -94,19 +74,17 @@ def main():
                      for q in lat.momenta])
     column = rng.standard_normal((op.dim, 1)) \
         + 1j * rng.standard_normal((op.dim, 1))
-    dt, _ = time_matvec(op, column, args.reps)
+    dt = time_matvec(op, column, args.reps)
     n = len(lat.momenta)
     print(f"  1 complex column on the {n} momentum blocks of M=+-1: dim "
           f"{op.dim:8d}, nnz {op.nnz:9d}, {dt * 1e3:8.3f} ms "
           f"({dt * 1e3 / n:.3f} ms per vector)")
 
     if args.lanczos:
-        for name, flag in lanes:
-            _kernels.use_numba = flag
-            t0 = time.perf_counter()
-            gs = ground_state(H, lat, args.field, SolverOptions())
-            print(f"  {name:6s}: ground state in "
-                  f"{time.perf_counter() - t0:.2f}s (E0 = {gs.energy:.10f})")
+        t0 = time.perf_counter()
+        gs = ground_state(H, lat, args.field, SolverOptions())
+        print(f"  ground state in {time.perf_counter() - t0:.2f}s "
+              f"(E0 = {gs.energy:.10f})")
 
 
 if __name__ == "__main__":

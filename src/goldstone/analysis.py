@@ -534,18 +534,20 @@ def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
     weights = build_f(wp, lattice)
     if not weights.annulus:
         raise EpsilonChoiceError("no grid momenta in the annulus")
+    for n in weights.annulus:
+        if min(lattice.dispersion(n),
+               lattice.dispersion(lattice.shift_q(n))) <= 1e-12:
+            raise EpsilonChoiceError(
+                f"the annulus reaches momentum label {n}, where "
+                "E_k E_(k+Q) = 0: no velocity keeps the bracket positive")
     r = wp.annulus_radius
-    scale = min(
-        m_b * np.sqrt(lattice.dispersion(lattice.shift_q(n))
-                      * lattice.dispersion(n)) / (2.0 * r)
-        for n in weights.annulus)
+    roots = [np.sqrt(lattice.dispersion(lattice.shift_q(n))
+                     * lattice.dispersion(n)) for n in weights.annulus]
+    scale = min(m_b * root / (2.0 * r) for root in roots)
     for frac in sorted(ladder, reverse=True):
         v = frac * scale
         eps = v * r
-        bracket_ok = all(
-            m_b / 2.0 - v * r / np.sqrt(
-                lattice.dispersion(lattice.shift_q(n)) * lattice.dispersion(n)) > 0
-            for n in weights.annulus)
+        bracket_ok = all(m_b / 2.0 - v * r / root > 0 for root in roots)
         window_ok = True
         if gamma is not None and delta_gamma is not None:
             window_ok = 2 * eps < gamma - delta_gamma

@@ -152,9 +152,7 @@ def check_ground_sector(e0: float, lowest) -> float:
 
 def row_sum_bound(H: SparseHermitianOperator) -> float:
     """max_i sum_j |H_ij| >= ||H||, without matvecs."""
-    sums = np.add.reduceat(np.abs(H.data), H.indptr[:-1])
-    sums[np.diff(H.indptr) == 0] = 0.0
-    return float(sums.max())
+    return float(abs(H.csr).sum(axis=1).max())
 
 
 def dense_spectrum(H: SparseHermitianOperator,

@@ -10,20 +10,19 @@ backs the dense oracle, and every single-site spin sum on it comes from
 `site_sum`.  The sparse path works on blocks (M, q): the states of total
 magnetization M and -M at twisted momentum q (`TwistedOrbits`), built from
 orbit representatives without the sector's states or operators.  All
-builders are vectorised; the resulting CSR arrays feed the matvec kernels in
-`_kernels`.
+builders are vectorised and return one scipy CSR matrix per operator, whose
+product is the one matvec of every solver and filter.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
-from . import _kernels
 from .lattice import Lattice, LatticeSpec
 
 __all__ = [
@@ -56,44 +55,46 @@ _BATCH = 1 << 16
 
 @dataclass(eq=False)
 class SparseHermitianOperator:
-    """Complex (or real) square sparse matrix in CSR form."""
+    """Complex (or real) square sparse matrix: one scipy CSR matrix."""
 
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    _scipy_cache: scipy.sparse.csr_matrix | None = field(
-        default=None, repr=False, compare=False)
+    csr: scipy.sparse.csr_matrix
 
     @classmethod
     def from_coo(cls, dim, rows, cols, vals):
         mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
                                       shape=(dim, dim)).tocsr()
         mat.sum_duplicates()
-        return cls.from_scipy(mat)
+        return cls(mat)
 
-    @classmethod
-    def from_scipy(cls, mat):
-        mat = mat.tocsr()
-        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data)
+    @property
+    def dim(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        return self.csr.nnz
 
-    def _scipy(self) -> scipy.sparse.csr_matrix:
-        if self._scipy_cache is None:
-            self._scipy_cache = scipy.sparse.csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=(self.dim, self.dim))
-        return self._scipy_cache
+    @property
+    def data(self) -> np.ndarray:
+        return self.csr.data
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.csr.indptr
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _kernels.csr_matvec(self.indptr, self.indices, self.data, x,
-                                   scipy_csr=self._scipy())
+        """H @ x for one vector or a 2-D block of columns.  A real H times a
+        complex x is two real products: scipy would otherwise copy all of H
+        to complex on every call."""
+        if np.iscomplexobj(x) and not np.iscomplexobj(self.data):
+            out = np.empty(x.shape, dtype=np.result_type(self.data, x))
+            out.real = self.csr @ x.real
+            out.imag = self.csr @ x.imag
+            return out
+        return self.csr @ x
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self._scipy().todense())
+        return self.csr.toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,5 +446,5 @@ def excitation_ladders(spec: LatticeSpec):
 
 def direct_sum(ops) -> SparseHermitianOperator:
     """The block-diagonal operator with the blocks `ops`, in order."""
-    return SparseHermitianOperator.from_scipy(
-        scipy.sparse.block_diag([op._scipy() for op in ops], format="csr"))
+    return SparseHermitianOperator(
+        scipy.sparse.block_diag([op.csr for op in ops], format="csr"))

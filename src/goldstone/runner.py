@@ -250,8 +250,8 @@ def _point(res: _Outputs, config: ScanConfig, ctx: SystemContext, tag: str,
         (p0, wp0, _), chosen = wavepackets[0], filters[0]
         if isinstance(chosen, EpsilonChoiceError):
             res.skip(tag, p0, f"bounds: {chosen}", B=ctx.B)
-            return
-        _bounds(res, ctx, tag, *chosen, wp0.annulus_radius)
+        else:
+            _bounds(res, ctx, tag, *chosen, wp0.annulus_radius)
     if {"dispersion", "qmode"} & set(config.checks):
         for (p, _, weights), chosen in zip(wavepackets, filters):
             if isinstance(chosen, EpsilonChoiceError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,17 @@ def test_choose_epsilon_respects_window():
     wp = WavepacketSpec(np.pi, 4.5)
     with pytest.raises(EpsilonChoiceError):
         choose_epsilon(1.0, wp, lat, ladder=(0.5,), gamma=0.9, delta_gamma=0.5)
+
+
+def test_choose_epsilon_names_a_zero_energy_annulus_momentum():
+    # on 2x4, p = 3.4 puts Q inside the annulus [R/2, R], where
+    # E_k E_{k+Q} = 0: the choice fails up front, with no 0/0 warning
+    lat = Lattice.build((2, 4))
+    wp = WavepacketSpec(3.4, 4.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EpsilonChoiceError, match="momentum label"):
+            choose_epsilon(0.3, wp, lat)
 
 
 def test_window_entries_pass(ctx22):
@@ -471,7 +484,7 @@ def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     ctx = SystemContext(lat, B, dense_cap=0)
     keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
     got = ctx.moments(keys, 16)
-    H = build_hamiltonian(lat, B)._scipy()
+    H = build_hamiltonian(lat, B).csr
     zero = goldstone.operators.sector_basis(lat.spec, (0,)).codes
     pair = goldstone.operators.sector_basis(lat.spec, (1, -1)).codes
     e0, phi = np.linalg.eigh(H[zero][:, zero].toarray())

@@ -514,6 +514,26 @@ def test_lattice_without_wavepacket_keeps_locality(tmp_path):
 
 
 
+@pytest.mark.parametrize("p_values", ["3.4 1.5707963267948966",
+                                      "1.5707963267948966 3.4"])
+def test_bounds_skip_keeps_dispersion_records(tmp_path, p_values):
+    """p = 3.4 has no usable epsilon on 2x4.  When it is the first
+    wavepacket, the bounds stage is skipped and reported inconclusive, but
+    every wavepacket still gets its dispersion stage."""
+    text = ("[scan]\nchecks = bounds dispersion\nlattices = 2x4\n"
+            f"b_ladder = 0.2\n[wavepacket]\np = {p_values}\n")
+    result = run_scan(parse_config_text(text), out_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "dispersion.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["p_target"]) for r in rows] == [np.pi / 2]
+    inconclusive = result.manifest["summary"]["inconclusive"]
+    if p_values.startswith("3.4"):
+        assert result.exit_code == 3
+        assert [i["group"] for i in inconclusive] == ["bounds"]
+    else:
+        assert result.exit_code == 0 and not inconclusive
+
+
 def test_scan_that_checked_nothing_is_inconclusive(tmp_path, monkeypatch,
                                                    capsys):
     """Every point skipped for a data-dependent EpsilonChoiceError: nothing

@@ -55,9 +55,9 @@ def transformed_hamiltonian(lattice, B):
     """
     H = build_hamiltonian(lattice, B)
     signs = marshall_signs(lattice)
-    row_signs = np.repeat(signs, np.diff(H.indptr))
-    return SparseHermitianOperator(H.dim, H.indptr, H.indices,
-                                   H.data * row_signs * signs[H.indices])
+    csr = H.csr.copy()
+    csr.data *= np.repeat(signs, np.diff(csr.indptr)) * signs[csr.indices]
+    return SparseHermitianOperator(csr)
 
 
 def rotated_hamiltonian(lattice, B):

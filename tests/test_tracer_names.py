@@ -2,9 +2,12 @@
 functions up by name; a deletion that breaks a traced run fails here."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import goldstone._kernels
+import goldstone
 import goldstone.filters
 import goldstone.operators
 
@@ -22,5 +25,18 @@ def test_every_traced_name_resolves(monkeypatch):
     assert not missing
     assert callable(goldstone.filters.ChebyshevExpansion.apply)
     assert callable(goldstone.operators.SparseHermitianOperator.matvec)
-    assert isinstance(goldstone._kernels.HAVE_NUMBA, bool)
-    assert isinstance(goldstone._kernels.use_numba, bool)
+
+
+def test_tracer_flags_reachable_from_cli_import():
+    # the tracer imports goldstone.cli alone, then reads these two flags for
+    # its context; the child imports the same goldstone as this session
+    package_root = str(Path(goldstone.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = ("import goldstone.cli, goldstone; k = goldstone._kernels; "
+            "print(k.HAVE_NUMBA, k.use_numba)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
