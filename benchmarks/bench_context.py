@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Time the sparse context build by stage, with the peak RSS after each.
+
+    python benchmarks/bench_context.py [--extents 4x4] [--spin 0.5]
+
+The field, the seed, the solver tolerance and the wavepacket are those of
+`configs/torus4x4.ini`.  Stages, in order:
+
+- `enumeration`: `sector_basis` of every pair (M, -M), M = 0 .. N S;
+- `orbits`: `twisted_orbits` of every pair, from empty caches;
+- `block (0, 0)`: from empty caches, as a new `SystemContext` starts: the
+  ladder terms into M = +-1, block (0, 0) and its Lanczos ground state;
+- `ground sector`: block (M, 0) and its lowest Ritz value, M = 1 .. N S,
+  block (1, 0) from the shared rows of M = +-1 (`block_rows`);
+- `blocks (1, q)`: the Gershgorin bound and the other blocks (1, q) of the
+  moment pass of a `configs/torus4x4.ini` scan, from the same rows.
+
+A context keeps its blocks (1, q); this script builds each and drops it, so
+the last stage's peak is that of one block at a time.  Peak RSS is the
+process's high-water mark so far (`ru_maxrss`).
+"""
+
+import argparse
+import resource
+import time
+from pathlib import Path
+
+# goldstone before numpy, so the timings run on the scan's one BLAS thread
+import goldstone.operators as operators
+from goldstone.analysis import filter_keys
+from goldstone.config import parse_config
+from goldstone.eigensolver import SolverOptions, ground_state, lowest_ritz
+from goldstone.filters import WavepacketSpec, build_f
+from goldstone.lattice import Lattice
+from goldstone.operators import (block_rows, build_hamiltonian,
+                                 excitation_ladders, gershgorin_upper,
+                                 sector_basis, twisted_orbits)
+
+TORUS = Path(__file__).resolve().parent.parent / "configs" / "torus4x4.ini"
+
+
+def empty_caches():
+    """Clear every cache of `goldstone.operators`, as in a new process."""
+    for fn in vars(operators).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--extents", default="4x4")
+    parser.add_argument("--spin", type=float, default=0.5)
+    args = parser.parse_args()
+
+    cfg = parse_config(TORUS)
+    lat = Lattice.build(tuple(int(t) for t in args.extents.split("x")),
+                        args.spin)
+    spec, B = lat.spec, cfg.b_ladder[0]
+    opts = SolverOptions(tol=cfg.tolerances.solver, seed=cfg.seed)
+    zero = (0,) * lat.dimension
+    pairs = range(lat.n_sites * spec.two_s // 2 + 1)
+    p = cfg.p_values[0]
+    weights = build_f(WavepacketSpec(p, cfg.resolve_kappa([4 * p / 3])), lat)
+    keys = filter_keys(lat, weights, cfg.checks)
+    qs = list(dict.fromkeys(n if axis == 2 else lat.shift_q(n)
+                            for n, axis in keys))
+    print(f"lattice {args.extents}, spin {spec.spin}, B = {B}: "
+          f"{len(pairs)} pairs, {len(keys)} pass vectors in {len(qs)} "
+          "blocks (1, q)")
+
+    def stage(name, fn):
+        t0 = time.perf_counter()
+        note = fn()
+        print(f"  {name:14s} {time.perf_counter() - t0:8.3f} s   peak RSS "
+              f"{peak_mb():7.0f} MB   {note}")
+
+    def enumeration():
+        dims = [sector_basis(spec, (M, -M) if M else (0,)).dim
+                for M in pairs]
+        return f"{sum(dims)} states"
+
+    def orbits():
+        empty_caches()
+        return f"{sum(twisted_orbits(spec, M).reps.dim for M in pairs)} reps"
+
+    def ground_block():
+        empty_caches()
+        excitation_ladders(spec)
+        H = build_hamiltonian(lat, B, (0, zero))
+        gs = ground_state(H, lat, B, opts, block=(0, zero))
+        return f"dim {H.dim}, nnz {H.nnz}, E0 = {gs.energy!r}"
+
+    shared = {}
+
+    def ground_sector():
+        shared["rows"] = block_rows(lat, B, 1)
+        lowest = []
+        for M in pairs[1:]:
+            H = build_hamiltonian(lat, B, (M, zero),
+                                  shared["rows"] if M == 1 else None)
+            lowest.append(lowest_ritz(H, opts)[0])
+        return f"lowest of M = 1: {lowest[0]!r}"
+
+    def pass_blocks():
+        upper = gershgorin_upper(shared["rows"])
+        nnz = [build_hamiltonian(lat, B, (1, q), shared["rows"]).nnz
+               for q in qs if q != zero]
+        return f"{len(nnz)} blocks, {sum(nnz)} nonzeros, upper {upper!r}"
+
+    stage("enumeration", enumeration)
+    stage("orbits", orbits)
+    stage("block (0, 0)", ground_block)
+    stage("ground sector", ground_sector)
+    stage("blocks (1, q)", pass_blocks)
+
+
+if __name__ == "__main__":
+    main()

@@ -26,10 +26,10 @@ from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
 from .lattice import Lattice
-from .operators import (SparseHermitianOperator, build_hamiltonian,
-                        direct_sum, excitation_ladders, fourier_ladder,
-                        fourier_spin, gershgorin_upper, staggered_operator,
-                        twisted_orbits)
+from .operators import (SparseHermitianOperator, block_rows,
+                        build_hamiltonian, direct_sum, excitation_ladders,
+                        fourier_ladder, fourier_spin, gershgorin_upper,
+                        staggered_operator, twisted_orbits)
 
 __all__ = [
     "Tolerances",
@@ -194,6 +194,9 @@ class SystemContext:
                                   lattice, residual=0.0)
             self.excitation = self.dense.eigenvalues - self.gs.energy
         else:
+            # first: it reads the lookup tables of M = 0 and +-1, and only
+            # the two pairs used last keep theirs (`operators._orbit_pass`)
+            excitation_ladders(lattice.spec)
             self.H = build_hamiltonian(lattice, B, (0, self._zero))
             self.gs = ground_state(self.H, lattice, B, self.solver_opts,
                                    block=(0, self._zero))
@@ -235,11 +238,17 @@ class SystemContext:
 
     # -- vectors ---------------------------------------------------------
 
+    @cached_property
+    def _pair_rows(self):
+        """The rows of M = +-1 that its blocks share (`block_rows`)."""
+        return block_rows(self.lattice, self.B, 1)
+
     def block(self, q) -> SparseHermitianOperator:
         """H on block (1, q) of the pair M = +-1 (sparse path), cached."""
         q = tuple(q)
         if q not in self._blocks:
-            self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q))
+            self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q),
+                                                self._pair_rows)
         return self._blocks[q]
 
     def _block_q(self, n, axis: int) -> tuple:
@@ -291,7 +300,7 @@ class SystemContext:
         if self._interval is None:
             self._interval = spectral_interval(
                 self.sector_lowest[0]["ritz"],
-                gershgorin_upper(self.lattice, self.B, 1))
+                gershgorin_upper(self._pair_rows))
         return self._interval
 
     def filter_expansions(self, g: GFilter):

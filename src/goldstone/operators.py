@@ -17,6 +17,7 @@ product is the one matvec of every solver and filter.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,8 @@ __all__ = [
     "sector_basis",
     "build_hamiltonian",
     "gershgorin_upper",
+    "BlockRows",
+    "block_rows",
     "fourier_spin",
     "fourier_ladder",
     "site_spin_operator",
@@ -78,10 +81,6 @@ class SparseHermitianOperator:
     def data(self) -> np.ndarray:
         return self.csr.data
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.csr.indptr
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x for one vector or a 2-D block of columns.  A real H times a
         complex x is two real products: scipy would otherwise copy all of H
@@ -109,6 +108,7 @@ class BasisTables:
     codes: np.ndarray       # (dim,) int64, ascending
     digits: np.ndarray      # (n_sites, dim) int8
     strides: np.ndarray     # (n_sites,) int64
+    index: tuple | None = None  # `sector_basis`'s rank tables
 
     @property
     def dim(self) -> int:
@@ -119,76 +119,74 @@ class BasisTables:
         return self.spin - self.digits[j].astype(np.float64)
 
     def rank(self, codes: np.ndarray) -> np.ndarray:
-        """Basis positions of full-basis codes, which must lie in the basis."""
-        idx = np.searchsorted(self.codes, codes)
-        if not np.array_equal(self.codes[np.minimum(idx, self.dim - 1)],
-                              codes):
-            raise ValueError("states outside the basis")
-        return idx
+        """Positions of full-basis codes in a sector basis (`_rank`)."""
+        return _rank(self.index, codes)
 
 
-def _digits(spec: LatticeSpec, codes: np.ndarray) -> np.ndarray:
-    """(n_sites, len(codes)) int8 digits of full-basis codes."""
-    dloc = spec.two_s + 1
-    digits = np.empty((spec.n_sites, len(codes)), dtype=np.int8)
-    r = codes.copy()
-    for j in range(spec.n_sites - 1, -1, -1):
-        digits[j] = r % dloc
-        r //= dloc
-    return digits
+def _rank(index: tuple, codes: np.ndarray) -> np.ndarray:
+    """Positions of codes in a sector basis by H. Q. Lin's two tables (PRB
+    42, 6561 (1990)): the high digits give the first state with them, the
+    low digits the offset among the low halves that complete them."""
+    low, start, high_sum, within = index
+    high, rest = np.divmod(codes, low)
+    pos = within[high_sum[high], rest]
+    if np.any(pos < 0):
+        raise ValueError("states outside the basis")
+    return start[high] + pos
 
 
-def _tables(spec: LatticeSpec, codes: np.ndarray) -> BasisTables:
-    n, dloc = spec.n_sites, spec.two_s + 1
-    strides = np.array([dloc ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-    return BasisTables(dloc, spec.spin, codes, _digits(spec, codes), strides)
+def _strides(spec: LatticeSpec) -> np.ndarray:
+    return (spec.two_s + 1) ** np.arange(spec.n_sites - 1, -1, -1)
 
 
 @lru_cache(maxsize=16)
 def basis_tables(spec: LatticeSpec) -> BasisTables:
     """The full product basis (the dense oracle's basis)."""
-    return _tables(spec, np.arange(spec.hilbert_dim, dtype=np.int64))
+    top = spec.n_sites * spec.two_s // 2
+    return sector_basis(spec, tuple(range(-top, top + 1)))
 
 
 def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
     """States of total magnetization M in `sectors`, without the full basis.
 
-    A state's digit sum is n_sites * S - M.  Codes are built site by site,
-    most significant digit first, keeping only prefixes that can still reach
-    a wanted digit sum; appending digits in order keeps them ascending.
+    A state's digit sum is n_sites * S - M.  The sites split into a high and
+    a low half; each high half, in order, is followed by the low halves that
+    complete a wanted sum, in order, so the codes come out ascending, with
+    digits copied from tables of the halves and the rank tables of `_rank`.
     """
-    n, two_s = spec.n_sites, spec.two_s
-    top = n * two_s // 2
+    n, dloc = spec.n_sites, spec.two_s + 1
+    top = n * spec.two_s // 2
     if not sectors or any(abs(M) > top for M in sectors):
         raise ValueError(f"sectors {sectors} outside |M| <= {top}")
-    sums_wanted = sorted({top - M for M in sectors})
-    lo, hi = sums_wanted[0], sums_wanted[-1]
-    step = np.arange(two_s + 1, dtype=np.int64)
-    codes = np.zeros(1, dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
-    for j in range(n):
-        codes = (codes[:, None] * (two_s + 1) + step).ravel()
-        sums = (sums[:, None] + step).ravel()
-        keep = (sums <= hi) & (sums + two_s * (n - 1 - j) >= lo)
-        codes, sums = codes[keep], sums[keep]
-    return _tables(spec, codes[np.isin(sums, sums_wanted)])
+    n_low = n // 2
+    low = dloc ** n_low
+    high_digits, low_digits = (
+        np.array(np.unravel_index(np.arange(dloc ** k), (dloc,) * k),
+                 dtype=np.int8) for k in (n - n_low, n_low))
+    high_sum = high_digits.sum(axis=0)
+    # fits[a, l]: low half l completes a high half of digit sum a
+    fits = np.isin(np.add.outer(np.arange(high_sum.max() + 1),
+                                low_digits.sum(axis=0)),
+                   [top - M for M in sectors])
+    high, rest = np.nonzero(fits[high_sum])
+    counts = fits.sum(axis=1)[high_sum]
+    return BasisTables(
+        dloc, spec.spin, high * low + rest,
+        np.concatenate([np.repeat(high_digits, counts, axis=1),
+                        low_digits[:, rest]]), _strides(spec),
+        (low, np.cumsum(counts) - counts, high_sum,
+         np.where(fits, np.cumsum(fits, axis=1) - 1, -1)))
 
 
 def _ladder_terms(tab: BasisTables, j: int, raising: bool):
     """(src, code, amp): S^+_j (or S^-_j) maps state src of `tab` to the
     full-basis state `code` with amplitude amp."""
-    s = tab.spin
-    if raising:
-        mask = tab.digits[j] > 0
-        m = tab.m(j)[mask]
-        amp = np.sqrt(s * (s + 1) - m * (m + 1))
-    else:
-        mask = tab.digits[j] < tab.dloc - 1
-        m = tab.m(j)[mask]
-        amp = np.sqrt(s * (s + 1) - m * (m - 1))
+    s, up = tab.spin, 1 if raising else -1
+    mask = tab.digits[j] > 0 if raising else tab.digits[j] < tab.dloc - 1
+    m = tab.m(j)[mask]
     src = np.nonzero(mask)[0].astype(np.int64)
-    shift = -tab.strides[j] if raising else tab.strides[j]
-    return src, tab.codes[src] + shift, amp
+    return (src, tab.codes[src] - up * tab.strides[j],
+            np.sqrt(s * (s + 1) - m * (m + up)))
 
 
 # The factors of the S^+ and S^- terms in S_x = (S^+ + S^-)/2 and
@@ -250,8 +248,9 @@ def _rows(lattice: Lattice, B: float, tab: BasisTables):
     return src, codes, amp, diag
 
 
-def build_hamiltonian(lattice: Lattice, B: float,
-                      block: tuple | None = None) -> SparseHermitianOperator:
+def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None,
+                      rows: BlockRows | None = None
+                      ) -> SparseHermitianOperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
     Real symmetric in the product basis, with the field term on the
@@ -260,7 +259,9 @@ def build_hamiltonian(lattice: Lattice, B: float,
     at twisted momentum q (`TwistedOrbits`), assembled from the rows of H
     at the representatives (Sandvik, arXiv:1101.3281, Sec. 4.2):
     <r'_q|H|r_q> = sqrt(|O_r'| / |O_r|) sum_{s in O_r} H[r', s] chi_q(g_s).
-    H commutes with G, so this is Hermitian; it is real for q = 0.
+    H commutes with G, so this is Hermitian; it is real for q = 0.  Only
+    chi_q depends on q: pass the pair's `block_rows` as `rows` to share the
+    rest between the blocks of one pair.
     """
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
@@ -272,28 +273,40 @@ def build_hamiltonian(lattice: Lattice, B: float,
             tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
             np.concatenate([diag, amp]))
     M, q = block
+    if rows is None:
+        rows = block_rows(lattice, B, M)
+    chi, ok = rows.orbits.block_basis(lattice, q)
+    col = np.cumsum(ok) - 1
+    own, off = np.flatnonzero(ok), ok[rows.src] & ok[rows.rep]
+    return SparseHermitianOperator.from_coo(
+        len(own), col[np.concatenate([own, rows.src[off]])],
+        col[np.concatenate([own, rows.rep[off]])],
+        np.concatenate([rows.diag[ok], rows.amp[off] * chi[rows.elem[off]]
+                        * rows.ratio[off]]))
+
+
+# What the blocks (M, q) of one pair share at one field: the rows of H at
+# the representatives (rep src[i] -> a state s_i, amplitude amp[i]; diag),
+# rep[i] and elem[i] = g with g s_i = rep, ratio = sqrt(|O_src| / |O_rep|).
+BlockRows = namedtuple("BlockRows", "orbits src rep elem amp ratio diag")
+
+
+def block_rows(lattice: Lattice, B: float, M: int) -> BlockRows:
+    """The q-independent part of the blocks (M, q) of H (`BlockRows`)."""
     orbits = twisted_orbits(lattice.spec, M)
     src, codes, amp, diag = _rows(lattice, B, orbits.reps)
     rep, elem = orbits.locate(codes)
-    chi, ok = orbits.block_basis(lattice, q)
-    own = np.arange(len(diag))
-    rows, cols = np.concatenate([own, src]), np.concatenate([own, rep])
-    vals = np.concatenate([diag, amp * chi[elem] * np.sqrt(
-        orbits.size[src] / orbits.size[rep])])
-    keep = ok[rows] & ok[cols]
-    col = np.cumsum(ok) - 1
-    return SparseHermitianOperator.from_coo(
-        int(ok.sum()), col[rows[keep]], col[cols[keep]], vals[keep])
+    return BlockRows(orbits, src, rep, elem, amp,
+                     np.sqrt(orbits.size[src] / orbits.size[rep]), diag)
 
 
-def gershgorin_upper(lattice: Lattice, B: float, M: int) -> float:
+def gershgorin_upper(rows: BlockRows) -> float:
     """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
-    eigenvalue of H on the pair (M, -M), without matvecs.  It is read from
+    eigenvalue of H on the pair of `rows`, without matvecs.  It is read from
     the rows at the representatives: G permutes the states and commutes
     with H, so row sums are constant on orbits."""
-    orbits = twisted_orbits(lattice.spec, M)
-    src, _, amp, diag = _rows(lattice, B, orbits.reps)
-    return float(np.max(diag + np.bincount(src, amp, len(diag))))
+    return float(np.max(rows.diag + np.bincount(rows.src, rows.amp,
+                                                len(rows.diag))))
 
 
 def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitianOperator:
@@ -346,8 +359,8 @@ class TwistedOrbits:
     """
 
     spec: LatticeSpec
+    M: int
     shifts: np.ndarray      # (|G|, d) site shift a of each group element
-    moves: np.ndarray       # (|G|, n_sites) stride of the site g moves j to
     reps: BasisTables       # the representatives, ascending
     size: np.ndarray        # (n_reps,) orbit sizes
     fixes: np.ndarray       # (|G|, n_reps) g fixes the rep
@@ -362,58 +375,63 @@ class TwistedOrbits:
                             axis=0)
 
     def locate(self, codes: np.ndarray):
-        """(representative index, group element g with g s = rep) of every
-        state s in `codes`, from the smallest image over G (in batches) and
-        `searchsorted`; ValueError for a state outside the pair."""
-        rep = np.empty(len(codes), dtype=np.int64)
-        elem = np.empty(len(codes), dtype=np.int64)
-        for lo in range(0, len(codes), _BATCH):
-            img = _images(self.spec, self.shifts, self.moves,
-                          _digits(self.spec, codes[lo:lo + _BATCH]))
-            elem[lo:lo + _BATCH] = g = img.argmin(axis=0)
-            rep[lo:lo + _BATCH] = self.reps.rank(
-                np.take_along_axis(img, g[None], axis=0)[0])
-        return rep, elem
+        """(rep index, g with g s = rep) of each state s in `codes` from the
+        lookup table (`_orbit_pass`); ValueError for one outside the pair."""
+        index, rep, elem = _orbit_pass(self.spec, self.M)[1]
+        idx = _rank(index, codes)
+        return rep[idx], elem[idx]
 
 
-def _images(spec: LatticeSpec, shifts: np.ndarray, moves: np.ndarray,
-            digits: np.ndarray) -> np.ndarray:
-    """(|G|, n) codes of g s for every group element g (site shift and
-    stride table as in `TwistedOrbits`) and the n states s with `digits`.
-    The sums are of integers below 2^53, so the float product is exact."""
-    img = (moves @ digits.astype(np.float64)).astype(np.int64)
-    odd = shifts.sum(axis=1) % 2 == 1
-    img[odd] = spec.hilbert_dim - 1 - img[odd]
-    return img
+@lru_cache(maxsize=4)
+def _group(spec: LatticeSpec):
+    """(shifts, moves, offset): the site shift a of each g_a, and the code
+    of g_a s as offset[a] + moves[a] . digits(s) (F maps code c to
+    hilbert_dim - 1 - c).  Float sums of integers below 2^53 are exact."""
+    lattice, strides = Lattice(spec), _strides(spec)
+    shifts = np.array(list(itertools.product(*map(range, spec.extents))))
+    sign = np.where(shifts.sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
+    moves = sign * np.array([[strides[lattice.site_index(np.add(x, a))]
+                              for x in lattice.sites] for a in shifts])
+    return shifts, moves, (1.0 - sign) / 2 * (spec.hilbert_dim - 1)
+
+
+@lru_cache(maxsize=2)
+def _orbit_pass(spec: LatticeSpec, M: int):
+    """(orbits, (index, rep, elem)): the orbits of the pair (M, -M) and its
+    lookup table, the representative (int32) and first g_s (uint8) of each
+    state at its position by the pair's rank tables `index` (`_rank`).
+    Only the two pairs used last keep their tables: a context builds its
+    blocks pair by pair.  Images come in batches of states."""
+    shifts, moves, offset = _group(spec)
+    states = sector_basis(spec, (M, -M) if M else (0,))
+    least = np.empty(states.dim, dtype=np.int32)
+    elem = np.empty(states.dim, dtype=np.uint8)
+    for lo in range(0, states.dim, _BATCH):
+        img = moves @ states.digits[:, lo:lo + _BATCH].astype(float) + offset
+        elem[lo:lo + _BATCH] = g = img.argmin(axis=0)
+        least[lo:lo + _BATCH] = states.rank(
+            np.take_along_axis(img, g[None], axis=0)[0].astype(np.int64))
+    mine = least == np.arange(states.dim)
+    reps = BasisTables(states.dloc, spec.spin, states.codes[mine],
+                       states.digits[:, mine], states.strides)
+    fixes = moves @ reps.digits.astype(float) + offset == reps.codes
+    return (TwistedOrbits(spec, M, shifts, reps,
+                          len(shifts) // fixes.sum(axis=0), fixes),
+            (states.index, (np.cumsum(mine, dtype=np.int32) - 1)[least],
+             elem))
 
 
 @lru_cache(maxsize=16)
 def twisted_orbits(spec: LatticeSpec, M: int) -> TwistedOrbits:
     """Representatives of the pair (M, -M), M >= 0, under the twisted
     translations: the states whose code is the smallest of their images
-    over G, found in batches of states, so no |G| x dim table is built.
+    over G (`_orbit_pass`).
 
     H commutes with every g_a: a shift by one site flips the staggered sign
     of the field, F flips S^(1) back and leaves the bond terms as they are
     (F S^+ F = S^- with equal amplitudes, so F is a plain permutation).
     """
-    lattice = Lattice(spec)
-    shifts = np.array(list(itertools.product(*map(range, spec.extents))))
-    states = sector_basis(spec, (M, -M) if M else (0,))
-    moves = np.array([[states.strides[lattice.site_index(np.add(x, a))]
-                       for x in lattice.sites] for a in shifts],
-                     dtype=np.float64)
-    reps, fixes = [], []
-    for lo in range(0, states.dim, _BATCH):
-        codes = states.codes[lo:lo + _BATCH]
-        img = _images(spec, shifts, moves, states.digits[:, lo:lo + _BATCH])
-        mine = img.min(axis=0) == codes
-        reps.append(codes[mine])
-        fixes.append(img[:, mine] == codes[mine])
-    fixes = np.concatenate(fixes, axis=1)
-    return TwistedOrbits(spec, shifts, moves,
-                         _tables(spec, np.concatenate(reps)),
-                         len(shifts) // fixes.sum(axis=0), fixes)
+    return _orbit_pass(spec, M)[0]
 
 
 @lru_cache(maxsize=4)

@@ -119,9 +119,9 @@ class _Outputs:
             "passed": bool(passed), "note": note,
         })
 
-    def skip(self, lattice, p, reason, **where) -> None:
+    def skip(self, lattice, p, reason, groups, **where) -> None:
         self.skipped.append({"lattice": lattice, "p": p, **where,
-                             "reason": reason})
+                             "groups": list(groups), "reason": reason})
 
     def bound_failures(self) -> list:
         return [r for r in self.rows["bounds"] if not r["passed"]]
@@ -144,7 +144,8 @@ def run_scan(config: ScanConfig, out_dir=None,
         tag = "x".join(str(e) for e in extents)
         wavepackets = _wavepackets(res, config, lattice, tag)
         if not wavepackets and groups & {"bounds", "dispersion", "qmode"}:
-            res.skip(tag, None, "no usable wavepacket on this grid")
+            res.skip(tag, None, "no usable wavepacket on this grid",
+                     ("bounds", "dispersion", "qmode"))
 
         def context(B, lattice=lattice):
             return SystemContext(lattice, B, dense_cap=config.dense_cap,
@@ -181,7 +182,8 @@ def run_scan(config: ScanConfig, out_dir=None,
             if lattice.spec.hilbert_dim <= config.dense_cap:
                 _locality(res, config, lattice, tag, contexts)
             else:
-                res.skip(tag, None, "locality needs the dense oracle")
+                res.skip(tag, None, "locality needs the dense oracle",
+                         ("locality",))
     return _write_outputs(res, config, out)
 
 
@@ -199,7 +201,7 @@ def _wavepackets(res: _Outputs, config: ScanConfig, lattice: Lattice,
             wp = WavepacketSpec(p, kappa)
             wavepackets.append((p, wp, build_f(wp, lattice)))
         except (EmptySupportError, ValueError) as exc:
-            res.skip(tag, p, str(exc))
+            res.skip(tag, p, str(exc), ("bounds", "dispersion", "qmode"))
     return wavepackets
 
 
@@ -249,13 +251,13 @@ def _point(res: _Outputs, config: ScanConfig, ctx: SystemContext, tag: str,
     if "bounds" in config.checks:
         (p0, wp0, _), chosen = wavepackets[0], filters[0]
         if isinstance(chosen, EpsilonChoiceError):
-            res.skip(tag, p0, f"bounds: {chosen}", B=ctx.B)
+            res.skip(tag, p0, f"bounds: {chosen}", ("bounds",), B=ctx.B)
         else:
             _bounds(res, ctx, tag, *chosen, wp0.annulus_radius)
     if {"dispersion", "qmode"} & set(config.checks):
         for (p, _, weights), chosen in zip(wavepackets, filters):
             if isinstance(chosen, EpsilonChoiceError):
-                res.skip(tag, p, str(chosen), B=ctx.B)
+                res.skip(tag, p, str(chosen), ("dispersion", "qmode"), B=ctx.B)
             else:
                 _dispersion(res, config, ctx, tag, p, weights, *chosen)
 
@@ -290,7 +292,7 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: SystemContext,
         records = [excitation_energy(ctx, weights, g, v_min, mode)
                    for mode in modes]
     except VanishingDenominatorError as exc:
-        res.skip(tag, p, str(exc), B=B)
+        res.skip(tag, p, str(exc), ("dispersion", "qmode"), B=B)
         return
     for rec in records:
         group = "dispersion" if rec.mode == "zero" else "qmode"
@@ -416,9 +418,10 @@ def _inconclusive(res: _Outputs, groups) -> list:
     produced = {"bounds": bool(res.rows["bounds"]),
                 "dispersion": "zero" in modes, "qmode": "staggered" in modes,
                 "locality": any(c["group"] == "locality" for c in res.checks)}
-    reasons = sorted({s["reason"] for s in res.skipped})
-    why = "; ".join(reasons) if reasons else "no point reached it"
-    return [{"group": g, "reason": f"no entry checked: {why}"}
+    why = {g: "; ".join(sorted({s["reason"] for s in res.skipped
+                                if g in s["groups"]})) for g in groups}
+    return [{"group": g, "reason": "no entry checked: "
+             + (why[g] or "no point reached it")}
             for g in sorted(groups) if not produced[g]]
 
 

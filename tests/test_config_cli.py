@@ -519,7 +519,9 @@ def test_lattice_without_wavepacket_keeps_locality(tmp_path):
 def test_bounds_skip_keeps_dispersion_records(tmp_path, p_values):
     """p = 3.4 has no usable epsilon on 2x4.  When it is the first
     wavepacket, the bounds stage is skipped and reported inconclusive, but
-    every wavepacket still gets its dispersion stage."""
+    every wavepacket still gets its dispersion stage.  Each skip names the
+    groups it blocks, and the bounds reason gives the bounds stage's own
+    skip once, not the dispersion stage's skip of the same wavepacket."""
     text = ("[scan]\nchecks = bounds dispersion\nlattices = 2x4\n"
             f"b_ladder = 0.2\n[wavepacket]\np = {p_values}\n")
     result = run_scan(parse_config_text(text), out_dir=tmp_path / "out")
@@ -529,7 +531,12 @@ def test_bounds_skip_keeps_dispersion_records(tmp_path, p_values):
     inconclusive = result.manifest["summary"]["inconclusive"]
     if p_values.startswith("3.4"):
         assert result.exit_code == 3
-        assert [i["group"] for i in inconclusive] == ["bounds"]
+        (bounds,) = inconclusive
+        assert bounds["group"] == "bounds"
+        assert bounds["reason"].count("the annulus reaches") == 1
+        assert [(s["p"], s["groups"]) for s in
+                result.manifest["summary"]["skipped"]] == \
+            [(3.4, ["bounds"]), (3.4, ["dispersion", "qmode"])]
     else:
         assert result.exit_code == 0 and not inconclusive
 

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldstone.analysis import SystemContext
 from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
 from goldstone.operators import (SECTOR_AXES, SparseHermitianOperator,
-                                 basis_tables, build_hamiltonian,
+                                 basis_tables, block_rows, build_hamiltonian,
                                  fourier_ladder, fourier_spin, sector_basis,
                                  site_phases, site_spin_operator,
                                  staggered_operator, twisted_orbits)
@@ -319,6 +321,82 @@ def test_sector_basis_enumerates_fixed_magnetization(extents, spin):
         pair.rank(sector_basis(spec, (0,)).codes)
 
 
+ENUMERATED = [((2,), 0.5), ((4,), 0.5), ((6,), 0.5), ((10,), 0.5),
+              ((2, 2), 0.5), ((2, 4), 0.5), ((2, 6), 0.5), ((4, 4), 0.5),
+              ((2,), 1.0), ((4,), 1.0), ((6,), 1.0), ((2, 2), 1.0),
+              ((4,), 1.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(ENUMERATED), data=st.data())
+def test_sector_basis_matches_brute_force_filter(shape, data):
+    """sector_basis(spec, sectors) is the ascending, duplicate-free list of
+    the full-basis codes whose digit sum is n S - M for an M in `sectors`,
+    with their digits and ranks, for the sector (0,), a pair (M, -M) and
+    arbitrary tuples of sectors."""
+    extents, spin = shape
+    spec = Lattice.build(extents, spin).spec
+    n, dloc = spec.n_sites, spec.two_s + 1
+    top = n * spec.two_s // 2
+    sector = st.integers(-top, top)
+    sectors = data.draw(st.one_of(
+        st.just((0,)), st.integers(0, top).map(lambda M: (M, -M)),
+        st.lists(sector, min_size=1, max_size=4).map(tuple)))
+    every = np.arange(spec.hilbert_dim)
+    digits = np.array([(every // dloc ** (n - 1 - j)) % dloc
+                       for j in range(n)])
+    wanted = np.isin(digits.sum(axis=0), [top - M for M in sectors])
+    basis = sector_basis(spec, sectors)
+    assert np.array_equal(basis.codes, every[wanted])
+    assert np.all(np.diff(basis.codes) > 0)
+    assert np.array_equal(basis.digits, digits[:, wanted])
+    assert np.array_equal(basis.rank(basis.codes), np.arange(basis.dim))
+    if not wanted.all():
+        with pytest.raises(ValueError):
+            basis.rank(every[~wanted][:1])
+
+
+@pytest.mark.parametrize("extents,spin", [((6,), 0.5), ((2, 4), 0.5),
+                                          ((4,), 1.0)])
+def test_locate_is_the_smallest_image(extents, spin):
+    """For every state of every pair (M, -M), `locate` gives the index of
+    the smallest image over G and the first group element that reaches it,
+    from digit lists; a state of another pair raises ValueError."""
+    lat = Lattice.build(extents, spin)
+    top = lat.n_sites * lat.spec.two_s // 2
+    shifts = list(itertools.product(*map(range, extents)))
+    for M in range(top + 1):
+        orbits = twisted_orbits(lat.spec, M)
+        states = sector_basis(lat.spec, (M, -M) if M else (0,)).codes
+        images = np.array([_twisted_images(lat, states, a) for a in shifts])
+        elem = images.argmin(axis=0)
+        smallest = images[elem, np.arange(len(states))]
+        rep = np.searchsorted(orbits.reps.codes, smallest)
+        assert np.array_equal(orbits.reps.codes[rep], smallest)
+        got_rep, got_elem = orbits.locate(states)
+        assert np.array_equal(got_rep, rep)
+        assert np.array_equal(got_elem, elem)
+        other = sector_basis(lat.spec, (M + 1,) if M < top else (0,)).codes
+        with pytest.raises(ValueError):
+            orbits.locate(other[-1:])
+
+
+@pytest.mark.parametrize("extents", [(2, 4), (4, 4)])
+def test_blocks_sharing_rows_equal_blocks_built_alone(extents):
+    """Blocks (1, q) built one after another from one `block_rows`, in two
+    orders, equal the blocks each built from its own rows, entry for
+    entry."""
+    lat = Lattice.build(extents)
+    rows = block_rows(lat, 0.1, 1)
+    alone = {q: build_hamiltonian(lat, 0.1, (1, q)).csr for q in lat.momenta}
+    for order in (lat.momenta, lat.momenta[::-1]):
+        for q in order:
+            together = build_hamiltonian(lat, 0.1, (1, q), rows).csr
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(together, part),
+                                      getattr(alone[q], part))
+
+
 @pytest.mark.parametrize("extents,spin,B", [((4,), 0.5, 0.3),
                                             ((2, 4), 0.5, 0.2),
                                             ((4,), 1.0, 0.45),
@@ -345,18 +423,23 @@ def test_sector_spectra(extents, spin, B):
 
 
 def _twisted_action(lat, tab, a):
-    """Basis positions of g_a s for every state s of `tab`, from digit lists:
-    the spin at x moves to x + a, flipped (d -> 2S - d) when sum(a) is odd."""
+    """Basis positions of g_a s for every state s of `tab`."""
+    return tab.rank(_twisted_images(lat, tab.codes, a))
+
+
+def _twisted_images(lat, codes, a):
+    """Codes of g_a s for every state s in `codes`, from digit lists: the
+    spin at x moves to x + a, flipped (d -> 2S - d) when sum(a) is odd."""
     n, dloc = lat.n_sites, lat.spec.two_s + 1
     images = []
-    for code in tab.codes:
+    for code in codes:
         digits = [(int(code) // dloc ** (n - 1 - j)) % dloc for j in range(n)]
         moved = [0] * n
         for j, x in enumerate(lat.sites):
             y = lat.site_index(tuple(c + s for c, s in zip(x, a)))
             moved[y] = lat.spec.two_s - digits[j] if sum(a) % 2 else digits[j]
         images.append(sum(d * dloc ** (n - 1 - j) for j, d in enumerate(moved)))
-    return tab.rank(np.array(images, dtype=np.int64))
+    return np.array(images, dtype=np.int64)
 
 
 def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
