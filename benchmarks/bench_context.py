@@ -2,22 +2,31 @@
 """Time the sparse context build by stage, with the peak RSS after each.
 
     python benchmarks/bench_context.py [--extents 4x4] [--spin 0.5]
+                                       [--fields N]
 
 The field, the seed, the solver tolerance and the wavepacket are those of
-`configs/torus4x4.ini`.  Stages, in order:
+`configs/torus4x4.ini`.  With `--fields N`, the script first builds the
+contexts of the ladder B, B/2, B/4, ... (N fields) one after another, as
+`run_scan` does: each from the rows that the lattice's fields share
+(`operators.shared_rows`, built with the first), and each dropped before
+the next is built.  It prints each field's time and the peak RSS after it.
+
+Then the stages of one field, in order, each from empty caches where said:
 
 - `enumeration`: `sector_basis` of every pair (M, -M), M = 0 .. N S;
-- `orbits`: `twisted_orbits` of every pair, from empty caches;
-- `block (0, 0)`: from empty caches, as a new `SystemContext` starts: the
-  ladder terms into M = +-1, block (0, 0) and its Lanczos ground state;
-- `ground sector`: block (M, 0) and its lowest Ritz value, M = 1 .. N S,
-  block (1, 0) from the shared rows of M = +-1 (`block_rows`);
+- `orbits`: the orbit pass of every pair, its lookup table dropped after;
+- `shared rows`: from empty caches, as a lattice's first field starts:
+  the orbit passes of M = 0 and +-1, their rows and the ladder terms;
+- `block (0, 0)`: block (0, 0) and its Lanczos ground state;
+- `ground sector`: block (M, 0) and its lowest Ritz value, M = 1 .. N S;
+  M >= 2 run their own orbit passes, as at every field;
 - `blocks (1, q)`: the Gershgorin bound and the other blocks (1, q) of the
-  moment pass of a `configs/torus4x4.ini` scan, from the same rows.
+  moment pass of a `configs/torus4x4.ini` scan.
 
-A context keeps its blocks (1, q); this script builds each and drops it, so
-the last stage's peak is that of one block at a time.  Peak RSS is the
-process's high-water mark so far (`ru_maxrss`).
+A context keeps the blocks (1, q) of its pass until its field is done;
+this script builds each and drops it, so the last stage's peak is that of
+one block at a time.  Peak RSS is the process's high-water mark so far
+(`ru_maxrss`), so a stage's peak includes that of the fields before it.
 """
 
 import argparse
@@ -27,14 +36,13 @@ from pathlib import Path
 
 # goldstone before numpy, so the timings run on the scan's one BLAS thread
 import goldstone.operators as operators
-from goldstone.analysis import filter_keys
+from goldstone.analysis import SystemContext, filter_keys
 from goldstone.config import parse_config
 from goldstone.eigensolver import SolverOptions, ground_state, lowest_ritz
 from goldstone.filters import WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.operators import (block_rows, build_hamiltonian,
-                                 excitation_ladders, gershgorin_upper,
-                                 sector_basis, twisted_orbits)
+                                 gershgorin_upper, sector_basis, shared_rows)
 
 TORUS = Path(__file__).resolve().parent.parent / "configs" / "torus4x4.ini"
 
@@ -54,6 +62,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--extents", default="4x4")
     parser.add_argument("--spin", type=float, default=0.5)
+    parser.add_argument("--fields", type=int, default=0)
     args = parser.parse_args()
 
     cfg = parse_config(TORUS)
@@ -72,6 +81,17 @@ def main():
           f"{len(pairs)} pairs, {len(keys)} pass vectors in {len(qs)} "
           "blocks (1, q)")
 
+    empty_caches()
+    for i in range(args.fields):
+        t0 = time.perf_counter()
+        ctx = SystemContext(lat, B / 2 ** i, dense_cap=cfg.dense_cap,
+                            tolerances=cfg.tolerances, seed=cfg.seed,
+                            degree_cap=cfg.degree_cap)
+        print(f"  field {i + 1}, B = {ctx.B:<8g} "
+              f"{time.perf_counter() - t0:8.3f} s   peak RSS "
+              f"{peak_mb():7.0f} MB   E0 = {ctx.gs.energy!r}")
+        del ctx
+
     def stage(name, fn):
         t0 = time.perf_counter()
         note = fn()
@@ -84,35 +104,34 @@ def main():
         return f"{sum(dims)} states"
 
     def orbits():
+        reps = [operators._orbit_pass(spec, M)[0].reps.dim for M in pairs]
+        return f"{sum(reps)} reps"
+
+    def rows():
         empty_caches()
-        return f"{sum(twisted_orbits(spec, M).reps.dim for M in pairs)} reps"
+        zero_rows, pair_rows, ladders = shared_rows(spec)
+        return (f"{len(zero_rows.src) + len(pair_rows.src)} hops, "
+                f"{len(ladders[0])} ladder terms")
 
     def ground_block():
-        empty_caches()
-        excitation_ladders(spec)
         H = build_hamiltonian(lat, B, (0, zero))
         gs = ground_state(H, lat, B, opts, block=(0, zero))
         return f"dim {H.dim}, nnz {H.nnz}, E0 = {gs.energy!r}"
 
-    shared = {}
-
     def ground_sector():
-        shared["rows"] = block_rows(lat, B, 1)
-        lowest = []
-        for M in pairs[1:]:
-            H = build_hamiltonian(lat, B, (M, zero),
-                                  shared["rows"] if M == 1 else None)
-            lowest.append(lowest_ritz(H, opts)[0])
+        lowest = [lowest_ritz(build_hamiltonian(lat, B, (M, zero)), opts)[0]
+                  for M in pairs[1:]]
         return f"lowest of M = 1: {lowest[0]!r}"
 
     def pass_blocks():
-        upper = gershgorin_upper(shared["rows"])
-        nnz = [build_hamiltonian(lat, B, (1, q), shared["rows"]).nnz
+        upper = gershgorin_upper(lat, B, block_rows(lat, 1))
+        nnz = [build_hamiltonian(lat, B, (1, q)).nnz
                for q in qs if q != zero]
         return f"{len(nnz)} blocks, {sum(nnz)} nonzeros, upper {upper!r}"
 
     stage("enumeration", enumeration)
     stage("orbits", orbits)
+    stage("shared rows", rows)
     stage("block (0, 0)", ground_block)
     stage("ground sector", ground_sector)
     stage("blocks (1, q)", pass_blocks)

@@ -13,9 +13,9 @@ import sys
 
 # One BLAS thread unless the caller set one: the dense calls here are small,
 # so a second thread only spins between calls (a third of a scan's CPU) and
-# its reductions make CSV bytes depend on the core count.  `[scan] jobs` is
-# the parallel control.  OpenBLAS reads the variable when numpy loads it, so
-# if numpy came first, its running OpenBLAS is set to one thread instead.
+# its reductions make CSV bytes depend on the core count.  OpenBLAS reads the
+# variable when numpy loads it, so if numpy came first, its running OpenBLAS
+# is set to one thread instead.
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     if "numpy" in sys.modules:

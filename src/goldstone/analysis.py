@@ -27,9 +27,9 @@ from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
                       spectral_interval)
 from .lattice import Lattice
 from .operators import (SparseHermitianOperator, block_rows,
-                        build_hamiltonian, direct_sum, excitation_ladders,
-                        fourier_ladder, fourier_spin, gershgorin_upper,
-                        staggered_operator, twisted_orbits)
+                        build_hamiltonian, direct_sum, fourier_ladder,
+                        fourier_spin, gershgorin_upper, shared_rows,
+                        staggered_operator)
 
 __all__ = [
     "Tolerances",
@@ -194,9 +194,6 @@ class SystemContext:
                                   lattice, residual=0.0)
             self.excitation = self.dense.eigenvalues - self.gs.energy
         else:
-            # first: it reads the lookup tables of M = 0 and +-1, and only
-            # the two pairs used last keep theirs (`operators._orbit_pass`)
-            excitation_ladders(lattice.spec)
             self.H = build_hamiltonian(lattice, B, (0, self._zero))
             self.gs = ground_state(self.H, lattice, B, self.solver_opts,
                                    block=(0, self._zero))
@@ -238,17 +235,11 @@ class SystemContext:
 
     # -- vectors ---------------------------------------------------------
 
-    @cached_property
-    def _pair_rows(self):
-        """The rows of M = +-1 that its blocks share (`block_rows`)."""
-        return block_rows(self.lattice, self.B, 1)
-
     def block(self, q) -> SparseHermitianOperator:
         """H on block (1, q) of the pair M = +-1 (sparse path), cached."""
         q = tuple(q)
         if q not in self._blocks:
-            self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q),
-                                                self._pair_rows)
+            self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q))
         return self._blocks[q]
 
     def _block_q(self, n, axis: int) -> tuple:
@@ -261,20 +252,20 @@ class SystemContext:
         """hat S_n^(axis) |phi0>, cached: a vector of the full basis, or on
         the sparse path of block (1, q) of `_block_q` (axes 2 and 3 only),
         built there from the ladder terms into block (0, 0)
-        (`operators.excitation_ladders`)."""
+        (`operators.shared_rows`)."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
             if self.dense is not None:
                 self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
                     self.gs.vector.astype(complex, copy=False))
             else:
-                t, c, r, w = excitation_ladders(self.lattice.spec)
+                _, pair, (t, c, r, w) = shared_rows(self.lattice.spec)
                 x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
                     * self.gs.vector[r]
-                orbits = twisted_orbits(self.lattice.spec, 1)
-                dim = orbits.reps.dim
+                dim = pair.orbits.reps.dim
                 v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
-                _, ok = orbits.block_basis(self.lattice, self._block_q(n, axis))
+                _, ok = pair.orbits.block_basis(self.lattice,
+                                                self._block_q(n, axis))
                 self._sk_cache[key] = v[ok]
         return self._sk_cache[key]
 
@@ -300,7 +291,8 @@ class SystemContext:
         if self._interval is None:
             self._interval = spectral_interval(
                 self.sector_lowest[0]["ritz"],
-                gershgorin_upper(self._pair_rows))
+                gershgorin_upper(self.lattice, self.B,
+                                 block_rows(self.lattice, 1)))
         return self._interval
 
     def filter_expansions(self, g: GFilter):
@@ -438,7 +430,7 @@ def staggered_magnetization(gs: GroundState) -> float:
     lat = gs.lattice
     if gs.block is not None:
         M, q = gs.block
-        orbits = twisted_orbits(lat.spec, M)
+        orbits = block_rows(lat, M).orbits
         m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
                 for j in range(lat.n_sites))
         m = m[orbits.block_basis(lat, q)[1]]

@@ -32,7 +32,6 @@ class ScanConfig:
     b_ladder: list = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
     checks: tuple = CHECK_GROUPS
     dense_cap: int = DENSE_CAP_DEFAULT
-    jobs: int = 1
     seed: int = 7
     out_dir: str = "out"
     p_values: list | str = "auto"
@@ -105,8 +104,6 @@ class ScanConfig:
                 if not p < self.kappa:
                     raise ConfigError(f"wavepacket: p = {p} must stay below "
                                       f"kappa = {self.kappa}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         for extents in self.lattices:
             try:
                 LatticeSpec(extents, self.spin)
@@ -143,18 +140,24 @@ def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _one_job(text: str) -> None:
+    """[scan] jobs sets nothing; configs from before may set it to 1."""
+    if int(text) != 1:
+        raise ValueError("a scan runs one field at a time, so jobs must be 1")
+
+
 def _auto(parse):
     return lambda text: "auto" if text.strip() == "auto" else parse(text)
 
 
-# (section, key) -> (ScanConfig field or "tolerances.<name>", parser)
+# (section, key) -> (ScanConfig field, "tolerances.<name>" or None, parser)
 _KEYS = {
     ("scan", "checks"): ("checks", lambda text: tuple(text.split())),
     ("scan", "lattices"): ("lattices", _lattices),
     ("scan", "spin"): ("spin", float),
     ("scan", "b_ladder"): ("b_ladder", _floats),
     ("scan", "dense_cap"): ("dense_cap", int),
-    ("scan", "jobs"): ("jobs", int),
+    ("scan", "jobs"): (None, _one_job),
     ("scan", "seed"): ("seed", int),
     ("scan", "out_dir"): ("out_dir", str),
     ("wavepacket", "p"): ("p_values", _auto(_floats)),
@@ -201,6 +204,8 @@ def parse_config_text(text: str) -> ScanConfig:
                 parsed = parse(value)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if name is None:
+                continue
             if name.startswith("tolerances."):
                 tolerances[name.removeprefix("tolerances.")] = parsed
             else:

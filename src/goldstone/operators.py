@@ -34,6 +34,7 @@ __all__ = [
     "gershgorin_upper",
     "BlockRows",
     "block_rows",
+    "shared_rows",
     "fourier_spin",
     "fourier_ladder",
     "site_spin_operator",
@@ -41,8 +42,6 @@ __all__ = [
     "staggered_operator",
     "site_phases",
     "TwistedOrbits",
-    "twisted_orbits",
-    "excitation_ladders",
     "direct_sum",
 ]
 
@@ -220,36 +219,37 @@ def site_sum(lattice: Lattice, weights, axis: int,
     return SparseHermitianOperator.from_coo(tab.dim, rows, cols, vals)
 
 
-def _rows(lattice: Lattice, B: float, tab: BasisTables):
-    """(src, code, amp, diag): the rows of H at the states of `tab`.
-
-    The transverse bond terms (S+_i S-_j + S-_i S+_j)/2 map state src to the
-    full-basis state `code` with amplitude amp > 0; diag holds
-    sum_bonds m_i m_j and the field term."""
+def _hops(lattice: Lattice, tab: BasisTables):
+    """(src, code, amp): the transverse bond terms (S+_i S-_j + S-_i S+_j)/2
+    of H map state src of `tab` to the full-basis state `code` with
+    amplitude amp > 0.  They do not depend on the field."""
     s = tab.spin
-    diag = np.zeros(tab.dim)
     terms = []
     for (i, j) in lattice.bonds:
-        m_i, m_j = tab.m(i), tab.m(j)
-        diag += m_i * m_j
-        for a, b, m_a, m_b in ((i, j, m_i, m_j), (j, i, m_j, m_i)):
+        for a, b in ((i, j), (j, i)):
             # S+_a S-_b / 2
             mask = (tab.digits[a] > 0) & (tab.digits[b] < tab.dloc - 1)
             src = np.nonzero(mask)[0].astype(np.int64)
-            ma, mb = m_a[mask], m_b[mask]
+            ma, mb = tab.m(a)[mask], tab.m(b)[mask]
             amp = 0.5 * np.sqrt((s * (s + 1) - ma * (ma + 1)) *
                                 (s * (s + 1) - mb * (mb - 1)))
             terms.append((src, tab.codes[src] - tab.strides[a]
                           + tab.strides[b], amp))
+    return tuple(np.concatenate(column) for column in zip(*terms))
+
+
+def _diagonal(lattice: Lattice, B: float, tab: BasisTables) -> np.ndarray:
+    """sum_bonds m_i m_j - B sum_j sigma_j m_j at the states of `tab`."""
+    diag = np.zeros(tab.dim)
+    for (i, j) in lattice.bonds:
+        diag += tab.m(i) * tab.m(j)
     if B != 0:
         for j in range(lattice.n_sites):
             diag -= B * lattice.staggered_signs[j] * tab.m(j)
-    src, codes, amp = (np.concatenate(column) for column in zip(*terms))
-    return src, codes, amp, diag
+    return diag
 
 
-def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None,
-                      rows: BlockRows | None = None
+def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
                       ) -> SparseHermitianOperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
@@ -260,53 +260,71 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None,
     at the representatives (Sandvik, arXiv:1101.3281, Sec. 4.2):
     <r'_q|H|r_q> = sqrt(|O_r'| / |O_r|) sum_{s in O_r} H[r', s] chi_q(g_s).
     H commutes with G, so this is Hermitian; it is real for q = 0.  Only
-    chi_q depends on q: pass the pair's `block_rows` as `rows` to share the
-    rest between the blocks of one pair.
+    the diagonal depends on B and only chi_q on q: the rest is the pair's
+    `block_rows`.
     """
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
     if block is None:
         tab = basis_tables(lattice.spec)
-        src, dst, amp, diag = _rows(lattice, B, tab)
+        src, dst, amp = _hops(lattice, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
         return SparseHermitianOperator.from_coo(
             tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
-            np.concatenate([diag, amp]))
+            np.concatenate([_diagonal(lattice, B, tab), amp]))
     M, q = block
-    if rows is None:
-        rows = block_rows(lattice, B, M)
+    rows = block_rows(lattice, M)
     chi, ok = rows.orbits.block_basis(lattice, q)
     col = np.cumsum(ok) - 1
     own, off = np.flatnonzero(ok), ok[rows.src] & ok[rows.rep]
     return SparseHermitianOperator.from_coo(
         len(own), col[np.concatenate([own, rows.src[off]])],
         col[np.concatenate([own, rows.rep[off]])],
-        np.concatenate([rows.diag[ok], rows.amp[off] * chi[rows.elem[off]]
-                        * rows.ratio[off]]))
+        np.concatenate([_diagonal(lattice, B, rows.orbits.reps)[ok],
+                        rows.amp[off] * chi[rows.elem[off]] * rows.ratio[off]]))
 
 
-# What the blocks (M, q) of one pair share at one field: the rows of H at
-# the representatives (rep src[i] -> a state s_i, amplitude amp[i]; diag),
-# rep[i] and elem[i] = g with g s_i = rep, ratio = sqrt(|O_src| / |O_rep|).
-BlockRows = namedtuple("BlockRows", "orbits src rep elem amp ratio diag")
+# What the blocks (M, q) of one pair share at every field: the hops of H at
+# the representatives (rep src[i] -> a state s_i, amplitude amp[i]), rep[i]
+# and elem[i] = g with g s_i = rep, ratio = sqrt(|O_src| / |O_rep|).
+BlockRows = namedtuple("BlockRows", "orbits src rep elem amp ratio")
 
 
-def block_rows(lattice: Lattice, B: float, M: int) -> BlockRows:
-    """The q-independent part of the blocks (M, q) of H (`BlockRows`)."""
-    orbits = twisted_orbits(lattice.spec, M)
-    src, codes, amp, diag = _rows(lattice, B, orbits.reps)
-    rep, elem = orbits.locate(codes)
+def block_rows(lattice: Lattice, M: int) -> BlockRows:
+    """The field-free, q-independent part of the blocks (M, q) of H
+    (`BlockRows`).  Those of M = 0 and +-1 come from `shared_rows`, built
+    once per lattice spec; the others are built on each call."""
+    if M < 2:
+        return shared_rows(lattice.spec)[M]
+    return _block_rows(lattice, *_orbit_pass(lattice.spec, M))
+
+
+def _block_rows(lattice: Lattice, orbits, locate) -> BlockRows:
+    src, codes, amp = _hops(lattice, orbits.reps)
+    rep, elem = locate(codes)
     return BlockRows(orbits, src, rep, elem, amp,
-                     np.sqrt(orbits.size[src] / orbits.size[rep]), diag)
+                     np.sqrt(orbits.size[src] / orbits.size[rep]))
 
 
-def gershgorin_upper(rows: BlockRows) -> float:
+@lru_cache(maxsize=2)
+def shared_rows(spec: LatticeSpec) -> tuple:
+    """(rows of M = 0, rows of M = +-1, `excitation_ladders`), built once per
+    lattice spec for all its fields, while the lookup tables of both pairs
+    that all three read are live (`_orbit_pass`)."""
+    lattice = Lattice(spec)
+    zero, pair = _orbit_pass(spec, 0), _orbit_pass(spec, 1)
+    return (_block_rows(lattice, *zero), _block_rows(lattice, *pair),
+            excitation_ladders(pair[0], *zero))
+
+
+def gershgorin_upper(lattice: Lattice, B: float, rows: BlockRows) -> float:
     """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
-    eigenvalue of H on the pair of `rows`, without matvecs.  It is read from
-    the rows at the representatives: G permutes the states and commutes
-    with H, so row sums are constant on orbits."""
-    return float(np.max(rows.diag + np.bincount(rows.src, rows.amp,
-                                                len(rows.diag))))
+    eigenvalue of H at field B on the pair of `rows`, without matvecs.  It
+    is read from the rows at the representatives: G permutes the states and
+    commutes with H, so row sums are constant on orbits."""
+    reps = rows.orbits.reps
+    return float(np.max(_diagonal(lattice, B, reps)
+                        + np.bincount(rows.src, rows.amp, reps.dim)))
 
 
 def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitianOperator:
@@ -374,13 +392,6 @@ class TwistedOrbits:
         return chi, ~np.any(self.fixes & (np.abs(chi - 1.0) > 1e-9)[:, None],
                             axis=0)
 
-    def locate(self, codes: np.ndarray):
-        """(rep index, g with g s = rep) of each state s in `codes` from the
-        lookup table (`_orbit_pass`); ValueError for one outside the pair."""
-        index, rep, elem = _orbit_pass(self.spec, self.M)[1]
-        idx = _rank(index, codes)
-        return rep[idx], elem[idx]
-
 
 @lru_cache(maxsize=4)
 def _group(spec: LatticeSpec):
@@ -395,13 +406,19 @@ def _group(spec: LatticeSpec):
     return shifts, moves, (1.0 - sign) / 2 * (spec.hilbert_dim - 1)
 
 
-@lru_cache(maxsize=2)
 def _orbit_pass(spec: LatticeSpec, M: int):
-    """(orbits, (index, rep, elem)): the orbits of the pair (M, -M) and its
-    lookup table, the representative (int32) and first g_s (uint8) of each
-    state at its position by the pair's rank tables `index` (`_rank`).
-    Only the two pairs used last keep their tables: a context builds its
-    blocks pair by pair.  Images come in batches of states."""
+    """(orbits, locate): the representatives of the pair (M, -M), M >= 0,
+    under the twisted translations, the states whose code is the smallest
+    of their images over G (computed in batches of states); and `locate`,
+    which maps codes of the pair to (rep index, g with g s = rep) by the
+    lookup table those images give, the representative (int32) and first
+    g_s (uint8) of each state at its rank (`_rank`); ValueError for a code
+    outside the pair.
+
+    H commutes with every g_a: a shift by one site flips the staggered sign
+    of the field, F flips S^(1) back and leaves the bond terms as they are
+    (F S^+ F = S^- with equal amplitudes, so F is a plain permutation).
+    """
     shifts, moves, offset = _group(spec)
     states = sector_basis(spec, (M, -M) if M else (0,))
     least = np.empty(states.dim, dtype=np.int32)
@@ -415,29 +432,19 @@ def _orbit_pass(spec: LatticeSpec, M: int):
     reps = BasisTables(states.dloc, spec.spin, states.codes[mine],
                        states.digits[:, mine], states.strides)
     fixes = moves @ reps.digits.astype(float) + offset == reps.codes
+    index, rep = states.index, (np.cumsum(mine, dtype=np.int32) - 1)[least]
+
+    def locate(codes: np.ndarray):
+        idx = _rank(index, codes)
+        return rep[idx], elem[idx]
+
     return (TwistedOrbits(spec, M, shifts, reps,
-                          len(shifts) // fixes.sum(axis=0), fixes),
-            (states.index, (np.cumsum(mine, dtype=np.int32) - 1)[least],
-             elem))
+                          len(shifts) // fixes.sum(axis=0), fixes), locate)
 
 
-@lru_cache(maxsize=16)
-def twisted_orbits(spec: LatticeSpec, M: int) -> TwistedOrbits:
-    """Representatives of the pair (M, -M), M >= 0, under the twisted
-    translations: the states whose code is the smallest of their images
-    over G (`_orbit_pass`).
-
-    H commutes with every g_a: a shift by one site flips the staggered sign
-    of the field, F flips S^(1) back and leaves the bond terms as they are
-    (F S^+ F = S^- with equal amplitudes, so F is a plain permutation).
-    """
-    return _orbit_pass(spec, M)[0]
-
-
-@lru_cache(maxsize=4)
-def excitation_ladders(spec: LatticeSpec):
+def excitation_ladders(pair, zero, locate_zero):
     """(t, c, r, w): the ladder terms that carry block (0, 0) into the pair
-    M = +-1.
+    M = +-1 (built once per lattice, in `shared_rows`).
 
     For every representative t of the pair and site j, the ladder S^e_j
     that reaches t from M = 0 (S^+ when t has M = 1, S^- when M = -1; the
@@ -447,7 +454,7 @@ def excitation_ladders(spec: LatticeSpec):
     v = sum_je c_je S^e_j phi0 lies in block (1, q), its coordinate there is
     <t_q|v> = sqrt(|O_t|) v[t] = the sum over the terms of t of c_je w p_r.
     """
-    pair, zero = twisted_orbits(spec, 1), twisted_orbits(spec, 0)
+    spec = pair.spec
     plus = pair.reps.digits.sum(axis=0) < spec.n_sites * spec.two_s // 2
     terms = []
     for j in range(spec.n_sites):
@@ -458,7 +465,7 @@ def excitation_ladders(spec: LatticeSpec):
             terms.append((t[mine], np.full(np.count_nonzero(mine), 2 * j + e),
                           codes[mine], amp[mine]))
     t, c, codes, amp = (np.concatenate(column) for column in zip(*terms))
-    r, _ = zero.locate(codes)
+    r, _ = locate_zero(codes)
     return t, c, r, amp * np.sqrt(pair.size[t] / zero.size[r])
 
 

@@ -24,7 +24,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,43 +146,42 @@ def run_scan(config: ScanConfig, out_dir=None,
             res.skip(tag, None, "no usable wavepacket on this grid",
                      ("bounds", "dispersion", "qmode"))
 
-        def context(B, lattice=lattice):
-            return SystemContext(lattice, B, dense_cap=config.dense_cap,
-                                 tolerances=config.tolerances,
-                                 seed=config.seed,
-                                 degree_cap=config.degree_cap)
-
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                contexts = list(pool.map(context, config.b_ladder))
-        else:
-            contexts = [context(B) for B in config.b_ladder]
-        for ctx in contexts:
+        run_locality = "locality" in groups and \
+            lattice.spec.hilbert_dim <= config.dense_cap
+        fields, dense = [], []
+        for B in config.b_ladder:
+            ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
+                                tolerances=config.tolerances,
+                                seed=config.seed,
+                                degree_cap=config.degree_cap)
             if wavepackets:
                 _point(res, config, ctx, tag, wavepackets)
-            res.solver_stats.append({"lattice": tag, "B": ctx.B,
+            res.solver_stats.append({"lattice": tag, "B": B,
                                      **ctx.solver_stats()})
+            fields.append((B, ctx.gs.energy, ctx.m_B))
+            if run_locality:    # the dense contexts that _locality reads
+                dense.append(ctx)
+            del ctx     # a sparse context is freed before the next is built
             aborted = fail_fast and bool(res.bound_failures())
             if aborted:
                 break
         if aborted:
             break
-        if "bounds" in groups and len(contexts) >= 2:
-            _ladder_checks(res, tag, contexts)
-        if groups & {"dispersion", "qmode"} and len(contexts) >= 3:
-            ms = extrapolate_ms([c.B for c in contexts],
-                                [c.m_B for c in contexts])
+        if "bounds" in groups and len(fields) >= 2:
+            _ladder_checks(res, tag, fields)
+        if groups & {"dispersion", "qmode"} and len(fields) >= 3:
+            ms = extrapolate_ms([b for b, _, _ in fields],
+                                [m for _, _, m in fields])
             rows = res.rows["dispersion"]
             if rows and rows[-1]["lattice"] == tag:
                 rows[-1]["ms_intercept"] = ms["intercept"]
             res.check("dispersion", "ms_extrapolation", tag, None,
                       ms["intercept"], None, True, ms["label"])
-        if "locality" in groups:
-            if lattice.spec.hilbert_dim <= config.dense_cap:
-                _locality(res, config, lattice, tag, contexts)
-            else:
-                res.skip(tag, None, "locality needs the dense oracle",
-                         ("locality",))
+        if run_locality:
+            _locality(res, config, lattice, tag, dense)
+        elif "locality" in groups:
+            res.skip(tag, None, "locality needs the dense oracle",
+                     ("locality",))
     return _write_outputs(res, config, out)
 
 
@@ -337,15 +335,13 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: SystemContext,
                       "finite-volume inequality")
 
 
-def _ladder_checks(res: _Outputs, tag: str, contexts) -> None:
+def _ladder_checks(res: _Outputs, tag: str, fields) -> None:
     """The ladder descends in B, so m_B must not increase along it; E0 must
-    be concave in B."""
-    ms = [c.m_B for c in contexts]
+    be concave in B.  `fields` holds (B, E0, m_B) per field."""
+    bs, es, ms = zip(*fields)
     res.check("bounds", "m_B_nondecreasing_in_B", tag, None, None, None,
               all(hi >= lo - 1e-10 for hi, lo in zip(ms, ms[1:])))
-    if len(contexts) >= 3:
-        bs = [c.B for c in contexts]
-        es = [c.gs.energy for c in contexts]
+    if len(fields) >= 3:
         worst = max((es[i] - es[i + 1]) / (bs[i] - bs[i + 1])
                     - (es[i + 1] - es[i + 2]) / (bs[i + 1] - bs[i + 2])
                     for i in range(len(bs) - 2))

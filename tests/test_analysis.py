@@ -383,34 +383,35 @@ def test_sparse_4x4_context_builds_only_blocks(monkeypatch):
     """A 4x4 context and a moment pass over the keys of a dispersion and
     qmode scan build no Hamiltonian larger than one block of M = +-1 and
     never the full basis tables; every block (1, q) shares the one set of
-    rows of M = +-1 that the context builds."""
+    rows of M = +-1 that the lattice's fields share."""
     def refuse(spec):
         raise AssertionError("full basis tables on the sparse path")
 
     built, shared = [], []
+    block_rows = goldstone.operators.block_rows
 
-    def record(lattice, B, block=None, rows=None):
-        H = build_hamiltonian(lattice, B, block, rows)
-        built.append((block, H.dim, rows))
+    def record(lattice, B, block=None):
+        H = build_hamiltonian(lattice, B, block)
+        built.append((block, H.dim))
         return H
 
-    def record_rows(lattice, B, M):
-        shared.append(goldstone.operators.block_rows(lattice, B, M))
-        return shared[-1]
+    def record_rows(lattice, M):
+        shared.append((M, block_rows(lattice, M)))
+        return shared[-1][1]
 
     monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
     monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
-    monkeypatch.setattr(goldstone.analysis, "block_rows", record_rows)
+    monkeypatch.setattr(goldstone.operators, "block_rows", record_rows)
     lat = Lattice.build((4, 4))
     ctx = SystemContext(lat, 0.1)
     weights = build_f(WavepacketSpec(np.pi / 2, 2.2), lat)
     ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}), 16)
-    assert max(dim for _, dim, _ in built) == 1430
-    assert all(block is not None for block, _, _ in built)
-    (rows,) = shared
-    assert rows.orbits.M == 1
-    assert {block for block, _, r in built if r is rows} == \
-        {(1, q) for q in ctx._blocks}
+    assert max(dim for _, dim in built) == 1430
+    assert all(block is not None for block, _ in built)
+    pair = [rows for M, rows in shared if M == 1]
+    assert pair[0].orbits.M == 1
+    assert all(rows is pair[0] for rows in pair)
+    assert len(pair) == len({block for block, _ in built if block[0] == 1})
     assert ctx.H.dim == 827
     stats = ctx.solver_stats()
     assert [s["dim"] for s in stats["blocks"]["lowest"]] == \

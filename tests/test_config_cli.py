@@ -1,17 +1,21 @@
 import configparser
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goldstone.operators
 import goldstone.runner
-from goldstone.analysis import EpsilonChoiceError
+from goldstone.analysis import EpsilonChoiceError, SystemContext
 from goldstone.cli import main
 from goldstone.config import (_SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
@@ -176,16 +180,36 @@ def test_fail_fast_stops_after_the_failing_point(tmp_path, monkeypatch,
                           for b in ("0.2", "0.1")}
 
 
+def _track_contexts(monkeypatch) -> list:
+    """[(B, weakref, [whether each context built before is alive])] of every
+    SystemContext that run_scan builds, the flags taken after gc.collect()
+    just before the context is built."""
+    built = []
+
+    def tracked(lattice, B, **kwargs):
+        gc.collect()
+        alive = [ref() is not None for _, ref, _ in built]
+        ctx = SystemContext(lattice, B, **kwargs)
+        built.append((B, weakref.ref(ctx), alive))
+        return ctx
+
+    monkeypatch.setattr(goldstone.runner, "SystemContext", tracked)
+    return built
+
+
 def test_fail_fast_at_a_later_field_skips_the_ladder(tmp_path, monkeypatch):
     """A failure at the third of four fields ends the scan there, without
-    the m_B extrapolation over the fields that never ran."""
+    the m_B extrapolation over the fields that never ran, and without
+    building the context of the fourth."""
     _plant_irb_failure(monkeypatch, field=0.1)
+    built = _track_contexts(monkeypatch)
     text = SMOKE.replace("bounds", "bounds dispersion").replace(
         "b_ladder = 0.2 0.1", "b_ladder = 0.4 0.2 0.1 0.05")
     result = run_scan(parse_config_text(text), out_dir=tmp_path,
                       fail_fast=True)
     assert result.exit_code == 1
     assert [s["B"] for s in result.manifest["solver_stats"]] == [0.4, 0.2, 0.1]
+    assert [B for B, _, _ in built] == [0.4, 0.2, 0.1]
     names = {c["name"] for c in result.manifest["checks"]}
     assert names == {"delta_e_window", "cross_momentum"}
 
@@ -194,13 +218,79 @@ def test_scan_determinism(tmp_path):
     cfg = parse_config_text(FULL)
     run_scan(cfg, out_dir=tmp_path / "a")
     run_scan(cfg, out_dir=tmp_path / "b")
-    run_scan(replace(cfg, jobs=3), out_dir=tmp_path / "c")
     for name in ("bounds.csv", "dispersion.csv", "dispersion_per_k.csv",
                  "qmode_trend.csv", "locality_profiles.csv",
                  "filter_samples.csv"):
         body = (tmp_path / "a" / name).read_bytes()
         assert body == (tmp_path / "b" / name).read_bytes(), name
-        assert body == (tmp_path / "c" / name).read_bytes(), (name, "jobs")
+
+
+# a three-field ladder on 2x4 (256 states) forced onto the sparse path
+SPARSE_LADDER = """
+[scan]
+checks = bounds dispersion qmode
+lattices = 2x4
+b_ladder = 0.4 0.2 0.1
+dense_cap = 100
+"""
+
+
+def test_ladder_runs_the_orbit_passes_of_m0_and_m1_once(tmp_path,
+                                                        monkeypatch):
+    """The fields of a sparse ladder share the rows of M = 0 and +-1: the
+    orbit passes of those pairs run once per lattice, those of M = 2 .. 4
+    once per field (the ground-sector check); and the CSV bodies equal
+    those of a scan whose operator caches are cleared before each field."""
+    cfg = parse_config_text(SPARSE_LADDER)
+    goldstone.operators.shared_rows.cache_clear()
+    orbit_pass, passes = goldstone.operators._orbit_pass, Counter()
+
+    def counted(spec, M):
+        passes[M] += 1
+        return orbit_pass(spec, M)
+
+    monkeypatch.setattr(goldstone.operators, "_orbit_pass", counted)
+    run_scan(cfg, out_dir=tmp_path / "shared")
+    assert passes == {0: 1, 1: 1, 2: 3, 3: 3, 4: 3}
+
+    def fresh(*args, **kwargs):
+        for fn in vars(goldstone.operators).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        return SystemContext(*args, **kwargs)
+
+    monkeypatch.setattr(goldstone.runner, "SystemContext", fresh)
+    run_scan(cfg, out_dir=tmp_path / "fresh")
+    assert passes == {0: 4, 1: 4, 2: 6, 3: 6, 4: 6}
+    for path in sorted((tmp_path / "shared").glob("*.csv")):
+        assert path.read_bytes() == \
+            (tmp_path / "fresh" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("text,keep", [
+    (SPARSE_LADDER, False),
+    (FULL.replace("bounds dispersion qmode locality", "bounds"), False),
+    (FULL, True)], ids=["sparse", "dense", "dense-locality"])
+def test_contexts_live_only_as_long_as_a_later_stage_reads_them(
+        tmp_path, monkeypatch, text, keep):
+    """run_scan builds each field's context when its point runs.  A sparse
+    context, or a dense one without the locality suite, is dead by the time
+    the next field's is built; with locality on a dense lattice the
+    contexts stay alive until _locality has run."""
+    built = _track_contexts(monkeypatch)
+    locality, seen = goldstone.runner._locality, []
+
+    def checked(*args):
+        gc.collect()
+        seen.append([ref() is not None for _, ref, _ in built])
+        return locality(*args)
+
+    monkeypatch.setattr(goldstone.runner, "_locality", checked)
+    run_scan(parse_config_text(text), out_dir=tmp_path)
+    assert [alive for _, _, alive in built] == \
+        [[keep] * i for i in range(len(built))]
+    assert len(built) == 3
+    assert seen == ([[True] * 3] if keep else [])
 
 
 def test_k_columns_are_numbers(tmp_path):
@@ -397,6 +487,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "chebyshev_tol", "5"),
     ("filter", "degree_cap", "0"),
     ("scan", "seed", "-1"),
+    ("scan", "jobs", "2"),
     ("scan", "cache_dir", "x"),
     ("scan", "lattices", ""),
     ("wavepacket", "p", ""),
@@ -442,8 +533,8 @@ def test_scan_config_defaults_are_valid():
 
 NON_DEFAULT = {
     "scan": {"checks": "bounds", "lattices": "2x4", "spin": "1.0",
-             "b_ladder": "0.3 0.1", "dense_cap": "100", "jobs": "2",
-             "seed": "8", "out_dir": "elsewhere"},
+             "b_ladder": "0.3 0.1", "dense_cap": "100", "seed": "8",
+             "out_dir": "elsewhere"},
     "wavepacket": {"p": "0.5", "kappa": "2.0"},
     "filter": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
                "v_min_ladder": "0.5 0.1", "chebyshev_tol": "1e-6",
@@ -455,12 +546,23 @@ NON_DEFAULT = {
 }
 
 
+# keys that accept one value only: `[scan] jobs = 1` still parses, because
+# existing configs set it, and changes nothing
+FIXED = {"scan": {"jobs": "1"}}
+
+
 def test_every_schema_key_changes_the_config():
     """Each key is used or rejected: every key the schema accepts changes
-    the parsed ScanConfig, and every field is reached by some key."""
-    assert {s: set(keys) for s, keys in NON_DEFAULT.items()} == _SCHEMA
+    the parsed ScanConfig, except the fixed keys, which change nothing; and
+    every field is reached by some key."""
+    assert {s: set(keys) | set(FIXED.get(s, ())) for s, keys in
+            NON_DEFAULT.items()} == _SCHEMA
     default = ScanConfig()
     assert parse_config_text("") == default
+    for section, keys in FIXED.items():
+        for key, value in keys.items():
+            text = f"[{section}]\n{key} = {value}\n"
+            assert parse_config_text(text) == replace(default, raw_text=text)
     reached = set()
     for section, keys in NON_DEFAULT.items():
         for key, value in keys.items():

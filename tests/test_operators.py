@@ -10,10 +10,11 @@ from goldstone.analysis import SystemContext
 from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
 from goldstone.operators import (SECTOR_AXES, SparseHermitianOperator,
-                                 basis_tables, block_rows, build_hamiltonian,
-                                 fourier_ladder, fourier_spin, sector_basis,
+                                 _orbit_pass, basis_tables,
+                                 build_hamiltonian, fourier_ladder,
+                                 fourier_spin, sector_basis, shared_rows,
                                  site_phases, site_spin_operator,
-                                 staggered_operator, twisted_orbits)
+                                 staggered_operator)
 
 
 def spin_matrices(two_s: int):
@@ -86,11 +87,11 @@ def expand_block(lattice, block, coords):
     """The full-basis vector with coordinates `coords` on block (M, q):
     v[s] = coords[r] chi_q(g_s) / sqrt(|O_r|) on the states of the pair."""
     M, q = block
-    orbits = twisted_orbits(lattice.spec, M)
+    orbits, locate = _orbit_pass(lattice.spec, M)
     chi, ok = orbits.block_basis(lattice, q)
     col = np.cumsum(ok) - 1
     states = sector_basis(lattice.spec, (M, -M) if M else (0,)).codes
-    rep, elem = orbits.locate(states)
+    rep, elem = locate(states)
     mine = ok[rep]
     v = np.zeros(lattice.spec.hilbert_dim, dtype=complex)
     v[states[mine]] = (coords[col[rep[mine]]] * chi[elem[mine]]
@@ -366,35 +367,39 @@ def test_locate_is_the_smallest_image(extents, spin):
     top = lat.n_sites * lat.spec.two_s // 2
     shifts = list(itertools.product(*map(range, extents)))
     for M in range(top + 1):
-        orbits = twisted_orbits(lat.spec, M)
+        orbits, locate = _orbit_pass(lat.spec, M)
         states = sector_basis(lat.spec, (M, -M) if M else (0,)).codes
         images = np.array([_twisted_images(lat, states, a) for a in shifts])
         elem = images.argmin(axis=0)
         smallest = images[elem, np.arange(len(states))]
         rep = np.searchsorted(orbits.reps.codes, smallest)
         assert np.array_equal(orbits.reps.codes[rep], smallest)
-        got_rep, got_elem = orbits.locate(states)
+        got_rep, got_elem = locate(states)
         assert np.array_equal(got_rep, rep)
         assert np.array_equal(got_elem, elem)
         other = sector_basis(lat.spec, (M + 1,) if M < top else (0,)).codes
         with pytest.raises(ValueError):
-            orbits.locate(other[-1:])
+            locate(other[-1:])
 
 
 @pytest.mark.parametrize("extents", [(2, 4), (4, 4)])
 def test_blocks_sharing_rows_equal_blocks_built_alone(extents):
-    """Blocks (1, q) built one after another from one `block_rows`, in two
-    orders, equal the blocks each built from its own rows, entry for
+    """Blocks (1, q) at two fields, built one after another from the shared
+    rows of M = +-1 (`shared_rows`), in two orders, equal the blocks each
+    built from rows of its own (`shared_rows` cleared first), entry for
     entry."""
     lat = Lattice.build(extents)
-    rows = block_rows(lat, 0.1, 1)
-    alone = {q: build_hamiltonian(lat, 0.1, (1, q)).csr for q in lat.momenta}
-    for order in (lat.momenta, lat.momenta[::-1]):
-        for q in order:
-            together = build_hamiltonian(lat, 0.1, (1, q), rows).csr
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(together, part),
-                                      getattr(alone[q], part))
+    for B in (0.1, 0.05):
+        alone = {}
+        for q in lat.momenta:
+            shared_rows.cache_clear()
+            alone[q] = build_hamiltonian(lat, B, (1, q)).csr
+        for order in (lat.momenta, lat.momenta[::-1]):
+            for q in order:
+                together = build_hamiltonian(lat, B, (1, q)).csr
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(together, part),
+                                          getattr(alone[q], part))
 
 
 @pytest.mark.parametrize("extents,spin,B", [((4,), 0.5, 0.3),
@@ -481,7 +486,7 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
     tab = sector_basis(lat.spec, sectors)
     dense = build_hamiltonian(lat, 0.3).to_dense()[np.ix_(tab.codes,
                                                           tab.codes)]
-    orbits = twisted_orbits(lat.spec, sectors[0])
+    orbits, _ = _orbit_pass(lat.spec, sectors[0])
     shifts = list(itertools.product(*map(range, extents)))
     perms = []
     for a in shifts:
