@@ -85,8 +85,7 @@ def main():
     for i in range(args.fields):
         t0 = time.perf_counter()
         ctx = SystemContext(lat, B / 2 ** i, dense_cap=cfg.dense_cap,
-                            tolerances=cfg.tolerances, seed=cfg.seed,
-                            degree_cap=cfg.degree_cap)
+                            tolerances=cfg.tolerances, seed=cfg.seed)
         print(f"  field {i + 1}, B = {ctx.B:<8g} "
               f"{time.perf_counter() - t0:8.3f} s   peak RSS "
               f"{peak_mb():7.0f} MB   E0 = {ctx.gs.energy!r}")

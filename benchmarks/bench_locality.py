@@ -3,7 +3,7 @@
 
 Times the three profiles and the partial-trace checks of the scan's
 locality group, at the locality settings of `configs/desk.ini` (window,
-times, axis, spin and field ladder) and at site 0, as the scan takes them,
+times, spin and field ladder), with S^(2) at site 0, as the scan takes them,
 on each lattice of `--extents`:
 
     python benchmarks/bench_locality.py [--extents 2x2,2x4] [--reps 5]
@@ -62,7 +62,7 @@ def main():
                            cfg.locality_delta_gamma))
     ladder = cfg.b_ladder
     print(f"{DESK.name}: times {list(cfg.locality_times)}, "
-          f"site 0, axis {cfg.locality_axis}, "
+          "S^(2) at site 0, "
           f"ladder {list(ladder)}, {args.reps} reps")
     for token in args.extents.split(","):
         extents = tuple(int(t) for t in token.split("x"))
@@ -70,7 +70,7 @@ def main():
         spectra = [(b, dense_spectrum(build_hamiltonian(lat, b)))
                    for b in ladder]
         dec = spectra[len(spectra) // 2][1]
-        a = site_spin_operator(lat, 0, cfg.locality_axis).to_dense()
+        a = site_spin_operator(lat, 0, 2).to_dense()
         smeared = tau_g_star(dec, g, a)
         ball = lat.ball(0, 1)
         once = local_approximation(smeared, ball, lat)
@@ -79,7 +79,7 @@ def main():
         print(f"lattice {token}: dim {dec.dim}")
         calls = {
             "lr_commutator_profile": lambda: lr_commutator_profile(
-                dec, lat, cfg.locality_times, cfg.locality_axis),
+                dec, lat, cfg.locality_times, 2),
             "delta_decomposition": lambda: delta_decomposition(smeared, lat),
             "b_continuity": lambda: b_continuity(lat, g, spectra, a),
             "partial_trace_checks": lambda: (

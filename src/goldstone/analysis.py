@@ -21,10 +21,9 @@ from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverOptions,
                           SpectralDecomposition, check_ground_sector,
                           deflated_solve, dense_spectrum, ground_state,
                           lowest_ritz)
-from .filters import (DEGREE_CAP_DEFAULT, GFilter, SpectrumEnclosureError,
-                      WavepacketSpec, WavepacketWeights, build_f,
-                      chebyshev_moments, make_chebyshev_expansion,
-                      spectral_interval)
+from .filters import (GFilter, SpectrumEnclosureError, WavepacketSpec,
+                      WavepacketWeights, build_f, chebyshev_moments,
+                      make_chebyshev_expansion, spectral_interval)
 from .lattice import Lattice
 from .operators import (SparseHermitianOperator, block_rows,
                         build_hamiltonian, direct_sum, fourier_ladder,
@@ -173,13 +172,11 @@ class SystemContext:
     def __init__(self, lattice: Lattice, B: float, *,
                  dense_cap: int = DENSE_CAP_DEFAULT,
                  tolerances: Tolerances = Tolerances(),
-                 seed: int = SolverOptions.seed,
-                 degree_cap: int = DEGREE_CAP_DEFAULT):
+                 seed: int = SolverOptions.seed):
         self.lattice = lattice
         self.B = B
         self.tol = tolerances
         self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
-        self.degree_cap = degree_cap
         self.dense: SpectralDecomposition | None = None
         self.excitation: np.ndarray | None = None     # E - E0, dense path
         self.sector_lowest: list | None = None
@@ -312,9 +309,8 @@ class SystemContext:
                 return (np.asarray(x) - e0) * den_fn(x)
 
             self._expansions[g.spec] = (
-                make_chebyshev_expansion(den_fn, lo, hi, tol, self.degree_cap),
-                make_chebyshev_expansion(num_fn, lo, hi, tol * g.spec.gamma,
-                                         self.degree_cap))
+                make_chebyshev_expansion(den_fn, lo, hi, tol),
+                make_chebyshev_expansion(num_fn, lo, hi, tol * g.spec.gamma))
         return self._expansions[g.spec]
 
     def moments(self, keys, n_moments: int) -> list:

@@ -23,7 +23,8 @@ _VERDICT = {0: "PASS", 1: "FAIL", 3: "INCONCLUSIVE"}
 
 def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="scan config (INI)")
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--out", default="out",
+                     help="output directory (default: out)")
     sub.add_argument("--fail-fast", action="store_true",
                      help="after a failing bound entry, finish the "
                           "current (lattice, B) and skip the rest")

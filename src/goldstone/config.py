@@ -12,9 +12,9 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
-from .analysis import Tolerances, V_MIN_LADDER_DEFAULT
+from .analysis import Tolerances
 from .eigensolver import DENSE_CAP_DEFAULT
-from .filters import DEGREE_CAP_DEFAULT, FilterSpec
+from .filters import FilterSpec
 from .lattice import LatticeSpec
 
 __all__ = ["ScanConfig", "ConfigError", "parse_config", "parse_config_text"]
@@ -33,19 +33,15 @@ class ScanConfig:
     checks: tuple = CHECK_GROUPS
     dense_cap: int = DENSE_CAP_DEFAULT
     seed: int = 7
-    out_dir: str = "out"
     p_values: list | str = "auto"
     kappa: float | str = "auto"
     filter_epsilon: float | str = "auto"
     gamma: float = 3.0
     delta_gamma: float = 0.5
-    v_min_ladder: tuple = V_MIN_LADDER_DEFAULT
-    degree_cap: int = DEGREE_CAP_DEFAULT
     locality_epsilon: float = 0.2
     locality_gamma: float = 3.0
     locality_delta_gamma: float = 0.5
     locality_times: tuple = (0.25, 0.5, 1.0)
-    locality_axis: int = 2
     tolerances: Tolerances = field(default_factory=Tolerances)
     raw_text: str = ""
 
@@ -75,9 +71,6 @@ class ScanConfig:
         # with gamma <= delta_gamma no epsilon gives a window
         if not self.gamma > self.delta_gamma > 0:
             raise ConfigError("filter: need gamma > delta_gamma > 0")
-        if not (self.v_min_ladder and min(self.v_min_ladder) > 0):
-            raise ConfigError("filter: v_min_ladder must be a nonempty list "
-                              "of positive fractions")
         # the den filter g^2 lies in [0, 1]: a sup error of 1 bounds nothing
         if not 0 < self.tolerances.chebyshev < 1:
             raise ConfigError("filter: chebyshev_tol must lie in (0, 1)")
@@ -85,8 +78,6 @@ class ScanConfig:
             if not 0 < getattr(self.tolerances, name) < float("inf"):
                 raise ConfigError(f"tolerances: {name} must be positive "
                                   "and finite")
-        if self.degree_cap < 1:
-            raise ConfigError("filter: degree_cap must be >= 1")
         if self.seed < 0:
             raise ConfigError("scan: seed must be >= 0")
         if not self.lattices:
@@ -110,14 +101,18 @@ class ScanConfig:
             except ValueError as exc:
                 name = "x".join(map(str, extents))
                 raise ConfigError(f"lattice {name}: {exc}") from exc
-        if self.locality_axis not in (1, 2, 3):
-            raise ConfigError(f"locality: axis {self.locality_axis} "
-                              "must be 1, 2 or 3")
-        t = self.locality_times  # t = 0: only rounding; repeats merge samples
-        if not (t and all(0 < x < float("inf") for x in t)
-                and len(set(t)) == len(t)):
+        t = self.locality_times  # t = 0: only rounding
+        if not (t and all(0 < x < float("inf") for x in t)):
             raise ConfigError("locality: times must be a nonempty list of "
-                              "finite, distinct times > 0")
+                              "finite times > 0")
+        # a repeat would run the same work twice and write its rows twice
+        # (repeated times would merge their samples)
+        for name, values in (("scan: checks", self.checks),
+                             ("scan: lattices", self.lattices),
+                             ("wavepacket: p", self.p_values),
+                             ("locality: times", self.locality_times)):
+            if values != "auto" and len(set(values)) < len(values):
+                raise ConfigError(f"{name} lists a value twice")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
@@ -159,22 +154,17 @@ _KEYS = {
     ("scan", "dense_cap"): ("dense_cap", int),
     ("scan", "jobs"): (None, _one_job),
     ("scan", "seed"): ("seed", int),
-    ("scan", "out_dir"): ("out_dir", str),
     ("wavepacket", "p"): ("p_values", _auto(_floats)),
     ("wavepacket", "kappa"): ("kappa", _auto(float)),
     ("filter", "epsilon"): ("filter_epsilon", _auto(float)),
     ("filter", "gamma"): ("gamma", float),
     ("filter", "delta_gamma"): ("delta_gamma", float),
-    ("filter", "v_min_ladder"): ("v_min_ladder",
-                                  lambda text: tuple(_floats(text))),
     ("filter", "chebyshev_tol"): ("tolerances.chebyshev", float),
-    ("filter", "degree_cap"): ("degree_cap", int),
     ("locality", "epsilon"): ("locality_epsilon", float),
     ("locality", "gamma"): ("locality_gamma", float),
     ("locality", "delta_gamma"): ("locality_delta_gamma", float),
     ("locality", "times"): ("locality_times",
                             lambda text: tuple(_floats(text))),
-    ("locality", "axis"): ("locality_axis", int),
     ("tolerances", "algebraic"): ("tolerances.algebraic", float),
     ("tolerances", "resolvent"): ("tolerances.resolvent", float),
     ("tolerances", "solver"): ("tolerances.solver", float),

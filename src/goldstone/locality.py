@@ -10,8 +10,8 @@ non-finite input raises (`operator_norm`); delta shells and partial-trace
 checks take theirs on the block R of R (x) 1 (`support_norm`).  On desk.ini
 both agree with a full-size SVD to 3e-15 relative (locality_profiles.csv).
 H is real, and so are S^(1) and S^(2) (the S_z and S_x matrices,
-`operators.SECTOR_AXES`): with the default axis 2 the smeared evolution, its
-shells and its field-continuity differences are real.  Balls and distances
+`operators.SECTOR_AXES`): the scan takes axis 2, so its smeared evolution,
+shells and field-continuity differences are real.  Balls and distances
 are taken from site 0: twisted translations commute with H and carry
 S^(axis) at site 0 to +-S^(axis) at every other site, so site 0 stands for
 all of them.
@@ -32,7 +32,6 @@ __all__ = [
     "DecayFit",
     "operator_norm",
     "support_norm",
-    "heisenberg_evolve",
     "tau_g_star",
     "local_approximation",
     "delta_decomposition",
@@ -87,15 +86,10 @@ class DecayFit:
         return self.amplitude * np.exp(self.velocity * t - self.rate * dist)
 
 
-def heisenberg_evolve(dec: SpectralDecomposition, a: np.ndarray,
-                      t: float) -> np.ndarray:
-    """exp(iHt) a exp(-iHt) through the eigensystem."""
-    return _evolve(dec, dec.eigenvectors.conj().T @ a @ dec.eigenvectors, t)
-
-
 def _evolve(dec: SpectralDecomposition, at: np.ndarray,
             t: float) -> np.ndarray:
-    """heisenberg_evolve of the operator whose eigenbasis matrix is `at`."""
+    """exp(iHt) a exp(-iHt) through the eigensystem, for the operator a
+    whose eigenbasis matrix is `at`."""
     phases = np.exp(1j * dec.eigenvalues * t)
     return dec.eigenvectors @ (np.outer(phases, phases.conj()) * at) \
         @ dec.eigenvectors.conj().T

@@ -126,14 +126,14 @@ class _Outputs:
         return [r for r in self.rows["bounds"] if not r["passed"]]
 
 
-def run_scan(config: ScanConfig, out_dir=None,
+def run_scan(config: ScanConfig, out_dir,
              fail_fast: bool = False) -> ScanResult:
     """Every enabled check group over the config's (lattice, B) grid.
 
     With `fail_fast`, a failing bound entry ends the scan once its
     (lattice, B) is done: later fields, the ladder checks, locality and
     later lattices are skipped."""
-    out = Path(out_dir or config.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     groups = set(config.checks)
     res = _Outputs(config.config_hash())
@@ -152,8 +152,7 @@ def run_scan(config: ScanConfig, out_dir=None,
         for B in config.b_ladder:
             ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
                                 tolerances=config.tolerances,
-                                seed=config.seed,
-                                degree_cap=config.degree_cap)
+                                seed=config.seed)
             if wavepackets:
                 _point(res, config, ctx, tag, wavepackets)
             res.solver_stats.append({"lattice": tag, "B": B,
@@ -210,7 +209,6 @@ def _auto_filter(ctx: SystemContext, wp: WavepacketSpec, config: ScanConfig):
     if config.filter_epsilon == "auto":
         try:
             v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
-                                        config.v_min_ladder,
                                         gamma=config.gamma,
                                         delta_gamma=config.delta_gamma)
         except EpsilonChoiceError as exc:
@@ -353,7 +351,9 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
               contexts) -> None:
     g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
                            config.locality_delta_gamma))
-    axis = config.locality_axis
+    # S^(2) is the real S_x matrix (`operators.SECTOR_AXES`) and H is real,
+    # so every locality matrix stays real
+    axis = 2
     ctx = contexts[len(contexts) // 2]
     a = site_spin_operator(lattice, 0, axis).to_dense()
 

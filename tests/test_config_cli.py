@@ -17,15 +17,15 @@ import goldstone.operators
 import goldstone.runner
 from goldstone.analysis import EpsilonChoiceError, SystemContext
 from goldstone.cli import main
-from goldstone.config import (_SCHEMA, ConfigError, ScanConfig,
+from goldstone.config import (_KEYS, _SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
 from goldstone.eigensolver import row_sum_bound
-from goldstone.filters import FilterDegreeError
 from goldstone.lattice import Lattice
 from goldstone.operators import build_hamiltonian
 from goldstone.runner import run_scan
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 SMOKE = """
 [scan]
@@ -407,14 +407,6 @@ def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):
         assert c["passed"] and "not a finite-volume inequality" in c["note"]
 
 
-def test_degree_cap_is_enforced(tmp_path):
-    text = SPARSE_22 + "\n[filter]\ndegree_cap = 64\n"
-    cfg = parse_config_text(text)
-    assert cfg.degree_cap == 64
-    with pytest.raises(FilterDegreeError):
-        run_scan(cfg, out_dir=tmp_path)
-
-
 def test_cli_scan_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SMOKE)
@@ -488,6 +480,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "degree_cap", "0"),
     ("scan", "seed", "-1"),
     ("scan", "jobs", "2"),
+    ("scan", "checks", "locality locality"),
+    ("scan", "lattices", "2x4 2x4"),
+    ("wavepacket", "p", "0.5 0.5"),
     ("scan", "cache_dir", "x"),
     ("scan", "lattices", ""),
     ("wavepacket", "p", ""),
@@ -523,8 +518,22 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
     assert not list(tmp_path.rglob("*.csv"))
 
 
-
-
+@pytest.mark.parametrize("section,key,value", [
+    ("scan", "out_dir", "out"),
+    ("filter", "v_min_ladder", "0.5 0.25 0.1 0.05 0.025"),
+    ("filter", "degree_cap", "32768"),
+    ("locality", "axis", "2"),
+])
+def test_retired_key_is_a_config_error(tmp_path, capsys, section, key, value):
+    """Keys that no shipped config set are gone: a config that sets one,
+    even to its old default, gets one error line that names it."""
+    cfg_path = tmp_path / "old.ini"
+    cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+    code = main(["scan", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err and repr(key) in err
 
 
 def test_scan_config_defaults_are_valid():
@@ -533,14 +542,12 @@ def test_scan_config_defaults_are_valid():
 
 NON_DEFAULT = {
     "scan": {"checks": "bounds", "lattices": "2x4", "spin": "1.0",
-             "b_ladder": "0.3 0.1", "dense_cap": "100", "seed": "8",
-             "out_dir": "elsewhere"},
+             "b_ladder": "0.3 0.1", "dense_cap": "100", "seed": "8"},
     "wavepacket": {"p": "0.5", "kappa": "2.0"},
     "filter": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
-               "v_min_ladder": "0.5 0.1", "chebyshev_tol": "1e-6",
-               "degree_cap": "1000"},
+               "chebyshev_tol": "1e-6"},
     "locality": {"epsilon": "0.3", "gamma": "4.0", "delta_gamma": "0.6",
-                 "times": "0.5 2.0", "axis": "3"},
+                 "times": "0.5 2.0"},
     "tolerances": {"algebraic": "1e-9", "resolvent": "1e-7",
                    "solver": "1e-9"},
 }
@@ -574,6 +581,18 @@ def test_every_schema_key_changes_the_config():
     assert reached == set(vars(default)) - {"raw_text"}
     cfg = parse_config_text("[filter]\nchebyshev_tol = 1e-6\n")
     assert cfg.tolerances.chebyshev == 1e-6
+
+
+def test_every_schema_key_is_set_by_a_shipped_config():
+    """A key that no shipped config sets runs its default everywhere, so it
+    is a constant, not a key."""
+    used = set()
+    for path in [*ROOT.glob("configs/*.ini"),
+                 *ROOT.glob("perfbench/workloads/*.ini")]:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read(path, encoding="utf-8")
+        used |= {(s, key) for s in parser.sections() for key in parser[s]}
+    assert set(_KEYS) - used == set()
 
 
 def test_readme_config_block_is_the_schema_with_its_defaults():

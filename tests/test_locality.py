@@ -5,16 +5,21 @@ from goldstone.config import parse_config_text
 from goldstone.eigensolver import dense_spectrum
 from goldstone.filters import FilterSpec, GFilter
 from goldstone.lattice import Lattice
-from goldstone.locality import (_commutator_norm, b_continuity,
-                                delta_decomposition, heisenberg_evolve,
-                                local_approximation, lr_commutator_profile,
-                                operator_norm, support_norm, tau_g_star)
+from goldstone.locality import (_commutator_norm, _evolve, b_continuity,
+                                delta_decomposition, local_approximation,
+                                lr_commutator_profile, operator_norm,
+                                support_norm, tau_g_star)
 from goldstone.operators import (SECTOR_AXES, build_hamiltonian,
                                  site_spin_operator)
 from goldstone.runner import run_scan
 from test_operators import spin_matrices
 
 GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
+
+
+def heisenberg_evolve(dec, a, t):
+    """exp(iHt) a exp(-iHt) through the eigensystem."""
+    return _evolve(dec, dec.eigenvectors.conj().T @ a @ dec.eigenvectors, t)
 
 
 @pytest.fixture(scope="module")
