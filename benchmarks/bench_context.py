@@ -41,8 +41,8 @@ from goldstone.config import parse_config
 from goldstone.eigensolver import SolverOptions, ground_state, lowest_ritz
 from goldstone.filters import WavepacketSpec, build_f
 from goldstone.lattice import Lattice
-from goldstone.operators import (block_rows, build_hamiltonian,
-                                 gershgorin_upper, sector_basis, shared_rows)
+from goldstone.operators import (build_hamiltonian, gershgorin_upper,
+                                 sector_basis, shared_rows)
 
 TORUS = Path(__file__).resolve().parent.parent / "configs" / "torus4x4.ini"
 
@@ -123,7 +123,7 @@ def main():
         return f"lowest of M = 1: {lowest[0]!r}"
 
     def pass_blocks():
-        upper = gershgorin_upper(lat, B, block_rows(lat, 1))
+        upper = gershgorin_upper(lat, B)
         nnz = [build_hamiltonian(lat, B, (1, q)).nnz
                for q in qs if q != zero]
         return f"{len(nnz)} blocks, {sum(nnz)} nonzeros, upper {upper!r}"

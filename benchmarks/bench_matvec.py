@@ -7,13 +7,14 @@ passes and the infrared-bound CG are all matvec loops.  Run as
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
                                       [--lanczos]
 
-It times one real and one complex vector on the full H, then an 8-column
-real block on the full H, on block (0, 0) that holds the ground state and
+It times one real and one complex vector on the CSR matrix of the full H
+(the scans' dense path applies the full H without one), then an 8-column
+real block on that matrix, on block (0, 0) that holds the ground state and
 on block (1, 0) of M = +1, -1, and one complex column on the direct sum of
 every twisted-momentum block (1, q), the shape of the sparse path's moment
 pass: a column carries one vector per block, so that row is the cost of one
-matvec on N vectors.  `--lanczos` also times a ground-state solve on the
-full H.
+matvec on N vectors.  `--lanczos` also times a ground-state solve on that
+CSR matrix.
 """
 
 import argparse
@@ -22,7 +23,8 @@ import time
 # goldstone before numpy, so the timings run on the scan's one BLAS thread
 from goldstone.eigensolver import SolverOptions, ground_state
 from goldstone.lattice import Lattice
-from goldstone.operators import build_hamiltonian, direct_sum
+from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
+                                 direct_sum)
 
 import numpy as np
 
@@ -47,7 +49,7 @@ def main():
     extents = tuple(int(t) for t in args.extents.split("x"))
     lat = Lattice.build(extents)
     t0 = time.perf_counter()
-    H = build_hamiltonian(lat, args.field)
+    H = SparseHermitianOperator(build_hamiltonian(lat, args.field).csr)
     print(f"lattice {args.extents}: dim {H.dim}, nnz {H.nnz} "
           f"(built in {time.perf_counter() - t0:.2f}s)")
 

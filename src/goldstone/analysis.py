@@ -288,8 +288,7 @@ class SystemContext:
         if self._interval is None:
             self._interval = spectral_interval(
                 self.sector_lowest[0]["ritz"],
-                gershgorin_upper(self.lattice, self.B,
-                                 block_rows(self.lattice, 1)))
+                gershgorin_upper(self.lattice, self.B))
         return self._interval
 
     def filter_expansions(self, g: GFilter):

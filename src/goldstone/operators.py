@@ -10,8 +10,9 @@ backs the dense oracle, and every single-site spin sum on it comes from
 `site_sum`.  The sparse path works on blocks (M, q): the states of total
 magnetization M and -M at twisted momentum q (`TwistedOrbits`), built from
 orbit representatives without the sector's states or operators.  All
-builders are vectorised and return one scipy CSR matrix per operator, whose
-product is the one matvec of every solver and filter.
+builders are vectorised.  A block is one scipy CSR matrix, whose product is
+the one matvec of every solver and filter.  A full-basis operator keeps its
+entries, and numpy applies them without scipy.sparse (`FullBasisOperator`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import Lattice, LatticeSpec
 
@@ -57,12 +57,13 @@ _BATCH = 1 << 16
 
 @dataclass(eq=False)
 class SparseHermitianOperator:
-    """Complex (or real) square sparse matrix: one scipy CSR matrix."""
+    """A block (M, q), or their direct sum: one scipy CSR matrix only."""
 
-    csr: scipy.sparse.csr_matrix
+    csr: object  # scipy.sparse.csr_matrix
 
     @classmethod
     def from_coo(cls, dim, rows, cols, vals):
+        import scipy.sparse
         mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
                                       shape=(dim, dim)).tocsr()
         mat.sum_duplicates()
@@ -93,6 +94,34 @@ class SparseHermitianOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
+
+
+class FullBasisOperator:
+    """An operator on the full basis, the dense oracle's, as its entries
+    sorted by row, then column, none twice.  `matvec` sums each row's terms
+    in that order, as scipy's csr_matvec does, so it gives the bits of the
+    CSR product (`csr`) unless both the entries and x are complex."""
+
+    def __init__(self, dim: int, rows, cols, data):
+        order = np.argsort(rows * dim + cols)
+        self.dim = dim
+        self.rows, self.cols, self.data = rows[order], cols[order], data[order]
+
+    @property
+    def csr(self):
+        return SparseHermitianOperator.from_coo(self.dim, self.rows, self.cols,
+                                                self.data).csr
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H @ x for one vector or a 2-D block of columns."""
+        out = np.zeros(x.shape, dtype=np.result_type(self.data, x))
+        np.add.at(out, self.rows, (self.data * x[self.cols].T).T)
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
+        np.add.at(out, (self.rows, self.cols), self.data)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +223,7 @@ _LADDER_COEF = {1: (0.5, 0.5), 2: (-0.5j, 0.5j)}
 
 
 def site_sum(lattice: Lattice, weights, axis: int,
-             scale: float = 1.0) -> SparseHermitianOperator:
+             scale: float = 1.0) -> FullBasisOperator:
     """scale * sum_j w_j S_j^(axis) on the full basis, one weight per site;
     sites of weight zero add no entries."""
     if axis not in (1, 2, 3):
@@ -216,7 +245,7 @@ def site_sum(lattice: Lattice, weights, axis: int,
         counts = [len(t[0]) for t in terms]
         vals = np.repeat(np.outer(scale * w[sites], _LADDER_COEF[matrix]),
                          counts) * amp
-    return SparseHermitianOperator.from_coo(tab.dim, rows, cols, vals)
+    return FullBasisOperator(tab.dim, rows, cols, vals)
 
 
 def _hops(lattice: Lattice, tab: BasisTables):
@@ -250,7 +279,7 @@ def _diagonal(lattice: Lattice, B: float, tab: BasisTables) -> np.ndarray:
 
 
 def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
-                      ) -> SparseHermitianOperator:
+                      ) -> FullBasisOperator | SparseHermitianOperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
     Real symmetric in the product basis, with the field term on the
@@ -269,19 +298,28 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
         tab = basis_tables(lattice.spec)
         src, dst, amp = _hops(lattice, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
-        return SparseHermitianOperator.from_coo(
+        return FullBasisOperator(
             tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
             np.concatenate([_diagonal(lattice, B, tab), amp]))
     M, q = block
     rows = block_rows(lattice, M)
+    diag = _shared_diagonal(lattice.spec, M, B) if M < 2 else \
+        _diagonal(lattice, B, rows.orbits.reps)
     chi, ok = rows.orbits.block_basis(lattice, q)
     col = np.cumsum(ok) - 1
     own, off = np.flatnonzero(ok), ok[rows.src] & ok[rows.rep]
     return SparseHermitianOperator.from_coo(
         len(own), col[np.concatenate([own, rows.src[off]])],
         col[np.concatenate([own, rows.rep[off]])],
-        np.concatenate([_diagonal(lattice, B, rows.orbits.reps)[ok],
+        np.concatenate([diag[ok],
                         rows.amp[off] * chi[rows.elem[off]] * rows.ratio[off]]))
+
+
+@lru_cache(maxsize=2)
+def _shared_diagonal(spec: LatticeSpec, M: int, B: float) -> np.ndarray:
+    """`_diagonal` at the representatives of a pair M < 2, whose rows are
+    shared (`shared_rows`): once per field for all its blocks (M, q)."""
+    return _diagonal(Lattice(spec), B, shared_rows(spec)[M].orbits.reps)
 
 
 # What the blocks (M, q) of one pair share at every field: the hops of H at
@@ -317,23 +355,23 @@ def shared_rows(spec: LatticeSpec) -> tuple:
             excitation_ladders(pair[0], *zero))
 
 
-def gershgorin_upper(lattice: Lattice, B: float, rows: BlockRows) -> float:
+def gershgorin_upper(lattice: Lattice, B: float) -> float:
     """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
-    eigenvalue of H at field B on the pair of `rows`, without matvecs.  It
-    is read from the rows at the representatives: G permutes the states and
-    commutes with H, so row sums are constant on orbits."""
-    reps = rows.orbits.reps
-    return float(np.max(_diagonal(lattice, B, reps)
-                        + np.bincount(rows.src, rows.amp, reps.dim)))
+    eigenvalue of H at field B on the pair M = +-1, without matvecs.  It is
+    read from the pair's rows at the representatives: G permutes the states
+    and commutes with H, so row sums are constant on orbits."""
+    rows = shared_rows(lattice.spec)[1]
+    diag = _shared_diagonal(lattice.spec, 1, B)
+    return float(np.max(diag + np.bincount(rows.src, rows.amp, len(diag))))
 
 
-def site_spin_operator(lattice: Lattice, site: int, axis: int) -> SparseHermitianOperator:
+def site_spin_operator(lattice: Lattice, site: int, axis: int) -> FullBasisOperator:
     """S_x^(axis) at one site, axis in {1, 2, 3}."""
     return site_sum(lattice, np.eye(lattice.n_sites)[site], axis)
 
 
 def fourier_spin(lattice: Lattice, n_momentum,
-                 axis: int) -> SparseHermitianOperator:
+                 axis: int) -> FullBasisOperator:
     """hat S_k^(axis) = N^{-1/2} sum_x e^{i k x} S_x^(axis) on the full
     basis.  Its adjoint is the operator at -k."""
     n_momentum = tuple(n_momentum)
@@ -358,7 +396,7 @@ def site_phases(lattice: Lattice, n_momentum) -> np.ndarray:
     return np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
 
 
-def staggered_operator(lattice: Lattice) -> SparseHermitianOperator:
+def staggered_operator(lattice: Lattice) -> FullBasisOperator:
     """sum_x sigma(x) S_x^(1) on the full basis: the order parameter N m_B
     is its expectation."""
     return site_sum(lattice, lattice.staggered_signs, 1)
@@ -471,5 +509,6 @@ def excitation_ladders(pair, zero, locate_zero):
 
 def direct_sum(ops) -> SparseHermitianOperator:
     """The block-diagonal operator with the blocks `ops`, in order."""
+    import scipy.sparse
     return SparseHermitianOperator(
         scipy.sparse.block_diag([op.csr for op in ops], format="csr"))

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldstone.operators
 from goldstone.analysis import SystemContext
 from goldstone.eigensolver import dense_spectrum
 from goldstone.lattice import Lattice
 from goldstone.operators import (SECTOR_AXES, SparseHermitianOperator,
                                  _orbit_pass, basis_tables,
-                                 build_hamiltonian, fourier_ladder,
+                                 build_hamiltonian, direct_sum, fourier_ladder,
                                  fourier_spin, sector_basis, shared_rows,
                                  site_phases, site_spin_operator,
                                  staggered_operator)
@@ -516,3 +518,59 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
         spectra.append(np.linalg.eigvalsh(block.to_dense()))
     assert np.abs(np.sort(np.concatenate(spectra))
                   - np.linalg.eigvalsh(dense)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("extents,spin", [((2, 4), 0.5), ((2, 6), 0.5),
+                                          ((4,), 1.0)])
+def test_full_basis_products_equal_csr_bit_for_bit(extents, spin):
+    """The numpy product of a full-basis operator sums each row in ascending
+    column order, as scipy's csr_matvec does, so it equals the CSR product
+    of the same entries exactly: H on real and complex vectors, every
+    Fourier mode and the staggered sum on real ones (as the dense oracle
+    applies them); the dense matrix too, up to dimension 256."""
+    lat = Lattice.build(extents, spin=spin)
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal(lat.spec.hilbert_dim)
+    cplx = real + 1j * rng.standard_normal(real.size)
+    cases = [(build_hamiltonian(lat, 0.3), (real, cplx)),
+             (staggered_operator(lat), (real,))]
+    cases += [(fourier_spin(lat, n, axis), (real, real.astype(complex)))
+              for n in lat.momenta for axis in (1, 2, 3)]
+    for op, vectors in cases:
+        csr = scipy.sparse.coo_matrix((op.data, (op.rows, op.cols)),
+                                      shape=(op.dim, op.dim)).tocsr()
+        for v in vectors:
+            got, ref = op.matvec(v), csr @ v
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        if op.dim <= 256:
+            assert np.array_equal(op.to_dense(), csr.toarray())
+
+
+def test_block_operators_hold_only_their_csr(lat24):
+    """A block keeps its CSR matrix and no copy of the entries it was built
+    from, and so does a direct sum of blocks."""
+    blocks = [build_hamiltonian(lat24, 0.2, (1, q)) for q in lat24.momenta]
+    for op in blocks + [build_hamiltonian(lat24, 0.2, (0, (0, 0))),
+                        direct_sum(blocks)]:
+        assert list(vars(op)) == ["csr"]
+        assert isinstance(op.csr, scipy.sparse.csr_matrix)
+
+
+def test_pair_diagonal_once_per_field(lat24, monkeypatch):
+    """One sparse 2x4 context and a moment pass over every key evaluate the
+    diagonal of H at the representatives of M = +-1 once: the ground-sector
+    check, every block (1, q) and the Gershgorin bound share it."""
+    reps = shared_rows(lat24.spec)[1].orbits.reps
+    diagonal, calls = goldstone.operators._diagonal, []
+
+    def counted(lattice, B, tab):
+        calls.append(tab is reps)
+        return diagonal(lattice, B, tab)
+
+    monkeypatch.setattr(goldstone.operators, "_diagonal", counted)
+    goldstone.operators._shared_diagonal.cache_clear()
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
+    ctx.moments([(n, axis) for n in lat24.momenta for axis in (2, 3)], 8)
+    (moment_pass,) = ctx.solver_stats()["moment_passes"]
+    assert len(moment_pass["blocks"]) == len(lat24.momenta)
+    assert sum(calls) == 1
