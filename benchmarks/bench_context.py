@@ -66,18 +66,17 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(TORUS)
-    lat = Lattice.build(tuple(int(t) for t in args.extents.split("x")),
-                        args.spin)
-    spec, B = lat.spec, cfg.b_ladder[0]
+    lat = Lattice(tuple(int(t) for t in args.extents.split("x")), args.spin)
+    B = cfg.b_ladder[0]
     opts = SolverOptions(tol=cfg.tolerances.solver, seed=cfg.seed)
     zero = (0,) * lat.dimension
-    pairs = range(lat.n_sites * spec.two_s // 2 + 1)
+    pairs = range(lat.n_sites * lat.two_s // 2 + 1)
     p = cfg.p_values[0]
     weights = build_f(WavepacketSpec(p, cfg.resolve_kappa([4 * p / 3])), lat)
     keys = filter_keys(lat, weights, cfg.checks)
     qs = list(dict.fromkeys(n if axis == 2 else lat.shift_q(n)
                             for n, axis in keys))
-    print(f"lattice {args.extents}, spin {spec.spin}, B = {B}: "
+    print(f"lattice {args.extents}, spin {lat.spin}, B = {B}: "
           f"{len(pairs)} pairs, {len(keys)} pass vectors in {len(qs)} "
           "blocks (1, q)")
 
@@ -98,17 +97,17 @@ def main():
               f"{peak_mb():7.0f} MB   {note}")
 
     def enumeration():
-        dims = [sector_basis(spec, (M, -M) if M else (0,)).dim
+        dims = [sector_basis(lat, (M, -M) if M else (0,)).dim
                 for M in pairs]
         return f"{sum(dims)} states"
 
     def orbits():
-        reps = [operators._orbit_pass(spec, M)[0].reps.dim for M in pairs]
+        reps = [operators._orbit_pass(lat, M)[0].reps.dim for M in pairs]
         return f"{sum(reps)} reps"
 
     def rows():
         empty_caches()
-        zero_rows, pair_rows, ladders = shared_rows(spec)
+        zero_rows, pair_rows, ladders = shared_rows(lat)
         return (f"{len(zero_rows.src) + len(pair_rows.src)} hops, "
                 f"{len(ladders[0])} ladder terms")
 

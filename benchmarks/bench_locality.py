@@ -66,7 +66,7 @@ def main():
           f"ladder {list(ladder)}, {args.reps} reps")
     for token in args.extents.split(","):
         extents = tuple(int(t) for t in token.split("x"))
-        lat = Lattice.build(extents, spin=cfg.spin)
+        lat = Lattice(extents, spin=cfg.spin)
         spectra = [(b, dense_spectrum(build_hamiltonian(lat, b)))
                    for b in ladder]
         dec = spectra[len(spectra) // 2][1]

@@ -47,9 +47,11 @@ def main():
     args = parser.parse_args()
 
     extents = tuple(int(t) for t in args.extents.split("x"))
-    lat = Lattice.build(extents)
+    lat = Lattice(extents)
     t0 = time.perf_counter()
-    H = SparseHermitianOperator(build_hamiltonian(lat, args.field).csr)
+    full = build_hamiltonian(lat, args.field)
+    H = SparseHermitianOperator.from_coo(full.dim, full.rows, full.cols,
+                                         full.data)
     print(f"lattice {args.extents}: dim {H.dim}, nnz {H.nnz} "
           f"(built in {time.perf_counter() - t0:.2f}s)")
 

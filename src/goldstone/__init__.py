@@ -24,7 +24,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ:
 
 __version__ = "0.1.0"
 
-from .lattice import Lattice, LatticeSpec, dispersion_symbol  # noqa: F401
+from .lattice import Lattice, dispersion_symbol  # noqa: F401
 from .operators import (SparseHermitianOperator, build_hamiltonian,  # noqa: F401
                         fourier_spin)
 from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401

@@ -183,7 +183,7 @@ class SystemContext:
         self.ground_gap: float | None = None
         self._blocks: dict = {}
         self._zero = (0,) * lattice.dimension
-        if lattice.spec.hilbert_dim <= dense_cap:
+        if lattice.hilbert_dim <= dense_cap:
             self.H = build_hamiltonian(lattice, B)
             self.dense = dense_spectrum(self.H, dense_cap)
             self.gs = GroundState(float(self.dense.eigenvalues[0]),
@@ -217,7 +217,7 @@ class SystemContext:
         block (0, 0).
         """
         lat = self.lattice
-        top = lat.n_sites * lat.spec.two_s // 2
+        top = lat.n_sites * lat.two_s // 2
         self.sector_lowest = []
         for M in range(1, top + 1):
             H_m = self.block(self._zero) if M == 1 else \
@@ -256,13 +256,12 @@ class SystemContext:
                 self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
                     self.gs.vector.astype(complex, copy=False))
             else:
-                _, pair, (t, c, r, w) = shared_rows(self.lattice.spec)
+                _, pair, (t, c, r, w) = shared_rows(self.lattice)
                 x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
                     * self.gs.vector[r]
                 dim = pair.orbits.reps.dim
                 v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
-                _, ok = pair.orbits.block_basis(self.lattice,
-                                                self._block_q(n, axis))
+                _, ok = pair.orbits.block_basis(self._block_q(n, axis))
                 self._sk_cache[key] = v[ok]
         return self._sk_cache[key]
 
@@ -428,7 +427,7 @@ def staggered_magnetization(gs: GroundState) -> float:
         orbits = block_rows(lat, M).orbits
         m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
                 for j in range(lat.n_sites))
-        m = m[orbits.block_basis(lat, q)[1]]
+        m = m[orbits.block_basis(q)[1]]
         return float(np.sum(np.abs(gs.vector) ** 2 * m)) / lat.n_sites
     val = np.vdot(gs.vector, staggered_operator(lat).matvec(gs.vector))
     if abs(val.imag) > 1e-12:
@@ -464,7 +463,7 @@ def double_commutator_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     w = ctx.sk_phi(m, axis)
     lhs = (np.vdot(u, ctx.h_shifted(u, n, axis)).real
            + np.vdot(w, ctx.h_shifted(w, m, axis)).real)
-    s = ctx.lattice.spec.spin
+    s = ctx.lattice.spin
     rhs = 4 * s * s * lat.dispersion(n) + ctx.B * s
     return _upper("double_commutator", n, axis, lhs, rhs, ctx.tol.algebraic)
 
@@ -569,7 +568,7 @@ def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
     final check runs, and that is recorded in the entry note.
     """
     lat = ctx.lattice
-    s = lat.spec.spin
+    s = lat.spin
     n = tuple(n)
     eps = g.spec.epsilon
     gamma, dgamma = g.spec.gamma, g.spec.delta_gamma
@@ -648,7 +647,7 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float,
     at momentum k coincide entry for entry with the zero-mode chain at k+Q.
     """
     lat = ctx.lattice
-    report = BoundReport(lat.spec.extents, lat.spec.spin, ctx.B)
+    report = BoundReport(lat.extents, lat.spin, ctx.B)
     q = lat.q_ordering
     window = _window_momenta(lat)
     dens = {n: den for n, (_, den) in
@@ -707,7 +706,7 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
     delta_e = num / den
     spec = wp.spec
     record = DispersionRecord(
-        lattice_extents=lat.spec.extents, spin=lat.spec.spin, B=ctx.B,
+        lattice_extents=lat.extents, spin=lat.spin, B=ctx.B,
         mode=mode, p_target=spec.p, annulus_radius=spec.annulus_radius,
         kappa=spec.kappa, epsilon=g.spec.epsilon, gamma=g.spec.gamma,
         delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx.m_B,
@@ -722,7 +721,7 @@ def _attach_c0(ctx: SystemContext, record: DispersionRecord,
                wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
     """c0 = min over annulus momenta of D(k, B)/R, and v_max = 2 S^2/c0."""
     lat = ctx.lattice
-    s = lat.spec.spin
+    s = lat.spin
     r = wp.spec.annulus_radius
     m_b = ctx.m_B
     d_over = []

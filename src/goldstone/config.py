@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .analysis import Tolerances
 from .eigensolver import DENSE_CAP_DEFAULT
-from .filters import FilterSpec
-from .lattice import LatticeSpec
+from .filters import FilterSpec, WavepacketSpec
+from .lattice import Lattice
 
 __all__ = ["ScanConfig", "ConfigError", "parse_config", "parse_config_text"]
 
@@ -92,12 +92,13 @@ class ScanConfig:
                               "value > 0")
         if self.p_values != "auto" and self.kappa != "auto":
             for p in self.p_values:
-                if not p < self.kappa:
-                    raise ConfigError(f"wavepacket: p = {p} must stay below "
-                                      f"kappa = {self.kappa}")
+                try:
+                    WavepacketSpec(p, self.kappa)
+                except ValueError as exc:
+                    raise ConfigError(f"wavepacket: p = {p}: {exc}") from exc
         for extents in self.lattices:
             try:
-                LatticeSpec(extents, self.spin)
+                Lattice(extents, self.spin)
             except ValueError as exc:
                 name = "x".join(map(str, extents))
                 raise ConfigError(f"lattice {name}: {exc}") from exc

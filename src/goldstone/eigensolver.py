@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .operators import SparseHermitianOperator
+from .operators import FullBasisOperator, SparseHermitianOperator
 
 __all__ = [
     "GroundState",
@@ -150,8 +150,11 @@ def check_ground_sector(e0: float, lowest) -> float:
     return float(min(theta - e0 for _, theta, _ in lowest))
 
 
-def row_sum_bound(H: SparseHermitianOperator) -> float:
-    """max_i sum_j |H_ij| >= ||H||, without matvecs."""
+def row_sum_bound(H: SparseHermitianOperator | FullBasisOperator) -> float:
+    """max_i sum_j |H_ij| >= ||H||, without matvecs: over a block's CSR
+    rows, or over a full-basis operator's entries, row by row."""
+    if isinstance(H, FullBasisOperator):
+        return float(np.bincount(H.rows, np.abs(H.data), H.dim).max())
     return float(abs(H.csr).sum(axis=1).max())
 
 

@@ -170,7 +170,7 @@ def build_f(spec: WavepacketSpec, lattice: Lattice) -> WavepacketWeights:
     if not weights:
         raise EmptySupportError(
             f"no grid momentum receives weight for p = {spec.p:.6f} on "
-            f"lattice {lattice.spec.extents}")
+            f"lattice {lattice.extents}")
     return WavepacketWeights(spec, lattice, weights, tuple(annulus))
 
 

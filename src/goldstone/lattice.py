@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "LatticeSpec",
     "Lattice",
     "dispersion_symbol",
 ]
@@ -36,30 +35,63 @@ def dispersion_symbol(k, d: int | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    """Validated geometry request: per-axis site counts and spin magnitude."""
+class Lattice:
+    """A torus of even per-axis site counts carrying spins of one magnitude,
+    validated on construction.  Equal and hashed by (extents, spin), so it
+    keys every per-lattice table.
+
+    sites are coordinate tuples in row-major order; bonds are index pairs
+    (i, j) with i < j, deduplicated under the periodic wrap; momenta are
+    integer tuples n with k = pi*n/L per axis.
+    """
 
     extents: tuple[int, ...]
     spin: float = 0.5
-    max_hilbert_dim: int = 1 << 26
+    max_hilbert_dim: int = field(default=1 << 26, compare=False, repr=False)
+    sites: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
+                                               repr=False)
+    bonds: tuple[tuple[int, int], ...] = field(init=False, compare=False,
+                                               repr=False)
+    momenta: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
+                                                 repr=False)
+    staggered_signs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        extents = tuple(int(e) for e in self.extents)
-        object.__setattr__(self, "extents", extents)
-        if len(extents) < 1:
+        ext = tuple(int(e) for e in self.extents)
+        object.__setattr__(self, "extents", ext)
+        if len(ext) < 1:
             raise ValueError("need at least one axis")
-        for e in extents:
+        for e in ext:
             if e < 2 or e % 2 != 0:
                 raise ValueError(f"extent {e} must be an even integer >= 2")
         two_s = round(2 * self.spin) if math.isfinite(self.spin) else 0
         if two_s < 1 or abs(2 * self.spin - two_s) > 1e-12:
             raise ValueError(f"spin {self.spin} must be a positive half-integer")
         object.__setattr__(self, "spin", two_s / 2.0)
-        n_sites = math.prod(extents)
-        if (two_s + 1) ** n_sites > self.max_hilbert_dim:
+        if self.hilbert_dim > self.max_hilbert_dim:
             raise ValueError(
-                f"Hilbert dimension {(two_s + 1) ** n_sites} exceeds the "
+                f"Hilbert dimension {self.hilbert_dim} exceeds the "
                 f"budget of {self.max_hilbert_dim}")
+        sites = tuple(itertools.product(*[range(e) for e in ext]))
+        index = {x: i for i, x in enumerate(sites)}
+        bonds = set()
+        for x in sites:
+            for ax in range(len(ext)):
+                y = list(x)
+                y[ax] = (y[ax] + 1) % ext[ax]
+                y = tuple(y)
+                if y == x:
+                    continue
+                bonds.add(tuple(sorted((index[x], index[y]))))
+        momenta = tuple(itertools.product(*[range(-L + 1, L + 1)
+                                            for L in self.halves]))
+        signs = np.array([(-1) ** (sum(x) % 2) for x in sites], dtype=np.int8)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "bonds", tuple(sorted(bonds)))
+        object.__setattr__(self, "momenta", momenta)
+        object.__setattr__(self, "staggered_signs", signs)
+
+    # -- geometry ---------------------------------------------------------
 
     @property
     def dimension(self) -> int:
@@ -77,71 +109,20 @@ class LatticeSpec:
     def hilbert_dim(self) -> int:
         return (self.two_s + 1) ** self.n_sites
 
-
-@dataclass(frozen=True, eq=False)
-class Lattice:
-    """Concrete torus built from a LatticeSpec.
-
-    sites are coordinate tuples in row-major order; bonds are index pairs
-    (i, j) with i < j, deduplicated under the periodic wrap; momenta are
-    integer tuples n with k = pi*n/L per axis.
-    """
-
-    spec: LatticeSpec
-    sites: tuple[tuple[int, ...], ...] = field(init=False)
-    bonds: tuple[tuple[int, int], ...] = field(init=False)
-    momenta: tuple[tuple[int, ...], ...] = field(init=False)
-    staggered_signs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ext = self.spec.extents
-        sites = tuple(itertools.product(*[range(e) for e in ext]))
-        index = {x: i for i, x in enumerate(sites)}
-        bonds = set()
-        for x in sites:
-            for ax in range(len(ext)):
-                y = list(x)
-                y[ax] = (y[ax] + 1) % ext[ax]
-                y = tuple(y)
-                if y == x:
-                    continue
-                bonds.add(tuple(sorted((index[x], index[y]))))
-        halves = [e // 2 for e in ext]
-        momenta = tuple(itertools.product(*[range(-L + 1, L + 1) for L in halves]))
-        signs = np.array([(-1) ** (sum(x) % 2) for x in sites], dtype=np.int8)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "bonds", tuple(sorted(bonds)))
-        object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "staggered_signs", signs)
-
-    @classmethod
-    def build(cls, extents, spin: float = 0.5, **kwargs) -> "Lattice":
-        return cls(LatticeSpec(tuple(extents), spin, **kwargs))
-
-    # -- geometry ---------------------------------------------------------
-
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
-
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
     @property
     def halves(self) -> tuple[int, ...]:
-        return tuple(e // 2 for e in self.spec.extents)
+        return tuple(e // 2 for e in self.extents)
 
     def site_index(self, x) -> int:
         idx = 0
-        for c, e in zip(x, self.spec.extents):
+        for c, e in zip(x, self.extents):
             idx = idx * e + (c % e)
         return idx
 
     def graph_distance(self, i: int, j: int) -> int:
         """Shortest-path distance on the torus between site indices."""
         total = 0
-        for a, b, e in zip(self.sites[i], self.sites[j], self.spec.extents):
+        for a, b, e in zip(self.sites[i], self.sites[j], self.extents):
             dd = abs(a - b)
             total += min(dd, e - dd)
         return total
@@ -153,7 +134,7 @@ class Lattice:
 
     @property
     def diameter(self) -> int:
-        return sum(e // 2 for e in self.spec.extents)
+        return sum(e // 2 for e in self.extents)
 
     # -- momenta ----------------------------------------------------------
 

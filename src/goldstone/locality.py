@@ -58,7 +58,7 @@ def support_norm(b: np.ndarray, keep_sites, lattice: Lattice) -> float:
     """||b|| for b = R (x) 1 on `keep_sites`, as `local_approximation` makes
     it (by exact copies): the norm of R, the block of b between the states
     whose digits off the support are all 0 (site 0 most significant)."""
-    dloc, codes = lattice.spec.two_s + 1, np.zeros(1, dtype=np.int64)
+    dloc, codes = lattice.two_s + 1, np.zeros(1, dtype=np.int64)
     for j in range(lattice.n_sites):
         step = np.arange(dloc if j in keep_sites else 1)
         codes = (codes[:, None] * dloc + step).ravel()
@@ -111,7 +111,7 @@ def local_approximation(b: np.ndarray, keep_sites, lattice: Lattice) -> np.ndarr
     """Pi_X(b): normalised partial trace over the complement of X, embedded
     back with the identity.  Idempotent and norm-nonincreasing."""
     n = lattice.n_sites
-    dloc = lattice.spec.two_s + 1
+    dloc = lattice.two_s + 1
     keep = sorted(set(int(j) for j in keep_sites))
     comp = [j for j in range(n) if j not in keep]
     if not comp:
@@ -197,7 +197,7 @@ def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
     a = site_spin_operator(lattice, 0, axis).to_dense()
     # the single-site matrix: a between the states whose digits off site 0
     # (the most significant) are all 0
-    step = len(a) // (lattice.spec.two_s + 1)
+    step = len(a) // (lattice.two_s + 1)
     local = a[::step, ::step]
     a_eig = dec.eigenvectors.conj().T @ a @ dec.eigenvectors
     samples = []

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, LatticeSpec
+from .lattice import Lattice
 
 __all__ = [
     "SparseHermitianOperator",
@@ -100,17 +100,12 @@ class FullBasisOperator:
     """An operator on the full basis, the dense oracle's, as its entries
     sorted by row, then column, none twice.  `matvec` sums each row's terms
     in that order, as scipy's csr_matvec does, so it gives the bits of the
-    CSR product (`csr`) unless both the entries and x are complex."""
+    CSR product unless both the entries and x are complex."""
 
     def __init__(self, dim: int, rows, cols, data):
         order = np.argsort(rows * dim + cols)
         self.dim = dim
         self.rows, self.cols, self.data = rows[order], cols[order], data[order]
-
-    @property
-    def csr(self):
-        return SparseHermitianOperator.from_coo(self.dim, self.rows, self.cols,
-                                                self.data).csr
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x for one vector or a 2-D block of columns."""
@@ -126,7 +121,7 @@ class FullBasisOperator:
 
 @dataclass(frozen=True, eq=False)
 class BasisTables:
-    """Product states of one lattice spec with their per-site digit tables.
+    """Product states of one lattice with their per-site digit tables.
 
     `codes` are the states' indices in the full product basis, ascending.
     """
@@ -163,18 +158,18 @@ def _rank(index: tuple, codes: np.ndarray) -> np.ndarray:
     return start[high] + pos
 
 
-def _strides(spec: LatticeSpec) -> np.ndarray:
-    return (spec.two_s + 1) ** np.arange(spec.n_sites - 1, -1, -1)
+def _strides(lattice: Lattice) -> np.ndarray:
+    return (lattice.two_s + 1) ** np.arange(lattice.n_sites - 1, -1, -1)
 
 
 @lru_cache(maxsize=16)
-def basis_tables(spec: LatticeSpec) -> BasisTables:
+def basis_tables(lattice: Lattice) -> BasisTables:
     """The full product basis (the dense oracle's basis)."""
-    top = spec.n_sites * spec.two_s // 2
-    return sector_basis(spec, tuple(range(-top, top + 1)))
+    top = lattice.n_sites * lattice.two_s // 2
+    return sector_basis(lattice, tuple(range(-top, top + 1)))
 
 
-def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
+def sector_basis(lattice: Lattice, sectors: tuple) -> BasisTables:
     """States of total magnetization M in `sectors`, without the full basis.
 
     A state's digit sum is n_sites * S - M.  The sites split into a high and
@@ -182,8 +177,8 @@ def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
     complete a wanted sum, in order, so the codes come out ascending, with
     digits copied from tables of the halves and the rank tables of `_rank`.
     """
-    n, dloc = spec.n_sites, spec.two_s + 1
-    top = n * spec.two_s // 2
+    n, dloc = lattice.n_sites, lattice.two_s + 1
+    top = n * lattice.two_s // 2
     if not sectors or any(abs(M) > top for M in sectors):
         raise ValueError(f"sectors {sectors} outside |M| <= {top}")
     n_low = n // 2
@@ -199,9 +194,9 @@ def sector_basis(spec: LatticeSpec, sectors: tuple) -> BasisTables:
     high, rest = np.nonzero(fits[high_sum])
     counts = fits.sum(axis=1)[high_sum]
     return BasisTables(
-        dloc, spec.spin, high * low + rest,
+        dloc, lattice.spin, high * low + rest,
         np.concatenate([np.repeat(high_digits, counts, axis=1),
-                        low_digits[:, rest]]), _strides(spec),
+                        low_digits[:, rest]]), _strides(lattice),
         (low, np.cumsum(counts) - counts, high_sum,
          np.where(fits, np.cumsum(fits, axis=1) - 1, -1)))
 
@@ -228,7 +223,7 @@ def site_sum(lattice: Lattice, weights, axis: int,
     sites of weight zero add no entries."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    tab = basis_tables(lattice.spec)
+    tab = basis_tables(lattice)
     w = np.asarray(weights)
     sites = np.flatnonzero(w)
     matrix = SECTOR_AXES[axis - 1]
@@ -295,7 +290,7 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
     if B < 0:
         raise ValueError("staggered field must be nonnegative")
     if block is None:
-        tab = basis_tables(lattice.spec)
+        tab = basis_tables(lattice)
         src, dst, amp = _hops(lattice, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
         return FullBasisOperator(
@@ -303,9 +298,9 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
             np.concatenate([_diagonal(lattice, B, tab), amp]))
     M, q = block
     rows = block_rows(lattice, M)
-    diag = _shared_diagonal(lattice.spec, M, B) if M < 2 else \
+    diag = _shared_diagonal(lattice, M, B) if M < 2 else \
         _diagonal(lattice, B, rows.orbits.reps)
-    chi, ok = rows.orbits.block_basis(lattice, q)
+    chi, ok = rows.orbits.block_basis(q)
     col = np.cumsum(ok) - 1
     own, off = np.flatnonzero(ok), ok[rows.src] & ok[rows.rep]
     return SparseHermitianOperator.from_coo(
@@ -316,10 +311,10 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
 
 
 @lru_cache(maxsize=2)
-def _shared_diagonal(spec: LatticeSpec, M: int, B: float) -> np.ndarray:
+def _shared_diagonal(lattice: Lattice, M: int, B: float) -> np.ndarray:
     """`_diagonal` at the representatives of a pair M < 2, whose rows are
     shared (`shared_rows`): once per field for all its blocks (M, q)."""
-    return _diagonal(Lattice(spec), B, shared_rows(spec)[M].orbits.reps)
+    return _diagonal(lattice, B, shared_rows(lattice)[M].orbits.reps)
 
 
 # What the blocks (M, q) of one pair share at every field: the hops of H at
@@ -331,28 +326,27 @@ BlockRows = namedtuple("BlockRows", "orbits src rep elem amp ratio")
 def block_rows(lattice: Lattice, M: int) -> BlockRows:
     """The field-free, q-independent part of the blocks (M, q) of H
     (`BlockRows`).  Those of M = 0 and +-1 come from `shared_rows`, built
-    once per lattice spec; the others are built on each call."""
+    once per lattice; the others are built on each call."""
     if M < 2:
-        return shared_rows(lattice.spec)[M]
-    return _block_rows(lattice, *_orbit_pass(lattice.spec, M))
+        return shared_rows(lattice)[M]
+    return _block_rows(*_orbit_pass(lattice, M))
 
 
-def _block_rows(lattice: Lattice, orbits, locate) -> BlockRows:
-    src, codes, amp = _hops(lattice, orbits.reps)
+def _block_rows(orbits, locate) -> BlockRows:
+    src, codes, amp = _hops(orbits.lattice, orbits.reps)
     rep, elem = locate(codes)
     return BlockRows(orbits, src, rep, elem, amp,
                      np.sqrt(orbits.size[src] / orbits.size[rep]))
 
 
 @lru_cache(maxsize=2)
-def shared_rows(spec: LatticeSpec) -> tuple:
+def shared_rows(lattice: Lattice) -> tuple:
     """(rows of M = 0, rows of M = +-1, `excitation_ladders`), built once per
-    lattice spec for all its fields, while the lookup tables of both pairs
-    that all three read are live (`_orbit_pass`)."""
-    lattice = Lattice(spec)
-    zero, pair = _orbit_pass(spec, 0), _orbit_pass(spec, 1)
-    return (_block_rows(lattice, *zero), _block_rows(lattice, *pair),
-            excitation_ladders(pair[0], *zero))
+    lattice for all its fields, while the lookup tables of both pairs that
+    all three read are live (`_orbit_pass`)."""
+    zero, pair = _orbit_pass(lattice, 0), _orbit_pass(lattice, 1)
+    return _block_rows(*zero), _block_rows(*pair), \
+        excitation_ladders(pair[0], *zero)
 
 
 def gershgorin_upper(lattice: Lattice, B: float) -> float:
@@ -360,8 +354,8 @@ def gershgorin_upper(lattice: Lattice, B: float) -> float:
     eigenvalue of H at field B on the pair M = +-1, without matvecs.  It is
     read from the pair's rows at the representatives: G permutes the states
     and commutes with H, so row sums are constant on orbits."""
-    rows = shared_rows(lattice.spec)[1]
-    diag = _shared_diagonal(lattice.spec, 1, B)
+    rows = shared_rows(lattice)[1]
+    diag = _shared_diagonal(lattice, 1, B)
     return float(np.max(diag + np.bincount(rows.src, rows.amp, len(diag))))
 
 
@@ -414,37 +408,37 @@ class TwistedOrbits:
     the representatives r whose stabiliser chi_q is trivial on.
     """
 
-    spec: LatticeSpec
+    lattice: Lattice
     M: int
     shifts: np.ndarray      # (|G|, d) site shift a of each group element
     reps: BasisTables       # the representatives, ascending
     size: np.ndarray        # (n_reps,) orbit sizes
     fixes: np.ndarray       # (|G|, n_reps) g fixes the rep
 
-    def block_basis(self, lattice: Lattice, q):
+    def block_basis(self, q):
         """(chi, ok): chi_q(g) for every group element (all ones, real, at
         q = 0), and the representatives that carry a basis vector of block
         q, those whose stabiliser chi is trivial on."""
-        chi = np.exp(-1j * (self.shifts @ lattice.kvec(q))) if any(q) \
+        chi = np.exp(-1j * (self.shifts @ self.lattice.kvec(q))) if any(q) \
             else np.ones(len(self.shifts))
         return chi, ~np.any(self.fixes & (np.abs(chi - 1.0) > 1e-9)[:, None],
                             axis=0)
 
 
 @lru_cache(maxsize=4)
-def _group(spec: LatticeSpec):
+def _group(lattice: Lattice):
     """(shifts, moves, offset): the site shift a of each g_a, and the code
     of g_a s as offset[a] + moves[a] . digits(s) (F maps code c to
     hilbert_dim - 1 - c).  Float sums of integers below 2^53 are exact."""
-    lattice, strides = Lattice(spec), _strides(spec)
-    shifts = np.array(list(itertools.product(*map(range, spec.extents))))
+    strides = _strides(lattice)
+    shifts = np.array(list(itertools.product(*map(range, lattice.extents))))
     sign = np.where(shifts.sum(axis=1) % 2 == 1, -1.0, 1.0)[:, None]
     moves = sign * np.array([[strides[lattice.site_index(np.add(x, a))]
                               for x in lattice.sites] for a in shifts])
-    return shifts, moves, (1.0 - sign) / 2 * (spec.hilbert_dim - 1)
+    return shifts, moves, (1.0 - sign) / 2 * (lattice.hilbert_dim - 1)
 
 
-def _orbit_pass(spec: LatticeSpec, M: int):
+def _orbit_pass(lattice: Lattice, M: int):
     """(orbits, locate): the representatives of the pair (M, -M), M >= 0,
     under the twisted translations, the states whose code is the smallest
     of their images over G (computed in batches of states); and `locate`,
@@ -457,8 +451,8 @@ def _orbit_pass(spec: LatticeSpec, M: int):
     of the field, F flips S^(1) back and leaves the bond terms as they are
     (F S^+ F = S^- with equal amplitudes, so F is a plain permutation).
     """
-    shifts, moves, offset = _group(spec)
-    states = sector_basis(spec, (M, -M) if M else (0,))
+    shifts, moves, offset = _group(lattice)
+    states = sector_basis(lattice, (M, -M) if M else (0,))
     least = np.empty(states.dim, dtype=np.int32)
     elem = np.empty(states.dim, dtype=np.uint8)
     for lo in range(0, states.dim, _BATCH):
@@ -467,7 +461,7 @@ def _orbit_pass(spec: LatticeSpec, M: int):
         least[lo:lo + _BATCH] = states.rank(
             np.take_along_axis(img, g[None], axis=0)[0].astype(np.int64))
     mine = least == np.arange(states.dim)
-    reps = BasisTables(states.dloc, spec.spin, states.codes[mine],
+    reps = BasisTables(states.dloc, lattice.spin, states.codes[mine],
                        states.digits[:, mine], states.strides)
     fixes = moves @ reps.digits.astype(float) + offset == reps.codes
     index, rep = states.index, (np.cumsum(mine, dtype=np.int32) - 1)[least]
@@ -476,7 +470,7 @@ def _orbit_pass(spec: LatticeSpec, M: int):
         idx = _rank(index, codes)
         return rep[idx], elem[idx]
 
-    return (TwistedOrbits(spec, M, shifts, reps,
+    return (TwistedOrbits(lattice, M, shifts, reps,
                           len(shifts) // fixes.sum(axis=0), fixes), locate)
 
 
@@ -492,10 +486,10 @@ def excitation_ladders(pair, zero, locate_zero):
     v = sum_je c_je S^e_j phi0 lies in block (1, q), its coordinate there is
     <t_q|v> = sqrt(|O_t|) v[t] = the sum over the terms of t of c_je w p_r.
     """
-    spec = pair.spec
-    plus = pair.reps.digits.sum(axis=0) < spec.n_sites * spec.two_s // 2
+    lattice = pair.lattice
+    plus = pair.reps.digits.sum(axis=0) < lattice.n_sites * lattice.two_s // 2
     terms = []
-    for j in range(spec.n_sites):
+    for j in range(lattice.n_sites):
         for e in (0, 1):
             # <t|S^+_j|u> = <u|S^-_j|t>, and the other way round
             t, codes, amp = _ladder_terms(pair.reps, j, raising=e == 1)

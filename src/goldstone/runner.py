@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._blas import blas_threads
@@ -139,7 +138,7 @@ def run_scan(config: ScanConfig, out_dir,
     res = _Outputs(config.config_hash())
     aborted = False
     for extents in config.lattices:
-        lattice = Lattice.build(extents, config.spin)
+        lattice = Lattice(extents, config.spin)
         tag = "x".join(str(e) for e in extents)
         wavepackets = _wavepackets(res, config, lattice, tag)
         if not wavepackets and groups & {"bounds", "dispersion", "qmode"}:
@@ -147,7 +146,7 @@ def run_scan(config: ScanConfig, out_dir,
                      ("bounds", "dispersion", "qmode"))
 
         run_locality = "locality" in groups and \
-            lattice.spec.hilbert_dim <= config.dense_cap
+            lattice.hilbert_dim <= config.dense_cap
         fields, dense = [], []
         for B in config.b_ladder:
             ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
@@ -262,7 +261,7 @@ def _bounds(res: _Outputs, ctx: SystemContext, tag: str, g: GFilter,
             v_min: float, r: float) -> None:
     lattice = ctx.lattice
     for e in bound_report(ctx, g, v_min, r).entries:
-        res.row("bounds", lattice=tag, spin=lattice.spec.spin, B=ctx.B,
+        res.row("bounds", lattice=tag, spin=lattice.spin, B=ctx.B,
                 name=e.name, axis=e.axis, n=_label(e.momentum),
                 k=_kcols(lattice, e.momentum), lhs=e.lhs, rhs=e.rhs,
                 margin=e.margin, tolerance=e.tolerance, kind=e.kind,
@@ -423,6 +422,7 @@ def _inconclusive(res: _Outputs, groups) -> list:
 
 def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
     """The CSVs, manifest.json, and failures.json when a check failed."""
+    import scipy    # for its version alone: kept off start-up
     for stem, columns in _COLUMNS.items():
         _write_csv(out / f"{stem}.csv", res.rows[stem], columns)
     bound_failures = res.bound_failures()

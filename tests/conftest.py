@@ -19,22 +19,22 @@ def golden():
 @pytest.fixture(scope="session")
 def pair():
     """Two sites, one bond (the smallest test-mode system)."""
-    return Lattice.build((2,))
+    return Lattice((2,))
 
 
 @pytest.fixture(scope="session")
 def ring4():
-    return Lattice.build((4,))
+    return Lattice((4,))
 
 
 @pytest.fixture(scope="session")
 def lat22():
-    return Lattice.build((2, 2))
+    return Lattice((2, 2))
 
 
 @pytest.fixture(scope="session")
 def lat24():
-    return Lattice.build((2, 4))
+    return Lattice((2, 4))
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ def ladders():
     """Dense-oracle contexts for the 2x2 and 2x4 tori over the B ladder."""
     out = {}
     for extents in ((2, 2), (2, 4)):
-        lat = Lattice.build(extents)
+        lat = Lattice(extents)
         out[extents] = {b: SystemContext(lat, b) for b in B_LADDER}
     return out
 
@@ -59,7 +59,7 @@ def big():
     """4x4 torus at B = 0.1: Lanczos ground state plus Chebyshev records,
     all from one moment pass."""
     t0 = time.time()
-    lat = Lattice.build((4, 4))
+    lat = Lattice((4, 4))
     ctx = SystemContext(lat, 0.1, tolerances=Tolerances(chebyshev=1e-6))
     assert ctx.dense is None
     wp, weights, g, v_min = _setup(ctx, np.pi / 2)
@@ -101,7 +101,7 @@ def test_criterion_2_oracle_equivalence(ladders):
     t0 = time.time()
     failures = []
     # Lanczos ground energies against the dense oracle
-    ring4 = Lattice.build((4,))
+    ring4 = Lattice((4,))
     h_ring = build_hamiltonian(ring4, 0.0)
     e_l = ground_state(h_ring, ring4, 0.0).energy
     e_d = dense_spectrum(h_ring).eigenvalues[0]
@@ -313,7 +313,7 @@ def test_criterion_7_physics_sanity(ladders):
             hi_slope = (es[i + 1] - es[i + 2]) / (bs[i + 1] - bs[i + 2])
             if lo_slope - hi_slope > 1e-10:
                 failures.append(("concavity", extents, bs[i]))
-    ring4 = Lattice.build((4,))
+    ring4 = Lattice((4,))
     e0 = ground_state(build_hamiltonian(ring4, 0.0), ring4, 0.0).energy
     if abs(e0 + 2.0) > 1e-10:
         failures.append(("ring4_energy", e0))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +120,7 @@ LATTICES = {"ring4": ((4,), 0.5), "ring6": ((6,), 0.5), "2x2": ((2, 2), 0.5),
        axis=st.sampled_from([2, 3]))
 def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     extents, spin = LATTICES[name]
-    lat = Lattice.build(extents, spin)
+    lat = Lattice(extents, spin)
     ctx = SystemContext(lat, B, tolerances=Tolerances(chebyshev=1e-6))
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     momenta = sorted(lat.momenta)
@@ -143,7 +144,7 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
 
 
 def test_choose_epsilon_errors_without_order():
-    lat = Lattice.build((2, 2))
+    lat = Lattice((2, 2))
     wp = WavepacketSpec(np.pi, 4.5)
     with pytest.raises(EpsilonChoiceError):
         choose_epsilon(0.0, wp, lat)
@@ -160,7 +161,7 @@ def test_choose_epsilon_arithmetic(ctx22):
 
 
 def test_choose_epsilon_respects_window():
-    lat = Lattice.build((2, 2))
+    lat = Lattice((2, 2))
     wp = WavepacketSpec(np.pi, 4.5)
     with pytest.raises(EpsilonChoiceError):
         choose_epsilon(1.0, wp, lat, ladder=(0.5,), gamma=0.9, delta_gamma=0.5)
@@ -169,7 +170,7 @@ def test_choose_epsilon_respects_window():
 def test_choose_epsilon_names_a_zero_energy_annulus_momentum():
     # on 2x4, p = 3.4 puts Q inside the annulus [R/2, R], where
     # E_k E_{k+Q} = 0: the choice fails up front, with no 0/0 warning
-    lat = Lattice.build((2, 4))
+    lat = Lattice((2, 4))
     wp = WavepacketSpec(3.4, 4.6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -326,7 +327,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     """The sparse path (twisted-momentum blocks) against the full-basis
     dense oracle."""
     extents, spin = LATTICES[name]
-    lat = Lattice.build(extents, spin)
+    lat = Lattice(extents, spin)
     tol = Tolerances(chebyshev=1e-6)
     dense = SystemContext(lat, B, tolerances=tol)
     ctx = SystemContext(lat, B, tolerances=tol, dense_cap=0)
@@ -402,7 +403,7 @@ def test_sparse_4x4_context_builds_only_blocks(monkeypatch):
     monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
     monkeypatch.setattr(goldstone.analysis, "build_hamiltonian", record)
     monkeypatch.setattr(goldstone.operators, "block_rows", record_rows)
-    lat = Lattice.build((4, 4))
+    lat = Lattice((4, 4))
     ctx = SystemContext(lat, 0.1)
     weights = build_f(WavepacketSpec(np.pi / 2, 2.2), lat)
     ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}), 16)
@@ -429,9 +430,9 @@ def test_block_minimum_lies_at_zero_twist(name):
     pair (M, -M) in q = 0: the minimum over q of the lowest eigenvalue of
     block (M, q) is that of block (M, 0), for every M."""
     extents, spin = BLOCK_LATTICES[name]
-    lat = Lattice.build(extents, spin)
+    lat = Lattice(extents, spin)
     zero = (0,) * len(extents)
-    for M in range(lat.n_sites * lat.spec.two_s // 2 + 1):
+    for M in range(lat.n_sites * lat.two_s // 2 + 1):
         lowest = {q: np.linalg.eigvalsh(
             build_hamiltonian(lat, 0.1, (M, q)).to_dense())[:1]
             for q in lat.momenta}
@@ -442,7 +443,7 @@ def test_block_minimum_lies_at_zero_twist(name):
 def test_block_minimum_lies_at_zero_twist_4x4():
     """The same on the 4x4 torus at B = 0.1, for M = 0 and 1, through
     lowest_ritz on every block."""
-    lat = Lattice.build((4, 4))
+    lat = Lattice((4, 4))
     for M in (0, 1):
         lowest = {q: lowest_ritz(build_hamiltonian(lat, 0.1, (M, q)))[0]
                   for q in lat.momenta}
@@ -461,7 +462,7 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     equal the moments of each vector on its own block, and the blocks'
     dense eigensystems."""
     extents, spin = BLOCK_LATTICES[name]
-    lat = Lattice.build(extents, spin)
+    lat = Lattice(extents, spin)
     ctx = SystemContext(lat, B, dense_cap=0)
     momenta = sorted(lat.momenta)
     keys = [(momenta[p % len(momenta)], axis) for p, axis in picks]
@@ -491,16 +492,18 @@ def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     """At small B, where ||S_0^(2) phi0||^2 ~ B^2, a full moment pass over
     every key matches the dense oracle of the sectors M = 0 and M = +-1,
     cut from the full-basis H."""
-    lat = Lattice.build(extents)
+    lat = Lattice(extents)
     ctx = SystemContext(lat, B, dense_cap=0)
     keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
     got = ctx.moments(keys, 16)
-    H = build_hamiltonian(lat, B).csr
-    zero = goldstone.operators.sector_basis(lat.spec, (0,)).codes
-    pair = goldstone.operators.sector_basis(lat.spec, (1, -1)).codes
+    full = build_hamiltonian(lat, B)
+    H = scipy.sparse.coo_matrix((full.data, (full.rows, full.cols)),
+                                shape=(full.dim, full.dim)).tocsr()
+    zero = goldstone.operators.sector_basis(lat, (0,)).codes
+    pair = goldstone.operators.sector_basis(lat, (1, -1)).codes
     e0, phi = np.linalg.eigh(H[zero][:, zero].toarray())
     assert abs(e0[0] - ctx.gs.energy) <= 1e-10
-    full = np.zeros(lat.spec.hilbert_dim)
+    full = np.zeros(lat.hilbert_dim)
     full[zero] = phi[:, 0]
     evals, evecs = np.linalg.eigh(H[pair][:, pair].toarray())
     lo, hi = ctx.spectral_bounds()

@@ -106,6 +106,21 @@ def test_p_below_kappa_required():
         parse_config_text("[wavepacket]\np = 2.0\nkappa = 1.5\n")
 
 
+def test_annulus_radius_below_kappa_required(tmp_path, capsys):
+    """p < kappa, but the annulus radius 4p/3 = 2.67 is not: the scan stops
+    on one error line before any work, not on a skipped wavepacket."""
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text("[scan]\nchecks = dispersion\nlattices = 2x4\n"
+                        "[wavepacket]\np = 2.0\nkappa = 2.5\n")
+    code = main(["scan", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "4p/3 must stay below kappa" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_epsilon_window_validation():
     with pytest.raises(ConfigError, match="gamma"):
         parse_config_text("[filter]\nepsilon = 1.4\ngamma = 3.0\n"
@@ -118,8 +133,8 @@ def test_bad_lattice_token():
 
 
 def test_auto_p_target():
-    assert auto_p_target(Lattice.build((2, 2))) == pytest.approx(np.pi)
-    assert auto_p_target(Lattice.build((2, 4))) == pytest.approx(np.pi / 2)
+    assert auto_p_target(Lattice((2, 2))) == pytest.approx(np.pi)
+    assert auto_p_target(Lattice((2, 4))) == pytest.approx(np.pi / 2)
 
 
 def test_bounds_only_scan_passes(tmp_path):
@@ -347,7 +362,7 @@ def test_sparse_scan_reports_solver_stats(tmp_path, monkeypatch):
     assert (blocks["ground"]["M"], blocks["ground"]["q"]) == (0, [0, 0])
     assert blocks["ground"]["dim"] == 4
     # the Lanczos residual, within ten times its target
-    H = build_hamiltonian(Lattice.build((2, 2)), 0.2, (0, (0, 0)))
+    H = build_hamiltonian(Lattice((2, 2)), 0.2, (0, (0, 0)))
     residual = blocks["ground"]["residual"]
     assert np.isfinite(residual)
     assert residual <= 10 * cfg.tolerances.solver * max(1.0, row_sum_bound(H))

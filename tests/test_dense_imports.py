@@ -1,6 +1,7 @@
 """A dense-oracle process never imports scipy.sparse: the full-basis
 operators are numpy entries (`operators.FullBasisOperator`), and only a
-block's CSR loads it."""
+block's CSR loads it.  Nor does a config parse import scipy at all: the
+manifest, which records its version, imports it when it is written."""
 
 import os
 import subprocess
@@ -34,15 +35,16 @@ p = auto
 kappa = auto
 """
 
-# each step prints whether scipy.sparse is loaded after it; the last one
-# shows that the check sees a block path load it
+# each step prints whether scipy.sparse and scipy are loaded after it; the
+# last one shows that the check sees a block path load scipy.sparse
 CHILD = """
 import sys
 import goldstone.cli
 from goldstone.config import parse_config
 
 def step(name, code=0):
-    print("step", name, code, "scipy.sparse" in sys.modules)
+    print("step", name, code, "scipy.sparse" in sys.modules,
+          "scipy" in sys.modules)
 
 parse_config(sys.argv[1])
 step("parse")
@@ -69,5 +71,7 @@ def test_dense_scan_and_report_leave_scipy_sparse_unloaded(tmp_path):
     assert out.returncode == 0, out.stderr
     steps = [line.split()[1:] for line in out.stdout.splitlines()
              if line.startswith("step ")]
-    assert steps == [["parse", "0", "False"], ["scan", "0", "False"],
-                     ["report", "0", "False"], ["sparse", "0", "True"]]
+    assert steps == [["parse", "0", "False", "False"],
+                     ["scan", "0", "False", "True"],
+                     ["report", "0", "False", "True"],
+                     ["sparse", "0", "True", "True"]]

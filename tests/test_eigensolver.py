@@ -45,7 +45,7 @@ def test_dense_cap_enforced(lat24):
 @pytest.mark.parametrize("extents,B", [((4,), 0.0), ((2, 2), 0.1),
                                        ((2, 4), 0.2)])
 def test_lanczos_matches_dense(extents, B):
-    lat = Lattice.build(extents)
+    lat = Lattice(extents)
     H = build_hamiltonian(lat, B)
     gs = ground_state(H, lat, B)
     dec = dense_spectrum(H)
@@ -101,7 +101,7 @@ def test_perron_positive_transformed_vector(lat24):
     # sign structure is exactly the sublattice rotation's diagonal for B > 0
     H = build_hamiltonian(lat24, 0.2)
     gs = ground_state(H, lat24, 0.2)
-    zero = sector_basis(lat24.spec, (0,)).codes
+    zero = sector_basis(lat24, (0,)).codes
     rotated = (marshall_signs(lat24) * gs.vector.real)[zero]
     rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
     assert rotated.min() > 0.0

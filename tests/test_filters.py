@@ -12,7 +12,8 @@ from goldstone.filters import (EmptySupportError, FilterDegreeError,
                                _cheb_coeffs, build_f, chebyshev_moments,
                                make_chebyshev_expansion, smoothstep)
 from goldstone.lattice import Lattice
-from goldstone.operators import build_hamiltonian, direct_sum
+from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
+                                 direct_sum)
 
 
 def test_smoothstep_boundaries():
@@ -86,7 +87,7 @@ def test_profile_support_and_plateau():
 
 
 def test_grid_weights_4x4(golden):
-    lat = Lattice.build((4, 4))
+    lat = Lattice((4, 4))
     wp = WavepacketSpec(np.pi / 2, 2.2)
     weights = build_f(wp, lat)
     support = sorted(weights.support)
@@ -185,8 +186,10 @@ def test_chebyshev_moments_match_dense(ctx22, rng, n_moments):
 def test_chebyshev_moments_per_segment(rng):
     """On a direct sum, `offsets` gives each segment of a column the moments
     it has on its own block."""
-    parts = [build_hamiltonian(Lattice.build(ext), 0.3) for ext in
-             ((4,), (2, 2), (2,))]
+    full = [build_hamiltonian(Lattice(ext), 0.3) for ext in
+            ((4,), (2, 2), (2,))]
+    parts = [SparseHermitianOperator.from_coo(h.dim, h.rows, h.cols, h.data)
+             for h in full]
     starts = np.cumsum([0] + [h.dim for h in parts])
     block = rng.standard_normal((starts[-1], 2)) \
         + 1j * rng.standard_normal((starts[-1], 2))

@@ -36,7 +36,7 @@ def test_empty_rows_handled():
 
 
 def test_matvec_matches_dense_on_hamiltonian(rng):
-    lat = Lattice.build((2, 4))
+    lat = Lattice((2, 4))
     H = build_hamiltonian(lat, 0.3)
     sk = fourier_spin(lat, (0, 1), 2)
     x = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
@@ -45,7 +45,7 @@ def test_matvec_matches_dense_on_hamiltonian(rng):
 
 
 def test_real_matrix_complex_vectors_and_blocks(rng):
-    lat = Lattice.build((2, 4))
+    lat = Lattice((2, 4))
     H = build_hamiltonian(lat, 0.3)
     assert not np.iscomplexobj(H.data)
     dense = H.to_dense()
@@ -60,7 +60,7 @@ def test_real_matrix_complex_vectors_and_blocks(rng):
 
 
 def test_real_matrix_real_vector_stays_real(rng):
-    lat = Lattice.build((2, 2))
+    lat = Lattice((2, 2))
     H = build_hamiltonian(lat, 0.2)
     x = rng.standard_normal(H.dim)
     y = H.matvec(x)

@@ -145,8 +145,8 @@ def test_operator_norm_rejects_non_finite_entries(bad):
 def test_support_norm_is_the_full_norm_of_a_local_approximation(rng, extents,
                                                                 spin):
     # every ball around site 0, and a support that is not contiguous
-    lat = Lattice.build(extents, spin=spin)
-    dim = lat.spec.hilbert_dim
+    lat = Lattice(extents, spin=spin)
+    dim = lat.hilbert_dim
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     supports = [lat.ball(0, m) for m in range(lat.diameter + 1)] + [(1, 3)]
     for keep in supports:
@@ -208,10 +208,10 @@ def test_lr_profile_decreases_with_distance(dec24, lat24):
 def test_lr_norms_match_the_dense_commutator(extents, spin, axis):
     # the block norm against ||tau_t(a) b - b tau_t(a)|| on the full space,
     # site by site and as the profile's worst norm per distance class
-    lat = Lattice.build(extents, spin=spin)
+    lat = Lattice(extents, spin=spin)
     dec = dense_spectrum(build_hamiltonian(lat, 0.1))
     a = site_spin_operator(lat, 0, axis).to_dense()
-    local = spin_matrices(lat.spec.two_s)[SECTOR_AXES[axis - 1] - 1]
+    local = spin_matrices(lat.two_s)[SECTOR_AXES[axis - 1] - 1]
     times = (0.25, 0.5, 1.0)
     expected = []
     for t in times:

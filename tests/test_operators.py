@@ -42,7 +42,7 @@ def marshall_signs(lattice):
     Fixed to a real gauge: entry (-1)^(sum over odd-sublattice sites of S - m).
     This differs from exp(i pi sum S^(1)) by a global phase only.
     """
-    tab = basis_tables(lattice.spec)
+    tab = basis_tables(lattice)
     odd = [j for j in range(lattice.n_sites) if lattice.staggered_signs[j] < 0]
     par = np.zeros(tab.dim, dtype=np.int64)
     for j in odd:
@@ -60,9 +60,8 @@ def transformed_hamiltonian(lattice, B):
     """
     H = build_hamiltonian(lattice, B)
     signs = marshall_signs(lattice)
-    csr = H.csr.copy()
-    csr.data *= np.repeat(signs, np.diff(csr.indptr)) * signs[csr.indices]
-    return SparseHermitianOperator(csr)
+    return SparseHermitianOperator.from_coo(
+        H.dim, H.rows, H.cols, H.data * signs[H.rows] * signs[H.cols])
 
 
 def rotated_hamiltonian(lattice, B):
@@ -74,11 +73,11 @@ def rotated_hamiltonian(lattice, B):
     -B sum_x S_x^(1) and the bonds -S^(1)S^(1) - S^(2)S^(2) + S^(3)S^(3):
     the result is translation covariant with period one.
     """
-    tab = basis_tables(lattice.spec)
+    tab = basis_tables(lattice)
     flip = tab.codes.copy()
     for j in range(lattice.n_sites):
         if lattice.staggered_signs[j] < 0:
-            flip += (lattice.spec.two_s - 2 * tab.digits[j].astype(np.int64)) \
+            flip += (lattice.two_s - 2 * tab.digits[j].astype(np.int64)) \
                 * tab.strides[j]
     signs = marshall_signs(lattice)
     H = build_hamiltonian(lattice, B).to_dense()
@@ -89,13 +88,13 @@ def expand_block(lattice, block, coords):
     """The full-basis vector with coordinates `coords` on block (M, q):
     v[s] = coords[r] chi_q(g_s) / sqrt(|O_r|) on the states of the pair."""
     M, q = block
-    orbits, locate = _orbit_pass(lattice.spec, M)
-    chi, ok = orbits.block_basis(lattice, q)
+    orbits, locate = _orbit_pass(lattice, M)
+    chi, ok = orbits.block_basis(q)
     col = np.cumsum(ok) - 1
-    states = sector_basis(lattice.spec, (M, -M) if M else (0,)).codes
+    states = sector_basis(lattice, (M, -M) if M else (0,)).codes
     rep, elem = locate(states)
     mine = ok[rep]
-    v = np.zeros(lattice.spec.hilbert_dim, dtype=complex)
+    v = np.zeros(lattice.hilbert_dim, dtype=complex)
     v[states[mine]] = (coords[col[rep[mine]]] * chi[elem[mine]]
                        / np.sqrt(orbits.size[rep[mine]]))
     return v
@@ -119,7 +118,7 @@ def test_two_site_ground_energy(pair):
 
 
 def test_two_site_spin_one():
-    lat = Lattice.build((2,), spin=1.0)
+    lat = Lattice((2,), spin=1.0)
     dec = dense_spectrum(build_hamiltonian(lat, 0.0))
     # S.S on a bond: (j(j+1) - 2 s(s+1))/2 for total spin j = 0, 1, 2
     assert dec.eigenvalues[0] == pytest.approx(-2.0, abs=1e-12)
@@ -208,7 +207,7 @@ def test_transformed_ground_vector_positive(lat22):
     dec = dense_spectrum(tH)
     vec = dec.eigenvectors[:, 0]
     vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
-    zero = sector_basis(lat22.spec, (0,)).codes
+    zero = sector_basis(lat22, (0,)).codes
     assert vec[zero].min() > 0.0
     assert np.abs(np.delete(vec, zero)).max() <= 1e-12
 
@@ -216,11 +215,11 @@ def test_transformed_ground_vector_positive(lat22):
 def _translation_permutation(lattice, axis):
     """perm with (P v)[i] = v[perm[i]] for the one-site shift along `axis`:
     P maps the state with digits g(x) to the one with digits g(x - e_axis)."""
-    tab = basis_tables(lattice.spec)
+    tab = basis_tables(lattice)
     perm = np.zeros(tab.dim, dtype=np.int64)
     for j, x in enumerate(lattice.sites):
         y = list(x)
-        y[axis] = (y[axis] + 1) % lattice.spec.extents[axis]
+        y[axis] = (y[axis] + 1) % lattice.extents[axis]
         perm += tab.digits[lattice.site_index(tuple(y))].astype(np.int64) \
             * tab.strides[j]
     return perm
@@ -253,7 +252,7 @@ def _kron_site(lat, j, mat):
     """mat at site j and identities elsewhere, site 0 most significant."""
     out = np.ones((1, 1))
     for i in range(lat.n_sites):
-        out = np.kron(out, mat if i == j else np.eye(lat.spec.two_s + 1))
+        out = np.kron(out, mat if i == j else np.eye(lat.two_s + 1))
     return out
 
 
@@ -263,8 +262,8 @@ def test_site_sums_match_kronecker_products(extents, spin):
     """`site_sum` against dense Kronecker products of `spin_matrices`, with
     S^(axis) the matrix `SECTOR_AXES[axis - 1]`: single sites, and the
     ladder coefficients of the Fourier modes."""
-    lat = Lattice.build(extents, spin)
-    mats = spin_matrices(lat.spec.two_s)
+    lat = Lattice(extents, spin)
+    mats = spin_matrices(lat.two_s)
     for j in range(lat.n_sites):
         for axis in (1, 2, 3):
             ref = _kron_site(lat, j, mats[SECTOR_AXES[axis - 1] - 1])
@@ -292,8 +291,8 @@ def test_hamiltonian_matches_kronecker_products(extents, spin):
     """H = sum_bonds S_x . S_y - B sum_x sigma(x) S_x^(1) from dense
     Kronecker products, with the field on the S_z matrix: the full basis
     uses the spin axes of the blocks."""
-    lat = Lattice.build(extents, spin)
-    mats = spin_matrices(lat.spec.two_s)
+    lat = Lattice(extents, spin)
+    mats = spin_matrices(lat.two_s)
     B = 0.3
     ref = sum(_kron_site(lat, i, m) @ _kron_site(lat, j, m)
               for (i, j) in lat.bonds for m in mats)
@@ -307,21 +306,21 @@ def test_hamiltonian_matches_kronecker_products(extents, spin):
 @pytest.mark.parametrize("extents,spin", [((4,), 0.5), ((2, 4), 0.5),
                                           ((4,), 1.0)])
 def test_sector_basis_enumerates_fixed_magnetization(extents, spin):
-    spec = Lattice.build(extents, spin).spec
-    n, dloc = spec.n_sites, spec.two_s + 1
-    every = np.arange(spec.hilbert_dim)
+    lat = Lattice(extents, spin)
+    n, dloc = lat.n_sites, lat.two_s + 1
+    every = np.arange(lat.hilbert_dim)
     digit_sums = sum((every // dloc ** j) % dloc for j in range(n))
-    top = n * spec.two_s // 2
+    top = n * lat.two_s // 2
     for M in range(-top, top + 1):
-        basis = sector_basis(spec, (M,))
+        basis = sector_basis(lat, (M,))
         assert np.array_equal(basis.codes, every[digit_sums == top - M])
         assert np.array_equal(basis.rank(basis.codes), np.arange(basis.dim))
-    pair = sector_basis(spec, (1, -1))
+    pair = sector_basis(lat, (1, -1))
     assert np.all(np.diff(pair.codes) > 0)
     if spin == 0.5:
-        assert sector_basis(spec, (0,)).dim == math.comb(n, n // 2)
+        assert sector_basis(lat, (0,)).dim == math.comb(n, n // 2)
     with pytest.raises(ValueError):
-        pair.rank(sector_basis(spec, (0,)).codes)
+        pair.rank(sector_basis(lat, (0,)).codes)
 
 
 ENUMERATED = [((2,), 0.5), ((4,), 0.5), ((6,), 0.5), ((10,), 0.5),
@@ -333,23 +332,23 @@ ENUMERATED = [((2,), 0.5), ((4,), 0.5), ((6,), 0.5), ((10,), 0.5),
 @settings(max_examples=60, deadline=None)
 @given(shape=st.sampled_from(ENUMERATED), data=st.data())
 def test_sector_basis_matches_brute_force_filter(shape, data):
-    """sector_basis(spec, sectors) is the ascending, duplicate-free list of
+    """sector_basis(lattice, sectors) is the ascending, duplicate-free list of
     the full-basis codes whose digit sum is n S - M for an M in `sectors`,
     with their digits and ranks, for the sector (0,), a pair (M, -M) and
     arbitrary tuples of sectors."""
     extents, spin = shape
-    spec = Lattice.build(extents, spin).spec
-    n, dloc = spec.n_sites, spec.two_s + 1
-    top = n * spec.two_s // 2
+    lat = Lattice(extents, spin)
+    n, dloc = lat.n_sites, lat.two_s + 1
+    top = n * lat.two_s // 2
     sector = st.integers(-top, top)
     sectors = data.draw(st.one_of(
         st.just((0,)), st.integers(0, top).map(lambda M: (M, -M)),
         st.lists(sector, min_size=1, max_size=4).map(tuple)))
-    every = np.arange(spec.hilbert_dim)
+    every = np.arange(lat.hilbert_dim)
     digits = np.array([(every // dloc ** (n - 1 - j)) % dloc
                        for j in range(n)])
     wanted = np.isin(digits.sum(axis=0), [top - M for M in sectors])
-    basis = sector_basis(spec, sectors)
+    basis = sector_basis(lat, sectors)
     assert np.array_equal(basis.codes, every[wanted])
     assert np.all(np.diff(basis.codes) > 0)
     assert np.array_equal(basis.digits, digits[:, wanted])
@@ -365,12 +364,12 @@ def test_locate_is_the_smallest_image(extents, spin):
     """For every state of every pair (M, -M), `locate` gives the index of
     the smallest image over G and the first group element that reaches it,
     from digit lists; a state of another pair raises ValueError."""
-    lat = Lattice.build(extents, spin)
-    top = lat.n_sites * lat.spec.two_s // 2
+    lat = Lattice(extents, spin)
+    top = lat.n_sites * lat.two_s // 2
     shifts = list(itertools.product(*map(range, extents)))
     for M in range(top + 1):
-        orbits, locate = _orbit_pass(lat.spec, M)
-        states = sector_basis(lat.spec, (M, -M) if M else (0,)).codes
+        orbits, locate = _orbit_pass(lat, M)
+        states = sector_basis(lat, (M, -M) if M else (0,)).codes
         images = np.array([_twisted_images(lat, states, a) for a in shifts])
         elem = images.argmin(axis=0)
         smallest = images[elem, np.arange(len(states))]
@@ -379,7 +378,7 @@ def test_locate_is_the_smallest_image(extents, spin):
         got_rep, got_elem = locate(states)
         assert np.array_equal(got_rep, rep)
         assert np.array_equal(got_elem, elem)
-        other = sector_basis(lat.spec, (M + 1,) if M < top else (0,)).codes
+        other = sector_basis(lat, (M + 1,) if M < top else (0,)).codes
         with pytest.raises(ValueError):
             locate(other[-1:])
 
@@ -390,7 +389,7 @@ def test_blocks_sharing_rows_equal_blocks_built_alone(extents):
     rows of M = +-1 (`shared_rows`), in two orders, equal the blocks each
     built from rows of its own (`shared_rows` cleared first), entry for
     entry."""
-    lat = Lattice.build(extents)
+    lat = Lattice(extents)
     for B in (0.1, 0.05):
         alone = {}
         for q in lat.momenta:
@@ -413,8 +412,8 @@ def test_sector_spectra(extents, spin, B):
     """The blocks (M, q), M >= 0, of the pairs of sectors M and -M at every
     twisted momentum q are Hermitian (real at q = 0), and their spectra
     together give the full spectrum, at two fields."""
-    lat = Lattice.build(extents, spin)
-    top = lat.n_sites * lat.spec.two_s // 2
+    lat = Lattice(extents, spin)
+    top = lat.n_sites * lat.two_s // 2
     for field in (B, B / 3):
         spectra = []
         for M in range(top + 1):
@@ -437,14 +436,14 @@ def _twisted_action(lat, tab, a):
 def _twisted_images(lat, codes, a):
     """Codes of g_a s for every state s in `codes`, from digit lists: the
     spin at x moves to x + a, flipped (d -> 2S - d) when sum(a) is odd."""
-    n, dloc = lat.n_sites, lat.spec.two_s + 1
+    n, dloc = lat.n_sites, lat.two_s + 1
     images = []
     for code in codes:
         digits = [(int(code) // dloc ** (n - 1 - j)) % dloc for j in range(n)]
         moved = [0] * n
         for j, x in enumerate(lat.sites):
             y = lat.site_index(tuple(c + s for c, s in zip(x, a)))
-            moved[y] = lat.spec.two_s - digits[j] if sum(a) % 2 else digits[j]
+            moved[y] = lat.two_s - digits[j] if sum(a) % 2 else digits[j]
         images.append(sum(d * dloc ** (n - 1 - j) for j, d in enumerate(moved)))
     return np.array(images, dtype=np.int64)
 
@@ -456,14 +455,13 @@ def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
     M = +-1 with twisted momentum k and k + Q, where g_a acts as
     e^{-i q.a}."""
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    spec = lat24.spec
-    zero, pair = sector_basis(spec, (0,)), sector_basis(spec, (1, -1))
+    zero, pair = sector_basis(lat24, (0,)), sector_basis(lat24, (1, -1))
     phi = expand_block(lat24, ctx.gs.block, ctx.gs.vector)
-    shifts = list(itertools.product(*map(range, spec.extents)))
+    shifts = list(itertools.product(*map(range, lat24.extents)))
     for a in shifts:
         assert np.abs(phi[zero.codes[_twisted_action(lat24, zero, a)]]
                       - phi[zero.codes]).max() <= 1e-14
-    outside = np.setdiff1d(np.arange(spec.hilbert_dim), pair.codes)
+    outside = np.setdiff1d(np.arange(lat24.hilbert_dim), pair.codes)
     for n in lat24.momenta:
         for axis, q in ((2, n), (3, lat24.shift_q(n))):
             v = fourier_spin(lat24, n, axis).matvec(phi)
@@ -484,11 +482,11 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
     explicit projector, and the block spectra together are the spectrum of
     H on the sectors.  M = 0 has states with nontrivial stabilisers, M = +-1
     has none."""
-    lat = Lattice.build(extents, spin)
-    tab = sector_basis(lat.spec, sectors)
+    lat = Lattice(extents, spin)
+    tab = sector_basis(lat, sectors)
     dense = build_hamiltonian(lat, 0.3).to_dense()[np.ix_(tab.codes,
                                                           tab.codes)]
-    orbits, _ = _orbit_pass(lat.spec, sectors[0])
+    orbits, _ = _orbit_pass(lat, sectors[0])
     shifts = list(itertools.product(*map(range, extents)))
     perms = []
     for a in shifts:
@@ -528,9 +526,9 @@ def test_full_basis_products_equal_csr_bit_for_bit(extents, spin):
     of the same entries exactly: H on real and complex vectors, every
     Fourier mode and the staggered sum on real ones (as the dense oracle
     applies them); the dense matrix too, up to dimension 256."""
-    lat = Lattice.build(extents, spin=spin)
+    lat = Lattice(extents, spin=spin)
     rng = np.random.default_rng(11)
-    real = rng.standard_normal(lat.spec.hilbert_dim)
+    real = rng.standard_normal(lat.hilbert_dim)
     cplx = real + 1j * rng.standard_normal(real.size)
     cases = [(build_hamiltonian(lat, 0.3), (real, cplx)),
              (staggered_operator(lat), (real,))]
@@ -560,7 +558,7 @@ def test_pair_diagonal_once_per_field(lat24, monkeypatch):
     """One sparse 2x4 context and a moment pass over every key evaluate the
     diagonal of H at the representatives of M = +-1 once: the ground-sector
     check, every block (1, q) and the Gershgorin bound share it."""
-    reps = shared_rows(lat24.spec)[1].orbits.reps
+    reps = shared_rows(lat24)[1].orbits.reps
     diagonal, calls = goldstone.operators._diagonal, []
 
     def counted(lattice, B, tab):
