@@ -7,8 +7,8 @@ passes and the infrared-bound CG are all matvec loops.  Run as
     python benchmarks/bench_matvec.py [--extents 4x4] [--field 0.1] [--reps 50]
                                       [--lanczos]
 
-It times one real and one complex vector on the CSR matrix of the full H
-(the scans' dense path applies the full H without one), then an 8-column
+It times one real and one complex vector on the CSR arrays of the full H
+(the dense path's operator, applied here as a block), then an 8-column
 real block on that matrix, on block (0, 0) that holds the ground state and
 on block (1, 0) of M = +1, -1, and one complex column on the direct sum of
 every twisted-momentum block (1, q), the shape of the sparse path's moment
@@ -50,8 +50,8 @@ def main():
     lat = Lattice(extents)
     t0 = time.perf_counter()
     full = build_hamiltonian(lat, args.field)
-    H = SparseHermitianOperator.from_coo(full.dim, full.rows, full.cols,
-                                         full.data)
+    H = SparseHermitianOperator(full.indptr, full.indices, full.data,
+                                full.dim)
     print(f"lattice {args.extents}: dim {H.dim}, nnz {H.nnz} "
           f"(built in {time.perf_counter() - t0:.2f}s)")
 

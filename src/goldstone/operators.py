@@ -10,14 +10,17 @@ backs the dense oracle, and every single-site spin sum on it comes from
 `site_sum`.  The sparse path works on blocks (M, q): the states of total
 magnetization M and -M at twisted momentum q (`TwistedOrbits`), built from
 orbit representatives without the sector's states or operators.  All
-builders are vectorised.  A block is one scipy CSR matrix, whose product is
-the one matvec of every solver and filter.  A full-basis operator keeps its
-entries, and numpy applies them without scipy.sparse (`FullBasisOperator`).
+builders are vectorised.  Blocks and full-basis operators are CSR arrays on
+scipy's compiled kernels (`CSROperator`): one matvec for every solver.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,68 +58,99 @@ SECTOR_AXES = (3, 1, 2)
 _BATCH = 1 << 16
 
 
-@dataclass(eq=False)
-class SparseHermitianOperator:
-    """A block (M, q), or their direct sum: one scipy CSR matrix only."""
+@lru_cache(maxsize=None)
+def sparsetools(directory: str | None = None):
+    """scipy's compiled CSR kernels, the extension `_sparsetools` in
+    `directory` (default: scipy's `sparse`), loaded without the 0.2 s and
+    20 MB of `scipy/sparse/__init__.py`; ImportError if a kernel is missing."""
+    scipy = importlib.util.find_spec("scipy")  # a top-level name: no import
+    directory = directory or os.path.join(
+        scipy.submodule_search_locations[0], "sparse")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.sparse._sparsetools", [directory])  # imports no parent package
+    module = spec and importlib.util.module_from_spec(spec)
+    if module:
+        spec.loader.exec_module(module)
+        sys.modules.pop(spec.name, None)  # `import scipy.sparse` loads it anew
+    kernels = ("coo_tocsr csr_has_sorted_indices csr_sort_indices "
+               "csr_sum_duplicates csr_matvec csr_matvecs").split()
+    missing = [k for k in kernels if not hasattr(module, k)]
+    if missing:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')}: no {', '.join(missing)}"
+                          f" in an extension _sparsetools in {directory}")
+    return module
 
-    csr: object  # scipy.sparse.csr_matrix
+
+@dataclass(eq=False)
+class CSROperator:
+    """A square matrix as canonical CSR arrays (row i: data[indptr[i]:
+    indptr[i + 1]] in the columns indices[...], ascending, none twice), built
+    and applied by the kernels a scipy csr_matrix calls, so to its bits."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
 
     @classmethod
     def from_coo(cls, dim, rows, cols, vals):
-        import scipy.sparse
-        mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                      shape=(dim, dim)).tocsr()
-        mat.sum_duplicates()
-        return cls(mat)
-
-    @property
-    def dim(self) -> int:
-        return self.csr.shape[0]
+        """The entries (rows, cols, vals), duplicates summed, by the kernels
+        `coo_matrix(...).tocsr()` calls, in its order, trimmed as it trims."""
+        k, vals, nnz = sparsetools(), np.asarray(vals), len(vals)
+        idx = np.int32 if max(nnz, dim) < 2**31 else np.int64  # as scipy's
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if not rows.shape == cols.shape == (nnz,) or nnz and not 0 <= min(
+                rows.min(), cols.min()) <= max(rows.max(), cols.max()) < dim:
+            raise ValueError(f"entries do not fit a matrix of dimension {dim}")
+        indptr, indices = np.empty(dim + 1, idx), np.empty(nnz, idx)
+        data = np.empty_like(vals)
+        k.coo_tocsr(dim, dim, nnz, rows.astype(idx), cols.astype(idx), vals,
+                    indptr, indices, data)
+        if not k.csr_has_sorted_indices(dim, indptr, indices):
+            k.csr_sort_indices(dim, indptr, indices, data)
+        k.csr_sum_duplicates(dim, dim, indptr, indices, data)
+        nnz = int(indptr[-1])   # a copy if under half the array, else a view
+        return cls(indptr, *(a[:nnz].copy() if nnz < len(a) // 2 else a[:nnz]
+                             for a in (indices, data)), dim)
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.csr.data
+        return len(self.data)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for one vector or a 2-D block of columns.  A real H times a
-        complex x is two real products: scipy would otherwise copy all of H
-        to complex on every call."""
+        """H @ x for one vector or a 2-D block of columns: csr_matvec on one
+        column, csr_matvecs on more, as csr_matrix does.  A real H times a
+        complex x is two real products, not a complex copy of H per call."""
+        if x.shape[0] != self.dim:
+            raise ValueError(f"length {x.shape[0]} != dimension {self.dim}")
+        dtype = np.result_type(self.data, x)
         if np.iscomplexobj(x) and not np.iscomplexobj(self.data):
-            out = np.empty(x.shape, dtype=np.result_type(self.data, x))
-            out.real = self.csr @ x.real
-            out.imag = self.csr @ x.imag
+            out = np.empty(x.shape, dtype=dtype)
+            out.real = CSROperator.matvec(self, x.real)  # halves of one call
+            out.imag = CSROperator.matvec(self, x.imag)
             return out
-        return self.csr @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-
-class FullBasisOperator:
-    """An operator on the full basis, the dense oracle's, as its entries
-    sorted by row, then column, none twice.  `matvec` sums each row's terms
-    in that order, as scipy's csr_matvec does, so it gives the bits of the
-    CSR product unless both the entries and x are complex."""
-
-    def __init__(self, dim: int, rows, cols, data):
-        order = np.argsort(rows * dim + cols)
-        self.dim = dim
-        self.rows, self.cols, self.data = rows[order], cols[order], data[order]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for one vector or a 2-D block of columns."""
-        out = np.zeros(x.shape, dtype=np.result_type(self.data, x))
-        np.add.at(out, self.rows, (self.data * x[self.cols].T).T)
+        out, k, n = np.zeros(x.shape, dtype=dtype), sparsetools(), self.dim
+        args = self.indptr, self.indices, self.data, x.ravel(), out.ravel()
+        if x.ndim == 1 or x.shape[1] == 1:
+            k.csr_matvec(n, n, *args)
+        else:
+            k.csr_matvecs(n, n, x.shape[1], *args)
         return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
-        np.add.at(out, (self.rows, self.cols), self.data)
+        out[np.repeat(np.arange(self.dim), np.diff(self.indptr)),
+            self.indices] += self.data
         return out
+
+
+class SparseHermitianOperator(CSROperator):
+    """A block (M, q), or their direct sum (`direct_sum`)."""
+
+
+class FullBasisOperator(CSROperator):
+    """An operator on the full basis, the dense oracle's."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +274,7 @@ def site_sum(lattice: Lattice, weights, axis: int,
         counts = [len(t[0]) for t in terms]
         vals = np.repeat(np.outer(scale * w[sites], _LADDER_COEF[matrix]),
                          counts) * amp
-    return FullBasisOperator(tab.dim, rows, cols, vals)
+    return FullBasisOperator.from_coo(tab.dim, rows, cols, vals)
 
 
 def _hops(lattice: Lattice, tab: BasisTables):
@@ -293,7 +327,7 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
         tab = basis_tables(lattice)
         src, dst, amp = _hops(lattice, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
-        return FullBasisOperator(
+        return FullBasisOperator.from_coo(
             tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
             np.concatenate([_diagonal(lattice, B, tab), amp]))
     M, q = block
@@ -502,7 +536,14 @@ def excitation_ladders(pair, zero, locate_zero):
 
 
 def direct_sum(ops) -> SparseHermitianOperator:
-    """The block-diagonal operator with the blocks `ops`, in order."""
-    import scipy.sparse
+    """The block-diagonal operator with the blocks `ops`, in order: their CSR
+    arrays end to end with offsets, as scipy.sparse.block_diag makes them."""
+    dims = np.cumsum([0] + [op.dim for op in ops]).tolist()
+    nnz = sum(op.nnz for op in ops)
+    idx = np.int32 if max(dims[-1], nnz) < 2**31 else np.int64
     return SparseHermitianOperator(
-        scipy.sparse.block_diag([op.csr for op in ops], format="csr"))
+        np.concatenate([[0]] + [np.diff(op.indptr) for op in ops]).cumsum(
+            dtype=idx),
+        np.concatenate([op.indices.astype(idx, copy=False) + d
+                        for op, d in zip(ops, dims)]),
+        np.concatenate([op.data for op in ops]), dims[-1])

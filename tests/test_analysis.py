@@ -497,8 +497,8 @@ def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     keys = [(n, axis) for n in sorted(lat.momenta) for axis in (2, 3)]
     got = ctx.moments(keys, 16)
     full = build_hamiltonian(lat, B)
-    H = scipy.sparse.coo_matrix((full.data, (full.rows, full.cols)),
-                                shape=(full.dim, full.dim)).tocsr()
+    H = scipy.sparse.csr_matrix((full.data, full.indices, full.indptr),
+                                shape=(full.dim, full.dim))
     zero = goldstone.operators.sector_basis(lat, (0,)).codes
     pair = goldstone.operators.sector_basis(lat, (1, -1)).codes
     e0, phi = np.linalg.eigh(H[zero][:, zero].toarray())

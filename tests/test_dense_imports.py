@@ -1,7 +1,7 @@
-"""A dense-oracle process never imports scipy.sparse: the full-basis
-operators are numpy entries (`operators.FullBasisOperator`), and only a
-block's CSR loads it.  Nor does a config parse import scipy at all: the
-manifest, which records its version, imports it when it is written."""
+"""No scan process imports scipy.sparse: full-basis operators and blocks
+alike run scipy's compiled CSR kernels, loaded without the package
+(`operators.sparsetools`).  Nor does a config parse import scipy at all:
+the manifest, which records its version, imports it when it is written."""
 
 import os
 import subprocess
@@ -36,7 +36,7 @@ kappa = auto
 """
 
 # each step prints whether scipy.sparse and scipy are loaded after it; the
-# last one shows that the check sees a block path load scipy.sparse
+# last one imports scipy.sparse, to show that the check would see it
 CHILD = """
 import sys
 import goldstone.cli
@@ -53,6 +53,8 @@ step("scan", goldstone.cli.main(["scan", "--config", sys.argv[1],
 step("report", goldstone.cli.main(["report", "--out", sys.argv[3]]))
 step("sparse", goldstone.cli.main(["scan", "--config", sys.argv[2],
                                    "--out", sys.argv[4]]))
+import scipy.sparse
+step("control")
 """
 
 
@@ -74,4 +76,5 @@ def test_dense_scan_and_report_leave_scipy_sparse_unloaded(tmp_path):
     assert steps == [["parse", "0", "False", "False"],
                      ["scan", "0", "False", "True"],
                      ["report", "0", "False", "True"],
-                     ["sparse", "0", "True", "True"]]
+                     ["sparse", "0", "False", "True"],
+                     ["control", "0", "True", "True"]]

@@ -188,7 +188,7 @@ def test_chebyshev_moments_per_segment(rng):
     it has on its own block."""
     full = [build_hamiltonian(Lattice(ext), 0.3) for ext in
             ((4,), (2, 2), (2,))]
-    parts = [SparseHermitianOperator.from_coo(h.dim, h.rows, h.cols, h.data)
+    parts = [SparseHermitianOperator(h.indptr, h.indices, h.data, h.dim)
              for h in full]
     starts = np.cumsum([0] + [h.dim for h in parts])
     block = rng.standard_normal((starts[-1], 2)) \

@@ -60,8 +60,9 @@ def transformed_hamiltonian(lattice, B):
     """
     H = build_hamiltonian(lattice, B)
     signs = marshall_signs(lattice)
+    rows = np.repeat(np.arange(H.dim), np.diff(H.indptr))
     return SparseHermitianOperator.from_coo(
-        H.dim, H.rows, H.cols, H.data * signs[H.rows] * signs[H.cols])
+        H.dim, rows, H.indices, H.data * signs[rows] * signs[H.indices])
 
 
 def rotated_hamiltonian(lattice, B):
@@ -394,10 +395,10 @@ def test_blocks_sharing_rows_equal_blocks_built_alone(extents):
         alone = {}
         for q in lat.momenta:
             shared_rows.cache_clear()
-            alone[q] = build_hamiltonian(lat, B, (1, q)).csr
+            alone[q] = build_hamiltonian(lat, B, (1, q))
         for order in (lat.momenta, lat.momenta[::-1]):
             for q in order:
-                together = build_hamiltonian(lat, B, (1, q)).csr
+                together = build_hamiltonian(lat, B, (1, q))
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(together, part),
                                           getattr(alone[q], part))
@@ -521,21 +522,22 @@ def test_twisted_blocks_match_explicit_projector(extents, spin, sectors):
 @pytest.mark.parametrize("extents,spin", [((2, 4), 0.5), ((2, 6), 0.5),
                                           ((4,), 1.0)])
 def test_full_basis_products_equal_csr_bit_for_bit(extents, spin):
-    """The numpy product of a full-basis operator sums each row in ascending
-    column order, as scipy's csr_matvec does, so it equals the CSR product
-    of the same entries exactly: H on real and complex vectors, every
-    Fourier mode and the staggered sum on real ones (as the dense oracle
-    applies them); the dense matrix too, up to dimension 256."""
+    """A full-basis operator keeps its entries as CSR rows and runs scipy's
+    csr_matvec on them, so its product equals the public CSR product of the
+    same entries exactly: H and every Fourier mode on real and complex
+    vectors, the staggered sum on real ones (as the dense oracle applies
+    them); the dense matrix too, up to dimension 256."""
     lat = Lattice(extents, spin=spin)
     rng = np.random.default_rng(11)
     real = rng.standard_normal(lat.hilbert_dim)
     cplx = real + 1j * rng.standard_normal(real.size)
     cases = [(build_hamiltonian(lat, 0.3), (real, cplx)),
              (staggered_operator(lat), (real,))]
-    cases += [(fourier_spin(lat, n, axis), (real, real.astype(complex)))
+    cases += [(fourier_spin(lat, n, axis), (real, cplx))
               for n in lat.momenta for axis in (1, 2, 3)]
     for op, vectors in cases:
-        csr = scipy.sparse.coo_matrix((op.data, (op.rows, op.cols)),
+        rows = np.repeat(np.arange(op.dim), np.diff(op.indptr))
+        csr = scipy.sparse.coo_matrix((op.data, (rows, op.indices)),
                                       shape=(op.dim, op.dim)).tocsr()
         for v in vectors:
             got, ref = op.matvec(v), csr @ v
@@ -545,13 +547,15 @@ def test_full_basis_products_equal_csr_bit_for_bit(extents, spin):
 
 
 def test_block_operators_hold_only_their_csr(lat24):
-    """A block keeps its CSR matrix and no copy of the entries it was built
-    from, and so does a direct sum of blocks."""
+    """A block keeps the three arrays of its CSR matrix, each as long as
+    its rows need, and its dimension, but no copy of the entries it was
+    built from, and so does a direct sum of blocks."""
     blocks = [build_hamiltonian(lat24, 0.2, (1, q)) for q in lat24.momenta]
     for op in blocks + [build_hamiltonian(lat24, 0.2, (0, (0, 0))),
                         direct_sum(blocks)]:
-        assert list(vars(op)) == ["csr"]
-        assert isinstance(op.csr, scipy.sparse.csr_matrix)
+        assert list(vars(op)) == ["indptr", "indices", "data", "dim"]
+        assert len(op.indptr) == op.dim + 1
+        assert op.indptr[-1] == len(op.indices) == len(op.data) == op.nnz
 
 
 def test_pair_diagonal_once_per_field(lat24, monkeypatch):
