@@ -10,6 +10,8 @@ contexts of the ladder B, B/2, B/4, ... (N fields) one after another, as
 `run_scan` does: each from the rows that the lattice's fields share
 (`operators.shared_rows`, built with the first), and each dropped before
 the next is built.  It prints each field's time and the peak RSS after it.
+`SystemContext` gives a lattice within the config's dense cap (2x4) the
+dense oracle, and a larger one (4x4) its blocks.
 
 Then the stages of one field, in order, each from empty caches where said:
 
@@ -113,7 +115,7 @@ def main():
 
     def ground_block():
         H = build_hamiltonian(lat, B, (0, zero))
-        gs = ground_state(H, lat, B, opts, block=(0, zero))
+        gs = ground_state(H, lat, B, opts)
         return f"dim {H.dim}, nnz {H.nnz}, E0 = {gs.energy!r}"
 
     def ground_sector():

@@ -5,9 +5,9 @@ basis; translation-invariance statements are consequences of the rotated
 frame and show up as exact cross-momentum cancellations.  Each inequality is
 reported with both sides and the signed margin, never as a bare boolean.
 
-On the dense path every spectral quantity is a sum over the eigensystem of
-the cached eigen-amplitudes of S_k phi0; on the sparse path it comes from
-Chebyshev moments, or from CG on the momentum block of S_k phi0.
+`SystemContext` returns a `DenseContext`, where every spectral quantity is a
+sum over the eigensystem, or a `BlockContext`, where it comes from Chebyshev
+moments, or from CG, on the twisted-momentum block of S_k phi0.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverOptions,
-                          SpectralDecomposition, check_ground_sector,
-                          deflated_solve, dense_spectrum, ground_state,
-                          lowest_ritz)
+                          check_ground_sector, deflated_solve, dense_spectrum,
+                          ground_state, lowest_ritz)
 from .filters import (GFilter, SpectrumEnclosureError, WavepacketSpec,
                       WavepacketWeights, build_f, chebyshev_moments,
                       make_chebyshev_expansion, spectral_interval)
@@ -35,7 +34,7 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "DispersionRecord",
-    "SystemContext",
+    "SystemContext", "DenseContext", "BlockContext",
     "filter_keys",
     "EpsilonChoiceError",
     "VanishingDenominatorError",
@@ -153,50 +152,117 @@ def _equality(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
                       float(margin), tol, bool(margin >= -tol), "equality", note)
 
 
-class SystemContext:
-    """Shared working set for one (lattice, B): Hamiltonian, ground state,
-    dense oracle when the dimension allows, cached operator-on-ground
-    vectors, and either their eigen-amplitudes (dense path) or their
-    Chebyshev moments (sparse path).
+class DenseContext:
+    """The dense oracle of one (lattice, B): the full-basis H and its
+    eigensystem, over which every spectral quantity is a sum."""
 
-    The dense path works on the full basis, and every spectral quantity is
-    a sum over the eigensystem of `amplitudes`.  The sparse path works on the
-    twisted-momentum blocks (M, q) (`operators.build_hamiltonian`), with the
-    same spin axes as the full basis: `H` is block (0, 0), which holds the
-    ground state, and S_k^(2) phi0 and S_k^(3) phi0 are vectors of the
-    blocks (1, k) and (1, k + Q) of the pair M = +-1 (`block`).
-    Construction checks that block (0, 0) holds the ground state
-    (SolverError otherwise).
-    """
-
-    def __init__(self, lattice: Lattice, B: float, *,
-                 dense_cap: int = DENSE_CAP_DEFAULT,
-                 tolerances: Tolerances = Tolerances(),
-                 seed: int = SolverOptions.seed):
-        self.lattice = lattice
-        self.B = B
-        self.tol = tolerances
-        self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
-        self.dense: SpectralDecomposition | None = None
-        self.excitation: np.ndarray | None = None     # E - E0, dense path
-        self.sector_lowest: list | None = None
-        self.ground_gap: float | None = None
-        self._blocks: dict = {}
-        self._zero = (0,) * lattice.dimension
-        if lattice.hilbert_dim <= dense_cap:
-            self.H = build_hamiltonian(lattice, B)
-            self.dense = dense_spectrum(self.H, dense_cap)
-            self.gs = GroundState(float(self.dense.eigenvalues[0]),
-                                  self.dense.eigenvectors[:, 0].copy(), B,
-                                  lattice, residual=0.0)
-            self.excitation = self.dense.eigenvalues - self.gs.energy
-        else:
-            self.H = build_hamiltonian(lattice, B, (0, self._zero))
-            self.gs = ground_state(self.H, lattice, B, self.solver_opts,
-                                   block=(0, self._zero))
-            self._check_ground_sector()
+    def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances,
+                 dense_cap: int):
+        self.lattice, self.B, self.tol = lattice, B, tolerances
+        self.H = build_hamiltonian(lattice, B)
+        self.dense = dense_spectrum(self.H, dense_cap)
+        self.gs = GroundState(float(self.dense.eigenvalues[0]),
+                              self.dense.eigenvectors[:, 0].copy(), B,
+                              lattice, residual=0.0)
+        self.excitation = self.dense.eigenvalues - self.gs.energy  # E - E0
         self._sk_cache: dict = {}
         self._amplitudes: dict = {}
+
+    @cached_property
+    def m_B(self) -> float:
+        return staggered_magnetization(self.gs)
+
+    def sk_phi(self, n, axis: int) -> np.ndarray:
+        """hat S_n^(axis) |phi0>, a vector of the full basis, cached."""
+        key = (tuple(n), axis)
+        if key not in self._sk_cache:
+            self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
+                self.gs.vector.astype(complex, copy=False))
+        return self._sk_cache[key]
+
+    def amplitudes(self, n, axis: int) -> np.ndarray:
+        """V^dagger sk_phi(n, axis): the eigen-amplitudes of S_n phi0."""
+        key = (tuple(n), axis)
+        if key not in self._amplitudes:
+            self._amplitudes[key] = \
+                self.dense.eigenvectors.conj().T @ self.sk_phi(*key)
+        return self._amplitudes[key]
+
+    def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:
+        """g(H - E0) v for any vector of the full basis."""
+        amps = self.dense.eigenvectors.conj().T @ v
+        return self.dense.eigenvectors @ (g(self.excitation) * amps)
+
+    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
+        """(H - E0) v for any vector of the full basis."""
+        return self.H.matvec(v) - self.gs.energy * v
+
+    def prefetch(self, wanted) -> None:
+        """Nothing to prepare: every form is a sum over the eigensystem."""
+
+    def forms(self, g: GFilter, keys) -> list:
+        """Sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem."""
+        de = self.excitation
+        g2 = g(de) ** 2
+        weights = [g2 * np.abs(self.amplitudes(*key)) ** 2 for key in keys]
+        return [(float(np.sum(de * w)), float(np.sum(w))) for w in weights]
+
+    def irb_lhs(self, n, axis: int) -> float:
+        """The sum of |a|^2 / (E - E0) over the excited eigenstates."""
+        mask = self.excitation > 0
+        return float(np.sum(np.abs(self.amplitudes(n, axis)[mask]) ** 2
+                            / self.excitation[mask]))
+
+    def window_pieces(self, g: GFilter, n, den_k: float) -> list:
+        """window_small and window_large at momentum n: <S_k^(2) phi0,
+        S_(k+Q)^(3) phi0> over the excited states up to 2 eps, and all."""
+        lat, s, de = self.lattice, self.lattice.spin, self.excitation
+        eps, tol, nq = g.spec.epsilon, self.tol.resolvent, lat.shift_q(n)
+        ek, ekq = lat.dispersion(n), lat.dispersion(nq)
+        amps2, amps3 = self.amplitudes(n, 2), self.amplitudes(nq, 3)
+        lhs_small, lhs_large = (abs(np.sum(np.conj(amps2[m]) * amps3[m]))
+                                for m in ((de > 0.0) & (de <= 2 * eps),
+                                          de > 1e-12))
+        rhs_small = eps / np.sqrt(ekq * ek)
+        rhs_large = rhs_small + ((4 * s * s * ekq + self.B * s) / (2 * ek)) \
+            ** 0.25 * np.sqrt(den_k + (4 * s * s * ek + self.B * s)
+                              / (g.spec.gamma - g.spec.delta_gamma))
+        return [_upper("window_small", n, None, lhs_small, rhs_small, tol),
+                _upper("window_large", n, None, lhs_large, rhs_large, tol)]
+
+    def cross_momentum_max(self, g: GFilter, keys) -> float | None:
+        """max |<S_i phi0, f(H - E0) S_j phi0>| over i < j, f = g^2, x g^2."""
+        g2 = g(self.excitation) ** 2
+        amps = [self.amplitudes(*key) for key in keys]
+        cross = [max(abs(np.sum(self.excitation * w)), abs(np.sum(w)))
+                 for i, a in enumerate(amps)
+                 for w in (g2 * np.conj(a) * b for b in amps[i + 1:])]
+        return float(max(cross)) if cross else None
+
+    def solver_stats(self) -> dict:
+        """The dense path has no blocks, interval or moments."""
+        return {"path": "dense", "blocks": None, "interval": None,
+                "interval_source": None, "expansions": [],
+                "moment_passes": []}
+
+
+class BlockContext:
+    """The twisted-momentum blocks of one (lattice, B), in the spin axes of
+    the full basis: `H` is block (0, 0), which holds the ground state (else
+    SolverError), and S_k^(2) phi0, S_k^(3) phi0 lie in the blocks (1, k),
+    (1, k + Q) of M = +-1 (`block`).  Forms come from Chebyshev moments (the
+    kernel polynomial method), the infrared left side from CG."""
+
+    def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances,
+                 seed: int):
+        self.lattice, self.B, self.tol = lattice, B, tolerances
+        self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
+        self._zero = (0,) * lattice.dimension
+        self._blocks: dict = {}
+        self.H = build_hamiltonian(lattice, B, (0, self._zero))
+        self.gs = ground_state(self.H, lattice, B, self.solver_opts)
+        self._check_ground_sector()
+        self._sk_cache: dict = {}
         self._interval: tuple[float, float] | None = None
         self._expansions: dict = {}
         self._moments: dict = {}
@@ -230,10 +296,22 @@ class SystemContext:
             self.gs.energy,
             [(s["M"], s["ritz"], s["residual"]) for s in self.sector_lowest])
 
+    @cached_property
+    def m_B(self) -> float:
+        """N^-1 sum_r |c_r|^2 m(r): on block (0, 0) the staggered operator is
+        a diagonal, constant on orbits (a one-site shift flips both sigma
+        and, through F, S^(1))."""
+        lat = self.lattice
+        orbits = block_rows(lat, 0).orbits
+        m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
+                for j in range(lat.n_sites))
+        m = m[orbits.block_basis(self._zero)[1]]
+        return float(np.sum(np.abs(self.gs.vector) ** 2 * m)) / lat.n_sites
+
     # -- vectors ---------------------------------------------------------
 
     def block(self, q) -> SparseHermitianOperator:
-        """H on block (1, q) of the pair M = +-1 (sparse path), cached."""
+        """H on block (1, q) of the pair M = +-1, cached."""
         q = tuple(q)
         if q not in self._blocks:
             self._blocks[q] = build_hamiltonian(self.lattice, self.B, (1, q))
@@ -246,44 +324,28 @@ class SystemContext:
         return tuple(n) if axis == 2 else self.lattice.shift_q(n)
 
     def sk_phi(self, n, axis: int) -> np.ndarray:
-        """hat S_n^(axis) |phi0>, cached: a vector of the full basis, or on
-        the sparse path of block (1, q) of `_block_q` (axes 2 and 3 only),
-        built there from the ladder terms into block (0, 0)
-        (`operators.shared_rows`)."""
+        """hat S_n^(axis) |phi0> (axes 2 and 3 only), cached: a vector of
+        block (1, q) of `_block_q`, built from the ladder terms into
+        block (0, 0) (`operators.shared_rows`)."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
-            if self.dense is not None:
-                self._sk_cache[key] = fourier_spin(self.lattice, n, axis).matvec(
-                    self.gs.vector.astype(complex, copy=False))
-            else:
-                _, pair, (t, c, r, w) = shared_rows(self.lattice)
-                x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
-                    * self.gs.vector[r]
-                dim = pair.orbits.reps.dim
-                v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
-                _, ok = pair.orbits.block_basis(self._block_q(n, axis))
-                self._sk_cache[key] = v[ok]
+            _, pair, (t, c, r, w) = shared_rows(self.lattice)
+            x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
+                * self.gs.vector[r]
+            dim = pair.orbits.reps.dim
+            v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
+            _, ok = pair.orbits.block_basis(self._block_q(n, axis))
+            self._sk_cache[key] = v[ok]
         return self._sk_cache[key]
 
-    def amplitudes(self, n, axis: int) -> np.ndarray:
-        """V^dagger sk_phi(n, axis), the eigen-amplitudes of S_n phi0 on the
-        dense path, cached."""
-        key = (tuple(n), axis)
-        if key not in self._amplitudes:
-            self._amplitudes[key] = \
-                self.dense.eigenvectors.conj().T @ self.sk_phi(*key)
-        return self._amplitudes[key]
-
-    def _sparse_only(self, what: str) -> None:
-        if self.dense is not None:
-            raise ValueError(f"{what} run on the sparse path; the dense "
-                             "oracle has the eigensystem")
+    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
+        """(H - E0) v for v = sk_phi(n, axis), on its block."""
+        return self.block(self._block_q(n, axis)).matvec(v) \
+            - self.gs.energy * v
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """The Chebyshev interval of the blocks of M = +-1 (sparse path):
-        block (1, 0) holds their lowest state, and every block (1, q) is an
-        invariant subspace of H there."""
-        self._sparse_only("spectral bounds")
+        """The Chebyshev interval of M = +-1: block (1, 0) holds its lowest
+        state, and every block (1, q) is an invariant subspace of H."""
         if self._interval is None:
             self._interval = spectral_interval(
                 self.sector_lowest[0]["ritz"],
@@ -292,9 +354,7 @@ class SystemContext:
 
     def filter_expansions(self, g: GFilter):
         """(den, num) expansions of g^2(x - E0) and (x - E0) g^2(x - E0) on
-        the spectral interval, with sup errors at most chebyshev_tol and
-        chebyshev_tol * gamma (sparse path)."""
-        self._sparse_only("filter expansions")
+        the interval, sup errors at most chebyshev_tol (times gamma)."""
         if g.spec not in self._expansions:
             lo, hi = self.spectral_bounds()
             e0 = self.gs.energy
@@ -313,7 +373,7 @@ class SystemContext:
 
     def moments(self, keys, n_moments: int) -> list:
         """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
-        for each (momentum, axis) key, on the spectral interval (sparse path).
+        for each (momentum, axis) key, on the spectral interval.
 
         Every key not yet cached to that order joins one pass: the
         recurrence runs on the direct sum of the blocks (1, q) the keys need
@@ -324,7 +384,6 @@ class SystemContext:
         todo = [k for k in dict.fromkeys(keys)
                 if len(self._moments.get(k, ())) < n_moments]
         if todo:
-            self._sparse_only("moments")
             self._moment_pass(todo, n_moments)
         return [self._moments[k][:n_moments] for k in keys]
 
@@ -365,44 +424,49 @@ class SystemContext:
             "moments": n_moments, "block_matvecs": matvecs,
             "max_moment_ratio": ratio})
 
-    def filtered_vector(self, g: GFilter, v: np.ndarray) -> np.ndarray:
-        """g(H - E0) v through the dense oracle."""
-        if self.dense is None:
-            raise ValueError("dense oracle unavailable at this dimension")
-        amps = self.dense.eigenvectors.conj().T @ v
-        return self.dense.eigenvectors @ (g(self.excitation) * amps)
+    def prefetch(self, wanted) -> None:
+        """One moment pass over a point's keys, as deep as its filters need."""
+        orders = [max(e.degree for e in self.filter_expansions(g)) + 1
+                  for g, _ in wanted]
+        if orders:
+            self.moments([key for _, keys in wanted for key in keys],
+                         max(orders))
 
-    def hamiltonian(self, n, axis: int) -> SparseHermitianOperator:
-        """The H that sk_phi(n, axis) is a vector of: the full H on the
-        dense path, block (1, q) of `_block_q` on the sparse path."""
-        return self.H if self.dense is not None else \
-            self.block(self._block_q(n, axis))
+    def forms(self, g: GFilter, keys) -> list:
+        """Each (num_k, den_k) within its expansion's sup error * ||v||^2."""
+        den_exp, num_exp = self.filter_expansions(g)
+        n_moments = max(den_exp.degree, num_exp.degree) + 1
+        return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu))
+                for mu in self.moments(keys, n_moments)]
 
-    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
-        """(H - E0) v for v = sk_phi(n, axis), or for any vector of the full
-        basis on the dense path."""
-        return self.hamiltonian(n, axis).matvec(v) - self.gs.energy * v
+    def irb_lhs(self, n, axis: int) -> float:
+        """<v, (H - E0)^-1 v> for v = sk_phi(n, axis) by CG on its block,
+        where 1 - P0 is the identity: v lies in M = +-1 and phi0 in M = 0."""
+        v = self.sk_phi(n, axis)
+        x = deflated_solve(self.block(self._block_q(n, axis)), self.gs, v,
+                           tol=self.tol.solver)
+        return float(np.vdot(v, x).real)
 
-    @cached_property
-    def m_B(self) -> float:
-        return staggered_magnetization(self.gs)
+    def window_pieces(self, g: GFilter, n, den_k: float) -> list:
+        """No window pieces: they need the eigensystem."""
+        return []
+
+    def cross_momentum_max(self, g: GFilter, keys) -> None:
+        """Not measured: it needs the eigensystem."""
+        return None
 
     def solver_stats(self) -> dict:
-        """Where the sparse-path numbers come from: the ground-state block
-        and the ground-sector check, the spectral interval, the expansion
-        degrees and sup errors, and the moment passes."""
-        blocks = None
-        if self.sector_lowest is not None:
-            blocks = {
+        """Where the numbers come from: the ground-state block and sector
+        check, the interval, the expansions and the moment passes."""
+        return {
+            "path": "sparse",
+            "blocks": {
                 "ground": {"M": 0, "q": list(self._zero), "dim": self.H.dim,
                            "nnz": self.H.nnz, "energy": self.gs.energy,
                            "residual": self.gs.residual},
                 "lowest": list(self.sector_lowest),
                 "ground_gap": self.ground_gap,
-            }
-        return {
-            "path": "dense" if self.dense is not None else "sparse",
-            "blocks": blocks,
+            },
             "interval": list(self._interval) if self._interval else None,
             "interval_source": INTERVAL_SOURCE if self._interval else None,
             "expansions": [
@@ -415,27 +479,33 @@ class SystemContext:
         }
 
 
+Context = DenseContext | BlockContext
+
+
+def SystemContext(lattice: Lattice, B: float, *,
+                  dense_cap: int = DENSE_CAP_DEFAULT,
+                  tolerances: Tolerances = Tolerances(),
+                  seed: int = SolverOptions.seed) -> Context:
+    """The dense oracle of one (lattice, B) up to `dense_cap` states, its
+    twisted-momentum blocks above; `seed` seeds the blocks' Lanczos runs."""
+    if lattice.hilbert_dim <= dense_cap:
+        return DenseContext(lattice, B, tolerances, dense_cap)
+    return BlockContext(lattice, B, tolerances, seed)
+
+
 # -- elementary quantities ---------------------------------------------------
 
 def staggered_magnetization(gs: GroundState) -> float:
-    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0>.  On a block the
-    operator is a diagonal, constant on orbits (a one-site shift flips both
-    sigma and, through F, S^(1)), so m_B = N^-1 sum_r |c_r|^2 m(r)."""
+    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0> for a ground state of
+    the full basis."""
     lat = gs.lattice
-    if gs.block is not None:
-        M, q = gs.block
-        orbits = block_rows(lat, M).orbits
-        m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
-                for j in range(lat.n_sites))
-        m = m[orbits.block_basis(q)[1]]
-        return float(np.sum(np.abs(gs.vector) ** 2 * m)) / lat.n_sites
     val = np.vdot(gs.vector, staggered_operator(lat).matvec(gs.vector))
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"staggered magnetization not real: {val}")
     return float(val.real) / lat.n_sites
 
 
-def sum_rule_entry(ctx: SystemContext, n) -> BoundEntry:
+def sum_rule_entry(ctx: Context, n) -> BoundEntry:
     """Check m_B = -i <[S2_{-k}, S3_{Q+k}]> at one grid momentum."""
     lat = ctx.lattice
     n = tuple(n)
@@ -450,7 +520,7 @@ def sum_rule_entry(ctx: SystemContext, n) -> BoundEntry:
                      ctx.tol.algebraic, note)
 
 
-def double_commutator_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
+def double_commutator_entry(ctx: Context, n, axis: int) -> BoundEntry:
     """<[S_{-k}, [H, S_k]]> <= 4 S^2 E_k + B S on the ground state.
 
     With E0 the ground energy, the double commutator reduces to
@@ -468,47 +538,23 @@ def double_commutator_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
     return _upper("double_commutator", n, axis, lhs, rhs, ctx.tol.algebraic)
 
 
-def irb_entry(ctx: SystemContext, n, axis: int) -> BoundEntry:
-    """Infrared bound: <S_{-k} (1-P0)(H-E0)^-1 S_k> <= 1/(2 E_{k+Q}).
-
-    The dense path sums |a|^2 / (E - E0) over the excited eigenstates.  On
-    the sparse path S_k phi0 lies in a block of M = +-1 and phi0 in M = 0,
-    so (1 - P0) is the identity there and CG on H - E0 solves the block."""
+def irb_entry(ctx: Context, n, axis: int) -> BoundEntry:
+    """Infrared bound: <S_{-k} (1-P0)(H-E0)^-1 S_k> <= 1/(2 E_{k+Q}), with
+    the left side from the context (`irb_lhs`)."""
     lat = ctx.lattice
     n = tuple(n)
     if n == lat.q_ordering:
         raise ValueError("infrared bound has no finite right side at k = Q")
     rhs = 1.0 / (2.0 * lat.dispersion(lat.shift_q(n)))
-    if ctx.dense is not None:
-        de = ctx.excitation
-        mask = de > 0
-        lhs = float(np.sum(np.abs(ctx.amplitudes(n, axis)[mask]) ** 2
-                           / de[mask]))
-    else:
-        v = ctx.sk_phi(n, axis)
-        x = deflated_solve(ctx.hamiltonian(n, axis), ctx.gs, v,
-                           tol=ctx.tol.solver)
-        lhs = float(np.vdot(v, x).real)
-    return _upper("irb", n, axis, lhs, rhs, ctx.tol.resolvent)
+    return _upper("irb", n, axis, ctx.irb_lhs(n, axis), rhs,
+                  ctx.tol.resolvent)
 
 
-def filtered_forms(ctx: SystemContext, g: GFilter, keys) -> list:
+def filtered_forms(ctx: Context, g: GFilter, keys) -> list:
     """[(num_k, den_k)] for v = S_k phi0 at each (momentum, axis) key:
-    den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>.
-
-    The dense path sums g^2 |a|^2 and (E - E0) g^2 |a|^2 over the
-    eigensystem.  The sparse path makes one Chebyshev moment pass over
-    every key not yet cached; there each value is within its expansion's
-    sup error times ||v||^2."""
-    if ctx.dense is not None:
-        de = ctx.excitation
-        g2 = g(de) ** 2
-        weights = [g2 * np.abs(ctx.amplitudes(*key)) ** 2 for key in keys]
-        return [(float(np.sum(de * w)), float(np.sum(w))) for w in weights]
-    den_exp, num_exp = ctx.filter_expansions(g)
-    n_moments = max(den_exp.degree, num_exp.degree) + 1
-    return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu))
-            for mu in ctx.moments(keys, n_moments)]
+    den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>, from
+    the context (`forms`)."""
+    return ctx.forms(g, keys)
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
@@ -558,47 +604,29 @@ def _denominator_formula(s: float, B: float, ek: float, ekq: float,
             - (4 * s * s * ek + B * s) / (gamma - dgamma))
 
 
-def window_entries(ctx: SystemContext, g: GFilter, v_min: float, r: float,
+def window_entries(ctx: Context, g: GFilter, v_min: float, r: float,
                    n, den_k: float) -> list[BoundEntry]:
     """Window-decomposition inequalities at momentum n (not 0 or Q), with
-    den_k of S_n^(2) phi0 from `filtered_forms`.
-
-    Emits window_small, window_large (dense oracle only) and the final
-    denominator lower bound D(k, B) <= den_k.  With no dense oracle only the
-    final check runs, and that is recorded in the entry note.
+    den_k of S_n^(2) phi0 from `filtered_forms`: window_small and
+    window_large (`window_pieces`; none without the eigensystem, as the
+    entry note records) and the final denominator bound D(k, B) <= den_k.
     """
     lat = ctx.lattice
     s = lat.spin
     n = tuple(n)
-    eps = g.spec.epsilon
     gamma, dgamma = g.spec.gamma, g.spec.delta_gamma
     ek = lat.dispersion(n)
     ekq = lat.dispersion(lat.shift_q(n))
     if ek <= 1e-12 or ekq <= 1e-12:
         raise ValueError("window bounds need E_k and E_{k+Q} positive")
-    entries: list[BoundEntry] = []
-    tol = ctx.tol.resolvent
-
-    if ctx.dense is not None:
-        amps2 = ctx.amplitudes(n, 2)
-        amps3 = ctx.amplitudes(lat.shift_q(n), 3)
-        small = (ctx.excitation > 0.0) & (ctx.excitation <= 2 * eps)
-        lhs_small = abs(np.sum(np.conj(amps2[small]) * amps3[small]))
-        rhs_small = eps / np.sqrt(ekq * ek)
-        entries.append(_upper("window_small", n, None, lhs_small, rhs_small, tol))
-
-        excited = ctx.excitation > 1e-12
-        lhs_large = abs(np.sum(np.conj(amps2[excited]) * amps3[excited]))
-        rhs_large = rhs_small + ((4 * s * s * ekq + ctx.B * s) / (2 * ek)) ** 0.25 \
-            * np.sqrt(den_k + (4 * s * s * ek + ctx.B * s) / (gamma - dgamma))
-        entries.append(_upper("window_large", n, None, lhs_large, rhs_large, tol))
-
+    entries = ctx.window_pieces(g, n, den_k)
     bracket = ctx.m_B / 2.0 - v_min * r / np.sqrt(ekq * ek)
     d_val = _denominator_formula(s, ctx.B, ek, ekq, bracket, gamma, dgamma)
-    note = "" if ctx.dense is not None else "window pieces skipped (no dense oracle)"
+    note = "" if entries else "window pieces skipped (no dense oracle)"
     if bracket < 0:
         note = (note + "; " if note else "") + "bound not binding (bracket < 0)"
-    entry = _upper("denominator_lower_bound", n, None, d_val, den_k, tol, note)
+    entry = _upper("denominator_lower_bound", n, None, d_val, den_k,
+                   ctx.tol.resolvent, note)
     entries.append(replace(entry, passed=True) if bracket < 0 else entry)
     return entries
 
@@ -638,7 +666,7 @@ def filter_keys(lat: Lattice, wp: WavepacketWeights, groups) -> list:
     return keys
 
 
-def bound_report(ctx: SystemContext, g: GFilter, v_min: float,
+def bound_report(ctx: Context, g: GFilter, v_min: float,
                  r: float) -> BoundReport:
     """Full inequality suite over every grid momentum at one (lattice, B).
 
@@ -664,16 +692,15 @@ def bound_report(ctx: SystemContext, g: GFilter, v_min: float,
     return report
 
 
-def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
+def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
                       v_min: float, mode: str = "zero") -> DispersionRecord:
     """Wavepacket excitation energy Delta E = num / den.
 
     mode "zero" uses hat S_k^(2) at the wavepacket momenta (excitation near
     momentum zero); mode "staggered" shifts every operator momentum by Q.
-    Cross-momentum matrix elements <S_i phi0, f(H - E0) S_j phi0> with
-    f = g^2 and (x - E0) g^2 are measured on the dense path and their largest
-    modulus is carried in the record; they vanish by translation covariance
-    of the rotated frame.
+    The record carries the largest cross-momentum element
+    (`cross_momentum_max`, dense path only); these vanish by translation
+    covariance of the rotated frame.
     """
     if mode not in ("zero", "staggered"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -688,17 +715,6 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         per_k.append(PerMomentum(n, weight, num_k, den_k))
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
-    cross = None
-    if ctx.dense is not None and len(keys) > 1:
-        g2 = g(ctx.excitation) ** 2
-        amps = [ctx.amplitudes(*key) for key in keys]
-        cross = 0.0
-        for i, a in enumerate(amps):
-            for b in amps[i + 1:]:
-                w = g2 * np.conj(a) * b
-                cross = max(cross, abs(np.sum(ctx.excitation * w)),
-                            abs(np.sum(w)))
-        cross = float(cross)
     if den <= 1e-12:
         raise VanishingDenominatorError(
             f"filter window empty for this wavepacket (den = {den:.3e})",
@@ -711,13 +727,13 @@ def excitation_energy(ctx: SystemContext, wp: WavepacketWeights, g: GFilter,
         kappa=spec.kappa, epsilon=g.spec.epsilon, gamma=g.spec.gamma,
         delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx.m_B,
         numerator=num, denominator=den, delta_e=delta_e, per_k=per_k,
-        cross_momentum_max=cross)
+        cross_momentum_max=ctx.cross_momentum_max(g, keys))
     if mode == "zero":
         _attach_c0(ctx, record, wp, g, v_min)
     return record
 
 
-def _attach_c0(ctx: SystemContext, record: DispersionRecord,
+def _attach_c0(ctx: Context, record: DispersionRecord,
                wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
     """c0 = min over annulus momenta of D(k, B)/R, and v_max = 2 S^2/c0."""
     lat = ctx.lattice
@@ -739,7 +755,7 @@ def _attach_c0(ctx: SystemContext, record: DispersionRecord,
         record.v_max_estimate = float(2 * s * s / c0) if c0 > 0 else None
 
 
-def qmode_trend(ctx: SystemContext, g: GFilter) -> list:
+def qmode_trend(ctx: Context, g: GFilter) -> list:
     """den_k of the staggered-mode operator at one representative momentum
     per distinct dispersion value, sorted by increasing dispersion.
 

@@ -54,7 +54,6 @@ class GroundState:
     B: float
     lattice: Lattice
     residual: float
-    block: tuple | None = None    # the block (M, q) of the basis; None: full
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +113,12 @@ def _lowest(H: SparseHermitianOperator, opts: SolverOptions):
 
 
 def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
-                 opts: SolverOptions = SolverOptions(),
-                 block: tuple | None = None) -> GroundState:
-    """Lowest eigenpair of H (`_lowest`), with the Rayleigh quotient of the
-    Ritz vector as the energy; `block` names the block (M, q) H acts on
-    (None: full basis)."""
+                 opts: SolverOptions = SolverOptions()) -> GroundState:
+    """Lowest eigenpair of H (`_lowest`); the energy is a Rayleigh quotient."""
     _, v, resid = _lowest(H, opts)
     energy = float(np.real(np.vdot(v, H.matvec(v))))
     return GroundState(energy=energy, vector=v, B=B, lattice=lattice,
-                       residual=resid, block=block)
+                       residual=resid)
 
 
 def lowest_ritz(H: SparseHermitianOperator,

@@ -32,10 +32,10 @@ import numpy as np
 from . import __version__
 from ._blas import blas_threads
 from ._kernels import HAVE_NUMBA, use_numba
-from .analysis import (EpsilonChoiceError, SystemContext,
-                       VanishingDenominatorError, bound_report, choose_epsilon,
-                       excitation_energy, extrapolate_ms, filter_keys,
-                       qmode_trend)
+from .analysis import (Context, DenseContext, EpsilonChoiceError,
+                       SystemContext, VanishingDenominatorError, bound_report,
+                       choose_epsilon, excitation_energy, extrapolate_ms,
+                       filter_keys, qmode_trend)
 from .config import ScanConfig, auto_p_target
 from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
                       build_f)
@@ -201,7 +201,7 @@ def _wavepackets(res: _Outputs, config: ScanConfig, lattice: Lattice,
     return wavepackets
 
 
-def _auto_filter(ctx: SystemContext, wp: WavepacketSpec, config: ScanConfig):
+def _auto_filter(ctx: Context, wp: WavepacketSpec, config: ScanConfig):
     """(GFilter, v_min) for one (lattice, B), or the EpsilonChoiceError that
     says why there is none: epsilon from the sum-rule bracket unless pinned
     in the config."""
@@ -218,31 +218,18 @@ def _auto_filter(ctx: SystemContext, wp: WavepacketSpec, config: ScanConfig):
     return GFilter(FilterSpec(eps, config.gamma, config.delta_gamma)), v_min
 
 
-def _prefetch_moments(ctx: SystemContext, groups, wavepackets,
-                      filters) -> None:
-    """One Chebyshev moment pass per (lattice, B) on the sparse path: every
-    key that the enabled groups ask for, at every wavepacket, to the largest
-    order that any of their filters needs."""
-    keys, orders = [], []
-    groups = set(groups)
-    for (_, _, weights), chosen in zip(wavepackets, filters):
-        new = filter_keys(ctx.lattice, weights, groups)
-        groups.discard("bounds")    # the suite runs at the first wavepacket
-        if new and not isinstance(chosen, EpsilonChoiceError):
-            den, num = ctx.filter_expansions(chosen[0])
-            keys += new
-            orders.append(max(den.degree, num.degree) + 1)
-    if keys:
-        ctx.moments(keys, max(orders))
-
-
-def _point(res: _Outputs, config: ScanConfig, ctx: SystemContext, tag: str,
+def _point(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
            wavepackets) -> None:
     """The bounds and dispersion/qmode stages of one (lattice, B), sharing
-    one filter choice per wavepacket."""
+    one filter choice per wavepacket, announced first with its keys."""
     filters = [_auto_filter(ctx, wp, config) for _, wp, _ in wavepackets]
-    if ctx.dense is None:
-        _prefetch_moments(ctx, config.checks, wavepackets, filters)
+    wanted, groups = [], set(config.checks)
+    for (_, _, weights), chosen in zip(wavepackets, filters):
+        keys = filter_keys(ctx.lattice, weights, groups)
+        groups.discard("bounds")    # the suite runs at the first wavepacket
+        if keys and not isinstance(chosen, EpsilonChoiceError):
+            wanted.append((chosen[0], keys))
+    ctx.prefetch(wanted)
     if "bounds" in config.checks:
         (p0, wp0, _), chosen = wavepackets[0], filters[0]
         if isinstance(chosen, EpsilonChoiceError):
@@ -257,7 +244,7 @@ def _point(res: _Outputs, config: ScanConfig, ctx: SystemContext, tag: str,
                 _dispersion(res, config, ctx, tag, p, weights, *chosen)
 
 
-def _bounds(res: _Outputs, ctx: SystemContext, tag: str, g: GFilter,
+def _bounds(res: _Outputs, ctx: Context, tag: str, g: GFilter,
             v_min: float, r: float) -> None:
     lattice = ctx.lattice
     for e in bound_report(ctx, g, v_min, r).entries:
@@ -268,7 +255,7 @@ def _bounds(res: _Outputs, ctx: SystemContext, tag: str, g: GFilter,
                 passed=e.passed, note=e.note)
 
 
-def _dispersion(res: _Outputs, config: ScanConfig, ctx: SystemContext,
+def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
                 tag: str, p: float, weights, g: GFilter,
                 v_min: float) -> None:
     """Filter samples, wavepacket records and the qmode trend at one
@@ -347,7 +334,7 @@ def _ladder_checks(res: _Outputs, tag: str, fields) -> None:
 
 
 def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
-              contexts) -> None:
+              contexts: list[DenseContext]) -> None:
     g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
                            config.locality_delta_gamma))
     # S^(2) is the real S_x matrix (`operators.SECTOR_AXES`) and H is real,

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from goldstone.analysis import (SystemContext, Tolerances, bound_report,
-                                choose_epsilon, excitation_energy,
-                                filter_keys, filtered_forms, irb_entry,
+from goldstone.analysis import (BlockContext, SystemContext, Tolerances,
+                                bound_report, choose_epsilon,
+                                excitation_energy, filter_keys,
+                                filtered_forms, irb_entry,
                                 qmode_trend, staggered_magnetization)
 from goldstone.config import parse_config_text
 from goldstone.eigensolver import dense_spectrum, ground_state, SolverOptions
@@ -61,7 +62,7 @@ def big():
     t0 = time.time()
     lat = Lattice((4, 4))
     ctx = SystemContext(lat, 0.1, tolerances=Tolerances(chebyshev=1e-6))
-    assert ctx.dense is None
+    assert isinstance(ctx, BlockContext)
     wp, weights, g, v_min = _setup(ctx, np.pi / 2)
     den, num = ctx.filter_expansions(g)
     ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}),

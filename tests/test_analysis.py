@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 
 import goldstone.analysis
 import goldstone.operators
-from goldstone.analysis import (EpsilonChoiceError, SystemContext, Tolerances,
+from goldstone.analysis import (BlockContext, DenseContext,
+                                EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
                                 choose_epsilon, filter_keys,
                                 double_commutator_entry, excitation_energy,
                                 extrapolate_ms, filtered_forms, irb_entry,
                                 qmode_trend, staggered_magnetization,
                                 sum_rule_entry, window_entries)
+from goldstone.config import parse_config_text
 from goldstone.eigensolver import SolverError, lowest_ritz
 from goldstone.operators import build_hamiltonian, fourier_spin
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
+from goldstone.runner import run_scan
 from test_filters import dense_expansion, dense_interval
 from test_operators import expand_block
 
@@ -286,18 +289,23 @@ def test_extrapolate_ms_constant_and_linear():
         extrapolate_ms([0.1, 0.2], [0.1, 0.2])
 
 
-def test_dense_path_has_no_chebyshev_interval(ctx22):
-    """The dense path reads every spectral sum from the eigensystem: it has
-    no interval, expansions or moments."""
-    for call in (ctx22.spectral_bounds, lambda: ctx22.filter_expansions(GF),
-                 lambda: ctx22.moments([((1, 0), 2)], 4)):
-        with pytest.raises(ValueError, match="sparse path"):
-            call()
+@pytest.mark.parametrize("cap,cls,path", [(16, DenseContext, "dense"),
+                                          (15, BlockContext, "sparse")])
+def test_dense_cap_is_the_largest_dense_dimension(lat22, tmp_path, cap, cls,
+                                                  path):
+    """The 2x2 torus (dimension 16) gets the dense oracle at dense_cap = 16
+    and the blocks at dense_cap = 15, in SystemContext and in a scan."""
+    assert type(SystemContext(lat22, 0.1, dense_cap=cap)) is cls
+    cfg = parse_config_text("[scan]\nchecks = bounds\nlattices = 2x2\n"
+                            f"b_ladder = 0.2 0.1\ndense_cap = {cap}\n")
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.exit_code == 0
+    assert [s["path"] for s in result.manifest["solver_stats"]] == [path] * 2
 
 
 def test_sparse_context_skips_window_pieces(lat22):
     ctx = SystemContext(lat22, 0.1, dense_cap=0)
-    assert ctx.dense is None
+    assert isinstance(ctx, BlockContext)
     ((_, den),) = filtered_forms(ctx, GF, [((1, 0), 2)])
     entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0), den)
     assert [e.name for e in entries] == ["denominator_lower_bound"]
@@ -331,7 +339,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     tol = Tolerances(chebyshev=1e-6)
     dense = SystemContext(lat, B, tolerances=tol)
     ctx = SystemContext(lat, B, tolerances=tol, dense_cap=0)
-    assert ctx.dense is None and ctx.gs.block == (0, (0,) * len(extents))
+    assert isinstance(dense, DenseContext) and isinstance(ctx, BlockContext)
     assert abs(ctx.gs.energy - dense.gs.energy) <= 1e-10
     assert abs(ctx.m_B - dense.m_B) <= 1e-9
     momenta = sorted(lat.momenta)
@@ -469,7 +477,7 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     got = ctx.moments(keys, n_moments)
     lo, hi = ctx.spectral_bounds()
     for key, mu in zip(keys, got):
-        H = ctx.hamiltonian(*key)
+        H = ctx.block(ctx._block_q(*key))
         v = ctx.sk_phi(*key)
         ref, _ = chebyshev_moments(H, v[:, None], lo, hi, n_moments)
         assert np.abs(mu - ref[:, 0]).max() <= 1e-12 * ref[0, 0]
@@ -519,7 +527,7 @@ def test_sparse_sk_phi_matches_fourier_spin(lat24):
     """The block coordinates of S_k phi0, expanded to the full basis, are
     the full-basis Fourier mode applied to the expanded phi0."""
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
-    phi = expand_block(lat24, ctx.gs.block, ctx.gs.vector)
+    phi = expand_block(lat24, (0, (0, 0)), ctx.gs.vector)
     for n in lat24.momenta:
         for axis in (2, 3):
             ref = fourier_spin(lat24, n, axis).matvec(phi)

@@ -112,8 +112,7 @@ def block24(lat24):
     """The 2x4 ground state at B = 0.2, solved in block (0, 0), and H on
     block (1, (0, 1)) of M = +-1, which does not hold it."""
     B = 0.2
-    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B,
-                      block=ZERO)
+    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B)
     return gs, build_hamiltonian(lat24, B, (1, (0, 1)))
 
 

@@ -457,7 +457,7 @@ def test_sector_fourier_spin_lands_in_neighbouring_sectors(lat24):
     e^{-i q.a}."""
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
     zero, pair = sector_basis(lat24, (0,)), sector_basis(lat24, (1, -1))
-    phi = expand_block(lat24, ctx.gs.block, ctx.gs.vector)
+    phi = expand_block(lat24, (0, (0, 0)), ctx.gs.vector)
     shifts = list(itertools.product(*map(range, lat24.extents)))
     for a in shifts:
         assert np.abs(phi[zero.codes[_twisted_action(lat24, zero, a)]]
