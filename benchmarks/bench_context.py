@@ -40,7 +40,7 @@ from pathlib import Path
 import goldstone.operators as operators
 from goldstone.analysis import SystemContext, filter_keys
 from goldstone.config import parse_config
-from goldstone.eigensolver import SolverOptions, ground_state, lowest_ritz
+from goldstone.eigensolver import ground_state, lowest_ritz
 from goldstone.filters import WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.operators import (build_hamiltonian, gershgorin_upper,
@@ -70,7 +70,7 @@ def main():
     cfg = parse_config(TORUS)
     lat = Lattice(tuple(int(t) for t in args.extents.split("x")), args.spin)
     B = cfg.b_ladder[0]
-    opts = SolverOptions(tol=cfg.tolerances.solver, seed=cfg.seed)
+    tol, seed = cfg.tolerances.solver, cfg.seed
     zero = (0,) * lat.dimension
     pairs = range(lat.n_sites * lat.two_s // 2 + 1)
     p = cfg.p_values[0]
@@ -115,12 +115,12 @@ def main():
 
     def ground_block():
         H = build_hamiltonian(lat, B, (0, zero))
-        gs = ground_state(H, lat, B, opts)
+        gs = ground_state(H, tol, seed)
         return f"dim {H.dim}, nnz {H.nnz}, E0 = {gs.energy!r}"
 
     def ground_sector():
-        lowest = [lowest_ritz(build_hamiltonian(lat, B, (M, zero)), opts)[0]
-                  for M in pairs[1:]]
+        lowest = [lowest_ritz(build_hamiltonian(lat, B, (M, zero)), tol,
+                              seed)[0] for M in pairs[1:]]
         return f"lowest of M = 1: {lowest[0]!r}"
 
     def pass_blocks():

@@ -21,7 +21,7 @@ import argparse
 import time
 
 # goldstone before numpy, so the timings run on the scan's one BLAS thread
-from goldstone.eigensolver import SolverOptions, ground_state
+from goldstone.eigensolver import ground_state
 from goldstone.lattice import Lattice
 from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
                                  direct_sum)
@@ -86,7 +86,7 @@ def main():
 
     if args.lanczos:
         t0 = time.perf_counter()
-        gs = ground_state(H, lat, args.field, SolverOptions())
+        gs = ground_state(H)
         print(f"  ground state in {time.perf_counter() - t0:.2f}s "
               f"(E0 = {gs.energy:.10f})")
 

@@ -31,6 +31,6 @@ from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401
                           deflated_solve, dense_spectrum, ground_state)
 from .filters import (FilterSpec, GFilter, WavepacketSpec,  # noqa: F401
                       build_f, smoothstep)
-from .analysis import (BoundEntry, BoundReport, DispersionRecord,  # noqa: F401
+from .analysis import (BoundEntry, DispersionRecord,  # noqa: F401
                        SystemContext, choose_epsilon, excitation_energy,
-                       extrapolate_ms, staggered_magnetization)
+                       extrapolate_ms)

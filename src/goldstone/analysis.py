@@ -12,14 +12,14 @@ moments, or from CG, on the twisted-momentum block of S_k phi0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .eigensolver import (DENSE_CAP_DEFAULT, GroundState, SolverOptions,
-                          check_ground_sector, deflated_solve, dense_spectrum,
-                          ground_state, lowest_ritz)
+from .eigensolver import (DENSE_CAP_DEFAULT, SEED_DEFAULT, SOLVER_TOL_DEFAULT,
+                          GroundState, check_ground_sector, deflated_solve,
+                          dense_spectrum, ground_state, lowest_ritz)
 from .filters import (GFilter, SpectrumEnclosureError, WavepacketSpec,
                       WavepacketWeights, build_f, chebyshev_moments,
                       make_chebyshev_expansion, spectral_interval)
@@ -32,19 +32,16 @@ from .operators import (SparseHermitianOperator, block_rows,
 __all__ = [
     "Tolerances",
     "BoundEntry",
-    "BoundReport",
     "DispersionRecord",
     "SystemContext", "DenseContext", "BlockContext",
     "filter_keys",
     "EpsilonChoiceError",
     "VanishingDenominatorError",
-    "staggered_magnetization",
     "sum_rule_entry",
     "double_commutator_entry",
     "irb_entry",
     "window_entries",
     "bound_report",
-    "filtered_forms",
     "choose_epsilon",
     "excitation_energy",
     "qmode_trend",
@@ -73,7 +70,7 @@ class VanishingDenominatorError(RuntimeError):
 class Tolerances:
     algebraic: float = 1e-10     # operator identities, sum rules
     resolvent: float = 1e-8      # solver- and filter-limited comparisons
-    solver: float = 1e-10        # iterative solve relative residual
+    solver: float = SOLVER_TOL_DEFAULT  # iterative solve relative residual
     chebyshev: float = 1e-8      # uniform filter-approximation error
 
 
@@ -95,21 +92,6 @@ class BoundEntry:
 
 
 @dataclass
-class BoundReport:
-    lattice_extents: tuple
-    spin: float
-    B: float
-    entries: list = field(default_factory=list)
-
-    def add(self, entry: BoundEntry) -> None:
-        self.entries.append(entry)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-@dataclass
 class PerMomentum:
     momentum: tuple
     weight: float
@@ -119,7 +101,6 @@ class PerMomentum:
 
 @dataclass
 class DispersionRecord:
-    lattice_extents: tuple
     spin: float
     B: float
     mode: str                   # "zero" (around k = 0) or "staggered" (around Q)
@@ -162,15 +143,20 @@ class DenseContext:
         self.H = build_hamiltonian(lattice, B)
         self.dense = dense_spectrum(self.H, dense_cap)
         self.gs = GroundState(float(self.dense.eigenvalues[0]),
-                              self.dense.eigenvectors[:, 0].copy(), B,
-                              lattice, residual=0.0)
+                              self.dense.eigenvectors[:, 0].copy(),
+                              residual=0.0)
         self.excitation = self.dense.eigenvalues - self.gs.energy  # E - E0
         self._sk_cache: dict = {}
         self._amplitudes: dict = {}
 
     @cached_property
     def m_B(self) -> float:
-        return staggered_magnetization(self.gs)
+        """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0>."""
+        v = self.gs.vector
+        val = np.vdot(v, staggered_operator(self.lattice).matvec(v))
+        if abs(val.imag) > 1e-12:
+            raise ArithmeticError(f"staggered magnetization not real: {val}")
+        return float(val.real) / self.lattice.n_sites
 
     def sk_phi(self, n, axis: int) -> np.ndarray:
         """hat S_n^(axis) |phi0>, a vector of the full basis, cached."""
@@ -201,7 +187,9 @@ class DenseContext:
         """Nothing to prepare: every form is a sum over the eigensystem."""
 
     def forms(self, g: GFilter, keys) -> list:
-        """Sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem."""
+        """[(num_k, den_k)] of v = S_k phi0 at each (momentum, axis) key,
+        den_k = <v, g^2(H - E0) v> and num_k = <v, (H - E0) g^2(H - E0) v>:
+        sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem."""
         de = self.excitation
         g2 = g(de) ** 2
         weights = [g2 * np.abs(self.amplitudes(*key)) ** 2 for key in keys]
@@ -256,11 +244,11 @@ class BlockContext:
     def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances,
                  seed: int):
         self.lattice, self.B, self.tol = lattice, B, tolerances
-        self.solver_opts = SolverOptions(tol=tolerances.solver, seed=seed)
+        self.seed = seed
         self._zero = (0,) * lattice.dimension
         self._blocks: dict = {}
         self.H = build_hamiltonian(lattice, B, (0, self._zero))
-        self.gs = ground_state(self.H, lattice, B, self.solver_opts)
+        self.gs = ground_state(self.H, tolerances.solver, seed)
         self._check_ground_sector()
         self._sk_cache: dict = {}
         self._interval: tuple[float, float] | None = None
@@ -288,7 +276,7 @@ class BlockContext:
         for M in range(1, top + 1):
             H_m = self.block(self._zero) if M == 1 else \
                 build_hamiltonian(lat, self.B, (M, self._zero))
-            theta, resid = lowest_ritz(H_m, self.solver_opts)
+            theta, resid = lowest_ritz(H_m, self.tol.solver, self.seed)
             self.sector_lowest.append(
                 {"M": M, "q": list(self._zero), "dim": H_m.dim,
                  "nnz": H_m.nnz, "ritz": theta, "residual": resid})
@@ -443,8 +431,8 @@ class BlockContext:
         """<v, (H - E0)^-1 v> for v = sk_phi(n, axis) by CG on its block,
         where 1 - P0 is the identity: v lies in M = +-1 and phi0 in M = 0."""
         v = self.sk_phi(n, axis)
-        x = deflated_solve(self.block(self._block_q(n, axis)), self.gs, v,
-                           tol=self.tol.solver)
+        x = deflated_solve(self.block(self._block_q(n, axis)),
+                           self.gs.energy, v, self.tol.solver)
         return float(np.vdot(v, x).real)
 
     def window_pieces(self, g: GFilter, n, den_k: float) -> list:
@@ -485,7 +473,7 @@ Context = DenseContext | BlockContext
 def SystemContext(lattice: Lattice, B: float, *,
                   dense_cap: int = DENSE_CAP_DEFAULT,
                   tolerances: Tolerances = Tolerances(),
-                  seed: int = SolverOptions.seed) -> Context:
+                  seed: int = SEED_DEFAULT) -> Context:
     """The dense oracle of one (lattice, B) up to `dense_cap` states, its
     twisted-momentum blocks above; `seed` seeds the blocks' Lanczos runs."""
     if lattice.hilbert_dim <= dense_cap:
@@ -494,16 +482,6 @@ def SystemContext(lattice: Lattice, B: float, *,
 
 
 # -- elementary quantities ---------------------------------------------------
-
-def staggered_magnetization(gs: GroundState) -> float:
-    """m_B = N^-1 sum_x sigma(x) <phi0| S_x^(1) |phi0> for a ground state of
-    the full basis."""
-    lat = gs.lattice
-    val = np.vdot(gs.vector, staggered_operator(lat).matvec(gs.vector))
-    if abs(val.imag) > 1e-12:
-        raise ArithmeticError(f"staggered magnetization not real: {val}")
-    return float(val.real) / lat.n_sites
-
 
 def sum_rule_entry(ctx: Context, n) -> BoundEntry:
     """Check m_B = -i <[S2_{-k}, S3_{Q+k}]> at one grid momentum."""
@@ -548,13 +526,6 @@ def irb_entry(ctx: Context, n, axis: int) -> BoundEntry:
     rhs = 1.0 / (2.0 * lat.dispersion(lat.shift_q(n)))
     return _upper("irb", n, axis, ctx.irb_lhs(n, axis), rhs,
                   ctx.tol.resolvent)
-
-
-def filtered_forms(ctx: Context, g: GFilter, keys) -> list:
-    """[(num_k, den_k)] for v = S_k phi0 at each (momentum, axis) key:
-    den_k = <v, g^2(H - E0) v>, num_k = <v, (H - E0) g^2(H - E0) v>, from
-    the context (`forms`)."""
-    return ctx.forms(g, keys)
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
@@ -607,7 +578,7 @@ def _denominator_formula(s: float, B: float, ek: float, ekq: float,
 def window_entries(ctx: Context, g: GFilter, v_min: float, r: float,
                    n, den_k: float) -> list[BoundEntry]:
     """Window-decomposition inequalities at momentum n (not 0 or Q), with
-    den_k of S_n^(2) phi0 from `filtered_forms`: window_small and
+    den_k of S_n^(2) phi0 from the context's `forms`: window_small and
     window_large (`window_pieces`; none without the eigensystem, as the
     entry note records) and the final denominator bound D(k, B) <= den_k.
     """
@@ -667,7 +638,7 @@ def filter_keys(lat: Lattice, wp: WavepacketWeights, groups) -> list:
 
 
 def bound_report(ctx: Context, g: GFilter, v_min: float,
-                 r: float) -> BoundReport:
+                 r: float) -> list[BoundEntry]:
     """Full inequality suite over every grid momentum at one (lattice, B).
 
     Because the grid is closed under the Q-shift, this also certifies the
@@ -675,20 +646,19 @@ def bound_report(ctx: Context, g: GFilter, v_min: float,
     at momentum k coincide entry for entry with the zero-mode chain at k+Q.
     """
     lat = ctx.lattice
-    report = BoundReport(lat.extents, lat.spin, ctx.B)
+    report = []
     q = lat.q_ordering
     window = _window_momenta(lat)
     dens = {n: den for n, (_, den) in
-            zip(window, filtered_forms(ctx, g, [(n, 2) for n in window]))}
+            zip(window, ctx.forms(g, [(n, 2) for n in window]))}
     for n in lat.momenta:
-        report.add(sum_rule_entry(ctx, n))
+        report.append(sum_rule_entry(ctx, n))
         for axis in (2, 3):
-            report.add(double_commutator_entry(ctx, n, axis))
+            report.append(double_commutator_entry(ctx, n, axis))
             if n != q:
-                report.add(irb_entry(ctx, n, axis))
+                report.append(irb_entry(ctx, n, axis))
         if n in dens:
-            report.entries.extend(window_entries(ctx, g, v_min, r, n,
-                                                 dens[n]))
+            report += window_entries(ctx, g, v_min, r, n, dens[n])
     return report
 
 
@@ -707,7 +677,7 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     lat = ctx.lattice
     items = sorted(wp.weights.items())
     keys = _mode_keys(lat, wp, mode)
-    forms = filtered_forms(ctx, g, keys)
+    forms = ctx.forms(g, keys)
     num = 0.0
     den = 0.0
     per_k = []
@@ -722,9 +692,9 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     delta_e = num / den
     spec = wp.spec
     record = DispersionRecord(
-        lattice_extents=lat.extents, spin=lat.spin, B=ctx.B,
-        mode=mode, p_target=spec.p, annulus_radius=spec.annulus_radius,
-        kappa=spec.kappa, epsilon=g.spec.epsilon, gamma=g.spec.gamma,
+        spin=lat.spin, B=ctx.B, mode=mode, p_target=spec.p,
+        annulus_radius=spec.annulus_radius, kappa=spec.kappa,
+        epsilon=g.spec.epsilon, gamma=g.spec.gamma,
         delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx.m_B,
         numerator=num, denominator=den, delta_e=delta_e, per_k=per_k,
         cross_momentum_max=ctx.cross_momentum_max(g, keys))
@@ -764,7 +734,7 @@ def qmode_trend(ctx: Context, g: GFilter) -> list:
     """
     lat = ctx.lattice
     reps = _trend_representatives(lat)
-    forms = filtered_forms(ctx, g, [(lat.shift_q(n), 2) for _, n in reps])
+    forms = ctx.forms(g, [(lat.shift_q(n), 2) for _, n in reps])
     return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]
 
 

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .analysis import Tolerances
-from .eigensolver import DENSE_CAP_DEFAULT
+from .eigensolver import DENSE_CAP_DEFAULT, SEED_DEFAULT
 from .filters import FilterSpec, WavepacketSpec
 from .lattice import Lattice
 
@@ -32,7 +32,7 @@ class ScanConfig:
     b_ladder: list = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
     checks: tuple = CHECK_GROUPS
     dense_cap: int = DENSE_CAP_DEFAULT
-    seed: int = 7
+    seed: int = SEED_DEFAULT
     p_values: list | str = "auto"
     kappa: float | str = "auto"
     filter_epsilon: float | str = "auto"

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
 from .operators import CSROperator, FullBasisOperator, SparseHermitianOperator
 
 __all__ = [
     "GroundState",
     "SpectralDecomposition",
-    "SolverOptions",
     "SolverError",
     "ground_state",
     "dense_spectrum",
@@ -33,6 +31,8 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 4096
+SOLVER_TOL_DEFAULT = 1e-10      # Ritz and CG residual target, relative
+SEED_DEFAULT = 7                # seeds each Lanczos start vector
 MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
 MAX_RESTARTS = 60
 
@@ -41,18 +41,10 @@ class SolverError(RuntimeError):
     """Breakdown or non-convergence; callers must treat as inconclusive."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10              # Ritz residual target, relative to ||H||
-    seed: int = 7
-
-
 @dataclass(frozen=True, eq=False)
 class GroundState:
     energy: float
     vector: np.ndarray
-    B: float
-    lattice: Lattice
     residual: float
 
 
@@ -91,16 +83,16 @@ def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
         basis[m + 1] = w / beta
 
 
-def _lowest(H: SparseHermitianOperator, opts: SolverOptions):
+def _lowest(H: SparseHermitianOperator, tol: float, seed: int):
     """(theta, v, residual): H's lowest Ritz value by Lanczos, restarted
     from each sweep's best Ritz vector until the residual estimate reaches
-    opts.tol * max(1, row_sum_bound(H)); its unit Ritz vector; and
+    tol * max(1, row_sum_bound(H)); its unit Ritz vector; and
     ||H v - theta v||.  The seeded start is complex only for a complex H."""
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(H.dim)
     if np.iscomplexobj(H.data):
         v = v + 1j * rng.standard_normal(H.dim)
-    target = opts.tol * max(1.0, row_sum_bound(H))
+    target = tol * max(1.0, row_sum_bound(H))
     for _ in range(MAX_RESTARTS):
         converged, theta, v = _lanczos_sweep(H, v, target)
         if converged:
@@ -112,19 +104,18 @@ def _lowest(H: SparseHermitianOperator, opts: SolverOptions):
         f"{MAX_RESTARTS} restarts of basis {MAX_BASIS}")
 
 
-def ground_state(H: SparseHermitianOperator, lattice: Lattice, B: float,
-                 opts: SolverOptions = SolverOptions()) -> GroundState:
+def ground_state(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
+                 seed: int = SEED_DEFAULT) -> GroundState:
     """Lowest eigenpair of H (`_lowest`); the energy is a Rayleigh quotient."""
-    _, v, resid = _lowest(H, opts)
+    _, v, resid = _lowest(H, tol, seed)
     energy = float(np.real(np.vdot(v, H.matvec(v))))
-    return GroundState(energy=energy, vector=v, B=B, lattice=lattice,
-                       residual=resid)
+    return GroundState(energy=energy, vector=v, residual=resid)
 
 
-def lowest_ritz(H: SparseHermitianOperator,
-                opts: SolverOptions = SolverOptions()) -> tuple[float, float]:
+def lowest_ritz(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
+                seed: int = SEED_DEFAULT) -> tuple[float, float]:
     """(theta, residual) of H's lowest Ritz vector (`_lowest`)."""
-    theta, _, resid = _lowest(H, opts)
+    theta, _, resid = _lowest(H, tol, seed)
     return theta, resid
 
 
@@ -162,8 +153,8 @@ def dense_spectrum(H: FullBasisOperator,
     return SpectralDecomposition(evals, evecs)
 
 
-def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
-                   rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def deflated_solve(H: SparseHermitianOperator, e0: float, rhs: np.ndarray,
+                   tol: float = SOLVER_TOL_DEFAULT) -> np.ndarray:
     """Solve (H - E0) x = rhs by conjugate gradients on a symmetry block H
     that does not hold the ground state.
 
@@ -172,7 +163,6 @@ def deflated_solve(H: SparseHermitianOperator, gs: GroundState,
     Breakdown (vanishing gap relative to `tol`) raises SolverError rather
     than returning a silent wrong answer.
     """
-    e0 = gs.energy
     bnorm = np.linalg.norm(rhs)
     if bnorm <= 1e-14:
         return np.zeros_like(rhs)

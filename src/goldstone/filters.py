@@ -147,10 +147,6 @@ class WavepacketWeights:
     weights: dict          # momentum label -> weight > 0
     annulus: tuple         # labels in the closed annulus [R/2, R]
 
-    @property
-    def support(self) -> tuple:
-        return tuple(self.weights)
-
     def sample_table(self, n: int = 2001) -> np.ndarray:
         xs = np.linspace(0.0, 1.25 * self.spec.annulus_radius, n)
         return np.column_stack([xs, self.spec.profile(xs)])

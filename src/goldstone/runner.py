@@ -247,7 +247,7 @@ def _point(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
 def _bounds(res: _Outputs, ctx: Context, tag: str, g: GFilter,
             v_min: float, r: float) -> None:
     lattice = ctx.lattice
-    for e in bound_report(ctx, g, v_min, r).entries:
+    for e in bound_report(ctx, g, v_min, r):
         res.row("bounds", lattice=tag, spin=lattice.spin, B=ctx.B,
                 name=e.name, axis=e.axis, n=_label(e.momentum),
                 k=_kcols(lattice, e.momentum), lhs=e.lhs, rhs=e.rhs,

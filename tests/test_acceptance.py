@@ -12,11 +12,10 @@ import pytest
 
 from goldstone.analysis import (BlockContext, SystemContext, Tolerances,
                                 bound_report, choose_epsilon,
-                                excitation_energy, filter_keys,
-                                filtered_forms, irb_entry,
-                                qmode_trend, staggered_magnetization)
+                                excitation_energy, filter_keys, irb_entry,
+                                qmode_trend)
 from goldstone.config import parse_config_text
-from goldstone.eigensolver import dense_spectrum, ground_state, SolverOptions
+from goldstone.eigensolver import dense_spectrum, ground_state
 from goldstone.filters import FilterSpec, GFilter, WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.locality import (b_continuity, delta_decomposition,
@@ -87,7 +86,7 @@ def test_criterion_1_inequality_suite(ladders):
         for b, ctx in by_b.items():
             wp, _, g, v_min = _setup(ctx, p)
             report = bound_report(ctx, g, v_min, wp.annulus_radius)
-            for e in report.entries:
+            for e in report:
                 total += 1
                 if e.margin < -tolerances[e.name]:
                     failures.append((extents, b, e.name, e.momentum, e.margin))
@@ -104,14 +103,13 @@ def test_criterion_2_oracle_equivalence(ladders):
     # Lanczos ground energies against the dense oracle
     ring4 = Lattice((4,))
     h_ring = build_hamiltonian(ring4, 0.0)
-    e_l = ground_state(h_ring, ring4, 0.0).energy
+    e_l = ground_state(h_ring).energy
     e_d = dense_spectrum(h_ring).eigenvalues[0]
     if abs(e_l - e_d) > 1e-10:
         failures.append(("lanczos", "ring4", abs(e_l - e_d)))
     for extents, by_b in ladders.items():
         for b, ctx in by_b.items():
-            gs = ground_state(ctx.H, ctx.lattice, b,
-                              SolverOptions(tol=1e-12))
+            gs = ground_state(ctx.H, 1e-12)
             if abs(gs.energy - ctx.gs.energy) > 1e-10:
                 failures.append(("lanczos", extents, b,
                                  abs(gs.energy - ctx.gs.energy)))
@@ -136,10 +134,9 @@ def test_criterion_2_oracle_equivalence(ladders):
                         failures.append(("resolvent", extents, b, n, axis,
                                          abs(lhs - ref)))
             wp, weights, g, v_min = _setup(dense, p)
-            keys = [(n, 2) for n in weights.support]
+            keys = [(n, 2) for n in weights.weights]
             for n, (num_c, den_c), (num_d, den_d) in zip(
-                    weights.support, filtered_forms(ctx, g, keys),
-                    filtered_forms(dense, g, keys)):
+                    weights.weights, ctx.forms(g, keys), dense.forms(g, keys)):
                 if abs(num_c - num_d) > 1e-8 or abs(den_c - den_d) > 1e-8:
                     failures.append(("chebyshev", extents, b, n,
                                      abs(num_c - num_d), abs(den_c - den_d)))
@@ -300,7 +297,7 @@ def test_criterion_7_physics_sanity(ladders):
     failures = []
     lat22 = ladders[(2, 2)][0.4].lattice
     ctx0 = SystemContext(lat22, 0.0)
-    m0 = staggered_magnetization(ctx0.gs)
+    m0 = ctx0.m_B
     if abs(m0) > 1e-10:
         failures.append(("m_B_at_zero_field", m0))
     for extents, by_b in ladders.items():
@@ -315,7 +312,7 @@ def test_criterion_7_physics_sanity(ladders):
             if lo_slope - hi_slope > 1e-10:
                 failures.append(("concavity", extents, bs[i]))
     ring4 = Lattice((4,))
-    e0 = ground_state(build_hamiltonian(ring4, 0.0), ring4, 0.0).energy
+    e0 = ground_state(build_hamiltonian(ring4, 0.0)).energy
     if abs(e0 + 2.0) > 1e-10:
         failures.append(("ring4_energy", e0))
     _announce(7, "physics sanity", failures)

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldstone.analysis
+import goldstone.eigensolver
 import goldstone.operators
 from goldstone.analysis import (BlockContext, DenseContext,
                                 EpsilonChoiceError, SystemContext, Tolerances,
                                 VanishingDenominatorError, bound_report,
                                 choose_epsilon, filter_keys,
                                 double_commutator_entry, excitation_energy,
-                                extrapolate_ms, filtered_forms, irb_entry,
-                                qmode_trend, staggered_magnetization,
+                                extrapolate_ms, irb_entry, qmode_trend,
                                 sum_rule_entry, window_entries)
-from goldstone.config import parse_config_text
+from goldstone.config import ScanConfig, parse_config_text
 from goldstone.eigensolver import SolverError, lowest_ritz
 from goldstone.operators import build_hamiltonian, fourier_spin
 from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
@@ -31,16 +31,16 @@ GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
 
 def test_m_b_vanishes_without_field(lat22):
     ctx = SystemContext(lat22, 0.0)
-    assert abs(staggered_magnetization(ctx.gs)) <= 1e-10
+    assert abs(ctx.m_B) <= 1e-10
 
 
 def test_m_b_golden_value(ctx22, golden):
-    assert staggered_magnetization(ctx22.gs) == pytest.approx(
+    assert ctx22.m_B == pytest.approx(
         golden["m_b_2x2_B0.1"], abs=1e-10)
 
 
 def test_m_b_saturates_toward_spin(lat22):
-    values = [staggered_magnetization(SystemContext(lat22, b).gs)
+    values = [SystemContext(lat22, b).m_B
               for b in (1.0, 4.0, 16.0)]
     assert values[0] < values[1] < values[2] < 0.5
     assert values[2] > 0.45
@@ -93,7 +93,7 @@ def test_irb_rejects_ordering_momentum(ctx22):
 
 def test_filtered_moments_match_spectral_sums(ctx22):
     n = (1, 0)
-    ((num, den),) = filtered_forms(ctx22, GF, [(n, 2)])
+    ((num, den),) = ctx22.forms(GF, [(n, 2)])
     # the quadratic forms of the filtered vector w = g(H - E0) S_k phi0
     w = ctx22.filtered_vector(GF, ctx22.sk_phi(n, 2))
     assert den == pytest.approx(float(np.vdot(w, w).real), abs=1e-12)
@@ -186,7 +186,7 @@ def test_window_entries_pass(ctx22):
     v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
                                 gamma=3.0, delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
-    ((_, den),) = filtered_forms(ctx22, g, [((1, 0), 2)])
+    ((_, den),) = ctx22.forms(g, [((1, 0), 2)])
     entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0), den)
     names = [e.name for e in entries]
     assert names == ["window_small", "window_large", "denominator_lower_bound"]
@@ -209,12 +209,12 @@ def test_bound_report_composition(ctx22):
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     report = bound_report(ctx22, g, v_min, wp.annulus_radius)
     counts = {}
-    for e in report.entries:
+    for e in report:
         counts[e.name] = counts.get(e.name, 0) + 1
     assert counts == {"sum_rule": 4, "double_commutator": 8, "irb": 6,
                       "window_small": 2, "window_large": 2,
                       "denominator_lower_bound": 2}
-    assert report.all_passed
+    assert all(e.passed for e in report)
 
 
 def _dispersion_setup(ctx, p):
@@ -232,7 +232,7 @@ def test_excitation_energy_record(ctx24, golden):
     assert rec.delta_e >= v_min * rec.annulus_radius
     assert rec.cross_momentum_max <= 1e-10
     assert rec.delta_e == pytest.approx(golden["delta_e_2x4_B0.1"], abs=1e-9)
-    assert {p.momentum for p in rec.per_k} == set(weights.support)
+    assert {p.momentum for p in rec.per_k} == set(weights.weights)
     for p in rec.per_k:
         assert p.weight == 1.0
         assert p.num_k >= rec.epsilon * p.den_k - 1e-12
@@ -274,7 +274,7 @@ def test_vanishing_denominator_diagnostic(ctx22):
     empty = GFilter(FilterSpec(50.0, 200.0, 10.0))
     with pytest.raises(VanishingDenominatorError) as info:
         excitation_energy(ctx22, weights, empty, 0.5, "zero")
-    assert len(info.value.per_momentum) == len(weights.support)
+    assert len(info.value.per_momentum) == len(weights.weights)
 
 
 def test_extrapolate_ms_constant_and_linear():
@@ -306,7 +306,7 @@ def test_dense_cap_is_the_largest_dense_dimension(lat22, tmp_path, cap, cls,
 def test_sparse_context_skips_window_pieces(lat22):
     ctx = SystemContext(lat22, 0.1, dense_cap=0)
     assert isinstance(ctx, BlockContext)
-    ((_, den),) = filtered_forms(ctx, GF, [((1, 0), 2)])
+    ((_, den),) = ctx.forms(GF, [((1, 0), 2)])
     entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0), den)
     assert [e.name for e in entries] == ["denominator_lower_bound"]
     assert "window pieces skipped" in entries[0].note
@@ -321,7 +321,7 @@ def test_moment_guard_rejects_short_interval(lat22):
     g = GFilter(FilterSpec(0.5, 2.0, 0.5))
     with pytest.raises(SpectrumEnclosureError,
                        match=r"\(1, 0\).*does not enclose") as info:
-        filtered_forms(ctx, g, [((1, 0), 2)])
+        ctx.forms(g, [((1, 0), 2)])
     assert f"{lo:.6g}" in str(info.value)
 
 
@@ -355,8 +355,8 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
         assert abs(irb_entry(ctx, n, axis).lhs
                    - irb_entry(dense, n, axis).lhs) <= 1e-8
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
-    ((num, den),) = filtered_forms(ctx, g, [(n, axis)])
-    ((num_d, den_d),) = filtered_forms(dense, g, [(n, axis)])
+    ((num, den),) = ctx.forms(g, [(n, axis)])
+    ((num_d, den_d),) = dense.forms(g, [(n, axis)])
     den_exp, num_exp = ctx.filter_expansions(g)
     assert abs(den - den_d) <= den_exp.sup_error * norm2 + 1e-10
     assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10
@@ -365,9 +365,34 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
 def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
     """A sector M >= 1 reaching below E0 is an error, never a pass."""
     monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
-                        lambda H, opts: (-100.0, 0.0))
+                        lambda H, tol, seed: (-100.0, 0.0))
     with pytest.raises(SolverError, match="M = 1"):
         SystemContext(lat22, 0.1, dense_cap=0)
+
+
+def test_solver_tolerance_and_seed_reach_every_lanczos_run(lat24, tmp_path,
+                                                           monkeypatch):
+    """The config's [tolerances] solver and [scan] seed reach the Lanczos
+    runs of block (0, 0) and of every sector M = 1 .. 4 on the block path;
+    without them SystemContext uses the config defaults."""
+    calls = []
+    lowest = goldstone.eigensolver._lowest
+
+    def spy(H, tol, seed):
+        calls.append((tol, seed))
+        return lowest(H, tol, seed)
+
+    monkeypatch.setattr(goldstone.eigensolver, "_lowest", spy)
+    cfg = parse_config_text("[scan]\nchecks = bounds\nlattices = 2x4\n"
+                            "b_ladder = 0.2\ndense_cap = 100\nseed = 8\n"
+                            "[tolerances]\nsolver = 1e-9\n")
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.manifest["solver_stats"][0]["path"] == "sparse"
+    assert calls == [(1e-9, 8)] * 5
+    calls.clear()
+    SystemContext(lat24, 0.2, dense_cap=0)
+    defaults = ScanConfig()
+    assert calls == [(defaults.tolerances.solver, defaults.seed)] * 5
 
 
 def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
@@ -381,7 +406,7 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
                                 delta_gamma=0.5)
     g = GFilter(FilterSpec(eps, 3.0, 0.5))
     report = bound_report(ctx, g, v_min, wp.annulus_radius)
-    assert report.all_passed
+    assert all(e.passed for e in report)
     excitation_energy(ctx, build_f(wp, lat24), g, v_min, "staggered")
     qmode_trend(ctx, g)
     # the 2 * 56 states of M = +-1 fall into orbits of 8

@@ -157,10 +157,10 @@ def _plant_irb_failure(monkeypatch, field=None):
         report = original(ctx, *args, **kwargs)
         if field is not None and ctx.B != field:
             return report
-        i = next(i for i, e in enumerate(report.entries) if e.name == "irb")
-        e = report.entries[i]
-        report.entries[i] = replace(e, lhs=e.lhs + 1.0,
-                                    margin=e.margin - 1.0, passed=False)
+        i = next(i for i, e in enumerate(report) if e.name == "irb")
+        e = report[i]
+        report[i] = replace(e, lhs=e.lhs + 1.0, margin=e.margin - 1.0,
+                            passed=False)
         return report
 
     monkeypatch.setattr(goldstone.runner, "bound_report", planted)

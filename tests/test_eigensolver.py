@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import goldstone.eigensolver
-from goldstone.eigensolver import (SolverError, SolverOptions,
-                                   check_ground_sector, deflated_solve,
-                                   dense_spectrum, ground_state, lowest_ritz)
+from goldstone.eigensolver import (SolverError, check_ground_sector,
+                                   deflated_solve, dense_spectrum,
+                                   ground_state, lowest_ritz)
 from goldstone.lattice import Lattice
 from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
                                  sector_basis)
@@ -47,7 +47,7 @@ def test_dense_cap_enforced(lat24):
 def test_lanczos_matches_dense(extents, B):
     lat = Lattice(extents)
     H = build_hamiltonian(lat, B)
-    gs = ground_state(H, lat, B)
+    gs = ground_state(H)
     dec = dense_spectrum(H)
     assert abs(gs.energy - dec.eigenvalues[0]) <= 1e-10
     assert abs(np.linalg.norm(gs.vector) - 1.0) <= 1e-12
@@ -57,7 +57,7 @@ def test_lanczos_matches_dense(extents, B):
 
 def test_ring4_energy_is_minus_two(ring4):
     H = build_hamiltonian(ring4, 0.0)
-    gs = ground_state(H, ring4, 0.0)
+    gs = ground_state(H)
     assert gs.energy == pytest.approx(-2.0, abs=1e-10)
 
 
@@ -65,8 +65,8 @@ def test_spectral_shift_invariance(lat22):
     B = 0.1
     H = build_hamiltonian(lat22, B)
     shifted = _sho_from_dense(H.to_dense() + 3.7 * np.eye(H.dim))
-    gs = ground_state(H, lat22, B)
-    gs2 = ground_state(shifted, lat22, B)
+    gs = ground_state(H)
+    gs2 = ground_state(shifted)
     assert gs2.energy == pytest.approx(gs.energy + 3.7, abs=1e-9)
     assert abs(np.vdot(gs.vector, gs2.vector)) == pytest.approx(1.0, abs=1e-10)
 
@@ -80,9 +80,8 @@ def test_ground_state_and_lowest_ritz_share_one_solve(lat22, phased):
         phases = np.exp(1j * np.random.default_rng(5).uniform(0, 6, H.dim))
         H = _sho_from_dense(phases[:, None] * H.to_dense() * phases.conj())
     assert np.iscomplexobj(H.data) == phased
-    opts = SolverOptions(tol=1e-11, seed=3)
-    gs = ground_state(H, lat22, B, opts)
-    theta, resid = lowest_ritz(H, opts)
+    gs = ground_state(H, 1e-11, 3)
+    theta, resid = lowest_ritz(H, 1e-11, 3)
     assert gs.residual == resid
     assert abs(gs.energy - theta) <= 1e-12
     assert np.iscomplexobj(gs.vector) == phased
@@ -93,14 +92,14 @@ def test_lanczos_nonconvergence_error(ring4, monkeypatch):
     monkeypatch.setattr(goldstone.eigensolver, "MAX_RESTARTS", 1)
     H = build_hamiltonian(ring4, 0.0)
     with pytest.raises(SolverError):
-        ground_state(H, ring4, 0.0, SolverOptions(tol=1e-16))
+        ground_state(H, 1e-16)
 
 
 def test_perron_positive_transformed_vector(lat24):
     # H conserves M; on the M = 0 states, where the ground state lies, its
     # sign structure is exactly the sublattice rotation's diagonal for B > 0
     H = build_hamiltonian(lat24, 0.2)
-    gs = ground_state(H, lat24, 0.2)
+    gs = ground_state(H)
     zero = sector_basis(lat24, (0,)).codes
     rotated = (marshall_signs(lat24) * gs.vector.real)[zero]
     rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
@@ -112,7 +111,7 @@ def block24(lat24):
     """The 2x4 ground state at B = 0.2, solved in block (0, 0), and H on
     block (1, (0, 1)) of M = +-1, which does not hold it."""
     B = 0.2
-    gs = ground_state(build_hamiltonian(lat24, B, ZERO), lat24, B)
+    gs = ground_state(build_hamiltonian(lat24, B, ZERO))
     return gs, build_hamiltonian(lat24, B, (1, (0, 1)))
 
 
@@ -120,7 +119,7 @@ def test_deflated_solve_on_excited_eigenvector(block24):
     gs, H = block24
     evals, evecs = np.linalg.eigh(H.to_dense())
     v1 = evecs[:, 1].astype(complex)
-    x = deflated_solve(H, gs, v1)
+    x = deflated_solve(H, gs.energy, v1)
     assert np.linalg.norm(x - v1 / (evals[1] - gs.energy)) <= 1e-8
 
 
@@ -128,7 +127,7 @@ def test_deflated_solve_matches_spectral_sum(block24, rng):
     gs, H = block24
     evals, evecs = np.linalg.eigh(H.to_dense())
     rhs = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
-    lhs = np.vdot(rhs, deflated_solve(H, gs, rhs)).real
+    lhs = np.vdot(rhs, deflated_solve(H, gs.energy, rhs)).real
     expected = np.sum(np.abs(evecs.conj().T @ rhs) ** 2
                       / (evals - gs.energy))
     assert abs(lhs - expected) <= 1e-8 * expected
@@ -139,8 +138,8 @@ def test_deflated_resolvent_self_adjoint(block24, rng):
     gs, H = block24
     a = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     b = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
-    ra = deflated_solve(H, gs, a)
-    rb = deflated_solve(H, gs, b)
+    ra = deflated_solve(H, gs.energy, a)
+    rb = deflated_solve(H, gs.energy, b)
     assert abs(np.vdot(a, rb) - np.conj(np.vdot(b, ra))) <= 1e-8
 
 
@@ -174,7 +173,7 @@ def test_lowest_ritz_and_ground_sector_check(lat24):
 def test_plain_cg_on_a_sector_without_the_ground_state(block24):
     gs, H_pm = block24
     rhs = np.random.default_rng(3).standard_normal(H_pm.dim) + 0j
-    x = deflated_solve(H_pm, gs, rhs, tol=1e-12)
+    x = deflated_solve(H_pm, gs.energy, rhs, tol=1e-12)
     dense = H_pm.to_dense() - gs.energy * np.eye(H_pm.dim)
     assert np.linalg.norm(x - np.linalg.solve(dense, rhs)) <= 1e-9
 

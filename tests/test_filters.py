@@ -90,7 +90,7 @@ def test_grid_weights_4x4(golden):
     lat = Lattice((4, 4))
     wp = WavepacketSpec(np.pi / 2, 2.2)
     weights = build_f(wp, lat)
-    support = sorted(weights.support)
+    support = sorted(weights.weights)
     assert support == [tuple(t) for t in golden["f_support_4x4"]]
     for n in support:
         assert lat.kmag(n) == pytest.approx(np.pi / 2)
