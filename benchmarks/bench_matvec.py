@@ -8,11 +8,11 @@ passes and the infrared-bound CG are all matvec loops.  Run as
                                       [--lanczos]
 
 It times one real and one complex vector on the CSR arrays of the full H
-(the dense path's operator, applied here as a block), then an 8-column
-real block on that matrix, on block (0, 0) that holds the ground state and
-on block (1, 0) of M = +1, -1, and one complex column on the direct sum of
-every twisted-momentum block (1, q), the shape of the sparse path's moment
-pass: a column carries one vector per block, so that row is the cost of one
+(the dense path's operator, applied here as a block), then one real vector
+on that matrix, on block (0, 0) that holds the ground state and on block
+(1, 0) of M = +1, -1, and one complex vector on the direct sum of every
+twisted-momentum block (1, q), the shape of the sparse path's moment pass:
+the vector holds one S_k phi0 per block, so that row is the cost of one
 matvec on N vectors.  `--lanczos` also times a ground-state solve on that
 CSR matrix.
 """
@@ -68,19 +68,16 @@ def main():
     for name, block in (("full", None), ("(0, 0)", (0, zero)),
                         ("(1, 0)", (1, zero))):
         op = H if block is None else build_hamiltonian(lat, args.field, block)
-        columns = rng.standard_normal((op.dim, 8))
-        dt = time_matvec(op, columns, args.reps)
-        print(f"  8-column real block on {name:6s}: dim {op.dim:8d}, nnz "
-              f"{op.nnz:9d}, {dt * 1e3:8.3f} ms ({dt * 1e3 / 8:.3f} ms "
-              "per column)")
+        dt = time_matvec(op, rng.standard_normal(op.dim), args.reps)
+        print(f"  1 real vector on {name:6s}: dim {op.dim:8d}, nnz "
+              f"{op.nnz:9d}, {dt * 1e3:8.3f} ms")
 
     op = direct_sum([build_hamiltonian(lat, args.field, (1, q))
                      for q in lat.momenta])
-    column = rng.standard_normal((op.dim, 1)) \
-        + 1j * rng.standard_normal((op.dim, 1))
-    dt = time_matvec(op, column, args.reps)
+    vector = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    dt = time_matvec(op, vector, args.reps)
     n = len(lat.momenta)
-    print(f"  1 complex column on the {n} momentum blocks of M=+-1: dim "
+    print(f"  1 complex vector on the {n} momentum blocks of M=+-1: dim "
           f"{op.dim:8d}, nnz {op.nnz:9d}, {dt * 1e3:8.3f} ms "
           f"({dt * 1e3 / n:.3f} ms per vector)")
 

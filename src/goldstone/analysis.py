@@ -288,12 +288,11 @@ class BlockContext:
     def m_B(self) -> float:
         """N^-1 sum_r |c_r|^2 m(r): on block (0, 0) the staggered operator is
         a diagonal, constant on orbits (a one-site shift flips both sigma
-        and, through F, S^(1))."""
+        and, through F, S^(1)).  chi_0 = 1, so no representative is masked."""
         lat = self.lattice
         orbits = block_rows(lat, 0).orbits
         m = sum(lat.staggered_signs[j] * orbits.reps.m(j)
                 for j in range(lat.n_sites))
-        m = m[orbits.block_basis(self._zero)[1]]
         return float(np.sum(np.abs(self.gs.vector) ** 2 * m)) / lat.n_sites
 
     # -- vectors ---------------------------------------------------------
@@ -314,16 +313,18 @@ class BlockContext:
     def sk_phi(self, n, axis: int) -> np.ndarray:
         """hat S_n^(axis) |phi0> (axes 2 and 3 only), cached: a vector of
         block (1, q) of `_block_q`, built from the ladder terms into
-        block (0, 0) (`operators.shared_rows`)."""
+        block (0, 0) (`operators.shared_rows`).  No representative of
+        M = +-1 is masked, none having a nontrivial stabiliser: a shift with
+        F flips M, and a plain shift of order k > 1 fixing a state makes k
+        divide M = 1 (or 2M on a ring of N = 2 mod 4, where k = 2 has F)."""
         key = (tuple(n), axis)
         if key not in self._sk_cache:
             _, pair, (t, c, r, w) = shared_rows(self.lattice)
             x = fourier_ladder(self.lattice, n, axis).ravel()[c] * w \
                 * self.gs.vector[r]
             dim = pair.orbits.reps.dim
-            v = np.bincount(t, x.real, dim) + 1j * np.bincount(t, x.imag, dim)
-            _, ok = pair.orbits.block_basis(self._block_q(n, axis))
-            self._sk_cache[key] = v[ok]
+            self._sk_cache[key] = np.bincount(t, x.real, dim) \
+                + 1j * np.bincount(t, x.imag, dim)
         return self._sk_cache[key]
 
     def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
@@ -364,9 +365,9 @@ class BlockContext:
         for each (momentum, axis) key, on the spectral interval.
 
         Every key not yet cached to that order joins one pass: the
-        recurrence runs on the direct sum of the blocks (1, q) the keys need
-        (`block`), one vector per block in a column, and reads the moments
-        from per-block segment dots.
+        recurrence runs on one vector, the keys' vectors end to end, on the
+        direct sum of their blocks (1, q) (`block`) in key order, and reads
+        each key's moments from the dots of its segment.
         """
         keys = [(tuple(n), axis) for n, axis in keys]
         todo = [k for k in dict.fromkeys(keys)
@@ -376,24 +377,14 @@ class BlockContext:
         return [self._moments[k][:n_moments] for k in keys]
 
     def _moment_pass(self, todo: list, n_moments: int) -> None:
-        by_block: dict = {}
-        for key in todo:
-            by_block.setdefault(self._block_q(*key), []).append(key)
-        blocks = [self.block(q) for q in by_block]
+        blocks = [self.block(self._block_q(*key)) for key in todo]
         starts = np.cumsum([0] + [b.dim for b in blocks])
-        block = np.zeros((starts[-1], max(map(len, by_block.values()))),
-                         dtype=complex)
-        slots = {}
-        for i, q in enumerate(by_block):
-            for j, key in enumerate(by_block[q]):
-                block[starts[i]:starts[i + 1], j] = self.sk_phi(*key)
-                slots[key] = (i, j)
         lo, hi = self.spectral_bounds()
-        mu, matvecs = chebyshev_moments(direct_sum(blocks), block, lo, hi,
+        v = np.concatenate([self.sk_phi(*key) for key in todo])
+        mu, matvecs = chebyshev_moments(direct_sum(blocks), v, lo, hi,
                                         n_moments, starts[:-1])
         ratio = 0.0
-        for key, (i, j) in slots.items():
-            col = mu[:, i, j]
+        for key, col in zip(todo, mu.T):
             worst = float(np.abs(col).max())
             if not worst <= col[0] * (1.0 + 1e-10):
                 raise SpectrumEnclosureError(
@@ -405,12 +396,12 @@ class BlockContext:
                 ratio = max(ratio, worst / col[0])
             self._moments[key] = col.copy()
         self._moment_passes.append({
-            "vectors": len(slots),
-            "blocks": [{"M": 1, "q": list(q), "dim": b.dim, "nnz": b.nnz}
-                       for q, b in zip(by_block, blocks)],
-            "dim": int(starts[-1]), "columns": block.shape[1],
-            "moments": n_moments, "block_matvecs": matvecs,
-            "max_moment_ratio": ratio})
+            "vectors": len(todo),
+            "blocks": [{"M": 1, "q": list(self._block_q(*key)),
+                        "dim": b.dim, "nnz": b.nnz}
+                       for key, b in zip(todo, blocks)],
+            "dim": int(starts[-1]), "moments": n_moments,
+            "block_matvecs": matvecs, "max_moment_ratio": ratio})
 
     def prefetch(self, wanted) -> None:
         """One moment pass over a point's keys, as deep as its filters need."""

@@ -69,8 +69,8 @@ class ScanConfig:
             except ValueError as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
         # with gamma <= delta_gamma no epsilon gives a window
-        if not self.gamma > self.delta_gamma > 0:
-            raise ConfigError("filter: need gamma > delta_gamma > 0")
+        if not float("inf") > self.gamma > self.delta_gamma > 0:
+            raise ConfigError("filter: need finite gamma > delta_gamma > 0")
         # the den filter g^2 lies in [0, 1]: a sup error of 1 bounds nothing
         if not 0 < self.tolerances.chebyshev < 1:
             raise ConfigError("filter: chebyshev_tol must lie in (0, 1)")

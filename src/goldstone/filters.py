@@ -83,8 +83,10 @@ class FilterSpec:
     delta_gamma: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.delta_gamma > 0):
-            raise ValueError("epsilon and delta_gamma must be positive")
+        if not (self.epsilon > 0 and self.delta_gamma > 0
+                and self.gamma < np.inf):
+            raise ValueError("epsilon and delta_gamma must be positive and "
+                             "gamma finite")
         if not (2 * self.epsilon < self.gamma - self.delta_gamma):
             raise ValueError(
                 f"need 2*epsilon < gamma - delta_gamma, got "
@@ -215,34 +217,30 @@ class ChebyshevExpansion:
         return w
 
 
-def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
-                      lo: float, hi: float, n_moments: int, offsets=None):
-    """(mu, matvecs): mu[n, j] = <b_j, T_n(H~) b_j> for n < n_moments, with
-    H~ = (2H - (hi + lo)) / (hi - lo), for every column b_j of `block`.
+def chebyshev_moments(H: SparseHermitianOperator, v: np.ndarray,
+                      lo: float, hi: float, n_moments: int, offsets=(0,)):
+    """(mu, matvecs): mu[n, i] = <v_i, T_n(H~) v_i> for n < n_moments, with
+    H~ = (2H - (hi + lo)) / (hi - lo), for the segment v_i of the vector v
+    in each invariant subspace of H, whose start rows are `offsets` (one
+    segment, all of v, by default).
 
     Kernel polynomial method (Weisse, Wellein, Alvermann and Fehske, Rev.
     Mod. Phys. 78, 275 (2006), Sec. II): the recurrence t_{n+1} =
-    2 H~ t_n - t_{n-1} runs on the whole block, and the doubling identities
+    2 H~ t_n - t_{n-1} runs on the whole vector, and the doubling identities
     mu_2n = 2<t_n, t_n> - mu_0 and mu_2n+1 = 2<t_n+1, t_n> - mu_1 give two
-    moments per block matvec.
-
-    With `offsets`, the start rows of the invariant subspaces of a direct
-    sum H, mu[n, i, j] is the moment of the segment of b_j in subspace i.
+    moments per matvec, read by per-segment dots.
     """
     al = 2.0 / (hi - lo)
     be = -(hi + lo) / (hi - lo)
-    starts = [0] if offsets is None else offsets
 
     def dot(a, b):
-        return np.add.reduceat((a.conj() * b).real, starts, axis=0)
+        return np.add.reduceat((a.conj() * b).real, offsets)
 
-    mu = np.empty((n_moments, len(starts), block.shape[1]))
-    out = mu[:, 0] if offsets is None else mu
-    prev = block
-    mu[0] = dot(prev, prev)
+    mu = np.empty((n_moments, len(offsets)))
+    mu[0] = dot(v, v)
     if n_moments == 1:
-        return out, 0
-    cur = al * H.matvec(prev) + be * prev
+        return mu, 0
+    prev, cur = v, al * H.matvec(v) + be * v
     mu[1] = dot(prev, cur)
     matvecs = 1
     n = 1
@@ -258,7 +256,7 @@ def chebyshev_moments(H: SparseHermitianOperator, block: np.ndarray,
         matvecs += 1
         mu[2 * n + 1] = 2.0 * dot(cur, prev) - mu[1]
         n += 1
-    return out, matvecs
+    return mu, matvecs
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:

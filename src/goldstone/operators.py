@@ -11,7 +11,7 @@ backs the dense oracle, and every single-site spin sum on it comes from
 magnetization M and -M at twisted momentum q (`TwistedOrbits`), built from
 orbit representatives without the sector's states or operators.  All
 builders are vectorised.  Blocks and full-basis operators are CSR arrays on
-scipy's compiled kernels (`CSROperator`): one matvec for every solver.
+scipy's compiled kernels (`CSROperator`): one vector matvec for every solver.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def sparsetools(directory: str | None = None):
         spec.loader.exec_module(module)
         sys.modules.pop(spec.name, None)  # `import scipy.sparse` loads it anew
     kernels = ("coo_tocsr csr_has_sorted_indices csr_sort_indices "
-               "csr_sum_duplicates csr_matvec csr_matvecs").split()
+               "csr_sum_duplicates csr_matvec").split()
     missing = [k for k in kernels if not hasattr(module, k)]
     if missing:
         from importlib.metadata import version
@@ -119,23 +119,18 @@ class CSROperator:
         return len(self.data)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for one vector or a 2-D block of columns: csr_matvec on one
-        column, csr_matvecs on more, as csr_matrix does.  A real H times a
-        complex x is two real products, not a complex copy of H per call."""
-        if x.shape[0] != self.dim:
-            raise ValueError(f"length {x.shape[0]} != dimension {self.dim}")
-        dtype = np.result_type(self.data, x)
+        """H @ x for one vector x of shape (dim,), by csr_matvec as
+        csr_matrix runs it.  A real H times a complex x is two real
+        products, not a complex copy of H per call."""
+        if x.shape != (self.dim,):
+            raise ValueError(f"x of shape {x.shape} != ({self.dim},)")
+        out = np.zeros(self.dim, dtype=np.result_type(self.data, x))
         if np.iscomplexobj(x) and not np.iscomplexobj(self.data):
-            out = np.empty(x.shape, dtype=dtype)
             out.real = CSROperator.matvec(self, x.real)  # halves of one call
             out.imag = CSROperator.matvec(self, x.imag)
-            return out
-        out, k, n = np.zeros(x.shape, dtype=dtype), sparsetools(), self.dim
-        args = self.indptr, self.indices, self.data, x.ravel(), out.ravel()
-        if x.ndim == 1 or x.shape[1] == 1:
-            k.csr_matvec(n, n, *args)
         else:
-            k.csr_matvecs(n, n, x.shape[1], *args)
+            sparsetools().csr_matvec(self.dim, self.dim, self.indptr,
+                                     self.indices, self.data, x, out)
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -381,7 +381,7 @@ def test_sparse_scan_reports_solver_stats(tmp_path, monkeypatch):
     assert sorted(b["q"] for b in blocks) == [[0, 1], [1, 0]]
     assert moment_pass["dim"] == sum(b["dim"] for b in blocks)
     assert all(0 < b["dim"] and 0 < b["nnz"] for b in blocks)
-    assert moment_pass["columns"] == 1
+    assert moment_pass["vectors"] == len(blocks)
     assert moment_pass["moments"] == 1 + max(expansion["den_degree"],
                                              expansion["num_degree"])
     assert moment_pass["block_matvecs"] == moment_pass["moments"] // 2
@@ -487,6 +487,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("filter", "v_min_ladder", "-0.5"),
     ("filter", "v_min_ladder", ""),
     ("filter", "gamma", "-1"),
+    ("filter", "gamma", "inf"),
+    ("locality", "gamma", "inf"),
     ("filter", "chebyshev_tol", "0"),
     ("filter", "chebyshev_tol", "-1"),
     ("filter", "chebyshev_tol", "inf"),

@@ -3,6 +3,7 @@ they call the kernels a csr_matrix calls, in its order, so every array and
 every product must equal scipy's bit for bit."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,20 +78,26 @@ def test_from_coo_rejects_entries_outside_the_matrix(rows, cols):
 @pytest.mark.parametrize("complex_x", [False, True])
 @pytest.mark.parametrize("shape", [(DIM,), (DIM, 1), (DIM, 5)])
 def test_matvec_equals_scipy_product(rng, complex_h, complex_x, shape):
+    """A vector, or each column of a block applied on its own, equals
+    scipy's product of the whole block (csr_matvecs on more columns)."""
     entries = coo_entries(rng, complex_h)
     op, csr = SparseHermitianOperator.from_coo(DIM, *entries), \
         scipy_csr(*entries)
     x = rng.standard_normal(shape)
     if complex_x:
         x = x + 1j * rng.standard_normal(shape)
-    assert same(op.matvec(x), csr @ x)
+    got = op.matvec(x) if x.ndim == 1 else \
+        np.column_stack([op.matvec(column) for column in x.T])
+    assert same(got, csr @ x)
 
 
 def test_matvec_rejects_a_wrong_length():
     op = SparseHermitianOperator.from_coo(DIM, np.arange(DIM),
                                           np.arange(DIM), np.ones(DIM))
-    with pytest.raises(ValueError, match="dimension"):
-        op.matvec(np.ones(DIM - 1))
+    for shape in ((DIM - 1,), (DIM, 1), (DIM, 2)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"shape {shape} != ({DIM},)")):
+            op.matvec(np.ones(shape))
 
 
 def test_direct_sum_equals_block_diag(rng):
@@ -180,7 +187,7 @@ def test_real_matrix_complex_vectors_and_blocks(rng):
     x = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     block = rng.standard_normal((H.dim, 6))
     cblock = block + 1j * rng.standard_normal((H.dim, 6))
-    for v in (x, block, cblock):
+    for v in (x, *block.T, *cblock.T):  # the blocks column by column
         got = H.matvec(v)
         assert got.shape == v.shape
         assert got.dtype == np.result_type(H.data, v)

@@ -574,5 +574,20 @@ def test_pair_diagonal_once_per_field(lat24, monkeypatch):
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
     ctx.moments([(n, axis) for n in lat24.momenta for axis in (2, 3)], 8)
     (moment_pass,) = ctx.solver_stats()["moment_passes"]
-    assert len(moment_pass["blocks"]) == len(lat24.momenta)
+    # every block (1, q) holds one axis-2 and one axis-3 vector
+    assert len(moment_pass["blocks"]) == 2 * len(lat24.momenta)
     assert sum(calls) == 1
+
+
+@pytest.mark.parametrize("extents,spin", [
+    ((2, 2), 0.5), ((2, 4), 0.5), ((2, 6), 0.5), ((4, 4), 0.5), ((2,), 0.5),
+    ((6,), 0.5), ((10,), 0.5), ((4,), 1.0), ((2, 4), 1.0)])
+def test_pair_representatives_have_trivial_stabilisers(extents, spin):
+    """The block context masks no representative (`BlockContext.sk_phi`,
+    `m_B`): every one of M = +-1 has a trivial stabiliser, so it carries a
+    basis vector of every block (1, q), and chi_0 = 1 keeps all of M = 0."""
+    lat = Lattice(extents, spin)
+    zero, pair, _ = shared_rows(lat)
+    assert np.all(pair.orbits.size == len(pair.orbits.shifts))
+    assert all(pair.orbits.block_basis(q)[1].all() for q in lat.momenta)
+    assert zero.orbits.block_basis((0,) * lat.dimension)[1].all()
