@@ -79,7 +79,7 @@ def main():
         print(f"lattice {token}: dim {dec.dim}")
         calls = {
             "lr_commutator_profile": lambda: lr_commutator_profile(
-                dec, lat, cfg.locality_times, 2),
+                dec, lat, cfg.locality_times, a),
             "delta_decomposition": lambda: delta_decomposition(smeared, lat),
             "b_continuity": lambda: b_continuity(lat, g, spectra, a),
             "partial_trace_checks": lambda: (

@@ -46,24 +46,22 @@ __all__ = [
     "excitation_energy",
     "qmode_trend",
     "extrapolate_ms",
-    "V_MIN_LADDER_DEFAULT",
+    "V_MIN_LADDER",
 ]
 
-V_MIN_LADDER_DEFAULT = (0.5, 0.25, 0.1, 0.05, 0.025)
+V_MIN_LADDER = (0.5, 0.25, 0.1, 0.05, 0.025)     # descending
 INTERVAL_SOURCE = ("block (1, 0) lowest Ritz value -5% of the width; "
                    "Gershgorin row bound of M = +-1")
 
 
 class EpsilonChoiceError(RuntimeError):
-    """No ladder value gives a positive bracket on the annulus."""
+    """No ladder value gives a positive bracket on the annulus and an
+    epsilon that fits the window."""
 
 
 class VanishingDenominatorError(RuntimeError):
-    """Filter window captures no weight for this wavepacket."""
-
-    def __init__(self, message, per_momentum):
-        super().__init__(message)
-        self.per_momentum = per_momentum
+    """Filter window captures no weight for this wavepacket, or no more
+    than the denominator's certified error."""
 
 
 @dataclass(frozen=True)
@@ -187,13 +185,15 @@ class DenseContext:
         """Nothing to prepare: every form is a sum over the eigensystem."""
 
     def forms(self, g: GFilter, keys) -> list:
-        """[(num_k, den_k)] of v = S_k phi0 at each (momentum, axis) key,
-        den_k = <v, g^2(H - E0) v> and num_k = <v, (H - E0) g^2(H - E0) v>:
-        sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem."""
+        """[(num_k, den_k, err_k)] of v = S_k phi0 at each (momentum, axis)
+        key, den_k = <v, g^2(H - E0) v> and num_k = <v, (H - E0) g^2(H - E0)
+        v>: sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem,
+        so den_k's error err_k is 0."""
         de = self.excitation
         g2 = g(de) ** 2
         weights = [g2 * np.abs(self.amplitudes(*key)) ** 2 for key in keys]
-        return [(float(np.sum(de * w)), float(np.sum(w))) for w in weights]
+        return [(float(np.sum(de * w)), float(np.sum(w)), 0.0)
+                for w in weights]
 
     def irb_lhs(self, n, axis: int) -> float:
         """The sum of |a|^2 / (E - E0) over the excited eigenstates."""
@@ -412,10 +412,13 @@ class BlockContext:
                          max(orders))
 
     def forms(self, g: GFilter, keys) -> list:
-        """Each (num_k, den_k) within its expansion's sup error * ||v||^2."""
+        """Each (num_k, den_k, err_k): num_k and den_k lie within their
+        expansion's sup error * ||v||^2 (the moment mu_0), err_k is that
+        bound for den_k."""
         den_exp, num_exp = self.filter_expansions(g)
         n_moments = max(den_exp.degree, num_exp.degree) + 1
-        return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu))
+        return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu),
+                 den_exp.sup_error * float(mu[0]))
                 for mu in self.moments(keys, n_moments)]
 
     def irb_lhs(self, n, axis: int) -> float:
@@ -520,15 +523,15 @@ def irb_entry(ctx: Context, n, axis: int) -> BoundEntry:
 
 
 def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
-                   ladder=V_MIN_LADDER_DEFAULT, *,
-                   gamma: float | None = None,
-                   delta_gamma: float | None = None):
-    """Pick v_min as the largest ladder fraction of the annulus scale.
+                   gamma: float, delta_gamma: float):
+    """Pick v_min as the largest `V_MIN_LADDER` fraction of the annulus
+    scale whose epsilon = v_min * R fits the window, 2 epsilon < gamma -
+    delta_gamma.
 
     The scale is the largest velocity keeping the sum-rule bracket
     m_B/2 - v R / sqrt(E_{k+Q} E_k) positive at every grid momentum of the
     closed annulus [R/2, R]; ladder entries are fractions of it.  Returns
-    (v_min, epsilon = v_min * R).
+    (v_min, epsilon).
     """
     if m_b <= 0:
         raise EpsilonChoiceError(
@@ -547,17 +550,15 @@ def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
     roots = [np.sqrt(lattice.dispersion(lattice.shift_q(n))
                      * lattice.dispersion(n)) for n in weights.annulus]
     scale = min(m_b * root / (2.0 * r) for root in roots)
-    for frac in sorted(ladder, reverse=True):
+    for frac in V_MIN_LADDER:
         v = frac * scale
         eps = v * r
-        bracket_ok = all(m_b / 2.0 - v * r / root > 0 for root in roots)
-        window_ok = True
-        if gamma is not None and delta_gamma is not None:
-            window_ok = 2 * eps < gamma - delta_gamma
-        if bracket_ok and window_ok:
+        if all(m_b / 2.0 - v * r / root > 0 for root in roots) \
+                and 2 * eps < gamma - delta_gamma:
             return v, eps
     raise EpsilonChoiceError(
-        f"no ladder value keeps the bracket positive (m_B = {m_b:.3e})")
+        f"no ladder value keeps the bracket positive with 2 epsilon < "
+        f"gamma - delta_gamma (m_B = {m_b:.3e})")
 
 
 def _denominator_formula(s: float, B: float, ek: float, ekq: float,
@@ -640,7 +641,7 @@ def bound_report(ctx: Context, g: GFilter, v_min: float,
     report = []
     q = lat.q_ordering
     window = _window_momenta(lat)
-    dens = {n: den for n, (_, den) in
+    dens = {n: den for n, (_, den, _) in
             zip(window, ctx.forms(g, [(n, 2) for n in window]))}
     for n in lat.momenta:
         report.append(sum_rule_entry(ctx, n))
@@ -661,7 +662,8 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     momentum zero); mode "staggered" shifts every operator momentum by Q.
     The record carries the largest cross-momentum element
     (`cross_momentum_max`, dense path only); these vanish by translation
-    covariance of the rotated frame.
+    covariance of the rotated frame.  A den at most 1e-12, or at most the
+    weighted sum of the forms' den errors, raises VanishingDenominatorError.
     """
     if mode not in ("zero", "staggered"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -669,17 +671,17 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     items = sorted(wp.weights.items())
     keys = _mode_keys(lat, wp, mode)
     forms = ctx.forms(g, keys)
-    num = 0.0
-    den = 0.0
+    num = den = den_err = 0.0
     per_k = []
-    for (n, weight), (num_k, den_k) in zip(items, forms):
+    for (n, weight), (num_k, den_k, err_k) in zip(items, forms):
         per_k.append(PerMomentum(n, weight, num_k, den_k))
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
-    if den <= 1e-12:
+        den_err += weight ** 2 * err_k / lat.n_sites
+    if den <= max(1e-12, den_err):
         raise VanishingDenominatorError(
-            f"filter window empty for this wavepacket (den = {den:.3e})",
-            per_k)
+            f"filter window empty for this wavepacket (den = {den:.3e}, "
+            f"certified error {den_err:.3e})")
     delta_e = num / den
     spec = wp.spec
     record = DispersionRecord(
@@ -726,7 +728,7 @@ def qmode_trend(ctx: Context, g: GFilter) -> list:
     lat = ctx.lattice
     reps = _trend_representatives(lat)
     forms = ctx.forms(g, [(lat.shift_q(n), 2) for _, n in reps])
-    return [(float(e), n, den_k) for (e, n), (_, den_k) in zip(reps, forms)]
+    return [(float(e), n, den_k) for (e, n), (_, den_k, _) in zip(reps, forms)]
 
 
 def extrapolate_ms(b_values, m_values) -> dict:
@@ -742,17 +744,9 @@ def extrapolate_ms(b_values, m_values) -> dict:
         raise ValueError("need at least three ladder points")
     order = sorted(range(len(b)), key=lambda i: b[i])
     b, m = b[order], m[order]
-    deg = min(2, len(b) - 1)
-    coeffs = np.polyfit(b, m, deg)
-    fit = np.polyval(coeffs, b)
-    residuals = m - fit
+    coeffs = np.polyfit(b, m, min(2, len(b) - 1))
     return {
         "intercept": float(coeffs[-1]),
-        "coefficients": [float(c) for c in coeffs[::-1]],
-        "degree": deg,
-        "b_values": [float(x) for x in b],
-        "m_values": [float(x) for x in m],
-        "residual_max": float(np.max(np.abs(residuals))),
         "label": "estimate - finite-size extrapolation, not the "
                  "infinite-volume double limit",
     }

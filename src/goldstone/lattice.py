@@ -22,15 +22,19 @@ import numpy as np
 
 __all__ = [
     "Lattice",
+    "MAX_HILBERT_DIM",
     "dispersion_symbol",
 ]
 
+# the largest Hilbert dimension a Lattice accepts: extents and spin come
+# from outside the program, and the builders allocate per basis state
+MAX_HILBERT_DIM = 1 << 26
 
-def dispersion_symbol(k, d: int | None = None) -> float:
-    """Lattice dispersion symbol d - sum_i cos(k_i); lies in [0, 2d]."""
+
+def dispersion_symbol(k) -> float:
+    """Lattice dispersion symbol d - sum_i cos(k_i), d the number of
+    components of k; lies in [0, 2d]."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if d is not None and k.shape[0] != d:
-        raise ValueError(f"momentum has {k.shape[0]} components, expected {d}")
     return float(k.shape[0] - np.sum(np.cos(k)))
 
 
@@ -47,7 +51,6 @@ class Lattice:
 
     extents: tuple[int, ...]
     spin: float = 0.5
-    max_hilbert_dim: int = field(default=1 << 26, compare=False, repr=False)
     sites: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
                                                repr=False)
     bonds: tuple[tuple[int, int], ...] = field(init=False, compare=False,
@@ -68,10 +71,10 @@ class Lattice:
         if two_s < 1 or abs(2 * self.spin - two_s) > 1e-12:
             raise ValueError(f"spin {self.spin} must be a positive half-integer")
         object.__setattr__(self, "spin", two_s / 2.0)
-        if self.hilbert_dim > self.max_hilbert_dim:
+        if self.hilbert_dim > MAX_HILBERT_DIM:
             raise ValueError(
                 f"Hilbert dimension {self.hilbert_dim} exceeds the "
-                f"budget of {self.max_hilbert_dim}")
+                f"budget of {MAX_HILBERT_DIM}")
         sites = tuple(itertools.product(*[range(e) for e in ext]))
         index = {x: i for i, x in enumerate(sites)}
         bonds = set()
@@ -164,7 +167,7 @@ class Lattice:
         return float(np.linalg.norm(self.kvec(n)))
 
     def dispersion(self, n) -> float:
-        return dispersion_symbol(self.kvec(n), self.dimension)
+        return dispersion_symbol(self.kvec(n))
 
     def momentum_on_grid(self, n) -> bool:
         return tuple(n) in set(self.momenta)

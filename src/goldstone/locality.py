@@ -26,7 +26,7 @@ import numpy as np
 from .eigensolver import SpectralDecomposition, dense_spectrum
 from .filters import GFilter
 from .lattice import Lattice
-from .operators import build_hamiltonian, site_spin_operator
+from .operators import build_hamiltonian
 
 __all__ = [
     "DecayFit",
@@ -187,14 +187,14 @@ def _commutator_norm(at: np.ndarray, local: np.ndarray, site: int) -> float:
 
 
 def lr_commutator_profile(dec: SpectralDecomposition, lattice: Lattice,
-                          t_grid, axis: int = 2) -> DecayFit:
-    """Norm samples ||[tau_t(a_0), b_y]|| of a, b = S^(axis), each on
-    a half-size block for spin 1/2 (`_commutator_norm`), by distance class
-    and time, with a dominating K exp(v t) exp(-alpha d) envelope fit.  Per
-    (t, distance) the worst norm over sites at that distance is kept; with
-    fewer than three samples above NORM_FLOOR the envelope is constant.
+                          t_grid, a: np.ndarray) -> DecayFit:
+    """Norm samples ||[tau_t(a), b_y]|| of a site-0 operator a = S^(axis)
+    and b_y its copy at site y, each on a half-size block for spin 1/2
+    (`_commutator_norm`), by distance class and time, with a dominating
+    K exp(v t) exp(-alpha d) envelope fit.  Per (t, distance) the worst norm
+    over sites at that distance is kept; with fewer than three samples above
+    NORM_FLOOR the envelope is constant.
     """
-    a = site_spin_operator(lattice, 0, axis).to_dense()
     # the single-site matrix: a between the states whose digits off site 0
     # (the most significant) are all 0
     step = len(a) // (lattice.two_s + 1)

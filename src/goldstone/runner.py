@@ -166,7 +166,7 @@ def run_scan(config: ScanConfig, out_dir,
         if aborted:
             break
         if "bounds" in groups and len(fields) >= 2:
-            _ladder_checks(res, tag, fields)
+            _ladder_checks(res, tag, fields, config.tolerances.algebraic)
         if groups & {"dispersion", "qmode"} and len(fields) >= 3:
             ms = extrapolate_ms([b for b, _, _ in fields],
                                 [m for _, _, m in fields])
@@ -208,8 +208,7 @@ def _auto_filter(ctx: Context, wp: WavepacketSpec, config: ScanConfig):
     if config.filter_epsilon == "auto":
         try:
             v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
-                                        gamma=config.gamma,
-                                        delta_gamma=config.delta_gamma)
+                                        config.gamma, config.delta_gamma)
         except EpsilonChoiceError as exc:
             return exc
     else:
@@ -260,7 +259,7 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
                 v_min: float) -> None:
     """Filter samples, wavepacket records and the qmode trend at one
     wavepacket."""
-    lattice, B = ctx.lattice, ctx.B
+    lattice, B, tol = ctx.lattice, ctx.B, config.tolerances.algebraic
     for kind, table in (
             ("window", g.sample_table(0.0, 1.2 * g.spec.gamma, 241)),
             ("annulus", weights.sample_table(241))):
@@ -285,8 +284,8 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
                   f"window [{eps:.6g}, {rec.gamma:.6g}]")
         if rec.cross_momentum_max is not None:
             res.check(group, "cross_momentum", tag, B,
-                      rec.cross_momentum_max, 1e-10,
-                      rec.cross_momentum_max <= 1e-10)
+                      rec.cross_momentum_max, tol,
+                      rec.cross_momentum_max <= tol)
         # every dispersion column between the lattice and ms_intercept is
         # a record field of the same name
         res.row("dispersion", lattice=tag, **{
@@ -319,18 +318,19 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
                       "finite-volume inequality")
 
 
-def _ladder_checks(res: _Outputs, tag: str, fields) -> None:
+def _ladder_checks(res: _Outputs, tag: str, fields, tol: float) -> None:
     """The ladder descends in B, so m_B must not increase along it; E0 must
-    be concave in B.  `fields` holds (B, E0, m_B) per field."""
+    be concave in B; both to within `tol`.  `fields` holds (B, E0, m_B) per
+    field."""
     bs, es, ms = zip(*fields)
     res.check("bounds", "m_B_nondecreasing_in_B", tag, None, None, None,
-              all(hi >= lo - 1e-10 for hi, lo in zip(ms, ms[1:])))
+              all(hi >= lo - tol for hi, lo in zip(ms, ms[1:])))
     if len(fields) >= 3:
         worst = max((es[i] - es[i + 1]) / (bs[i] - bs[i + 1])
                     - (es[i + 1] - es[i + 2]) / (bs[i + 1] - bs[i + 2])
                     for i in range(len(bs) - 2))
-        res.check("bounds", "e0_concave_in_B", tag, None, worst, 1e-10,
-                  worst <= 1e-10)
+        res.check("bounds", "e0_concave_in_B", tag, None, worst, tol,
+                  worst <= tol)
 
 
 def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
@@ -339,16 +339,15 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
                            config.locality_delta_gamma))
     # S^(2) is the real S_x matrix (`operators.SECTOR_AXES`) and H is real,
     # so every locality matrix stays real
-    axis = 2
-    ctx = contexts[len(contexts) // 2]
-    a = site_spin_operator(lattice, 0, axis).to_dense()
+    a = site_spin_operator(lattice, 0, 2).to_dense()
+    ctx, tol = contexts[len(contexts) // 2], config.tolerances.algebraic
 
     smeared = tau_g_star(ctx.dense, g, a)
     phi0 = ctx.gs.vector
     defect = float(np.linalg.norm(smeared @ phi0
                                   - ctx.filtered_vector(g, a @ phi0)))
     res.check("locality", "smeared_action_identity", tag, ctx.B, defect,
-              1e-10, defect <= 1e-10)
+              tol, defect <= tol)
 
     ball = lattice.ball(0, 1)
     once = local_approximation(smeared, ball, lattice)
@@ -363,13 +362,12 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
     deltas, norms, fit = delta_decomposition(smeared, lattice)
     recon = operator_norm(sum(deltas) - smeared)
     res.check("locality", "telescoping_reconstruction", tag, ctx.B, recon,
-              1e-10, recon <= 1e-10)
+              tol, recon <= tol)
     for m, v in enumerate(norms):
         res.row("locality_profiles", lattice=tag, kind="delta_shell",
                 x=float(m), y=None, norm=v, envelope=fit.envelope(m))
 
-    lr = lr_commutator_profile(ctx.dense, lattice, config.locality_times,
-                               axis)
+    lr = lr_commutator_profile(ctx.dense, lattice, config.locality_times, a)
     by_time: dict[float, list] = {}
     for (t, d, v) in lr.samples:
         res.row("locality_profiles", lattice=tag, kind="lr_commutator", x=t,

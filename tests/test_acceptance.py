@@ -135,7 +135,7 @@ def test_criterion_2_oracle_equivalence(ladders):
                                          abs(lhs - ref)))
             wp, weights, g, v_min = _setup(dense, p)
             keys = [(n, 2) for n in weights.weights]
-            for n, (num_c, den_c), (num_d, den_d) in zip(
+            for n, (num_c, den_c, _), (num_d, den_d, _) in zip(
                     weights.weights, ctx.forms(g, keys), dense.forms(g, keys)):
                 if abs(num_c - num_d) > 1e-8 or abs(den_c - den_d) > 1e-8:
                     failures.append(("chebyshev", extents, b, n,
@@ -269,7 +269,7 @@ def test_criterion_6_appendix_suite(ladders):
     if recon > 1e-10:
         failures.append(("telescoping", recon))
 
-    lr = lr_commutator_profile(dec, lat24, (0.25, 0.5, 1.0), axis=2)
+    lr = lr_commutator_profile(dec, lat24, (0.25, 0.5, 1.0), a)
     by_time = {}
     for (t, d, v) in lr.samples:
         by_time.setdefault(t, []).append((d, v))

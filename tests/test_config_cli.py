@@ -148,6 +148,32 @@ def test_bounds_only_scan_passes(tmp_path):
     assert not (tmp_path / "out" / "failures.json").exists()
 
 
+def test_algebraic_tolerance_is_every_rounding_level_threshold(tmp_path):
+    """[tolerances] algebraic is the threshold of the sum-rule and
+    double-commutator rows and of every rounding-level manifest check; the
+    partial-trace checks keep their stricter 1e-12."""
+    cfg = parse_config_text(FULL.replace("algebraic = 1e-10",
+                                         "algebraic = 1e-9"))
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.exit_code == 0
+    thresholds = {}
+    for c in result.manifest["checks"]:
+        thresholds.setdefault(c["name"], set()).add(c["threshold"])
+    for name in ("cross_momentum", "smeared_action_identity",
+                 "telescoping_reconstruction", "e0_concave_in_B"):
+        assert thresholds[name] == {1e-9}, name
+    assert thresholds["partial_trace_idempotent"] == {1e-12}
+    with open(tmp_path / "bounds.csv", newline="") as fh:
+        assert {r["tolerance"] for r in csv.DictReader(fh)
+                if r["name"] in ("sum_rule", "double_commutator")} == {"1e-09"}
+    # m_B may rise along the descending ladder by no more than the tolerance
+    for tol, passed in ((1e-9, True), (1e-10, False)):
+        res = goldstone.runner._Outputs("hash")
+        goldstone.runner._ladder_checks(
+            res, "2x2", [(0.2, -1.0, 0.3), (0.1, -0.9, 0.3 + 5e-10)], tol)
+        assert [c["passed"] for c in res.checks] == [passed]
+
+
 def _plant_irb_failure(monkeypatch, field=None):
     """Make the first irb entry of every bound report (or only of the one at
     B = field) fail, its left side raised by one."""

@@ -3,19 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from goldstone.lattice import Lattice, dispersion_symbol
+from goldstone.lattice import MAX_HILBERT_DIM, Lattice, dispersion_symbol
 from goldstone.operators import basis_tables, shared_rows
 
 
 def test_dispersion_symbol_values():
-    assert dispersion_symbol((0.0, 0.0), 2) == pytest.approx(0.0, abs=1e-15)
-    assert dispersion_symbol((math.pi, math.pi), 2) == pytest.approx(4.0)
-    assert dispersion_symbol((math.pi / 2, 0.0), 2) == pytest.approx(1.0)
-
-
-def test_dispersion_symbol_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dispersion_symbol((0.0, 0.0), 3)
+    assert dispersion_symbol((0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+    assert dispersion_symbol((math.pi, math.pi)) == pytest.approx(4.0)
+    assert dispersion_symbol((math.pi / 2, 0.0)) == pytest.approx(1.0)
 
 
 def test_spec_rejects_odd_extent():
@@ -31,8 +26,9 @@ def test_spec_rejects_bad_spin():
 
 
 def test_spec_memory_budget():
-    with pytest.raises(ValueError):
-        Lattice((4, 4, 4), spin=0.5, max_hilbert_dim=1 << 20)
+    # 2^64 states, far above the budget
+    with pytest.raises(ValueError, match=f"budget of {MAX_HILBERT_DIM}"):
+        Lattice((4, 4, 4), spin=0.5)
 
 
 def test_lattices_equal_and_hash_by_extents_and_spin():
@@ -103,7 +99,7 @@ def test_kvec_and_dispersion_agree():
     lat = Lattice((2, 4))
     for n in lat.momenta:
         assert lat.dispersion(n) == pytest.approx(
-            dispersion_symbol(lat.kvec(n), 2), abs=1e-14)
+            dispersion_symbol(lat.kvec(n)), abs=1e-14)
 
 
 def test_graph_distance_and_ball():

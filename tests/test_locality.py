@@ -189,7 +189,8 @@ def test_lr_zero_time_disjoint_supports(dec24, lat24):
 
 
 def test_lr_profile_decreases_with_distance(dec24, lat24):
-    fit = lr_commutator_profile(dec24, lat24, (0.25, 0.5, 1.0), axis=2)
+    fit = lr_commutator_profile(dec24, lat24, (0.25, 0.5, 1.0),
+                                site_spin_operator(lat24, 0, 2).to_dense())
     by_time = {}
     for (t, d, v) in fit.samples:
         by_time.setdefault(t, []).append((d, v))
@@ -225,7 +226,7 @@ def test_lr_norms_match_the_dense_commutator(extents, spin, axis):
             d = lat.graph_distance(0, y)
             by_dist[d] = max(by_dist.get(d, 0.0), ref)
         expected += [(t, float(d), v) for d, v in sorted(by_dist.items())]
-    fit = lr_commutator_profile(dec, lat, times, axis)
+    fit = lr_commutator_profile(dec, lat, times, a)
     assert [s[:2] for s in fit.samples] == [s[:2] for s in expected]
     assert np.allclose([s[2] for s in fit.samples],
                        [s[2] for s in expected], rtol=0, atol=1e-12)
@@ -235,7 +236,8 @@ def test_lr_envelope_with_too_few_samples_is_constant(pair):
     # one time on two sites gives two samples, too few for the fit: the
     # envelope must still dominate them
     fit = lr_commutator_profile(dense_spectrum(build_hamiltonian(pair, 0.1)),
-                                pair, (0.5,))
+                                pair, (0.5,),
+                                site_spin_operator(pair, 0, 2).to_dense())
     assert len(fit.samples) == 2
     assert min(v for _, _, v in fit.samples) > 0.1
     assert (fit.rate, fit.velocity) == (0.0, 0.0)
