@@ -29,7 +29,7 @@ from pathlib import Path
 # goldstone before numpy, so the timings run on the scan's one BLAS thread
 from goldstone.config import parse_config
 from goldstone.eigensolver import dense_spectrum
-from goldstone.filters import FilterSpec, GFilter
+from goldstone.filters import GFilter
 from goldstone.lattice import Lattice
 from goldstone.locality import (b_continuity, delta_decomposition,
                                 local_approximation, lr_commutator_profile,
@@ -58,8 +58,8 @@ def main():
     args = parser.parse_args()
 
     cfg = parse_config(DESK)
-    g = GFilter(FilterSpec(cfg.locality_epsilon, cfg.locality_gamma,
-                           cfg.locality_delta_gamma))
+    g = GFilter(cfg.locality_epsilon, cfg.locality_gamma,
+                cfg.locality_delta_gamma)
     ladder = cfg.b_ladder
     print(f"{DESK.name}: times {list(cfg.locality_times)}, "
           "S^(2) at site 0, "

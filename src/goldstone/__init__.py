@@ -29,8 +29,8 @@ from .operators import (SparseHermitianOperator, build_hamiltonian,  # noqa: F40
                         fourier_spin)
 from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401
                           deflated_solve, dense_spectrum, ground_state)
-from .filters import (FilterSpec, GFilter, WavepacketSpec,  # noqa: F401
-                      build_f, smoothstep)
+from .filters import (GFilter, WavepacketSpec, build_f,  # noqa: F401
+                      smoothstep)
 from .analysis import (BoundEntry, DispersionRecord,  # noqa: F401
                        SystemContext, choose_epsilon, excitation_energy,
                        extrapolate_ms)

@@ -20,9 +20,9 @@ import numpy as np
 from .eigensolver import (DENSE_CAP_DEFAULT, SEED_DEFAULT, SOLVER_TOL_DEFAULT,
                           GroundState, check_ground_sector, deflated_solve,
                           dense_spectrum, ground_state, lowest_ritz)
-from .filters import (GFilter, SpectrumEnclosureError, WavepacketSpec,
-                      WavepacketWeights, build_f, chebyshev_moments,
-                      make_chebyshev_expansion, spectral_interval)
+from .filters import (GFilter, SpectrumEnclosureError, WavepacketWeights,
+                      chebyshev_moments, make_chebyshev_expansion,
+                      spectral_interval)
 from .lattice import Lattice
 from .operators import (SparseHermitianOperator, block_rows,
                         build_hamiltonian, direct_sum, fourier_ladder,
@@ -205,7 +205,7 @@ class DenseContext:
         """window_small and window_large at momentum n: <S_k^(2) phi0,
         S_(k+Q)^(3) phi0> over the excited states up to 2 eps, and all."""
         lat, s, de = self.lattice, self.lattice.spin, self.excitation
-        eps, tol, nq = g.spec.epsilon, self.tol.resolvent, lat.shift_q(n)
+        eps, tol, nq = g.epsilon, self.tol.resolvent, lat.shift_q(n)
         ek, ekq = lat.dispersion(n), lat.dispersion(nq)
         amps2, amps3 = self.amplitudes(n, 2), self.amplitudes(nq, 3)
         lhs_small, lhs_large = (abs(np.sum(np.conj(amps2[m]) * amps3[m]))
@@ -214,7 +214,7 @@ class DenseContext:
         rhs_small = eps / np.sqrt(ekq * ek)
         rhs_large = rhs_small + ((4 * s * s * ekq + self.B * s) / (2 * ek)) \
             ** 0.25 * np.sqrt(den_k + (4 * s * s * ek + self.B * s)
-                              / (g.spec.gamma - g.spec.delta_gamma))
+                              / (g.gamma - g.delta_gamma))
         return [_upper("window_small", n, None, lhs_small, rhs_small, tol),
                 _upper("window_large", n, None, lhs_large, rhs_large, tol)]
 
@@ -344,7 +344,7 @@ class BlockContext:
     def filter_expansions(self, g: GFilter):
         """(den, num) expansions of g^2(x - E0) and (x - E0) g^2(x - E0) on
         the interval, sup errors at most chebyshev_tol (times gamma)."""
-        if g.spec not in self._expansions:
+        if g not in self._expansions:
             lo, hi = self.spectral_bounds()
             e0 = self.gs.energy
             tol = self.tol.chebyshev
@@ -355,10 +355,10 @@ class BlockContext:
             def num_fn(x):
                 return (np.asarray(x) - e0) * den_fn(x)
 
-            self._expansions[g.spec] = (
+            self._expansions[g] = (
                 make_chebyshev_expansion(den_fn, lo, hi, tol),
-                make_chebyshev_expansion(num_fn, lo, hi, tol * g.spec.gamma))
-        return self._expansions[g.spec]
+                make_chebyshev_expansion(num_fn, lo, hi, tol * g.gamma))
+        return self._expansions[g]
 
     def moments(self, keys, n_moments: int) -> list:
         """Chebyshev moments <v, T_n(H~) v>, n < n_moments, of v = sk_phi(key)
@@ -452,11 +452,11 @@ class BlockContext:
             "interval": list(self._interval) if self._interval else None,
             "interval_source": INTERVAL_SOURCE if self._interval else None,
             "expansions": [
-                {"epsilon": spec.epsilon, "gamma": spec.gamma,
-                 "delta_gamma": spec.delta_gamma,
+                {"epsilon": g.epsilon, "gamma": g.gamma,
+                 "delta_gamma": g.delta_gamma,
                  "den_degree": den.degree, "den_sup_error": den.sup_error,
                  "num_degree": num.degree, "num_sup_error": num.sup_error}
-                for spec, (den, num) in self._expansions.items()],
+                for g, (den, num) in self._expansions.items()],
             "moment_passes": list(self._moment_passes),
         }
 
@@ -522,7 +522,7 @@ def irb_entry(ctx: Context, n, axis: int) -> BoundEntry:
                   ctx.tol.resolvent)
 
 
-def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
+def choose_epsilon(m_b: float, wp: WavepacketWeights, lattice: Lattice,
                    gamma: float, delta_gamma: float):
     """Pick v_min as the largest `V_MIN_LADDER` fraction of the annulus
     scale whose epsilon = v_min * R fits the window, 2 epsilon < gamma -
@@ -530,25 +530,24 @@ def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
 
     The scale is the largest velocity keeping the sum-rule bracket
     m_B/2 - v R / sqrt(E_{k+Q} E_k) positive at every grid momentum of the
-    closed annulus [R/2, R]; ladder entries are fractions of it.  Returns
-    (v_min, epsilon).
+    closed annulus [R/2, R] of the wavepacket `wp` on `lattice`; ladder
+    entries are fractions of it.  Returns (v_min, epsilon).
     """
     if m_b <= 0:
         raise EpsilonChoiceError(
             f"staggered magnetization {m_b:.3e} is not positive; "
             "the bracket condition is unsatisfiable")
-    weights = build_f(wp, lattice)
-    if not weights.annulus:
+    if not wp.annulus:
         raise EpsilonChoiceError("no grid momenta in the annulus")
-    for n in weights.annulus:
+    for n in wp.annulus:
         if min(lattice.dispersion(n),
                lattice.dispersion(lattice.shift_q(n))) <= 1e-12:
             raise EpsilonChoiceError(
                 f"the annulus reaches momentum label {n}, where "
                 "E_k E_(k+Q) = 0: no velocity keeps the bracket positive")
-    r = wp.annulus_radius
+    r = wp.spec.annulus_radius
     roots = [np.sqrt(lattice.dispersion(lattice.shift_q(n))
-                     * lattice.dispersion(n)) for n in weights.annulus]
+                     * lattice.dispersion(n)) for n in wp.annulus]
     scale = min(m_b * root / (2.0 * r) for root in roots)
     for frac in V_MIN_LADDER:
         v = frac * scale
@@ -561,10 +560,19 @@ def choose_epsilon(m_b: float, wp: WavepacketSpec, lattice: Lattice,
         f"gamma - delta_gamma (m_B = {m_b:.3e})")
 
 
-def _denominator_formula(s: float, B: float, ek: float, ekq: float,
-                         bracket: float, gamma: float, dgamma: float) -> float:
-    return (np.sqrt(2.0 * ek / (4 * s * s * ekq + B * s)) * bracket ** 2
-            - (4 * s * s * ek + B * s) / (gamma - dgamma))
+def _denominator_bound(ctx: Context, g: GFilter, v_min: float, r: float, n):
+    """(bracket, D(k, B)) at momentum n: the sum-rule bracket m_B/2 - v_min
+    R / sqrt(E_{k+Q} E_k) and D(k, B) = sqrt(2 E_k / (4 S^2 E_{k+Q} + B S))
+    bracket^2 - (4 S^2 E_k + B S) / (gamma - delta_gamma); None where
+    E_k E_{k+Q} = 0."""
+    lat, s, B = ctx.lattice, ctx.lattice.spin, ctx.B
+    ek, ekq = lat.dispersion(n), lat.dispersion(lat.shift_q(n))
+    if ek <= 1e-12 or ekq <= 1e-12:
+        return None
+    bracket = ctx.m_B / 2.0 - v_min * r / np.sqrt(ekq * ek)
+    return bracket, (np.sqrt(2.0 * ek / (4 * s * s * ekq + B * s))
+                     * bracket ** 2
+                     - (4 * s * s * ek + B * s) / (g.gamma - g.delta_gamma))
 
 
 def window_entries(ctx: Context, g: GFilter, v_min: float, r: float,
@@ -574,17 +582,12 @@ def window_entries(ctx: Context, g: GFilter, v_min: float, r: float,
     window_large (`window_pieces`; none without the eigensystem, as the
     entry note records) and the final denominator bound D(k, B) <= den_k.
     """
-    lat = ctx.lattice
-    s = lat.spin
     n = tuple(n)
-    gamma, dgamma = g.spec.gamma, g.spec.delta_gamma
-    ek = lat.dispersion(n)
-    ekq = lat.dispersion(lat.shift_q(n))
-    if ek <= 1e-12 or ekq <= 1e-12:
+    bound = _denominator_bound(ctx, g, v_min, r, n)
+    if bound is None:
         raise ValueError("window bounds need E_k and E_{k+Q} positive")
+    bracket, d_val = bound
     entries = ctx.window_pieces(g, n, den_k)
-    bracket = ctx.m_B / 2.0 - v_min * r / np.sqrt(ekq * ek)
-    d_val = _denominator_formula(s, ctx.B, ek, ekq, bracket, gamma, dgamma)
     note = "" if entries else "window pieces skipped (no dense oracle)"
     if bracket < 0:
         note = (note + "; " if note else "") + "bound not binding (bracket < 0)"
@@ -687,8 +690,8 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     record = DispersionRecord(
         spin=lat.spin, B=ctx.B, mode=mode, p_target=spec.p,
         annulus_radius=spec.annulus_radius, kappa=spec.kappa,
-        epsilon=g.spec.epsilon, gamma=g.spec.gamma,
-        delta_gamma=g.spec.delta_gamma, v_min=v_min, m_B=ctx.m_B,
+        epsilon=g.epsilon, gamma=g.gamma, delta_gamma=g.delta_gamma,
+        v_min=v_min, m_B=ctx.m_B,
         numerator=num, denominator=den, delta_e=delta_e, per_k=per_k,
         cross_momentum_max=ctx.cross_momentum_max(g, keys))
     if mode == "zero":
@@ -699,19 +702,9 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
 def _attach_c0(ctx: Context, record: DispersionRecord,
                wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
     """c0 = min over annulus momenta of D(k, B)/R, and v_max = 2 S^2/c0."""
-    lat = ctx.lattice
-    s = lat.spin
-    r = wp.spec.annulus_radius
-    m_b = ctx.m_B
-    d_over = []
-    for n in wp.annulus:
-        ek = lat.dispersion(n)
-        ekq = lat.dispersion(lat.shift_q(n))
-        if ek <= 1e-12 or ekq <= 1e-12:
-            continue
-        bracket = m_b / 2.0 - v_min * r / np.sqrt(ekq * ek)
-        d_over.append(_denominator_formula(s, ctx.B, ek, ekq, bracket,
-                                           g.spec.gamma, g.spec.delta_gamma) / r)
+    s, r = ctx.lattice.spin, wp.spec.annulus_radius
+    bounds = [_denominator_bound(ctx, g, v_min, r, n) for n in wp.annulus]
+    d_over = [bound[1] / r for bound in bounds if bound is not None]
     if d_over:
         c0 = float(min(d_over))
         record.c0_estimate = c0

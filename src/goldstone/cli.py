@@ -2,8 +2,9 @@
 
 Subcommands: scan (all enabled groups), bounds / dispersion / qmode /
 locality (single group), report.  Exit status: 0 every enabled check
-passed, 1 a check failed, 2 a config error, 3 inconclusive (no check failed,
-but an enabled group checked nothing).
+passed, 1 a check failed, 2 a config error or an output directory that
+cannot be made, 3 inconclusive (no check failed, but an enabled group
+checked nothing or a point could not be certified).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def _run_group(args, group: str | None) -> int:
         config = parse_config(args.config)
         if group is not None:
             config = replace(config, checks=(group,))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

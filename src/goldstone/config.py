@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .analysis import Tolerances
 from .eigensolver import DENSE_CAP_DEFAULT, SEED_DEFAULT
-from .filters import FilterSpec, WavepacketSpec
+from .filters import GFilter, WavepacketSpec
 from .lattice import Lattice
 
 __all__ = ["ScanConfig", "ConfigError", "parse_config", "parse_config_text"]
@@ -65,7 +65,7 @@ class ScanConfig:
                             self.delta_gamma))
         for section, *window in windows:
             try:
-                FilterSpec(*window)
+                GFilter(*window)
             except ValueError as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
         # with gamma <= delta_gamma no epsilon gives a window

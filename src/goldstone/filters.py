@@ -23,7 +23,6 @@ from .lattice import Lattice
 from .operators import SparseHermitianOperator
 
 __all__ = [
-    "FilterSpec",
     "WavepacketSpec",
     "WavepacketWeights",
     "GFilter",
@@ -74,9 +73,10 @@ def smoothstep(s):
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """Parameters of the energy window: support (epsilon, gamma), unit
-    plateau [2*epsilon, gamma - delta_gamma]."""
+class GFilter:
+    """Energy window with support (epsilon, gamma) and unit plateau
+    [2*epsilon, gamma - delta_gamma]; values in [0, 1].  Equal parameters
+    give equal, equally hashed windows."""
 
     epsilon: float
     gamma: float
@@ -92,17 +92,10 @@ class FilterSpec:
                 f"need 2*epsilon < gamma - delta_gamma, got "
                 f"2*{self.epsilon} >= {self.gamma} - {self.delta_gamma}")
 
-
-@dataclass(frozen=True)
-class GFilter:
-    """Evaluable energy window; values in [0, 1]."""
-
-    spec: FilterSpec
-
     def __call__(self, E):
-        s = self.spec
-        return (smoothstep((np.asarray(E, dtype=float) - s.epsilon) / s.epsilon)
-                * smoothstep((s.gamma - np.asarray(E, dtype=float)) / s.delta_gamma))
+        E = np.asarray(E, dtype=float)
+        return (smoothstep((E - self.epsilon) / self.epsilon)
+                * smoothstep((self.gamma - E) / self.delta_gamma))
 
     def sample_table(self, lo: float, hi: float, n: int) -> np.ndarray:
         xs = np.linspace(lo, hi, n)
@@ -145,11 +138,10 @@ class WavepacketWeights:
     """Wavepacket profile sampled on one lattice's momentum grid."""
 
     spec: WavepacketSpec
-    lattice: Lattice
     weights: dict          # momentum label -> weight > 0
     annulus: tuple         # labels in the closed annulus [R/2, R]
 
-    def sample_table(self, n: int = 2001) -> np.ndarray:
+    def sample_table(self, n: int) -> np.ndarray:
         xs = np.linspace(0.0, 1.25 * self.spec.annulus_radius, n)
         return np.column_stack([xs, self.spec.profile(xs)])
 
@@ -169,7 +161,7 @@ def build_f(spec: WavepacketSpec, lattice: Lattice) -> WavepacketWeights:
         raise EmptySupportError(
             f"no grid momentum receives weight for p = {spec.p:.6f} on "
             f"lattice {lattice.extents}")
-    return WavepacketWeights(spec, lattice, weights, tuple(annulus))
+    return WavepacketWeights(spec, weights, tuple(annulus))
 
 
 # -- Chebyshev machinery -----------------------------------------------------

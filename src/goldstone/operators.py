@@ -438,7 +438,6 @@ class TwistedOrbits:
     """
 
     lattice: Lattice
-    M: int
     shifts: np.ndarray      # (|G|, d) site shift a of each group element
     reps: BasisTables       # the representatives, ascending
     size: np.ndarray        # (n_reps,) orbit sizes
@@ -499,7 +498,7 @@ def _orbit_pass(lattice: Lattice, M: int):
         idx = _rank(index, codes)
         return rep[idx], elem[idx]
 
-    return (TwistedOrbits(lattice, M, shifts, reps,
+    return (TwistedOrbits(lattice, shifts, reps,
                           len(shifts) // fixes.sum(axis=0), fixes), locate)
 
 

@@ -12,7 +12,7 @@ Output layout under the chosen directory:
     failures.json           present only when checks failed
 
 Exit status: 0 when every check passed, 1 when one failed, 3 (inconclusive)
-when none failed but an enabled group produced no entry at all.
+when none failed but a group produced no entry or a point was uncertified.
 
 CSV bodies are byte-deterministic for a fixed config; the manifest carries
 the only timestamp.
@@ -37,8 +37,10 @@ from .analysis import (Context, DenseContext, EpsilonChoiceError,
                        choose_epsilon, excitation_energy, extrapolate_ms,
                        filter_keys, qmode_trend)
 from .config import ScanConfig, auto_p_target
-from .filters import (EmptySupportError, FilterSpec, GFilter, WavepacketSpec,
-                      build_f)
+from .eigensolver import SolverError
+from .filters import (EmptySupportError, FilterDegreeError, GFilter,
+                      SpectrumEnclosureError, WavepacketSpec,
+                      WavepacketWeights, build_f)
 from .lattice import Lattice
 from .locality import (b_continuity, delta_decomposition, local_approximation,
                        lr_commutator_profile, operator_norm, support_norm,
@@ -149,17 +151,25 @@ def run_scan(config: ScanConfig, out_dir,
             lattice.hilbert_dim <= config.dense_cap
         fields, dense = [], []
         for B in config.b_ladder:
-            ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
-                                tolerances=config.tolerances,
-                                seed=config.seed)
-            if wavepackets:
-                _point(res, config, ctx, tag, wavepackets)
-            res.solver_stats.append({"lattice": tag, "B": B,
-                                     **ctx.solver_stats()})
-            fields.append((B, ctx.gs.energy, ctx.m_B))
-            if run_locality:    # the dense contexts that _locality reads
-                dense.append(ctx)
-            del ctx     # a sparse context is freed before the next is built
+            try:
+                ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
+                                    tolerances=config.tolerances,
+                                    seed=config.seed)
+                if wavepackets:
+                    _point(res, config, ctx, tag, wavepackets)
+            except (SolverError, SpectrumEnclosureError,
+                    FilterDegreeError) as exc:
+                res.skip(tag, None, "a point was not certified: "
+                         f"{type(exc).__name__}: {exc}",
+                         sorted(groups - {"locality"}), B=B,
+                         error=type(exc).__name__)
+            else:
+                res.solver_stats.append({"lattice": tag, "B": B,
+                                         **ctx.solver_stats()})
+                fields.append((B, ctx.gs.energy, ctx.m_B))
+                if run_locality:    # the dense contexts that _locality reads
+                    dense.append(ctx)
+            ctx = None  # a sparse context is freed before the next is built
             aborted = fail_fast and bool(res.bound_failures())
             if aborted:
                 break
@@ -185,7 +195,7 @@ def run_scan(config: ScanConfig, out_dir,
 
 def _wavepackets(res: _Outputs, config: ScanConfig, lattice: Lattice,
                  tag: str) -> list:
-    """[(p, WavepacketSpec, WavepacketWeights)] of the usable targets."""
+    """The WavepacketWeights of the usable targets."""
     if config.p_values == "auto":
         p_targets = [auto_p_target(lattice)]
     else:
@@ -194,14 +204,13 @@ def _wavepackets(res: _Outputs, config: ScanConfig, lattice: Lattice,
     wavepackets = []
     for p in p_targets:
         try:
-            wp = WavepacketSpec(p, kappa)
-            wavepackets.append((p, wp, build_f(wp, lattice)))
+            wavepackets.append(build_f(WavepacketSpec(p, kappa), lattice))
         except (EmptySupportError, ValueError) as exc:
             res.skip(tag, p, str(exc), ("bounds", "dispersion", "qmode"))
     return wavepackets
 
 
-def _auto_filter(ctx: Context, wp: WavepacketSpec, config: ScanConfig):
+def _auto_filter(ctx: Context, wp: WavepacketWeights, config: ScanConfig):
     """(GFilter, v_min) for one (lattice, B), or the EpsilonChoiceError that
     says why there is none: epsilon from the sum-rule bracket unless pinned
     in the config."""
@@ -213,34 +222,35 @@ def _auto_filter(ctx: Context, wp: WavepacketSpec, config: ScanConfig):
             return exc
     else:
         eps = float(config.filter_epsilon)
-        v_min = eps / wp.annulus_radius
-    return GFilter(FilterSpec(eps, config.gamma, config.delta_gamma)), v_min
+        v_min = eps / wp.spec.annulus_radius
+    return GFilter(eps, config.gamma, config.delta_gamma), v_min
 
 
 def _point(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
            wavepackets) -> None:
     """The bounds and dispersion/qmode stages of one (lattice, B), sharing
     one filter choice per wavepacket, announced first with its keys."""
-    filters = [_auto_filter(ctx, wp, config) for _, wp, _ in wavepackets]
+    filters = [_auto_filter(ctx, wp, config) for wp in wavepackets]
     wanted, groups = [], set(config.checks)
-    for (_, _, weights), chosen in zip(wavepackets, filters):
-        keys = filter_keys(ctx.lattice, weights, groups)
+    for wp, chosen in zip(wavepackets, filters):
+        keys = filter_keys(ctx.lattice, wp, groups)
         groups.discard("bounds")    # the suite runs at the first wavepacket
         if keys and not isinstance(chosen, EpsilonChoiceError):
             wanted.append((chosen[0], keys))
     ctx.prefetch(wanted)
     if "bounds" in config.checks:
-        (p0, wp0, _), chosen = wavepackets[0], filters[0]
+        spec, chosen = wavepackets[0].spec, filters[0]
         if isinstance(chosen, EpsilonChoiceError):
-            res.skip(tag, p0, f"bounds: {chosen}", ("bounds",), B=ctx.B)
+            res.skip(tag, spec.p, f"bounds: {chosen}", ("bounds",), B=ctx.B)
         else:
-            _bounds(res, ctx, tag, *chosen, wp0.annulus_radius)
+            _bounds(res, ctx, tag, *chosen, spec.annulus_radius)
     if {"dispersion", "qmode"} & set(config.checks):
-        for (p, _, weights), chosen in zip(wavepackets, filters):
+        for wp, chosen in zip(wavepackets, filters):
             if isinstance(chosen, EpsilonChoiceError):
-                res.skip(tag, p, str(chosen), ("dispersion", "qmode"), B=ctx.B)
+                res.skip(tag, wp.spec.p, str(chosen), ("dispersion", "qmode"),
+                         B=ctx.B)
             else:
-                _dispersion(res, config, ctx, tag, p, weights, *chosen)
+                _dispersion(res, config, ctx, tag, wp, *chosen)
 
 
 def _bounds(res: _Outputs, ctx: Context, tag: str, g: GFilter,
@@ -254,26 +264,25 @@ def _bounds(res: _Outputs, ctx: Context, tag: str, g: GFilter,
                 passed=e.passed, note=e.note)
 
 
-def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
-                tag: str, p: float, weights, g: GFilter,
-                v_min: float) -> None:
+def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
+                wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
     """Filter samples, wavepacket records and the qmode trend at one
     wavepacket."""
     lattice, B, tol = ctx.lattice, ctx.B, config.tolerances.algebraic
     for kind, table in (
-            ("window", g.sample_table(0.0, 1.2 * g.spec.gamma, 241)),
-            ("annulus", weights.sample_table(241))):
+            ("window", g.sample_table(0.0, 1.2 * g.gamma, 241)),
+            ("annulus", wp.sample_table(241))):
         for arg, val in table:
-            res.row("filter_samples", lattice=tag, B=B, p_target=p,
+            res.row("filter_samples", lattice=tag, B=B, p_target=wp.spec.p,
                     kind=kind, argument=arg, value=val)
     modes = [mode for group, mode in (("dispersion", "zero"),
                                       ("qmode", "staggered"))
              if group in config.checks]
     try:
-        records = [excitation_energy(ctx, weights, g, v_min, mode)
+        records = [excitation_energy(ctx, wp, g, v_min, mode)
                    for mode in modes]
     except VanishingDenominatorError as exc:
-        res.skip(tag, p, str(exc), ("dispersion", "qmode"), B=B)
+        res.skip(tag, wp.spec.p, str(exc), ("dispersion", "qmode"), B=B)
         return
     for rec in records:
         group = "dispersion" if rec.mode == "zero" else "qmode"
@@ -335,8 +344,8 @@ def _ladder_checks(res: _Outputs, tag: str, fields, tol: float) -> None:
 
 def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
               contexts: list[DenseContext]) -> None:
-    g = GFilter(FilterSpec(config.locality_epsilon, config.locality_gamma,
-                           config.locality_delta_gamma))
+    g = GFilter(config.locality_epsilon, config.locality_gamma,
+                config.locality_delta_gamma)
     # S^(2) is the real S_x matrix (`operators.SECTOR_AXES`) and H is real,
     # so every locality matrix stays real
     a = site_spin_operator(lattice, 0, 2).to_dense()
@@ -391,18 +400,21 @@ def _locality(res: _Outputs, config: ScanConfig, lattice: Lattice, tag: str,
 
 
 def _inconclusive(res: _Outputs, groups) -> list:
-    """The enabled groups that produced no entry: no bound row for
-    "bounds", no dispersion record of its mode for "dispersion" and
-    "qmode", no check for "locality"; each with the reason."""
+    """The enabled groups with an uncertified point or no entry (no bound
+    row for "bounds", no dispersion record of its mode for "dispersion" and
+    "qmode", no check for "locality"), each with the reason."""
     modes = [r["mode"] for r in res.rows["dispersion"]]
     produced = {"bounds": bool(res.rows["bounds"]),
                 "dispersion": "zero" in modes, "qmode": "staggered" in modes,
                 "locality": any(c["group"] == "locality" for c in res.checks)}
     why = {g: "; ".join(sorted({s["reason"] for s in res.skipped
                                 if g in s["groups"]})) for g in groups}
-    return [{"group": g, "reason": "no entry checked: "
+    errors = {g: "; ".join(sorted({s["reason"] for s in res.skipped
+                                   if g in s["groups"] and "error" in s}))
+              for g in groups}
+    return [{"group": g, "reason": errors[g] or "no entry checked: "
              + (why[g] or "no point reached it")}
-            for g in sorted(groups) if not produced[g]]
+            for g in sorted(groups) if errors[g] or not produced[g]]
 
 
 def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:

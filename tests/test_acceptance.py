@@ -16,7 +16,7 @@ from goldstone.analysis import (BlockContext, SystemContext, Tolerances,
                                 qmode_trend)
 from goldstone.config import parse_config_text
 from goldstone.eigensolver import dense_spectrum, ground_state
-from goldstone.filters import FilterSpec, GFilter, WavepacketSpec, build_f
+from goldstone.filters import GFilter, WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.locality import (b_continuity, delta_decomposition,
                                 local_approximation, lr_commutator_profile,
@@ -39,9 +39,9 @@ def _announce(num, description, failures, elapsed=None, detail=""):
 def _setup(ctx, p):
     wp = WavepacketSpec(p, 2.2 if p < 1.6 else 4.5)
     weights = build_f(wp, ctx.lattice)
-    v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
+    v_min, eps = choose_epsilon(ctx.m_B, weights, ctx.lattice,
                                 gamma=3.0, delta_gamma=0.5)
-    return wp, weights, GFilter(FilterSpec(eps, 3.0, 0.5)), v_min
+    return wp, weights, GFilter(eps, 3.0, 0.5), v_min
 
 
 @pytest.fixture(scope="module")
@@ -209,25 +209,24 @@ def test_criterion_4_dispersion_trend(big):
 def test_criterion_5_filter_conformance(ladders):
     failures = []
     rng = np.random.default_rng(2024)
-    spec = FilterSpec(0.2, 3.0, 0.5)
-    g = GFilter(spec)
-    xs = np.linspace(0.0, 2 * spec.gamma, 10_000)
+    g = GFilter(0.2, 3.0, 0.5)
+    xs = np.linspace(0.0, 2 * g.gamma, 10_000)
     vals = g(xs)
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         failures.append("range")
-    plateau = (xs >= 2 * spec.epsilon) & (xs <= spec.gamma - spec.delta_gamma)
+    plateau = (xs >= 2 * g.epsilon) & (xs <= g.gamma - g.delta_gamma)
     if not np.all(vals[plateau] == 1.0):
         failures.append("plateau")
-    outside = (xs <= spec.epsilon) | (xs >= spec.gamma)
+    outside = (xs <= g.epsilon) | (xs >= g.gamma)
     if not np.all(vals[outside] == 0.0):
         failures.append("support")
     for extents, by_b in ladders.items():
         ctx = by_b[0.1]
         dec = ctx.dense
         de = dec.eigenvalues - dec.eigenvalues[0]
-        support_mask = (de > spec.epsilon) & (de < spec.gamma)
-        plateau_mask = ((de >= 2 * spec.epsilon)
-                        & (de <= spec.gamma - spec.delta_gamma))
+        support_mask = (de > g.epsilon) & (de < g.gamma)
+        plateau_mask = ((de >= 2 * g.epsilon)
+                        & (de <= g.gamma - g.delta_gamma))
         for trial in range(20):
             v = rng.standard_normal(ctx.H.dim) \
                 + 1j * rng.standard_normal(ctx.H.dim)
@@ -243,7 +242,7 @@ def test_criterion_5_filter_conformance(ladders):
 def test_criterion_6_appendix_suite(ladders):
     t0 = time.time()
     failures = []
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
 
     ctx24 = ladders[(2, 4)][0.1]
     lat24 = ctx24.lattice

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -19,14 +20,14 @@ from goldstone.analysis import (BlockContext, DenseContext,
 from goldstone.config import ScanConfig, parse_config_text
 from goldstone.eigensolver import SolverError, lowest_ritz
 from goldstone.operators import build_hamiltonian, fourier_spin
-from goldstone.filters import (FilterSpec, GFilter, SpectrumEnclosureError,
+from goldstone.filters import (GFilter, SpectrumEnclosureError,
                                WavepacketSpec, build_f, chebyshev_moments)
 from goldstone.lattice import Lattice
 from goldstone.runner import run_scan
 from test_filters import dense_expansion, dense_interval
 from test_operators import expand_block
 
-GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
+GF = GFilter(0.2, 3.0, 0.5)
 
 
 def test_m_b_vanishes_without_field(lat22):
@@ -107,8 +108,8 @@ def test_filtered_moments_match_spectral_sums(ctx22):
     assert den == pytest.approx(float(np.sum(g2 * amps)), abs=1e-12)
     assert num == pytest.approx(float(np.sum(g2 * de * amps)), abs=1e-12)
     # window sandwich and unfiltered domination
-    assert num >= GF.spec.epsilon * den
-    assert num <= GF.spec.gamma * den
+    assert num >= GF.epsilon * den
+    assert num <= GF.gamma * den
     assert den <= float(np.sum(amps[de > 0])) + 1e-12
 
 
@@ -126,7 +127,7 @@ def test_chebyshev_moments_match_spectral_sums(name, B, eps, pick, axis):
     extents, spin = LATTICES[name]
     lat = Lattice(extents, spin)
     ctx = SystemContext(lat, B, tolerances=Tolerances(chebyshev=1e-6))
-    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    g = GFilter(eps, 3.0, 0.5)
     momenta = sorted(lat.momenta)
     n = momenta[pick % len(momenta)]
     # Chebyshev moments on the full basis, against the dense context's own
@@ -151,7 +152,7 @@ def test_choose_epsilon_errors_without_order():
     lat = Lattice((2, 2))
     wp = WavepacketSpec(np.pi, 4.5)
     with pytest.raises(EpsilonChoiceError):
-        choose_epsilon(0.0, wp, lat, 3.0, 0.5)
+        choose_epsilon(0.0, build_f(wp, lat), lat, 3.0, 0.5)
 
 
 def test_choose_epsilon_arithmetic(ctx22):
@@ -159,7 +160,8 @@ def test_choose_epsilon_arithmetic(ctx22):
     # bracket threshold is m_B/R and the top-of-ladder epsilon is m_B/2
     m_b = ctx22.m_B
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(m_b, wp, ctx22.lattice, 3.0, 0.5)
+    v_min, eps = choose_epsilon(m_b, build_f(wp, ctx22.lattice),
+                                ctx22.lattice, 3.0, 0.5)
     assert v_min == pytest.approx(0.5 * m_b / wp.annulus_radius, rel=1e-12)
     assert eps == pytest.approx(m_b / 2, rel=1e-12)
 
@@ -170,7 +172,7 @@ def test_choose_epsilon_respects_window():
     # the bracket allows epsilon = 0.5 .. 0.025 (m_B = 1, E_k = E_{k+Q} = 2)
     # but 2 epsilon < gamma - delta_gamma = 0.01 allows none of them
     with pytest.raises(EpsilonChoiceError, match="gamma - delta_gamma"):
-        choose_epsilon(1.0, wp, lat, 0.51, 0.5)
+        choose_epsilon(1.0, build_f(wp, lat), lat, 0.51, 0.5)
 
 
 def test_choose_epsilon_names_a_zero_energy_annulus_momentum():
@@ -181,14 +183,14 @@ def test_choose_epsilon_names_a_zero_energy_annulus_momentum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EpsilonChoiceError, match="momentum label"):
-            choose_epsilon(0.3, wp, lat, 3.0, 0.5)
+            choose_epsilon(0.3, build_f(wp, lat), lat, 3.0, 0.5)
 
 
 def test_window_entries_pass(ctx22):
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
-                                gamma=3.0, delta_gamma=0.5)
-    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    v_min, eps = choose_epsilon(ctx22.m_B, build_f(wp, ctx22.lattice),
+                                ctx22.lattice, gamma=3.0, delta_gamma=0.5)
+    g = GFilter(eps, 3.0, 0.5)
     ((_, den, _),) = ctx22.forms(g, [((1, 0), 2)])
     entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0), den)
     names = [e.name for e in entries]
@@ -207,9 +209,9 @@ def test_window_entries_reject_zero_momentum(ctx22):
 
 def test_bound_report_composition(ctx22):
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(ctx22.m_B, wp, ctx22.lattice,
-                                gamma=3.0, delta_gamma=0.5)
-    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    v_min, eps = choose_epsilon(ctx22.m_B, build_f(wp, ctx22.lattice),
+                                ctx22.lattice, gamma=3.0, delta_gamma=0.5)
+    g = GFilter(eps, 3.0, 0.5)
     report = bound_report(ctx22, g, v_min, wp.annulus_radius)
     counts = {}
     for e in report:
@@ -223,9 +225,9 @@ def test_bound_report_composition(ctx22):
 def _dispersion_setup(ctx, p):
     wp = WavepacketSpec(p, 2.2)
     weights = build_f(wp, ctx.lattice)
-    v_min, eps = choose_epsilon(ctx.m_B, wp, ctx.lattice,
+    v_min, eps = choose_epsilon(ctx.m_B, weights, ctx.lattice,
                                 gamma=3.0, delta_gamma=0.5)
-    return weights, GFilter(FilterSpec(eps, 3.0, 0.5)), v_min
+    return weights, GFilter(eps, 3.0, 0.5), v_min
 
 
 def test_excitation_energy_record(ctx24, golden):
@@ -274,7 +276,7 @@ def test_qmode_trend_grows_at_small_dispersion(ctx24):
 def test_vanishing_denominator_diagnostic(ctx22):
     # a window far above the spectrum captures nothing
     weights = build_f(WavepacketSpec(np.pi, 4.5), ctx22.lattice)
-    empty = GFilter(FilterSpec(50.0, 200.0, 10.0))
+    empty = GFilter(50.0, 200.0, 10.0)
     with pytest.raises(VanishingDenominatorError, match="den = "):
         excitation_energy(ctx22, weights, empty, 0.5, "zero")
 
@@ -348,7 +350,7 @@ def test_moment_guard_rejects_short_interval(lat22):
     ctx._interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
     # a window whose upper edge falls inside the cut interval, so that the
     # expansions are not constant there
-    g = GFilter(FilterSpec(0.5, 2.0, 0.5))
+    g = GFilter(0.5, 2.0, 0.5)
     with pytest.raises(SpectrumEnclosureError,
                        match=r"\(1, 0\).*does not enclose") as info:
         ctx.forms(g, [((1, 0), 2)])
@@ -384,7 +386,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     if n != lat.q_ordering:
         assert abs(irb_entry(ctx, n, axis).lhs
                    - irb_entry(dense, n, axis).lhs) <= 1e-8
-    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    g = GFilter(eps, 3.0, 0.5)
     ((num, den, err),) = ctx.forms(g, [(n, axis)])
     ((num_d, den_d, err_d),) = dense.forms(g, [(n, axis)])
     den_exp, num_exp = ctx.filter_expansions(g)
@@ -394,12 +396,56 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
     assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10
 
 
+def test_equal_windows_share_one_expansion(lat22):
+    """The expansion cache is keyed by the window's value: two equal
+    windows built apart share one entry."""
+    ctx = SystemContext(lat22, 0.2, dense_cap=0)
+    first = ctx.filter_expansions(GFilter(0.2, 3.0, 0.5))
+    assert ctx.filter_expansions(GFilter(0.2, 3.0, 0.5)) is first
+    assert len(ctx.solver_stats()["expansions"]) == 1
+
+
 def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
     """A sector M >= 1 reaching below E0 is an error, never a pass."""
     monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
                         lambda H, tol, seed: (-100.0, 0.0))
     with pytest.raises(SolverError, match="M = 1"):
         SystemContext(lat22, 0.1, dense_cap=0)
+
+
+def test_planted_ground_sector_failure_skips_only_its_field(tmp_path,
+                                                           monkeypatch):
+    """A SolverError at the first field of a two-field sparse ladder: that
+    field is skipped with the error named and left out of the ladder
+    checks, the other field's rows are written, and the scan exits 3."""
+    calls = []
+
+    def planted(H, tol, seed):
+        calls.append(H.dim)
+        # sectors M = 1, 2 of the first field reach below E0
+        return (-100.0, 0.0) if len(calls) <= 2 else lowest_ritz(H, tol, seed)
+
+    monkeypatch.setattr(goldstone.analysis, "lowest_ritz", planted)
+    cfg = parse_config_text("[scan]\nchecks = bounds dispersion\n"
+                            "lattices = 2x2\nb_ladder = 0.4 0.2\n"
+                            "dense_cap = 0\n")
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.exit_code == 3
+    summary = result.manifest["summary"]
+    assert summary["bound_failures"] == summary["check_failures"] == 0
+    (skip,) = summary["skipped"]
+    assert (skip["B"], skip["error"], skip["groups"]) == \
+        (0.4, "SolverError", ["bounds", "dispersion"])
+    assert [(i["group"], "SolverError" in i["reason"])
+            for i in summary["inconclusive"]] == \
+        [("bounds", True), ("dispersion", True)]
+    assert [s["B"] for s in result.manifest["solver_stats"]] == [0.2]
+    assert not any(c["name"] == "m_B_nondecreasing_in_B"
+                   for c in result.manifest["checks"])
+    for stem in ("bounds", "dispersion"):
+        with open(tmp_path / f"{stem}.csv", newline="") as fh:
+            fields = {row["B"] for row in csv.DictReader(fh)}
+        assert fields == {"0.2"}, stem
 
 
 def test_solver_tolerance_and_seed_reach_every_lanczos_run(lat24, tmp_path,
@@ -434,12 +480,13 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
     monkeypatch.setattr(goldstone.operators, "basis_tables", refuse)
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
     wp = WavepacketSpec(np.pi / 2, 2.2)
-    v_min, eps = choose_epsilon(ctx.m_B, wp, lat24, gamma=3.0,
+    weights = build_f(wp, lat24)
+    v_min, eps = choose_epsilon(ctx.m_B, weights, lat24, gamma=3.0,
                                 delta_gamma=0.5)
-    g = GFilter(FilterSpec(eps, 3.0, 0.5))
+    g = GFilter(eps, 3.0, 0.5)
     report = bound_report(ctx, g, v_min, wp.annulus_radius)
     assert all(e.passed for e in report)
-    excitation_energy(ctx, build_f(wp, lat24), g, v_min, "staggered")
+    excitation_energy(ctx, weights, g, v_min, "staggered")
     qmode_trend(ctx, g)
     # the 2 * 56 states of M = +-1 fall into orbits of 8
     assert {b.dim for b in ctx._blocks.values()} == {14}
@@ -475,7 +522,9 @@ def test_sparse_4x4_context_builds_only_blocks(monkeypatch):
     assert max(dim for _, dim in built) == 1430
     assert all(block is not None for block, _ in built)
     pair = [rows for M, rows in shared if M == 1]
-    assert pair[0].orbits.M == 1
+    # the representatives' magnetization, N S minus their digit sum, is +-1
+    half = lat.n_sites * lat.two_s // 2
+    assert set(np.abs(half - pair[0].orbits.reps.digits.sum(axis=0))) == {1}
     assert all(rows is pair[0] for rows in pair)
     assert len(pair) == len({block for block, _ in built if block[0] == 1})
     assert ctx.H.dim == 827

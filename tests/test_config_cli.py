@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import goldstone.cli
 import goldstone.operators
 import goldstone.runner
 from goldstone.analysis import EpsilonChoiceError, SystemContext
@@ -487,6 +488,50 @@ def test_scan_defaults_to_one_blas_thread(tmp_path, threads, numpy_first):
     cpus = len(os.sched_getaffinity(0))
     expected = 1 if threads is None else min(int(threads), cpus)
     assert manifest["versions"]["openblas_num_threads"] == expected
+
+
+UNCERTIFIED = """
+[scan]
+checks = dispersion
+lattices = 2x2
+b_ladder = 0.2
+dense_cap = 0
+seed = 7
+
+[filter]
+chebyshev_tol = 1e-15
+"""
+
+
+def test_point_the_filter_cannot_certify_is_inconclusive(tmp_path, capsys):
+    """A tolerance the config accepts but no expansion reaches below the
+    degree cap: the point is skipped with the FilterDegreeError named, the
+    scan writes its manifest and exits 3, not 1 with a traceback."""
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(UNCERTIFIED)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg_path), "--out", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert "inconclusive: dispersion: a point was not certified: " \
+        "FilterDegreeError: " in printed
+    manifest = json.loads((out / "manifest.json").read_text())
+    (skip,) = manifest["summary"]["skipped"]
+    assert (skip["B"], skip["error"]) == (0.2, "FilterDegreeError")
+    assert not (out / "failures.json").exists()
+
+
+def test_out_naming_a_file_is_an_error_before_any_scan(tmp_path, capsys,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan work for an unusable output directory")
+
+    monkeypatch.setattr(goldstone.cli, "run_scan", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["scan", "--config", str(ROOT / "configs" / "desk.ini"),
+                 "--out", str(taken)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import goldstone
 from goldstone.filters import (EmptySupportError, FilterDegreeError,
-                               FilterSpec, GFilter, WavepacketSpec,
+                               GFilter, WavepacketSpec,
                                _cheb_coeffs, build_f, chebyshev_moments,
                                make_chebyshev_expansion, smoothstep)
 from goldstone.lattice import Lattice
@@ -34,16 +34,16 @@ def test_smoothstep_partition_of_unity():
 
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
-        FilterSpec(-0.1, 3.0, 0.5)
+        GFilter(-0.1, 3.0, 0.5)
     with pytest.raises(ValueError):
-        FilterSpec(0.2, 3.0, -0.5)
+        GFilter(0.2, 3.0, -0.5)
     with pytest.raises(ValueError):
-        FilterSpec(1.3, 3.0, 0.5)   # 2 eps >= gamma - delta_gamma
-    FilterSpec(0.2, 3.0, 0.5)
+        GFilter(1.3, 3.0, 0.5)   # 2 eps >= gamma - delta_gamma
+    GFilter(0.2, 3.0, 0.5)
 
 
 def test_window_endpoint_values():
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     assert g(0.2) == 0.0
     assert g(0.4) == 1.0
     assert g(3.0) == 0.0
@@ -53,14 +53,13 @@ def test_window_endpoint_values():
 
 
 def test_window_conformance_dense_sample():
-    spec = FilterSpec(0.2, 3.0, 0.5)
-    g = GFilter(spec)
-    xs = np.linspace(0.0, 2 * spec.gamma, 10_000)
+    g = GFilter(0.2, 3.0, 0.5)
+    xs = np.linspace(0.0, 2 * g.gamma, 10_000)
     vals = g(xs)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-    plateau = (xs >= 2 * spec.epsilon) & (xs <= spec.gamma - spec.delta_gamma)
+    plateau = (xs >= 2 * g.epsilon) & (xs <= g.gamma - g.delta_gamma)
     assert np.all(vals[plateau] == 1.0)
-    outside = (xs <= spec.epsilon) | (xs >= spec.gamma)
+    outside = (xs <= g.epsilon) | (xs >= g.gamma)
     assert np.all(vals[outside] == 0.0)
 
 
@@ -134,7 +133,7 @@ def test_apply_identity_function(ctx22, rng):
 
 
 def test_filter_annihilates_ground_state(ctx22):
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     v = ctx22.gs.vector.astype(complex)
     for w in (ctx22.filtered_vector(g, v),
               _chebyshev_filtered(ctx22, g, v, 1e-10)):
@@ -142,7 +141,7 @@ def test_filter_annihilates_ground_state(ctx22):
 
 
 def test_chebyshev_matches_dense(ctx22):
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     v = ctx22.sk_phi((1, 0), 2)
     dense = ctx22.filtered_vector(g, v)
     cheb = _chebyshev_filtered(ctx22, g, v, 1e-10)
@@ -150,7 +149,7 @@ def test_chebyshev_matches_dense(ctx22):
 
 
 def test_chebyshev_error_decreases_with_tolerance(ctx22):
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     v = ctx22.sk_phi((1, 0), 2)
     dense = ctx22.filtered_vector(g, v)
     errors = []
@@ -161,11 +160,11 @@ def test_chebyshev_error_decreases_with_tolerance(ctx22):
 
 
 def test_degree_cap_error():
-    g = GFilter(FilterSpec(0.01, 3.0, 0.5))
+    g = GFilter(0.01, 3.0, 0.5)
     with pytest.raises(FilterDegreeError):
         make_chebyshev_expansion(g, -1.0, 40.0, 1e-12, max_degree=64)
     # reachable below the start degree (512) but not below the cap
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     with pytest.raises(FilterDegreeError):
         make_chebyshev_expansion(g, -1.0, 10.0, 1e-2, max_degree=64)
 
@@ -210,7 +209,7 @@ def test_chebyshev_moments_per_segment(rng):
 def test_cheb_coeffs_match_scipy_dct(degree):
     from scipy.fft import dct
 
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     lo, hi = -1.5, 9.0
     nodes = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
     ref = dct(g(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)), type=2) \
@@ -234,7 +233,7 @@ def test_cli_import_loads_no_scipy_fft_or_special():
 
 
 def test_expansion_is_certified():
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     exp = make_chebyshev_expansion(g, -0.5, 6.0, 1e-8)
     xs = np.linspace(-0.5, 6.0, 20001)
     assert np.max(np.abs(exp.evaluate(xs) - g(xs))) <= 2e-8
@@ -244,7 +243,7 @@ def test_expansion_is_certified():
 @pytest.mark.parametrize("fixture", ["ctx22", "ctx24"])
 def test_idempotence_bracketing(fixture, rng, request):
     ctx = request.getfixturevalue(fixture)
-    g = GFilter(FilterSpec(0.2, 3.0, 0.5))
+    g = GFilter(0.2, 3.0, 0.5)
     dim = ctx.H.dim
     for _ in range(5):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -259,12 +258,11 @@ def test_window_and_plateau_projections(fixture, rng, request):
     """g(H-E0)^2 is squeezed between the plateau projector and the support
     projector."""
     ctx = request.getfixturevalue(fixture)
-    spec = FilterSpec(0.2, 3.0, 0.5)
-    g = GFilter(spec)
+    g = GFilter(0.2, 3.0, 0.5)
     dec = ctx.dense
     de = dec.eigenvalues - dec.eigenvalues[0]
-    support_mask = (de > spec.epsilon) & (de < spec.gamma)
-    plateau_mask = (de >= 2 * spec.epsilon) & (de <= spec.gamma - spec.delta_gamma)
+    support_mask = (de > g.epsilon) & (de < g.gamma)
+    plateau_mask = (de >= 2 * g.epsilon) & (de <= g.gamma - g.delta_gamma)
     dim = ctx.H.dim
     for _ in range(20):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -3,7 +3,7 @@ import pytest
 
 from goldstone.config import parse_config_text
 from goldstone.eigensolver import dense_spectrum
-from goldstone.filters import FilterSpec, GFilter
+from goldstone.filters import GFilter
 from goldstone.lattice import Lattice
 from goldstone.locality import (_commutator_norm, _evolve, b_continuity,
                                 delta_decomposition, local_approximation,
@@ -14,7 +14,7 @@ from goldstone.operators import (SECTOR_AXES, build_hamiltonian,
 from goldstone.runner import run_scan
 from test_operators import spin_matrices
 
-GF = GFilter(FilterSpec(0.2, 3.0, 0.5))
+GF = GFilter(0.2, 3.0, 0.5)
 
 
 def heisenberg_evolve(dec, a, t):
