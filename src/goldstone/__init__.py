@@ -5,7 +5,8 @@ Builds torus Hamiltonians exactly, computes ground states by restarted
 Lanczos (dense oracle on tiny systems), and verifies the full chain of
 finite-volume inequalities behind linear spin-wave dispersion: infrared
 susceptibility bounds, double-commutator sum rules, smooth spectral filters,
-wavepacket excitation energies, and quasi-locality estimates.
+wavepacket excitation energies, and quasi-locality estimates.  Each name is
+imported from its module (`goldstone.analysis`, `goldstone.runner`, ...).
 """
 
 import os
@@ -23,14 +24,3 @@ if "OPENBLAS_NUM_THREADS" not in os.environ:
         set_one_blas_thread()
 
 __version__ = "0.1.0"
-
-from .lattice import Lattice, dispersion_symbol  # noqa: F401
-from .operators import (SparseHermitianOperator, build_hamiltonian,  # noqa: F401
-                        fourier_spin)
-from .eigensolver import (GroundState, SpectralDecomposition,  # noqa: F401
-                          deflated_solve, dense_spectrum, ground_state)
-from .filters import (GFilter, WavepacketSpec, build_f,  # noqa: F401
-                      smoothstep)
-from .analysis import (BoundEntry, DispersionRecord,  # noqa: F401
-                       SystemContext, choose_epsilon, excitation_energy,
-                       extrapolate_ms)

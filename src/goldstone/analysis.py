@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigensolver import (DENSE_CAP_DEFAULT, SEED_DEFAULT, SOLVER_TOL_DEFAULT,
-                          GroundState, check_ground_sector, deflated_solve,
-                          dense_spectrum, ground_state, lowest_ritz)
+from .eigensolver import (SEED_DEFAULT, SOLVER_TOL_DEFAULT, GroundState,
+                          SolverError, deflated_solve, dense_spectrum,
+                          ground_state, lowest_ritz)
 from .filters import (GFilter, SpectrumEnclosureError, WavepacketWeights,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
@@ -49,6 +49,7 @@ __all__ = [
     "V_MIN_LADDER",
 ]
 
+DENSE_CAP_DEFAULT = 4096        # largest dimension given the dense oracle
 V_MIN_LADDER = (0.5, 0.25, 0.1, 0.05, 0.025)     # descending
 INTERVAL_SOURCE = ("block (1, 0) lowest Ritz value -5% of the width; "
                    "Gershgorin row bound of M = +-1")
@@ -85,8 +86,8 @@ class BoundEntry:
     margin: float
     tolerance: float
     passed: bool
-    kind: str = "upper"
-    note: str = ""
+    kind: str
+    note: str
 
 
 @dataclass
@@ -114,9 +115,9 @@ class DispersionRecord:
     denominator: float
     delta_e: float
     per_k: list
-    cross_momentum_max: float | None = None
-    c0_estimate: float | None = None
-    v_max_estimate: float | None = None
+    cross_momentum_max: float | None
+    c0_estimate: float | None
+    v_max_estimate: float | None
 
 
 def _upper(name, momentum, axis, lhs, rhs, tol, note="") -> BoundEntry:
@@ -135,11 +136,10 @@ class DenseContext:
     """The dense oracle of one (lattice, B): the full-basis H and its
     eigensystem, over which every spectral quantity is a sum."""
 
-    def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances,
-                 dense_cap: int):
+    def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances):
         self.lattice, self.B, self.tol = lattice, B, tolerances
         self.H = build_hamiltonian(lattice, B)
-        self.dense = dense_spectrum(self.H, dense_cap)
+        self.dense = dense_spectrum(self.H)
         self.gs = GroundState(float(self.dense.eigenvalues[0]),
                               self.dense.eigenvectors[:, 0].copy(),
                               residual=0.0)
@@ -177,8 +177,9 @@ class DenseContext:
         amps = self.dense.eigenvectors.conj().T @ v
         return self.dense.eigenvectors @ (g(self.excitation) * amps)
 
-    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
-        """(H - E0) v for any vector of the full basis."""
+    def h_shifted(self, n, axis: int) -> np.ndarray:
+        """(H - E0) v for v = sk_phi(n, axis)."""
+        v = self.sk_phi(n, axis)
         return self.H.matvec(v) - self.gs.energy * v
 
     def prefetch(self, wanted) -> None:
@@ -258,7 +259,9 @@ class BlockContext:
 
     def _check_ground_sector(self) -> None:
         """Lowest Ritz value of block (M, 0) for every M = 1 .. N S against
-        E0, the lowest eigenvalue of block (0, 0).
+        E0, the lowest eigenvalue of block (0, 0): a Ritz value has an
+        eigenvalue within its residual, so each theta - residual must lie
+        above E0, else SolverError.  `ground_gap` is the least theta - E0.
 
         Block (M, 0) holds the lowest state of the pair (M, -M), so no other
         q needs a run.  In the Marshall basis (-1)^(sum_odd x d_x) every hop
@@ -280,9 +283,15 @@ class BlockContext:
             self.sector_lowest.append(
                 {"M": M, "q": list(self._zero), "dim": H_m.dim,
                  "nnz": H_m.nnz, "ritz": theta, "residual": resid})
-        self.ground_gap = check_ground_sector(
-            self.gs.energy,
-            [(s["M"], s["ritz"], s["residual"]) for s in self.sector_lowest])
+        e0 = self.gs.energy
+        for s in self.sector_lowest:
+            # written so that a NaN fails the check
+            if not s["ritz"] - s["residual"] > e0:
+                raise SolverError(
+                    f"sector M = {s['M']} has a Ritz value {s['ritz']:.12g} "
+                    f"(residual {s['residual']:.1e}) at or below E0 = "
+                    f"{e0:.12g}: the ground state is not in the solved sector")
+        self.ground_gap = min(s["ritz"] - e0 for s in self.sector_lowest)
 
     @cached_property
     def m_B(self) -> float:
@@ -327,8 +336,9 @@ class BlockContext:
                 + 1j * np.bincount(t, x.imag, dim)
         return self._sk_cache[key]
 
-    def h_shifted(self, v: np.ndarray, n, axis: int) -> np.ndarray:
+    def h_shifted(self, n, axis: int) -> np.ndarray:
         """(H - E0) v for v = sk_phi(n, axis), on its block."""
+        v = self.sk_phi(n, axis)
         return self.block(self._block_q(n, axis)).matvec(v) \
             - self.gs.energy * v
 
@@ -471,7 +481,7 @@ def SystemContext(lattice: Lattice, B: float, *,
     """The dense oracle of one (lattice, B) up to `dense_cap` states, its
     twisted-momentum blocks above; `seed` seeds the blocks' Lanczos runs."""
     if lattice.hilbert_dim <= dense_cap:
-        return DenseContext(lattice, B, tolerances, dense_cap)
+        return DenseContext(lattice, B, tolerances)
     return BlockContext(lattice, B, tolerances, seed)
 
 
@@ -503,8 +513,8 @@ def double_commutator_entry(ctx: Context, n, axis: int) -> BoundEntry:
     m = lat.negate(n)
     u = ctx.sk_phi(n, axis)
     w = ctx.sk_phi(m, axis)
-    lhs = (np.vdot(u, ctx.h_shifted(u, n, axis)).real
-           + np.vdot(w, ctx.h_shifted(w, m, axis)).real)
+    lhs = (np.vdot(u, ctx.h_shifted(n, axis)).real
+           + np.vdot(w, ctx.h_shifted(m, axis)).real)
     s = ctx.lattice.spin
     rhs = 4 * s * s * lat.dispersion(n) + ctx.B * s
     return _upper("double_commutator", n, axis, lhs, rhs, ctx.tol.algebraic)
@@ -658,7 +668,7 @@ def bound_report(ctx: Context, g: GFilter, v_min: float,
 
 
 def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
-                      v_min: float, mode: str = "zero") -> DispersionRecord:
+                      v_min: float, mode: str) -> DispersionRecord:
     """Wavepacket excitation energy Delta E = num / den.
 
     mode "zero" uses hat S_k^(2) at the wavepacket momenta (excitation near
@@ -685,30 +695,30 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
         raise VanishingDenominatorError(
             f"filter window empty for this wavepacket (den = {den:.3e}, "
             f"certified error {den_err:.3e})")
-    delta_e = num / den
     spec = wp.spec
-    record = DispersionRecord(
+    c0, v_max = _c0_estimate(ctx, wp, g, v_min) if mode == "zero" \
+        else (None, None)
+    return DispersionRecord(
         spin=lat.spin, B=ctx.B, mode=mode, p_target=spec.p,
         annulus_radius=spec.annulus_radius, kappa=spec.kappa,
         epsilon=g.epsilon, gamma=g.gamma, delta_gamma=g.delta_gamma,
         v_min=v_min, m_B=ctx.m_B,
-        numerator=num, denominator=den, delta_e=delta_e, per_k=per_k,
-        cross_momentum_max=ctx.cross_momentum_max(g, keys))
-    if mode == "zero":
-        _attach_c0(ctx, record, wp, g, v_min)
-    return record
+        numerator=num, denominator=den, delta_e=num / den, per_k=per_k,
+        cross_momentum_max=ctx.cross_momentum_max(g, keys),
+        c0_estimate=c0, v_max_estimate=v_max)
 
 
-def _attach_c0(ctx: Context, record: DispersionRecord,
-               wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
-    """c0 = min over annulus momenta of D(k, B)/R, and v_max = 2 S^2/c0."""
+def _c0_estimate(ctx: Context, wp: WavepacketWeights, g: GFilter,
+                 v_min: float) -> tuple:
+    """(c0, v_max): c0 = min over annulus momenta of D(k, B)/R and v_max =
+    2 S^2/c0; None for each where it is not defined."""
     s, r = ctx.lattice.spin, wp.spec.annulus_radius
     bounds = [_denominator_bound(ctx, g, v_min, r, n) for n in wp.annulus]
     d_over = [bound[1] / r for bound in bounds if bound is not None]
-    if d_over:
-        c0 = float(min(d_over))
-        record.c0_estimate = c0
-        record.v_max_estimate = float(2 * s * s / c0) if c0 > 0 else None
+    if not d_over:
+        return None, None
+    c0 = float(min(d_over))
+    return c0, float(2 * s * s / c0) if c0 > 0 else None
 
 
 def qmode_trend(ctx: Context, g: GFilter) -> list:

@@ -12,8 +12,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
-from .analysis import Tolerances
-from .eigensolver import DENSE_CAP_DEFAULT, SEED_DEFAULT
+from .analysis import DENSE_CAP_DEFAULT, Tolerances
+from .eigensolver import SEED_DEFAULT
 from .filters import GFilter, WavepacketSpec
 from .lattice import Lattice
 

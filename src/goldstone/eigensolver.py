@@ -3,12 +3,11 @@
 One Lanczos routine, `_lowest`, finds the lowest eigenpair of a sparse H:
 it keeps a fully reorthogonalised basis and restarts from the best Ritz
 vector when the basis fills, trading memory for correctness at desk scale.
-`ground_state` and `lowest_ritz` are its two callers.  The dense oracle backs
-every spectral quantity on small systems.  On twisted-momentum blocks the
-ground state is solved in block (0, 0), and `check_ground_sector` verifies
-against the lowest Ritz values of the other sectors that it is the global
-one; `deflated_solve` is conjugate gradients on H - E0 in a block that does
-not hold it.
+`ground_state` and `lowest_ritz` are its two callers.  The dense oracle,
+`dense_spectrum`, backs every spectral quantity on small systems; whether a
+system is small is decided by its caller (`analysis.SystemContext`).
+`deflated_solve` is conjugate gradients on H - E0 in a symmetry block that
+does not hold the ground state.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ __all__ = [
     "dense_spectrum",
     "deflated_solve",
     "lowest_ritz",
-    "check_ground_sector",
 ]
 
-DENSE_CAP_DEFAULT = 4096
 SOLVER_TOL_DEFAULT = 1e-10      # Ritz and CG residual target, relative
 SEED_DEFAULT = 7                # seeds each Lanczos start vector
 MAX_BASIS = 220                 # Lanczos basis vectors kept before a restart
@@ -119,24 +116,6 @@ def lowest_ritz(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
     return theta, resid
 
 
-def check_ground_sector(e0: float, lowest) -> float:
-    """Gap from E0 to the other sectors, given (M, theta, residual) for
-    each of them: the smallest theta - E0.
-
-    A converged Ritz value has an eigenvalue within its residual, so each
-    theta - residual must lie above E0; otherwise the ground state is not in
-    the solved sector, and SolverError is raised.
-    """
-    for M, theta, resid in lowest:
-        # written so that a NaN fails the check
-        if not theta - resid > e0:
-            raise SolverError(
-                f"sector M = {M} has a Ritz value {theta:.12g} (residual "
-                f"{resid:.1e}) at or below E0 = {e0:.12g}: the ground state "
-                "is not in the solved sector")
-    return float(min(theta - e0 for _, theta, _ in lowest))
-
-
 def row_sum_bound(H: CSROperator) -> float:
     """max_i sum_j |H_ij| >= ||H||, without matvecs: the sums of |entries|
     over the nonempty CSR rows, as scipy's `abs(csr).sum(axis=1)` adds them."""
@@ -144,11 +123,8 @@ def row_sum_bound(H: CSROperator) -> float:
     return float(np.add.reduceat(np.abs(H.data), starts).max(initial=0.0))
 
 
-def dense_spectrum(H: FullBasisOperator,
-                   cap: int = DENSE_CAP_DEFAULT) -> SpectralDecomposition:
-    """Full eigensystem oracle; refuses dimensions above the dense cap."""
-    if H.dim > cap:
-        raise ValueError(f"dimension {H.dim} above dense cap {cap}")
+def dense_spectrum(H: FullBasisOperator) -> SpectralDecomposition:
+    """Full eigensystem oracle."""
     evals, evecs = np.linalg.eigh(H.to_dense())
     return SpectralDecomposition(evals, evecs)
 

@@ -97,10 +97,6 @@ class GFilter:
         return (smoothstep((E - self.epsilon) / self.epsilon)
                 * smoothstep((self.gamma - E) / self.delta_gamma))
 
-    def sample_table(self, lo: float, hi: float, n: int) -> np.ndarray:
-        xs = np.linspace(lo, hi, n)
-        return np.column_stack([xs, self(xs)])
-
 
 @dataclass(frozen=True)
 class WavepacketSpec:
@@ -112,7 +108,7 @@ class WavepacketSpec:
     """
 
     p: float
-    kappa: float = np.pi / 2
+    kappa: float
 
     def __post_init__(self):
         if not self.p > 0:
@@ -140,10 +136,6 @@ class WavepacketWeights:
     spec: WavepacketSpec
     weights: dict          # momentum label -> weight > 0
     annulus: tuple         # labels in the closed annulus [R/2, R]
-
-    def sample_table(self, n: int) -> np.ndarray:
-        xs = np.linspace(0.0, 1.25 * self.spec.annulus_radius, n)
-        return np.column_stack([xs, self.spec.profile(xs)])
 
 
 def build_f(spec: WavepacketSpec, lattice: Lattice) -> WavepacketWeights:

@@ -238,8 +238,7 @@ def b_continuity(lattice: Lattice, g: GFilter, spectra,
     if any(b <= 0 for b, _ in spectra):
         raise ValueError("B ladder must be strictly positive (B = 0 is the "
                          "reference point, not a ladder entry)")
-    H0 = build_hamiltonian(lattice, 0.0)
-    ref = tau_g_star(dense_spectrum(H0, H0.dim), g, a)
+    ref = tau_g_star(dense_spectrum(build_hamiltonian(lattice, 0.0)), g, a)
     samples = [(float(b), operator_norm(tau_g_star(dec, g, a) - ref) / b)
                for b, dec in spectra]
     rates = [r for _, r in samples]

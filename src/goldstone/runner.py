@@ -9,10 +9,14 @@ Output layout under the chosen directory:
     locality_profiles.csv   norm samples and fitted envelopes
     filter_samples.csv      window and annulus profiles (argument, value)
     manifest.json           config echo, versions, summary, pass/fail
-    failures.json           present only when checks failed
+    failures.json           present only when a check failed or a point was
+                            not certified
 
 Exit status: 0 when every check passed, 1 when one failed, 3 (inconclusive)
 when none failed but a group produced no entry or a point was uncertified.
+
+Locality runs on the fields that `analysis.SystemContext` gave the dense
+oracle; the grids of filter_samples.csv are sampled here alone.
 
 CSV bodies are byte-deterministic for a fixed config; the manifest carries
 the only timestamp.
@@ -64,8 +68,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, tuple):
-        return ";".join(str(v) for v in value)
     return str(value)
 
 
@@ -147,10 +149,9 @@ def run_scan(config: ScanConfig, out_dir,
             res.skip(tag, None, "no usable wavepacket on this grid",
                      ("bounds", "dispersion", "qmode"))
 
-        run_locality = "locality" in groups and \
-            lattice.hilbert_dim <= config.dense_cap
         fields, dense = [], []
         for B in config.b_ladder:
+            ctx = None  # a sparse context is freed before the next is built
             try:
                 ctx = SystemContext(lattice, B, dense_cap=config.dense_cap,
                                     tolerances=config.tolerances,
@@ -163,13 +164,16 @@ def run_scan(config: ScanConfig, out_dir,
                          f"{type(exc).__name__}: {exc}",
                          sorted(groups - {"locality"}), B=B,
                          error=type(exc).__name__)
+                if ctx is not None:     # what the context had solved
+                    res.solver_stats.append({"lattice": tag, "B": B,
+                                             **ctx.solver_stats(),
+                                             "error": type(exc).__name__})
             else:
                 res.solver_stats.append({"lattice": tag, "B": B,
                                          **ctx.solver_stats()})
                 fields.append((B, ctx.gs.energy, ctx.m_B))
-                if run_locality:    # the dense contexts that _locality reads
-                    dense.append(ctx)
-            ctx = None  # a sparse context is freed before the next is built
+                if "locality" in groups and isinstance(ctx, DenseContext):
+                    dense.append(ctx)   # the contexts that _locality reads
             aborted = fail_fast and bool(res.bound_failures())
             if aborted:
                 break
@@ -185,7 +189,7 @@ def run_scan(config: ScanConfig, out_dir,
                 rows[-1]["ms_intercept"] = ms["intercept"]
             res.check("dispersion", "ms_extrapolation", tag, None,
                       ms["intercept"], None, True, ms["label"])
-        if run_locality:
+        if dense:
             _locality(res, config, lattice, tag, dense)
         elif "locality" in groups:
             res.skip(tag, None, "locality needs the dense oracle",
@@ -269,10 +273,11 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
     """Filter samples, wavepacket records and the qmode trend at one
     wavepacket."""
     lattice, B, tol = ctx.lattice, ctx.B, config.tolerances.algebraic
-    for kind, table in (
-            ("window", g.sample_table(0.0, 1.2 * g.gamma, 241)),
-            ("annulus", wp.sample_table(241))):
-        for arg, val in table:
+    window = np.linspace(0.0, 1.2 * g.gamma, 241)
+    annulus = np.linspace(0.0, 1.25 * wp.spec.annulus_radius, 241)
+    for kind, xs, ys in (("window", window, g(window)),
+                         ("annulus", annulus, wp.spec.profile(annulus))):
+        for arg, val in zip(xs, ys):
             res.row("filter_samples", lattice=tag, B=B, p_target=wp.spec.p,
                     kind=kind, argument=arg, value=val)
     modes = [mode for group, mode in (("dispersion", "zero"),
@@ -418,7 +423,8 @@ def _inconclusive(res: _Outputs, groups) -> list:
 
 
 def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
-    """The CSVs, manifest.json, and failures.json when a check failed."""
+    """The CSVs, manifest.json, and failures.json when a check failed or a
+    point was not certified."""
     import scipy    # for its version alone: kept off start-up
     for stem, columns in _COLUMNS.items():
         _write_csv(out / f"{stem}.csv", res.rows[stem], columns)
@@ -456,11 +462,13 @@ def _write_outputs(res: _Outputs, config: ScanConfig, out: Path) -> ScanResult:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if exit_code == 1:
+    uncertified = [s for s in res.skipped if "error" in s]
+    if exit_code == 1 or uncertified:
         index = {
             "bound_failures": [
                 {k: _fmt(v) for k, v in row.items()} for row in bound_failures],
             "check_failures": check_failures,
+            "uncertified": uncertified,
         }
         with open(out / "failures.json", "w", encoding="utf-8") as fh:
             json.dump(index, fh, indent=2, sort_keys=True)

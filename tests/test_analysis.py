@@ -1,4 +1,5 @@
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -99,8 +100,9 @@ def test_filtered_moments_match_spectral_sums(ctx22):
     # the quadratic forms of the filtered vector w = g(H - E0) S_k phi0
     w = ctx22.filtered_vector(GF, ctx22.sk_phi(n, 2))
     assert den == pytest.approx(float(np.vdot(w, w).real), abs=1e-12)
-    assert num == pytest.approx(
-        float(np.vdot(w, ctx22.h_shifted(w, n, 2)).real), abs=1e-12)
+    # <w, (H - E0) w> = <g^2(H - E0) v, (H - E0) v>
+    assert num == pytest.approx(float(np.vdot(
+        ctx22.filtered_vector(GF, w), ctx22.h_shifted(n, 2)).real), abs=1e-12)
     dec = ctx22.dense
     de = dec.eigenvalues - dec.eigenvalues[0]
     amps = np.abs(dec.eigenvectors.conj().T @ ctx22.sk_phi(n, 2)) ** 2
@@ -413,6 +415,23 @@ def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
         SystemContext(lat22, 0.1, dense_cap=0)
 
 
+def test_ground_sector_verdict(lat24, monkeypatch):
+    """BlockContext's verdict on 2x4 at B = 0.2: the gap is theta(M = 1) -
+    E0; a Ritz value within its residual of E0, or a NaN, raises and names
+    its sector."""
+    B = 0.2
+    e0 = SystemContext(lat24, B).gs.energy      # the dense oracle
+    ctx = SystemContext(lat24, B, dense_cap=0)
+    assert ctx.ground_gap == pytest.approx(ctx.sector_lowest[0]["ritz"] - e0)
+    for planted, match in (([(e0 + 0.5, 0.0), (e0 + 1e-12, 1e-9)], "M = 2"),
+                           ([(np.nan, 0.0)], "M = 1")):
+        ritz = iter(planted + [(e0 + 0.5, 0.0)] * 4)
+        monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
+                            lambda H, tol, seed: next(ritz))
+        with pytest.raises(SolverError, match=match):
+            SystemContext(lat24, B, dense_cap=0)
+
+
 def test_planted_ground_sector_failure_skips_only_its_field(tmp_path,
                                                            monkeypatch):
     """A SolverError at the first field of a two-field sparse ladder: that
@@ -446,6 +465,33 @@ def test_planted_ground_sector_failure_skips_only_its_field(tmp_path,
         with open(tmp_path / f"{stem}.csv", newline="") as fh:
             fields = {row["B"] for row in csv.DictReader(fh)}
         assert fields == {"0.2"}, stem
+
+
+def test_field_left_without_a_context_is_listed_uncertified(tmp_path,
+                                                             monkeypatch):
+    """A SolverError from the second field's constructor: failures.json lists
+    that field as uncertified, the scan still exits 3, and the solver
+    statistics hold the first field alone, without an error."""
+    calls = []
+
+    def planted(H, tol, seed):
+        calls.append(H.dim)
+        # sectors M = 1, 2 of the second field reach below E0
+        return (-100.0, 0.0) if len(calls) > 2 else lowest_ritz(H, tol, seed)
+
+    monkeypatch.setattr(goldstone.analysis, "lowest_ritz", planted)
+    cfg = parse_config_text("[scan]\nchecks = bounds dispersion\n"
+                            "lattices = 2x2\nb_ladder = 0.4 0.2\n"
+                            "dense_cap = 0\n")
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.exit_code == 3
+    assert [(s["B"], "error" in s) for s in
+            result.manifest["solver_stats"]] == [(0.4, False)]
+    index = json.loads((tmp_path / "failures.json").read_text())
+    assert index["uncertified"] == result.manifest["summary"]["skipped"]
+    (record,) = index["uncertified"]
+    assert (record["B"], record["error"]) == (0.2, "SolverError")
+    assert index["bound_failures"] == index["check_failures"] == []
 
 
 def test_solver_tolerance_and_seed_reach_every_lanczos_run(lat24, tmp_path,

@@ -517,7 +517,24 @@ def test_point_the_filter_cannot_certify_is_inconclusive(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     (skip,) = manifest["summary"]["skipped"]
     assert (skip["B"], skip["error"]) == (0.2, "FilterDegreeError")
-    assert not (out / "failures.json").exists()
+    index = json.loads((out / "failures.json").read_text())
+    assert index["uncertified"] == [skip]
+
+
+def test_uncertified_point_keeps_what_its_context_solved(tmp_path):
+    """The FilterDegreeError comes after the context was built: the manifest
+    keeps that context's statistics (ground block, sector Ritz values and
+    interval), marked with the error."""
+    result = run_scan(parse_config_text(UNCERTIFIED), out_dir=tmp_path)
+    assert result.exit_code == 3
+    (stats,) = result.manifest["solver_stats"]
+    assert (stats["B"], stats["path"], stats["error"]) == \
+        (0.2, "sparse", "FilterDegreeError")
+    assert stats["blocks"]["ground"]["q"] == [0, 0]
+    assert [s["M"] for s in stats["blocks"]["lowest"]] == [1, 2]
+    lo, hi = stats["interval"]
+    assert lo < stats["blocks"]["lowest"][0]["ritz"] < hi
+    assert stats["expansions"] == []
 
 
 def test_out_naming_a_file_is_an_error_before_any_scan(tmp_path, capsys,
