@@ -182,19 +182,19 @@ class DenseContext:
         v = self.sk_phi(n, axis)
         return self.H.matvec(v) - self.gs.energy * v
 
-    def prefetch(self, wanted) -> None:
-        """Nothing to prepare: every form is a sum over the eigensystem."""
-
-    def forms(self, g: GFilter, keys) -> list:
-        """[(num_k, den_k, err_k)] of v = S_k phi0 at each (momentum, axis)
-        key, den_k = <v, g^2(H - E0) v> and num_k = <v, (H - E0) g^2(H - E0)
-        v>: sums of (E - E0) g^2 |a|^2 and g^2 |a|^2 over the eigensystem,
-        so den_k's error err_k is 0."""
-        de = self.excitation
-        g2 = g(de) ** 2
-        weights = [g2 * np.abs(self.amplitudes(*key)) ** 2 for key in keys]
-        return [(float(np.sum(de * w)), float(np.sum(w)), 0.0)
-                for w in weights]
+    def forms(self, wanted) -> dict:
+        """{(g, (momentum, axis)): (num_k, den_k, err_k)} over a point's
+        [(g, keys)], for v = S_k phi0: den_k = <v, g^2(H - E0) v> and num_k
+        = <v, (H - E0) g^2(H - E0) v>, sums of g^2 |a|^2 and (E - E0) g^2
+        |a|^2 over the eigensystem, so den_k's error err_k is 0."""
+        de, out = self.excitation, {}
+        for g, keys in wanted:
+            g2 = g(de) ** 2
+            for n, axis in keys:
+                w = g2 * np.abs(self.amplitudes(n, axis)) ** 2
+                out[g, (tuple(n), axis)] = (float(np.sum(de * w)),
+                                            float(np.sum(w)), 0.0)
+        return out
 
     def irb_lhs(self, n, axis: int) -> float:
         """The sum of |a|^2 / (E - E0) over the excited eigenstates."""
@@ -413,23 +413,23 @@ class BlockContext:
             "dim": int(starts[-1]), "moments": n_moments,
             "block_matvecs": matvecs, "max_moment_ratio": ratio})
 
-    def prefetch(self, wanted) -> None:
-        """One moment pass over a point's keys, as deep as its filters need."""
-        orders = [max(e.degree for e in self.filter_expansions(g)) + 1
-                  for g, _ in wanted]
-        if orders:
-            self.moments([key for _, keys in wanted for key in keys],
-                         max(orders))
-
-    def forms(self, g: GFilter, keys) -> list:
-        """Each (num_k, den_k, err_k): num_k and den_k lie within their
-        expansion's sup error * ||v||^2 (the moment mu_0), err_k is that
-        bound for den_k."""
-        den_exp, num_exp = self.filter_expansions(g)
-        n_moments = max(den_exp.degree, num_exp.degree) + 1
-        return [(num_exp.quadratic_form(mu), den_exp.quadratic_form(mu),
-                 den_exp.sup_error * float(mu[0]))
-                for mu in self.moments(keys, n_moments)]
+    def forms(self, wanted) -> dict:
+        """{(g, (momentum, axis)): (num_k, den_k, err_k)} over a point's
+        [(g, keys)], from one moment pass over every key, in `wanted` order,
+        as deep as the deepest expansion needs: num_k and den_k lie within
+        their expansion's sup error * ||v||^2 (the moment mu_0), err_k is
+        that bound for den_k."""
+        depth = 1 + max((e.degree for g, _ in wanted
+                         for e in self.filter_expansions(g)), default=0)
+        pairs = [(g, (tuple(n), axis)) for g, keys in wanted
+                 for n, axis in keys]
+        out = {}
+        for (g, key), mu in zip(pairs, self.moments([k for _, k in pairs],
+                                                     depth)):
+            den, num = self.filter_expansions(g)
+            out[g, key] = (num.quadratic_form(mu), den.quadratic_form(mu),
+                           den.sup_error * float(mu[0]))
+        return out
 
     def irb_lhs(self, n, axis: int) -> float:
         """<v, (H - E0)^-1 v> for v = sk_phi(n, axis) by CG on its block,
@@ -642,9 +642,10 @@ def filter_keys(lat: Lattice, wp: WavepacketWeights, groups) -> list:
     return keys
 
 
-def bound_report(ctx: Context, g: GFilter, v_min: float,
+def bound_report(ctx: Context, forms: dict, g: GFilter, v_min: float,
                  r: float) -> list[BoundEntry]:
-    """Full inequality suite over every grid momentum at one (lattice, B).
+    """Full inequality suite over every grid momentum at one (lattice, B),
+    the window momenta's den_k read from the point's `forms` at g.
 
     Because the grid is closed under the Q-shift, this also certifies the
     staggered-mode chain: its sum rule, window pieces and denominator bound
@@ -654,22 +655,21 @@ def bound_report(ctx: Context, g: GFilter, v_min: float,
     report = []
     q = lat.q_ordering
     window = _window_momenta(lat)
-    dens = {n: den for n, (_, den, _) in
-            zip(window, ctx.forms(g, [(n, 2) for n in window]))}
     for n in lat.momenta:
         report.append(sum_rule_entry(ctx, n))
         for axis in (2, 3):
             report.append(double_commutator_entry(ctx, n, axis))
             if n != q:
                 report.append(irb_entry(ctx, n, axis))
-        if n in dens:
-            report += window_entries(ctx, g, v_min, r, n, dens[n])
+        if n in window:
+            report += window_entries(ctx, g, v_min, r, n, forms[g, (n, 2)][1])
     return report
 
 
-def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
-                      v_min: float, mode: str) -> DispersionRecord:
-    """Wavepacket excitation energy Delta E = num / den.
+def excitation_energy(ctx: Context, forms: dict, wp: WavepacketWeights,
+                      g: GFilter, v_min: float, mode: str) -> DispersionRecord:
+    """Wavepacket excitation energy Delta E = num / den, from the point's
+    `forms` at g.
 
     mode "zero" uses hat S_k^(2) at the wavepacket momenta (excitation near
     momentum zero); mode "staggered" shifts every operator momentum by Q.
@@ -683,10 +683,10 @@ def excitation_energy(ctx: Context, wp: WavepacketWeights, g: GFilter,
     lat = ctx.lattice
     items = sorted(wp.weights.items())
     keys = _mode_keys(lat, wp, mode)
-    forms = ctx.forms(g, keys)
     num = den = den_err = 0.0
     per_k = []
-    for (n, weight), (num_k, den_k, err_k) in zip(items, forms):
+    for (n, weight), key in zip(items, keys):
+        num_k, den_k, err_k = forms[g, key]
         per_k.append(PerMomentum(n, weight, num_k, den_k))
         num += weight ** 2 * num_k / lat.n_sites
         den += weight ** 2 * den_k / lat.n_sites
@@ -721,17 +721,17 @@ def _c0_estimate(ctx: Context, wp: WavepacketWeights, g: GFilter,
     return c0, float(2 * s * s / c0) if c0 > 0 else None
 
 
-def qmode_trend(ctx: Context, g: GFilter) -> list:
+def qmode_trend(ctx: Context, forms: dict, g: GFilter) -> list:
     """den_k of the staggered-mode operator at one representative momentum
-    per distinct dispersion value, sorted by increasing dispersion.
+    per distinct dispersion value, sorted by increasing dispersion, read
+    from the point's `forms` at g.
 
     The recorded trend exposes the growth of the staggered-mode weight as
     E_k shrinks (the ~ 1/|k| behaviour at small momenta).
     """
     lat = ctx.lattice
-    reps = _trend_representatives(lat)
-    forms = ctx.forms(g, [(lat.shift_q(n), 2) for _, n in reps])
-    return [(float(e), n, den_k) for (e, n), (_, den_k, _) in zip(reps, forms)]
+    return [(float(e), n, forms[g, (lat.shift_q(n), 2)][1])
+            for e, n in _trend_representatives(lat)]
 
 
 def extrapolate_ms(b_values, m_values) -> dict:

@@ -2,9 +2,9 @@
 
 Subcommands: scan (all enabled groups), bounds / dispersion / qmode /
 locality (single group), report.  Exit status: 0 every enabled check
-passed, 1 a check failed, 2 a config error or an output directory that
-cannot be made, 3 inconclusive (no check failed, but an enabled group
-checked nothing or a point could not be certified).
+passed, 1 a check failed, 2 a config error, an output directory that cannot
+be made or (report) no readable scan manifest, 3 inconclusive (no check
+failed, but an enabled group checked nothing or a point was uncertified).
 """
 
 from __future__ import annotations
@@ -78,24 +78,25 @@ def _report(args) -> int:
     path = Path(args.out) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        summary = manifest["summary"]
+        lines = [f"config {manifest['config_hash']} "
+                 f"generated {manifest['generated_at']}"]
+        lines += [f"  {key}: {summary[key]}" for key in (
+            "bound_entries", "bound_failures", "check_entries",
+            "check_failures", "dispersion_records")]
+        lines += [f"  skipped: {item}" for item in summary.get("skipped", [])]
+        lines += [f"  FAILED {c['group']}/{c['name']} lattice={c['lattice']} "
+                  f"B={c['B']} value={c['value']}"
+                  for c in manifest["checks"] if not c["passed"]]
+        lines += [f"  inconclusive: {item['group']}: {item['reason']}"
+                  for item in summary.get("inconclusive", [])]
+        code = summary.get("exit_code", 0 if summary["all_passed"] else 1)
+        lines.append(_VERDICT[code])
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        print(f"error: {path} is not a readable scan manifest: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    summary = manifest["summary"]
-    print(f"config {manifest['config_hash']} generated {manifest['generated_at']}")
-    for key in ("bound_entries", "bound_failures", "check_entries",
-                "check_failures", "dispersion_records"):
-        print(f"  {key}: {summary[key]}")
-    for item in summary.get("skipped", []):
-        print(f"  skipped: {item}")
-    for c in manifest["checks"]:
-        if not c["passed"]:
-            print(f"  FAILED {c['group']}/{c['name']} lattice={c['lattice']} "
-                  f"B={c['B']} value={c['value']}")
-    for item in summary.get("inconclusive", []):
-        print(f"  inconclusive: {item['group']}: {item['reason']}")
-    code = summary.get("exit_code", 0 if summary["all_passed"] else 1)
-    print(_VERDICT[code])
+    print("\n".join(lines))
     return code
 
 

@@ -205,8 +205,11 @@ def parse_config_text(text: str) -> ScanConfig:
 
 
 def parse_config(path) -> ScanConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def auto_p_target(lattice) -> float:

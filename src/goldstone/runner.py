@@ -232,8 +232,8 @@ def _auto_filter(ctx: Context, wp: WavepacketWeights, config: ScanConfig):
 
 def _point(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
            wavepackets) -> None:
-    """The bounds and dispersion/qmode stages of one (lattice, B), sharing
-    one filter choice per wavepacket, announced first with its keys."""
+    """The bounds and dispersion/qmode stages of one (lattice, B): one filter
+    choice per wavepacket, and one `forms` call for all their keys."""
     filters = [_auto_filter(ctx, wp, config) for wp in wavepackets]
     wanted, groups = [], set(config.checks)
     for wp, chosen in zip(wavepackets, filters):
@@ -241,35 +241,31 @@ def _point(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
         groups.discard("bounds")    # the suite runs at the first wavepacket
         if keys and not isinstance(chosen, EpsilonChoiceError):
             wanted.append((chosen[0], keys))
-    ctx.prefetch(wanted)
+    forms = ctx.forms(wanted)
     if "bounds" in config.checks:
         spec, chosen = wavepackets[0].spec, filters[0]
         if isinstance(chosen, EpsilonChoiceError):
             res.skip(tag, spec.p, f"bounds: {chosen}", ("bounds",), B=ctx.B)
         else:
-            _bounds(res, ctx, tag, *chosen, spec.annulus_radius)
+            lattice = ctx.lattice
+            for e in bound_report(ctx, forms, *chosen, spec.annulus_radius):
+                res.row("bounds", lattice=tag, spin=lattice.spin, B=ctx.B,
+                        name=e.name, axis=e.axis, n=_label(e.momentum),
+                        k=_kcols(lattice, e.momentum), lhs=e.lhs, rhs=e.rhs,
+                        margin=e.margin, tolerance=e.tolerance, kind=e.kind,
+                        passed=e.passed, note=e.note)
     if {"dispersion", "qmode"} & set(config.checks):
         for wp, chosen in zip(wavepackets, filters):
             if isinstance(chosen, EpsilonChoiceError):
                 res.skip(tag, wp.spec.p, str(chosen), ("dispersion", "qmode"),
                          B=ctx.B)
             else:
-                _dispersion(res, config, ctx, tag, wp, *chosen)
+                _dispersion(res, config, ctx, forms, tag, wp, *chosen)
 
 
-def _bounds(res: _Outputs, ctx: Context, tag: str, g: GFilter,
-            v_min: float, r: float) -> None:
-    lattice = ctx.lattice
-    for e in bound_report(ctx, g, v_min, r):
-        res.row("bounds", lattice=tag, spin=lattice.spin, B=ctx.B,
-                name=e.name, axis=e.axis, n=_label(e.momentum),
-                k=_kcols(lattice, e.momentum), lhs=e.lhs, rhs=e.rhs,
-                margin=e.margin, tolerance=e.tolerance, kind=e.kind,
-                passed=e.passed, note=e.note)
-
-
-def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
-                wp: WavepacketWeights, g: GFilter, v_min: float) -> None:
+def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
+                forms: dict, tag: str, wp: WavepacketWeights, g: GFilter,
+                v_min: float) -> None:
     """Filter samples, wavepacket records and the qmode trend at one
     wavepacket."""
     lattice, B, tol = ctx.lattice, ctx.B, config.tolerances.algebraic
@@ -284,7 +280,7 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
                                       ("qmode", "staggered"))
              if group in config.checks]
     try:
-        records = [excitation_energy(ctx, wp, g, v_min, mode)
+        records = [excitation_energy(ctx, forms, wp, g, v_min, mode)
                    for mode in modes]
     except VanishingDenominatorError as exc:
         res.skip(tag, wp.spec.p, str(exc), ("dispersion", "qmode"), B=B)
@@ -315,7 +311,7 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context, tag: str,
                   diff > -ORDERING_SLACK,
                   "zero-mode above staggered-mode (slack 1e-6)")
     if "qmode" in config.checks:
-        trend = qmode_trend(ctx, g)
+        trend = qmode_trend(ctx, forms, g)
         for (e_val, n, den_k) in trend:
             res.row("qmode_trend", lattice=tag, B=B, dispersion=e_val,
                     n=_label(n), k=_kcols(lattice, n), den_k=den_k)

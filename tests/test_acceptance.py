@@ -63,12 +63,11 @@ def big():
     ctx = SystemContext(lat, 0.1, tolerances=Tolerances(chebyshev=1e-6))
     assert isinstance(ctx, BlockContext)
     wp, weights, g, v_min = _setup(ctx, np.pi / 2)
-    den, num = ctx.filter_expansions(g)
-    ctx.moments(filter_keys(lat, weights, {"dispersion", "qmode"}),
-                max(den.degree, num.degree) + 1)
-    rec = excitation_energy(ctx, weights, g, v_min, "zero")
-    rec_q = excitation_energy(ctx, weights, g, v_min, "staggered")
-    trend = qmode_trend(ctx, g)
+    keys = filter_keys(lat, weights, {"dispersion", "qmode"})
+    forms = ctx.forms([(g, keys)])
+    rec = excitation_energy(ctx, forms, weights, g, v_min, "zero")
+    rec_q = excitation_energy(ctx, forms, weights, g, v_min, "staggered")
+    trend = qmode_trend(ctx, forms, g)
     assert len(ctx.solver_stats()["moment_passes"]) == 1
     return {"ctx": ctx, "wp": wp, "g": g, "v_min": v_min, "rec": rec,
             "rec_q": rec_q, "trend": trend, "elapsed": time.time() - t0}
@@ -84,8 +83,10 @@ def test_criterion_1_inequality_suite(ladders):
     for extents, by_b in ladders.items():
         p = np.pi if extents == (2, 2) else np.pi / 2
         for b, ctx in by_b.items():
-            wp, _, g, v_min = _setup(ctx, p)
-            report = bound_report(ctx, g, v_min, wp.annulus_radius)
+            wp, weights, g, v_min = _setup(ctx, p)
+            forms = ctx.forms(
+                [(g, filter_keys(ctx.lattice, weights, {"bounds"}))])
+            report = bound_report(ctx, forms, g, v_min, wp.annulus_radius)
             for e in report:
                 total += 1
                 if e.margin < -tolerances[e.name]:
@@ -134,9 +135,11 @@ def test_criterion_2_oracle_equivalence(ladders):
                         failures.append(("resolvent", extents, b, n, axis,
                                          abs(lhs - ref)))
             wp, weights, g, v_min = _setup(dense, p)
-            keys = [(n, 2) for n in weights.weights]
-            for n, (num_c, den_c, _), (num_d, den_d, _) in zip(
-                    weights.weights, ctx.forms(g, keys), dense.forms(g, keys)):
+            wanted = [(g, [(n, 2) for n in weights.weights])]
+            chebyshev, oracle = ctx.forms(wanted), dense.forms(wanted)
+            for n in weights.weights:
+                num_c, den_c, _ = chebyshev[g, (n, 2)]
+                num_d, den_d, _ = oracle[g, (n, 2)]
                 if abs(num_c - num_d) > 1e-8 or abs(den_c - den_d) > 1e-8:
                     failures.append(("chebyshev", extents, b, n,
                                      abs(num_c - num_d), abs(den_c - den_d)))
@@ -159,7 +162,9 @@ def test_criterion_3_excitation_sandwich(big, ladders):
     # cross-momentum terms vanish on the dense 2x4 configuration
     ctx24 = ladders[(2, 4)][0.1]
     _, weights, g, v_min = _setup(ctx24, np.pi / 2)
-    rec24 = excitation_energy(ctx24, weights, g, v_min, "zero")
+    forms = ctx24.forms([(g, filter_keys(ctx24.lattice, weights,
+                                         {"dispersion"}))])
+    rec24 = excitation_energy(ctx24, forms, weights, g, v_min, "zero")
     if rec24.cross_momentum_max > 1e-10:
         failures.append(("cross_momentum", rec24.cross_momentum_max))
     elapsed = big["elapsed"]

@@ -95,7 +95,7 @@ def test_irb_rejects_ordering_momentum(ctx22):
 
 def test_filtered_moments_match_spectral_sums(ctx22):
     n = (1, 0)
-    ((num, den, err),) = ctx22.forms(GF, [(n, 2)])
+    num, den, err = ctx22.forms([(GF, [(n, 2)])])[GF, (n, 2)]
     assert err == 0.0       # sums over the eigensystem
     # the quadratic forms of the filtered vector w = g(H - E0) S_k phi0
     w = ctx22.filtered_vector(GF, ctx22.sk_phi(n, 2))
@@ -193,7 +193,7 @@ def test_window_entries_pass(ctx22):
     v_min, eps = choose_epsilon(ctx22.m_B, build_f(wp, ctx22.lattice),
                                 ctx22.lattice, gamma=3.0, delta_gamma=0.5)
     g = GFilter(eps, 3.0, 0.5)
-    ((_, den, _),) = ctx22.forms(g, [((1, 0), 2)])
+    _, den, _ = ctx22.forms([(g, [((1, 0), 2)])])[g, ((1, 0), 2)]
     entries = window_entries(ctx22, g, v_min, wp.annulus_radius, (1, 0), den)
     names = [e.name for e in entries]
     assert names == ["window_small", "window_large", "denominator_lower_bound"]
@@ -209,12 +209,20 @@ def test_window_entries_reject_zero_momentum(ctx22):
         window_entries(ctx22, GF, 0.1, np.pi, (0, 0), 1.0)
 
 
+def point_forms(ctx, g, weights, groups):
+    """The forms a scan point asks of its context at one window: those of
+    the groups' keys (`filter_keys`)."""
+    return ctx.forms([(g, filter_keys(ctx.lattice, weights, groups))])
+
+
 def test_bound_report_composition(ctx22):
     wp = WavepacketSpec(np.pi, 4.5)
-    v_min, eps = choose_epsilon(ctx22.m_B, build_f(wp, ctx22.lattice),
-                                ctx22.lattice, gamma=3.0, delta_gamma=0.5)
+    weights = build_f(wp, ctx22.lattice)
+    v_min, eps = choose_epsilon(ctx22.m_B, weights, ctx22.lattice,
+                                gamma=3.0, delta_gamma=0.5)
     g = GFilter(eps, 3.0, 0.5)
-    report = bound_report(ctx22, g, v_min, wp.annulus_radius)
+    forms = point_forms(ctx22, g, weights, {"bounds"})
+    report = bound_report(ctx22, forms, g, v_min, wp.annulus_radius)
     counts = {}
     for e in report:
         counts[e.name] = counts.get(e.name, 0) + 1
@@ -234,7 +242,8 @@ def _dispersion_setup(ctx, p):
 
 def test_excitation_energy_record(ctx24, golden):
     weights, g, v_min = _dispersion_setup(ctx24, np.pi / 2)
-    rec = excitation_energy(ctx24, weights, g, v_min, "zero")
+    forms = point_forms(ctx24, g, weights, {"dispersion"})
+    rec = excitation_energy(ctx24, forms, weights, g, v_min, "zero")
     assert rec.epsilon <= rec.delta_e <= rec.gamma
     assert rec.delta_e >= v_min * rec.annulus_radius
     assert rec.cross_momentum_max <= 1e-10
@@ -247,8 +256,9 @@ def test_excitation_energy_record(ctx24, golden):
 
 def test_qmode_record_and_ordering(ctx24):
     weights, g, v_min = _dispersion_setup(ctx24, np.pi / 2)
-    rec = excitation_energy(ctx24, weights, g, v_min, "zero")
-    rec_q = excitation_energy(ctx24, weights, g, v_min, "staggered")
+    forms = point_forms(ctx24, g, weights, {"dispersion", "qmode"})
+    rec = excitation_energy(ctx24, forms, weights, g, v_min, "zero")
+    rec_q = excitation_energy(ctx24, forms, weights, g, v_min, "staggered")
     assert rec_q.epsilon <= rec_q.delta_e <= rec_q.gamma
     assert rec.delta_e > rec_q.delta_e - 1e-6
 
@@ -266,8 +276,8 @@ def test_qmode_sum_rule_reduces_at_zero(ctx24):
 
 
 def test_qmode_trend_grows_at_small_dispersion(ctx24):
-    _, g, _ = _dispersion_setup(ctx24, np.pi / 2)
-    trend = qmode_trend(ctx24, g)
+    weights, g, _ = _dispersion_setup(ctx24, np.pi / 2)
+    trend = qmode_trend(ctx24, point_forms(ctx24, g, weights, {"qmode"}), g)
     assert [e for e, _, _ in trend] == [0.0, 1.0, 2.0, 3.0, 4.0]
     dens = [d for _, _, d in trend]
     for hi, lo in zip(dens, dens[1:]):
@@ -279,8 +289,9 @@ def test_vanishing_denominator_diagnostic(ctx22):
     # a window far above the spectrum captures nothing
     weights = build_f(WavepacketSpec(np.pi, 4.5), ctx22.lattice)
     empty = GFilter(50.0, 200.0, 10.0)
+    forms = point_forms(ctx22, empty, weights, {"dispersion"})
     with pytest.raises(VanishingDenominatorError, match="den = "):
-        excitation_energy(ctx22, weights, empty, 0.5, "zero")
+        excitation_energy(ctx22, forms, weights, empty, 0.5, "zero")
 
 
 SPIN_3_2 = """
@@ -340,7 +351,7 @@ def test_dense_cap_is_the_largest_dense_dimension(lat22, tmp_path, cap, cls,
 def test_sparse_context_skips_window_pieces(lat22):
     ctx = SystemContext(lat22, 0.1, dense_cap=0)
     assert isinstance(ctx, BlockContext)
-    ((_, den, _),) = ctx.forms(GF, [((1, 0), 2)])
+    _, den, _ = ctx.forms([(GF, [((1, 0), 2)])])[GF, ((1, 0), 2)]
     entries = window_entries(ctx, GF, 0.02, np.pi, (1, 0), den)
     assert [e.name for e in entries] == ["denominator_lower_bound"]
     assert "window pieces skipped" in entries[0].note
@@ -355,7 +366,7 @@ def test_moment_guard_rejects_short_interval(lat22):
     g = GFilter(0.5, 2.0, 0.5)
     with pytest.raises(SpectrumEnclosureError,
                        match=r"\(1, 0\).*does not enclose") as info:
-        ctx.forms(g, [((1, 0), 2)])
+        ctx.forms([(g, [((1, 0), 2)])])
     assert f"{lo:.6g}" in str(info.value)
 
 
@@ -389,13 +400,50 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
         assert abs(irb_entry(ctx, n, axis).lhs
                    - irb_entry(dense, n, axis).lhs) <= 1e-8
     g = GFilter(eps, 3.0, 0.5)
-    ((num, den, err),) = ctx.forms(g, [(n, axis)])
-    ((num_d, den_d, err_d),) = dense.forms(g, [(n, axis)])
+    num, den, err = ctx.forms([(g, [(n, axis)])])[g, (n, axis)]
+    num_d, den_d, err_d = dense.forms([(g, [(n, axis)])])[g, (n, axis)]
     den_exp, num_exp = ctx.filter_expansions(g)
     assert err == pytest.approx(den_exp.sup_error * norm2, rel=1e-10)
     assert err_d == 0.0
     assert abs(den - den_d) <= den_exp.sup_error * norm2 + 1e-10
     assert abs(num - num_d) <= num_exp.sup_error * norm2 + 1e-10
+
+
+def test_two_windows_share_one_moment_pass(lat24):
+    """One forms call over two windows (den degrees 1307 and 343) with
+    overlapping keys makes one moment pass, as deep as the deeper window,
+    over the distinct keys in the call's order; each window's forms equal,
+    bit for bit, those of a new context asked for that window alone, and
+    agree with the dense oracle's."""
+    wide, narrow = GFilter(0.2, 3.0, 0.5), GFilter(0.3, 2.0, 1.0)
+    wanted = [(wide, [((1, 0), 2), ((0, 1), 2), ((1, 2), 3)]),
+              (narrow, [((0, 1), 2), ((1, 2), 3), ((1, 1), 2)])]
+    ctx = SystemContext(lat24, 0.2, dense_cap=0)
+    forms = ctx.forms(wanted)
+    stats = ctx.solver_stats()
+    assert [e["den_degree"] for e in stats["expansions"]] == [1307, 343]
+    (moment_pass,) = stats["moment_passes"]
+    assert moment_pass["moments"] == 1308
+    assert moment_pass["vectors"] == 4
+    # S^(3) at k lies in block (1, k + Q), and Q = (1, 2)
+    assert [b["q"] for b in moment_pass["blocks"]] == \
+        [[1, 0], [0, 1], [0, 0], [1, 1]]
+    assert len(forms) == 6
+    for g, keys in wanted:
+        alone = SystemContext(lat24, 0.2, dense_cap=0).forms([(g, keys)])
+        assert alone == {key: forms[key] for key in alone}
+    # the dense oracle's forms lie within each form's certified error, the
+    # expansions' sup errors times mu_0 = ||v||^2 (up to 4.7e-9 here, at
+    # the S^(3) key)
+    dense = SystemContext(lat24, 0.2).forms(wanted)
+    assert dense.keys() == forms.keys()
+    for (g, key), (num, den, err) in forms.items():
+        num_d, den_d, err_d = dense[g, key]
+        den_exp, num_exp = ctx.filter_expansions(g)
+        mu0 = err / den_exp.sup_error
+        assert err_d == 0.0
+        assert abs(den - den_d) <= err + 1e-12
+        assert abs(num - num_d) <= num_exp.sup_error * mu0 + 1e-12
 
 
 def test_equal_windows_share_one_expansion(lat22):
@@ -530,10 +578,11 @@ def test_sparse_context_never_builds_full_basis(lat24, monkeypatch):
     v_min, eps = choose_epsilon(ctx.m_B, weights, lat24, gamma=3.0,
                                 delta_gamma=0.5)
     g = GFilter(eps, 3.0, 0.5)
-    report = bound_report(ctx, g, v_min, wp.annulus_radius)
+    forms = point_forms(ctx, g, weights, {"bounds", "qmode"})
+    report = bound_report(ctx, forms, g, v_min, wp.annulus_radius)
     assert all(e.passed for e in report)
-    excitation_energy(ctx, weights, g, v_min, "staggered")
-    qmode_trend(ctx, g)
+    excitation_energy(ctx, forms, weights, g, v_min, "staggered")
+    qmode_trend(ctx, forms, g)
     # the 2 * 56 states of M = +-1 fall into orbits of 8
     assert {b.dim for b in ctx._blocks.values()} == {14}
 

@@ -16,7 +16,8 @@ import pytest
 import goldstone.cli
 import goldstone.operators
 import goldstone.runner
-from goldstone.analysis import EpsilonChoiceError, SystemContext
+from goldstone.analysis import (EpsilonChoiceError, SystemContext,
+                                filter_keys)
 from goldstone.cli import main
 from goldstone.config import (_KEYS, _SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
@@ -417,16 +418,24 @@ def test_sparse_scan_reports_solver_stats(tmp_path, monkeypatch):
         assert "solver" not in (out / name).read_text()
 
 
-def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
-    text = SPARSE_22.replace("checks = bounds dispersion",
-                             "checks = dispersion qmode")
-    result = run_scan(parse_config_text(text), out_dir=tmp_path)
+@pytest.mark.parametrize("checks", [
+    pytest.param("dispersion qmode", id="dispersion-qmode"),
+    pytest.param("bounds dispersion qmode", id="bounds-dispersion-qmode")])
+def test_one_moment_pass_for_dispersion_and_qmode(tmp_path, checks):
+    config = parse_config_text(SPARSE_22.replace(
+        "checks = bounds dispersion", f"checks = {checks}"))
+    result = run_scan(config, out_dir=tmp_path)
     assert result.exit_code == 0
     (stats,) = result.manifest["solver_stats"]
-    # zero-mode, staggered-mode and trend vectors of the 2x2 grid: all four
-    # momenta, whose blocks together span the 8 states of M = +-1
+    # one vector per distinct key of the point: the zero-mode, staggered-mode
+    # and trend vectors of the 2x2 grid (and the window momenta) are all
+    # four momenta, whose blocks together span the 8 states of M = +-1
+    lat = Lattice((2, 2))
+    (wp,) = goldstone.runner._wavepackets(goldstone.runner._Outputs(""),
+                                          config, lat, "2x2")
+    keys = filter_keys(lat, wp, set(config.checks))
     (moment_pass,) = stats["moment_passes"]
-    assert moment_pass["vectors"] == 4
+    assert moment_pass["vectors"] == len(set(keys)) == 4
     assert len(moment_pass["blocks"]) == 4
     assert moment_pass["dim"] == 8
 
@@ -434,7 +443,7 @@ def test_one_moment_pass_for_dispersion_and_qmode(tmp_path):
 def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):
     """A den_k trend that grows with the dispersion is a finite-size fact,
     recorded with its value; it does not fail the scan."""
-    def rising(ctx, g):
+    def rising(ctx, forms, g):
         return [(1.0, (1, 0), 0.1), (2.0, (1, 1), 0.3)]
 
     monkeypatch.setattr(goldstone.runner, "qmode_trend", rising)
@@ -559,6 +568,28 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-cache", "--cache", str(tmp_path)])
     assert exc.value.code == 2
+    # a config that is not UTF-8 is a config error that names the file
+    capsys.readouterr()
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[scan]\n# caf\xe9\nchecks = bounds\n")
+    code = main(["scan", "--config", str(latin1), "--out",
+                 str(tmp_path / "latin1")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "latin1.ini" in line
+    assert not (tmp_path / "latin1").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "{}", "{not json"])
+def test_report_rejects_what_is_not_a_manifest(tmp_path, capsys, text):
+    """A manifest.json that is not a scan manifest, or not JSON, is an
+    error: exit 2 with one error line naming the file, no report lines."""
+    (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "manifest.json" in line
 
 
 @pytest.mark.parametrize("section,key,value", [
