@@ -23,7 +23,11 @@ Then the stages of one field, in order, each from empty caches where said:
 - `ground sector`: block (M, 0) and its lowest Ritz value, M = 1 .. N S;
   M >= 2 run their own orbit passes, as at every field;
 - `blocks (1, q)`: the Gershgorin bound and the other blocks (1, q) of the
-  moment pass of a `configs/torus4x4.ini` scan.
+  moment pass of a `configs/torus4x4.ini` scan;
+- `expansions`: the den and num Chebyshev expansions (`filter_expansions`)
+  of the config's window, chosen as the scan chooses it, on the interval of
+  a block context (`dense_cap = 0`, so a 2x4 lattice takes it too); the
+  context is built, and its interval found, before the clock starts.
 
 A context keeps the blocks (1, q) of its pass until its field is done;
 this script builds each and drops it, so the last stage's peak is that of
@@ -45,6 +49,7 @@ from goldstone.filters import WavepacketSpec, build_f
 from goldstone.lattice import Lattice
 from goldstone.operators import (build_hamiltonian, gershgorin_upper,
                                  sector_basis, shared_rows)
+from goldstone.runner import _auto_filter
 
 TORUS = Path(__file__).resolve().parent.parent / "configs" / "torus4x4.ini"
 
@@ -129,12 +134,23 @@ def main():
                for q in qs if q != zero]
         return f"{len(nnz)} blocks, {sum(nnz)} nonzeros, upper {upper!r}"
 
+    def expansions():
+        den, num = ctx.filter_expansions(g)
+        return (f"epsilon {g.epsilon:.6g}: degrees {den.degree}/"
+                f"{num.degree}, sup errors {den.sup_error:.4g}/"
+                f"{num.sup_error:.4g}")
+
     stage("enumeration", enumeration)
     stage("orbits", orbits)
     stage("shared rows", rows)
     stage("block (0, 0)", ground_block)
     stage("ground sector", ground_sector)
     stage("blocks (1, q)", pass_blocks)
+    ctx = SystemContext(lat, B, dense_cap=0, tolerances=cfg.tolerances,
+                        seed=seed)
+    ctx.spectral_bounds()
+    g = _auto_filter(ctx, weights, cfg)[0]
+    stage("expansions", expansions)
 
 
 if __name__ == "__main__":

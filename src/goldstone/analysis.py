@@ -541,7 +541,9 @@ def choose_epsilon(m_b: float, wp: WavepacketWeights, lattice: Lattice,
     The scale is the largest velocity keeping the sum-rule bracket
     m_B/2 - v R / sqrt(E_{k+Q} E_k) positive at every grid momentum of the
     closed annulus [R/2, R] of the wavepacket `wp` on `lattice`; ladder
-    entries are fractions of it.  Returns (v_min, epsilon).
+    entries are fractions of it.  Every fraction is at most 1/2, so v R /
+    sqrt(E_{k+Q} E_k) <= m_B/4 and the bracket holds on each rung: only the
+    window is tested.  Returns (v_min, epsilon).
     """
     if m_b <= 0:
         raise EpsilonChoiceError(
@@ -561,13 +563,11 @@ def choose_epsilon(m_b: float, wp: WavepacketWeights, lattice: Lattice,
     scale = min(m_b * root / (2.0 * r) for root in roots)
     for frac in V_MIN_LADDER:
         v = frac * scale
-        eps = v * r
-        if all(m_b / 2.0 - v * r / root > 0 for root in roots) \
-                and 2 * eps < gamma - delta_gamma:
-            return v, eps
+        if 2 * v * r < gamma - delta_gamma:
+            return v, v * r
     raise EpsilonChoiceError(
-        f"no ladder value keeps the bracket positive with 2 epsilon < "
-        f"gamma - delta_gamma (m_B = {m_b:.3e})")
+        f"no ladder value gives 2 epsilon < gamma - delta_gamma "
+        f"(m_B = {m_b:.3e})")
 
 
 def _denominator_bound(ctx: Context, g: GFilter, v_min: float, r: float, n):

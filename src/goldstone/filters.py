@@ -4,8 +4,8 @@ The energy window g vanishes outside (epsilon, gamma), equals one on
 [2*epsilon, gamma - delta_gamma], and is C-infinity via the standard
 exp(-1/s) mollifier.  The time-domain picture is never materialised: every
 use reduces to g(H - E0) acting on a vector, realised either exactly through
-the dense eigensystem or by a certified Chebyshev expansion, or to a
-quadratic form <v, p(H) v> read off the Chebyshev moments of v.
+the dense eigensystem or by a Chebyshev expansion of sampled sup error, or
+to a quadratic form <v, p(H) v> read off the Chebyshev moments of v.
 
 The wavepacket parameter `p` is the grid momentum magnitude being excited;
 the smooth profile lives on the annulus [R/2, R] with R = 4p/3, which puts
@@ -34,11 +34,11 @@ __all__ = [
     "FilterDegreeError",
     "SpectrumEnclosureError",
     "EmptySupportError",
-    "DEGREE_CAP_DEFAULT",
+    "DEGREE_CAP",
     "INTERVAL_INFLATION",
 ]
 
-DEGREE_CAP_DEFAULT = 32768
+DEGREE_CAP = 32768
 INTERVAL_INFLATION = 0.05
 
 
@@ -160,7 +160,8 @@ def build_f(spec: WavepacketSpec, lattice: Lattice) -> WavepacketWeights:
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevExpansion:
-    """Certified polynomial approximation of fn on [lo, hi]."""
+    """Chebyshev polynomial approximation of fn on [lo, hi]; sup_error is
+    max |p - fn| sampled on the grid of `make_chebyshev_expansion`."""
 
     coeffs: np.ndarray
     lo: float
@@ -170,14 +171,6 @@ class ChebyshevExpansion:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, x):
-        t = (2.0 * np.asarray(x, dtype=float) - (self.hi + self.lo)) / (self.hi - self.lo)
-        b1 = np.zeros_like(t)
-        b2 = np.zeros_like(t)
-        for cj in self.coeffs[:0:-1]:
-            b1, b2 = 2.0 * t * b1 - b2 + cj, b1
-        return t * b1 - b2 + self.coeffs[0]
 
     def quadratic_form(self, moments: np.ndarray) -> float:
         """<v, p(H) v> from the moments <v, T_n(H~) v> of `chebyshev_moments`."""
@@ -262,33 +255,36 @@ def _cheb_coeffs(fn, lo: float, hi: float, degree: int) -> np.ndarray:
     return c
 
 
-def make_chebyshev_expansion(fn, lo: float, hi: float, tol: float,
-                             max_degree: int = DEGREE_CAP_DEFAULT
-                             ) -> ChebyshevExpansion:
-    """Smallest-degree Chebyshev interpolant with verified sup error <= tol.
+def make_chebyshev_expansion(fn, lo: float, hi: float,
+                             tol: float) -> ChebyshevExpansion:
+    """Smallest-degree Chebyshev interpolant of fn on [lo, hi] whose
+    measured sup error is at most tol.
 
-    Degrees double from 512 until the measured error on 4001 equispaced
-    points passes;
-    the accepted expansion is then truncated wherever the coefficient tail
-    stays below tol/2.
+    Interpolation degrees d double from 512 up to `DEGREE_CAP`.  Each
+    candidate, cut where its coefficient tail stays below tol/2, is measured
+    at x_j = cos(pi j / m), j = 0..m, m = 32 d, mapped to [lo, hi], where its
+    values are one real FFT of the zero-padded coefficients (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, ch. 3-4).
+    At the top frequency that spacing under-reads a peak by at most 1 -
+    cos(pi/64), about 0.12%: the recorded error is a sample, not a proof.
     """
-    xs = np.linspace(lo, hi, 4001)
-    target = np.asarray(fn(xs), dtype=float)
-    degree = min(512, max_degree)
+    degree = 512
     while True:
         c = _cheb_coeffs(fn, lo, hi, degree)
         tail = np.cumsum(np.abs(c[::-1]))[::-1]
         keep = np.nonzero(tail > tol / 2)[0]
-        n_keep = int(keep[-1]) + 1 if len(keep) else 1
-        cand = ChebyshevExpansion(c[:n_keep], lo, hi, np.nan)
-        err = float(np.max(np.abs(cand.evaluate(xs) - target)))
+        c = c[:int(keep[-1]) + 1 if len(keep) else 1]
+        m = 32 * degree
+        xs = 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m + 1) / m) \
+            + 0.5 * (hi + lo)
+        err = float(np.max(np.abs(np.fft.rfft(c, 2 * m).real - fn(xs))))
         if err <= tol:
-            return ChebyshevExpansion(c[:n_keep], lo, hi, err)
-        if degree >= max_degree:
+            return ChebyshevExpansion(c, lo, hi, err)
+        if degree >= DEGREE_CAP:
             raise FilterDegreeError(
                 f"sup error {err:.3e} > tol {tol:.3e} at degree cap "
-                f"{max_degree} on [{lo:.4g}, {hi:.4g}]")
-        degree = min(2 * degree, max_degree)
+                f"{DEGREE_CAP} on [{lo:.4g}, {hi:.4g}]")
+        degree *= 2
 
 
 def spectral_interval(lowest: float, upper: float) -> tuple[float, float]:

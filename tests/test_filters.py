@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 import goldstone
-from goldstone.filters import (EmptySupportError, FilterDegreeError,
-                               GFilter, WavepacketSpec,
+from goldstone.filters import (DEGREE_CAP, EmptySupportError,
+                               FilterDegreeError, GFilter, WavepacketSpec,
                                _cheb_coeffs, build_f, chebyshev_moments,
                                make_chebyshev_expansion, smoothstep)
 from goldstone.lattice import Lattice
@@ -161,12 +162,8 @@ def test_chebyshev_error_decreases_with_tolerance(ctx22):
 
 def test_degree_cap_error():
     g = GFilter(0.01, 3.0, 0.5)
-    with pytest.raises(FilterDegreeError):
-        make_chebyshev_expansion(g, -1.0, 40.0, 1e-12, max_degree=64)
-    # reachable below the start degree (512) but not below the cap
-    g = GFilter(0.2, 3.0, 0.5)
-    with pytest.raises(FilterDegreeError):
-        make_chebyshev_expansion(g, -1.0, 10.0, 1e-2, max_degree=64)
+    with pytest.raises(FilterDegreeError, match=f"cap {DEGREE_CAP} "):
+        make_chebyshev_expansion(g, -1.0, 40.0, 1e-12)
 
 
 @pytest.mark.parametrize("n_moments", [1, 2, 7, 40])
@@ -232,12 +229,47 @@ def test_cli_import_loads_no_scipy_fft_or_special():
     assert out.stdout.strip() == "[]"
 
 
-def test_expansion_is_certified():
-    g = GFilter(0.2, 3.0, 0.5)
-    exp = make_chebyshev_expansion(g, -0.5, 6.0, 1e-8)
-    xs = np.linspace(-0.5, 6.0, 20001)
-    assert np.max(np.abs(exp.evaluate(xs) - g(xs))) <= 2e-8
-    assert exp.sup_error <= 1e-8
+def _shipped_window(interval, e0, eps, num):
+    """(fn, lo, hi, tol) of a sparse scan's den or num expansion: g(x - E0)^2
+    or (x - E0) g(x - E0)^2 at gamma = 3, delta_gamma = 0.5, on the scan's
+    interval, at its chebyshev_tol of 1e-6 (times gamma for num)."""
+    g = GFilter(eps, 3.0, 0.5)
+
+    def den_fn(x):
+        return g(x - e0) ** 2
+
+    def num_fn(x):
+        return (x - e0) * den_fn(x)
+    return (num_fn, *interval, 3e-6) if num else (den_fn, *interval, 1e-6)
+
+
+# intervals, E0 and epsilon as the manifests of configs/torus4x4.ini and
+# perfbench/workloads/sparse-2x6.ini record them
+TORUS4X4 = ((-11.736883512489513, 8.699999999999998), -11.526798148796937,
+            0.1297054509689016)
+SPARSE2X6 = ((-7.227911470003098, 5.500000000000001), -7.554755579161622,
+             0.11272485376331674)
+
+
+@pytest.mark.parametrize("window, degree", [
+    ((GFilter(0.2, 3.0, 0.5), -0.5, 6.0, 1e-8), 1859),
+    (_shipped_window(*TORUS4X4, num=False), 2656),
+    (_shipped_window(*TORUS4X4, num=True), 1718),
+    (_shipped_window(*SPARSE2X6, num=False), 1094),
+    (_shipped_window(*SPARSE2X6, num=True), 1070),
+], ids=["own", "torus4x4-den", "torus4x4-num", "sparse-2x6-den",
+        "sparse-2x6-num"])
+def test_expansion_is_certified(window, degree):
+    """The recorded sup error is within 1% of a 2^16 + 1 point equispaced
+    measurement, and within the tolerance."""
+    fn, lo, hi, tol = window
+    exp = make_chebyshev_expansion(fn, lo, hi, tol)
+    assert exp.degree == degree
+    xs = np.linspace(lo, hi, 2 ** 16 + 1)
+    err = np.max(np.abs(chebval((2 * xs - (hi + lo)) / (hi - lo), exp.coeffs)
+                        - fn(xs)))
+    assert err <= 1.01 * exp.sup_error
+    assert exp.sup_error <= tol
 
 
 @pytest.mark.parametrize("fixture", ["ctx22", "ctx24"])
