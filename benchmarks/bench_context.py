@@ -20,8 +20,10 @@ Then the stages of one field, in order, each from empty caches where said:
 - `shared rows`: from empty caches, as a lattice's first field starts:
   the orbit passes of M = 0 and +-1, their rows and the ladder terms;
 - `block (0, 0)`: block (0, 0) and its Lanczos ground state;
-- `ground sector`: block (M, 0) and its lowest Ritz value, M = 1 .. N S;
-  M >= 2 run their own orbit passes, as at every field;
+- `ground sector`: block (M, 0), its Lanczos ground state and its
+  Collatz-Wielandt floor (`filters.spectral_interval`), M = 1 .. N S; it
+  prints the floor of M = 1, the interval's lower end, and the least
+  floor - E0; M >= 2 run their own orbit passes, as at every field;
 - `blocks (1, q)`: the Gershgorin bound and the other blocks (1, q) of the
   moment pass of a `configs/torus4x4.ini` scan;
 - `expansions`: the den and num Chebyshev expansions (`filter_expansions`)
@@ -44,8 +46,8 @@ from pathlib import Path
 import goldstone.operators as operators
 from goldstone.analysis import SystemContext, filter_keys
 from goldstone.config import parse_config
-from goldstone.eigensolver import ground_state, lowest_ritz
-from goldstone.filters import WavepacketSpec, build_f
+from goldstone.eigensolver import ground_state
+from goldstone.filters import WavepacketSpec, build_f, spectral_interval
 from goldstone.lattice import Lattice
 from goldstone.operators import (build_hamiltonian, gershgorin_upper,
                                  sector_basis, shared_rows)
@@ -120,13 +122,17 @@ def main():
 
     def ground_block():
         H = build_hamiltonian(lat, B, (0, zero))
-        gs = ground_state(H, tol, seed)
-        return f"dim {H.dim}, nnz {H.nnz}, E0 = {gs.energy!r}"
+        e0.append(ground_state(H, tol, seed).energy)
+        return f"dim {H.dim}, nnz {H.nnz}, E0 = {e0[0]!r}"
 
     def ground_sector():
-        lowest = [lowest_ritz(build_hamiltonian(lat, B, (M, zero)), tol,
-                              seed)[0] for M in pairs[1:]]
-        return f"lowest of M = 1: {lowest[0]!r}"
+        floors = []
+        for M in pairs[1:]:
+            H = build_hamiltonian(lat, B, (M, zero))
+            floors.append(spectral_interval(H, ground_state(H, tol,
+                                                            seed).vector))
+        return (f"floor of M = 1: {floors[0]!r}, least gap "
+                f"{min(floors) - e0[0]:.6g}")
 
     def pass_blocks():
         upper = gershgorin_upper(lat, B)
@@ -140,6 +146,7 @@ def main():
                 f"{num.degree}, sup errors {den.sup_error:.4g}/"
                 f"{num.sup_error:.4g}")
 
+    e0 = []
     stage("enumeration", enumeration)
     stage("orbits", orbits)
     stage("shared rows", rows)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .eigensolver import (SEED_DEFAULT, SOLVER_TOL_DEFAULT, GroundState,
                           SolverError, deflated_solve, dense_spectrum,
-                          ground_state, lowest_ritz)
+                          ground_state)
 from .filters import (GFilter, SpectrumEnclosureError, WavepacketWeights,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
@@ -51,8 +51,8 @@ __all__ = [
 
 DENSE_CAP_DEFAULT = 4096        # largest dimension given the dense oracle
 V_MIN_LADDER = (0.5, 0.25, 0.1, 0.05, 0.025)     # descending
-INTERVAL_SOURCE = ("block (1, 0) lowest Ritz value -5% of the width; "
-                   "Gershgorin row bound of M = +-1")
+INTERVAL_SOURCE = ("Collatz-Wielandt floor of block (1, 0) at its Ritz "
+                   "vector; Gershgorin row bound of M = +-1")
 
 
 class EpsilonChoiceError(RuntimeError):
@@ -258,10 +258,11 @@ class BlockContext:
         self._moment_passes: list = []
 
     def _check_ground_sector(self) -> None:
-        """Lowest Ritz value of block (M, 0) for every M = 1 .. N S against
-        E0, the lowest eigenvalue of block (0, 0): a Ritz value has an
-        eigenvalue within its residual, so each theta - residual must lie
-        above E0, else SolverError.  `ground_gap` is the least theta - E0.
+        """The Collatz-Wielandt floor (`filters.spectral_interval`) of each
+        block (M, 0), M = 1 .. N S, at its Lanczos ground state, a proved
+        lower bound on the block, must lie above E0, else SolverError.
+        `ground_gap` is the least floor - E0; `ground_floor`, the floor of
+        block (0, 0) at phi0, brackets E0 from below.
 
         Block (M, 0) holds the lowest state of the pair (M, -M), so no other
         q needs a run.  In the Marshall basis (-1)^(sum_odd x d_x) every hop
@@ -271,27 +272,27 @@ class BlockContext:
         749 (1962)).  Even shifts preserve that sign, and an odd generator
         multiplies it by (-1)^M; so the minimum of the pair lies in q = 0
         (and also in q = Q when M != 0), and the ground state of M = 0 in
-        block (0, 0).
+        block (0, 0).  Those signs meet the floor's sign condition.
         """
-        lat = self.lattice
-        top = lat.n_sites * lat.two_s // 2
+        lat, e0 = self.lattice, self.gs.energy
         self.sector_lowest = []
-        for M in range(1, top + 1):
+        for M in range(1, lat.n_sites * lat.two_s // 2 + 1):
             H_m = self.block(self._zero) if M == 1 else \
                 build_hamiltonian(lat, self.B, (M, self._zero))
-            theta, resid = lowest_ritz(H_m, self.tol.solver, self.seed)
+            gs = ground_state(H_m, self.tol.solver, self.seed)
+            floor = spectral_interval(H_m, gs.vector)
             self.sector_lowest.append(
                 {"M": M, "q": list(self._zero), "dim": H_m.dim,
-                 "nnz": H_m.nnz, "ritz": theta, "residual": resid})
-        e0 = self.gs.energy
-        for s in self.sector_lowest:
+                 "nnz": H_m.nnz, "ritz": gs.energy, "residual": gs.residual,
+                 "floor": floor})
             # written so that a NaN fails the check
-            if not s["ritz"] - s["residual"] > e0:
+            if not floor > e0:
                 raise SolverError(
-                    f"sector M = {s['M']} has a Ritz value {s['ritz']:.12g} "
-                    f"(residual {s['residual']:.1e}) at or below E0 = "
-                    f"{e0:.12g}: the ground state is not in the solved sector")
-        self.ground_gap = min(s["ritz"] - e0 for s in self.sector_lowest)
+                    f"sector M = {M} has a Collatz-Wielandt floor {floor:.12g}"
+                    f" (Ritz value {gs.energy:.12g}) not above E0 = {e0:.12g}"
+                    ": the ground state is not proved to lie in block (0, 0)")
+        self.ground_gap = min(s["floor"] - e0 for s in self.sector_lowest)
+        self.ground_floor = spectral_interval(self.H, self.gs.vector)
 
     @cached_property
     def m_B(self) -> float:
@@ -343,12 +344,12 @@ class BlockContext:
             - self.gs.energy * v
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """The Chebyshev interval of M = +-1: block (1, 0) holds its lowest
-        state, and every block (1, q) is an invariant subspace of H."""
+        """The Chebyshev interval of M = +-1, proved at both ends: the floor
+        of block (1, 0), which holds its lowest state, and the Gershgorin
+        bound; every block (1, q) is an invariant subspace of H."""
         if self._interval is None:
-            self._interval = spectral_interval(
-                self.sector_lowest[0]["ritz"],
-                gershgorin_upper(self.lattice, self.B))
+            self._interval = (self.sector_lowest[0]["floor"],
+                              gershgorin_upper(self.lattice, self.B))
         return self._interval
 
     def filter_expansions(self, g: GFilter):
@@ -455,7 +456,8 @@ class BlockContext:
             "blocks": {
                 "ground": {"M": 0, "q": list(self._zero), "dim": self.H.dim,
                            "nnz": self.H.nnz, "energy": self.gs.energy,
-                           "residual": self.gs.residual},
+                           "residual": self.gs.residual,
+                           "floor": self.ground_floor},
                 "lowest": list(self.sector_lowest),
                 "ground_gap": self.ground_gap,
             },

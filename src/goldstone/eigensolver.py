@@ -1,11 +1,11 @@
 """Ground states (restarted Lanczos), dense spectral oracle, block resolvent.
 
-One Lanczos routine, `_lowest`, finds the lowest eigenpair of a sparse H:
-it keeps a fully reorthogonalised basis and restarts from the best Ritz
+One Lanczos routine, `ground_state`, finds the lowest eigenpair of a sparse
+H: it keeps a fully reorthogonalised basis and restarts from the best Ritz
 vector when the basis fills, trading memory for correctness at desk scale.
-`ground_state` and `lowest_ritz` are its two callers.  The dense oracle,
-`dense_spectrum`, backs every spectral quantity on small systems; whether a
-system is small is decided by its caller (`analysis.SystemContext`).
+The dense oracle, `dense_spectrum`, backs every spectral quantity on small
+systems; whether a system is small is decided by its caller
+(`analysis.SystemContext`).
 `deflated_solve` is conjugate gradients on H - E0 in a symmetry block that
 does not hold the ground state.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "ground_state",
     "dense_spectrum",
     "deflated_solve",
-    "lowest_ritz",
 ]
 
 SOLVER_TOL_DEFAULT = 1e-10      # Ritz and CG residual target, relative
@@ -80,11 +79,13 @@ def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
         basis[m + 1] = w / beta
 
 
-def _lowest(H: SparseHermitianOperator, tol: float, seed: int):
-    """(theta, v, residual): H's lowest Ritz value by Lanczos, restarted
-    from each sweep's best Ritz vector until the residual estimate reaches
-    tol * max(1, row_sum_bound(H)); its unit Ritz vector; and
-    ||H v - theta v||.  The seeded start is complex only for a complex H."""
+def ground_state(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
+                 seed: int = SEED_DEFAULT) -> GroundState:
+    """Lowest eigenpair of H by Lanczos, restarted from each sweep's best
+    Ritz vector until the residual estimate reaches tol * max(1,
+    row_sum_bound(H)): the unit Ritz vector v of Ritz value theta, its
+    Rayleigh quotient, and ||H v - theta v||.  The seeded start is complex
+    only for a complex H."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(H.dim)
     if np.iscomplexobj(H.data):
@@ -94,26 +95,12 @@ def _lowest(H: SparseHermitianOperator, tol: float, seed: int):
         converged, theta, v = _lanczos_sweep(H, v, target)
         if converged:
             v = v / np.linalg.norm(v)
-            resid = np.linalg.norm(H.matvec(v) - theta * v)
-            return float(theta), v, float(resid)
+            hv = H.matvec(v)
+            return GroundState(float(np.real(np.vdot(v, hv))), v,
+                               float(np.linalg.norm(hv - theta * v)))
     raise SolverError(
         f"Lanczos did not reach residual {target:.2e} in "
         f"{MAX_RESTARTS} restarts of basis {MAX_BASIS}")
-
-
-def ground_state(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
-                 seed: int = SEED_DEFAULT) -> GroundState:
-    """Lowest eigenpair of H (`_lowest`); the energy is a Rayleigh quotient."""
-    _, v, resid = _lowest(H, tol, seed)
-    energy = float(np.real(np.vdot(v, H.matvec(v))))
-    return GroundState(energy=energy, vector=v, residual=resid)
-
-
-def lowest_ritz(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
-                seed: int = SEED_DEFAULT) -> tuple[float, float]:
-    """(theta, residual) of H's lowest Ritz vector (`_lowest`)."""
-    theta, _, resid = _lowest(H, tol, seed)
-    return theta, resid
 
 
 def row_sum_bound(H: CSROperator) -> float:

@@ -19,10 +19,11 @@ from goldstone.analysis import (BlockContext, DenseContext,
                                 extrapolate_ms, irb_entry, qmode_trend,
                                 sum_rule_entry, window_entries)
 from goldstone.config import ScanConfig, parse_config_text
-from goldstone.eigensolver import SolverError, lowest_ritz
+from goldstone.eigensolver import GroundState, SolverError, ground_state
 from goldstone.operators import build_hamiltonian, fourier_spin
 from goldstone.filters import (GFilter, SpectrumEnclosureError,
-                               WavepacketSpec, build_f, chebyshev_moments)
+                               WavepacketSpec, build_f, chebyshev_moments,
+                               spectral_interval)
 from goldstone.lattice import Lattice
 from goldstone.runner import run_scan
 from test_filters import dense_expansion, dense_interval
@@ -410,7 +411,7 @@ def test_sector_path_matches_dense_oracle(name, B, eps, pick, axis):
 
 
 def test_two_windows_share_one_moment_pass(lat24):
-    """One forms call over two windows (den degrees 1307 and 343) with
+    """One forms call over two windows (den degrees 1167 and 245) with
     overlapping keys makes one moment pass, as deep as the deeper window,
     over the distinct keys in the call's order; each window's forms equal,
     bit for bit, those of a new context asked for that window alone, and
@@ -421,9 +422,10 @@ def test_two_windows_share_one_moment_pass(lat24):
     ctx = SystemContext(lat24, 0.2, dense_cap=0)
     forms = ctx.forms(wanted)
     stats = ctx.solver_stats()
-    assert [e["den_degree"] for e in stats["expansions"]] == [1307, 343]
+    # on the interval whose lower end is the floor of block (1, 0)
+    assert [e["den_degree"] for e in stats["expansions"]] == [1167, 245]
     (moment_pass,) = stats["moment_passes"]
-    assert moment_pass["moments"] == 1308
+    assert moment_pass["moments"] == 1168
     assert moment_pass["vectors"] == 4
     # S^(3) at k lies in block (1, k + Q), and Q = (1, 2)
     assert [b["q"] for b in moment_pass["blocks"]] == \
@@ -455,29 +457,100 @@ def test_equal_windows_share_one_expansion(lat22):
     assert len(ctx.solver_stats()["expansions"]) == 1
 
 
+FLOOR_LATTICES = {"2x4": ((2, 4), 0.5), "4x2": ((4, 2), 0.5),
+                  "2x6": ((2, 6), 0.5), "spin1-2x4": ((2, 4), 1.0),
+                  "spin3/2-2x2": ((2, 2), 1.5)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(FLOOR_LATTICES)), B=st.floats(0.01, 1.0))
+def test_floors_lie_below_each_sector_minimum(name, B):
+    """Every Collatz-Wielandt floor of a block context, that of block (0, 0)
+    and of each block (M, 0), M = 1 .. N S, lies at or below the dense
+    lowest eigenvalue of its block, and within 1e-6 of it at M = 1, the
+    interval's lower end."""
+    extents, spin = FLOOR_LATTICES[name]
+    lat = Lattice(extents, spin)
+    ctx = SystemContext(lat, B, dense_cap=0)
+    floors = [ctx.ground_floor] + [s["floor"] for s in ctx.sector_lowest]
+    for M, floor in enumerate(floors):
+        H = build_hamiltonian(lat, B, (M, (0,) * len(extents)))
+        lowest = np.linalg.eigvalsh(H.to_dense())[0]
+        assert floor <= lowest, (M, floor, lowest)
+        if M == 1:
+            assert lowest - floor <= 1e-6
+            assert ctx.spectral_bounds()[0] == floor
+
+
 def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
-    """A sector M >= 1 reaching below E0 is an error, never a pass."""
-    monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
-                        lambda H, tol, seed: (-100.0, 0.0))
+    """A sector M >= 1 whose floor reaches below E0 is an error, never a
+    pass."""
+    monkeypatch.setattr(goldstone.analysis, "spectral_interval",
+                        lambda H, x: -100.0)
     with pytest.raises(SolverError, match="M = 1"):
         SystemContext(lat22, 0.1, dense_cap=0)
 
 
 def test_ground_sector_verdict(lat24, monkeypatch):
-    """BlockContext's verdict on 2x4 at B = 0.2: the gap is theta(M = 1) -
-    E0; a Ritz value within its residual of E0, or a NaN, raises and names
-    its sector."""
+    """BlockContext's verdict on 2x4 at B = 0.2: the gap is the floor of
+    M = 1 minus E0, and every floor lies at or below its Ritz value and
+    above E0; a floor at E0, or a NaN, raises and names its sector."""
     B = 0.2
     e0 = SystemContext(lat24, B).gs.energy      # the dense oracle
     ctx = SystemContext(lat24, B, dense_cap=0)
-    assert ctx.ground_gap == pytest.approx(ctx.sector_lowest[0]["ritz"] - e0)
-    for planted, match in (([(e0 + 0.5, 0.0), (e0 + 1e-12, 1e-9)], "M = 2"),
-                           ([(np.nan, 0.0)], "M = 1")):
-        ritz = iter(planted + [(e0 + 0.5, 0.0)] * 4)
-        monkeypatch.setattr(goldstone.analysis, "lowest_ritz",
-                            lambda H, tol, seed: next(ritz))
+    lowest = ctx.sector_lowest
+    assert ctx.ground_gap == pytest.approx(lowest[0]["floor"] - e0)
+    assert ctx.ground_gap == min(s["floor"] for s in lowest) - ctx.gs.energy
+    assert all(e0 < s["floor"] <= s["ritz"] for s in lowest)
+    for planted, match in (([e0 + 0.5, ctx.gs.energy], "M = 2"),
+                           ([np.nan], "M = 1")):
+        floors = iter(planted + [e0 + 0.5] * 4)
+        monkeypatch.setattr(goldstone.analysis, "spectral_interval",
+                            lambda H, x: next(floors))
         with pytest.raises(SolverError, match=match):
             SystemContext(lat24, B, dense_cap=0)
+
+
+def flip_largest(gs: GroundState) -> GroundState:
+    """The ground state with its largest entry's sign flipped."""
+    v = gs.vector.copy()
+    i = int(np.argmax(np.abs(v)))
+    v[i] = -v[i]
+    return GroundState(gs.energy, v, gs.residual)
+
+
+def test_planted_sign_violation_is_inconclusive(tmp_path, monkeypatch):
+    """One entry of the Ritz vector of block (1, 0) flipped: the floor's
+    sign condition fails, so the floor is NaN, the context raises a
+    SolverError that names the sector, and the scan skips the field,
+    lists it as uncertified and exits 3."""
+    lat = Lattice((2, 4))
+    H = build_hamiltonian(lat, 0.2, (1, (0, 0)))
+    gs = ground_state(H)
+    assert spectral_interval(H, gs.vector) <= gs.energy
+    assert np.isnan(spectral_interval(H, flip_largest(gs).vector))
+
+    calls = []
+
+    def planted(H, tol, seed):
+        calls.append(H.dim)
+        gs = ground_state(H, tol, seed)
+        # the first call solves block (0, 0), the second block (1, 0)
+        return flip_largest(gs) if len(calls) == 2 else gs
+
+    monkeypatch.setattr(goldstone.analysis, "ground_state", planted)
+    with pytest.raises(SolverError, match=r"M = 1 has a Collatz-Wielandt "
+                                          r"floor nan"):
+        SystemContext(lat, 0.2, dense_cap=0)
+    calls.clear()
+    cfg = parse_config_text("[scan]\nchecks = dispersion\nlattices = 2x4\n"
+                            "b_ladder = 0.2\ndense_cap = 0\n")
+    result = run_scan(cfg, out_dir=tmp_path)
+    assert result.exit_code == 3
+    index = json.loads((tmp_path / "failures.json").read_text())
+    (record,) = index["uncertified"]
+    assert (record["B"], record["error"]) == (0.2, "SolverError")
+    assert "M = 1" in record["reason"]
 
 
 def test_planted_ground_sector_failure_skips_only_its_field(tmp_path,
@@ -487,12 +560,13 @@ def test_planted_ground_sector_failure_skips_only_its_field(tmp_path,
     checks, the other field's rows are written, and the scan exits 3."""
     calls = []
 
-    def planted(H, tol, seed):
+    def planted(H, x):
         calls.append(H.dim)
-        # sectors M = 1, 2 of the first field reach below E0
-        return (-100.0, 0.0) if len(calls) <= 2 else lowest_ritz(H, tol, seed)
+        # sector M = 1 of the first field reaches below E0, and its error
+        # ends that field's check
+        return -100.0 if len(calls) == 1 else spectral_interval(H, x)
 
-    monkeypatch.setattr(goldstone.analysis, "lowest_ritz", planted)
+    monkeypatch.setattr(goldstone.analysis, "spectral_interval", planted)
     cfg = parse_config_text("[scan]\nchecks = bounds dispersion\n"
                             "lattices = 2x2\nb_ladder = 0.4 0.2\n"
                             "dense_cap = 0\n")
@@ -522,12 +596,13 @@ def test_field_left_without_a_context_is_listed_uncertified(tmp_path,
     statistics hold the first field alone, without an error."""
     calls = []
 
-    def planted(H, tol, seed):
+    def planted(H, x):
         calls.append(H.dim)
-        # sectors M = 1, 2 of the second field reach below E0
-        return (-100.0, 0.0) if len(calls) > 2 else lowest_ritz(H, tol, seed)
+        # the first field takes three floors (M = 1, 2 and block (0, 0));
+        # sector M = 1 of the second field reaches below E0
+        return -100.0 if len(calls) > 3 else spectral_interval(H, x)
 
-    monkeypatch.setattr(goldstone.analysis, "lowest_ritz", planted)
+    monkeypatch.setattr(goldstone.analysis, "spectral_interval", planted)
     cfg = parse_config_text("[scan]\nchecks = bounds dispersion\n"
                             "lattices = 2x2\nb_ladder = 0.4 0.2\n"
                             "dense_cap = 0\n")
@@ -548,13 +623,12 @@ def test_solver_tolerance_and_seed_reach_every_lanczos_run(lat24, tmp_path,
     runs of block (0, 0) and of every sector M = 1 .. 4 on the block path;
     without them SystemContext uses the config defaults."""
     calls = []
-    lowest = goldstone.eigensolver._lowest
 
     def spy(H, tol, seed):
         calls.append((tol, seed))
-        return lowest(H, tol, seed)
+        return ground_state(H, tol, seed)
 
-    monkeypatch.setattr(goldstone.eigensolver, "_lowest", spy)
+    monkeypatch.setattr(goldstone.analysis, "ground_state", spy)
     cfg = parse_config_text("[scan]\nchecks = bounds\nlattices = 2x4\n"
                             "b_ladder = 0.2\ndense_cap = 100\nseed = 8\n"
                             "[tolerances]\nsolver = 1e-9\n")
@@ -651,10 +725,10 @@ def test_block_minimum_lies_at_zero_twist(name):
 
 def test_block_minimum_lies_at_zero_twist_4x4():
     """The same on the 4x4 torus at B = 0.1, for M = 0 and 1, through
-    lowest_ritz on every block."""
+    the Lanczos ground state of every block."""
     lat = Lattice((4, 4))
     for M in (0, 1):
-        lowest = {q: lowest_ritz(build_hamiltonian(lat, 0.1, (M, q)))[0]
+        lowest = {q: ground_state(build_hamiltonian(lat, 0.1, (M, q))).energy
                   for q in lat.momenta}
         assert min(lowest.values()) >= lowest[(0, 0)] - 1e-10
 

@@ -3,7 +3,8 @@ import pytest
 
 import goldstone.eigensolver
 from goldstone.eigensolver import (SolverError, deflated_solve,
-                                   dense_spectrum, ground_state, lowest_ritz)
+                                   dense_spectrum, ground_state)
+from goldstone.filters import spectral_interval
 from goldstone.lattice import Lattice
 from goldstone.operators import (SparseHermitianOperator, build_hamiltonian,
                                  sector_basis)
@@ -65,19 +66,26 @@ def test_spectral_shift_invariance(lat22):
 
 
 @pytest.mark.parametrize("phased", [False, True])
-def test_ground_state_and_lowest_ritz_share_one_solve(lat22, phased):
-    B = 0.1
-    H = build_hamiltonian(lat22, B)
+def test_floor_of_a_real_block_and_nan_of_a_complex_one(lat22, phased):
+    """The floor at the Lanczos ground state of block (0, 0) lies at or
+    below its lowest eigenvalue, and within 1e-8 of it; D H D^* with a
+    diagonal unitary D has the same spectrum, but is complex, and its floor
+    is NaN."""
+    H = build_hamiltonian(lat22, 0.1, ZERO)
+    lowest = np.linalg.eigvalsh(H.to_dense())[0]
     if phased:
-        # D H D^* with a diagonal unitary D: complex, with the spectrum of H
         phases = np.exp(1j * np.random.default_rng(5).uniform(0, 6, H.dim))
         H = _sho_from_dense(phases[:, None] * H.to_dense() * phases.conj())
     assert np.iscomplexobj(H.data) == phased
     gs = ground_state(H, 1e-11, 3)
-    theta, resid = lowest_ritz(H, 1e-11, 3)
-    assert gs.residual == resid
-    assert abs(gs.energy - theta) <= 1e-12
     assert np.iscomplexobj(gs.vector) == phased
+    assert abs(gs.energy - lowest) <= 1e-12
+    floor = spectral_interval(H, gs.vector)
+    if phased:
+        assert np.isnan(floor)
+    else:
+        assert lowest - 1e-8 <= floor <= lowest
+        assert np.isnan(spectral_interval(H, np.zeros(H.dim)))
 
 
 def test_lanczos_nonconvergence_error(ring4, monkeypatch):
@@ -145,16 +153,22 @@ def test_ground_energy_concave_in_field(lat22):
     assert slope_high - slope_low <= 1e-10
 
 
-def test_lowest_ritz_and_ground_sector_check(lat24):
+def test_floor_and_ground_sector_check(lat24):
+    """At every M = 0 .. 4 on 2x4 at B = 0.2, the floor of block (M, 0) at
+    its Lanczos ground state lies at or below the block's dense lowest
+    eigenvalue, and every floor of M >= 1 lies above E0."""
     B = 0.2
     e0 = dense_spectrum(build_hamiltonian(lat24, B)).eigenvalues[0]
-    for M in (1, 2, 3, 4):
+    for M in (0, 1, 2, 3, 4):
         H = build_hamiltonian(lat24, B, (M, (0, 0)))
-        theta, resid = lowest_ritz(H)
-        assert abs(theta - np.linalg.eigvalsh(H.to_dense())[0]) <= 1e-10
-        assert resid <= 1e-9
+        gs = ground_state(H)
+        lowest = np.linalg.eigvalsh(H.to_dense())[0]
+        assert abs(gs.energy - lowest) <= 1e-10
+        assert gs.residual <= 1e-9
+        floor = spectral_interval(H, gs.vector)
+        assert lowest - 1e-6 <= floor <= lowest
         # the ground state lies in the sector M = 0
-        assert theta - resid > e0
+        assert floor > e0 if M else abs(floor - e0) <= 1e-6
 
 
 def test_plain_cg_on_a_sector_without_the_ground_state(block24):
