@@ -24,12 +24,14 @@ Then the stages of one field, in order, each from empty caches where said:
   Collatz-Wielandt floor (`filters.spectral_interval`), M = 1 .. N S; it
   prints the floor of M = 1, the interval's lower end, and the least
   floor - E0; M >= 2 run their own orbit passes, as at every field;
-- `blocks (1, q)`: the Gershgorin bound and the other blocks (1, q) of the
-  moment pass of a `configs/torus4x4.ini` scan;
+- `blocks (1, q)`: the interval's upper end, the closed-form ceiling
+  `pair_ceiling` of M = +-1, and the other blocks (1, q) of the moment
+  pass of a `configs/torus4x4.ini` scan;
 - `expansions`: the den and num Chebyshev expansions (`filter_expansions`)
   of the config's window, chosen as the scan chooses it, on the interval of
   a block context (`dense_cap = 0`, so a 2x4 lattice takes it too); the
-  context is built, and its interval found, before the clock starts.
+  context, which fixes its interval when it is built, is built before the
+  clock starts.
 
 A context keeps the blocks (1, q) of its pass until its field is done;
 this script builds each and drops it, so the last stage's peak is that of
@@ -49,7 +51,7 @@ from goldstone.config import parse_config
 from goldstone.eigensolver import ground_state
 from goldstone.filters import WavepacketSpec, build_f, spectral_interval
 from goldstone.lattice import Lattice
-from goldstone.operators import (build_hamiltonian, gershgorin_upper,
+from goldstone.operators import (build_hamiltonian, pair_ceiling,
                                  sector_basis, shared_rows)
 from goldstone.runner import _auto_filter
 
@@ -135,7 +137,7 @@ def main():
                 f"{min(floors) - e0[0]:.6g}")
 
     def pass_blocks():
-        upper = gershgorin_upper(lat, B)
+        upper = pair_ceiling(lat, B)
         nnz = [build_hamiltonian(lat, B, (1, q)).nnz
                for q in qs if q != zero]
         return f"{len(nnz)} blocks, {sum(nnz)} nonzeros, upper {upper!r}"
@@ -155,7 +157,6 @@ def main():
     stage("blocks (1, q)", pass_blocks)
     ctx = SystemContext(lat, B, dense_cap=0, tolerances=cfg.tolerances,
                         seed=seed)
-    ctx.spectral_bounds()
     g = _auto_filter(ctx, weights, cfg)[0]
     stage("expansions", expansions)
 

@@ -24,10 +24,9 @@ from .filters import (GFilter, SpectrumEnclosureError, WavepacketWeights,
                       chebyshev_moments, make_chebyshev_expansion,
                       spectral_interval)
 from .lattice import Lattice
-from .operators import (SparseHermitianOperator, block_rows,
-                        build_hamiltonian, direct_sum, fourier_ladder,
-                        fourier_spin, gershgorin_upper, shared_rows,
-                        staggered_operator)
+from .operators import (CSROperator, block_rows, build_hamiltonian,
+                        direct_sum, fourier_ladder, fourier_spin,
+                        pair_ceiling, shared_rows, staggered_operator)
 
 __all__ = [
     "Tolerances",
@@ -52,7 +51,7 @@ __all__ = [
 DENSE_CAP_DEFAULT = 4096        # largest dimension given the dense oracle
 V_MIN_LADDER = (0.5, 0.25, 0.1, 0.05, 0.025)     # descending
 INTERVAL_SOURCE = ("Collatz-Wielandt floor of block (1, 0) at its Ritz "
-                   "vector; Gershgorin row bound of M = +-1")
+                   "vector; Weyl bound n_bonds S^2 + B (N S - 1) of M = +-1")
 
 
 class EpsilonChoiceError(RuntimeError):
@@ -240,7 +239,7 @@ class BlockContext:
     the full basis: `H` is block (0, 0), which holds the ground state (else
     SolverError), and S_k^(2) phi0, S_k^(3) phi0 lie in the blocks (1, k),
     (1, k + Q) of M = +-1 (`block`).  Forms come from Chebyshev moments (the
-    kernel polynomial method), the infrared left side from CG."""
+    kernel polynomial method) on `interval`, the infrared left side from CG."""
 
     def __init__(self, lattice: Lattice, B: float, tolerances: Tolerances,
                  seed: int):
@@ -251,8 +250,9 @@ class BlockContext:
         self.H = build_hamiltonian(lattice, B, (0, self._zero))
         self.gs = ground_state(self.H, tolerances.solver, seed)
         self._check_ground_sector()
+        self.interval = (self.sector_lowest[0]["floor"],
+                         pair_ceiling(lattice, B))
         self._sk_cache: dict = {}
-        self._interval: tuple[float, float] | None = None
         self._expansions: dict = {}
         self._moments: dict = {}
         self._moment_passes: list = []
@@ -307,7 +307,7 @@ class BlockContext:
 
     # -- vectors ---------------------------------------------------------
 
-    def block(self, q) -> SparseHermitianOperator:
+    def block(self, q) -> CSROperator:
         """H on block (1, q) of the pair M = +-1, cached."""
         q = tuple(q)
         if q not in self._blocks:
@@ -343,22 +343,11 @@ class BlockContext:
         return self.block(self._block_q(n, axis)).matvec(v) \
             - self.gs.energy * v
 
-    def spectral_bounds(self) -> tuple[float, float]:
-        """The Chebyshev interval of M = +-1, proved at both ends: the floor
-        of block (1, 0), which holds its lowest state, and the Gershgorin
-        bound; every block (1, q) is an invariant subspace of H."""
-        if self._interval is None:
-            self._interval = (self.sector_lowest[0]["floor"],
-                              gershgorin_upper(self.lattice, self.B))
-        return self._interval
-
     def filter_expansions(self, g: GFilter):
         """(den, num) expansions of g^2(x - E0) and (x - E0) g^2(x - E0) on
         the interval, sup errors at most chebyshev_tol (times gamma)."""
         if g not in self._expansions:
-            lo, hi = self.spectral_bounds()
-            e0 = self.gs.energy
-            tol = self.tol.chebyshev
+            e0, tol = self.gs.energy, self.tol.chebyshev
 
             def den_fn(x):
                 return g(np.asarray(x) - e0) ** 2
@@ -367,8 +356,8 @@ class BlockContext:
                 return (np.asarray(x) - e0) * den_fn(x)
 
             self._expansions[g] = (
-                make_chebyshev_expansion(den_fn, lo, hi, tol),
-                make_chebyshev_expansion(num_fn, lo, hi, tol * g.gamma))
+                make_chebyshev_expansion(den_fn, *self.interval, tol),
+                make_chebyshev_expansion(num_fn, *self.interval, tol * g.gamma))
         return self._expansions[g]
 
     def moments(self, keys, n_moments: int) -> list:
@@ -390,7 +379,7 @@ class BlockContext:
     def _moment_pass(self, todo: list, n_moments: int) -> None:
         blocks = [self.block(self._block_q(*key)) for key in todo]
         starts = np.cumsum([0] + [b.dim for b in blocks])
-        lo, hi = self.spectral_bounds()
+        lo, hi = self.interval
         v = np.concatenate([self.sk_phi(*key) for key in todo])
         mu, matvecs = chebyshev_moments(direct_sum(blocks), v, lo, hi,
                                         n_moments, starts[:-1])
@@ -461,8 +450,8 @@ class BlockContext:
                 "lowest": list(self.sector_lowest),
                 "ground_gap": self.ground_gap,
             },
-            "interval": list(self._interval) if self._interval else None,
-            "interval_source": INTERVAL_SOURCE if self._interval else None,
+            "interval": list(self.interval),
+            "interval_source": INTERVAL_SOURCE,
             "expansions": [
                 {"epsilon": g.epsilon, "gamma": g.gamma,
                  "delta_gamma": g.delta_gamma,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CSROperator, FullBasisOperator, SparseHermitianOperator
+from .operators import CSROperator
 
 __all__ = [
     "GroundState",
@@ -54,7 +54,7 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
+def _lanczos_sweep(H: CSROperator, v0: np.ndarray, tol: float):
     """(converged, theta0, ritz_vector) of one fully reorthogonalised
     Lanczos sweep from v0, of at most MAX_BASIS vectors."""
     max_basis = min(MAX_BASIS, H.dim)
@@ -79,7 +79,7 @@ def _lanczos_sweep(H: SparseHermitianOperator, v0: np.ndarray, tol: float):
         basis[m + 1] = w / beta
 
 
-def ground_state(H: SparseHermitianOperator, tol: float = SOLVER_TOL_DEFAULT,
+def ground_state(H: CSROperator, tol: float = SOLVER_TOL_DEFAULT,
                  seed: int = SEED_DEFAULT) -> GroundState:
     """Lowest eigenpair of H by Lanczos, restarted from each sweep's best
     Ritz vector until the residual estimate reaches tol * max(1,
@@ -110,13 +110,13 @@ def row_sum_bound(H: CSROperator) -> float:
     return float(np.add.reduceat(np.abs(H.data), starts).max(initial=0.0))
 
 
-def dense_spectrum(H: FullBasisOperator) -> SpectralDecomposition:
+def dense_spectrum(H: CSROperator) -> SpectralDecomposition:
     """Full eigensystem oracle."""
     evals, evecs = np.linalg.eigh(H.to_dense())
     return SpectralDecomposition(evals, evecs)
 
 
-def deflated_solve(H: SparseHermitianOperator, e0: float, rhs: np.ndarray,
+def deflated_solve(H: CSROperator, e0: float, rhs: np.ndarray,
                    tol: float = SOLVER_TOL_DEFAULT) -> np.ndarray:
     """Solve (H - E0) x = rhs by conjugate gradients on a symmetry block H
     that does not hold the ground state.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .operators import SparseHermitianOperator
+from .operators import CSROperator
 
 __all__ = [
     "WavepacketSpec",
@@ -174,7 +174,7 @@ class ChebyshevExpansion:
         """<v, p(H) v> from the moments <v, T_n(H~) v> of `chebyshev_moments`."""
         return float(self.coeffs @ moments[:len(self.coeffs)])
 
-    def apply(self, H: SparseHermitianOperator, v: np.ndarray) -> np.ndarray:
+    def apply(self, H: CSROperator, v: np.ndarray) -> np.ndarray:
         """p(H) v by the Clenshaw-style three-term recurrence."""
         al = 2.0 / (self.hi - self.lo)
         be = -(self.hi + self.lo) / (self.hi - self.lo)
@@ -192,7 +192,7 @@ class ChebyshevExpansion:
         return w
 
 
-def chebyshev_moments(H: SparseHermitianOperator, v: np.ndarray,
+def chebyshev_moments(H: CSROperator, v: np.ndarray,
                       lo: float, hi: float, n_moments: int, offsets=(0,)):
     """(mu, matvecs): mu[n, i] = <v_i, T_n(H~) v_i> for n < n_moments, with
     H~ = (2H - (hi + lo)) / (hi - lo), for the segment v_i of the vector v
@@ -285,7 +285,7 @@ def make_chebyshev_expansion(fn, lo: float, hi: float,
         degree *= 2
 
 
-def spectral_interval(H: SparseHermitianOperator, x: np.ndarray) -> float:
+def spectral_interval(H: CSROperator, x: np.ndarray) -> float:
     """The Collatz-Wielandt floor: a proved lower bound on the lowest
     eigenvalue of a real block H, from a real x with no zero entry; or NaN.
 

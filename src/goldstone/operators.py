@@ -30,11 +30,11 @@ import numpy as np
 from .lattice import Lattice
 
 __all__ = [
-    "SparseHermitianOperator",
+    "CSROperator",
     "basis_tables",
     "sector_basis",
     "build_hamiltonian",
-    "gershgorin_upper",
+    "pair_ceiling",
     "BlockRows",
     "block_rows",
     "shared_rows",
@@ -121,16 +121,19 @@ class CSROperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x for one vector x of shape (dim,), by csr_matvec as
         csr_matrix runs it.  A real H times a complex x is two real
-        products, not a complex copy of H per call."""
+        kernel calls (not matvecs, which a wrapper would count twice)."""
         if x.shape != (self.dim,):
             raise ValueError(f"x of shape {x.shape} != ({self.dim},)")
-        out = np.zeros(self.dim, dtype=np.result_type(self.data, x))
         if np.iscomplexobj(x) and not np.iscomplexobj(self.data):
-            out.real = CSROperator.matvec(self, x.real)  # halves of one call
-            out.imag = CSROperator.matvec(self, x.imag)
-        else:
-            sparsetools().csr_matvec(self.dim, self.dim, self.indptr,
-                                     self.indices, self.data, x, out)
+            out = self._product(x.real).astype(complex)
+            out.imag = self._product(x.imag)
+            return out
+        return self._product(x)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=np.result_type(self.data, x))
+        sparsetools().csr_matvec(self.dim, self.dim, self.indptr,
+                                 self.indices, self.data, x, out)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -140,12 +143,8 @@ class CSROperator:
         return out
 
 
-class SparseHermitianOperator(CSROperator):
-    """A block (M, q), or their direct sum (`direct_sum`)."""
-
-
-class FullBasisOperator(CSROperator):
-    """An operator on the full basis, the dense oracle's."""
+# the name under which perfbench/traced_scan.py wraps the matvec
+SparseHermitianOperator = CSROperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +246,7 @@ _LADDER_COEF = {1: (0.5, 0.5), 2: (-0.5j, 0.5j)}
 
 
 def site_sum(lattice: Lattice, weights, axis: int,
-             scale: float = 1.0) -> FullBasisOperator:
+             scale: float = 1.0) -> CSROperator:
     """scale * sum_j w_j S_j^(axis) on the full basis, one weight per site;
     sites of weight zero add no entries."""
     if axis not in (1, 2, 3):
@@ -269,7 +268,7 @@ def site_sum(lattice: Lattice, weights, axis: int,
         counts = [len(t[0]) for t in terms]
         vals = np.repeat(np.outer(scale * w[sites], _LADDER_COEF[matrix]),
                          counts) * amp
-    return FullBasisOperator.from_coo(tab.dim, rows, cols, vals)
+    return CSROperator.from_coo(tab.dim, rows, cols, vals)
 
 
 def _hops(lattice: Lattice, tab: BasisTables):
@@ -303,7 +302,7 @@ def _diagonal(lattice: Lattice, B: float, tab: BasisTables) -> np.ndarray:
 
 
 def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
-                      ) -> FullBasisOperator | SparseHermitianOperator:
+                      ) -> CSROperator:
     """H = sum_bonds S_x . S_y  -  B sum_x sigma(x) S_x^(1).
 
     Real symmetric in the product basis, with the field term on the
@@ -322,7 +321,7 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
         tab = basis_tables(lattice)
         src, dst, amp = _hops(lattice, tab)
         idx = np.arange(tab.dim, dtype=np.int64)
-        return FullBasisOperator.from_coo(
+        return CSROperator.from_coo(
             tab.dim, np.concatenate([idx, src]), np.concatenate([idx, dst]),
             np.concatenate([_diagonal(lattice, B, tab), amp]))
     M, q = block
@@ -332,7 +331,7 @@ def build_hamiltonian(lattice: Lattice, B: float, block: tuple | None = None
     chi, ok = rows.orbits.block_basis(q)
     col = np.cumsum(ok) - 1
     own, off = np.flatnonzero(ok), ok[rows.src] & ok[rows.rep]
-    return SparseHermitianOperator.from_coo(
+    return CSROperator.from_coo(
         len(own), col[np.concatenate([own, rows.src[off]])],
         col[np.concatenate([own, rows.rep[off]])],
         np.concatenate([diag[ok],
@@ -378,23 +377,34 @@ def shared_rows(lattice: Lattice) -> tuple:
         excitation_ladders(pair[0], *zero)
 
 
-def gershgorin_upper(lattice: Lattice, B: float) -> float:
-    """Gershgorin bound max_i (H_ii + sum_{j != i} |H_ij|) on the largest
-    eigenvalue of H at field B on the pair M = +-1, without matvecs.  It is
-    read from the pair's rows at the representatives: G permutes the states
-    and commutes with H, so row sums are constant on orbits."""
-    rows = shared_rows(lattice)[1]
-    diag = _shared_diagonal(lattice, 1, B)
-    return float(np.max(diag + np.bincount(rows.src, rows.amp, len(diag))))
+def pair_ceiling(lattice: Lattice, B: float) -> float:
+    """n_bonds S^2 + B (N S - 1) plus its rounding bound: a proved upper
+    bound on H at field B >= 0 on M = +-1, which holds every block (1, q).
+
+    Weyl: a bond term is at most S^2, and the field term is the diagonal
+    B (N S - sum_x (S + sigma_x m_x)), each S + sigma_x m_x an integer in
+    [0, 2S], all 0 only at M = 0; the ferromagnetic multiplet attains the
+    bound at B = 0.  Rounding: a stored block entry lies within gamma_k =
+    k u / (1 - k u), u = 2^-53, times that entry of the block of |H|
+    (Higham, SIAM 2002, sec. 3.1), k adding 2 N for the field sum,
+    2 n_bonds for a sum of hops, 5 for a hop, 2 + (d + 3) pi sum_i (L_i - 1)
+    for its phase exp(-i q.a) and 4 for this bound; that block's norm is at
+    most R = 3 n_bonds S^2 + B N S, so each eigenvalue moves by at most
+    gamma_k R (Bauer and Fike, Numer. Math. 2, 137 (1960))."""
+    s, n, bonds, u = lattice.spin, lattice.n_sites, len(lattice.bonds), 2**-53
+    k = 2 * n + 2 * bonds + 12 + (lattice.dimension + 3) * np.pi * sum(
+        e - 1 for e in lattice.extents)
+    return float(bonds * s**2 + B * (n * s - 1)
+                 + k * u / (1 - k * u) * (3 * bonds * s**2 + B * n * s))
 
 
-def site_spin_operator(lattice: Lattice, site: int, axis: int) -> FullBasisOperator:
+def site_spin_operator(lattice: Lattice, site: int, axis: int) -> CSROperator:
     """S_x^(axis) at one site, axis in {1, 2, 3}."""
     return site_sum(lattice, np.eye(lattice.n_sites)[site], axis)
 
 
 def fourier_spin(lattice: Lattice, n_momentum,
-                 axis: int) -> FullBasisOperator:
+                 axis: int) -> CSROperator:
     """hat S_k^(axis) = N^{-1/2} sum_x e^{i k x} S_x^(axis) on the full
     basis.  Its adjoint is the operator at -k."""
     n_momentum = tuple(n_momentum)
@@ -419,7 +429,7 @@ def site_phases(lattice: Lattice, n_momentum) -> np.ndarray:
     return np.array([np.exp(1j * np.dot(k, x)) for x in lattice.sites])
 
 
-def staggered_operator(lattice: Lattice) -> FullBasisOperator:
+def staggered_operator(lattice: Lattice) -> CSROperator:
     """sum_x sigma(x) S_x^(1) on the full basis: the order parameter N m_B
     is its expectation."""
     return site_sum(lattice, lattice.staggered_signs, 1)
@@ -529,13 +539,13 @@ def excitation_ladders(pair, zero, locate_zero):
     return t, c, r, amp * np.sqrt(pair.size[t] / zero.size[r])
 
 
-def direct_sum(ops) -> SparseHermitianOperator:
+def direct_sum(ops) -> CSROperator:
     """The block-diagonal operator with the blocks `ops`, in order: their CSR
     arrays end to end with offsets, as scipy.sparse.block_diag makes them."""
     dims = np.cumsum([0] + [op.dim for op in ops]).tolist()
     nnz = sum(op.nnz for op in ops)
     idx = np.int32 if max(dims[-1], nnz) < 2**31 else np.int64
-    return SparseHermitianOperator(
+    return CSROperator(
         np.concatenate([[0]] + [np.diff(op.indptr) for op in ops]).cumsum(
             dtype=idx),
         np.concatenate([op.indices.astype(idx, copy=False) + d

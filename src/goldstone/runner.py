@@ -121,6 +121,12 @@ class _Outputs:
             "passed": bool(passed), "note": note,
         })
 
+    def trend(self, name, lattice, B, value, what) -> None:
+        """A qmode trend, recorded with its value; it sets no exit code."""
+        self.check("qmode", name, lattice, B, value, None, True,
+                   f"trend - {what}; a finite-size trend, not a "
+                   "finite-volume inequality")
+
     def skip(self, lattice, p, reason, groups, **where) -> None:
         self.skipped.append({"lattice": lattice, "p": p, **where,
                              "groups": list(groups), "reason": reason})
@@ -307,25 +313,20 @@ def _dispersion(res: _Outputs, config: ScanConfig, ctx: Context,
                     num_k=pk.num_k, den_k=pk.den_k)
     if len(records) == 2:
         diff = records[0].delta_e - records[1].delta_e
-        res.check("qmode", "delta_e_ordering", tag, B, diff, -ORDERING_SLACK,
-                  diff > -ORDERING_SLACK,
-                  "zero-mode above staggered-mode (slack 1e-6)")
+        res.trend("delta_e_ordering", tag, B, diff, "zero-mode Delta E "
+                  f"{'above' if diff > -ORDERING_SLACK else 'below'} "
+                  "staggered-mode (value: their difference)")
     if "qmode" in config.checks:
         trend = qmode_trend(ctx, forms, g)
         for (e_val, n, den_k) in trend:
             res.row("qmode_trend", lattice=tag, B=B, dispersion=e_val,
                     n=_label(n), k=_kcols(lattice, n), den_k=den_k)
-        # a finite-size trend, recorded with its value; it is not a
-        # finite-volume inequality and sets no exit code
         steps = [d1 - d2 for (_, _, d1), (_, _, d2) in zip(trend, trend[1:])]
         if steps:
-            trend_is = ("decreases" if min(steps) > -ORDERING_SLACK
-                        else "does not decrease")
-            res.check("qmode", "trend_den_decreasing", tag, B, min(steps),
-                      None, True,
-                      f"trend - den_k {trend_is} as the dispersion grows "
-                      "(value: smallest step); a finite-size trend, not a "
-                      "finite-volume inequality")
+            falls = min(steps) > -ORDERING_SLACK
+            res.trend("trend_den_decreasing", tag, B, min(steps), "den_k "
+                      f"{'decreases' if falls else 'does not decrease'} as "
+                      "the dispersion grows (value: smallest step)")
 
 
 def _ladder_checks(res: _Outputs, tag: str, fields, tol: float) -> None:

@@ -194,7 +194,7 @@ def test_4x4_block_moments_match_h_exc(big):
     (moment_pass,) = ctx.solver_stats()["moment_passes"]
     assert {(b["dim"], b["nnz"]) for b in moment_pass["blocks"]} == \
         {(1430, 25258)}
-    lo, hi = ctx.spectral_bounds()
+    lo, hi = ctx.interval
     n_sq = np.arange(200) ** 2
     for n in ((1, 0), (2, 2)):
         (mu,) = ctx.moments([(n, 2)], 200)

@@ -360,8 +360,8 @@ def test_sparse_context_skips_window_pieces(lat22):
 
 def test_moment_guard_rejects_short_interval(lat22):
     ctx = SystemContext(lat22, 0.1, dense_cap=0)
-    lo, hi = ctx.spectral_bounds()
-    ctx._interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
+    lo, hi = ctx.interval
+    ctx.interval = (lo, 0.5 * (lo + hi))    # misses the top of the spectrum
     # a window whose upper edge falls inside the cut interval, so that the
     # expansions are not constant there
     g = GFilter(0.5, 2.0, 0.5)
@@ -479,7 +479,7 @@ def test_floors_lie_below_each_sector_minimum(name, B):
         assert floor <= lowest, (M, floor, lowest)
         if M == 1:
             assert lowest - floor <= 1e-6
-            assert ctx.spectral_bounds()[0] == floor
+            assert ctx.interval[0] == floor
 
 
 def test_planted_ground_sector_failure_raises(lat22, monkeypatch):
@@ -750,7 +750,7 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     momenta = sorted(lat.momenta)
     keys = [(momenta[p % len(momenta)], axis) for p, axis in picks]
     got = ctx.moments(keys, n_moments)
-    lo, hi = ctx.spectral_bounds()
+    lo, hi = ctx.interval
     for key, mu in zip(keys, got):
         H = ctx.block(ctx._block_q(*key))
         v = ctx.sk_phi(*key)
@@ -767,6 +767,25 @@ def test_block_moments_match_h_exc_moments(name, B, picks, n_moments):
     # one block of the direct sum per vector, a shared block repeated
     assert len(moment_pass["blocks"]) == len(set(keys))
     assert moment_pass["dim"] == sum(b["dim"] for b in moment_pass["blocks"])
+
+
+@pytest.mark.parametrize("extents,spin,B", [((4, 4), 0.5, 0.1),
+                                            ((2, 6), 0.5, 0.2),
+                                            ((2, 4), 0.5, 0.2),
+                                            ((2, 4), 1.0, 0.2)])
+def test_inverted_momenta_have_equal_moments(extents, spin, B):
+    """Inversion k -> -k commutes with H and fixes phi0 up to a sign, so
+    S_k phi0 and S_-k phi0 have the same Chebyshev moments: within 1e-12
+    mu_0 over 400 moments, at every momentum k != -k and axis 2 and 3.
+    They agree to rounding, not bit for bit."""
+    lat = Lattice(extents, spin)
+    ctx = SystemContext(lat, B, dense_cap=0)
+    keys = [(n, axis) for n in sorted(lat.momenta) if lat.negate(n) != n
+            for axis in (2, 3)]
+    moments = dict(zip(keys, ctx.moments(keys, 400)))
+    for (n, axis), mu in moments.items():
+        twin = moments[lat.negate(n), axis]
+        assert np.abs(mu - twin).max() <= 1e-12 * mu[0], (n, axis)
 
 
 @pytest.mark.parametrize("extents,B", [((2, 4), 1e-6), ((2, 6), 1e-5)])
@@ -788,7 +807,7 @@ def test_small_field_moment_pass_matches_dense_oracle(extents, B):
     full = np.zeros(lat.hilbert_dim)
     full[zero] = phi[:, 0]
     evals, evecs = np.linalg.eigh(H[pair][:, pair].toarray())
-    lo, hi = ctx.spectral_bounds()
+    lo, hi = ctx.interval
     x = (2 * evals - (hi + lo)) / (hi - lo)
     cheb = np.cos(np.outer(np.arange(16), np.arccos(x)))
     for (n, axis), mu in zip(keys, got):

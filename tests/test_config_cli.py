@@ -23,7 +23,7 @@ from goldstone.config import (_KEYS, _SCHEMA, ConfigError, ScanConfig,
                               auto_p_target, parse_config_text)
 from goldstone.eigensolver import row_sum_bound
 from goldstone.lattice import Lattice
-from goldstone.operators import build_hamiltonian
+from goldstone.operators import build_hamiltonian, pair_ceiling
 from goldstone.runner import run_scan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -382,8 +382,9 @@ def test_sparse_scan_reports_solver_stats(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     (stats,) = manifest["solver_stats"]
     assert (stats["lattice"], stats["B"], stats["path"]) == ("2x2", 0.2, "sparse")
-    assert "Gershgorin" in stats["interval_source"]
+    assert "Weyl bound" in stats["interval_source"]
     lo, hi = stats["interval"]
+    assert hi == pair_ceiling(Lattice((2, 2)), 0.2)
     assert lo < hi
     blocks = stats["blocks"]
     # M = 0 holds 6 states in 4 orbits, M = +-1 8 states in 2 orbits
@@ -456,6 +457,21 @@ def test_qmode_trend_is_recorded_not_asserted(tmp_path, monkeypatch):
     for c in trends:
         assert c["value"] == pytest.approx(-0.2)
         assert c["passed"] and "not a finite-volume inequality" in c["note"]
+
+
+def test_mode_ordering_is_recorded_not_asserted(tmp_path):
+    """On ring 6 the zero-mode Delta E lies 0.166 below the staggered-mode
+    one on the exact dense oracle: the ordering is a finite-size trend, so
+    its negative value is recorded and the scan exits 0."""
+    result = run_scan(parse_config_text(
+        "[scan]\nchecks = dispersion qmode\nlattices = 6\n"
+        "b_ladder = 0.2\n"), out_dir=tmp_path)
+    assert result.exit_code == 0
+    (ordering,) = [c for c in result.manifest["checks"]
+                   if c["name"] == "delta_e_ordering"]
+    assert ordering["value"] == pytest.approx(-0.166, abs=1e-3)
+    assert ordering["passed"] and ordering["threshold"] is None
+    assert ordering["note"].startswith("trend - zero-mode Delta E below")
 
 
 def test_cli_scan_and_report(tmp_path, capsys):

@@ -14,9 +14,9 @@ from goldstone.lattice import Lattice
 from goldstone.operators import (SECTOR_AXES, SparseHermitianOperator,
                                  _orbit_pass, basis_tables,
                                  build_hamiltonian, direct_sum, fourier_ladder,
-                                 fourier_spin, sector_basis, shared_rows,
-                                 site_phases, site_spin_operator,
-                                 staggered_operator)
+                                 fourier_spin, pair_ceiling, sector_basis,
+                                 shared_rows, site_phases,
+                                 site_spin_operator, staggered_operator)
 
 
 def spin_matrices(two_s: int):
@@ -427,6 +427,30 @@ def test_sector_spectra(extents, spin, B):
                 spectra.append(np.linalg.eigvalsh(dense))
         full = np.linalg.eigvalsh(build_hamiltonian(lat, field).to_dense())
         assert np.abs(np.sort(np.concatenate(spectra)) - full).max() <= 1e-12
+
+
+CEILING_LATTICES = {"ring4": ((4,), 0.5), "ring6": ((6,), 0.5),
+                    "2x2": ((2, 2), 0.5), "2x4": ((2, 4), 0.5),
+                    "4x2": ((4, 2), 0.5), "spin1-ring4": ((4,), 1.0),
+                    "spin1-2x2": ((2, 2), 1.0), "spin3/2-2x2": ((2, 2), 1.5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CEILING_LATTICES)), B=st.floats(0.0, 3.0))
+def test_pair_ceiling_bounds_every_block_of_the_pair(name, B):
+    """The closed-form ceiling n_bonds S^2 + B (N S - 1) lies at or above
+    the dense top eigenvalue of every block (1, q), and at B = 0, where the
+    ferromagnetic multiplet attains it, within 1e-12 of the highest."""
+    lat = Lattice(*CEILING_LATTICES[name])
+    for field in (B, 0.0):
+        ceiling = pair_ceiling(lat, field)
+        assert ceiling >= len(lat.bonds) * lat.spin ** 2 \
+            + field * (lat.n_sites * lat.spin - 1)
+        tops = [np.linalg.eigvalsh(
+            build_hamiltonian(lat, field, (1, q)).to_dense())[-1]
+            for q in lat.momenta]
+        assert max(tops) <= ceiling, (field, max(tops), ceiling)
+    assert ceiling - max(tops) <= 1e-12
 
 
 def _twisted_action(lat, tab, a):
